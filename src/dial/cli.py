@@ -55,6 +55,7 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
         return result
 
     unit: LoweredUnit = lower(ast)
+    del tokens, ast  # not needed past lowering; frees them before type-checking
     result.diagnostics.extend(unit.diagnostics)
     result.diagram = unit.diagram
     result.registry = unit.registry

@@ -6,12 +6,13 @@ Codes are stable across releases:
   E002  syntax error                  E102  input does not match a signature
   E003  duplicate declaration id      E103  dimension conflict
   E004  malformed data-term literal   E104  declared term conflicts with inferred
-  E010  unresolvable node code        E301  layout does not belong to the diagram
+  E010  unresolvable node code        E105  term propagation did not converge
   E011  dangling reference / bad port
   E012  detail-group containment cycle
   E013  persistence/query edge endpoint is not a stored resource
   E020  interchange document version mismatch
   E021  malformed interchange document
+  E301  layout does not belong to the diagram
 
   W201..W208  style rules, see dial.lint
 """

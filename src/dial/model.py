@@ -137,23 +137,11 @@ class Diagram:
                 return node
         return None
 
-    def edge_by_id(self, edge_id: str) -> Edge | None:
-        for edge in self.edges:
-            if edge.id == edge_id:
-                return edge
-        return None
-
     def node_index(self, node_id: str) -> int:
         for i, node in enumerate(self.nodes):
             if node.id == node_id:
                 return i
         return -1
-
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.target.node == node_id]
-
-    def out_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.source.node == node_id]
 
     def group_member_ids(self) -> frozenset[str]:
         out: set[str] = set()

@@ -38,6 +38,7 @@ ERROR_CODES = [
     ("E102", "input does not fit the signature's domain"),
     ("E103", "dimension conflict"),
     ("E104", "declared edge term conflicts with the inferred term"),
+    ("E105", "term propagation did not reach a fixed point"),
     ("E301", "layout does not belong to the diagram"),
 ]
 

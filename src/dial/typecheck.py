@@ -1,10 +1,13 @@
 """Semantic analysis: term matching, per-node output inference, the
 dimension calculus, and whole-diagram propagation.
 
-Propagation walks nodes in declaration order and iterates to a fixed point,
-so diagrams with recurrent edges terminate: annotation sets only grow, and
-the label lattice is finite. Diagnostics are collected in a single final
-pass, which keeps their order deterministic.
+Propagation is a worklist over the nodes in topological rank, so an acyclic
+diagram costs one evaluation per node whatever its declaration order; a
+node is evaluated again only after one of its sources changed. Sweeps are
+capped at a budget; running out of it is reported as E105, since labels
+only grow but the dimension calculus can grow a vector around a flow cycle
+forever. Diagnostics are collected in a single final pass in declaration
+order, which keeps their order deterministic.
 
 Inference rules in brief:
 
@@ -25,6 +28,7 @@ Inference rules in brief:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic
@@ -449,32 +453,45 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
 
     Terms travel only along the acyclic forward orientation. Recurrent
     edges, and any flow edge the cycle-breaker has to reverse, feed back
-    annotation labels alone; the label lattice is finite, so the iteration
-    terminates on every structurally valid diagram.
+    into a slot: labels only where the slot has a forward feed, else a
+    collapsed term.
+
+    Nodes are ranked by layer of the forward orientation, then declaration
+    index. A sweep visits queued nodes in rank order; a node whose output
+    changed queues its successors over every edge, those ranked later for
+    this sweep and the others for the next. The result is the round-robin
+    over the nodes in rank order, minus the evaluations whose inputs had not
+    changed. An empty queue proves the fixed point. After ``max_rounds``
+    sweeps the queue may still hold nodes; then E105 names the first of
+    them in declaration order.
     """
-    from .layout import break_cycles
+    from .layout import assign_layers, break_cycles
 
     registry = registry or Registry()
     embeddings = {e.id: e.dim for e in diagram.embeddings}
+    nodes = {n.id: n for n in diagram.nodes}
     resolutions = {n.id: registry.resolve(n.code, diagram.dialects) for n in diagram.nodes}
     outputs: dict[str, list[DataTerm | None]] = {n.id: [None] for n in diagram.nodes}
-    _, backward = break_cycles(diagram)
+    oriented, backward = break_cycles(diagram)
     label_count = max(1, len(registry.vocabulary.labels | registry.vocabulary.extra_labels))
     max_rounds = len(diagram.edges) * label_count + 2
+
+    # In-edges keep declaration order: the last feed of a slot wins.
+    in_edges: dict[str, list[Edge]] = {n.id: [] for n in diagram.nodes}
+    for edge in diagram.edges:
+        in_edges.setdefault(edge.target.node, []).append(edge)
 
     def gather(node: Node) -> tuple[list[DataTerm | None], list[bool]]:
         slots: dict[int, DataTerm | None] = {}
         resource_flags: dict[int, bool] = {}
         feedback: list[tuple[int, DataTerm | None]] = []
-        for edge in diagram.edges:
-            if edge.target.node != node.id:
-                continue
-            delivered = _delivered_term(edge, diagram, outputs)
+        for edge in in_edges[node.id]:
+            delivered = _delivered_term(edge, nodes, outputs)
             if edge.flow_kind == "recurrent" or edge.id in backward:
                 feedback.append((edge.target.slot, delivered))
                 continue
             slots[edge.target.slot] = delivered
-            src = diagram.node_by_id(edge.source.node)
+            src = nodes.get(edge.source.node)
             resource_flags[edge.target.slot] = bool(src and src.kind == "resource")
         for slot, delivered in feedback:
             if delivered is None:
@@ -487,21 +504,42 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
         return ([slots.get(i) for i in range(width)],
                 [resource_flags.get(i, False) for i in range(width)])
 
+    layers = assign_layers([n.id for n in diagram.nodes], oriented)
+    order = sorted((layers[n.id], i, n) for i, n in enumerate(diagram.nodes)
+                   if resolutions[n.id] is not None)
+    rank = {n.id: r for r, (_, _, n) in enumerate(order)}
+    # Successors over every edge: a feedback target depends on its source too.
+    successors: dict[str, list[int]] = {n.id: [] for n in diagram.nodes}
+    for edge in diagram.edges:
+        if edge.source.node in successors and edge.target.node in rank:
+            successors[edge.source.node].append(rank[edge.target.node])
+
+    sweep = list(range(len(order)))  # heap of ranks; sorted, hence a heap
+    later: list[int] = []  # ranks queued for the next sweep
+    queued = [True] * len(order)
     for _ in range(max_rounds):
-        changed = False
-        for node in diagram.nodes:
-            if resolutions[node.id] is None:
-                continue
+        while sweep:
+            r = heapq.heappop(sweep)
+            queued[r] = False
+            node = order[r][2]
             inputs, res_flags = gather(node)
-            # diagnostics from interim rounds are discarded; the final pass
-            # below recomputes them once, in declaration order
+            # diagnostics from interim evaluations are discarded; the final
+            # pass below recomputes them once, in declaration order
             outs, _ = infer_output(node, inputs, registry, embeddings,
                                    res_flags, diagram.dialects)
             if outs != outputs[node.id]:
                 outputs[node.id] = outs
-                changed = True
-        if not changed:
+                for succ in successors[node.id]:
+                    if not queued[succ]:
+                        queued[succ] = True
+                        if succ > r:
+                            heapq.heappush(sweep, succ)
+                        else:
+                            later.append(succ)
+        if not later:
             break
+        sweep, later = later, []
+        heapq.heapify(sweep)
 
     # Final pass: diagnostics in declaration order, then edge assertions.
     diagnostics: list[Diagnostic] = []
@@ -515,7 +553,7 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
 
     edge_terms: dict[str, DataTerm] = {}
     for edge in diagram.edges:
-        delivered = _delivered_term(edge, diagram, outputs)
+        delivered = _delivered_term(edge, nodes, outputs)
         if delivered is not None:
             edge_terms[edge.id] = delivered
         elif resolutions.get(edge.source.node) is not None:
@@ -525,6 +563,13 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
                 ir_path=edge.id))
         if edge.declared_term is not None:
             _check_declared(edge, delivered, registry, diagnostics)
+
+    if sweep:  # the budget ran out with these nodes still queued
+        stuck = min(sweep, key=lambda r: order[r][1])
+        node_id = order[stuck][2].id
+        diagnostics.append(Diagnostic(
+            "E105", f"node {node_id!r}: term propagation did not reach a fixed point",
+            ir_path=node_id))
     return TypedDiagram(diagram, edge_terms, diagnostics)
 
 
@@ -541,9 +586,9 @@ def _collapse(term: DataTerm) -> DataTerm:
     return DataTerm(base=base, annotations=term.all_labels())
 
 
-def _delivered_term(edge: Edge, diagram: Diagram,
+def _delivered_term(edge: Edge, nodes: dict[str, Node],
                     outputs: dict[str, list[DataTerm | None]]) -> DataTerm | None:
-    source = diagram.node_by_id(edge.source.node)
+    source = nodes.get(edge.source.node)
     if source is None:
         return None
     if edge.flow_kind == "query" and source.kind == "resource":

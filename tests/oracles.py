@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's propagation and layering code paths:
 the propagation oracle schedules nodes itself over explicit topological
-orders, and the layering oracle enumerates every path.
+orders, the round-robin reference is the checker's earlier fixed-point loop,
+and the layering oracle enumerates every path.
 """
 
 from __future__ import annotations
@@ -10,10 +11,12 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
+from dial.diagnostics import Diagnostic
+from dial.layout import assign_layers, break_cycles
 from dial.model import Diagram, Edge, Node, Port
 from dial.registry import Registry
 from dial.terms import DataTerm
-from dial.typecheck import infer_output
+from dial.typecheck import TypedDiagram, _check_declared, _collapse, infer_output
 
 # ---------------------------------------------------------------------------
 # Random diagrams over a small operator pool
@@ -118,6 +121,135 @@ def propagate_in_order(diagram: Diagram, order: list[str],
         outs = outputs.get(edge.source.node, [])
         edge_terms[edge.id] = outs[edge.source.slot] if edge.source.slot < len(outs) else None
     return edge_terms, sorted(codes)
+
+
+def random_feedback_diagram(rng: random.Random, max_nodes: int = 8) -> Diagram:
+    """A random propagation diagram with cycles, declared in shuffled order.
+
+    Up to three edges run from a node to itself or to a node generated
+    before it: recurrent edges, and flow edges that close a cycle, into the
+    target's next free input slot. Nodes and edges are shuffled, so the
+    declaration order is rarely topological and the cycle-breaker may
+    reverse a forward edge rather than the closing one. The result may
+    violate arities; callers filter with ``validate_structure``.
+    """
+    diagram = random_propagation_diagram(rng, max_nodes)
+    ids = [n.id for n in diagram.nodes]
+    for _ in range(rng.randint(1, 3)):
+        later = rng.randrange(1, len(ids))
+        source, target = ids[later], ids[rng.randrange(0, later + 1)]
+        if rng.random() < 0.5:
+            kind, slot = "recurrent", rng.randint(0, 1)
+        else:
+            kind = "flow"
+            slot = sum(1 for e in diagram.edges
+                       if e.target.node == target and e.flow_kind != "recurrent")
+        diagram.edges.append(Edge(f"e{len(diagram.edges)}", Port(source, 0, "out"),
+                                  Port(target, slot, "in"), kind))
+    rng.shuffle(diagram.nodes)
+    rng.shuffle(diagram.edges)
+    return diagram
+
+
+def rank_schedule(diagram: Diagram) -> list[Node]:
+    """Nodes by layer of the cycle-broken orientation, then declaration order."""
+    oriented, _ = break_cycles(diagram)
+    layers = assign_layers([n.id for n in diagram.nodes], oriented)
+    indexed = sorted((layers[n.id], i) for i, n in enumerate(diagram.nodes))
+    return [diagram.nodes[i] for _, i in indexed]
+
+
+def round_robin_check(diagram: Diagram, registry: Registry | None = None,
+                      schedule: list[Node] | None = None) -> tuple[TypedDiagram, bool]:
+    """The checker's earlier fixed point, kept as a reference.
+
+    Every round re-runs every node, in declaration order or in the order of
+    ``schedule``, until a round changes nothing or ``max_rounds`` rounds
+    have run. Diagnostics come from a final pass in declaration order.
+    Returns the typed diagram and whether a round changed nothing.
+    """
+    registry = registry or Registry()
+    embeddings = {e.id: e.dim for e in diagram.embeddings}
+    resolutions = {n.id: registry.resolve(n.code, diagram.dialects) for n in diagram.nodes}
+    outputs: dict[str, list[DataTerm | None]] = {n.id: [None] for n in diagram.nodes}
+    _, backward = break_cycles(diagram)
+    label_count = max(1, len(registry.vocabulary.labels | registry.vocabulary.extra_labels))
+    max_rounds = len(diagram.edges) * label_count + 2
+
+    def delivered_term(edge: Edge) -> DataTerm | None:
+        source = diagram.node_by_id(edge.source.node)
+        if source is None:
+            return None
+        if edge.flow_kind == "query" and source.kind == "resource":
+            return DataTerm(base="Tuples")
+        outs = outputs.get(edge.source.node, [])
+        if edge.source.slot < len(outs):
+            return outs[edge.source.slot]
+        return None
+
+    def gather(node: Node) -> tuple[list[DataTerm | None], list[bool]]:
+        slots: dict[int, DataTerm | None] = {}
+        resource_flags: dict[int, bool] = {}
+        feedback: list[tuple[int, DataTerm | None]] = []
+        for edge in diagram.edges:
+            if edge.target.node != node.id:
+                continue
+            delivered = delivered_term(edge)
+            if edge.flow_kind == "recurrent" or edge.id in backward:
+                feedback.append((edge.target.slot, delivered))
+                continue
+            slots[edge.target.slot] = delivered
+            src = diagram.node_by_id(edge.source.node)
+            resource_flags[edge.target.slot] = bool(src and src.kind == "resource")
+        for slot, delivered in feedback:
+            if delivered is None:
+                continue
+            if slots.get(slot) is not None:
+                slots[slot] = slots[slot].with_labels(delivered.all_labels())
+            else:
+                slots[slot] = _collapse(delivered)
+        width = max(slots, default=-1) + 1
+        return ([slots.get(i) for i in range(width)],
+                [resource_flags.get(i, False) for i in range(width)])
+
+    converged = False
+    for _ in range(max_rounds):
+        changed = False
+        for node in schedule or diagram.nodes:
+            if resolutions[node.id] is None:
+                continue
+            inputs, res_flags = gather(node)
+            outs, _ = infer_output(node, inputs, registry, embeddings,
+                                   res_flags, diagram.dialects)
+            if outs != outputs[node.id]:
+                outputs[node.id] = outs
+                changed = True
+        if not changed:
+            converged = True
+            break
+
+    diagnostics: list[Diagnostic] = []
+    for node in diagram.nodes:
+        if resolutions[node.id] is None:
+            continue
+        inputs, res_flags = gather(node)
+        _, diags = infer_output(node, inputs, registry, embeddings,
+                                res_flags, diagram.dialects)
+        diagnostics.extend(diags)
+
+    edge_terms: dict[str, DataTerm] = {}
+    for edge in diagram.edges:
+        delivered = delivered_term(edge)
+        if delivered is not None:
+            edge_terms[edge.id] = delivered
+        elif resolutions.get(edge.source.node) is not None:
+            diagnostics.append(Diagnostic(
+                "E102", f"edge {edge.id} carries no resolvable term "
+                        f"(source {edge.source} produced nothing)",
+                ir_path=edge.id))
+        if edge.declared_term is not None:
+            _check_declared(edge, delivered, registry, diagnostics)
+    return TypedDiagram(diagram, edge_terms, diagnostics), converged
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import dial.typecheck
 from dial.cli import compile_source
-from dial.model import Node
+from dial.layout import break_cycles
+from dial.model import Node, validate_structure
 from dial.registry import FormalTerm, Registry
 from dial.terms import SEQUENCE, SET
 from dial.typecheck import (
@@ -19,7 +21,14 @@ from dial.typecheck import (
     match_term,
     parse_data_term,
 )
-from oracles import propagate_in_order, random_propagation_diagram, topological_orders
+from oracles import (
+    propagate_in_order,
+    random_feedback_diagram,
+    random_propagation_diagram,
+    rank_schedule,
+    round_robin_check,
+    topological_orders,
+)
 
 SYS = frozenset({"sys"})
 
@@ -313,3 +322,75 @@ def test_propagation_matches_oracle_small():
         got = {e.id: typed.edge_terms.get(e.id) for e in diagram.edges}
         assert got == oracle_terms
         assert sorted(d.code for d in typed.diagnostics) == oracle_codes
+
+
+def _diagnostics(typed) -> list[tuple[str, str, str | None]]:
+    return [(d.code, d.message, d.ir_path) for d in typed.diagnostics]
+
+
+def test_worklist_matches_round_robin_reference():
+    # The worklist is the earlier round-robin loop run in topological rank
+    # order, minus the evaluations whose inputs had not changed: same terms,
+    # same diagnostics in order, and E105 exactly when the rounds ran out.
+    # Where the loop in declaration order reaches the same terms, the
+    # worklist matches it too.
+    rng = random.Random(20261017)
+    registry = Registry()
+    valid = reversed_some = stuck = declared_same = 0
+    for _ in range(1000):
+        diagram = random_feedback_diagram(rng)
+        if validate_structure(diagram, registry):
+            continue
+        valid += 1
+        reversed_some += bool(break_cycles(diagram)[1])
+        typed = check_diagram(diagram, registry)
+        got = _diagnostics(typed)
+        ranked, converged = round_robin_check(diagram, registry, rank_schedule(diagram))
+        if not converged:
+            stuck += 1
+            assert got.pop()[0] == "E105"
+        assert (typed.edge_terms, got) == (ranked.edge_terms, _diagnostics(ranked))
+        declared, declared_converged = round_robin_check(diagram, registry)
+        if declared_converged and declared.edge_terms == ranked.edge_terms:
+            declared_same += 1
+            assert got == _diagnostics(declared)
+    assert valid > 500 and reversed_some > 100 and stuck > 0
+    assert declared_same > 0.95 * valid
+
+
+def test_non_convergence_reports_e105():
+    # a flow cycle through oplus and concat grows the vector every round
+    src = ('dial 0.1\ndialect sys\ndiagram "grow" {\n'
+           "  data s: vec[4]\n  node a: oplus\n  node b: concat\n"
+           "  edge s -> a\n  edge b -> a.in1\n  edge a -> b\n  edge s -> b.in1\n}\n")
+    result = compile_source(src)
+    e105 = [d for d in result.typed.diagnostics if d.code == "E105"]
+    assert len(e105) == 1
+    assert e105[0].ir_path == "b" and "did not reach a fixed point" in e105[0].message
+    assert result.failed
+
+
+@pytest.mark.parametrize("reverse", [True, False])
+def test_check_evaluates_each_chain_node_twice(monkeypatch, reverse):
+    # one worklist evaluation plus one diagnostic pass per node, whatever
+    # the declaration order
+    n = 200
+    decls = ["  data t0: S^Token"] + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}"
+                                      for i in range(1, n)]
+    edges = [f"  edge t{i} -> t{i + 1}" for i in range(n - 1)]
+    if reverse:
+        decls.reverse()
+        edges.reverse()
+    src = "\n".join(['dial 0.1', 'dialect sys', 'diagram "chain" {', *decls, *edges, "}"]) + "\n"
+    calls = 0
+    real = dial.typecheck.infer_output
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dial.typecheck, "infer_output", counting)
+    result = compile_source(src)
+    assert result.diagnostics == []
+    assert calls == 2 * n
