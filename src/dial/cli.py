@@ -20,6 +20,7 @@ import contextlib
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__, layout, lint as lint_mod, render
@@ -32,6 +33,10 @@ from .typecheck import TypedDiagram, check_diagram
 
 @dataclass
 class CompileResult:
+    """A compiled file. The back half (layout, lint, render) runs on demand
+    from one layout per result. Its stages are looked up as module attributes
+    at call time, so a tracer that replaces them there sees every call."""
+
     file: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
     diagram: Diagram | None = None
@@ -41,6 +46,23 @@ class CompileResult:
     @property
     def failed(self) -> bool:
         return has_errors(self.diagnostics)
+
+    @cached_property
+    def layout_result(self) -> layout.LayoutResult:
+        """Layout of ``typed.diagram``; requires a typed diagram."""
+        return layout.layout(self.typed.diagram)
+
+    def lint(self, disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
+        """W2xx warnings located in ``file``; ``[]`` without a typed diagram."""
+        if self.typed is None:
+            return []
+        warnings = lint_mod.lint(self.typed, self.layout_result, self.registry, disabled)
+        return [d.with_location(self.file, None) for d in warnings]
+
+    def render(self, fmt: str) -> str:
+        """SVG or TikZ text (``fmt`` is "svg" or "tikz"); requires a typed diagram."""
+        emit = {"svg": render.render_svg, "tikz": render.render_tikz}[fmt]
+        return emit(self.typed, self.layout_result, registry=self.registry)
 
 
 def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
@@ -154,11 +176,7 @@ def _cmd_lint(args, stdout, stderr) -> int:
         except OSError as exc:
             print(f"dial: cannot read {path}: {exc}", file=stderr)
             return 2
-        diags = list(result.diagnostics)
-        if result.typed is not None:
-            lay = layout.layout(result.typed.diagram)
-            lint_diags = lint_mod.lint(result.typed, lay, result.registry, disabled)
-            diags.extend(d.with_location(path, None) for d in lint_diags)
+        diags = result.diagnostics + result.lint(disabled)
         all_diags.extend(diags)
         if result.failed:
             worst = 1
@@ -184,13 +202,9 @@ def _cmd_render(args, stdout, stderr) -> int:
         print("dial render: refusing to write output with errors present",
               file=stderr)
         return 1
-    lay = layout.layout(result.typed.diagram)
     if args.debug_layout:
-        stderr.write(layout.debug_dump(result.typed.diagram, lay))
-    if args.format == "tikz":
-        text = render.render_tikz(result.typed, lay, registry=result.registry)
-    else:
-        text = render.render_svg(result.typed, lay, registry=result.registry)
+        stderr.write(layout.debug_dump(result.typed.diagram, result.layout_result))
+    text = result.render(args.format)
     try:
         Path(args.output).write_text(text, encoding="utf-8")
     except OSError as exc:

@@ -17,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import layout
-from . import lint as lint_mod
-from . import render
 from .cli import CompileResult, compile_file
 from .registry import Registry
 
@@ -96,22 +93,18 @@ def run_case(case: CorpusCase) -> CaseResult:
             out.ok = False
             out.failures.append("expected a clean compile")
             return out
-        lay = layout.layout(result.typed.diagram)
-        warnings = lint_mod.lint(result.typed, lay, result.registry)
+        warnings = result.lint()
         if warnings:
             out.ok = False
             out.failures.append(
                 "lint warnings on a pass case: " + " ".join(d.code for d in warnings))
-        svg = render.render_svg(result.typed, lay, registry=result.registry)
-        tikz = render.render_tikz(result.typed, lay, registry=result.registry)
-        for golden, text, kind in ((case.golden_svg, svg, "svg"),
-                                   (case.golden_tikz, tikz, "tikz")):
+        for golden, kind in ((case.golden_svg, "svg"), (case.golden_tikz, "tikz")):
             if golden is None:
                 continue
             if not golden.exists():
                 out.ok = False
                 out.failures.append(f"missing golden {kind} file {golden.name}")
-            elif golden.read_bytes() != text.encode("utf-8"):
+            elif golden.read_bytes() != result.render(kind).encode("utf-8"):
                 out.ok = False
                 out.failures.append(f"{kind} output differs from {golden.name}")
     return out
@@ -127,11 +120,8 @@ def write_goldens(root: Path = DEFAULT_ROOT) -> list[Path]:
         result = compile_file(str(case.source))
         if result.typed is None:
             raise RuntimeError(f"{case.name} no longer compiles")
-        lay = layout.layout(result.typed.diagram)
-        case.golden_svg.write_bytes(
-            render.render_svg(result.typed, lay, registry=result.registry).encode("utf-8"))
-        case.golden_tikz.write_bytes(
-            render.render_tikz(result.typed, lay, registry=result.registry).encode("utf-8"))
+        case.golden_svg.write_bytes(result.render("svg").encode("utf-8"))
+        case.golden_tikz.write_bytes(result.render("tikz").encode("utf-8"))
         written.extend([case.golden_svg, case.golden_tikz])
     return written
 

@@ -275,7 +275,6 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
                                      if e.source.node in id_set and e.target.node in id_set])
     by_layer = order_within_layers(ids, area.layers, oriented, band_of)
 
-    node_by_id = {n.id: n for n in nodes}
     sizes = {n.id: node_size(n) for n in nodes}
     col_w: dict[int, int] = {
         layer: max(sizes[n][0] for n in layer_nodes)
@@ -312,7 +311,6 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
             y = _quant(cursors[band])
             area.boxes[node_id] = Box(x, y, w, h)
             cursors[band] = y + h + V_GAP
-    del node_by_id
     area.width = _quant(total_w)
     area.height = _quant(total_h)
     return area

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic
-from .layout import LayoutResult
+from .layout import LayoutResult, _weak_components
 from .registry import Registry
 from .typecheck import TypedDiagram
 
@@ -29,8 +29,6 @@ OWNER_INPUT_SIDE = "left"  # inputs enter on the left in left-to-right layout
 class LintRule:
     code: str
     description: str
-    severity: str = "warning"
-    enabled: bool = True
 
 
 RULES: tuple[LintRule, ...] = (
@@ -92,7 +90,8 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult,
                          "annotation; report quality per component", node.id)
 
     out.extend(_mixed_layers(typed, layout_result, disabled))
-    out.sort(key=lambda d: (d.code, _decl_order(diagram, d.ir_path)))
+    order = _decl_order(diagram)
+    out.sort(key=lambda d: (d.code, order.get(d.ir_path, 9999)))
     return out
 
 
@@ -136,27 +135,18 @@ def _mixed_layers(typed: TypedDiagram, layout_result: LayoutResult,
 
 
 def _bands(diagram, top_ids: set[str]) -> dict[str, int]:
-    from .layout import _weak_components
-
     edges = [e for e in diagram.edges
              if e.source.node in top_ids and e.target.node in top_ids]
     ordered_ids = [n.id for n in diagram.nodes if n.id in top_ids]
     return _weak_components(ordered_ids, edges)
 
 
-def _decl_order(diagram, ir_path: str | None) -> int:
-    if ir_path is None:
-        return -1
-    for i, node in enumerate(diagram.nodes):
-        if node.id == ir_path:
-            return i
-    for i, edge in enumerate(diagram.edges):
-        if edge.id == ir_path:
-            return 1000 + i
-    for i, group in enumerate(diagram.groups):
-        if group.id == ir_path:
-            return 2000 + i
-    for i, table in enumerate(diagram.tables):
-        if table.id == ir_path:
-            return 3000 + i
-    return 9999
+def _decl_order(diagram) -> dict[str | None, int]:
+    """Sort position of each declared id, diagram-level (None) first; on a
+    shared id the first of nodes, edges, groups, tables wins."""
+    order: dict[str | None, int] = {None: -1}
+    for offset, items in ((0, diagram.nodes), (1000, diagram.edges),
+                          (2000, diagram.groups), (3000, diagram.tables)):
+        for i, item in enumerate(items):
+            order.setdefault(item.id, offset + i)
+    return order

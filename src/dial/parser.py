@@ -53,7 +53,6 @@ ARROWS = {
     "?>": "query", "-o": "interface", "~>": "recurrent",
 }
 ITEM_KEYWORDS = frozenset({"node", "data", "edge", "detail", "table", "embedding", "extend"})
-RESERVED_PARAMS = frozenset({"label", "shape", "out"})
 
 
 # ---------------------------------------------------------------------------

@@ -422,10 +422,3 @@ class Registry:
         if not self._ext_labels:
             return BUILTIN_VOCABULARY
         return BUILTIN_VOCABULARY.with_extra_labels(frozenset(self._ext_labels))
-
-
-BUILTIN = Registry()
-
-
-def category_codes(core_only: bool = False) -> list[str]:
-    return [c.code for c in DATA_CATEGORIES if c.core or not core_only]

@@ -5,7 +5,7 @@ The glyph table below is the normative geometry for every registered symbol
 carrying class ``node-shape``; groups, tables and the title carry their own
 classes, so structural tests can count elements.
 
-Both emitters are pure functions of (typed diagram, layout, options) and
+Both emitters are pure functions of (typed diagram, layout, registry) and
 stamp their output with the toolchain version.
 """
 
@@ -139,11 +139,6 @@ def glyph_for(code: str, dialects: frozenset[str],
     return GLYPH_TABLE.get(resolution.symbol.glyph_id, GLYPH_TABLE["box_extension"])
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    edge_terms: bool = True  # draw resolved data terms along edges
-
-
 def _mark_text(node: Node, glyph: GlyphSpec, marks: dict[str, str]) -> str | None:
     if glyph.mark is None:
         return None
@@ -161,8 +156,8 @@ def _mark_text(node: Node, glyph: GlyphSpec, marks: dict[str, str]) -> str | Non
 
 def _check_pairing(diagram: Diagram, layout: LayoutResult) -> None:
     missing = [n.id for n in diagram.nodes if n.id not in layout.node_boxes]
-    extra = [nid for nid in layout.node_boxes
-             if diagram.node_by_id(nid) is None]
+    node_ids = {n.id for n in diagram.nodes}
+    extra = [nid for nid in layout.node_boxes if nid not in node_ids]
     if missing or extra:
         raise RenderMismatch(
             "E301: layout does not belong to this diagram "
@@ -233,10 +228,8 @@ def _shape_svg(glyph: GlyphSpec, box: Box, cls: str) -> str:
 
 
 def render_svg(typed: TypedDiagram, layout: LayoutResult,
-               opts: RenderOptions | None = None,
                registry: Registry | None = None) -> str:
     """Deterministic SVG 1.1 document for a typed, laid-out diagram."""
-    opts = opts or RenderOptions()
     registry = registry or Registry()
     diagram = typed.diagram
     _check_pairing(diagram, layout)
@@ -288,7 +281,7 @@ def render_svg(typed: TypedDiagram, layout: LayoutResult,
                        f'x2="{x0}" y2="{y0 + 5}"/>')
         label_parts: list[str] = []
         term = typed.edge_terms.get(edge.id)
-        if opts.edge_terms and term is not None:
+        if term is not None:
             label_parts.append(_svg_term(term))
         if edge.flow_kind == "query":
             label_parts.append("?")
@@ -306,11 +299,8 @@ def render_svg(typed: TypedDiagram, layout: LayoutResult,
         cx = box.x + box.w // 2
         lines = node_display_lines(node)
         mark = _mark_text(node, glyph, SVG_MARKS)
-        if mark is not None and (node.label or node.kind in ("task", "classifier")
-                                 or lines[0] != node.code):
-            lines = [f"{mark} {lines[0]}" if lines[0] != node.code else mark] + lines[1:]
-        elif mark is not None:
-            lines = [mark] + lines[1:]
+        if mark is not None:
+            lines = [mark if lines[0] == node.code else f"{mark} {lines[0]}"] + lines[1:]
         ty = box.y + box.h // 2 - 6 * (len(lines) - 1) + 4
         for i, line in enumerate(lines):
             size = 12 if i == 0 else 9
@@ -389,10 +379,8 @@ _TIKZ_STYLES = {
 
 
 def render_tikz(typed: TypedDiagram, layout: LayoutResult,
-                opts: RenderOptions | None = None,
                 registry: Registry | None = None) -> str:
     """Standalone-compilable TikZ with the same visual semantics as the SVG."""
-    opts = opts or RenderOptions()
     registry = registry or Registry()
     diagram = typed.diagram
     _check_pairing(diagram, layout)
@@ -454,7 +442,7 @@ def render_tikz(typed: TypedDiagram, layout: LayoutResult,
         path = " -- ".join(f"({x},{y})" for x, y in route)
         out.append(rf"\draw[{style}] {path};")
         term = typed.edge_terms.get(edge.id)
-        if opts.edge_terms and term is not None:
+        if term is not None:
             mx = (route[0][0] + route[-1][0]) // 2
             my = (route[0][1] + route[-1][1]) // 2 - 4
             out.append(rf"\node[font=\tiny, anchor=south] at ({mx},{my}) "

@@ -68,9 +68,6 @@ class DataTerm:
             return out
         return self.core().annotations
 
-    def to_literal(self) -> str:
-        return format_term(self)
-
 
 @dataclass(frozen=True)
 class TermVocabulary:

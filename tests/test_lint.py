@@ -6,9 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from dial.cli import compile_file
-from dial.layout import layout
-from dial.lint import RULES, lint
+from dial.cli import compile_file, compile_source
+from dial.lint import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 ALL_CODES = [rule.code for rule in RULES]
@@ -18,13 +17,11 @@ def lint_file(path: Path, disabled: frozenset[str] = frozenset()):
     result = compile_file(str(path))
     assert result.typed is not None, result.diagnostics
     assert result.diagnostics == [], result.diagnostics
-    lay = layout(result.typed.diagram)
-    return lint(result.typed, lay, result.registry, disabled)
+    return result.lint(disabled)
 
 
 def test_rule_table_is_stable():
     assert ALL_CODES == [f"W20{i}" for i in range(1, 9)]
-    assert all(rule.severity == "warning" for rule in RULES)
 
 
 @pytest.mark.parametrize("code", ALL_CODES)
@@ -53,15 +50,11 @@ def test_suppressing_one_rule_keeps_others():
 
 def test_w206_respects_dialect_scope():
     # without the nn dialect, "softmax" is not a registered symbol name
-    import dial.cli as cli
-    from dial.layout import layout as lay_fn
-
     src = ('dial 0.1\ndialect sys\ndiagram "scope" {\n'
            "  data x: vec[10]\n  node f: func(label=softmax)\n  edge x -> f\n}\n")
-    result = cli.compile_source(src)
+    result = compile_source(src)
     assert result.typed is not None
-    warns = lint(result.typed, lay_fn(result.typed.diagram), result.registry)
-    assert [d.code for d in warns] == []
+    assert [d.code for d in result.lint()] == []
 
 
 def test_lint_is_pure():
@@ -76,8 +69,22 @@ def test_corpus_is_warning_free(name):
 
 
 def test_diagnostics_sorted_by_code_then_declaration():
-    source = FIXTURES / "w203.dial"
-    result = compile_file(str(source))
-    lay = layout(result.typed.diagram)
-    codes = [d.code for d in lint(result.typed, lay, result.registry)]
+    result = compile_file(str(FIXTURES / "w203.dial"))
+    codes = [d.code for d in result.lint()]
     assert codes == sorted(codes)
+
+
+def test_id_shared_by_node_and_edge_sorts_by_the_node():
+    # edge ids are e0, e1, ...; the node named e1 gives edge e1 its position,
+    # so of the two backward self-loops e1 is reported before e0
+    result = compile_source(
+        'dial 0.1\ndialect sys\ndiagram "shared id" {\n'
+        "  data x: T\n  node a: oplus\n  node e1: oplus\n"
+        "  edge a -> a\n  edge e1 -> e1\n  edge x -> a\n  edge a -> e1\n}\n")
+    assert result.diagnostics == []
+    assert [(d.code, d.ir_path) for d in result.lint()] == [("W203", "e1"), ("W203", "e0")]
+
+
+def test_lint_warnings_are_located_in_the_file():
+    result = compile_file(str(FIXTURES / "w203.dial"))
+    assert [d.file for d in result.lint()] == [str(FIXTURES / "w203.dial")]

@@ -7,10 +7,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import dial.layout
 from dial import __version__
 from dial.cli import compile_file, compile_source
 from dial.diagnostics import RenderMismatch
 from dial.layout import layout
+from dial.model import Diagram
 from dial.registry import SIGNATURES, Registry
 from dial.render import (
     GLYPH_TABLE,
@@ -79,8 +81,7 @@ def test_marks_cover_both_backends():
 def test_single_node_svg_structure():
     result = compile_source(
         'dial 0.1\ndialect sys\ndiagram "one" {\n  data x: S\n}\n')
-    lay = layout(result.typed.diagram)
-    svg = render_svg(result.typed, lay, registry=result.registry)
+    svg = result.render("svg")
     assert svg.count('class="node-shape"') == 1
     assert svg.count('class="title"') == 1
     assert f"<!-- dialc v{__version__} -->" in svg
@@ -89,8 +90,7 @@ def test_single_node_svg_structure():
 @pytest.mark.parametrize("name", ["qa_system", "lexicon_attention", "entailment"])
 def test_svg_is_wellformed_xml(name):
     result = compile_corpus(name)
-    lay = layout(result.typed.diagram)
-    svg = render_svg(result.typed, lay, registry=result.registry)
+    svg = result.render("svg")
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
 
@@ -99,8 +99,7 @@ def test_svg_is_wellformed_xml(name):
 def test_shape_count_matches_model(name):
     result = compile_corpus(name)
     diagram = result.typed.diagram
-    lay = layout(diagram)
-    svg = render_svg(result.typed, lay, registry=result.registry)
+    svg = result.render("svg")
     shapes = svg.count('class="node-shape"')
     groups = svg.count('class="group-box"')
     tables = svg.count('class="table-box"')
@@ -113,8 +112,7 @@ def test_shape_count_matches_model(name):
 
 def test_lexicon_attention_has_two_table_regions():
     result = compile_corpus("lexicon_attention")
-    lay = layout(result.typed.diagram)
-    svg = render_svg(result.typed, lay, registry=result.registry)
+    svg = result.render("svg")
     assert svg.count('class="table-box"') == 2
 
 
@@ -130,15 +128,13 @@ def test_superscripts_in_svg():
     result = compile_source(
         'dial 0.1\ndialect sys\ndiagram "sup" {\n'
         '  data x: S^NER\n  node c: COREF perf(acc=0.8@"d")\n  edge x -> c\n}\n')
-    lay = layout(result.typed.diagram)
-    svg = render_svg(result.typed, lay, registry=result.registry)
+    svg = result.render("svg")
     assert 'baseline-shift="super"' in svg and ">NER</tspan>" in svg
 
 
 def test_integer_coordinates_only():
     result = compile_corpus("qa_system")
-    lay = layout(result.typed.diagram)
-    svg = render_svg(result.typed, lay, registry=result.registry)
+    svg = result.render("svg")
     for attr in re.findall(r'(?<![A-Za-z])(?:x|y|cx|cy|width|height|r)="([^"]+)"', svg):
         assert re.fullmatch(r"-?\d+", attr), attr
 
@@ -156,8 +152,7 @@ def test_mismatched_layout_is_e301():
 
 def test_empty_diagram_tikz_compilable_shell():
     result = compile_source('dial 0.1\ndialect sys\ndiagram "empty" { }\n')
-    lay = layout(result.typed.diagram)
-    tikz = render_tikz(result.typed, lay, registry=result.registry)
+    tikz = result.render("tikz")
     assert tikz.startswith(f"% dialc v{__version__}\n")
     assert r"\documentclass[border=4pt]{standalone}" in tikz
     assert tikz.count(r"\begin{tikzpicture}") == 1
@@ -169,8 +164,7 @@ def test_superscript_terms_in_tikz_math_mode():
     result = compile_source(
         'dial 0.1\ndialect sys\ndiagram "sup" {\n'
         '  data x: S^NER\n  node c: COREF perf(acc=0.8@"d")\n  edge x -> c\n}\n')
-    lay = layout(result.typed.diagram)
-    tikz = render_tikz(result.typed, lay, registry=result.registry)
+    tikz = result.render("tikz")
     assert "$S^{NER}$" in tikz
 
 
@@ -198,12 +192,10 @@ def test_output_stable_under_hash_randomization():
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     script = (
         "from dial.cli import compile_file\n"
-        "from dial.layout import layout\n"
-        "from dial.render import render_svg\n"
         "import hashlib\n"
         "h = hashlib.sha256()\n"
         "r = compile_file('corpus/pass/qa_system.dial')\n"
-        "h.update(render_svg(r.typed, layout(r.typed.diagram), registry=r.registry).encode())\n"
+        "h.update((r.render('svg') + r.render('tikz')).encode())\n"
         "print(h.hexdigest())\n"
     )
     digests = set()
@@ -221,9 +213,52 @@ def test_output_stable_under_hash_randomization():
 def test_tikz_balanced_braces():
     for name in ("qa_system", "lexicon_attention", "entailment"):
         result = compile_corpus(name)
-        lay = layout(result.typed.diagram)
-        tikz = render_tikz(result.typed, lay, registry=result.registry)
+        tikz = result.render("tikz")
         assert tikz.count("{") == tikz.count("}"), name
         for line in tikz.splitlines():
             if line.startswith(("\\node", "\\draw")):
                 assert line.rstrip().endswith(";"), line
+
+
+# -- CompileResult back half ----------------------------------------------------
+
+
+def test_one_layout_serves_lint_and_both_backends(monkeypatch):
+    calls = 0
+    real = dial.layout.layout
+
+    def counting(diagram):
+        nonlocal calls
+        calls += 1
+        return real(diagram)
+
+    monkeypatch.setattr(dial.layout, "layout", counting)
+    result = compile_corpus("lexicon_attention")
+    assert result.lint() == []
+    result.render("svg")
+    result.render("tikz")
+    assert calls == 1
+
+
+def test_render_scans_no_node_list(monkeypatch):
+    # pairing a 200-node layout with its diagram is one set, not 200 scans
+    n = 200
+    decls = ["  data t0: S^Token"] + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}"
+                                      for i in range(1, n)]
+    edges = [f"  edge t{i} -> t{i + 1}" for i in range(n - 1)]
+    result = compile_source(
+        "\n".join(['dial 0.1', 'dialect sys', 'diagram "chain" {', *decls, *edges, "}"]) + "\n")
+    assert result.diagnostics == []
+    assert len(result.layout_result.node_boxes) == n
+    calls = 0
+    real = Diagram.node_by_id
+
+    def counting(self, node_id):
+        nonlocal calls
+        calls += 1
+        return real(self, node_id)
+
+    monkeypatch.setattr(Diagram, "node_by_id", counting)
+    result.render("svg")
+    result.render("tikz")
+    assert calls == 0
