@@ -1,24 +1,41 @@
 """Deterministic left-to-right layered layout.
 
-Phases:
+Phases 2-5 are near-linear in nodes plus edges (N + E); phase 1 is too on
+chains and fans, but not in the worst case:
   1. cycle handling   recurrent edges are excluded outright; remaining cycles
                       are broken by reversing the declaration-latest edge
-                      that closes a cycle
+                      that closes a cycle. Whether an edge closes one is a
+                      two-ended search (forward from its target, backward
+                      from its source, in turn) that stops when they meet
+                      or either side runs dry. That is O(1) per edge on
+                      chains declared in either direction (with or without
+                      side inputs) and on fans, but O(N + E) per edge in
+                      the worst case: after chains a1..aK and b1..bK, each
+                      edge a_i -> b1 walks back through a_(i-1)..a1, so
+                      the phase is O(E * (N + E))
   2. layering         longest path from the sources of each weakly-connected
-                      component; components are stacked as separate bands
+                      component, over one topological order: O(N + E);
+                      components are stacked as separate bands
   3. ordering         four fixed barycenter sweeps (down, up, down, up) with
-                      declaration order breaking ties
+                      declaration order breaking ties; the node -> position
+                      map is built once and rewritten only for the layer
+                      just sorted: O(E + N log N) per sweep
   4. coordinates      integer boxes on a 4-unit grid; title strip at the top
                       left, meta tables at the bottom right, zoom-in groups
-                      in their own boxes below the main area
+                      in their own boxes below the main area. Nodes, edges
+                      and oriented edges are bucketed by area, and stack
+                      heights by (band, layer), in one pass each
   5. routing          polylines; recurrent edges loop above the node row
 
-Everything is integer arithmetic (ordering uses exact fractions), so equal
-diagrams produce byte-identical layouts on every platform.
+Everything is integer arithmetic, so equal diagrams produce byte-identical
+layouts on every platform. The barycenter keys are exact too: a node's own
+position or its single anchor's is a plain ``int``, and only the mean of
+two or more anchors is a ``Fraction``; Python compares the two exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,35 +107,47 @@ def break_cycles(diagram: Diagram) -> tuple[list[tuple[str, str, str]], frozense
     any reversals, reversed edge ids). Edges are considered in declaration
     order, so the edge reversed is always the one closing the cycle latest.
     """
-    adjacency: dict[str, set[str]] = {n.id: set() for n in diagram.nodes}
+    succs: dict[str, set[str]] = {n.id: set() for n in diagram.nodes}
+    preds: dict[str, set[str]] = {n.id: set() for n in diagram.nodes}
     oriented: list[tuple[str, str, str]] = []
     reversed_ids: set[str] = set()
 
-    def reachable(start: str, goal: str) -> bool:
-        stack, seen = [start], {start}
-        while stack:
-            current = stack.pop()
-            if current == goal:
-                return True
-            for nxt in sorted(adjacency[current]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+    def reaches(start: str, goal: str) -> bool:
+        # Only the answer leaves this search, so set order cannot reach the output.
+        if not succs[start] or not preds[goal]:
+            return False
+        ahead, behind = {start}, {goal}
+        ahead_stack, behind_stack = [start], [goal]
+        while ahead_stack and behind_stack:
+            for nxt in succs[ahead_stack.pop()]:
+                if nxt in behind:
+                    return True
+                if nxt not in ahead:
+                    ahead.add(nxt)
+                    ahead_stack.append(nxt)
+            for prev in preds[behind_stack.pop()]:
+                if prev in ahead:
+                    return True
+                if prev not in behind:
+                    behind.add(prev)
+                    behind_stack.append(prev)
         return False
 
     for edge in diagram.edges:
         if edge.flow_kind == "recurrent":
             continue
         u, v = edge.source.node, edge.target.node
-        if u not in adjacency or v not in adjacency:
+        if u not in succs or v not in succs:
             continue
-        if u == v or reachable(v, u):
+        if u == v or reaches(v, u):
             reversed_ids.add(edge.id)
             if u != v:
-                adjacency[v].add(u)
+                succs[v].add(u)
+                preds[u].add(v)
                 oriented.append((edge.id, v, u))
         else:
-            adjacency[u].add(v)
+            succs[u].add(v)
+            preds[v].add(u)
             oriented.append((edge.id, u, v))
     return oriented, frozenset(reversed_ids)
 
@@ -139,15 +168,12 @@ def assign_layers(node_ids: list[str],
             succs[u].append(v)
     layers: dict[str, int] = {}
     in_deg = {n: len(preds[n]) for n in node_ids}
-    queue = [n for n in node_ids if in_deg[n] == 0]
-    order: list[str] = []
-    while queue:
-        current = queue.pop(0)
-        order.append(current)
+    order = [n for n in node_ids if in_deg[n] == 0]
+    for current in order:  # grows while it is read: a FIFO queue
         for nxt in succs[current]:
             in_deg[nxt] -= 1
             if in_deg[nxt] == 0:
-                queue.append(nxt)
+                order.append(nxt)
     for node in order:
         layers[node] = max((layers[p] + 1 for p in preds[node]), default=0)
     for node in node_ids:  # unreachable only if cycles survived, which they cannot
@@ -183,21 +209,24 @@ def order_within_layers(node_ids: list[str], layers: dict[str, int],
         succs[u].append(v)
 
     layer_keys = sorted(by_layer)
+    positions = {n: i for layer in by_layer.values() for i, n in enumerate(layer)}
 
-    def sweep(direction: str) -> None:
-        keys = layer_keys if direction == "down" else list(reversed(layer_keys))
-        neighbor = preds if direction == "down" else succs
-        for key in keys:
-            positions = {n: i for layer in by_layer.values() for i, n in enumerate(layer)}
-            def bary(node: str) -> Fraction:
-                anchors = [positions[p] for p in neighbor[node] if p in positions]
-                if not anchors:
-                    return Fraction(positions[node])
-                return Fraction(sum(anchors), len(anchors))
-            by_layer[key].sort(key=lambda n: (band_of[n], bary(n), decl_index[n]))
+    def bary(node: str, neighbor: dict[str, list[str]]) -> int | Fraction:
+        anchors = neighbor[node]
+        if not anchors:
+            return positions[node]
+        if len(anchors) == 1:
+            return positions[anchors[0]]
+        return Fraction(sum(positions[p] for p in anchors), len(anchors))
 
     for direction in ("down", "up", "down", "up"):
-        sweep(direction)
+        keys = layer_keys if direction == "down" else reversed(layer_keys)
+        neighbor = preds if direction == "down" else succs
+        for key in keys:
+            layer = by_layer[key]
+            layer.sort(key=lambda n: (band_of[n], bary(n, neighbor), decl_index[n]))
+            for i, node in enumerate(layer):
+                positions[node] = i
     return by_layer
 
 
@@ -265,11 +294,11 @@ def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:
 
 
 def _layout_area(nodes: list[Node], edges: list[Edge],
-                 oriented_all: list[tuple[str, str, str]]) -> _Area:
+                 oriented: list[tuple[str, str, str]]) -> _Area:
+    """Lay out one area; ``oriented`` holds exactly the oriented edges inside it."""
     area = _Area(nodes, edges)
     ids = [n.id for n in nodes]
     id_set = set(ids)
-    oriented = [(e, u, v) for e, u, v in oriented_all if u in id_set and v in id_set]
     area.layers = assign_layers(ids, oriented)
     band_of = _weak_components(ids, [e for e in edges
                                      if e.source.node in id_set and e.target.node in id_set])
@@ -287,33 +316,42 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
         cursor += col_w[layer] + H_GAP
     total_w = max(cursor - H_GAP, 0)
 
-    bands = sorted(set(band_of.values()))
+    stack_h: dict[tuple[int, int], int] = {}  # (band, layer) -> stacked height
+    for layer, layer_nodes in by_layer.items():
+        for n in layer_nodes:
+            key = (band_of[n], layer)
+            stack_h[key] = stack_h.get(key, -V_GAP) + sizes[n][1] + V_GAP
+    band_height: dict[int, int] = {}
+    for (band, _), h in stack_h.items():
+        band_height[band] = max(band_height.get(band, 0), h)
     band_y: dict[int, int] = {}
     y_cursor = 0
-    for band in bands:
-        band_height = 0
-        for layer, layer_nodes in by_layer.items():
-            stacked = [n for n in layer_nodes if band_of[n] == band]
-            if not stacked:
-                continue
-            h = sum(sizes[n][1] for n in stacked) + V_GAP * (len(stacked) - 1)
-            band_height = max(band_height, h)
+    for band in sorted(band_height):
         band_y[band] = y_cursor
-        y_cursor += band_height + BAND_GAP
+        y_cursor += band_height[band] + BAND_GAP
     total_h = max(y_cursor - BAND_GAP, 0)
 
     for layer, layer_nodes in by_layer.items():
-        cursors = dict(band_y)
+        cursors: dict[int, int] = {}
         for node_id in layer_nodes:
             w, h = sizes[node_id]
             band = band_of[node_id]
             x = _quant(col_x[layer] + (col_w[layer] - w) // 2)
-            y = _quant(cursors[band])
+            y = _quant(cursors.get(band, band_y[band]))
             area.boxes[node_id] = Box(x, y, w, h)
             cursors[band] = y + h + V_GAP
     area.width = _quant(total_w)
     area.height = _quant(total_h)
     return area
+
+
+def _groups_by_member(memberships: Iterable[tuple[str, ...]]) -> dict[str, set[int]]:
+    """Member id -> indexes of the groups that list it."""
+    groups: dict[str, set[int]] = {}
+    for index, member_ids in enumerate(memberships):
+        for member in member_ids:
+            groups.setdefault(member, set()).add(index)
+    return groups
 
 
 def table_size(rows: tuple[tuple[str, str], ...]) -> tuple[int, int]:
@@ -325,14 +363,33 @@ def layout(diagram: Diagram) -> LayoutResult:
     """Pure function of the diagram value; integer coordinates only."""
     oriented, reversed_ids = break_cycles(diagram)
 
-    member_ids = diagram.group_member_ids()
-    top_nodes = [n for n in diagram.nodes if n.id not in member_ids]
-    group_edge_ids = {eid for g in diagram.groups for eid in g.member_edges}
+    # Bucket nodes, edges and oriented edges by area once; a node or edge
+    # listed by several groups is laid out in each of them.
+    node_groups = _groups_by_member(g.member_nodes for g in diagram.groups)
+    edge_groups = _groups_by_member(g.member_edges for g in diagram.groups)
+    top_nodes = [n for n in diagram.nodes if n.id not in node_groups]
     top_edges = [e for e in diagram.edges
-                 if e.id not in group_edge_ids
-                 and e.source.node not in member_ids and e.target.node not in member_ids]
+                 if e.id not in edge_groups
+                 and e.source.node not in node_groups and e.target.node not in node_groups]
+    members: list[list[Node]] = [[] for _ in diagram.groups]
+    for node in diagram.nodes:
+        for index in node_groups.get(node.id, ()):
+            members[index].append(node)
+    medges: list[list[Edge]] = [[] for _ in diagram.groups]
+    for edge in diagram.edges:
+        for index in edge_groups.get(edge.id, ()):
+            medges[index].append(edge)
+    top_oriented: list[tuple[str, str, str]] = []
+    moriented: list[list[tuple[str, str, str]]] = [[] for _ in diagram.groups]
+    for item in oriented:
+        in_u, in_v = node_groups.get(item[1]), node_groups.get(item[2])
+        if in_u is None and in_v is None:
+            top_oriented.append(item)
+        elif in_u and in_v:
+            for index in in_u & in_v:
+                moriented[index].append(item)
 
-    main = _layout_area(top_nodes, top_edges, oriented)
+    main = _layout_area(top_nodes, top_edges, top_oriented)
 
     node_boxes: dict[str, Box] = {}
     layers: dict[str, int] = dict(main.layers)
@@ -345,10 +402,8 @@ def layout(diagram: Diagram) -> LayoutResult:
     # Group boxes stack below the main area, one per declaration.
     group_boxes: dict[str, Box] = {}
     y_cursor = content_y + main.height + (BAND_GAP if main.nodes else 0)
-    for group in diagram.groups:
-        members = [n for n in diagram.nodes if n.id in group.member_nodes]
-        medges = [e for e in diagram.edges if e.id in group.member_edges]
-        sub = _layout_area(members, medges, oriented)
+    for index, group in enumerate(diagram.groups):
+        sub = _layout_area(members[index], medges[index], moriented[index])
         origin_x = MARGIN + GROUP_PAD
         origin_y = y_cursor + GROUP_PAD + 12  # room for the group caption
         for node_id, box in sub.boxes.items():

@@ -40,7 +40,14 @@ from .model import (
     new_diagram,
 )
 from .registry import DIALECTS, FormalTerm, Registry, Signature, SymbolDef
-from .terms import DataTerm, TermError, TermParser, TermVocabulary
+from .terms import (
+    MAX_NESTING,
+    DataTerm,
+    TermError,
+    TermNestingError,
+    TermParser,
+    TermVocabulary,
+)
 
 DSL_VERSION = "0.1"
 
@@ -259,6 +266,7 @@ class Parser:
         self.tokens = tokens
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
+        self.depth = 0  # detail blocks open around the current item
 
     # -- cursor helpers -----------------------------------------------------
 
@@ -286,6 +294,14 @@ class Parser:
 
     def error(self, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic("E002", message, span=span))
+
+    def skip_to_close(self) -> None:
+        """Step past the bracket that closes the one just consumed."""
+        depth = 1
+        while depth and not self.at(kind="eof"):
+            tok = self.advance()
+            if tok.kind == "punct":
+                depth += (tok.text in "({[") - (tok.text in ")}]")
 
     def recover_to_item(self) -> None:
         while not self.at(kind="eof"):
@@ -460,7 +476,13 @@ class Parser:
         except TermError as exc:
             span = self.tokens[min(exc.pos, len(self.tokens) - 1)].span \
                 if isinstance(exc.pos, int) and exc.pos < len(self.tokens) else self.peek().span
-            self.error(f"malformed data term: {exc}", span)
+            if isinstance(exc, TermNestingError):
+                # skip the whole term, so recovery resumes after it
+                self.diagnostics.append(Diagnostic("E004", str(exc), span=span))
+                self.pos = start + 1
+                self.skip_to_close()
+            else:
+                self.error(f"malformed data term: {exc}", span)
             raise _ParseAbort()
         end = start + term_parser.index
         self.pos = end
@@ -479,7 +501,13 @@ class Parser:
             self.advance()
             exit_side = self._side()
         self.expect("{", what="'{'")
+        if self.depth == MAX_NESTING:
+            self.error(f"detail blocks nested deeper than {MAX_NESTING} levels", span)
+            self.skip_to_close()
+            raise _ParseAbort()
+        self.depth += 1
         items = self._items_until_close()
+        self.depth -= 1
         return DetailDecl(ident, owner, entry_side, exit_side, tuple(items), span)
 
     def _side(self) -> str:

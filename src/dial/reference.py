@@ -21,6 +21,7 @@ from .registry import (
     Registry,
 )
 from .render import GLYPH_TABLE, SVG_MARKS
+from .terms import MAX_NESTING
 from .typecheck import formal_text
 
 ERROR_CODES = [
@@ -138,6 +139,10 @@ def generate_reference() -> str:
         add(f"| {code} | {meaning} |")
     for rule in RULES:
         add(f"| {rule.code} | {rule.description} |")
+    add("")
+    add(f"Nesting limit: data-term brackets and detail blocks nest at most {MAX_NESTING}")
+    add("deep. A deeper data term is E004 and a deeper detail block E002; the")
+    add("parser skips the offending term or block and goes on.")
     add("")
     return "\n".join(out) + "\n"
 

@@ -27,6 +27,11 @@ SEQUENCE = "sequence"
 TUPLE = "tuple"
 DIST = "dist"
 
+# The deepest nesting the front end accepts, both for the brackets of a data
+# term and for detail blocks. Deeper input is reported (E004 for a term,
+# E002 for a detail block) instead of exhausting Python's recursion limit.
+MAX_NESTING = 100
+
 
 class TermError(ValueError):
     """Malformed data-term literal (surfaces as E004)."""
@@ -34,6 +39,10 @@ class TermError(ValueError):
     def __init__(self, message: str, pos: int = 0) -> None:
         super().__init__(message)
         self.pos = pos  # character offset into the literal
+
+
+class TermNestingError(TermError):
+    """A data term nested deeper than :data:`MAX_NESTING` brackets."""
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,7 @@ class TermParser:
         self.tokens = tokens
         self.vocab = vocab
         self.index = 0
+        self.depth = 0  # brackets open around the term being parsed
 
     def _peek(self) -> tuple[str, str, int] | None:
         if self.index < len(self.tokens):
@@ -147,16 +157,21 @@ class TermParser:
         if tok is None:
             raise TermError("empty data term", 0)
         kind, text, pos = tok
+        if text not in ("(", "{"):
+            if kind != "ident":
+                raise TermError(f"expected a data term, found {text!r}", pos)
+            return self._parse_base()
+        if self.depth == MAX_NESTING:
+            raise TermNestingError(f"data term nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
         if text == "(":
-            return self._parse_tuple()
-        if text == "{":
+            term = self._parse_tuple()
+        else:
             self._take("{")
-            inner = self.parse()
+            term = DataTerm(structure=SET, element=self.parse())
             self._take("}")
-            return DataTerm(structure=SET, element=inner)
-        if kind != "ident":
-            raise TermError(f"expected a data term, found {text!r}", pos)
-        return self._parse_base()
+        self.depth -= 1
+        return term
 
     def _parse_tuple(self) -> DataTerm:
         self._take("(")

@@ -3,17 +3,34 @@
 These deliberately avoid the library's propagation and layering code paths:
 the propagation oracle schedules nodes itself over explicit topological
 orders, the round-robin reference is the checker's earlier fixed-point loop,
-and the layering oracle enumerates every path.
+the layering oracle enumerates every path, and the reference layout phases
+are the layout's earlier quadratic cycle search, barycenter sweep and area
+placement.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
+import dial.layout
 from dial.diagnostics import Diagnostic
-from dial.layout import assign_layers, break_cycles
-from dial.model import Diagram, Edge, Node, Port
+from dial.layout import (
+    BAND_GAP,
+    H_GAP,
+    V_GAP,
+    Box,
+    LayoutResult,
+    _Area,
+    _quant,
+    _weak_components,
+    assign_layers,
+    break_cycles,
+    node_size,
+)
+from dial.model import DetailGroup, Diagram, Edge, Node, Port
 from dial.registry import Registry
 from dial.terms import DataTerm
 from dial.typecheck import TypedDiagram, _check_declared, _collapse, infer_output
@@ -318,6 +335,214 @@ def min_crossings(upper: list[str], lower: list[str],
             if best is None or c < best:
                 best = c
     return best or 0
+
+
+def random_grouped_diagram(rng: random.Random, max_components: int = 4) -> Diagram:
+    """Several components, each a random layout diagram, and detail groups.
+
+    Components are declared interleaved. Some edges are recurrent or
+    self-loops and some close cycles. Each group takes a random subset of
+    nodes (a node may land in two groups) and of the edges among them, plus
+    now and then an edge that leaves the group.
+    """
+    diagram = Diagram(name="grouped", dialects=frozenset({"sys"}))
+    parts = [random_layout_diagram(rng, max_nodes=7, cyclic=rng.random() < 0.6)
+             for _ in range(rng.randint(1, max_components))]
+    nodes: list[Node] = []
+    edges: list[Edge] = []
+    for k, part in enumerate(parts):
+        nodes += [Node(id=f"c{k}{n.id}", kind=n.kind, code=n.code,
+                       shape_class=n.shape_class) for n in part.nodes]
+        for e in part.edges:
+            kind = "recurrent" if rng.random() < 0.1 else "flow"
+            edges.append(Edge(f"c{k}{e.id}", Port(f"c{k}{e.source.node}", 0, "out"),
+                              Port(f"c{k}{e.target.node}", 0, "in"), kind))
+        if rng.random() < 0.3:
+            loop = f"c{k}{rng.choice(part.nodes).id}"
+            edges.append(Edge(f"c{k}loop", Port(loop, 0, "out"), Port(loop, 0, "in")))
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    diagram.nodes, diagram.edges = nodes, edges
+    for g in range(rng.randint(0, 3)):
+        members = {n.id for n in nodes if rng.random() < 0.25}
+        member_edges = [e.id for e in edges
+                        if (e.source.node in members and e.target.node in members
+                            and rng.random() < 0.8)
+                        or rng.random() < 0.03]
+        owner = rng.choice(nodes).id
+        diagram.groups.append(DetailGroup(
+            id=f"g{g}", owner=owner, member_nodes=tuple(sorted(members - {owner})),
+            member_edges=tuple(member_edges)))
+    return diagram
+
+
+# ---------------------------------------------------------------------------
+# Reference layout phases: the earlier quadratic versions, kept verbatim
+# ---------------------------------------------------------------------------
+
+
+def reference_break_cycles(diagram: Diagram) -> tuple[list[tuple[str, str, str]], frozenset[str]]:
+    """Acyclic orientation over non-recurrent edges.
+
+    Returns (oriented edge list as (edge id, source node, target node) after
+    any reversals, reversed edge ids). Edges are considered in declaration
+    order, so the edge reversed is always the one closing the cycle latest.
+    """
+    adjacency: dict[str, set[str]] = {n.id: set() for n in diagram.nodes}
+    oriented: list[tuple[str, str, str]] = []
+    reversed_ids: set[str] = set()
+
+    def reachable(start: str, goal: str) -> bool:
+        stack, seen = [start], {start}
+        while stack:
+            current = stack.pop()
+            if current == goal:
+                return True
+            for nxt in sorted(adjacency[current]):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
+
+    for edge in diagram.edges:
+        if edge.flow_kind == "recurrent":
+            continue
+        u, v = edge.source.node, edge.target.node
+        if u not in adjacency or v not in adjacency:
+            continue
+        if u == v or reachable(v, u):
+            reversed_ids.add(edge.id)
+            if u != v:
+                adjacency[v].add(u)
+                oriented.append((edge.id, v, u))
+        else:
+            adjacency[u].add(v)
+            oriented.append((edge.id, u, v))
+    return oriented, frozenset(reversed_ids)
+
+
+def reference_order_within_layers(node_ids: list[str], layers: dict[str, int],
+                                  oriented: list[tuple[str, str, str]],
+                                  band_of: dict[str, int] | None = None) -> dict[int, list[str]]:
+    """Barycenter sweeps, four fixed passes; declaration order breaks ties.
+
+    ``band_of`` keeps weakly-connected components apart: the band index
+    always dominates the barycenter.
+    """
+    decl_index = {n: i for i, n in enumerate(node_ids)}
+    band_of = band_of or {n: 0 for n in node_ids}
+    by_layer: dict[int, list[str]] = {}
+    for node in node_ids:
+        by_layer.setdefault(layers[node], []).append(node)
+    for layer_nodes in by_layer.values():
+        layer_nodes.sort(key=lambda n: (band_of[n], decl_index[n]))
+
+    preds: dict[str, list[str]] = {n: [] for n in node_ids}
+    succs: dict[str, list[str]] = {n: [] for n in node_ids}
+    for _, u, v in oriented:
+        preds[v].append(u)
+        succs[u].append(v)
+
+    layer_keys = sorted(by_layer)
+
+    def sweep(direction: str) -> None:
+        keys = layer_keys if direction == "down" else list(reversed(layer_keys))
+        neighbor = preds if direction == "down" else succs
+        for key in keys:
+            positions = {n: i for layer in by_layer.values() for i, n in enumerate(layer)}
+            def bary(node: str) -> Fraction:
+                anchors = [positions[p] for p in neighbor[node] if p in positions]
+                if not anchors:
+                    return Fraction(positions[node])
+                return Fraction(sum(anchors), len(anchors))
+            by_layer[key].sort(key=lambda n: (band_of[n], bary(n), decl_index[n]))
+
+    for direction in ("down", "up", "down", "up"):
+        sweep(direction)
+    return by_layer
+
+
+def _reference_layout_area(nodes: list[Node], edges: list[Edge],
+                           oriented_all: list[tuple[str, str, str]]) -> _Area:
+    area = _Area(nodes, edges)
+    ids = [n.id for n in nodes]
+    id_set = set(ids)
+    oriented = [(e, u, v) for e, u, v in oriented_all if u in id_set and v in id_set]
+    area.layers = assign_layers(ids, oriented)
+    band_of = _weak_components(ids, [e for e in edges
+                                     if e.source.node in id_set and e.target.node in id_set])
+    by_layer = reference_order_within_layers(ids, area.layers, oriented, band_of)
+
+    sizes = {n.id: node_size(n) for n in nodes}
+    col_w: dict[int, int] = {
+        layer: max(sizes[n][0] for n in layer_nodes)
+        for layer, layer_nodes in by_layer.items()
+    }
+    col_x: dict[int, int] = {}
+    cursor = 0
+    for layer in sorted(by_layer):
+        col_x[layer] = cursor
+        cursor += col_w[layer] + H_GAP
+    total_w = max(cursor - H_GAP, 0)
+
+    bands = sorted(set(band_of.values()))
+    band_y: dict[int, int] = {}
+    y_cursor = 0
+    for band in bands:
+        band_height = 0
+        for layer, layer_nodes in by_layer.items():
+            stacked = [n for n in layer_nodes if band_of[n] == band]
+            if not stacked:
+                continue
+            h = sum(sizes[n][1] for n in stacked) + V_GAP * (len(stacked) - 1)
+            band_height = max(band_height, h)
+        band_y[band] = y_cursor
+        y_cursor += band_height + BAND_GAP
+    total_h = max(y_cursor - BAND_GAP, 0)
+
+    for layer, layer_nodes in by_layer.items():
+        cursors = dict(band_y)
+        for node_id in layer_nodes:
+            w, h = sizes[node_id]
+            band = band_of[node_id]
+            x = _quant(col_x[layer] + (col_w[layer] - w) // 2)
+            y = _quant(cursors[band])
+            area.boxes[node_id] = Box(x, y, w, h)
+            cursors[band] = y + h + V_GAP
+    area.width = _quant(total_w)
+    area.height = _quant(total_h)
+    return area
+
+
+def reference_areas(diagram: Diagram) -> list[_Area]:
+    """The main area, then one area per group, as the earlier layout chose them."""
+    oriented, _ = reference_break_cycles(diagram)
+
+    member_ids = diagram.group_member_ids()
+    top_nodes = [n for n in diagram.nodes if n.id not in member_ids]
+    group_edge_ids = {eid for g in diagram.groups for eid in g.member_edges}
+    top_edges = [e for e in diagram.edges
+                 if e.id not in group_edge_ids
+                 and e.source.node not in member_ids and e.target.node not in member_ids]
+
+    areas = [_reference_layout_area(top_nodes, top_edges, oriented)]
+    for group in diagram.groups:
+        members = [n for n in diagram.nodes if n.id in group.member_nodes]
+        medges = [e for e in diagram.edges if e.id in group.member_edges]
+        areas.append(_reference_layout_area(members, medges, oriented))
+    return areas
+
+
+def reference_layout(diagram: Diagram) -> LayoutResult:
+    """``layout`` with its cycle search and areas taken from the references.
+
+    Only the assembly of areas into boxes, tables, title and routes, which
+    the references leave alone, runs the library's code.
+    """
+    areas = iter(reference_areas(diagram))
+    with mock.patch.object(dial.layout, "break_cycles", reference_break_cycles), \
+            mock.patch.object(dial.layout, "_layout_area", lambda *_: next(areas)):
+        return dial.layout.layout(diagram)
 
 
 # ---------------------------------------------------------------------------

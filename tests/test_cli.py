@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dial.cli import run
+from dial.terms import MAX_NESTING
 
 QA = "corpus/pass/qa_system.dial"
 BROKEN = "corpus/fail/qa_missing_ner.dial"
@@ -230,3 +233,44 @@ def test_no_color_env_is_respected(monkeypatch, tmp_path):
     out, err = io.StringIO(), Tty()
     run(["check", BROKEN], stdout=out, stderr=err)
     assert "\x1b[" in err.getvalue()
+
+
+# -- nesting limit -----------------------------------------------------------------
+
+
+def nested_term_source(depth: int) -> str:
+    term = "{" * depth + "S" + "}" * depth
+    return "\n".join(["dial 0.1", "dialect sys", 'diagram "deep" {',
+                      f"  data s: {term}", "  node f: func", f"  edge s -> f as {term}",
+                      "}", ""])
+
+
+def nested_detail_source(depth: int) -> str:
+    lines = ["dial 0.1", "dialect sys", 'diagram "deep" {',
+             "  data s0: S", "  node n0: func", "  edge s0 -> n0"]
+    for i in range(depth):
+        lines += [f"detail z{i} for n{i} {{", f"  data s{i + 1}: S",
+                  f"  node n{i + 1}: func", f"  edge s{i + 1} -> n{i + 1}"]
+    return "\n".join(lines + ["}"] * (depth + 1) + [""])
+
+
+@pytest.mark.parametrize("make, depth, codes", [
+    (nested_term_source, MAX_NESTING, []),
+    (nested_term_source, MAX_NESTING + 1, ["E004", "E004"]),
+    (nested_term_source, 3000, ["E004", "E004"]),
+    (nested_detail_source, MAX_NESTING, []),
+    (nested_detail_source, MAX_NESTING + 1, ["E002"]),
+    (nested_detail_source, 500, ["E002"]),
+])
+def test_nesting_limit_is_a_diagnostic(tmp_path, make, depth, codes):
+    # past the limit: one diagnostic per offending term or block, never a
+    # RecursionError, whatever the command
+    src = tmp_path / "deep.dial"
+    src.write_text(make(depth))
+    svg = tmp_path / "deep.svg"
+    code, out, _ = dial("check", "--json", str(src))
+    assert [d["code"] for d in json.loads(out)] == codes
+    for argv in (["check"], ["lint"], ["render", "-o", str(svg)], ["fmt"]):
+        code, _, err = dial(*argv, str(src))
+        assert code == (1 if codes else 0), (argv, err)
+    assert svg.exists() == (not codes)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
+
+import pytest
 
 from dial.cli import compile_file
 from dial.layout import (
     GRID,
+    _weak_components,
     assign_layers,
     break_cycles,
     debug_dump,
@@ -18,7 +22,12 @@ from oracles import (
     count_crossings,
     longest_path_oracle,
     min_crossings,
+    random_feedback_diagram,
+    random_grouped_diagram,
     random_layout_diagram,
+    reference_break_cycles,
+    reference_layout,
+    reference_order_within_layers,
 )
 
 
@@ -239,3 +248,73 @@ def test_random_dags_layer_invariant():
             if edge.flow_kind == "recurrent" or edge.id in lay.reversed_edges:
                 continue
             assert lay.layers[edge.source.node] < lay.layers[edge.target.node]
+
+
+def task_chain(n: int, reverse: bool) -> Diagram:
+    d = Diagram(name="chain", dialects=frozenset({"sys"}))
+    d.nodes = [Node(id="t0", kind="io", code="interface")] + [
+        Node(id=f"t{i}", kind="task", code=("POS", "NER", "SRL")[i % 3]) for i in range(1, n)]
+    d.edges = [Edge(f"e{i}", Port(f"t{i}", 0, "out"), Port(f"t{i + 1}", 0, "in"))
+               for i in range(n - 1)]
+    if reverse:
+        d.nodes.reverse()
+        d.edges.reverse()
+    return d
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_long_task_chain_lays_out_in_under_a_second(reverse):
+    # each phase is near-linear on chains; the quadratic sweep and per-edge
+    # search took seconds on a chain this long
+    n = 2000
+    d = task_chain(n, reverse)
+    start = time.perf_counter()
+    result = layout(d)
+    elapsed = time.perf_counter() - start
+    assert result.layers[f"t{n - 1}"] == n - 1 and not result.reversed_edges
+    assert elapsed < 1.0, elapsed
+
+
+def test_cycle_search_stops_when_the_source_side_runs_dry():
+    # A reverse-declared chain whose every task also takes a side input
+    # declared before it: for each chain edge u -> v, v already reaches the
+    # whole downstream chain and u has a predecessor, so a search forward
+    # from v alone is quadratic overall. The backward side from u runs dry
+    # after two steps, which keeps each test O(1).
+    n = 2000
+    d = task_chain(n, reverse=True)
+    d.nodes[:0] = [Node(id=f"s{i}", kind="io", code="interface") for i in range(1, n)]
+    d.edges[:0] = [Edge(f"x{i}", Port(f"s{i}", 0, "out"), Port(f"t{i}", 1, "in"))
+                   for i in range(1, n)]
+    start = time.perf_counter()
+    _, reversed_ids = break_cycles(d)
+    elapsed = time.perf_counter() - start
+    assert not reversed_ids
+    assert elapsed < 0.25, elapsed
+
+
+# -- differential: the near-linear phases against the earlier ones ----------------
+
+
+def test_layout_matches_quadratic_reference():
+    rng = random.Random(29)
+    makers = (random_feedback_diagram,
+              lambda r: random_layout_diagram(r, cyclic=True),
+              random_grouped_diagram)
+    reversing = grouped = banded = 0
+    for i in range(2100):
+        d = makers[i % 3](rng)
+        oriented, reversed_ids = break_cycles(d)
+        assert (oriented, reversed_ids) == reference_break_cycles(d), i
+        ids = [n.id for n in d.nodes]
+        layers = assign_layers(ids, oriented)
+        band_of = _weak_components(ids, d.edges)
+        for bands in (None, band_of):
+            assert order_within_layers(ids, layers, oriented, bands) == \
+                reference_order_within_layers(ids, layers, oriented, bands), i
+        assert layout(d) == reference_layout(d), i
+        reversing += bool(reversed_ids)
+        grouped += bool(d.groups)
+        banded += len(set(band_of.values())) > 1
+    # the mix exercises what the rewrites touch
+    assert reversing > 500 and grouped > 300 and banded > 300, (reversing, grouped, banded)

@@ -190,12 +190,23 @@ def test_output_stable_under_hash_randomization():
     repo_root = Path(__file__).resolve().parents[1]
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    # no corpus file reverses an edge, so an inline source adds a 3-cycle
+    # (m -> a -> b -> m), a self-loop, a recurrent edge and a second component
+    cyclic = "\n".join([
+        "dial 0.1", "dialect sys", 'diagram "cycles" {',
+        "  data s: S^Token", "  node m: concat", "  node a: POS", "  node b: NER",
+        "  node j: oplus", "  data t: S^Token", "  node p: POS",
+        "  edge s -> m", "  edge m -> a", "  edge a -> b", "  edge b -> m",
+        "  edge b -> j", "  edge j -> j", "  edge b ~> a", "  edge t -> p", "}", ""])
+    assert compile_source(cyclic).layout_result.reversed_edges == {"e3", "e5"}
     script = (
-        "from dial.cli import compile_file\n"
+        "from dial.cli import compile_file, compile_source\n"
         "import hashlib\n"
         "h = hashlib.sha256()\n"
-        "r = compile_file('corpus/pass/qa_system.dial')\n"
-        "h.update((r.render('svg') + r.render('tikz')).encode())\n"
+        f"for r in (compile_file('corpus/pass/qa_system.dial'), compile_source({cyclic!r})):\n"
+        "    assert not r.diagnostics, r.diagnostics\n"
+        "    h.update((r.render('svg') + r.render('tikz')).encode())\n"
+        "    h.update(repr(sorted(r.layout_result.reversed_edges)).encode())\n"
         "print(h.hexdigest())\n"
     )
     digests = set()

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dial.registry import ANNOTATION_LABELS, BUILTIN_VOCABULARY
-from dial.terms import DIST, SEQUENCE, SET, TUPLE, DataTerm, TermError, format_term, parse_term
+from dial.terms import (
+    DIST,
+    MAX_NESTING,
+    SEQUENCE,
+    SET,
+    TUPLE,
+    DataTerm,
+    TermError,
+    TermNestingError,
+    format_term,
+    parse_term,
+)
 from dial.typecheck import parse_data_term, term_text
 
 
@@ -110,3 +121,13 @@ def test_parse_format_inverse(spelling, labels, dims):
         literal += "[" + ",".join(map(str, dims)) + "]"
     term = parse(literal)
     assert parse(format_term(term, BUILTIN_VOCABULARY.canonical)) == term
+
+
+@pytest.mark.parametrize("wrap", [lambda t: "{" + t + "}", lambda t: f"({t}, S)"])
+def test_nesting_limit(wrap):
+    text = "S"
+    for _ in range(MAX_NESTING):
+        text = wrap(text)
+    assert format_term(parse(text), BUILTIN_VOCABULARY.canonical) == text
+    with pytest.raises(TermNestingError):
+        parse(wrap(text))
