@@ -10,6 +10,7 @@ Codes are stable across releases:
   E011  dangling reference / bad port
   E012  detail-group containment cycle
   E013  persistence/query edge endpoint is not a stored resource
+  E014  node listed by more than one detail group
   E020  interchange document version mismatch
   E021  malformed interchange document
   E301  layout does not belong to the diagram

@@ -137,12 +137,6 @@ class Diagram:
                 return node
         return None
 
-    def node_index(self, node_id: str) -> int:
-        for i, node in enumerate(self.nodes):
-            if node.id == node_id:
-                return i
-        return -1
-
     def group_member_ids(self) -> frozenset[str]:
         out: set[str] = set()
         for group in self.groups:
@@ -192,7 +186,8 @@ def validate_structure(diagram: Diagram, registry: Registry | None = None) -> li
     """All structural violations; empty iff the diagram is well-formed.
 
     E010 unresolved code, E011 dangling reference or bad port, E012 group
-    containment cycle, E013 persist/query endpoint kind violation.
+    containment cycle, E013 persist/query endpoint kind violation, E014 node
+    listed by more than one detail group.
     """
     registry = registry or Registry()
     out: list[Diagnostic] = []
@@ -274,6 +269,10 @@ def _validate_groups(diagram: Diagram, node_ids: set[str]) -> list[Diagnostic]:
             if member not in node_ids:
                 out.append(Diagnostic(
                     "E011", f"detail group member {member!r} does not exist", ir_path=group.id))
+            elif owner_of.get(member, group.id) != group.id:
+                out.append(Diagnostic(
+                    "E014", f"node {member!r} is listed by detail groups "
+                            f"{owner_of[member]!r} and {group.id!r}", ir_path=group.id))
             owner_of[member] = group.id
         for member in group.member_edges:
             if member not in edge_ids:

@@ -4,6 +4,12 @@ Pipeline: tokenize -> parse (AST with spans, declaration-level error
 recovery) -> lower (core IR plus extension overlay) -> format (canonical
 printer, idempotent).
 
+Each stage is linear in tokens plus declarations. ``parse`` reads a data
+term in place: :class:`~dial.terms.TermParser` walks the parser's own token
+list from the term's first index, so a term costs only its own tokens.
+``lower`` looks node and group ids up in maps local to one lowering and
+builds each detail group's member tuples once, at the end.
+
 Grammar sketch (see the generated reference for the full version):
 
   unit      := "dial" VERSION "dialect" ident ("," ident)* diagram
@@ -37,6 +43,7 @@ from .model import (
     Node,
     PerfAnnotation,
     Port,
+    default_shape_class,
     new_diagram,
 )
 from .registry import DIALECTS, FormalTerm, Registry, Signature, SymbolDef
@@ -47,6 +54,8 @@ from .terms import (
     TermNestingError,
     TermParser,
     TermVocabulary,
+    _lex_literal,
+    parse_term,
 )
 
 DSL_VERSION = "0.1"
@@ -468,14 +477,11 @@ class Parser:
     def _dataterm_literal(self) -> str:
         """Consume the tokens of one data term; names are checked at lowering."""
         start = self.pos
-        triples = [(_term_kind(t), t.text, idx)
-                   for idx, t in enumerate(self.tokens[start:], start)]
-        term_parser = TermParser(triples, vocab=None)
+        term_parser = TermParser(_TermView(self.tokens), vocab=None, start=start)
         try:
             term_parser.parse()
         except TermError as exc:
-            span = self.tokens[min(exc.pos, len(self.tokens) - 1)].span \
-                if isinstance(exc.pos, int) and exc.pos < len(self.tokens) else self.peek().span
+            span = self.tokens[exc.pos].span  # exc.pos indexes self.tokens
             if isinstance(exc, TermNestingError):
                 # skip the whole term, so recovery resumes after it
                 self.diagnostics.append(Diagnostic("E004", str(exc), span=span))
@@ -484,9 +490,8 @@ class Parser:
             else:
                 self.error(f"malformed data term: {exc}", span)
             raise _ParseAbort()
-        end = start + term_parser.index
-        self.pos = end
-        return "".join(_term_text(t) for t in self.tokens[start:end])
+        self.pos = term_parser.index
+        return "".join(t.text for t in self.tokens[start:self.pos])
 
     def _detail(self) -> DetailDecl:
         span = self.advance().span
@@ -615,16 +620,21 @@ class Parser:
         return (lo_in, hi_in, lo_out, hi_out)
 
 
-def _term_kind(token: Token) -> str:
-    if token.kind == "number":
-        return "num"
-    if token.kind in ("ident", "keyword"):
-        return "ident"
-    return "punct"
+class _TermView:
+    """The DSL tokens as the term parser's (kind, text, index) triples, made on access."""
+
+    def __init__(self, tokens: list[Token]) -> None:
+        self.tokens = tokens
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def __getitem__(self, index: int) -> tuple[str, str, int]:
+        token = self.tokens[index]
+        return _TERM_KINDS.get(token.kind, "punct"), token.text, index % len(self.tokens)
 
 
-def _term_text(token: Token) -> str:
-    return token.text
+_TERM_KINDS = {"number": "num", "ident": "ident", "keyword": "ident"}
 
 
 def _number(text: str) -> object:
@@ -729,16 +739,12 @@ def _register_extensions(ast: SourceAst, registry: Registry,
 
 
 def _harvest_labels(literal: str) -> frozenset[str]:
-    from .terms import _lex_literal  # tiny; shared with parse_term
-
     parser = TermParser(_lex_literal(literal), vocab=None)
     term = parser.parse()
     return term.all_labels()
 
 
 def _formal_from_literal(literal: str, vocab: TermVocabulary) -> FormalTerm:
-    from .terms import _lex_literal
-
     term = TermParser(_lex_literal(literal), vocab).parse()
     return _formal_from_term(term)
 
@@ -768,7 +774,8 @@ class _Lowerer:
         self.spans = spans
         self.pending_edges: list[tuple[EdgeDecl, str | None]] = []  # (decl, group id)
         self.next_in_slot: dict[str, int] = {}
-        self.group_ids: set[str] = set()
+        self.node_pos: dict[str, int] = {}  # node id -> index in diagram.nodes
+        self.members: dict[str, tuple[list[str], list[str]]] = {}  # group id -> (nodes, edges)
         self.table_ids: set[str] = set()
         self.embedding_ids: set[str] = set()
 
@@ -794,8 +801,6 @@ class _Lowerer:
             # ExtendDecl already handled in the registration pre-pass.
 
     def _check_term(self, literal: str, span: Span) -> bool:
-        from .terms import parse_term
-
         try:
             parse_term(literal, self.vocab)
             return True
@@ -804,15 +809,14 @@ class _Lowerer:
             return False
 
     def _add_node(self, node: Node, span: Span, group: str | None) -> bool:
-        if self.diagram.node_by_id(node.id) is not None:
+        if node.id in self.node_pos:
             self.err("E003", f"duplicate declaration id {node.id!r}", span)
             return False
+        self.node_pos[node.id] = len(self.diagram.nodes)
         self.diagram.nodes.append(node)
         self.spans[node.id] = span
         if group is not None:
-            idx = next(i for i, g in enumerate(self.diagram.groups) if g.id == group)
-            g = self.diagram.groups[idx]
-            self.diagram.groups[idx] = replace(g, member_nodes=g.member_nodes + (node.id,))
+            self.members[group][0].append(node.id)
         return True
 
     def _node(self, decl: NodeDecl, group: str | None) -> None:
@@ -836,7 +840,7 @@ class _Lowerer:
         node = Node(
             id=decl.id, kind=kind, code=decl.code, label=label,
             params=tuple(params),
-            shape_class=shape or _default_shape(kind),
+            shape_class=shape or default_shape_class(kind),
             perf=tuple(PerfAnnotation(p.metric, p.value, p.corpus) for p in decl.perf),
         )
         self._add_node(node, decl.span, group)
@@ -853,17 +857,17 @@ class _Lowerer:
         self._add_node(node, decl.span, group)
 
     def _detail(self, decl: DetailDecl, parent_group: str | None) -> None:
-        if decl.id in self.group_ids:
+        if decl.id in self.members:
             self.err("E003", f"duplicate declaration id {decl.id!r}", decl.span)
             return
-        self.group_ids.add(decl.id)
+        self.members[decl.id] = ([], [])
         group = DetailGroup(decl.id, decl.owner, entry_side=decl.entry_side,
                             exit_side=decl.exit_side)
         self.diagram.groups.append(group)
         self.spans[decl.id] = decl.span
         self.lower_items(decl.items, group=decl.id)
-        owner_idx = self.diagram.node_index(decl.owner)
-        if owner_idx >= 0:
+        owner_idx = self.node_pos.get(decl.owner)
+        if owner_idx is not None:
             self.diagram.nodes[owner_idx] = replace(
                 self.diagram.nodes[owner_idx], detail=decl.id)
         else:
@@ -894,6 +898,9 @@ class _Lowerer:
     def lower_edges(self) -> None:
         for decl, group in self.pending_edges:
             self._edge(decl, group)
+        self.diagram.groups = [replace(g, member_nodes=tuple(self.members[g.id][0]),
+                                       member_edges=tuple(self.members[g.id][1]))
+                               for g in self.diagram.groups]
 
     def _resolve_slot(self, ref: PortRef, direction: str, flow_kind: str) -> int | None:
         if ref.slot is None:
@@ -920,7 +927,7 @@ class _Lowerer:
         kind = ARROWS[decl.arrow]
         ok = True
         for ref in (decl.source, decl.target):
-            if self.diagram.node_by_id(ref.node) is None:
+            if ref.node not in self.node_pos:
                 self.err("E011", f"edge references unknown node {ref.node!r}", ref.span)
                 ok = False
         if not ok:
@@ -942,15 +949,7 @@ class _Lowerer:
         ))
         self.spans[edge_id] = decl.span
         if group is not None:
-            idx = next(i for i, g in enumerate(self.diagram.groups) if g.id == group)
-            g = self.diagram.groups[idx]
-            self.diagram.groups[idx] = replace(g, member_edges=g.member_edges + (edge_id,))
-
-
-def _default_shape(kind: str) -> str:
-    from .model import default_shape_class
-
-    return default_shape_class(kind)
+            self.members[group][1].append(edge_id)
 
 
 # ---------------------------------------------------------------------------

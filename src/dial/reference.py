@@ -33,6 +33,7 @@ ERROR_CODES = [
     ("E011", "dangling reference or invalid port"),
     ("E012", "detail-group containment cycle"),
     ("E013", "persistence or query edge without a stored resource"),
+    ("E014", "node listed by more than one detail group"),
     ("E020", "interchange document version mismatch"),
     ("E021", "malformed interchange document"),
     ("E101", "input arity violation"),

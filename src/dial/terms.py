@@ -119,18 +119,18 @@ class TermParser:
     """Recursive descent over simple (kind, text, pos) triples.
 
     Shared between :func:`parse_term` (standalone literals) and the DSL
-    parser, which feeds its own token stream through :meth:`parse` and reads
-    :attr:`index` afterwards to know where the term ended. With
+    parser, which passes its own token list and the term's first index as
+    ``start`` and reads :attr:`index` afterwards to know where it ended. With
     ``vocab=None`` the parser checks structure only; base and label names
     pass through unresolved (the DSL front end uses this to find a term's
     extent before extensions are registered).
     """
 
     def __init__(self, tokens: list[tuple[str, str, int]],
-                 vocab: TermVocabulary | None) -> None:
+                 vocab: TermVocabulary | None, start: int = 0) -> None:
         self.tokens = tokens
         self.vocab = vocab
-        self.index = 0
+        self.index = start
         self.depth = 0  # brackets open around the term being parsed
 
     def _peek(self) -> tuple[str, str, int] | None:

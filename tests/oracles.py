@@ -3,20 +3,24 @@
 These deliberately avoid the library's propagation and layering code paths:
 the propagation oracle schedules nodes itself over explicit topological
 orders, the round-robin reference is the checker's earlier fixed-point loop,
-the layering oracle enumerates every path, and the reference layout phases
+the layering oracle enumerates every path, the reference layout phases
 are the layout's earlier quadratic cycle search, barycenter sweep and area
-placement.
+placement, and the reference front end is the parser's earlier term reader
+and lowering's earlier id lookups.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
 
 import dial.layout
-from dial.diagnostics import Diagnostic
+import dial.parser
+from dial.diagnostics import Diagnostic, Span
 from dial.layout import (
     BAND_GAP,
     H_GAP,
@@ -31,8 +35,19 @@ from dial.layout import (
     node_size,
 )
 from dial.model import DetailGroup, Diagram, Edge, Node, Port
+from dial.parser import (
+    ARROWS,
+    DetailDecl,
+    EdgeDecl,
+    LoweredUnit,
+    Parser,
+    SourceAst,
+    Token,
+    _Lowerer,
+    _ParseAbort,
+)
 from dial.registry import Registry
-from dial.terms import DataTerm
+from dial.terms import DataTerm, TermError, TermNestingError, TermParser
 from dial.typecheck import TypedDiagram, _check_declared, _collapse, infer_output
 
 # ---------------------------------------------------------------------------
@@ -590,3 +605,237 @@ def random_valid_source(rng: random.Random) -> str:
         lines.append('  table t0 { "k a": "v 1"; "k b": "v 2"; }')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference front end: the earlier term reader and lowering lookups, verbatim
+# ---------------------------------------------------------------------------
+
+
+def _term_kind(token: Token) -> str:
+    if token.kind == "number":
+        return "num"
+    if token.kind in ("ident", "keyword"):
+        return "ident"
+    return "punct"
+
+
+def _term_text(token: Token) -> str:
+    return token.text
+
+
+def _node_index(diagram: Diagram, node_id: str) -> int:
+    """The former ``Diagram.node_index`` method."""
+    for i, node in enumerate(diagram.nodes):
+        if node.id == node_id:
+            return i
+    return -1
+
+
+class ReferenceParser(Parser):
+    """The parser with its earlier term reader, which copied every token left
+    in the file into a fresh triple list at each data term."""
+
+    def _dataterm_literal(self) -> str:
+        """Consume the tokens of one data term; names are checked at lowering."""
+        start = self.pos
+        triples = [(_term_kind(t), t.text, idx)
+                   for idx, t in enumerate(self.tokens[start:], start)]
+        term_parser = TermParser(triples, vocab=None)
+        try:
+            term_parser.parse()
+        except TermError as exc:
+            span = self.tokens[min(exc.pos, len(self.tokens) - 1)].span \
+                if isinstance(exc.pos, int) and exc.pos < len(self.tokens) else self.peek().span
+            if isinstance(exc, TermNestingError):
+                # skip the whole term, so recovery resumes after it
+                self.diagnostics.append(Diagnostic("E004", str(exc), span=span))
+                self.pos = start + 1
+                self.skip_to_close()
+            else:
+                self.error(f"malformed data term: {exc}", span)
+            raise _ParseAbort()
+        end = start + term_parser.index
+        self.pos = end
+        return "".join(_term_text(t) for t in self.tokens[start:end])
+
+
+class ReferenceLowerer(_Lowerer):
+    """Lowering with its earlier lookups: a scan of ``diagram.nodes`` per node,
+    owner and edge endpoint, a scan of ``diagram.groups`` per member, and a
+    member tuple regrown for every member. Only ``node_index``, no longer a
+    ``Diagram`` method, is called as a function."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.group_ids: set[str] = set()
+
+    def _add_node(self, node: Node, span: Span, group: str | None) -> bool:
+        if self.diagram.node_by_id(node.id) is not None:
+            self.err("E003", f"duplicate declaration id {node.id!r}", span)
+            return False
+        self.diagram.nodes.append(node)
+        self.spans[node.id] = span
+        if group is not None:
+            idx = next(i for i, g in enumerate(self.diagram.groups) if g.id == group)
+            g = self.diagram.groups[idx]
+            self.diagram.groups[idx] = replace(g, member_nodes=g.member_nodes + (node.id,))
+        return True
+
+    def _detail(self, decl: DetailDecl, parent_group: str | None) -> None:
+        if decl.id in self.group_ids:
+            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.span)
+            return
+        self.group_ids.add(decl.id)
+        group = DetailGroup(decl.id, decl.owner, entry_side=decl.entry_side,
+                            exit_side=decl.exit_side)
+        self.diagram.groups.append(group)
+        self.spans[decl.id] = decl.span
+        self.lower_items(decl.items, group=decl.id)
+        owner_idx = _node_index(self.diagram, decl.owner)
+        if owner_idx >= 0:
+            self.diagram.nodes[owner_idx] = replace(
+                self.diagram.nodes[owner_idx], detail=decl.id)
+        else:
+            self.err("E011", f"detail group {decl.id!r} refines unknown node "
+                             f"{decl.owner!r}", decl.span)
+
+    def lower_edges(self) -> None:
+        for decl, group in self.pending_edges:
+            self._edge(decl, group)
+
+    def _edge(self, decl: EdgeDecl, group: str | None) -> None:
+        kind = ARROWS[decl.arrow]
+        ok = True
+        for ref in (decl.source, decl.target):
+            if self.diagram.node_by_id(ref.node) is None:
+                self.err("E011", f"edge references unknown node {ref.node!r}", ref.span)
+                ok = False
+        if not ok:
+            return
+        src_slot = self._resolve_slot(decl.source, "out", kind)
+        tgt_slot = self._resolve_slot(decl.target, "in", kind)
+        if src_slot is None or tgt_slot is None:
+            bad = decl.source if src_slot is None else decl.target
+            self.err("E011", f"bad port name {bad.slot!r} on {bad.node!r}", bad.span)
+            return
+        if decl.as_literal is not None:
+            self._check_term(decl.as_literal, decl.span)
+        edge_id = f"e{len(self.diagram.edges)}"
+        self.diagram.edges.append(Edge(
+            edge_id,
+            Port(decl.source.node, src_slot, "out"),
+            Port(decl.target.node, tgt_slot, "in"),
+            kind, decl.as_literal,
+        ))
+        self.spans[edge_id] = decl.span
+        if group is not None:
+            idx = next(i for i, g in enumerate(self.diagram.groups) if g.id == group)
+            g = self.diagram.groups[idx]
+            self.diagram.groups[idx] = replace(g, member_edges=g.member_edges + (edge_id,))
+
+
+def reference_parse(tokens: list[Token]):
+    """``parse`` run with :class:`ReferenceParser`."""
+    with mock.patch.object(dial.parser, "Parser", ReferenceParser):
+        return dial.parser.parse(tokens)
+
+
+def reference_lower(ast: SourceAst) -> LoweredUnit:
+    """``lower`` run with :class:`ReferenceLowerer`."""
+    with mock.patch.object(dial.parser, "_Lowerer", ReferenceLowerer):
+        return dial.parser.lower(ast)
+
+
+# ---------------------------------------------------------------------------
+# Random front-end sources: valid, faulty, and mutated
+# ---------------------------------------------------------------------------
+
+_DEEP = 101  # one past terms.MAX_NESTING
+_BAD_TERMS = (
+    "S^", "(S,", "{S", "S^{NER,}", "vec[0]", "P_c[1,0]", "Bogus^NER", "S^Nope",
+    "Pred(", "vec[3", "{" * 100 + "S" + "}" * 100, "{" * _DEEP + "S" + "}" * _DEEP,
+    "(" * _DEEP + "S, T" + ")" * _DEEP)
+_NODE_IDS = tuple(f"n{i}" for i in range(8))
+_GHOSTS = ("ghost", "n9")
+
+
+def random_front_end_source(rng: random.Random) -> str:
+    """A source whose ids come from small pools, so that duplicate nodes and
+    groups, unknown owners and edges to unknown nodes are common. Detail
+    blocks nest up to three deep and hold edges; terms are sometimes
+    malformed or nested past the limit."""
+    lines = ["dial 0.1", "dialect sys", 'diagram "front" {']
+    declared: list[str] = []
+
+    def term() -> str:
+        return rng.choice(_BAD_TERMS if rng.random() < 0.2 else _TERMS)
+
+    def node_id() -> str:
+        declared.append(rng.choice(_NODE_IDS) if rng.random() < 0.5 else f"u{len(declared)}")
+        return declared[-1]
+
+    def ref() -> str:
+        r = rng.random()
+        node = rng.choice(declared[-4:]) if declared and r < 0.8 else \
+            rng.choice(_NODE_IDS) if r < 0.95 else rng.choice(_GHOSTS)
+        return node + rng.choice(("",) * 12 + (".in1", ".out0", ".out1", ".bad"))
+
+    def items(depth: int) -> None:
+        pad = "  " * (depth + 1)
+        for _ in range(rng.randint(1, 7)):
+            r = rng.random()
+            if r < 0.25:
+                tag = rng.choice(("",) * 4 + (" @gold", " @kb", ' @dataset("c")'))
+                lines.append(f"{pad}data {node_id()}: {term()}{tag}")
+            elif r < 0.5:
+                params = rng.choice(("", "(n=2)", '(label="x")', "(out=S^NER)", "(out=Bogus)"))
+                lines.append(f"{pad}node {node_id()}: {rng.choice(_CODES)}{params}")
+            elif r < 0.8:
+                as_term = f" as {term()}" if rng.random() < 0.4 else ""
+                lines.append(f"{pad}edge {ref()} {rng.choice(tuple(ARROWS))} {ref()}{as_term}")
+            elif r < 0.92 and depth < 3:
+                owner = rng.choice(_NODE_IDS + _GHOSTS)
+                lines.append(f"{pad}detail g{rng.randrange(4)} for {owner} {{")
+                items(depth + 1)
+                lines.append(pad + "}")
+            elif r < 0.96:
+                lines.append(f"{pad}embedding w{rng.randrange(2)} (dim=8)")
+            else:
+                lines.append(f'{pad}table t{rng.randrange(2)} {{ "k": "v"; }}')
+
+    items(0)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+_WORD_RE = re.compile(r"\s+|[^\s]+")
+_MUTANT_CHARS = '{}()[],^:;@.-~>"_0aZ \n'
+
+
+def mutate_source(rng: random.Random, source: str) -> str:
+    """One byte or token edit: a cut (often just inside a data term), a
+    deleted, inserted or replaced character, or a dropped, doubled or swapped
+    word."""
+    op = rng.randrange(7)
+    k = rng.randrange(len(source) + 1)
+    if op == 0:
+        starts = [m.end() for m in re.finditer(r"(?:: | as )", source)]
+        if starts and rng.random() < 0.7:
+            k = rng.choice(starts) + rng.randint(0, 5)
+        return source[:k]
+    if op == 1:
+        return source[:k] + source[k + 1:]
+    if op == 2:
+        return source[:k] + rng.choice(_MUTANT_CHARS) + source[k:]
+    if op == 3:
+        return source[:k] + rng.choice(_MUTANT_CHARS) + source[k + 1:]
+    words = _WORD_RE.findall(source)
+    i = rng.randrange(len(words))
+    if op == 4:
+        del words[i]
+    elif op == 5:
+        words.insert(i, words[i])
+    elif i + 1 < len(words):
+        words[i], words[i + 1] = words[i + 1], words[i]
+    return "".join(words)

@@ -260,7 +260,7 @@ def nested_detail_source(depth: int) -> str:
     (nested_term_source, 3000, ["E004", "E004"]),
     (nested_detail_source, MAX_NESTING, []),
     (nested_detail_source, MAX_NESTING + 1, ["E002"]),
-    (nested_detail_source, 500, ["E002"]),
+    (nested_detail_source, 1500, ["E002"]),
 ])
 def test_nesting_limit_is_a_diagnostic(tmp_path, make, depth, codes):
     # past the limit: one diagnostic per offending term or block, never a

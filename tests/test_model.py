@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from dial.diagnostics import DuplicateId, SerializationError, UnknownDialect, UnknownNode
@@ -132,6 +134,29 @@ def test_dangling_group_member():
     d.groups.append(DetailGroup("g1", owner="p", member_nodes=("ghost",)))
     codes = [x.code for x in validate_structure(d)]
     assert codes == ["E011"]
+
+
+def test_node_in_two_groups():
+    # layout would draw the node in both boxes; the later group is named
+    d = chain_diagram()
+    add_node(d, Node("f", "function", "func"))
+    d.groups.append(DetailGroup("g1", owner="p", member_nodes=("f", "f")))
+    d.groups.append(DetailGroup("g2", owner="n", member_nodes=("f",)))
+    diags = validate_structure(d)
+    assert [(x.code, x.ir_path) for x in diags] == [("E014", "g2")]
+    assert "'g1'" in diags[0].message and "'f'" in diags[0].message
+
+
+def test_node_in_two_groups_from_interchange_json():
+    doc = json.loads(canonical_serialize(chain_diagram()))
+    doc["groups"] = [
+        {"id": "g1", "owner": "src", "member_nodes": ["p", "n"], "member_edges": ["e1"]},
+        {"id": "g2", "owner": "src", "member_nodes": ["n"], "member_edges": []},
+        {"id": "g3", "owner": "src", "member_nodes": ["n", "p"], "member_edges": []},
+    ]
+    diags = validate_structure(deserialize(json.dumps(doc).encode()))
+    assert [(x.code, x.ir_path) for x in diags] == [
+        ("E014", "g2"), ("E014", "g3"), ("E014", "g3")]
 
 
 def rich_diagram() -> Diagram:

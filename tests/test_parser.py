@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
+from collections import Counter
 
 from dial.cli import compile_source
 from dial.diagnostics import has_errors
-from dial.parser import format_source, lower, parse, tokenize
+from dial.model import Diagram
+from dial.parser import DetailDecl, format_source, lower, parse, tokenize
+from oracles import mutate_source, random_front_end_source, reference_lower, reference_parse
 
 MINIMAL = 'dial 0.1\ndialect sys\ndiagram "D" { }\n'
 
@@ -262,3 +266,114 @@ def test_bom_and_binary_input_are_handled(tmp_path):
     result = compile_file(str(binary))
     assert result.failed
     assert all(d.code in ("E001", "E002") for d in result.diagnostics)
+
+
+# -- differential check against the earlier front end ------------------------
+
+FRONT_END_CASES = {  # case -> least number of sources (of 2,400) that show it
+    "duplicate declaration id": 200,
+    "refines unknown node": 300,
+    "edge references unknown node": 500,
+    "malformed data term": 250,
+    "data term nested deeper": 70,
+    "found ''": 20,  # the input ends inside a term
+    "nested detail": 150,
+    "group of two nodes": 200,
+    "group of two edges": 40,
+}
+
+
+def test_front_end_matches_quadratic_reference():
+    # the in-place term reader and the lowering maps give the same AST, parse
+    # diagnostics and lowered unit as the earlier copying reader and scans
+    rng = random.Random(20261018)
+    seen: Counter[str] = Counter()
+    for i in range(2400):
+        src = random_front_end_source(rng)
+        if i % 3:
+            src = mutate_source(rng, src)
+        tokens, _ = tokenize(src)
+        ast, diags = parse(tokens)
+        assert (ast, diags) == reference_parse(tokens), src
+        if ast is None:
+            continue
+        unit, ref = lower(ast), reference_lower(ast)
+        assert unit.diagram == ref.diagram, src
+        assert unit.spans == ref.spans, src
+        assert unit.diagnostics == ref.diagnostics, src
+        messages = [d.message for d in diags + unit.diagnostics]
+        groups = unit.diagram.groups if unit.diagram else []
+        seen.update({case for case in FRONT_END_CASES
+                     if any(case in message for message in messages)})
+        seen["nested detail"] += any(isinstance(item, DetailDecl) and any(
+            isinstance(inner, DetailDecl) for inner in item.items) for item in ast.items)
+        seen["group of two nodes"] += any(len(g.member_nodes) > 1 for g in groups)
+        seen["group of two edges"] += any(len(g.member_edges) > 1 for g in groups)
+    for case, least in FRONT_END_CASES.items():
+        assert seen[case] >= least, (case, seen)
+
+
+# -- scaling guards ------------------------------------------------------------
+
+
+def wide_source(pipelines: int) -> str:
+    # data -> POS -> NER pipelines with an `as` term; every 4th has a detail block
+    body = []
+    for i in range(pipelines):
+        body += [f"data d{i}: S^Token", f"node p{i}: POS",
+                 f'node e{i}: NER perf(acc=0.9@"corpus")',
+                 f"edge d{i} -> p{i}", f"edge p{i} -> e{i} as S^{{POS,Token}}"]
+        if i % 4 == 3:
+            body += [f"detail z{i} for e{i} {{", f"  data z{i}_in: S^{{NER,Names}}",
+                     f"  node z{i}_fn: func", f"  edge z{i}_in -> z{i}_fn", "}"]
+    return wrap(*body)
+
+
+def best_of_two(run) -> float:
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_parse_reads_data_terms_in_place():
+    # each term costs its own tokens: 1000 pipelines parse in well under a
+    # second (copying the rest of the file at every term took 12 s)
+    tokens, lex_diags = tokenize(wide_source(1000))
+    ast, diags = parse(tokens)
+    assert lex_diags == diags == [] and len(ast.items) == 5250
+    assert best_of_two(lambda: parse(tokens)) < 0.5
+
+
+def test_lower_scales_with_detail_groups():
+    # 5000 one-node groups: member lists grow in place and ids are looked up
+    # in maps (scanning the node and group lists took 7.8 s)
+    body = []
+    for i in range(5000):
+        body += [f"node o{i}: func", f"detail g{i} for o{i} {{", f"  node f{i}: func", "}"]
+    ast, diags = parse_source(wrap(*body))
+    assert ast is not None and diags == []
+    unit = lower(ast)
+    assert unit.diagnostics == [] and len(unit.diagram.groups) == 5000
+    assert unit.diagram.groups[-1].member_nodes == ("f4999",)
+    assert best_of_two(lambda: lower(ast)) < 1.0
+
+
+def test_lower_scans_no_node_list(monkeypatch):
+    n = 2000
+    decls = ["data t0: S^Token"] + [f"node t{i}: POS" for i in range(1, n)]
+    ast, _ = parse_source(wrap(*decls, *(f"edge t{i} -> t{i + 1}" for i in range(n - 1))))
+    calls = 0
+    real = Diagram.node_by_id
+
+    def counting(self, node_id):
+        nonlocal calls
+        calls += 1
+        return real(self, node_id)
+
+    monkeypatch.setattr(Diagram, "node_by_id", counting)
+    unit = lower(ast)
+    assert unit.diagnostics == [] and len(unit.diagram.edges) == n - 1
+    assert calls == 0

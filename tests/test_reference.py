@@ -16,7 +16,7 @@ def test_reference_document_is_current():
 def test_reference_lists_everything():
     text = generate_reference()
     assert text.count("| W20") == 8
-    assert text.count("| E0") + text.count("| E1") + text.count("| E3") == 16
+    assert text.count("| E0") + text.count("| E1") + text.count("| E3") == 17
     # 26 signature rows plus alternatives, 30 + 13 symbol rows
     assert "| ABD |" in text and "| POS |" in text
     assert "| hidden_bwd |" in text and "| zoom |" in text
