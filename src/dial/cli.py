@@ -105,7 +105,7 @@ def compile_file(path: str) -> CompileResult:
 def _located(diagnostics: list[Diagnostic], file_name: str, spans) -> list[Diagnostic]:
     out = []
     for diag in diagnostics:
-        span = diag.span or (spans.get(diag.ir_path) if diag.ir_path else None)
+        span = diag.span or spans.get(diag.ir_kind, {}).get(diag.ir_path)
         out.append(diag.with_location(file_name, span))
     return out
 

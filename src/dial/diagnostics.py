@@ -44,6 +44,7 @@ class Diagnostic:
     file: str | None = None
     span: Span | None = None
     ir_path: str | None = None  # node/edge id when no source span is known
+    ir_kind: str | None = None  # what ir_path names: "node", "edge" or "group"
 
     def __post_init__(self) -> None:
         if not (len(self.code) == 4 and self.code[0] in "EW" and self.code[1:].isdigit()):
@@ -54,7 +55,7 @@ class Diagnostic:
         return "error" if self.code.startswith("E") else "warning"
 
     def with_location(self, file: str | None, span: Span | None) -> Diagnostic:
-        return Diagnostic(self.code, self.message, file, span, self.ir_path)
+        return Diagnostic(self.code, self.message, file, span, self.ir_path, self.ir_kind)
 
     def to_json_obj(self) -> dict:
         # Frozen wire shape: exactly these six keys.

@@ -1,7 +1,8 @@
 """Style rules over the typed, laid-out diagram.
 
 Every rule is a warning; escalation happens only in the CLI (--deny
-warnings). Output order is stable: rule code first, then declaration order.
+warnings). Output order is stable: rule code first, then the declaration
+order of the node, edge, group or table the rule names.
 
   W201  title placed away from the top left
   W202  meta table placed away from the bottom right
@@ -89,9 +90,12 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult,
             emit("W207", f"{node.kind} node {node.id!r} carries no perf "
                          "annotation; report quality per component", node.id)
 
-    out.extend(_mixed_layers(typed, layout_result, disabled))
-    order = _decl_order(diagram)
-    out.sort(key=lambda d: (d.code, order.get(d.ir_path, 9999)))
+    # W201..W207 each name one kind and are emitted in its declaration order;
+    # W208 is emitted per layer, so it is put in node order here
+    position = {node.id: i for i, node in enumerate(diagram.nodes)}
+    out.extend(sorted(_mixed_layers(typed, layout_result, disabled),
+                      key=lambda d: position.get(d.ir_path, -1)))
+    out.sort(key=lambda d: d.code)  # stable, so each code keeps that order
     return out
 
 
@@ -139,14 +143,3 @@ def _bands(diagram, top_ids: set[str]) -> dict[str, int]:
              if e.source.node in top_ids and e.target.node in top_ids]
     ordered_ids = [n.id for n in diagram.nodes if n.id in top_ids]
     return _weak_components(ordered_ids, edges)
-
-
-def _decl_order(diagram) -> dict[str | None, int]:
-    """Sort position of each declared id, diagram-level (None) first; on a
-    shared id the first of nodes, edges, groups, tables wins."""
-    order: dict[str | None, int] = {None: -1}
-    for offset, items in ((0, diagram.nodes), (1000, diagram.edges),
-                          (2000, diagram.groups), (3000, diagram.tables)):
-        for i, item in enumerate(items):
-            order.setdefault(item.id, offset + i)
-    return order

@@ -203,14 +203,14 @@ def validate_structure(diagram: Diagram, registry: Registry | None = None) -> li
                 "E010",
                 f"code {node.code!r} does not resolve in dialects "
                 f"{{{', '.join(sorted(diagram.dialects))}}}",
-                ir_path=node.id,
+                ir_path=node.id, ir_kind="node",
             ))
         if node.code == "proj":
             emb = node.param("embedding")
             if emb is not None and emb not in embedding_ids:
                 out.append(Diagnostic(
                     "E011", f"projection references unknown embedding {emb!r}",
-                    ir_path=node.id,
+                    ir_path=node.id, ir_kind="node",
                 ))
 
     occupied: dict[tuple[str, int], str] = {}
@@ -218,7 +218,8 @@ def validate_structure(diagram: Diagram, registry: Registry | None = None) -> li
         for port, bound_attr in ((edge.source, "max_out"), (edge.target, "max_in")):
             if port.node not in node_ids:
                 out.append(Diagnostic(
-                    "E011", f"edge references unknown node {port.node!r}", ir_path=edge.id))
+                    "E011", f"edge references unknown node {port.node!r}",
+                    ir_path=edge.id, ir_kind="edge"))
                 continue
             res = resolutions.get(port.node)
             if res is not None and port.slot >= getattr(res, bound_attr):
@@ -227,7 +228,7 @@ def validate_structure(diagram: Diagram, registry: Registry | None = None) -> li
                     f"port {port} exceeds the arity of code "
                     f"{diagram.node_by_id(port.node).code!r} "
                     f"(max {getattr(res, bound_attr)})",
-                    ir_path=edge.id,
+                    ir_path=edge.id, ir_kind="edge",
                 ))
         if edge.flow_kind != "recurrent" and edge.target.node in node_ids:
             key = (edge.target.node, edge.target.slot)
@@ -235,7 +236,7 @@ def validate_structure(diagram: Diagram, registry: Registry | None = None) -> li
                 out.append(Diagnostic(
                     "E011",
                     f"input slot {edge.target} already fed by edge {occupied[key]}",
-                    ir_path=edge.id,
+                    ir_path=edge.id, ir_kind="edge",
                 ))
             else:
                 occupied[key] = edge.id
@@ -247,11 +248,13 @@ def validate_structure(diagram: Diagram, registry: Registry | None = None) -> li
         if edge.flow_kind == "persist" and edge.target.node in node_ids:
             if _kind(edge.target.node) not in (None, "resource"):
                 out.append(Diagnostic(
-                    "E013", "persistence must flow into a stored resource", ir_path=edge.id))
+                    "E013", "persistence must flow into a stored resource",
+                    ir_path=edge.id, ir_kind="edge"))
         if edge.flow_kind == "query" and edge.source.node in node_ids and edge.target.node in node_ids:
             if _kind(edge.source.node) != "resource" and _kind(edge.target.node) != "resource":
                 out.append(Diagnostic(
-                    "E013", "a query edge must touch a stored resource", ir_path=edge.id))
+                    "E013", "a query edge must touch a stored resource",
+                    ir_path=edge.id, ir_kind="edge"))
 
     out.extend(_validate_groups(diagram, node_ids))
     return out
@@ -264,20 +267,24 @@ def _validate_groups(diagram: Diagram, node_ids: set[str]) -> list[Diagnostic]:
     for group in diagram.groups:
         if group.owner not in node_ids:
             out.append(Diagnostic(
-                "E011", f"detail group owner {group.owner!r} does not exist", ir_path=group.id))
+                "E011", f"detail group owner {group.owner!r} does not exist",
+                ir_path=group.id, ir_kind="group"))
         for member in group.member_nodes:
             if member not in node_ids:
                 out.append(Diagnostic(
-                    "E011", f"detail group member {member!r} does not exist", ir_path=group.id))
+                    "E011", f"detail group member {member!r} does not exist",
+                    ir_path=group.id, ir_kind="group"))
             elif owner_of.get(member, group.id) != group.id:
                 out.append(Diagnostic(
                     "E014", f"node {member!r} is listed by detail groups "
-                            f"{owner_of[member]!r} and {group.id!r}", ir_path=group.id))
+                            f"{owner_of[member]!r} and {group.id!r}",
+                    ir_path=group.id, ir_kind="group"))
             owner_of[member] = group.id
         for member in group.member_edges:
             if member not in edge_ids:
                 out.append(Diagnostic(
-                    "E011", f"detail group member edge {member!r} does not exist", ir_path=group.id))
+                    "E011", f"detail group member edge {member!r} does not exist",
+                    ir_path=group.id, ir_kind="group"))
 
     # The zoomed node must not sit inside its own refinement, transitively:
     # follow owner -> containing group -> that group's owner -> ...
@@ -290,7 +297,7 @@ def _validate_groups(diagram: Diagram, node_ids: set[str]) -> list[Diagnostic]:
             if next_id in seen:
                 out.append(Diagnostic(
                     "E012", f"detail group {group.id!r} contains itself transitively",
-                    ir_path=group.id,
+                    ir_path=group.id, ir_kind="group",
                 ))
                 break
             seen.add(next_id)
@@ -298,7 +305,7 @@ def _validate_groups(diagram: Diagram, node_ids: set[str]) -> list[Diagnostic]:
         if group.owner in group.member_nodes:
             out.append(Diagnostic(
                 "E012", f"node {group.owner!r} is a member of its own detail group",
-                ir_path=group.id,
+                ir_path=group.id, ir_kind="group",
             ))
     return out
 
@@ -381,13 +388,19 @@ def deserialize(data: bytes) -> Diagram:
     """Inverse of canonical_serialize; E020 on version skew, E021 otherwise."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise _bad(f"not a well-formed interchange document: {exc}") from exc
     version = _expect(doc, "format_version", str, "document")
     if version != IR_VERSION:
         raise SerializationError(Diagnostic(
             "E020", f"document version {version!r} is not supported (expected {IR_VERSION!r})"))
+    try:
+        return _decode(doc, version)
+    except (TypeError, ValueError) as exc:  # pairs that do not unpack, values out of range
+        raise _bad(f"malformed interchange document: {exc}") from exc
 
+
+def _decode(doc: dict, version: str) -> Diagram:
     diagram = Diagram(
         name=_expect(doc, "name", str, "document"),
         dialects=frozenset(_expect(doc, "dialects", list, "document")),
@@ -404,7 +417,9 @@ def deserialize(data: bytes) -> Diagram:
             params=tuple((k, v) for k, v in _expect(obj, "params", list, "node")),
             shape_class=_expect(obj, "shape_class", str, "node"),
             perf=tuple(
-                PerfAnnotation(p["metric"], p["value"], p["corpus"])
+                PerfAnnotation(_expect(p, "metric", str, "perf"),
+                               _expect(p, "value", (int, float), "perf"),
+                               _expect(p, "corpus", str, "perf"))
                 for p in _expect(obj, "perf", list, "node")
             ),
             detail=obj.get("detail"),
@@ -423,8 +438,8 @@ def deserialize(data: bytes) -> Diagram:
         tgt = _expect(obj, "target", dict, "edge")
         edge = Edge(
             id=_expect(obj, "id", str, "edge"),
-            source=Port(src["node"], src["slot"], "out"),
-            target=Port(tgt["node"], tgt["slot"], "in"),
+            source=Port(_expect(src, "node", str, "edge"), _expect(src, "slot", int, "edge"), "out"),
+            target=Port(_expect(tgt, "node", str, "edge"), _expect(tgt, "slot", int, "edge"), "in"),
             flow_kind=_expect(obj, "flow_kind", str, "edge"),
             declared_term=obj.get("declared_term"),
         )

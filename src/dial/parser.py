@@ -660,7 +660,7 @@ class LoweredUnit:
     diagram: Diagram | None
     registry: Registry
     diagnostics: list[Diagnostic]
-    spans: dict[str, Span] = field(default_factory=dict)  # node/edge/group id -> span
+    spans: dict[str, dict[str, Span]] = field(default_factory=dict)  # kind -> id -> span
 
 
 def lower(ast: SourceAst) -> LoweredUnit:
@@ -668,7 +668,8 @@ def lower(ast: SourceAst) -> LoweredUnit:
     data-term names are checked here (E004), ids here (E003)."""
     registry = Registry()
     diagnostics: list[Diagnostic] = []
-    spans: dict[str, Span] = {}
+    spans: dict[str, dict[str, Span]] = {
+        kind: {} for kind in ("node", "edge", "group", "table", "embedding")}
 
     unknown = [d for d in ast.dialects if d not in DIALECTS]
     if unknown or "sys" not in ast.dialects:
@@ -814,7 +815,7 @@ class _Lowerer:
             return False
         self.node_pos[node.id] = len(self.diagram.nodes)
         self.diagram.nodes.append(node)
-        self.spans[node.id] = span
+        self.spans["node"][node.id] = span
         if group is not None:
             self.members[group][0].append(node.id)
         return True
@@ -864,7 +865,7 @@ class _Lowerer:
         group = DetailGroup(decl.id, decl.owner, entry_side=decl.entry_side,
                             exit_side=decl.exit_side)
         self.diagram.groups.append(group)
-        self.spans[decl.id] = decl.span
+        self.spans["group"][decl.id] = decl.span
         self.lower_items(decl.items, group=decl.id)
         owner_idx = self.node_pos.get(decl.owner)
         if owner_idx is not None:
@@ -883,7 +884,7 @@ class _Lowerer:
         self.diagram.tables.append(MetaTable(
             decl.id, kind=kind, rows=decl.rows,
             placement=decl.placement or "bottom_right"))
-        self.spans[decl.id] = decl.span
+        self.spans["table"][decl.id] = decl.span
 
     def _embedding(self, decl: EmbedDecl) -> None:
         if decl.id in self.embedding_ids:
@@ -891,7 +892,7 @@ class _Lowerer:
             return
         self.embedding_ids.add(decl.id)
         self.diagram.embeddings.append(EmbeddingDecl(decl.id, decl.dim, decl.label))
-        self.spans[decl.id] = decl.span
+        self.spans["embedding"][decl.id] = decl.span
 
     # -- edges (second pass so forward references work) -------------------
 
@@ -947,7 +948,7 @@ class _Lowerer:
             Port(decl.target.node, tgt_slot, "in"),
             kind, decl.as_literal,
         ))
-        self.spans[edge_id] = decl.span
+        self.spans["edge"][edge_id] = decl.span
         if group is not None:
             self.members[group][1].append(edge_id)
 

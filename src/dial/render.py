@@ -1,9 +1,11 @@
-"""SVG and TikZ emission.
+"""SVG and TikZ emission: one drawing walk, two writers.
 
 The glyph table below is the normative geometry for every registered symbol
-(the golden files pin it down). Each node contributes exactly one element
-carrying class ``node-shape``; groups, tables and the title carry their own
-classes, so structural tests can count elements.
+(the golden files pin it down). ``_Drawing`` walks the typed diagram and its
+layout once and decides what is drawn; its subclasses ``_Svg`` and ``_Tikz``
+only spell each element, as markup or as commands. Each node contributes
+exactly one element carrying class ``node-shape``; groups, tables and the
+title carry their own classes, so structural tests can count elements.
 
 Both emitters are pure functions of (typed diagram, layout, registry) and
 stamp their output with the toolchain version.
@@ -11,6 +13,7 @@ stamp their output with the toolchain version.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import __version__
@@ -34,62 +37,55 @@ class GlyphSpec:
     mark: str | None = None  # centered symbol, realized per backend
     badge: str | None = None  # small corner mark
     dashed: bool = False
-    label_slots: tuple[str, ...] = ("code", "label", "params", "perf")
-    anchors: tuple[str, ...] = ("in:left", "out:right")
-
-
-def _g(glyph_id: str, primitive: str, mark: str | None = None, *,
-       badge: str | None = None, dashed: bool = False) -> GlyphSpec:
-    return GlyphSpec(glyph_id, primitive, mark, badge=badge, dashed=dashed)
 
 
 GLYPH_TABLE: dict[str, GlyphSpec] = {g.glyph_id: g for g in (
-    _g("task_box", RECT),
-    _g("box_classifier", RECT, badge="C"),
-    _g("box_extension", RECT, badge="+"),
-    _g("op_oplus", CIRCLE, "oplus"),
-    _g("op_concat", CIRCLE, "concat"),
-    _g("op_otimes", CIRCLE, "otimes"),
-    _g("op_set", CIRCLE, "set"),
-    _g("op_cond", DIAMOND, "cond"),
-    _g("op_interface", TEXT_GLYPH, "interface"),
-    _g("op_compose", CIRCLE, "compose"),
-    _g("op_join", CIRCLE, "join"),
-    _g("op_sim", CIRCLE, "sim"),
-    _g("op_proj", CIRCLE, "proj"),
-    _g("op_regression", CIRCLE, "regression"),
-    _g("op_classification", CIRCLE, "classification"),
-    _g("op_rank", CIRCLE, "rank"),
-    _g("op_encoder", TRAP_R),
-    _g("op_decoder", TRAP_L),
-    _g("op_entail", CIRCLE, "entail"),
-    _g("op_verify", TEXT_GLYPH, "verify"),
-    _g("op_func", CIRCLE, "func"),
-    _g("op_func_contract", CIRCLE, "func_contract"),
-    _g("res_dataset", CYLINDER),
-    _g("res_gold", CYLINDER, badge="star"),
-    _g("res_kbfn", CYLINDER, badge="f"),
-    _g("res_kb", CYLINDER, badge="KB"),
-    _g("res_w2v", ELLIPSE, "w2v"),
-    _g("grp_zoom", RECT, dashed=True),
-    _g("meta_acc", TEXT_GLYPH, "acc"),
-    _g("edge_flow", TEXT_GLYPH, "flow"),
-    _g("edge_biflow", TEXT_GLYPH, "biflow"),
-    _g("edge_query", TEXT_GLYPH, "query"),
-    _g("edge_persist", TEXT_GLYPH, "persist"),
-    _g("nn_loss", CIRCLE, "loss"),
-    _g("nn_activation", CIRCLE, "activation"),
-    _g("nn_softmax", ROUND_RECT, "softmax"),
-    _g("nn_attention", ROUND_RECT, "attention"),
-    _g("nn_lstm", ROUND_RECT, "lstm"),
-    _g("nn_bilstm", ROUND_RECT, "bilstm"),
-    _g("nn_gru", ROUND_RECT, "lstm", badge="GRU"),
-    _g("nn_conv", RECT, "conv"),
-    _g("nn_recnn", ROUND_RECT, "recnn"),
-    _g("nn_svm", RECT, "svm"),
-    _g("nn_ground_truth", TEXT_GLYPH, "ground_truth"),
-    _g("nn_hidden_fwd", TEXT_GLYPH, "hidden_fwd"),
-    _g("nn_hidden_bwd", TEXT_GLYPH, "hidden_bwd"),
+    GlyphSpec("task_box", RECT),
+    GlyphSpec("box_classifier", RECT, badge="C"),
+    GlyphSpec("box_extension", RECT, badge="+"),
+    GlyphSpec("op_oplus", CIRCLE, "oplus"),
+    GlyphSpec("op_concat", CIRCLE, "concat"),
+    GlyphSpec("op_otimes", CIRCLE, "otimes"),
+    GlyphSpec("op_set", CIRCLE, "set"),
+    GlyphSpec("op_cond", DIAMOND, "cond"),
+    GlyphSpec("op_interface", TEXT_GLYPH, "interface"),
+    GlyphSpec("op_compose", CIRCLE, "compose"),
+    GlyphSpec("op_join", CIRCLE, "join"),
+    GlyphSpec("op_sim", CIRCLE, "sim"),
+    GlyphSpec("op_proj", CIRCLE, "proj"),
+    GlyphSpec("op_regression", CIRCLE, "regression"),
+    GlyphSpec("op_classification", CIRCLE, "classification"),
+    GlyphSpec("op_rank", CIRCLE, "rank"),
+    GlyphSpec("op_encoder", TRAP_R),
+    GlyphSpec("op_decoder", TRAP_L),
+    GlyphSpec("op_entail", CIRCLE, "entail"),
+    GlyphSpec("op_verify", TEXT_GLYPH, "verify"),
+    GlyphSpec("op_func", CIRCLE, "func"),
+    GlyphSpec("op_func_contract", CIRCLE, "func_contract"),
+    GlyphSpec("res_dataset", CYLINDER),
+    GlyphSpec("res_gold", CYLINDER, badge="star"),
+    GlyphSpec("res_kbfn", CYLINDER, badge="f"),
+    GlyphSpec("res_kb", CYLINDER, badge="KB"),
+    GlyphSpec("res_w2v", ELLIPSE, "w2v"),
+    GlyphSpec("grp_zoom", RECT, dashed=True),
+    GlyphSpec("meta_acc", TEXT_GLYPH, "acc"),
+    GlyphSpec("edge_flow", TEXT_GLYPH, "flow"),
+    GlyphSpec("edge_biflow", TEXT_GLYPH, "biflow"),
+    GlyphSpec("edge_query", TEXT_GLYPH, "query"),
+    GlyphSpec("edge_persist", TEXT_GLYPH, "persist"),
+    GlyphSpec("nn_loss", CIRCLE, "loss"),
+    GlyphSpec("nn_activation", CIRCLE, "activation"),
+    GlyphSpec("nn_softmax", ROUND_RECT, "softmax"),
+    GlyphSpec("nn_attention", ROUND_RECT, "attention"),
+    GlyphSpec("nn_lstm", ROUND_RECT, "lstm"),
+    GlyphSpec("nn_bilstm", ROUND_RECT, "bilstm"),
+    GlyphSpec("nn_gru", ROUND_RECT, "lstm", badge="GRU"),
+    GlyphSpec("nn_conv", RECT, "conv"),
+    GlyphSpec("nn_recnn", ROUND_RECT, "recnn"),
+    GlyphSpec("nn_svm", RECT, "svm"),
+    GlyphSpec("nn_ground_truth", TEXT_GLYPH, "ground_truth"),
+    GlyphSpec("nn_hidden_fwd", TEXT_GLYPH, "hidden_fwd"),
+    GlyphSpec("nn_hidden_bwd", TEXT_GLYPH, "hidden_bwd"),
 )}
 
 # Mark realizations per backend.
@@ -139,29 +135,78 @@ def glyph_for(code: str, dialects: frozenset[str],
     return GLYPH_TABLE.get(resolution.symbol.glyph_id, GLYPH_TABLE["box_extension"])
 
 
-def _mark_text(node: Node, glyph: GlyphSpec, marks: dict[str, str]) -> str | None:
-    if glyph.mark is None:
-        return None
-    text = marks[glyph.mark]
-    if glyph.mark == "rank":
-        top_n = node.param("n")
-        if top_n is not None:
-            text += f"{top_n}" if marks is SVG_MARKS else f"${top_n}$"
-    if glyph.mark == "proj":
-        emb = node.param("embedding")
-        if emb is not None:
-            text += f"_{emb}"
-    return text
-
-
-def _check_pairing(diagram: Diagram, layout: LayoutResult) -> None:
+def _check_pairing(diagram: Diagram, layout: LayoutResult) -> dict[str, Node]:
+    """Each node of ``diagram`` by id; E301 unless the layout boxes exactly those."""
+    by_id = {n.id: n for n in diagram.nodes}
     missing = [n.id for n in diagram.nodes if n.id not in layout.node_boxes]
-    node_ids = {n.id for n in diagram.nodes}
-    extra = [nid for nid in layout.node_boxes if nid not in node_ids]
+    extra = [nid for nid in layout.node_boxes if nid not in by_id]
     if missing or extra:
         raise RenderMismatch(
             "E301: layout does not belong to this diagram "
             f"(missing {missing}, foreign {extra})")
+    return by_id
+
+
+class _Drawing:
+    """The walk, which decides once what is drawn. A writer subclass sets the notation
+    (``marks``, ``esc``, ``term``, ...), spells each element and fixes ``order``."""
+
+    def __init__(self, typed: TypedDiagram, layout: LayoutResult, registry: Registry | None):
+        self.typed, self.layout = typed, layout
+        self.registry = registry or Registry()
+
+    def text(self) -> str:
+        diagram, layout = self.typed.diagram, self.layout
+        by_id = _check_pairing(diagram, layout)
+        out = self.head(self.esc(diagram.name))
+        for group in diagram.groups:
+            owner = by_id.get(group.owner)
+            caption = f"zoom: {owner.label or owner.code if owner else group.owner}"
+            out.extend(self.group(layout.group_boxes[group.id], self.esc(caption)))
+        del by_id  # not needed past the captions; frees it before the text is joined
+        for draw in self.order:
+            out.extend(draw(self))
+        for table in diagram.tables:
+            box = layout.table_regions.get(table.id)
+            if box is not None:
+                out.extend(self.table(box, [self.esc(f"{k}: {v}") for k, v in table.rows]))
+        out.extend(self.tail)
+        return "\n".join(out) + "\n"
+
+    def edges(self) -> Iterator[str]:
+        for edge in self.typed.diagram.edges:
+            route = self.layout.edge_routes.get(edge.id)
+            if route is None:
+                continue
+            (x0, y0), (x1, y1) = route[0], route[-1]
+            term = self.typed.edge_terms.get(edge.id)
+            yield from self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4),
+                                 None if term is None else self.term(term))
+
+    def nodes(self) -> Iterator[str]:
+        diagram = self.typed.diagram
+        for node in diagram.nodes:
+            try:
+                glyph = glyph_for(node.code, diagram.dialects, self.registry)
+            except UnknownSymbol:
+                glyph = GLYPH_TABLE["box_extension"]
+            plain = node_display_lines(node)
+            lines = [self.esc(line) for line in plain]
+            mark = self.mark_text(node, glyph)
+            if mark is not None:
+                lines[0] = mark if plain[0] == node.code else f"{mark} {lines[0]}"
+            badge = glyph.badge and self.esc_mark(self.marks.get(glyph.badge, glyph.badge))
+            yield from self.node(glyph, self.layout.node_boxes[node.id], lines, badge)
+
+    def mark_text(self, node: Node, glyph: GlyphSpec) -> str | None:
+        if glyph.mark is None:
+            return None
+        text = self.marks[glyph.mark]
+        if glyph.mark == "rank" and (top_n := node.param("n")) is not None:
+            text += self.rank_count.format(top_n)
+        if glyph.mark == "proj" and (emb := node.param("embedding")) is not None:
+            text += f"_{emb}"
+        return self.esc_mark(text)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +222,15 @@ def _esc_xml(text: str) -> str:
 def _svg_term(term: DataTerm) -> str:
     """Term markup with superscript tspans."""
     if term.structure == TUPLE:
-        inner = ", ".join(_svg_term(t) for t in term.elements)
-        return f"({inner})"
+        return "(" + ", ".join(_svg_term(t) for t in term.elements) + ")"
     if term.structure == SET:
         return "{" + _svg_term(term.element) + "}"
     if term.structure == SEQUENCE:
         bound = f"&#8804;{term.max_len}" if term.max_len is not None else ""
         return f"[{_svg_term(term.element)}]{bound}"
-    text = term_text(DataTerm(base=term.base, subscript=term.subscript,
-                              dims=term.dims, structure=term.structure,
-                              dist_range=term.dist_range))
-    out = _esc_xml(text)
+    out = _esc_xml(term_text(DataTerm(base=term.base, subscript=term.subscript,
+                                      dims=term.dims, structure=term.structure,
+                                      dist_range=term.dist_range)))
     labels = sorted(term.annotations)
     if labels:
         out += ('<tspan baseline-shift="super" font-size="8">'
@@ -227,109 +270,75 @@ def _shape_svg(glyph: GlyphSpec, box: Box, cls: str) -> str:
     return f'<rect {common} x="{x}" y="{y}" width="{w}" height="{h}"{rx}/>'
 
 
+class _Svg(_Drawing):
+    """SVG markup. Edges come before nodes, so nodes paint over them."""
+
+    order = (_Drawing.edges, _Drawing.nodes)
+    marks, rank_count = SVG_MARKS, "{}"
+    esc = esc_mark = staticmethod(_esc_xml)
+    term = staticmethod(_svg_term)
+    tail = ("</svg>",)
+
+    def head(self, title: str) -> list[str]:
+        width, height, tr = self.layout.width, self.layout.height, self.layout.title_region
+        return [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            f"<!-- {STAMP} -->",
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}" '
+            f'font-family="monospace" font-size="12">',
+            "<defs>"
+            '<marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
+            'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
+            '<path d="M 0 0 L 10 5 L 0 10 z" fill="black"/></marker>'
+            "</defs>",
+            f'<text class="title" x="{tr.x}" y="{tr.y + 12}" '
+            f'font-size="14" font-weight="bold">{title}</text>',
+        ]
+
+    def group(self, box: Box, caption: str) -> Iterator[str]:
+        yield (f'<rect class="group-box" fill="none" stroke="black" stroke-dasharray="6 4" '
+               f'x="{box.x}" y="{box.y}" width="{box.w}" height="{box.h}"/>')
+        yield f'<text x="{box.x + 4}" y="{box.y + 12}" font-size="9">{caption}</text>'
+
+    def edge(self, kind: str, route, at: tuple[int, int], term: str | None) -> Iterator[str]:
+        pts = " ".join(f"{x},{y}" for x, y in route)
+        dash = ' stroke-dasharray="5 3"' if kind == "query" else ""
+        markers = ' marker-end="url(#arrow)"'
+        if kind == "biflow":
+            markers += ' marker-start="url(#arrow)"'
+        yield (f'<polyline class="edge edge-{kind}" fill="none" '
+               f'stroke="black"{dash} points="{pts}"{markers}/>')
+        if kind == "persist":
+            x0, y0 = route[0]
+            yield f'<line stroke="black" x1="{x0}" y1="{y0 - 5}" x2="{x0}" y2="{y0 + 5}"/>'
+        label = " ".join(p for p in (term, "?" if kind == "query" else None) if p is not None)
+        if label:
+            yield (f'<text class="edge-term" x="{at[0]}" y="{at[1]}" font-size="10" '
+                   f'text-anchor="middle">{label}</text>')
+
+    def node(self, glyph: GlyphSpec, box: Box, lines: list[str], badge: str | None) -> Iterator[str]:
+        yield _shape_svg(glyph, box, "node-shape")
+        cx = box.x + box.w // 2
+        ty = box.y + box.h // 2 - 6 * (len(lines) - 1) + 4
+        for i, line in enumerate(lines):
+            yield (f'<text x="{cx}" y="{ty + 12 * i}" text-anchor="middle" '
+                   f'font-size="{12 if i == 0 else 9}">{line}</text>')
+        if badge is not None:
+            yield (f'<text x="{box.right - 4}" y="{box.y + 10}" '
+                   f'text-anchor="end" font-size="9">{badge}</text>')
+
+    def table(self, box: Box, rows: list[str]) -> Iterator[str]:
+        yield (f'<rect class="table-box" fill="none" stroke="black" '
+               f'x="{box.x}" y="{box.y}" width="{box.w}" height="{box.h}"/>')
+        for i, row in enumerate(rows):
+            yield f'<text x="{box.x + 6}" y="{box.y + 16 + 16 * i}" font-size="10">{row}</text>'
+
+
 def render_svg(typed: TypedDiagram, layout: LayoutResult,
                registry: Registry | None = None) -> str:
     """Deterministic SVG 1.1 document for a typed, laid-out diagram."""
-    registry = registry or Registry()
-    diagram = typed.diagram
-    _check_pairing(diagram, layout)
-
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    out.append(f"<!-- {STAMP} -->")
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{layout.width}" height="{layout.height}" '
-               f'viewBox="0 0 {layout.width} {layout.height}" '
-               f'font-family="monospace" font-size="12">')
-    out.append(
-        "<defs>"
-        '<marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
-        'markerWidth="7" markerHeight="7" orient="auto-start-reverse">'
-        '<path d="M 0 0 L 10 5 L 0 10 z" fill="black"/></marker>'
-        "</defs>"
-    )
-
-    title = diagram.name
-    tr = layout.title_region
-    out.append(f'<text class="title" x="{tr.x}" y="{tr.y + 12}" '
-               f'font-size="14" font-weight="bold">{_esc_xml(title)}</text>')
-
-    for group in diagram.groups:
-        box = layout.group_boxes[group.id]
-        out.append(f'<rect class="group-box" fill="none" stroke="black" '
-                   f'stroke-dasharray="6 4" x="{box.x}" y="{box.y}" '
-                   f'width="{box.w}" height="{box.h}"/>')
-        owner = diagram.node_by_id(group.owner)
-        caption = f"zoom: {owner.label or owner.code if owner else group.owner}"
-        out.append(f'<text x="{box.x + 4}" y="{box.y + 12}" font-size="9">'
-                   f"{_esc_xml(caption)}</text>")
-
-    for edge in diagram.edges:
-        route = layout.edge_routes.get(edge.id)
-        if route is None:
-            continue
-        pts = " ".join(f"{x},{y}" for x, y in route)
-        dash = ' stroke-dasharray="5 3"' if edge.flow_kind == "query" else ""
-        markers = ' marker-end="url(#arrow)"'
-        if edge.flow_kind == "biflow":
-            markers += ' marker-start="url(#arrow)"'
-        out.append(f'<polyline class="edge edge-{edge.flow_kind}" fill="none" '
-                   f'stroke="black"{dash} points="{pts}"{markers}/>')
-        if edge.flow_kind == "persist":
-            x0, y0 = route[0]
-            out.append(f'<line stroke="black" x1="{x0}" y1="{y0 - 5}" '
-                       f'x2="{x0}" y2="{y0 + 5}"/>')
-        label_parts: list[str] = []
-        term = typed.edge_terms.get(edge.id)
-        if term is not None:
-            label_parts.append(_svg_term(term))
-        if edge.flow_kind == "query":
-            label_parts.append("?")
-        if label_parts:
-            mx = (route[0][0] + route[-1][0]) // 2
-            my = (route[0][1] + route[-1][1]) // 2 - 4
-            out.append(f'<text class="edge-term" x="{mx}" y="{my}" '
-                       f'font-size="10" text-anchor="middle">'
-                       + " ".join(label_parts) + "</text>")
-
-    for node in diagram.nodes:
-        box = layout.node_boxes[node.id]
-        glyph = _node_glyph(node, diagram, registry)
-        out.append(_shape_svg(glyph, box, "node-shape"))
-        cx = box.x + box.w // 2
-        lines = node_display_lines(node)
-        mark = _mark_text(node, glyph, SVG_MARKS)
-        if mark is not None:
-            lines = [mark if lines[0] == node.code else f"{mark} {lines[0]}"] + lines[1:]
-        ty = box.y + box.h // 2 - 6 * (len(lines) - 1) + 4
-        for i, line in enumerate(lines):
-            size = 12 if i == 0 else 9
-            out.append(f'<text x="{cx}" y="{ty + 12 * i}" text-anchor="middle" '
-                       f'font-size="{size}">{_esc_xml(line)}</text>')
-        if glyph.badge is not None:
-            badge = SVG_MARKS.get(glyph.badge, glyph.badge)
-            out.append(f'<text x="{box.right - 4}" y="{box.y + 10}" '
-                       f'text-anchor="end" font-size="9">{_esc_xml(badge)}</text>')
-
-    for table in diagram.tables:
-        box = layout.table_regions.get(table.id)
-        if box is None:
-            continue
-        out.append(f'<rect class="table-box" fill="none" stroke="black" '
-                   f'x="{box.x}" y="{box.y}" width="{box.w}" height="{box.h}"/>')
-        for i, (key, value) in enumerate(table.rows):
-            out.append(f'<text x="{box.x + 6}" y="{box.y + 16 + 16 * i}" '
-                       f'font-size="10">{_esc_xml(f"{key}: {value}")}</text>')
-
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def _node_glyph(node: Node, diagram: Diagram, registry: Registry) -> GlyphSpec:
-    try:
-        return glyph_for(node.code, diagram.dialects, registry)
-    except UnknownSymbol:
-        return GLYPH_TABLE["box_extension"]
+    return _Svg(typed, layout, registry).text()
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +361,8 @@ def _tikz_term(term: DataTerm) -> str:
     if term.structure == SEQUENCE:
         bound = f"\\leq {term.max_len}" if term.max_len is not None else ""
         return f"[{_tikz_term(term.element)}]{bound}"
-    base = term_text(DataTerm(base=term.base, structure=term.structure,
-                              dist_range=term.dist_range)).replace("_", r"\_")
-    out = base
+    out = term_text(DataTerm(base=term.base, structure=term.structure,
+                             dist_range=term.dist_range)).replace("_", r"\_")
     if term.subscript and term.structure != DIST:
         out += f"_{{{term.subscript}}}"
     labels = sorted(term.annotations)
@@ -376,88 +384,59 @@ _TIKZ_STYLES = {
     CYLINDER: "draw, cylinder, shape border rotate=90, aspect=0.3",
     TEXT_GLYPH: "draw, rectangle, densely dotted",
 }
+_TIKZ_ARROWS = {"biflow": "<->", "query": "->, densely dashed", "persist": "|->"}
+
+
+class _Tikz(_Drawing):
+    """TikZ commands. Nodes come before edges."""
+
+    order = (_Drawing.nodes, _Drawing.edges)
+    marks, rank_count = TIKZ_MARKS, "${}$"
+    esc = staticmethod(_esc_tex)
+    esc_mark = staticmethod(str)  # TikZ marks are TeX source already
+    term = staticmethod(_tikz_term)
+    tail = (r"\end{tikzpicture}", r"\end{document}")
+
+    def head(self, title: str) -> list[str]:
+        tr = self.layout.title_region
+        return [
+            f"% {STAMP}",
+            r"\documentclass[border=4pt]{standalone}",
+            r"\usepackage{tikz}",
+            r"\usetikzlibrary{shapes.geometric,arrows.meta}",
+            r"\begin{document}",
+            r"\begin{tikzpicture}[x=1pt, y=-1pt, font=\ttfamily\small, >={Stealth[length=5pt]}]",
+            rf"\node[anchor=north west, font=\ttfamily\bfseries] at ({tr.x},{tr.y}) {{{title}}};",
+        ]
+
+    def group(self, box: Box, caption: str) -> Iterator[str]:
+        yield rf"\draw[dashed] ({box.x},{box.y}) rectangle ({box.right},{box.bottom});"
+        yield (rf"\node[anchor=north west, font=\ttfamily\tiny] "
+               rf"at ({box.x + 2},{box.y + 1}) {{{caption}}};")
+
+    def edge(self, kind: str, route, at: tuple[int, int], term: str | None) -> Iterator[str]:
+        path = " -- ".join(f"({x},{y})" for x, y in route)
+        yield rf"\draw[{_TIKZ_ARROWS.get(kind, '->')}] {path};"
+        if term is not None:
+            yield rf"\node[font=\tiny, anchor=south] at ({at[0]},{at[1]}) {{${term}$}};"
+
+    def node(self, glyph: GlyphSpec, box: Box, lines: list[str], badge: str | None) -> Iterator[str]:
+        style = _TIKZ_STYLES[glyph.primitive] + (", dashed" if glyph.dashed else "")
+        text = r"\\ ".join([lines[0]] + [rf"{{\tiny {line}}}" for line in lines[1:]])
+        yield (rf"\node[{style}, align=center, minimum width={box.w}pt, "
+               rf"minimum height={box.h}pt] "
+               rf"at ({box.x + box.w // 2},{box.y + box.h // 2}) {{{text}}};")
+        if badge is not None:
+            yield rf"\node[anchor=north east, font=\tiny] at ({box.right},{box.y}) {{{badge}}};"
+
+    def table(self, box: Box, rows: list[str]) -> Iterator[str]:
+        yield rf"\draw ({box.x},{box.y}) rectangle ({box.right},{box.bottom});"
+        for i, row in enumerate(rows):
+            yield (rf"\node[anchor=west, font=\ttfamily\scriptsize] "
+                   rf"at ({box.x + 4},{box.y + 10 + 16 * i}) {{{row}}};")
 
 
 def render_tikz(typed: TypedDiagram, layout: LayoutResult,
                 registry: Registry | None = None) -> str:
     """Standalone-compilable TikZ with the same visual semantics as the SVG."""
-    registry = registry or Registry()
-    diagram = typed.diagram
-    _check_pairing(diagram, layout)
-
-    out: list[str] = []
-    out.append(f"% {STAMP}")
-    out.append(r"\documentclass[border=4pt]{standalone}")
-    out.append(r"\usepackage{tikz}")
-    out.append(r"\usetikzlibrary{shapes.geometric,arrows.meta}")
-    out.append(r"\begin{document}")
-    out.append(r"\begin{tikzpicture}[x=1pt, y=-1pt, font=\ttfamily\small, "
-               r">={Stealth[length=5pt]}]")
-
-    tr = layout.title_region
-    out.append(rf"\node[anchor=north west, font=\ttfamily\bfseries] "
-               rf"at ({tr.x},{tr.y}) {{{_esc_tex(diagram.name)}}};")
-
-    for group in diagram.groups:
-        box = layout.group_boxes[group.id]
-        out.append(rf"\draw[dashed] ({box.x},{box.y}) rectangle ({box.right},{box.bottom});")
-        owner = diagram.node_by_id(group.owner)
-        caption = f"zoom: {owner.label or owner.code if owner else group.owner}"
-        out.append(rf"\node[anchor=north west, font=\ttfamily\tiny] "
-                   rf"at ({box.x + 2},{box.y + 1}) {{{_esc_tex(caption)}}};")
-
-    for node in diagram.nodes:
-        box = layout.node_boxes[node.id]
-        glyph = _node_glyph(node, diagram, registry)
-        style = _TIKZ_STYLES[glyph.primitive]
-        if glyph.dashed:
-            style += ", dashed"
-        lines = node_display_lines(node)
-        mark = _mark_text(node, glyph, TIKZ_MARKS)
-        first = _esc_tex(lines[0])
-        if mark is not None:
-            first = mark if lines[0] == node.code else f"{mark} {first}"
-        body = [first] + [rf"{{\tiny {_esc_tex(line)}}}" for line in lines[1:]]
-        text = r"\\ ".join(body)
-        out.append(
-            rf"\node[{style}, align=center, minimum width={box.w}pt, "
-            rf"minimum height={box.h}pt] "
-            rf"at ({box.x + box.w // 2},{box.y + box.h // 2}) {{{text}}};")
-        if glyph.badge is not None:
-            badge = TIKZ_MARKS.get(glyph.badge, glyph.badge)
-            out.append(rf"\node[anchor=north east, font=\tiny] "
-                       rf"at ({box.right},{box.y}) {{{badge}}};")
-
-    for edge in diagram.edges:
-        route = layout.edge_routes.get(edge.id)
-        if route is None:
-            continue
-        style = "->"
-        if edge.flow_kind == "biflow":
-            style = "<->"
-        if edge.flow_kind == "query":
-            style = "->, densely dashed"
-        if edge.flow_kind == "persist":
-            style = "|->"
-        path = " -- ".join(f"({x},{y})" for x, y in route)
-        out.append(rf"\draw[{style}] {path};")
-        term = typed.edge_terms.get(edge.id)
-        if term is not None:
-            mx = (route[0][0] + route[-1][0]) // 2
-            my = (route[0][1] + route[-1][1]) // 2 - 4
-            out.append(rf"\node[font=\tiny, anchor=south] at ({mx},{my}) "
-                       rf"{{${_tikz_term(term)}$}};")
-
-    for table in diagram.tables:
-        box = layout.table_regions.get(table.id)
-        if box is None:
-            continue
-        out.append(rf"\draw ({box.x},{box.y}) rectangle ({box.right},{box.bottom});")
-        for i, (key, value) in enumerate(table.rows):
-            out.append(rf"\node[anchor=west, font=\ttfamily\scriptsize] "
-                       rf"at ({box.x + 4},{box.y + 10 + 16 * i}) "
-                       rf"{{{_esc_tex(f'{key}: {value}')}}};")
-
-    out.append(r"\end{tikzpicture}")
-    out.append(r"\end{document}")
-    return "\n".join(out) + "\n"
+    return _Tikz(typed, layout, registry).text()

@@ -156,7 +156,7 @@ class _Ctx:
 
     def err(self, code: str, message: str) -> None:
         self.diagnostics.append(Diagnostic(code, f"node {self.node.id!r}: {message}",
-                                           ir_path=self.node.id))
+                                           ir_path=self.node.id, ir_kind="node"))
 
 
 def infer_output(node: Node, inputs: list[DataTerm | None],
@@ -298,9 +298,9 @@ def _infer_symbol(ctx: _Ctx, res: Resolution, inputs: list[DataTerm | None]) -> 
         return [DataTerm(base="PredArg")]
     if code == "verify":
         return [present[0] if present else None]
-    if code in ("compose", "join"):
-        if code == "join":
-            return [DataTerm(base="Tuples")]
+    if code == "join":
+        return [DataTerm(base="Tuples")]
+    if code == "compose":
         return [_fold_combine(ctx, "oplus", present, combine_dims=False)]
     if code in ("classifier", "classification", "svm"):
         sub = node.param("class")
@@ -314,12 +314,6 @@ def _infer_symbol(ctx: _Ctx, res: Resolution, inputs: list[DataTerm | None]) -> 
                          annotations=_present_labels(present))]
     if code == "decoder":
         return [DataTerm(base="T")]
-    if code in ("func", "func_contract", "interface"):
-        if not present:
-            return [None]
-        if len(present) == 1:
-            return [present[0]]
-        return [DataTerm(structure=TUPLE, elements=tuple(present))]
     if code == "w2v":
         dim = _int_param(node, "dim")
         return [DataTerm(base="clustered_word", dims=(dim,) if dim else None)]
@@ -350,7 +344,7 @@ def _infer_symbol(ctx: _Ctx, res: Resolution, inputs: list[DataTerm | None]) -> 
         filters = _int_param(node, "filters")
         dims = (filters,) if filters else (present[0].core().dims if present else None)
         return [DataTerm(base="clustered_word", dims=dims)]
-    # Extension operators without a declared output: act like generic functions.
+    # func, func_contract, interface and undeclared extensions act as generic functions.
     if not present:
         return [None]
     if len(present) == 1:
@@ -560,7 +554,7 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
             diagnostics.append(Diagnostic(
                 "E102", f"edge {edge.id} carries no resolvable term "
                         f"(source {edge.source} produced nothing)",
-                ir_path=edge.id))
+                ir_path=edge.id, ir_kind="edge"))
         if edge.declared_term is not None:
             _check_declared(edge, delivered, registry, diagnostics)
 
@@ -569,7 +563,7 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
         node_id = order[stuck][2].id
         diagnostics.append(Diagnostic(
             "E105", f"node {node_id!r}: term propagation did not reach a fixed point",
-            ir_path=node_id))
+            ir_path=node_id, ir_kind="node"))
     return TypedDiagram(diagram, edge_terms, diagnostics)
 
 
@@ -604,7 +598,8 @@ def _check_declared(edge: Edge, inferred: DataTerm | None, registry: Registry,
     try:
         declared = parse_data_term(edge.declared_term, registry)
     except TermError as exc:
-        diagnostics.append(Diagnostic("E004", f"edge {edge.id}: {exc}", ir_path=edge.id))
+        diagnostics.append(Diagnostic("E004", f"edge {edge.id}: {exc}",
+                                      ir_path=edge.id, ir_kind="edge"))
         return
     if inferred is None:
         return
@@ -613,7 +608,7 @@ def _check_declared(edge: Edge, inferred: DataTerm | None, registry: Registry,
         diagnostics.append(Diagnostic(
             "E104", f"edge {edge.id} is declared as {term_text(declared)} but carries "
                     f"{term_text(inferred)}: {reason}",
-            ir_path=edge.id))
+            ir_path=edge.id, ir_kind="edge"))
 
 
 def _declared_conflict(declared: DataTerm, inferred: DataTerm) -> str | None:

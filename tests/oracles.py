@@ -675,7 +675,7 @@ class ReferenceLowerer(_Lowerer):
             self.err("E003", f"duplicate declaration id {node.id!r}", span)
             return False
         self.diagram.nodes.append(node)
-        self.spans[node.id] = span
+        self.spans["node"][node.id] = span
         if group is not None:
             idx = next(i for i, g in enumerate(self.diagram.groups) if g.id == group)
             g = self.diagram.groups[idx]
@@ -690,7 +690,7 @@ class ReferenceLowerer(_Lowerer):
         group = DetailGroup(decl.id, decl.owner, entry_side=decl.entry_side,
                             exit_side=decl.exit_side)
         self.diagram.groups.append(group)
-        self.spans[decl.id] = decl.span
+        self.spans["group"][decl.id] = decl.span
         self.lower_items(decl.items, group=decl.id)
         owner_idx = _node_index(self.diagram, decl.owner)
         if owner_idx >= 0:
@@ -728,7 +728,7 @@ class ReferenceLowerer(_Lowerer):
             Port(decl.target.node, tgt_slot, "in"),
             kind, decl.as_literal,
         ))
-        self.spans[edge_id] = decl.span
+        self.spans["edge"][edge_id] = decl.span
         if group is not None:
             idx = next(i for i, g in enumerate(self.diagram.groups) if g.id == group)
             g = self.diagram.groups[idx]

@@ -59,6 +59,31 @@ def test_check_json_clean_is_empty_array():
     assert json.loads(out) == [] and err == ""
 
 
+HEADER = 'dial 0.1\ndialect sys\ndiagram "ids" {\n'
+
+
+@pytest.mark.parametrize("body, where", [
+    # a detail group named like a node
+    ("  node a: POS\n  node b: func\n  detail a for b {\n    data x: S\n  }\n",
+     [("E101", 4, 3), ("E101", 5, 3)]),
+    # a table named like a node
+    ('  node n: POS\n  table n at bottom_right {\n    "k": "v";\n  }\n', [("E101", 4, 3)]),
+    # a node named like e0, the id of the first edge
+    ("  data s: S\n  node p: POS\n  edge s -> p\n  node e0: POS\n", [("E101", 7, 3)]),
+    # an edge diagnostic and a group diagnostic, each with a node of the same id
+    ("  data e0: S\n  node p: POS\n  edge e0 -> p as Tuples\n", [("E104", 6, 3)]),
+    ("  data s: S\n  node g1: POS\n  edge s -> g1\n  detail g1 for x {\n    data x: S\n  }\n",
+     [("E012", 7, 3), ("E012", 7, 3)]),
+], ids=["group", "table", "edge", "edge_diagnostic", "group_diagnostic"])
+def test_diagnostics_located_at_their_own_declaration(tmp_path, body, where):
+    # nodes, edges, groups and tables are separate namespaces of ids
+    src = tmp_path / "ids.dial"
+    src.write_text(HEADER + body + "}\n")
+    code, out, _ = dial("check", "--json", str(src))
+    assert code == 1
+    assert [(d["code"], d["line"], d["col"]) for d in json.loads(out)] == where
+
+
 def test_check_multiple_files_aggregate():
     code, out, err = dial("check", QA, BROKEN)
     assert code == 1 and "E102" in err

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
-from dial.corpus import corpus_suite, discover, run_case
+from dial.corpus import DEFAULT_ROOT, corpus_suite, discover, run_case, write_goldens
 
 CASES = discover()
 
@@ -41,3 +43,16 @@ def test_goldens_carry_version_stamp():
             continue
         assert b"dialc v" in case.golden_svg.read_bytes()[:120]
         assert case.golden_tikz.read_bytes().startswith(b"% dialc v")
+
+
+def test_write_goldens_reproduces_the_committed_goldens(tmp_path):
+    # the regenerator for version bumps, run on a copy with its goldens removed
+    root = tmp_path / "corpus"
+    shutil.copytree(DEFAULT_ROOT, root)
+    shutil.rmtree(root / "golden")
+    written = write_goldens(root)
+    committed = sorted((DEFAULT_ROOT / "golden").iterdir())
+    assert sorted(p.name for p in written) == [p.name for p in committed]
+    assert sorted((root / "golden").iterdir()) == sorted(written)
+    for path in committed:
+        assert (root / "golden" / path.name).read_bytes() == path.read_bytes(), path.name

@@ -74,17 +74,40 @@ def test_diagnostics_sorted_by_code_then_declaration():
     assert codes == sorted(codes)
 
 
-def test_id_shared_by_node_and_edge_sorts_by_the_node():
-    # edge ids are e0, e1, ...; the node named e1 gives edge e1 its position,
-    # so of the two backward self-loops e1 is reported before e0
+def test_id_shared_by_node_and_edge_sorts_by_the_edge():
+    # edge ids are e0, e1, ...; a node named e1 does not move edge e1 ahead:
+    # the two backward self-loops come in edge order
     result = compile_source(
         'dial 0.1\ndialect sys\ndiagram "shared id" {\n'
         "  data x: T\n  node a: oplus\n  node e1: oplus\n"
         "  edge a -> a\n  edge e1 -> e1\n  edge x -> a\n  edge a -> e1\n}\n")
     assert result.diagnostics == []
-    assert [(d.code, d.ir_path) for d in result.lint()] == [("W203", "e1"), ("W203", "e0")]
+    assert [(d.code, d.ir_path) for d in result.lint()] == [("W203", "e0"), ("W203", "e1")]
+
+
+def test_id_shared_by_node_and_table_sorts_by_the_table():
+    # nodes q and p are declared in the other order than tables p and q
+    result = compile_source(
+        'dial 0.1\ndialect sys\ndiagram "shared id" {\n'
+        "  data q: S\n  node p: POS\n  edge q -> p\n"
+        '  table p at top_left {\n    "a": "1";\n  }\n'
+        '  table q at top_right {\n    "b": "2";\n  }\n}\n')
+    assert result.diagnostics == []
+    assert [(d.code, d.ir_path) for d in result.lint()
+            if d.code == "W202"] == [("W202", "p"), ("W202", "q")]
 
 
 def test_lint_warnings_are_located_in_the_file():
     result = compile_file(str(FIXTURES / "w203.dial"))
     assert [d.file for d in result.lint()] == [str(FIXTURES / "w203.dial")]
+
+
+def test_w208_comes_in_node_order():
+    # layer 2 is flagged before layer 1 (at c2, declared before c1), yet the
+    # warning naming f1 comes first because f1 is declared first
+    result = compile_source(
+        'dial 0.1\ndialect sys\ndiagram "w208 order" {\n'
+        "  node f1: func\n  node f2: func\n  node c2: POS\n  node c1: POS\n  data s: S\n"
+        "  edge s -> f1\n  edge f1 -> f2\n  edge f1 -> c2\n  edge s -> c1\n}\n")
+    assert result.diagnostics == []
+    assert [d.ir_path for d in result.lint() if d.code == "W208"] == ["f1", "f2"]

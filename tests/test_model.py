@@ -214,6 +214,38 @@ def test_truncated_document():
     assert exc.value.diagnostic.code == "E021"
 
 
+def _set(path: tuple, value):
+    def mutate(doc: dict) -> None:
+        *parents, key = path
+        for part in parents:
+            doc = doc[part]
+        doc[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("edges", 0, "source"), {}),
+    _set(("nodes", 0, "params"), [[1, 2, 3]]),
+    _set(("nodes", -1, "perf"), [{"metric": "acc", "value": 5, "corpus": "dev"}]),
+    _set(("embeddings", 0, "dim"), 0),
+    _set(("dialects",), [["sys"]]),
+    _set(("nodes", -1, "perf"), [7]),
+], ids=["empty_source", "params_triple", "acc_out_of_range", "dim_zero",
+        "unhashable_dialect", "perf_not_object"])
+def test_malformed_document_is_e021(mutate):
+    doc = json.loads(canonical_serialize(rich_diagram()))
+    mutate(doc)
+    with pytest.raises(SerializationError) as exc:
+        deserialize(json.dumps(doc).encode())
+    assert exc.value.diagnostic.code == "E021"
+
+
+def test_deeply_nested_document_is_e021():
+    with pytest.raises(SerializationError) as exc:
+        deserialize(b"[" * 100_000 + b"]" * 100_000)
+    assert exc.value.diagnostic.code == "E021"
+
+
 def test_future_version_rejected():
     data = canonical_serialize(rich_diagram()).replace(b'"0.1"', b'"9.9"', 1)
     with pytest.raises(SerializationError) as exc:

@@ -27,6 +27,15 @@ from dial.render import (
 SYS = frozenset({"sys"})
 BOTH = frozenset({"sys", "nn"})
 
+# No corpus file reverses an edge, so this source adds a 3-cycle
+# (m -> a -> b -> m), a self-loop, a recurrent edge and a second component.
+CYCLIC = "\n".join([
+    "dial 0.1", "dialect sys", 'diagram "cycles" {',
+    "  data s: S^Token", "  node m: concat", "  node a: POS", "  node b: NER",
+    "  node j: oplus", "  data t: S^Token", "  node p: POS",
+    "  edge s -> m", "  edge m -> a", "  edge a -> b", "  edge b -> m",
+    "  edge b -> j", "  edge j -> j", "  edge b ~> a", "  edge t -> p", "}", ""])
+
 
 def compile_corpus(name: str):
     result = compile_file(f"corpus/pass/{name}.dial")
@@ -190,14 +199,7 @@ def test_output_stable_under_hash_randomization():
     repo_root = Path(__file__).resolve().parents[1]
     pythonpath = os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-    # no corpus file reverses an edge, so an inline source adds a 3-cycle
-    # (m -> a -> b -> m), a self-loop, a recurrent edge and a second component
-    cyclic = "\n".join([
-        "dial 0.1", "dialect sys", 'diagram "cycles" {',
-        "  data s: S^Token", "  node m: concat", "  node a: POS", "  node b: NER",
-        "  node j: oplus", "  data t: S^Token", "  node p: POS",
-        "  edge s -> m", "  edge m -> a", "  edge a -> b", "  edge b -> m",
-        "  edge b -> j", "  edge j -> j", "  edge b ~> a", "  edge t -> p", "}", ""])
+    cyclic = CYCLIC
     assert compile_source(cyclic).layout_result.reversed_edges == {"e3", "e5"}
     script = (
         "from dial.cli import compile_file, compile_source\n"
@@ -219,6 +221,25 @@ def test_output_stable_under_hash_randomization():
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())
     assert len(digests) == 1, digests
+
+
+@pytest.mark.parametrize("name", ["qa_system", "lexicon_attention", "entailment", "cycles"])
+def test_both_backends_draw_the_same_elements(name):
+    result = compile_source(CYCLIC) if name == "cycles" else compile_corpus(name)
+    diagram, lay = result.typed.diagram, result.layout_result
+    svg, tikz = result.render("svg"), result.render("tikz")
+    tikz_lines = tikz.splitlines()
+    svg_counts = [svg.count('class="node-shape"'), svg.count('<polyline class="edge '),
+                  svg.count('class="group-box"'), svg.count('class="table-box"')]
+    tikz_counts = [sum(line.startswith(r"\node[draw, ") for line in tikz_lines),
+                   sum(line.startswith((r"\draw[->", r"\draw[<->", r"\draw[|->"))
+                       for line in tikz_lines),
+                   sum(line.startswith(r"\draw[dashed] ") for line in tikz_lines),
+                   sum(line.startswith(r"\draw (") for line in tikz_lines)]
+    routed = sum(edge.id in lay.edge_routes for edge in diagram.edges)
+    assert svg_counts == tikz_counts == [len(diagram.nodes), routed, len(diagram.groups),
+                                         len(lay.table_regions)]
+    assert routed  # lexicon_attention also has a group and two tables
 
 
 def test_tikz_balanced_braces():
@@ -252,15 +273,18 @@ def test_one_layout_serves_lint_and_both_backends(monkeypatch):
 
 
 def test_render_scans_no_node_list(monkeypatch):
-    # pairing a 200-node layout with its diagram is one set, not 200 scans
+    # pairing a 200-node layout with its diagram and finding the owners of
+    # its 20 detail groups is one dict, not a scan per node or group
     n = 200
     decls = ["  data t0: S^Token"] + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}"
                                       for i in range(1, n)]
     edges = [f"  edge t{i} -> t{i + 1}" for i in range(n - 1)]
-    result = compile_source(
-        "\n".join(['dial 0.1', 'dialect sys', 'diagram "chain" {', *decls, *edges, "}"]) + "\n")
+    groups = [f"  detail g{i} for t{i} {{\n    data d{i}: S\n  }}" for i in range(1, n, 10)]
+    result = compile_source("\n".join(
+        ['dial 0.1', 'dialect sys', 'diagram "chain" {', *decls, *edges, *groups, "}"]) + "\n")
     assert result.diagnostics == []
-    assert len(result.layout_result.node_boxes) == n
+    assert len(result.typed.diagram.groups) == 20
+    assert len(result.layout_result.node_boxes) == n + 20
     calls = 0
     real = Diagram.node_by_id
 
