@@ -384,6 +384,21 @@ def _expect(obj, key: str, types, where: str):
     return value
 
 
+def _strings(obj, key: str, where: str) -> tuple[str, ...]:
+    values = _expect(obj, key, list, where)
+    if not all(isinstance(v, str) for v in values):
+        raise _bad(f"{where}: key {key!r} lists something other than a string")
+    return tuple(values)
+
+
+def _optional(obj: dict, key: str, default: str | None, where: str) -> str | None:
+    """A string field that may be absent; null only where the default is None."""
+    value = obj.get(key, default)
+    if not isinstance(value, str) and (value is not None or default is not None):
+        raise _bad(f"{where}: key {key!r} has the wrong type")
+    return value
+
+
 def deserialize(data: bytes) -> Diagram:
     """Inverse of canonical_serialize; E020 on version skew, E021 otherwise."""
     try:
@@ -403,9 +418,9 @@ def deserialize(data: bytes) -> Diagram:
 def _decode(doc: dict, version: str) -> Diagram:
     diagram = Diagram(
         name=_expect(doc, "name", str, "document"),
-        dialects=frozenset(_expect(doc, "dialects", list, "document")),
+        dialects=frozenset(_strings(doc, "dialects", "document")),
         format_version=version,
-        title_placement=doc.get("title_placement", "top_left"),
+        title_placement=_optional(doc, "title_placement", "top_left", "document"),
     )
     seen_nodes: set[str] = set()
     for obj in _expect(doc, "nodes", list, "document"):
@@ -413,7 +428,7 @@ def _decode(doc: dict, version: str) -> Diagram:
             id=_expect(obj, "id", str, "node"),
             kind=_expect(obj, "kind", str, "node"),
             code=_expect(obj, "code", str, "node"),
-            label=obj.get("label"),
+            label=_optional(obj, "label", None, "node"),
             params=tuple((k, v) for k, v in _expect(obj, "params", list, "node")),
             shape_class=_expect(obj, "shape_class", str, "node"),
             perf=tuple(
@@ -422,11 +437,13 @@ def _decode(doc: dict, version: str) -> Diagram:
                                _expect(p, "corpus", str, "perf"))
                 for p in _expect(obj, "perf", list, "node")
             ),
-            detail=obj.get("detail"),
-            placement_hint=obj.get("placement_hint"),
+            detail=_optional(obj, "detail", None, "node"),
+            placement_hint=_optional(obj, "placement_hint", None, "node"),
         )
         if node.kind not in NODE_KINDS:
             raise _bad(f"node {node.id!r}: unknown kind {node.kind!r}")
+        if not all(isinstance(key, str) for key, _ in node.params):
+            raise _bad(f"node {node.id!r}: a parameter name is not a string")
         if node.id in seen_nodes:
             raise _bad(f"duplicate node id {node.id!r}")
         seen_nodes.add(node.id)
@@ -441,7 +458,7 @@ def _decode(doc: dict, version: str) -> Diagram:
             source=Port(_expect(src, "node", str, "edge"), _expect(src, "slot", int, "edge"), "out"),
             target=Port(_expect(tgt, "node", str, "edge"), _expect(tgt, "slot", int, "edge"), "in"),
             flow_kind=_expect(obj, "flow_kind", str, "edge"),
-            declared_term=obj.get("declared_term"),
+            declared_term=_optional(obj, "declared_term", None, "edge"),
         )
         if edge.flow_kind not in FLOW_KINDS:
             raise _bad(f"edge {edge.id!r}: unknown flow kind {edge.flow_kind!r}")
@@ -454,22 +471,22 @@ def _decode(doc: dict, version: str) -> Diagram:
         diagram.groups.append(DetailGroup(
             id=_expect(obj, "id", str, "group"),
             owner=_expect(obj, "owner", str, "group"),
-            member_nodes=tuple(_expect(obj, "member_nodes", list, "group")),
-            member_edges=tuple(_expect(obj, "member_edges", list, "group")),
-            entry_side=obj.get("entry_side", "left"),
-            exit_side=obj.get("exit_side", "right"),
+            member_nodes=_strings(obj, "member_nodes", "group"),
+            member_edges=_strings(obj, "member_edges", "group"),
+            entry_side=_optional(obj, "entry_side", "left", "group"),
+            exit_side=_optional(obj, "exit_side", "right", "group"),
         ))
     for obj in _expect(doc, "tables", list, "document"):
         diagram.tables.append(MetaTable(
             id=_expect(obj, "id", str, "table"),
             kind=_expect(obj, "kind", str, "table"),
             rows=tuple((k, v) for k, v in _expect(obj, "rows", list, "table")),
-            placement=obj.get("placement", "bottom_right"),
+            placement=_optional(obj, "placement", "bottom_right", "table"),
         ))
     for obj in _expect(doc, "embeddings", list, "document"):
         diagram.embeddings.append(EmbeddingDecl(
             id=_expect(obj, "id", str, "embedding"),
             dim=_expect(obj, "dim", int, "embedding"),
-            label=obj.get("label"),
+            label=_optional(obj, "label", None, "embedding"),
         ))
     return diagram

@@ -4,11 +4,14 @@ Pipeline: tokenize -> parse (AST with spans, declaration-level error
 recovery) -> lower (core IR plus extension overlay) -> format (canonical
 printer, idempotent).
 
-Each stage is linear in tokens plus declarations. ``parse`` reads a data
-term in place: :class:`~dial.terms.TermParser` walks the parser's own token
-list from the term's first index, so a term costs only its own tokens.
-``lower`` looks node and group ids up in maps local to one lowering and
-builds each detail group's member tuples once, at the end.
+Each stage is linear in tokens plus declarations. ``tokenize`` is one regex
+scan into :class:`Tokens`, parallel lists of kinds, texts and start offsets;
+a token's line and column are worked out only when a diagnostic or an AST
+node asks for its span. ``parse`` reads those lists, and a data term in
+place: :class:`~dial.terms.TermParser` walks them from the term's first
+index, so a term costs only its own tokens. ``lower`` looks node and group
+ids up in maps local to one lowering and builds each detail group's member
+tuples once, at the end.
 
 Grammar sketch (see the generated reference for the full version):
 
@@ -29,6 +32,7 @@ Comments run from ``//`` to end of line and are discarded.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from .diagnostics import CollidesWithBuiltin, Diagnostic, Span
@@ -55,7 +59,6 @@ from .terms import (
     TermParser,
     TermVocabulary,
     _lex_literal,
-    parse_term,
 )
 
 DSL_VERSION = "0.1"
@@ -83,93 +86,79 @@ class Token:
     span: Span
 
 
-_ARROW_RE = re.compile(r"->|<->|\|->|\?>|-o|~>")
+class Tokens:
+    """Parallel lists of kinds, texts and start offsets, ending with ``eof``.
+    A :class:`Span` is made only on request, from a table of line starts;
+    indexing (a cold path) makes a whole :class:`Token` the same way."""
+
+    def __init__(self, source: str) -> None:
+        self.kinds: list[str] = []
+        self.texts: list[str] = []  # a string token's text is unescaped
+        self.starts: list[int] = []  # source offset of each token's first character
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index: int) -> Token:
+        return Token(self.kinds[index], self.texts[index], self.span(index))
+
+    def span(self, index: int) -> Span:
+        return self.span_at(self.starts[index], len(self.texts[index]))
+
+    def span_at(self, offset: int, length: int = 1) -> Span:
+        """Physical line and column of a source offset; a tab is one column."""
+        line = bisect_right(self.line_starts, offset)
+        return Span(line, offset - self.line_starts[line - 1] + 1, length)
+
+
+# One alternative per lexeme, tried in order. A backslash escapes any character
+# in a string, a newline too; an unescaped newline or the end leaves it open.
+_SCAN_RE = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<arrow>->|<->|\|->|\?>|-o|~>)
+  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  | (?P<open>"(?:[^"\\\n]|\\.)*\\?)
+  | (?P<number>\d+(?:\.\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>[:{}()\[\],=@^.;])
+  | (?P<illegal>.)
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
-_PUNCT = set(":{}()[],=@^.;")
 
 
-def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
-    tokens: list[Token] = []
+def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
+    tokens = Tokens(source)
+    kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
     diagnostics: list[Diagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-
-    def emit(kind: str, text: str) -> None:
-        tokens.append(Token(kind, text, Span(line, col, len(text))))
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    end = len(source)  # where eof sits; a comment ending the input keeps its start
+    for m in _SCAN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
+            if m.end() == len(source):
+                end = m.start()
             continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j
+        text = m.group()
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "keyword"
+        elif kind == "string":
+            text = _ESCAPE_RE.sub(r"\1", text[1:-1])
+        elif kind in ("open", "illegal"):
+            message = "unterminated string literal" if kind == "open" \
+                else f"illegal character {text!r}"
+            diagnostics.append(Diagnostic("E001", message, span=tokens.span_at(m.start())))
             continue
-        m = _ARROW_RE.match(source, i)
-        if m:
-            emit("arrow", m.group())
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            terminated = False
-            while j < n:
-                if source[j] == "\\" and j + 1 < n:
-                    buf.append(source[j + 1])
-                    j += 2
-                    continue
-                if source[j] == '"':
-                    terminated = True
-                    break
-                if source[j] == "\n":
-                    break
-                buf.append(source[j])
-                j += 1
-            if not terminated:
-                diagnostics.append(Diagnostic(
-                    "E001", "unterminated string literal", span=Span(line, col)))
-                # resume after the broken literal
-                width = j - i
-                col += width
-                i = j
-                continue
-            emit("string", "".join(buf))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            emit("number", m.group())
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            word = m.group()
-            emit("keyword" if word in KEYWORDS else "ident", word)
-            col += len(word)
-            i = m.end()
-            continue
-        if ch in _PUNCT:
-            emit("punct", ch)
-            i += 1
-            col += 1
-            continue
-        diagnostics.append(Diagnostic(
-            "E001", f"illegal character {ch!r}", span=Span(line, col)))
-        i += 1
-        col += 1
-    tokens.append(Token("eof", "", Span(line, col, 0)))
+        kinds.append(kind)
+        texts.append(text)
+        starts.append(m.start())
+    kinds.append("eof")
+    texts.append("")
+    starts.append(end)
     return tokens, diagnostics
 
 
@@ -271,34 +260,41 @@ class _ParseAbort(Exception):
 class Parser:
     """Single-pass recursive descent with panic-mode recovery at item level."""
 
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, tokens: Tokens) -> None:
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.depth = 0  # detail blocks open around the current item
 
     # -- cursor helpers -----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> tuple[str, str]:
+        """Kind and text of the current token."""
+        return self.kinds[self.pos], self.texts[self.pos]
+
+    def span(self, offset: int = 0) -> Span:
+        """Span of the current token, or of the one ``offset`` tokens away."""
+        return self.tokens.span(self.pos + offset)
 
     def at(self, text: str | None = None, kind: str | None = None) -> bool:
-        tok = self.peek()
-        return (text is None or tok.text == text) and (kind is None or tok.kind == kind)
+        return ((text is None or self.texts[self.pos] == text)
+                and (kind is None or self.kinds[self.pos] == kind))
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def advance(self) -> str:
+        """Step past the current token (never past eof); returns its text."""
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] != "eof":
             self.pos += 1
-        return tok
+        return text
 
-    def expect(self, text: str | None = None, kind: str | None = None, what: str = "") -> Token:
+    def expect(self, text: str | None = None, kind: str | None = None, what: str = "") -> str:
         if self.at(text, kind):
             return self.advance()
         expected = what or (repr(text) if text else kind or "token")
-        tok = self.peek()
-        found = tok.text or "end of input"
-        self.error(f"expected {expected}, found {found!r}", tok.span)
+        found = self.texts[self.pos] or "end of input"
+        self.error(f"expected {expected}, found {found!r}", self.span())
         raise _ParseAbort()
 
     def error(self, message: str, span: Span) -> None:
@@ -308,14 +304,15 @@ class Parser:
         """Step past the bracket that closes the one just consumed."""
         depth = 1
         while depth and not self.at(kind="eof"):
-            tok = self.advance()
-            if tok.kind == "punct":
-                depth += (tok.text in "({[") - (tok.text in ")}]")
+            kind, text = self.peek()
+            self.advance()
+            if kind == "punct":
+                depth += (text in "({[") - (text in ")}]")
 
     def recover_to_item(self) -> None:
         while not self.at(kind="eof"):
-            tok = self.peek()
-            if tok.text in ITEM_KEYWORDS or tok.text == "}":
+            text = self.texts[self.pos]
+            if text in ITEM_KEYWORDS or text == "}":
                 return
             self.advance()
 
@@ -323,19 +320,19 @@ class Parser:
 
     def parse_unit(self) -> SourceAst | None:
         try:
-            start = self.peek().span
+            start = self.span()
             self.expect("dial", what="'dial' header")
-            version = self.expect(kind="number", what="language version").text
+            version = self.expect(kind="number", what="language version")
             if version != DSL_VERSION:
                 self.error(f"unsupported language version {version!r} "
                            f"(this toolchain speaks {DSL_VERSION})", start)
             self.expect("dialect", what="'dialect'")
-            dialects = [self.expect(kind="ident", what="dialect name").text]
+            dialects = [self.expect(kind="ident", what="dialect name")]
             while self.at(","):
                 self.advance()
-                dialects.append(self.expect(kind="ident", what="dialect name").text)
+                dialects.append(self.expect(kind="ident", what="dialect name"))
             self.expect("diagram", what="'diagram'")
-            name = self.expect(kind="string", what="diagram name").text
+            name = self.expect(kind="string", what="diagram name")
             title_placement = None
             if self.at("at"):
                 self.advance()
@@ -354,7 +351,7 @@ class Parser:
                 self.advance()
                 return items
             if self.at(kind="eof"):
-                self.error("unexpected end of input, expected '}'", self.peek().span)
+                self.error("unexpected end of input, expected '}'", self.span())
                 return items
             try:
                 items.append(self._item())
@@ -365,25 +362,27 @@ class Parser:
                     return items
 
     def _item(self):
-        tok = self.peek()
+        """One declaration; its handler gets the span of its keyword."""
+        text = self.texts[self.pos]
         handler = {
             "node": self._node, "data": self._data, "edge": self._edge,
             "detail": self._detail, "table": self._table,
             "embedding": self._embedding, "extend": self._extend,
-        }.get(tok.text)
+        }.get(text)
+        span = self.span()
         if handler is None:
             self.error(
                 "expected a declaration (node, data, edge, detail, table, "
-                f"embedding or extend), found {tok.text or 'end of input'!r}",
-                tok.span)
+                f"embedding or extend), found {text or 'end of input'!r}",
+                span)
             raise _ParseAbort()
-        return handler()
+        self.advance()
+        return handler(span)
 
-    def _node(self) -> NodeDecl:
-        span = self.advance().span
-        ident = self.expect(kind="ident", what="node identifier").text
+    def _node(self, span: Span) -> NodeDecl:
+        ident = self.expect(kind="ident", what="node identifier")
         self.expect(":", what="':'")
-        code = self.expect(kind="ident", what="symbol or task code").text
+        code = self.expect(kind="ident", what="symbol or task code")
         params = self._params() if self.at("(") else ()
         perf = self._perf() if self.at("perf") else ()
         return NodeDecl(ident, code, params, perf, span)
@@ -392,23 +391,21 @@ class Parser:
         self.expect("(")
         out: list[tuple[str, object]] = []
         while True:
-            key_tok = self.peek()
-            if key_tok.kind not in ("ident", "keyword"):
-                self.error(f"expected a parameter name, found {key_tok.text!r}",
-                           key_tok.span)
+            kind, key = self.peek()
+            if kind not in ("ident", "keyword"):
+                self.error(f"expected a parameter name, found {key!r}", self.span())
                 raise _ParseAbort()
-            key = self.advance().text
+            self.advance()
             self.expect("=", what="'='")
-            tok = self.peek()
-            if tok.kind == "number":
-                self.advance()
-                value: object = _number(tok.text)
-            elif tok.kind in ("string", "ident", "keyword"):
-                self.advance()
-                value = tok.text
+            kind, text = self.peek()
+            if kind == "number":
+                value: object = _number(text)
+            elif kind in ("string", "ident", "keyword"):
+                value = text
             else:
-                self.error(f"expected a parameter value, found {tok.text!r}", tok.span)
+                self.error(f"expected a parameter value, found {text!r}", self.span())
                 raise _ParseAbort()
+            self.advance()
             out.append((key, value))
             if self.at(","):
                 self.advance()
@@ -421,52 +418,50 @@ class Parser:
         self.expect("(")
         out: list[PerfItem] = []
         while True:
-            mtok = self.expect(kind="ident", what="metric name")
+            span = self.span()
+            metric = self.expect(kind="ident", what="metric name")
             self.expect("=", what="'='")
-            vtok = self.expect(kind="number", what="metric value")
-            value = float(vtok.text)
-            if mtok.text == "acc" and not 0.0 <= value <= 1.0:
-                self.error("acc must lie in [0,1]", vtok.span)
+            value = float(self.expect(kind="number", what="metric value"))
+            if metric == "acc" and not 0.0 <= value <= 1.0:
+                self.error("acc must lie in [0,1]", self.span(-1))
             self.expect("@", what="'@'")
-            corpus = self.expect(kind="string", what="corpus name").text
-            out.append(PerfItem(mtok.text, value, corpus, mtok.span))
+            corpus = self.expect(kind="string", what="corpus name")
+            out.append(PerfItem(metric, value, corpus, span))
             if self.at(","):
                 self.advance()
                 continue
             self.expect(")", what="')' or ','")
             return tuple(out)
 
-    def _data(self) -> DataDecl:
-        span = self.advance().span
-        ident = self.expect(kind="ident", what="data identifier").text
+    def _data(self, span: Span) -> DataDecl:
+        ident = self.expect(kind="ident", what="data identifier")
         self.expect(":", what="':'")
         literal = self._dataterm_literal()
         tag = tag_label = None
         if self.at("@"):
             self.advance()
-            tag_tok = self.expect(kind="ident", what="resource tag")
-            if tag_tok.text not in ("dataset", "gold", "kb", "kbfn"):
-                self.error(f"unknown resource tag @{tag_tok.text}", tag_tok.span)
+            tag = self.expect(kind="ident", what="resource tag")
+            if tag not in ("dataset", "gold", "kb", "kbfn"):
+                self.error(f"unknown resource tag @{tag}", self.span(-1))
                 raise _ParseAbort()
-            tag = tag_tok.text
             if tag == "dataset":
                 self.expect("(", what="'('")
-                tag_label = self.expect(kind="string", what="dataset label").text
+                tag_label = self.expect(kind="string", what="dataset label")
                 self.expect(")", what="')'")
         return DataDecl(ident, literal, tag, tag_label, span)
 
     def _portref(self) -> PortRef:
-        tok = self.expect(kind="ident", what="node reference")
+        span = self.span()
+        node = self.expect(kind="ident", what="node reference")
         slot = None
         if self.at("."):
             self.advance()
-            slot = self.expect(kind="ident", what="port name").text
-        return PortRef(tok.text, slot, tok.span)
+            slot = self.expect(kind="ident", what="port name")
+        return PortRef(node, slot, span)
 
-    def _edge(self) -> EdgeDecl:
-        span = self.advance().span
+    def _edge(self, span: Span) -> EdgeDecl:
         source = self._portref()
-        arrow = self.expect(kind="arrow", what="an arrow (->, <->, |->, ?>, -o, ~>)").text
+        arrow = self.expect(kind="arrow", what="an arrow (->, <->, |->, ?>, -o, ~>)")
         target = self._portref()
         as_literal = None
         if self.at("as"):
@@ -477,11 +472,11 @@ class Parser:
     def _dataterm_literal(self) -> str:
         """Consume the tokens of one data term; names are checked at lowering."""
         start = self.pos
-        term_parser = TermParser(_TermView(self.tokens), vocab=None, start=start)
+        term_parser = TermParser(_TermView(self.kinds, self.texts), vocab=None, start=start)
         try:
             term_parser.parse()
         except TermError as exc:
-            span = self.tokens[exc.pos].span  # exc.pos indexes self.tokens
+            span = self.tokens.span(exc.pos)  # exc.pos indexes the token lists
             if isinstance(exc, TermNestingError):
                 # skip the whole term, so recovery resumes after it
                 self.diagnostics.append(Diagnostic("E004", str(exc), span=span))
@@ -491,13 +486,12 @@ class Parser:
                 self.error(f"malformed data term: {exc}", span)
             raise _ParseAbort()
         self.pos = term_parser.index
-        return "".join(t.text for t in self.tokens[start:self.pos])
+        return "".join(self.texts[start:self.pos])
 
-    def _detail(self) -> DetailDecl:
-        span = self.advance().span
-        ident = self.expect(kind="ident", what="detail group identifier").text
+    def _detail(self, span: Span) -> DetailDecl:
+        ident = self.expect(kind="ident", what="detail group identifier")
         self.expect("for", what="'for'")
-        owner = self.expect(kind="ident", what="owner node identifier").text
+        owner = self.expect(kind="ident", what="owner node identifier")
         entry_side, exit_side = "left", "right"
         if self.at("entry"):
             self.advance()
@@ -516,23 +510,22 @@ class Parser:
         return DetailDecl(ident, owner, entry_side, exit_side, tuple(items), span)
 
     def _side(self) -> str:
-        tok = self.expect(kind="ident", what="a side (left, right, top, bottom)")
-        if tok.text not in SIDES:
-            self.error(f"unknown side {tok.text!r}", tok.span)
+        side = self.expect(kind="ident", what="a side (left, right, top, bottom)")
+        if side not in SIDES:
+            self.error(f"unknown side {side!r}", self.span(-1))
             raise _ParseAbort()
-        return tok.text
+        return side
 
     def _region(self) -> str:
-        tok = self.expect(kind="ident", what="a region (top_left, top_right, "
-                                             "bottom_left, bottom_right)")
-        if tok.text not in REGIONS:
-            self.error(f"unknown region {tok.text!r}", tok.span)
+        region = self.expect(kind="ident", what="a region (top_left, top_right, "
+                                                "bottom_left, bottom_right)")
+        if region not in REGIONS:
+            self.error(f"unknown region {region!r}", self.span(-1))
             raise _ParseAbort()
-        return tok.text
+        return region
 
-    def _table(self) -> TableDecl:
-        span = self.advance().span
-        ident = self.expect(kind="ident", what="table identifier").text
+    def _table(self, span: Span) -> TableDecl:
+        ident = self.expect(kind="ident", what="table identifier")
         placement = None
         if self.at("at"):
             self.advance()
@@ -541,51 +534,48 @@ class Parser:
         rows: list[tuple[str, str]] = []
         while not self.at("}"):
             if self.at(kind="eof"):
-                self.error("unexpected end of input inside table", self.peek().span)
+                self.error("unexpected end of input inside table", self.span())
                 raise _ParseAbort()
-            key = self.expect(kind="string", what="row key string").text
+            key = self.expect(kind="string", what="row key string")
             self.expect(":", what="':'")
-            value = self.expect(kind="string", what="row value string").text
+            value = self.expect(kind="string", what="row value string")
             self.expect(";", what="';'")
             rows.append((key, value))
-        close = self.advance()
+        self.advance()
         if not rows:
-            self.error("a table needs at least one row", close.span)
+            self.error("a table needs at least one row", self.span(-1))
         return TableDecl(ident, placement, tuple(rows), span)
 
-    def _embedding(self) -> EmbedDecl:
-        span = self.advance().span
-        ident = self.expect(kind="ident", what="embedding identifier").text
+    def _embedding(self, span: Span) -> EmbedDecl:
+        ident = self.expect(kind="ident", what="embedding identifier")
         self.expect("(", what="'('")
-        key = self.expect(kind="ident", what="'dim'")
-        if key.text != "dim":
-            self.error("embedding takes a single dim parameter", key.span)
+        if self.expect(kind="ident", what="'dim'") != "dim":
+            self.error("embedding takes a single dim parameter", self.span(-1))
             raise _ParseAbort()
         self.expect("=", what="'='")
-        dim_tok = self.expect(kind="number", what="dimension")
-        if "." in dim_tok.text or int(dim_tok.text) < 1:
-            self.error("embedding dim must be a positive integer", dim_tok.span)
+        dim = self.expect(kind="number", what="dimension")
+        if "." in dim or int(dim) < 1:
+            self.error("embedding dim must be a positive integer", self.span(-1))
             raise _ParseAbort()
         self.expect(")", what="')'")
         label = None
         if self.at(kind="string"):
-            label = self.advance().text
-        return EmbedDecl(ident, int(dim_tok.text), label, span)
+            label = self.advance()
+        return EmbedDecl(ident, int(dim), label, span)
 
-    def _extend(self) -> ExtendDecl:
-        span = self.advance().span
-        what_tok = self.expect(kind="ident", what="'symbol' or 'task'")
-        if what_tok.text not in ("symbol", "task"):
-            self.error("extend introduces either a symbol or a task", what_tok.span)
+    def _extend(self, span: Span) -> ExtendDecl:
+        what = self.expect(kind="ident", what="'symbol' or 'task'")
+        if what not in ("symbol", "task"):
+            self.error("extend introduces either a symbol or a task", self.span(-1))
             raise _ParseAbort()
-        name = self.expect(kind="ident", what="extension code").text
+        name = self.expect(kind="ident", what="extension code")
         self.expect("{", what="'{'")
         fields: list[tuple[str, object]] = []
         while not self.at("}"):
             if self.at(kind="eof"):
-                self.error("unexpected end of input inside extend", self.peek().span)
+                self.error("unexpected end of input inside extend", self.span())
                 raise _ParseAbort()
-            key = self.expect(kind="ident", what="field name").text
+            key = self.expect(kind="ident", what="field name")
             self.expect(":", what="':'")
             if key in ("domain", "range"):
                 literals = [self._dataterm_literal()]
@@ -596,42 +586,43 @@ class Parser:
             elif key == "arity":
                 fields.append((key, self._arity()))
             else:
-                tok = self.peek()
-                if tok.kind in ("ident", "string", "number"):
+                kind, text = self.peek()
+                if kind in ("ident", "string", "number"):
                     self.advance()
-                    fields.append((key, tok.text))
+                    fields.append((key, text))
                 else:
-                    self.error(f"expected a field value, found {tok.text!r}", tok.span)
+                    self.error(f"expected a field value, found {text!r}", self.span())
                     raise _ParseAbort()
             self.expect(";", what="';'")
         self.advance()
-        return ExtendDecl(what_tok.text, name, tuple(fields), span)
+        return ExtendDecl(what, name, tuple(fields), span)
 
     def _arity(self) -> tuple[int, int, int, int]:
-        lo_in = int(self.expect(kind="number", what="minimum input arity").text)
+        lo_in = int(self.expect(kind="number", what="minimum input arity"))
         self.expect(".", what="'..'")
         self.expect(".", what="'..'")
-        hi_in = int(self.expect(kind="number", what="maximum input arity").text)
+        hi_in = int(self.expect(kind="number", what="maximum input arity"))
         self.expect(kind="arrow", what="'->'")
-        lo_out = int(self.expect(kind="number", what="minimum output arity").text)
+        lo_out = int(self.expect(kind="number", what="minimum output arity"))
         self.expect(".", what="'..'")
         self.expect(".", what="'..'")
-        hi_out = int(self.expect(kind="number", what="maximum output arity").text)
+        hi_out = int(self.expect(kind="number", what="maximum output arity"))
         return (lo_in, hi_in, lo_out, hi_out)
 
 
 class _TermView:
     """The DSL tokens as the term parser's (kind, text, index) triples, made on access."""
 
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, kinds: list[str], texts: list[str]) -> None:
+        self.kinds = kinds
+        self.texts = texts
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.kinds)
 
     def __getitem__(self, index: int) -> tuple[str, str, int]:
-        token = self.tokens[index]
-        return _TERM_KINDS.get(token.kind, "punct"), token.text, index % len(self.tokens)
+        return (_TERM_KINDS.get(self.kinds[index], "punct"), self.texts[index],
+                index % len(self.kinds))
 
 
 _TERM_KINDS = {"number": "num", "ident": "ident", "keyword": "ident"}
@@ -641,12 +632,12 @@ def _number(text: str) -> object:
     return float(text) if "." in text else int(text)
 
 
-def parse(tokens: list[Token]) -> tuple[SourceAst | None, list[Diagnostic]]:
+def parse(tokens: Tokens) -> tuple[SourceAst | None, list[Diagnostic]]:
     parser = Parser(tokens)
     ast = parser.parse_unit()
     if ast is not None and not parser.at(kind="eof"):
-        parser.error(f"trailing input after the diagram: {parser.peek().text!r}",
-                     parser.peek().span)
+        parser.error(f"trailing input after the diagram: {parser.peek()[1]!r}",
+                     parser.span())
     return ast, parser.diagnostics
 
 
@@ -684,9 +675,7 @@ def lower(ast: SourceAst) -> LoweredUnit:
         diagram.title_placement = ast.title_placement
 
     _register_extensions(ast, registry, diagnostics)
-    vocab = registry.vocabulary
-
-    lowerer = _Lowerer(diagram, registry, vocab, diagnostics, spans)
+    lowerer = _Lowerer(diagram, registry, diagnostics, spans)
     lowerer.lower_items(ast.items, group=None)
     lowerer.lower_edges()
     return LoweredUnit(diagram, registry, diagnostics, spans)
@@ -767,10 +756,9 @@ _SLOT_RE = re.compile(r"(in|out)(\d+)$")
 
 
 class _Lowerer:
-    def __init__(self, diagram, registry, vocab, diagnostics, spans) -> None:
+    def __init__(self, diagram, registry, diagnostics, spans) -> None:
         self.diagram = diagram
         self.registry = registry
-        self.vocab = vocab
         self.diagnostics = diagnostics
         self.spans = spans
         self.pending_edges: list[tuple[EdgeDecl, str | None]] = []  # (decl, group id)
@@ -803,7 +791,7 @@ class _Lowerer:
 
     def _check_term(self, literal: str, span: Span) -> bool:
         try:
-            parse_term(literal, self.vocab)
+            self.registry.parse_term(literal)
             return True
         except TermError as exc:
             self.err("E004", str(exc), span)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .diagnostics import CollidesWithBuiltin, UnknownDialect, UnknownSymbol, UnknownTask
-from .terms import SCALAR, SEQUENCE, SET, TermVocabulary
+from . import terms
+from .terms import SCALAR, SEQUENCE, SET, DataTerm, TermVocabulary
 
 DIALECTS = ("sys", "nn")
 
@@ -349,6 +350,7 @@ class Registry:
         self._ext_symbols: dict[str, SymbolDef] = {}
         self._ext_signatures: dict[str, Signature] = {}
         self._ext_labels: set[str] = set()
+        self._terms: dict[str, DataTerm] = {}  # literal -> parse, for this vocabulary
 
     # -- lookups ----------------------------------------------------------
 
@@ -393,9 +395,18 @@ class Registry:
             return None  # flow arrows, zoom boxes, acc badges: not node codes
         return Resolution(kind_for_symbol(sym), symbol=sym, is_extension=code in self._ext_symbols)
 
+    def parse_term(self, literal: str) -> DataTerm:
+        """``terms.parse_term`` against :attr:`vocabulary`; a successful parse
+        is kept until the vocabulary changes, a failing one raises every time."""
+        term = self._terms.get(literal)
+        if term is None:
+            term = self._terms[literal] = terms.parse_term(literal, self.vocabulary)
+        return term
+
     # -- extensions ---------------------------------------------------------
 
     def register_extension(self, definition: SymbolDef | Signature) -> None:
+        self._terms.clear()
         code = definition.code if isinstance(definition, SymbolDef) else definition.task_code
         if any(s.code == code for s in SYMBOLS) or any(s.task_code == code for s in SIGNATURES):
             raise CollidesWithBuiltin(f"{code!r} is a builtin code")
@@ -415,6 +426,7 @@ class Registry:
             self._collect_labels(el)
 
     def register_label(self, label: str) -> None:
+        self._terms.clear()
         self._ext_labels.add(label)
 
     @property

@@ -48,9 +48,9 @@ from .terms import (
 
 
 def parse_data_term(literal: str, registry: Registry | None = None) -> DataTerm:
-    """Strict parse against the registered categories and labels (E004)."""
-    vocab = registry.vocabulary if registry else BUILTIN_VOCABULARY
-    return parse_term(literal, vocab)
+    """Strict parse against the registered categories and labels (E004),
+    through the registry's per-literal memo when there is a registry."""
+    return registry.parse_term(literal) if registry else parse_term(literal, BUILTIN_VOCABULARY)
 
 
 def term_text(term: DataTerm | None) -> str:

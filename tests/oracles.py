@@ -5,8 +5,9 @@ the propagation oracle schedules nodes itself over explicit topological
 orders, the round-robin reference is the checker's earlier fixed-point loop,
 the layering oracle enumerates every path, the reference layout phases
 are the layout's earlier quadratic cycle search, barycenter sweep and area
-placement, and the reference front end is the parser's earlier term reader
-and lowering's earlier id lookups.
+placement, and the reference front end is the earlier character-loop
+tokenizer, the parser over its token list with the earlier term reader, and
+lowering's earlier id lookups.
 """
 
 from __future__ import annotations
@@ -37,17 +38,29 @@ from dial.layout import (
 from dial.model import DetailGroup, Diagram, Edge, Node, Port
 from dial.parser import (
     ARROWS,
+    DSL_VERSION,
+    ITEM_KEYWORDS,
+    KEYWORDS,
+    REGIONS,
+    SIDES,
+    DataDecl,
     DetailDecl,
     EdgeDecl,
+    EmbedDecl,
+    ExtendDecl,
     LoweredUnit,
-    Parser,
+    NodeDecl,
+    PerfItem,
+    PortRef,
     SourceAst,
+    TableDecl,
     Token,
     _Lowerer,
+    _number,
     _ParseAbort,
 )
 from dial.registry import Registry
-from dial.terms import DataTerm, TermError, TermNestingError, TermParser
+from dial.terms import MAX_NESTING, DataTerm, TermError, TermNestingError, TermParser
 from dial.typecheck import TypedDiagram, _check_declared, _collapse, infer_output
 
 # ---------------------------------------------------------------------------
@@ -608,8 +621,434 @@ def random_valid_source(rng: random.Random) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Reference front end: the earlier term reader and lowering lookups, verbatim
+# Reference front end, verbatim: the character-loop tokenizer that built a
+# Token and a Span per token, the parser over that token list, its earlier
+# term reader and lowering's earlier id lookups
 # ---------------------------------------------------------------------------
+
+_ARROW_RE = re.compile(r"->|<->|\|->|\?>|-o|~>")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"\d+(\.\d+)?")
+_PUNCT = set(":{}()[],=@^.;")
+
+
+def reference_tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+
+    def emit(kind: str, text: str) -> None:
+        tokens.append(Token(kind, text, Span(line, col, len(text))))
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if source.startswith("//", i):
+            j = source.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        m = _ARROW_RE.match(source, i)
+        if m:
+            emit("arrow", m.group())
+            col += len(m.group())
+            i = m.end()
+            continue
+        if ch == '"':
+            j = i + 1
+            buf: list[str] = []
+            terminated = False
+            while j < n:
+                if source[j] == "\\" and j + 1 < n:
+                    buf.append(source[j + 1])
+                    j += 2
+                    continue
+                if source[j] == '"':
+                    terminated = True
+                    break
+                if source[j] == "\n":
+                    break
+                buf.append(source[j])
+                j += 1
+            if not terminated:
+                diagnostics.append(Diagnostic(
+                    "E001", "unterminated string literal", span=Span(line, col)))
+                # resume after the broken literal
+                width = j - i
+                col += width
+                i = j
+                continue
+            emit("string", "".join(buf))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        m = _NUMBER_RE.match(source, i)
+        if m:
+            emit("number", m.group())
+            col += len(m.group())
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(source, i)
+        if m:
+            word = m.group()
+            emit("keyword" if word in KEYWORDS else "ident", word)
+            col += len(word)
+            i = m.end()
+            continue
+        if ch in _PUNCT:
+            emit("punct", ch)
+            i += 1
+            col += 1
+            continue
+        diagnostics.append(Diagnostic(
+            "E001", f"illegal character {ch!r}", span=Span(line, col)))
+        i += 1
+        col += 1
+    tokens.append(Token("eof", "", Span(line, col, 0)))
+    return tokens, diagnostics
+
+
+class TokenListParser:
+    """The parser before the flat token stream, reading a list of
+    :class:`Token` values; verbatim apart from its name and its term reader,
+    which :class:`ReferenceParser` supplies."""
+
+    def __init__(self, tokens: list[Token]) -> None:
+        self.tokens = tokens
+        self.pos = 0
+        self.diagnostics: list[Diagnostic] = []
+        self.depth = 0  # detail blocks open around the current item
+
+    # -- cursor helpers -----------------------------------------------------
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def at(self, text: str | None = None, kind: str | None = None) -> bool:
+        tok = self.peek()
+        return (text is None or tok.text == text) and (kind is None or tok.kind == kind)
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, text: str | None = None, kind: str | None = None, what: str = "") -> Token:
+        if self.at(text, kind):
+            return self.advance()
+        expected = what or (repr(text) if text else kind or "token")
+        tok = self.peek()
+        found = tok.text or "end of input"
+        self.error(f"expected {expected}, found {found!r}", tok.span)
+        raise _ParseAbort()
+
+    def error(self, message: str, span: Span) -> None:
+        self.diagnostics.append(Diagnostic("E002", message, span=span))
+
+    def skip_to_close(self) -> None:
+        """Step past the bracket that closes the one just consumed."""
+        depth = 1
+        while depth and not self.at(kind="eof"):
+            tok = self.advance()
+            if tok.kind == "punct":
+                depth += (tok.text in "({[") - (tok.text in ")}]")
+
+    def recover_to_item(self) -> None:
+        while not self.at(kind="eof"):
+            tok = self.peek()
+            if tok.text in ITEM_KEYWORDS or tok.text == "}":
+                return
+            self.advance()
+
+    # -- grammar ------------------------------------------------------------
+
+    def parse_unit(self) -> SourceAst | None:
+        try:
+            start = self.peek().span
+            self.expect("dial", what="'dial' header")
+            version = self.expect(kind="number", what="language version").text
+            if version != DSL_VERSION:
+                self.error(f"unsupported language version {version!r} "
+                           f"(this toolchain speaks {DSL_VERSION})", start)
+            self.expect("dialect", what="'dialect'")
+            dialects = [self.expect(kind="ident", what="dialect name").text]
+            while self.at(","):
+                self.advance()
+                dialects.append(self.expect(kind="ident", what="dialect name").text)
+            self.expect("diagram", what="'diagram'")
+            name = self.expect(kind="string", what="diagram name").text
+            title_placement = None
+            if self.at("at"):
+                self.advance()
+                title_placement = self._region()
+            self.expect("{", what="'{'")
+            items = self._items_until_close()
+            return SourceAst(version, tuple(dialects), name, title_placement,
+                             tuple(items), start)
+        except _ParseAbort:
+            return None
+
+    def _items_until_close(self) -> list:
+        items: list = []
+        while True:
+            if self.at("}"):
+                self.advance()
+                return items
+            if self.at(kind="eof"):
+                self.error("unexpected end of input, expected '}'", self.peek().span)
+                return items
+            try:
+                items.append(self._item())
+            except _ParseAbort:
+                self.recover_to_item()
+                if self.at("}"):
+                    self.advance()
+                    return items
+
+    def _item(self):
+        tok = self.peek()
+        handler = {
+            "node": self._node, "data": self._data, "edge": self._edge,
+            "detail": self._detail, "table": self._table,
+            "embedding": self._embedding, "extend": self._extend,
+        }.get(tok.text)
+        if handler is None:
+            self.error(
+                "expected a declaration (node, data, edge, detail, table, "
+                f"embedding or extend), found {tok.text or 'end of input'!r}",
+                tok.span)
+            raise _ParseAbort()
+        return handler()
+
+    def _node(self) -> NodeDecl:
+        span = self.advance().span
+        ident = self.expect(kind="ident", what="node identifier").text
+        self.expect(":", what="':'")
+        code = self.expect(kind="ident", what="symbol or task code").text
+        params = self._params() if self.at("(") else ()
+        perf = self._perf() if self.at("perf") else ()
+        return NodeDecl(ident, code, params, perf, span)
+
+    def _params(self) -> tuple[tuple[str, object], ...]:
+        self.expect("(")
+        out: list[tuple[str, object]] = []
+        while True:
+            key_tok = self.peek()
+            if key_tok.kind not in ("ident", "keyword"):
+                self.error(f"expected a parameter name, found {key_tok.text!r}",
+                           key_tok.span)
+                raise _ParseAbort()
+            key = self.advance().text
+            self.expect("=", what="'='")
+            tok = self.peek()
+            if tok.kind == "number":
+                self.advance()
+                value: object = _number(tok.text)
+            elif tok.kind in ("string", "ident", "keyword"):
+                self.advance()
+                value = tok.text
+            else:
+                self.error(f"expected a parameter value, found {tok.text!r}", tok.span)
+                raise _ParseAbort()
+            out.append((key, value))
+            if self.at(","):
+                self.advance()
+                continue
+            self.expect(")", what="')' or ','")
+            return tuple(out)
+
+    def _perf(self) -> tuple[PerfItem, ...]:
+        self.advance()  # perf
+        self.expect("(")
+        out: list[PerfItem] = []
+        while True:
+            mtok = self.expect(kind="ident", what="metric name")
+            self.expect("=", what="'='")
+            vtok = self.expect(kind="number", what="metric value")
+            value = float(vtok.text)
+            if mtok.text == "acc" and not 0.0 <= value <= 1.0:
+                self.error("acc must lie in [0,1]", vtok.span)
+            self.expect("@", what="'@'")
+            corpus = self.expect(kind="string", what="corpus name").text
+            out.append(PerfItem(mtok.text, value, corpus, mtok.span))
+            if self.at(","):
+                self.advance()
+                continue
+            self.expect(")", what="')' or ','")
+            return tuple(out)
+
+    def _data(self) -> DataDecl:
+        span = self.advance().span
+        ident = self.expect(kind="ident", what="data identifier").text
+        self.expect(":", what="':'")
+        literal = self._dataterm_literal()
+        tag = tag_label = None
+        if self.at("@"):
+            self.advance()
+            tag_tok = self.expect(kind="ident", what="resource tag")
+            if tag_tok.text not in ("dataset", "gold", "kb", "kbfn"):
+                self.error(f"unknown resource tag @{tag_tok.text}", tag_tok.span)
+                raise _ParseAbort()
+            tag = tag_tok.text
+            if tag == "dataset":
+                self.expect("(", what="'('")
+                tag_label = self.expect(kind="string", what="dataset label").text
+                self.expect(")", what="')'")
+        return DataDecl(ident, literal, tag, tag_label, span)
+
+    def _portref(self) -> PortRef:
+        tok = self.expect(kind="ident", what="node reference")
+        slot = None
+        if self.at("."):
+            self.advance()
+            slot = self.expect(kind="ident", what="port name").text
+        return PortRef(tok.text, slot, tok.span)
+
+    def _edge(self) -> EdgeDecl:
+        span = self.advance().span
+        source = self._portref()
+        arrow = self.expect(kind="arrow", what="an arrow (->, <->, |->, ?>, -o, ~>)").text
+        target = self._portref()
+        as_literal = None
+        if self.at("as"):
+            self.advance()
+            as_literal = self._dataterm_literal()
+        return EdgeDecl(source, arrow, target, as_literal, span)
+
+    def _detail(self) -> DetailDecl:
+        span = self.advance().span
+        ident = self.expect(kind="ident", what="detail group identifier").text
+        self.expect("for", what="'for'")
+        owner = self.expect(kind="ident", what="owner node identifier").text
+        entry_side, exit_side = "left", "right"
+        if self.at("entry"):
+            self.advance()
+            entry_side = self._side()
+        if self.at("exit"):
+            self.advance()
+            exit_side = self._side()
+        self.expect("{", what="'{'")
+        if self.depth == MAX_NESTING:
+            self.error(f"detail blocks nested deeper than {MAX_NESTING} levels", span)
+            self.skip_to_close()
+            raise _ParseAbort()
+        self.depth += 1
+        items = self._items_until_close()
+        self.depth -= 1
+        return DetailDecl(ident, owner, entry_side, exit_side, tuple(items), span)
+
+    def _side(self) -> str:
+        tok = self.expect(kind="ident", what="a side (left, right, top, bottom)")
+        if tok.text not in SIDES:
+            self.error(f"unknown side {tok.text!r}", tok.span)
+            raise _ParseAbort()
+        return tok.text
+
+    def _region(self) -> str:
+        tok = self.expect(kind="ident", what="a region (top_left, top_right, "
+                                             "bottom_left, bottom_right)")
+        if tok.text not in REGIONS:
+            self.error(f"unknown region {tok.text!r}", tok.span)
+            raise _ParseAbort()
+        return tok.text
+
+    def _table(self) -> TableDecl:
+        span = self.advance().span
+        ident = self.expect(kind="ident", what="table identifier").text
+        placement = None
+        if self.at("at"):
+            self.advance()
+            placement = self._region()
+        self.expect("{", what="'{'")
+        rows: list[tuple[str, str]] = []
+        while not self.at("}"):
+            if self.at(kind="eof"):
+                self.error("unexpected end of input inside table", self.peek().span)
+                raise _ParseAbort()
+            key = self.expect(kind="string", what="row key string").text
+            self.expect(":", what="':'")
+            value = self.expect(kind="string", what="row value string").text
+            self.expect(";", what="';'")
+            rows.append((key, value))
+        close = self.advance()
+        if not rows:
+            self.error("a table needs at least one row", close.span)
+        return TableDecl(ident, placement, tuple(rows), span)
+
+    def _embedding(self) -> EmbedDecl:
+        span = self.advance().span
+        ident = self.expect(kind="ident", what="embedding identifier").text
+        self.expect("(", what="'('")
+        key = self.expect(kind="ident", what="'dim'")
+        if key.text != "dim":
+            self.error("embedding takes a single dim parameter", key.span)
+            raise _ParseAbort()
+        self.expect("=", what="'='")
+        dim_tok = self.expect(kind="number", what="dimension")
+        if "." in dim_tok.text or int(dim_tok.text) < 1:
+            self.error("embedding dim must be a positive integer", dim_tok.span)
+            raise _ParseAbort()
+        self.expect(")", what="')'")
+        label = None
+        if self.at(kind="string"):
+            label = self.advance().text
+        return EmbedDecl(ident, int(dim_tok.text), label, span)
+
+    def _extend(self) -> ExtendDecl:
+        span = self.advance().span
+        what_tok = self.expect(kind="ident", what="'symbol' or 'task'")
+        if what_tok.text not in ("symbol", "task"):
+            self.error("extend introduces either a symbol or a task", what_tok.span)
+            raise _ParseAbort()
+        name = self.expect(kind="ident", what="extension code").text
+        self.expect("{", what="'{'")
+        fields: list[tuple[str, object]] = []
+        while not self.at("}"):
+            if self.at(kind="eof"):
+                self.error("unexpected end of input inside extend", self.peek().span)
+                raise _ParseAbort()
+            key = self.expect(kind="ident", what="field name").text
+            self.expect(":", what="':'")
+            if key in ("domain", "range"):
+                literals = [self._dataterm_literal()]
+                while self.at(","):
+                    self.advance()
+                    literals.append(self._dataterm_literal())
+                fields.append((key, tuple(literals)))
+            elif key == "arity":
+                fields.append((key, self._arity()))
+            else:
+                tok = self.peek()
+                if tok.kind in ("ident", "string", "number"):
+                    self.advance()
+                    fields.append((key, tok.text))
+                else:
+                    self.error(f"expected a field value, found {tok.text!r}", tok.span)
+                    raise _ParseAbort()
+            self.expect(";", what="';'")
+        self.advance()
+        return ExtendDecl(what_tok.text, name, tuple(fields), span)
+
+    def _arity(self) -> tuple[int, int, int, int]:
+        lo_in = int(self.expect(kind="number", what="minimum input arity").text)
+        self.expect(".", what="'..'")
+        self.expect(".", what="'..'")
+        hi_in = int(self.expect(kind="number", what="maximum input arity").text)
+        self.expect(kind="arrow", what="'->'")
+        lo_out = int(self.expect(kind="number", what="minimum output arity").text)
+        self.expect(".", what="'..'")
+        self.expect(".", what="'..'")
+        hi_out = int(self.expect(kind="number", what="maximum output arity").text)
+        return (lo_in, hi_in, lo_out, hi_out)
 
 
 def _term_kind(token: Token) -> str:
@@ -632,7 +1071,7 @@ def _node_index(diagram: Diagram, node_id: str) -> int:
     return -1
 
 
-class ReferenceParser(Parser):
+class ReferenceParser(TokenListParser):
     """The parser with its earlier term reader, which copied every token left
     in the file into a fresh triple list at each data term."""
 
@@ -735,10 +1174,15 @@ class ReferenceLowerer(_Lowerer):
             self.diagram.groups[idx] = replace(g, member_edges=g.member_edges + (edge_id,))
 
 
-def reference_parse(tokens: list[Token]):
-    """``parse`` run with :class:`ReferenceParser`."""
-    with mock.patch.object(dial.parser, "Parser", ReferenceParser):
-        return dial.parser.parse(tokens)
+def reference_parse(tokens: list[Token]) -> tuple[SourceAst | None, list[Diagnostic]]:
+    """The earlier ``parse`` run with :class:`ReferenceParser`, over the
+    tokens of :func:`reference_tokenize`."""
+    parser = ReferenceParser(tokens)
+    ast = parser.parse_unit()
+    if ast is not None and not parser.at(kind="eof"):
+        parser.error(f"trailing input after the diagram: {parser.peek().text!r}",
+                     parser.peek().span)
+    return ast, parser.diagnostics
 
 
 def reference_lower(ast: SourceAst) -> LoweredUnit:

@@ -7,12 +7,15 @@ import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dial.cli import run
 from dial.terms import MAX_NESTING
+from oracles import mutate_source, random_front_end_source, random_valid_source
 
 QA = "corpus/pass/qa_system.dial"
 BROKEN = "corpus/fail/qa_missing_ner.dial"
@@ -79,6 +82,19 @@ def test_diagnostics_located_at_their_own_declaration(tmp_path, body, where):
     # nodes, edges, groups and tables are separate namespaces of ids
     src = tmp_path / "ids.dial"
     src.write_text(HEADER + body + "}\n")
+    code, out, _ = dial("check", "--json", str(src))
+    assert code == 1
+    assert [(d["code"], d["line"], d["col"]) for d in json.loads(out)] == where
+
+
+@pytest.mark.parametrize("rest, where", [
+    ("{\n  node p: POS\n}\n", [("E101", 5, 3)]),
+    ("{ $\n  node p: POS\n}\n", [("E001", 4, 6)]),
+], ids=["node", "lexical"])
+def test_positions_after_an_escaped_newline(tmp_path, rest, where):
+    # the diagram name holds an escaped newline: line and column stay physical
+    src = tmp_path / "escaped.dial"
+    src.write_text('dial 0.1\ndialect sys\ndiagram "a\\\nb" ' + rest)
     code, out, _ = dial("check", "--json", str(src))
     assert code == 1
     assert [(d["code"], d["line"], d["col"]) for d in json.loads(out)] == where
@@ -299,3 +315,30 @@ def test_nesting_limit_is_a_diagnostic(tmp_path, make, depth, codes):
         code, _, err = dial(*argv, str(src))
         assert code == (1 if codes else 0), (argv, err)
     assert svg.exists() == (not codes)
+
+
+PASS_SOURCES = [p.read_text() for p in
+                sorted(Path(__file__).resolve().parent.parent.glob("corpus/pass/*.dial"))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False),
+       make=st.sampled_from((random_front_end_source, random_valid_source,
+                             lambda rng: rng.choice(PASS_SOURCES))),
+       mutations=st.integers(0, 2))
+def test_every_command_survives_generated_sources(rng, make, mutations):
+    # generated and corpus sources, and byte or token mutations of them: each
+    # command ends in a documented exit code without an exception, and fmt
+    # output formats to itself
+    source = make(rng)
+    for _ in range(mutations):
+        source = mutate_source(rng, source)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "gen.dial")
+        path.write_text(source, encoding="utf-8")
+        for argv in (["check"], ["lint"], ["render", "-o", str(Path(tmp, "gen.svg"))], ["fmt"]):
+            code, out, err = dial(*argv, str(path))
+            assert code in (0, 1, 2), (argv, err)
+        if code == 0:
+            path.write_text(out, encoding="utf-8")
+            assert dial("fmt", str(path)) == (0, out, "")

@@ -230,8 +230,25 @@ def _set(path: tuple, value):
     _set(("embeddings", 0, "dim"), 0),
     _set(("dialects",), [["sys"]]),
     _set(("nodes", -1, "perf"), [7]),
+    _set(("dialects",), ["sys", 5]),
+    _set(("title_placement",), None),
+    _set(("nodes", 0, "label"), 7),
+    _set(("nodes", 0, "params"), [[1, 2]]),
+    _set(("nodes", 0, "detail"), ["g1"]),
+    _set(("nodes", 0, "placement_hint"), 3),
+    _set(("edges", 0, "declared_term"), 5),
+    _set(("groups", 0, "member_nodes"), [[1]]),
+    _set(("groups", 0, "member_edges"), ["e1", None]),
+    _set(("groups", 0, "entry_side"), 1),
+    _set(("groups", 0, "exit_side"), None),
+    _set(("tables", 0, "placement"), {}),
+    _set(("embeddings", 0, "label"), 300),
 ], ids=["empty_source", "params_triple", "acc_out_of_range", "dim_zero",
-        "unhashable_dialect", "perf_not_object"])
+        "unhashable_dialect", "perf_not_object", "dialect_not_string",
+        "title_placement_null", "label_not_string", "param_name_not_string",
+        "detail_not_string", "placement_hint_not_string", "declared_term_not_string",
+        "member_node_not_string", "member_edge_not_string", "entry_side_not_string",
+        "exit_side_null", "table_placement_not_string", "embedding_label_not_string"])
 def test_malformed_document_is_e021(mutate):
     doc = json.loads(canonical_serialize(rich_diagram()))
     mutate(doc)

@@ -13,6 +13,7 @@ from dial.registry import (
     Signature,
     SymbolDef,
 )
+from dial.terms import TermError
 
 SYS = frozenset({"sys"})
 BOTH = frozenset({"sys", "nn"})
@@ -131,3 +132,21 @@ def test_lookups_are_pure(registry):
     a = registry.lookup_signature("WSD", SYS)
     b = registry.lookup_signature("WSD", SYS)
     assert a == b and a is b
+
+
+def test_term_memo_follows_the_vocabulary(registry):
+    # a parse is kept per literal until the vocabulary changes; a failure is
+    # never kept, so it raises again with the same message
+    term = registry.parse_term("S^NER")
+    assert registry.parse_term("S^NER") is term
+    for _ in range(2):
+        with pytest.raises(TermError, match="unknown classification label 'Lang'"):
+            registry.parse_term("S^Lang")
+    registry.register_label("Lang")
+    assert registry.parse_term("S^Lang").annotations == frozenset({"Lang"})
+    again = registry.parse_term("S^NER")
+    assert again == term and again is not term
+    registry.register_extension(Signature(
+        task_code="LangID", dialect="ext", name="language id",
+        variants=(((FormalTerm(base="s_T"),), (FormalTerm(base="s_T"),)),)))
+    assert registry.parse_term("S^NER") is not again
