@@ -279,7 +279,9 @@ class Parser:
         return self.tokens.span(self.pos + offset)
 
     def at(self, text: str | None = None, kind: str | None = None) -> bool:
-        return ((text is None or self.texts[self.pos] == text)
+        """A ``text`` is punctuation or a keyword, so a string never matches it."""
+        return ((text is None or self.texts[self.pos] == text
+                 and self.kinds[self.pos] != "string")
                 and (kind is None or self.kinds[self.pos] == kind))
 
     def advance(self) -> str:
@@ -311,8 +313,7 @@ class Parser:
 
     def recover_to_item(self) -> None:
         while not self.at(kind="eof"):
-            text = self.texts[self.pos]
-            if text in ITEM_KEYWORDS or text == "}":
+            if self.at("}") or self.at(kind="keyword") and self.texts[self.pos] in ITEM_KEYWORDS:
                 return
             self.advance()
 
@@ -363,12 +364,8 @@ class Parser:
 
     def _item(self):
         """One declaration; its handler gets the span of its keyword."""
-        text = self.texts[self.pos]
-        handler = {
-            "node": self._node, "data": self._data, "edge": self._edge,
-            "detail": self._detail, "table": self._table,
-            "embedding": self._embedding, "extend": self._extend,
-        }.get(text)
+        kind, text = self.peek()
+        handler = _ITEM_HANDLERS.get(text) if kind == "keyword" else None
         span = self.span()
         if handler is None:
             self.error(
@@ -377,7 +374,7 @@ class Parser:
                 span)
             raise _ParseAbort()
         self.advance()
-        return handler(span)
+        return handler(self, span)
 
     def _node(self, span: Span) -> NodeDecl:
         ident = self.expect(kind="ident", what="node identifier")
@@ -610,8 +607,16 @@ class Parser:
         return (lo_in, hi_in, lo_out, hi_out)
 
 
+_ITEM_HANDLERS = {
+    "node": Parser._node, "data": Parser._data, "edge": Parser._edge,
+    "detail": Parser._detail, "table": Parser._table,
+    "embedding": Parser._embedding, "extend": Parser._extend,
+}
+
+
 class _TermView:
-    """The DSL tokens as the term parser's (kind, text, index) triples, made on access."""
+    """The DSL tokens as the term parser's (kind, text, index) triples, made on
+    access. A string keeps its quotes, so no term punctuation or name matches it."""
 
     def __init__(self, kinds: list[str], texts: list[str]) -> None:
         self.kinds = kinds
@@ -621,11 +626,12 @@ class _TermView:
         return len(self.kinds)
 
     def __getitem__(self, index: int) -> tuple[str, str, int]:
-        return (_TERM_KINDS.get(self.kinds[index], "punct"), self.texts[index],
+        kind, text = self.kinds[index], self.texts[index]
+        return (_TERM_KINDS.get(kind, "punct"), f'"{text}"' if kind == "string" else text,
                 index % len(self.kinds))
 
 
-_TERM_KINDS = {"number": "num", "ident": "ident", "keyword": "ident"}
+_TERM_KINDS = {"number": "num", "ident": "ident", "keyword": "ident", "string": "string"}
 
 
 def _number(text: str) -> object:

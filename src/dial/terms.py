@@ -282,9 +282,8 @@ def parse_term(literal: str, vocab: TermVocabulary) -> DataTerm:
     return term
 
 
-def format_term(term: DataTerm, canonical: dict[str, str] | None = None) -> str:
+def format_term(term: DataTerm, canonical: dict[str, str]) -> str:
     """Canonical ASCII rendering; the inverse of parse_term on its image."""
-    canonical = canonical if canonical is not None else _FALLBACK_CANONICAL
     if term.structure == TUPLE:
         return "(" + ", ".join(format_term(t, canonical) for t in term.elements) + ")"
     if term.structure == SET:
@@ -316,7 +315,3 @@ def _fmt_sup(annotations: frozenset[str]) -> str:
 
 def _fmt_num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(x)
-
-
-# Used only when no vocabulary is in scope (debug printing of raw terms).
-_FALLBACK_CANONICAL: dict[str, str] = {}

@@ -6,8 +6,8 @@ diagram costs one evaluation per node whatever its declaration order; a
 node is evaluated again only after one of its sources changed. Sweeps are
 capped at a budget; running out of it is reported as E105, since labels
 only grow but the dimension calculus can grow a vector around a flow cycle
-forever. Diagnostics are collected in a single final pass in declaration
-order, which keeps their order deterministic.
+forever. Each node reports the diagnostics of its latest evaluation, in
+declaration order, which keeps their order deterministic.
 
 Inference rules in brief:
 
@@ -56,7 +56,7 @@ def parse_data_term(literal: str, registry: Registry | None = None) -> DataTerm:
 def term_text(term: DataTerm | None) -> str:
     if term is None:
         return "<unresolved>"
-    return format_term(term, dict(BUILTIN_VOCABULARY.canonical))
+    return format_term(term, BUILTIN_VOCABULARY.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +455,10 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
     changed queues its successors over every edge, those ranked later for
     this sweep and the others for the next. The result is the round-robin
     over the nodes in rank order, minus the evaluations whose inputs had not
-    changed. An empty queue proves the fixed point. After ``max_rounds``
-    sweeps the queue may still hold nodes; then E105 names the first of
+    changed. An empty queue proves the fixed point, and each node's last
+    evaluation saw its final inputs, so its diagnostics are the ones kept.
+    After ``max_rounds`` sweeps the queue may still hold nodes; they are
+    evaluated once more on the final inputs, and E105 names the first of
     them in declaration order.
     """
     from .layout import assign_layers, break_cycles
@@ -475,7 +477,9 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
     for edge in diagram.edges:
         in_edges.setdefault(edge.target.node, []).append(edge)
 
-    def gather(node: Node) -> tuple[list[DataTerm | None], list[bool]]:
+    node_diags: dict[str, list[Diagnostic]] = {}  # from each node's latest evaluation
+
+    def evaluate(node: Node) -> list[DataTerm | None]:
         slots: dict[int, DataTerm | None] = {}
         resource_flags: dict[int, bool] = {}
         feedback: list[tuple[int, DataTerm | None]] = []
@@ -495,8 +499,10 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
             else:
                 slots[slot] = _collapse(delivered)
         width = max(slots, default=-1) + 1
-        return ([slots.get(i) for i in range(width)],
-                [resource_flags.get(i, False) for i in range(width)])
+        outs, node_diags[node.id] = infer_output(
+            node, [slots.get(i) for i in range(width)], registry, embeddings,
+            [resource_flags.get(i, False) for i in range(width)], diagram.dialects)
+        return outs
 
     layers = assign_layers([n.id for n in diagram.nodes], oriented)
     order = sorted((layers[n.id], i, n) for i, n in enumerate(diagram.nodes)
@@ -516,11 +522,7 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
             r = heapq.heappop(sweep)
             queued[r] = False
             node = order[r][2]
-            inputs, res_flags = gather(node)
-            # diagnostics from interim evaluations are discarded; the final
-            # pass below recomputes them once, in declaration order
-            outs, _ = infer_output(node, inputs, registry, embeddings,
-                                   res_flags, diagram.dialects)
+            outs = evaluate(node)
             if outs != outputs[node.id]:
                 outputs[node.id] = outs
                 for succ in successors[node.id]:
@@ -535,15 +537,9 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
         sweep, later = later, []
         heapq.heapify(sweep)
 
-    # Final pass: diagnostics in declaration order, then edge assertions.
-    diagnostics: list[Diagnostic] = []
-    for node in diagram.nodes:
-        if resolutions[node.id] is None:
-            continue
-        inputs, res_flags = gather(node)
-        _, diags = infer_output(node, inputs, registry, embeddings,
-                                res_flags, diagram.dialects)
-        diagnostics.extend(diags)
+    for r in sweep:  # out of budget: these have not seen their final inputs
+        evaluate(order[r][2])
+    diagnostics = [d for node in diagram.nodes for d in node_diags.get(node.id, ())]
 
     edge_terms: dict[str, DataTerm] = {}
     for edge in diagram.edges:

@@ -195,6 +195,19 @@ def test_diagnostic_spans_inside_input():
         assert 1 <= d.span.col <= len(lines[d.span.line - 1]) + 1
 
 
+@pytest.mark.parametrize("item, errors", [
+    ('table t { "}": "v"; }', []),
+    ('"node" a: POS', [("E002", 4, 3, "expected a declaration")]),
+    ('data s: "{" S "}"', [("E002", 4, 11, "malformed data term")]),
+], ids=["table_key", "keyword", "term_bracket"])
+def test_a_string_is_never_punctuation_or_keyword(item, errors):
+    src = wrap(item)
+    got = compile_source(src).diagnostics
+    assert [(d.code, d.span.line, d.span.col) for d in got] == [e[:3] for e in errors]
+    assert all(e[3] in d.message for d, e in zip(got, errors))
+    assert (format_source(src)[0] is None) == bool(errors)
+
+
 # -- lowering ----------------------------------------------------------------
 
 

@@ -370,10 +370,39 @@ def test_non_convergence_reports_e105():
     assert result.failed
 
 
+def _count_infer_output(monkeypatch) -> list[str]:
+    """Patch the checker's ``infer_output``; the list fills with the ids it is called on."""
+    calls: list[str] = []
+    real = dial.typecheck.infer_output
+
+    def counting(node, *args, **kwargs):
+        calls.append(node.id)
+        return real(node, *args, **kwargs)
+
+    monkeypatch.setattr(dial.typecheck, "infer_output", counting)
+    return calls
+
+
+def test_node_still_queued_at_e105_reports_on_final_inputs():
+    # c reads the growing vector over a recurrent edge and ranks before its
+    # source, so it is still queued when the sweeps run out: its E103 must
+    # name the dims the edge finally carries, not those its last sweep saw.
+    src = ('dial 0.1\ndialect sys\ndiagram "grow" {\n'
+           "  data m: vec[4,4]\n  node c: oplus\n"
+           "  data s: vec[4]\n  node a: oplus\n  node b: concat\n"
+           "  edge s -> a\n  edge b -> a.in1\n  edge a -> b\n  edge s -> b.in1\n"
+           "  edge m -> c\n  edge b ~> c.in1\n}\n")
+    typed = compile_source(src).typed
+    fed_back = next(e for e in typed.diagram.edges if e.flow_kind == "recurrent")
+    assert [(d.code, d.ir_path) for d in typed.diagnostics] == [("E103", "c"), ("E105", "c")]
+    assert typed.diagnostics[0].message.endswith(
+        f"got [4, 4] and {list(typed.edge_terms[fed_back.id].dims)}")
+
+
 @pytest.mark.parametrize("reverse", [True, False])
-def test_check_evaluates_each_chain_node_twice(monkeypatch, reverse):
-    # one worklist evaluation plus one diagnostic pass per node, whatever
-    # the declaration order
+def test_check_evaluates_each_chain_node_once(monkeypatch, reverse):
+    # one worklist evaluation per node, whatever the declaration order; its
+    # diagnostics are kept, with no second pass to collect them
     n = 200
     decls = ["  data t0: S^Token"] + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}"
                                       for i in range(1, n)]
@@ -382,15 +411,20 @@ def test_check_evaluates_each_chain_node_twice(monkeypatch, reverse):
         decls.reverse()
         edges.reverse()
     src = "\n".join(['dial 0.1', 'dialect sys', 'diagram "chain" {', *decls, *edges, "}"]) + "\n"
-    calls = 0
-    real = dial.typecheck.infer_output
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dial.typecheck, "infer_output", counting)
+    calls = _count_infer_output(monkeypatch)
     result = compile_source(src)
     assert result.diagnostics == []
-    assert calls == 2 * n
+    assert len(calls) == n
+
+
+def test_interim_diagnostics_do_not_survive(monkeypatch):
+    # x is evaluated before the recurrent feed from y has a term, so its first
+    # evaluation sees one input wired and reports E101; the second sees both.
+    # Only the latest evaluation's diagnostics may reach the result.
+    src = ('dial 0.1\ndialect sys\ndiagram "feedback" {\n'
+           "  data s: S\n  node x: oplus\n  node y: verify\n"
+           "  edge s -> x.in0\n  edge y ~> x.in1\n  edge x -> y\n}\n")
+    calls = _count_infer_output(monkeypatch)
+    result = compile_source(src)
+    assert result.typed is not None and result.diagnostics == []
+    assert calls == ["s", "x", "y", "x"]
