@@ -7,11 +7,11 @@ printer, idempotent).
 Each stage is linear in tokens plus declarations. ``tokenize`` is one regex
 scan into :class:`Tokens`, parallel lists of kinds, texts and start offsets;
 a token's line and column are worked out only when a diagnostic or an AST
-node asks for its span. ``parse`` reads those lists, and a data term in
-place: :class:`~dial.terms.TermParser` walks them from the term's first
-index, so a term costs only its own tokens. ``lower`` looks node and group
-ids up in maps local to one lowering and builds each detail group's member
-tuples once, at the end.
+node asks for its span. ``parse`` reads those lists, and so does
+:class:`~dial.terms.TermParser`, which reads a data term in place from its
+first index, so a term costs only its own tokens. ``lower`` looks node and
+group ids up in maps local to one lowering and builds each detail group's
+member tuples once, at the end.
 
 Grammar sketch (see the generated reference for the full version):
 
@@ -57,8 +57,8 @@ from .terms import (
     TermError,
     TermNestingError,
     TermParser,
-    TermVocabulary,
-    _lex_literal,
+    parse_term,
+    token_text,
 )
 
 DSL_VERSION = "0.1"
@@ -295,7 +295,7 @@ class Parser:
         if self.at(text, kind):
             return self.advance()
         expected = what or (repr(text) if text else kind or "token")
-        found = self.texts[self.pos] or "end of input"
+        found = token_text(*self.peek()) or "end of input"
         self.error(f"expected {expected}, found {found!r}", self.span())
         raise _ParseAbort()
 
@@ -370,7 +370,7 @@ class Parser:
         if handler is None:
             self.error(
                 "expected a declaration (node, data, edge, detail, table, "
-                f"embedding or extend), found {text or 'end of input'!r}",
+                f"embedding or extend), found {token_text(kind, text) or 'end of input'!r}",
                 span)
             raise _ParseAbort()
         self.advance()
@@ -390,7 +390,8 @@ class Parser:
         while True:
             kind, key = self.peek()
             if kind not in ("ident", "keyword"):
-                self.error(f"expected a parameter name, found {key!r}", self.span())
+                self.error(f"expected a parameter name, found {token_text(kind, key)!r}",
+                           self.span())
                 raise _ParseAbort()
             self.advance()
             self.expect("=", what="'='")
@@ -469,7 +470,7 @@ class Parser:
     def _dataterm_literal(self) -> str:
         """Consume the tokens of one data term; names are checked at lowering."""
         start = self.pos
-        term_parser = TermParser(_TermView(self.kinds, self.texts), vocab=None, start=start)
+        term_parser = TermParser(self.kinds, self.texts, None, start)
         try:
             term_parser.parse()
         except TermError as exc:
@@ -595,16 +596,23 @@ class Parser:
         return ExtendDecl(what, name, tuple(fields), span)
 
     def _arity(self) -> tuple[int, int, int, int]:
-        lo_in = int(self.expect(kind="number", what="minimum input arity"))
+        lo_in = self._arity_bound("minimum input arity")
         self.expect(".", what="'..'")
         self.expect(".", what="'..'")
-        hi_in = int(self.expect(kind="number", what="maximum input arity"))
+        hi_in = self._arity_bound("maximum input arity")
         self.expect(kind="arrow", what="'->'")
-        lo_out = int(self.expect(kind="number", what="minimum output arity"))
+        lo_out = self._arity_bound("minimum output arity")
         self.expect(".", what="'..'")
         self.expect(".", what="'..'")
-        hi_out = int(self.expect(kind="number", what="maximum output arity"))
+        hi_out = self._arity_bound("maximum output arity")
         return (lo_in, hi_in, lo_out, hi_out)
+
+    def _arity_bound(self, what: str) -> int:
+        bound = self.expect(kind="number", what=what)
+        if "." in bound:
+            self.error(f"{what} must be a whole number", self.span(-1))
+            raise _ParseAbort()
+        return int(bound)
 
 
 _ITEM_HANDLERS = {
@@ -612,26 +620,6 @@ _ITEM_HANDLERS = {
     "detail": Parser._detail, "table": Parser._table,
     "embedding": Parser._embedding, "extend": Parser._extend,
 }
-
-
-class _TermView:
-    """The DSL tokens as the term parser's (kind, text, index) triples, made on
-    access. A string keeps its quotes, so no term punctuation or name matches it."""
-
-    def __init__(self, kinds: list[str], texts: list[str]) -> None:
-        self.kinds = kinds
-        self.texts = texts
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def __getitem__(self, index: int) -> tuple[str, str, int]:
-        kind, text = self.kinds[index], self.texts[index]
-        return (_TERM_KINDS.get(kind, "punct"), f'"{text}"' if kind == "string" else text,
-                index % len(self.kinds))
-
-
-_TERM_KINDS = {"number": "num", "ident": "ident", "keyword": "ident", "string": "string"}
 
 
 def _number(text: str) -> object:
@@ -714,11 +702,12 @@ def _register_extensions(ast: SourceAst, registry: Registry,
             else:
                 for key in ("domain", "range"):
                     for literal in fields.get(key, ()):
-                        for label in _harvest_labels(literal):
+                        for label in parse_term(literal, None).all_labels():
                             registry.register_label(label)
-                vocab = registry.vocabulary
-                domain = tuple(_formal_from_literal(lit, vocab) for lit in fields.get("domain", ()))
-                rng = tuple(_formal_from_literal(lit, vocab) for lit in fields.get("range", ()))
+                domain = tuple(_formal_from_term(registry.parse_term(lit))
+                               for lit in fields.get("domain", ()))
+                rng = tuple(_formal_from_term(registry.parse_term(lit))
+                            for lit in fields.get("range", ()))
                 if not domain or not rng:
                     diagnostics.append(Diagnostic(
                         "E003", f"extension task {decl.name!r} needs domain and range",
@@ -732,17 +721,6 @@ def _register_extensions(ast: SourceAst, registry: Registry,
         except TermError as exc:
             diagnostics.append(Diagnostic(
                 "E004", f"in extension {decl.name!r}: {exc}", span=decl.span))
-
-
-def _harvest_labels(literal: str) -> frozenset[str]:
-    parser = TermParser(_lex_literal(literal), vocab=None)
-    term = parser.parse()
-    return term.all_labels()
-
-
-def _formal_from_literal(literal: str, vocab: TermVocabulary) -> FormalTerm:
-    term = TermParser(_lex_literal(literal), vocab).parse()
-    return _formal_from_term(term)
 
 
 def _formal_from_term(term: DataTerm) -> FormalTerm:

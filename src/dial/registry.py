@@ -343,6 +343,11 @@ class Resolution:
         return self.signature.max_out if self.signature else self.symbol.max_out
 
 
+# Every builtin signature and symbol by its code; no code is in both tables.
+_BUILTINS: dict[str, Signature | SymbolDef] = {
+    **{sig.task_code: sig for sig in SIGNATURES}, **{sym.code: sym for sym in SYMBOLS}}
+
+
 class Registry:
     """Builtin tables plus a per-compilation extension overlay."""
 
@@ -355,17 +360,17 @@ class Registry:
     # -- lookups ----------------------------------------------------------
 
     def lookup_signature(self, task_code: str, dialects: frozenset[str]) -> Signature:
-        for sig in SIGNATURES:
-            if sig.task_code == task_code and sig.dialect in dialects:
-                return sig
+        sig = _BUILTINS.get(task_code)
+        if isinstance(sig, Signature) and sig.dialect in dialects:
+            return sig
         if task_code in self._ext_signatures:
             return self._ext_signatures[task_code]
         raise UnknownTask(f"unknown task code {task_code!r}")
 
     def lookup_symbol(self, code: str, dialects: frozenset[str]) -> SymbolDef:
-        for sym in SYMBOLS:
-            if sym.code == code and sym.dialect in dialects:
-                return sym
+        sym = _BUILTINS.get(code)
+        if isinstance(sym, SymbolDef) and sym.dialect in dialects:
+            return sym
         if code in self._ext_symbols:
             return self._ext_symbols[code]
         raise UnknownSymbol(f"unknown symbol {code!r} in dialects {sorted(dialects)}")
@@ -382,18 +387,16 @@ class Registry:
 
     def resolve(self, code: str, dialects: frozenset[str]) -> Resolution | None:
         """Resolve a node code to its kind; None when nothing matches."""
-        try:
-            sig = self.lookup_signature(code, dialects)
-            return Resolution("task", signature=sig, is_extension=code in self._ext_signatures)
-        except UnknownTask:
-            pass
-        try:
-            sym = self.lookup_symbol(code, dialects)
-        except UnknownSymbol:
+        found = _BUILTINS.get(code)
+        if found is not None and found.dialect not in dialects:
             return None
-        if sym.category == META:
+        is_extension = found is None
+        found = found or self._ext_signatures.get(code) or self._ext_symbols.get(code)
+        if isinstance(found, Signature):
+            return Resolution("task", signature=found, is_extension=is_extension)
+        if found is None or found.category == META:
             return None  # flow arrows, zoom boxes, acc badges: not node codes
-        return Resolution(kind_for_symbol(sym), symbol=sym, is_extension=code in self._ext_symbols)
+        return Resolution(kind_for_symbol(found), symbol=found, is_extension=is_extension)
 
     def parse_term(self, literal: str) -> DataTerm:
         """``terms.parse_term`` against :attr:`vocabulary`; a successful parse
@@ -408,7 +411,7 @@ class Registry:
     def register_extension(self, definition: SymbolDef | Signature) -> None:
         self._terms.clear()
         code = definition.code if isinstance(definition, SymbolDef) else definition.task_code
-        if any(s.code == code for s in SYMBOLS) or any(s.task_code == code for s in SIGNATURES):
+        if code in _BUILTINS:
             raise CollidesWithBuiltin(f"{code!r} is a builtin code")
         if isinstance(definition, SymbolDef):
             self._ext_symbols[code] = definition

@@ -11,6 +11,9 @@ The textual form is ASCII; renderers translate to glyphs:
   (S, T)           tuple
   P_entail[0,1]    classification outcome with distribution range
 
+:class:`TermParser` reads one token format, parallel lists of token kinds
+and texts named as the DSL tokenizer names them: the DSL parser hands it its
+own lists, and :func:`parse_term` lexes a standalone literal into such lists.
 Base spellings are resolved against a :class:`TermVocabulary`; the builtin
 vocabulary lives in :mod:`dial.registry`. Sequence structure (the output of
 ranking) is inference-only and has no source syntax.
@@ -38,7 +41,7 @@ class TermError(ValueError):
 
     def __init__(self, message: str, pos: int = 0) -> None:
         super().__init__(message)
-        self.pos = pos  # character offset into the literal
+        self.pos = pos  # index of the token at fault
 
 
 class TermNestingError(TermError):
@@ -96,73 +99,83 @@ class TermVocabulary:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[\^\{\}\(\)\[\],]))"
+    r"\s*(?:(?P<number>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[\^\{\}\(\)\[\],]))"
 )
 
 
-def _lex_literal(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
+def _lex_literal(text: str) -> tuple[list[str], list[str]]:
+    """Token kinds and texts of a standalone literal, named as the DSL names them."""
+    kinds: list[str] = []
+    texts: list[str] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             if text[pos:].strip() == "":
                 break
-            raise TermError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-        kind = m.lastgroup or "punct"
-        tokens.append((kind, m.group(kind), m.start(kind)))
+            raise TermError(f"unexpected character {text[pos:].strip()[0]!r}", len(kinds))
+        kinds.append(m.lastgroup)
+        texts.append(m.group(m.lastgroup))
         pos = m.end()
-    return tokens
+    return kinds, texts
+
+
+def token_text(kind: str, text: str) -> str:
+    """A token as the term reader matches it and messages show it: a string
+    keeps its quotes, so it is never term punctuation or a name."""
+    return f'"{text}"' if kind == "string" else text
 
 
 class TermParser:
-    """Recursive descent over simple (kind, text, pos) triples.
+    """Recursive descent over parallel lists of token kinds and texts.
 
-    Shared between :func:`parse_term` (standalone literals) and the DSL
-    parser, which passes its own token list and the term's first index as
-    ``start`` and reads :attr:`index` afterwards to know where it ended. With
-    ``vocab=None`` the parser checks structure only; base and label names
-    pass through unresolved (the DSL front end uses this to find a term's
-    extent before extensions are registered).
+    :func:`parse_term` passes a literal's lists; the DSL parser passes its
+    own, with the term's first index as ``start``, and reads :attr:`index`
+    afterwards to know where the term ended. ``TermError.pos`` is a token
+    index. With ``vocab=None`` the parser checks structure only; base and
+    label names pass through unresolved (the DSL front end uses this to find
+    a term's extent before extensions are registered).
     """
 
-    def __init__(self, tokens: list[tuple[str, str, int]],
+    def __init__(self, kinds: list[str], texts: list[str],
                  vocab: TermVocabulary | None, start: int = 0) -> None:
-        self.tokens = tokens
+        self.kinds = kinds
+        self.texts = texts
         self.vocab = vocab
         self.index = start
         self.depth = 0  # brackets open around the term being parsed
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
+    def _at(self, text: str) -> bool:
+        i = self.index
+        return i < len(self.kinds) and token_text(self.kinds[i], self.texts[i]) == text
 
-    def _take(self, text: str | None = None, kind: str | None = None) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise TermError(f"term ended early, expected {text or kind}", self._end_pos())
-        if text is not None and tok[1] != text:
-            raise TermError(f"expected {text!r}, found {tok[1]!r}", tok[2])
-        if kind is not None and tok[0] != kind:
-            raise TermError(f"expected {kind}, found {tok[1]!r}", tok[2])
+    def _take(self, text: str | None = None, kind: str | None = None) -> str:
+        """Step past ``text``, or a token of ``kind``: ``ident`` (a keyword
+        is a name here too) or ``number``."""
+        i = self.index
+        expected = text or ("num" if kind == "number" else kind)  # the word messages use
+        if i == len(self.kinds):
+            raise TermError(f"term ended early, expected {expected}", i)
+        found = token_text(self.kinds[i], self.texts[i])
+        if text is not None and found != text:
+            raise TermError(f"expected {text!r}, found {found!r}", i)
+        found_kind = "ident" if self.kinds[i] == "keyword" else self.kinds[i]
+        if kind is not None and found_kind != kind:
+            raise TermError(f"expected {expected}, found {found!r}", i)
         self.index += 1
-        return tok
-
-    def _end_pos(self) -> int:
-        return self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 0
+        return found
 
     def parse(self) -> DataTerm:
-        tok = self._peek()
-        if tok is None:
-            raise TermError("empty data term", 0)
-        kind, text, pos = tok
+        i = self.index
+        if i == len(self.kinds):
+            raise TermError("empty data term", i)
+        text = token_text(self.kinds[i], self.texts[i])
         if text not in ("(", "{"):
-            if kind != "ident":
-                raise TermError(f"expected a data term, found {text!r}", pos)
+            if self.kinds[i] not in ("ident", "keyword"):
+                raise TermError(f"expected a data term, found {text!r}", i)
             return self._parse_base()
         if self.depth == MAX_NESTING:
-            raise TermNestingError(f"data term nested deeper than {MAX_NESTING} levels", pos)
+            raise TermNestingError(f"data term nested deeper than {MAX_NESTING} levels", i)
         self.depth += 1
         if text == "(":
             term = self._parse_tuple()
@@ -176,7 +189,7 @@ class TermParser:
     def _parse_tuple(self) -> DataTerm:
         self._take("(")
         elements = [self.parse()]
-        while self._peek() and self._peek()[1] == ",":
+        while self._at(","):
             self._take(",")
             elements.append(self.parse())
         self._take(")")
@@ -185,15 +198,15 @@ class TermParser:
         return DataTerm(structure=TUPLE, elements=tuple(elements))
 
     def _parse_base(self) -> DataTerm:
-        _, text, pos = self._take(kind="ident")
+        pos, text = self.index, self._take(kind="ident")
 
         # Classification outcome with an explicit range: P_<class>[a,b].
-        if text.startswith("P_") and self._peek() and self._peek()[1] == "[":
+        if text.startswith("P_") and self._at("["):
             sub = text[2:]
             self._take("[")
-            lo = float(self._take(kind="num")[1])
+            lo = float(self._take(kind="number"))
             self._take(",")
-            hi = float(self._take(kind="num")[1])
+            hi = float(self._take(kind="number"))
             self._take("]")
             if lo > hi:
                 raise TermError(f"distribution range [{lo:g},{hi:g}] is inverted", pos)
@@ -201,7 +214,7 @@ class TermParser:
             return DataTerm(base="P_c", subscript=sub, structure=DIST, dist_range=(lo, hi))
 
         # Predicate-argument structure keeps its traditional Pred(Arg) spelling.
-        if text == "Pred" and self._peek() and self._peek()[1] == "(":
+        if text == "Pred" and self._at("("):
             self._take("(")
             self._take("Arg")
             self._take(")")
@@ -228,14 +241,14 @@ class TermParser:
         raise TermError(f"unknown data category {text!r}", pos)
 
     def _parse_sup(self) -> frozenset[str]:
-        if not self._peek() or self._peek()[1] != "^":
+        if not self._at("^"):
             return frozenset()
         self._take("^")
         labels: list[str] = []
-        if self._peek() and self._peek()[1] == "{":
+        if self._at("{"):
             self._take("{")
             labels.append(self._take_label())
-            while self._peek() and self._peek()[1] == ",":
+            while self._at(","):
                 self._take(",")
                 labels.append(self._take_label())
             self._take("}")
@@ -244,8 +257,8 @@ class TermParser:
         return frozenset(labels)
 
     def _take_label(self) -> str:
-        _, text, pos = self._take(kind="ident")
-        if text == "Pred" and self._peek() and self._peek()[1] == "(":
+        pos, text = self.index, self._take(kind="ident")
+        if text == "Pred" and self._at("("):
             self._take("(")
             self._take("Arg")
             self._take(")")
@@ -255,30 +268,31 @@ class TermParser:
         return text
 
     def _parse_dims(self) -> tuple[int, ...] | None:
-        if not self._peek() or self._peek()[1] != "[":
+        if not self._at("["):
             return None
         self._take("[")
         dims = [self._take_dim()]
-        while self._peek() and self._peek()[1] == ",":
+        while self._at(","):
             self._take(",")
             dims.append(self._take_dim())
         self._take("]")
         return tuple(dims)
 
     def _take_dim(self) -> int:
-        _, text, pos = self._take(kind="num")
+        pos, text = self.index, self._take(kind="number")
         if "." in text or int(text) < 1:
             raise TermError(f"dimension must be a positive integer, got {text}", pos)
         return int(text)
 
 
-def parse_term(literal: str, vocab: TermVocabulary) -> DataTerm:
-    """Parse a standalone data-term literal; raises TermError on any defect."""
-    parser = TermParser(_lex_literal(literal), vocab)
+def parse_term(literal: str, vocab: TermVocabulary | None) -> DataTerm:
+    """Parse a standalone data-term literal; raises TermError on any defect.
+    With ``vocab=None`` only its structure is checked, as in :class:`TermParser`."""
+    kinds, texts = _lex_literal(literal)
+    parser = TermParser(kinds, texts, vocab)
     term = parser.parse()
-    leftover = parser._peek()
-    if leftover is not None:
-        raise TermError(f"trailing input {leftover[1]!r} after data term", leftover[2])
+    if parser.index < len(kinds):
+        raise TermError(f"trailing input {texts[parser.index]!r} after data term", parser.index)
     return term
 
 

@@ -60,8 +60,261 @@ from dial.parser import (
     _ParseAbort,
 )
 from dial.registry import Registry
-from dial.terms import MAX_NESTING, DataTerm, TermError, TermNestingError, TermParser
+from dial.terms import (
+    DIST,
+    MAX_NESTING,
+    SET,
+    TUPLE,
+    DataTerm,
+    TermError,
+    TermNestingError,
+    TermVocabulary,
+)
 from dial.typecheck import TypedDiagram, _check_declared, _collapse, infer_output
+
+# ---------------------------------------------------------------------------
+# The earlier term reader, over (kind, text, pos) triples: verbatim apart from
+# its names (parse_term also took ``vocab=None`` there, as TermParser did)
+# ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[\^\{\}\(\)\[\],]))"
+)
+
+
+def reference_lex_literal(text: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            raise TermError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+        kind = m.lastgroup or "punct"
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens
+
+
+class ReferenceTermParser:
+    """Recursive descent over simple (kind, text, pos) triples.
+
+    Shared between :func:`parse_term` (standalone literals) and the DSL
+    parser, which passes its own token list and the term's first index as
+    ``start`` and reads :attr:`index` afterwards to know where it ended. With
+    ``vocab=None`` the parser checks structure only; base and label names
+    pass through unresolved (the DSL front end uses this to find a term's
+    extent before extensions are registered).
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int]],
+                 vocab: TermVocabulary | None, start: int = 0) -> None:
+        self.tokens = tokens
+        self.vocab = vocab
+        self.index = start
+        self.depth = 0  # brackets open around the term being parsed
+
+    def _peek(self) -> tuple[str, str, int] | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return None
+
+    def _take(self, text: str | None = None, kind: str | None = None) -> tuple[str, str, int]:
+        tok = self._peek()
+        if tok is None:
+            raise TermError(f"term ended early, expected {text or kind}", self._end_pos())
+        if text is not None and tok[1] != text:
+            raise TermError(f"expected {text!r}, found {tok[1]!r}", tok[2])
+        if kind is not None and tok[0] != kind:
+            raise TermError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.index += 1
+        return tok
+
+    def _end_pos(self) -> int:
+        return self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 0
+
+    def parse(self) -> DataTerm:
+        tok = self._peek()
+        if tok is None:
+            raise TermError("empty data term", 0)
+        kind, text, pos = tok
+        if text not in ("(", "{"):
+            if kind != "ident":
+                raise TermError(f"expected a data term, found {text!r}", pos)
+            return self._parse_base()
+        if self.depth == MAX_NESTING:
+            raise TermNestingError(f"data term nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        if text == "(":
+            term = self._parse_tuple()
+        else:
+            self._take("{")
+            term = DataTerm(structure=SET, element=self.parse())
+            self._take("}")
+        self.depth -= 1
+        return term
+
+    def _parse_tuple(self) -> DataTerm:
+        self._take("(")
+        elements = [self.parse()]
+        while self._peek() and self._peek()[1] == ",":
+            self._take(",")
+            elements.append(self.parse())
+        self._take(")")
+        if len(elements) == 1:
+            return elements[0]
+        return DataTerm(structure=TUPLE, elements=tuple(elements))
+
+    def _parse_base(self) -> DataTerm:
+        _, text, pos = self._take(kind="ident")
+
+        # Classification outcome with an explicit range: P_<class>[a,b].
+        if text.startswith("P_") and self._peek() and self._peek()[1] == "[":
+            sub = text[2:]
+            self._take("[")
+            lo = float(self._take(kind="num")[1])
+            self._take(",")
+            hi = float(self._take(kind="num")[1])
+            self._take("]")
+            if lo > hi:
+                raise TermError(f"distribution range [{lo:g},{hi:g}] is inverted", pos)
+            sub = None if sub in ("", "c") else sub
+            return DataTerm(base="P_c", subscript=sub, structure=DIST, dist_range=(lo, hi))
+
+        # Predicate-argument structure keeps its traditional Pred(Arg) spelling.
+        if text == "Pred" and self._peek() and self._peek()[1] == "(":
+            self._take("(")
+            self._take("Arg")
+            self._take(")")
+            base, subscript, as_set = "PredArg", None, False
+        else:
+            base, subscript, as_set = self._resolve_base(text, pos)
+
+        labels = self._parse_sup()
+        dims = self._parse_dims()
+        term = DataTerm(base=base, annotations=labels, subscript=subscript, dims=dims)
+        if as_set:
+            term = DataTerm(structure=SET, element=term)
+        return term
+
+    def _resolve_base(self, text: str, pos: int) -> tuple[str, str | None, bool]:
+        if self.vocab is None:
+            return text, None, False
+        if text in self.vocab.spellings:
+            return self.vocab.spellings[text], None, text in self.vocab.set_spellings
+        if "_" in text:
+            head, _, sub = text.partition("_")
+            if head in self.vocab.spellings and sub:
+                return self.vocab.spellings[head], sub, head in self.vocab.set_spellings
+        raise TermError(f"unknown data category {text!r}", pos)
+
+    def _parse_sup(self) -> frozenset[str]:
+        if not self._peek() or self._peek()[1] != "^":
+            return frozenset()
+        self._take("^")
+        labels: list[str] = []
+        if self._peek() and self._peek()[1] == "{":
+            self._take("{")
+            labels.append(self._take_label())
+            while self._peek() and self._peek()[1] == ",":
+                self._take(",")
+                labels.append(self._take_label())
+            self._take("}")
+        else:
+            labels.append(self._take_label())
+        return frozenset(labels)
+
+    def _take_label(self) -> str:
+        _, text, pos = self._take(kind="ident")
+        if text == "Pred" and self._peek() and self._peek()[1] == "(":
+            self._take("(")
+            self._take("Arg")
+            self._take(")")
+            text = "PredArg"
+        if self.vocab is not None and not self.vocab.knows_label(text):
+            raise TermError(f"unknown classification label {text!r}", pos)
+        return text
+
+    def _parse_dims(self) -> tuple[int, ...] | None:
+        if not self._peek() or self._peek()[1] != "[":
+            return None
+        self._take("[")
+        dims = [self._take_dim()]
+        while self._peek() and self._peek()[1] == ",":
+            self._take(",")
+            dims.append(self._take_dim())
+        self._take("]")
+        return tuple(dims)
+
+    def _take_dim(self) -> int:
+        _, text, pos = self._take(kind="num")
+        if "." in text or int(text) < 1:
+            raise TermError(f"dimension must be a positive integer, got {text}", pos)
+        return int(text)
+
+
+def reference_parse_term(literal: str, vocab: TermVocabulary | None) -> DataTerm:
+    """Parse a standalone data-term literal; raises TermError on any defect."""
+    parser = ReferenceTermParser(reference_lex_literal(literal), vocab)
+    term = parser.parse()
+    leftover = parser._peek()
+    if leftover is not None:
+        raise TermError(f"trailing input {leftover[1]!r} after data term", leftover[2])
+    return term
+
+
+_TERM_BASES = ("S", "T", "Term", "vec", "terms", "KB", "Score", "C", "Term_New", "S_",
+               "Pred(Arg)", "Zebra", "for")
+_TERM_LABELS = ("NER", "POS", "Token", "F", "R", "WSD", "Pred(Arg)", "Nope")
+_TERM_MUTANT_CHARS = '{}()[],^_ .09aZ@-!;"\t\u00e9'
+
+
+def random_term_literal(rng: random.Random, depth: int = 0) -> str:
+    """A data-term literal: sets, tuples, distributions, and bases with labels
+    and dimensions. Some names are unknown (``Zebra``, ``Nope``), and some
+    dimensions and ranges are out of bounds."""
+    r = rng.random()
+    if depth < 3 and r < 0.15:
+        return "{" + random_term_literal(rng, depth + 1) + "}"
+    if depth < 3 and r < 0.3:
+        parts = [random_term_literal(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+        return "(" + ", ".join(parts) + ")"
+    if r < 0.4:
+        lo, hi = rng.choice(("0", "0.5", "1")), rng.choice(("0", "1", "0.25"))
+        return f"P_{rng.choice(('', 'c', 'entail'))}[{lo},{hi}]"
+    literal = rng.choice(_TERM_BASES)
+    if rng.random() < 0.4:
+        labels = rng.sample(_TERM_LABELS, rng.randint(1, 3))
+        literal += "^" + (labels[0] if len(labels) == 1 and rng.random() < 0.5
+                          else "{" + ",".join(labels) + "}")
+    if rng.random() < 0.3:
+        dims = [rng.choice(("1", "300", "0", "2.5")) for _ in range(rng.randint(1, 3))]
+        literal += "[" + ",".join(dims) + "]"
+    return literal
+
+
+def mutate_term_literal(rng: random.Random, literal: str) -> str:
+    """A literal nested to ``MAX_NESTING`` or one past it, given trailing
+    input, emptied, cut short, or with a character deleted, inserted or
+    replaced (brackets, separators and characters no term may hold)."""
+    op = rng.randrange(8)
+    k = rng.randrange(len(literal) + 1)
+    if op == 0:
+        depth = rng.choice((MAX_NESTING, MAX_NESTING + 1))
+        return "{" * depth + literal + "}" * depth
+    if op == 1:
+        return literal + rng.choice((" S", ")", "}", ",", "^NER", "[3]"))
+    if op == 2:
+        return rng.choice(("", "  ", "\t"))
+    if op == 3:
+        return literal[:k]
+    if op == 4:
+        return literal[:k] + literal[k + 1:]
+    if op == 5:
+        return literal[:k] + rng.choice(_TERM_MUTANT_CHARS) + literal[k:]
+    return literal[:k] + rng.choice(_TERM_MUTANT_CHARS) + literal[k + 1:]
+
 
 # ---------------------------------------------------------------------------
 # Random diagrams over a small operator pool
@@ -718,8 +971,9 @@ def reference_tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
 
 class TokenListParser:
     """The parser before the flat token stream, reading a list of
-    :class:`Token` values; verbatim apart from its name and its term reader,
-    which :class:`ReferenceParser` supplies."""
+    :class:`Token` values; verbatim apart from its name, its term reader,
+    which :class:`ReferenceParser` supplies, and the quotes its ``expect``
+    and ``_item`` messages put around a string token."""
 
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
@@ -747,7 +1001,7 @@ class TokenListParser:
             return self.advance()
         expected = what or (repr(text) if text else kind or "token")
         tok = self.peek()
-        found = tok.text or "end of input"
+        found = _shown(tok) or "end of input"
         self.error(f"expected {expected}, found {found!r}", tok.span)
         raise _ParseAbort()
 
@@ -824,7 +1078,7 @@ class TokenListParser:
         if handler is None:
             self.error(
                 "expected a declaration (node, data, edge, detail, table, "
-                f"embedding or extend), found {tok.text or 'end of input'!r}",
+                f"embedding or extend), found {_shown(tok) or 'end of input'!r}",
                 tok.span)
             raise _ParseAbort()
         return handler()
@@ -1051,6 +1305,11 @@ class TokenListParser:
         return (lo_in, hi_in, lo_out, hi_out)
 
 
+def _shown(token: Token) -> str:
+    """A token as a message shows it: a string with its quotes."""
+    return f'"{token.text}"' if token.kind == "string" else token.text
+
+
 def _term_kind(token: Token) -> str:
     if token.kind == "number":
         return "num"
@@ -1080,7 +1339,7 @@ class ReferenceParser(TokenListParser):
         start = self.pos
         triples = [(_term_kind(t), t.text, idx)
                    for idx, t in enumerate(self.tokens[start:], start)]
-        term_parser = TermParser(triples, vocab=None)
+        term_parser = ReferenceTermParser(triples, vocab=None)
         try:
             term_parser.parse()
         except TermError as exc:
@@ -1275,6 +1534,8 @@ def mutate_source(rng: random.Random, source: str) -> str:
     if op == 3:
         return source[:k] + rng.choice(_MUTANT_CHARS) + source[k + 1:]
     words = _WORD_RE.findall(source)
+    if not words:  # an earlier cut emptied the source
+        return source
     i = rng.randrange(len(words))
     if op == 4:
         del words[i]

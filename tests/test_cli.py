@@ -317,6 +317,22 @@ def test_nesting_limit_is_a_diagnostic(tmp_path, make, depth, codes):
     assert svg.exists() == (not codes)
 
 
+@pytest.mark.parametrize("arity, col", [
+    ("1.5..2 -> 1..1", 28), ("1..2.0 -> 1..1", 31), ("1..2 -> 0.5..1", 36), ("1..2 -> 1..1.5", 39),
+])
+def test_fractional_arity_is_a_diagnostic(tmp_path, arity, col):
+    # a bound with a decimal point is E002 at the number, whatever the command
+    src = tmp_path / "arity.dial"
+    src.write_text(f'dial 0.1\ndialect sys\ndiagram "D" {{\n  extend symbol z {{ arity: {arity}; }}\n}}\n')
+    _, out, _ = dial("check", "--json", str(src))
+    first = json.loads(out)[0]
+    assert (first["code"], first["line"], first["col"]) == ("E002", 4, col)
+    assert first["message"].endswith("arity must be a whole number")
+    for argv in (["check"], ["lint"], ["render", "-o", str(tmp_path / "arity.svg")], ["fmt"]):
+        code, _, err = dial(*argv, str(src))
+        assert code == 1 and "arity must be a whole number" in err, (argv, err)
+
+
 PASS_SOURCES = [p.read_text() for p in
                 sorted(Path(__file__).resolve().parent.parent.glob("corpus/pass/*.dial"))]
 

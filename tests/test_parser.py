@@ -197,14 +197,22 @@ def test_diagnostic_spans_inside_input():
 
 @pytest.mark.parametrize("item, errors", [
     ('table t { "}": "v"; }', []),
-    ('"node" a: POS', [("E002", 4, 3, "expected a declaration")]),
-    ('data s: "{" S "}"', [("E002", 4, 11, "malformed data term")]),
-], ids=["table_key", "keyword", "term_bracket"])
+    ('"node" a: POS', [("E002", 4, 3, "expected a declaration (node, data, edge, detail, "
+                                      "table, embedding or extend), found '\"node\"'")]),
+    ('data s: "{" S "}"', [("E002", 4, 11, "malformed data term: expected a data term, "
+                                          "found '\"{\"'")]),
+    ('data s: S "^" NER', [("E002", 4, 13, "expected a declaration (node, data, edge, "
+                                          "detail, table, embedding or extend), found '\"^\"'")]),
+    ('node "a": POS', [("E002", 4, 8, "expected node identifier, found '\"a\"'")]),
+    ('node a: POS("k"=1)', [("E002", 4, 15, "expected a parameter name, found '\"k\"'")]),
+    ('node a: ""', [("E002", 4, 11, "expected symbol or task code, found '\"\"'")]),
+], ids=["table_key", "keyword", "term_bracket", "term_caret", "expect", "param_name",
+        "empty_string"])
 def test_a_string_is_never_punctuation_or_keyword(item, errors):
+    # a misplaced string is shown with its quotes, never as the text it spells
     src = wrap(item)
     got = compile_source(src).diagnostics
-    assert [(d.code, d.span.line, d.span.col) for d in got] == [e[:3] for e in errors]
-    assert all(e[3] in d.message for d, e in zip(got, errors))
+    assert [(d.code, d.span.line, d.span.col, d.message) for d in got] == errors
     assert (format_source(src)[0] is None) == bool(errors)
 
 
@@ -375,9 +383,9 @@ FRONT_END_CASES = {  # case -> least number of sources (of 2,400) that show it
 
 
 def test_front_end_matches_quadratic_reference():
-    # the flat token stream, the in-place term reader and the lowering maps
-    # give the same tokens, spans, AST, diagnostics and lowered unit as the
-    # character loop, the earlier copying reader and scans
+    # the flat token stream, the term reader over its lists and the lowering
+    # maps give the same tokens, spans, AST, diagnostics and lowered unit as
+    # the character loop, the earlier copying reader over triples and scans
     rng = random.Random(20261018)
     seen: Counter[str] = Counter()
     for i in range(2400):

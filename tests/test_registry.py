@@ -7,11 +7,15 @@ import pytest
 from dial.diagnostics import CollidesWithBuiltin, UnknownDialect, UnknownSymbol, UnknownTask
 from dial.registry import (
     DATA_CATEGORIES,
+    META,
     SIGNATURES,
+    SYMBOLS,
     FormalTerm,
     Registry,
+    Resolution,
     Signature,
     SymbolDef,
+    kind_for_symbol,
 )
 from dial.terms import TermError
 
@@ -67,6 +71,46 @@ def test_symbol_counts(registry):
 def test_signature_count():
     assert len(SIGNATURES) == 26
     assert len({s.task_code for s in SIGNATURES}) == 26
+
+
+def test_builtin_codes_are_unique_across_tables():
+    # the registry indexes both tables by code in one map
+    codes = [s.task_code for s in SIGNATURES] + [s.code for s in SYMBOLS]
+    assert len(set(codes)) == len(codes) == 70
+
+
+def _scan_resolve(registry, code, dialects):
+    """``resolve`` as two lookups, each a scan that raises when nothing matches."""
+    try:
+        sig = registry.lookup_signature(code, dialects)
+        return Resolution("task", signature=sig, is_extension=sig.dialect == "ext")
+    except UnknownTask:
+        pass
+    try:
+        sym = registry.lookup_symbol(code, dialects)
+    except UnknownSymbol:
+        return None
+    if sym.category == META:
+        return None
+    return Resolution(kind_for_symbol(sym), symbol=sym, is_extension=sym.dialect == "ext")
+
+
+def test_resolve_agrees_with_the_lookups(registry):
+    def ext_symbol(code, category="operator"):
+        return SymbolDef(code=code, dialect="ext", name=code, glyph_id="op_func", min_in=1,
+                         max_in=1, min_out=1, max_out=1, category=category)
+    term = (FormalTerm(base="s_T"),)
+    registry.register_extension(ext_symbol("twice"))
+    registry.register_extension(Signature(task_code="twice", dialect="ext", name="twice",
+                                          variants=((term, term),)))
+    registry.register_extension(ext_symbol("marker", category=META))
+    registry.register_extension(ext_symbol("scale"))
+    codes = [s.task_code for s in SIGNATURES] + [s.code for s in SYMBOLS]
+    for dialects in (SYS, BOTH, frozenset({"nn"}), frozenset()):
+        for code in codes + ["twice", "marker", "scale", "nope"]:
+            assert registry.resolve(code, dialects) == _scan_resolve(registry, code, dialects)
+    assert registry.resolve("twice", SYS).kind == "task"
+    assert registry.resolve("bilstm", SYS) is None and registry.resolve("POS", frozenset()) is None
 
 
 def test_category_counts():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +22,7 @@ from dial.terms import (
     parse_term,
 )
 from dial.typecheck import parse_data_term, term_text
+from oracles import mutate_term_literal, random_term_literal, reference_parse_term
 
 
 def parse(text: str) -> DataTerm:
@@ -131,3 +135,45 @@ def test_nesting_limit(wrap):
     assert format_term(parse(text), BUILTIN_VOCABULARY.canonical) == text
     with pytest.raises(TermNestingError):
         parse(wrap(text))
+
+
+TERM_CASES = {  # outcome -> least number of literals (of 3,000 per vocabulary) that show it
+    "parsed": 400,
+    "unknown data category": 300,
+    "unknown classification label": 90,
+    "term ended early": 30,
+    "expected": 200,
+    "nested deeper": 50,
+    "trailing input": 50,
+    "unexpected character": 100,
+    "empty data term": 100,
+    "dimension must be a positive integer": 120,
+    "is inverted": 70,
+}
+
+
+def _outcome(parse_fn, literal, vocab):
+    try:
+        return parse_fn(literal, vocab)
+    except TermError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("vocab", [BUILTIN_VOCABULARY, None], ids=["builtin", "structure_only"])
+def test_term_reader_matches_triple_reference(vocab):
+    # the reader over parallel kind and text lists gives the same term, or the
+    # same error class and message, as the earlier reader over triples
+    rng = random.Random(20261018)
+    seen: Counter[str] = Counter()
+    for i in range(3000):
+        literal = random_term_literal(rng)
+        if i % 2:
+            literal = mutate_term_literal(rng, literal)
+        got = _outcome(parse_term, literal, vocab)
+        assert got == _outcome(reference_parse_term, literal, vocab), literal
+        message = got[1] if isinstance(got, tuple) else "parsed"
+        seen.update(case for case in TERM_CASES if case in message)
+    for case, least in TERM_CASES.items():
+        if vocab is None and case.startswith("unknown "):
+            continue  # names pass through unresolved
+        assert seen[case] >= least, (case, seen)
