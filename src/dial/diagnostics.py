@@ -89,26 +89,10 @@ def dump_json(diagnostics: list[Diagnostic], stream: IO[str]) -> None:
 
 
 class DialError(Exception):
-    """Base for programming-interface errors (misuse of the construction API)."""
+    """Base for programming-interface errors."""
 
 
 class UnknownDialect(DialError):
-    pass
-
-
-class DuplicateId(DialError):
-    pass
-
-
-class UnknownNode(DialError):
-    pass
-
-
-class BadSlot(DialError):
-    pass
-
-
-class UnknownTask(DialError):
     pass
 
 

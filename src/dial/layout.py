@@ -73,10 +73,6 @@ class Box:
     def shifted(self, dx: int, dy: int) -> "Box":
         return Box(self.x + dx, self.y + dy, self.w, self.h)
 
-    def intersects(self, other: "Box") -> bool:
-        return not (self.right <= other.x or other.right <= self.x
-                    or self.bottom <= other.y or other.bottom <= self.y)
-
 
 @dataclass
 class LayoutResult:
@@ -188,14 +184,13 @@ def assign_layers(node_ids: list[str],
 
 def order_within_layers(node_ids: list[str], layers: dict[str, int],
                         oriented: list[tuple[str, str, str]],
-                        band_of: dict[str, int] | None = None) -> dict[int, list[str]]:
+                        band_of: dict[str, int]) -> dict[int, list[str]]:
     """Barycenter sweeps, four fixed passes; declaration order breaks ties.
 
     ``band_of`` keeps weakly-connected components apart: the band index
     always dominates the barycenter.
     """
     decl_index = {n: i for i, n in enumerate(node_ids)}
-    band_of = band_of or {n: 0 for n in node_ids}
     by_layer: dict[int, list[str]] = {}
     for node in node_ids:
         by_layer.setdefault(layers[node], []).append(node)

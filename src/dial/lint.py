@@ -44,10 +44,8 @@ RULES: tuple[LintRule, ...] = (
 )
 
 
-def lint(typed: TypedDiagram, layout_result: LayoutResult,
-         registry: Registry | None = None,
+def lint(typed: TypedDiagram, layout_result: LayoutResult, registry: Registry,
          disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
-    registry = registry or Registry()
     diagram = typed.diagram
     out: list[Diagnostic] = []
 

@@ -14,15 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .diagnostics import (
-    BadSlot,
-    Diagnostic,
-    DuplicateId,
-    SerializationError,
-    UnknownDialect,
-    UnknownNode,
-)
-from .registry import DIALECTS, Registry, Resolution
+from .diagnostics import Diagnostic, SerializationError
+from .registry import Registry, Resolution, dialect_list_error
 
 IR_VERSION = "0.1"
 
@@ -144,52 +137,18 @@ class Diagram:
         return frozenset(out)
 
 
-def new_diagram(name: str, dialects: set[str] | frozenset[str]) -> Diagram:
-    dialects = frozenset(dialects)
-    unknown = dialects - frozenset(DIALECTS)
-    if unknown:
-        raise UnknownDialect(f"unknown dialect(s): {sorted(unknown)}")
-    if "sys" not in dialects:
-        raise UnknownDialect("every diagram must enable the sys dialect")
-    return Diagram(name=name, dialects=dialects)
-
-
-def add_node(diagram: Diagram, spec: Node) -> str:
-    if diagram.node_by_id(spec.id) is not None:
-        raise DuplicateId(f"node id {spec.id!r} already declared")
-    diagram.nodes.append(spec)
-    return spec.id
-
-
-def add_edge(diagram: Diagram, source: Port, target: Port, kind: str = "flow",
-             declared_term: str | None = None) -> str:
-    if kind not in FLOW_KINDS:
-        raise BadSlot(f"unknown flow kind {kind!r}")
-    for port in (source, target):
-        if diagram.node_by_id(port.node) is None:
-            raise UnknownNode(f"edge endpoint references unknown node {port.node!r}")
-        if port.slot < 0:
-            raise BadSlot(f"negative slot on {port}")
-    if source.direction != "out" or target.direction != "in":
-        raise BadSlot("edges run from an out port to an in port")
-    edge_id = f"e{len(diagram.edges)}"
-    diagram.edges.append(Edge(edge_id, source, target, kind, declared_term))
-    return edge_id
-
-
 # ---------------------------------------------------------------------------
 # Structural validation
 # ---------------------------------------------------------------------------
 
 
-def validate_structure(diagram: Diagram, registry: Registry | None = None) -> list[Diagnostic]:
+def validate_structure(diagram: Diagram, registry: Registry) -> list[Diagnostic]:
     """All structural violations; empty iff the diagram is well-formed.
 
     E010 unresolved code, E011 dangling reference or bad port, E012 group
     containment cycle, E013 persist/query endpoint kind violation, E014 node
     listed by more than one detail group.
     """
-    registry = registry or Registry()
     out: list[Diagnostic] = []
     resolutions: dict[str, Resolution | None] = {}
     node_ids = {n.id for n in diagram.nodes}
@@ -422,6 +381,9 @@ def _decode(doc: dict, version: str) -> Diagram:
         format_version=version,
         title_placement=_optional(doc, "title_placement", "top_left", "document"),
     )
+    problem = dialect_list_error(diagram.dialects)
+    if problem:
+        raise _bad(f"document: {problem}")
     seen_nodes: set[str] = set()
     for obj in _expect(doc, "nodes", list, "document"):
         node = Node(
@@ -462,6 +424,8 @@ def _decode(doc: dict, version: str) -> Diagram:
         )
         if edge.flow_kind not in FLOW_KINDS:
             raise _bad(f"edge {edge.id!r}: unknown flow kind {edge.flow_kind!r}")
+        if edge.source.slot < 0 or edge.target.slot < 0:
+            raise _bad(f"edge {edge.id!r}: a port slot is negative")
         if edge.id in seen_edges:
             raise _bad(f"duplicate edge id {edge.id!r}")
         seen_edges.add(edge.id)

@@ -48,9 +48,8 @@ from .model import (
     PerfAnnotation,
     Port,
     default_shape_class,
-    new_diagram,
 )
-from .registry import DIALECTS, FormalTerm, Registry, Signature, SymbolDef
+from .registry import FormalTerm, Registry, Signature, SymbolDef, dialect_list_error
 from .terms import (
     MAX_NESTING,
     DataTerm,
@@ -79,29 +78,18 @@ ITEM_KEYWORDS = frozenset({"node", "data", "edge", "detail", "table", "embedding
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # keyword | ident | string | number | punct | arrow | eof
-    text: str
-    span: Span
-
-
 class Tokens:
     """Parallel lists of kinds, texts and start offsets, ending with ``eof``.
-    A :class:`Span` is made only on request, from a table of line starts;
-    indexing (a cold path) makes a whole :class:`Token` the same way."""
+    A :class:`Span` is made only on request, from a table of line starts."""
 
     def __init__(self, source: str) -> None:
-        self.kinds: list[str] = []
+        self.kinds: list[str] = []  # keyword | ident | string | number | punct | arrow | eof
         self.texts: list[str] = []  # a string token's text is unescaped
         self.starts: list[int] = []  # source offset of each token's first character
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, index: int) -> Token:
-        return Token(self.kinds[index], self.texts[index], self.span(index))
 
     def span(self, index: int) -> Span:
         return self.span_at(self.starts[index], len(self.texts[index]))
@@ -656,15 +644,12 @@ def lower(ast: SourceAst) -> LoweredUnit:
     spans: dict[str, dict[str, Span]] = {
         kind: {} for kind in ("node", "edge", "group", "table", "embedding")}
 
-    unknown = [d for d in ast.dialects if d not in DIALECTS]
-    if unknown or "sys" not in ast.dialects:
-        names = ", ".join(sorted(unknown)) or "missing sys"
-        diagnostics.append(Diagnostic(
-            "E003", f"dialect list is invalid ({names}); v0.1 registers: "
-                    + ", ".join(DIALECTS), span=ast.span))
+    problem = dialect_list_error(ast.dialects)
+    if problem:
+        diagnostics.append(Diagnostic("E003", problem, span=ast.span))
         return LoweredUnit(None, registry, diagnostics, spans)
 
-    diagram = new_diagram(ast.name, frozenset(ast.dialects))
+    diagram = Diagram(ast.name, frozenset(ast.dialects))
     if ast.title_placement:
         diagram.title_placement = ast.title_placement
 
@@ -687,7 +672,13 @@ def _walk_extends(items) -> list[ExtendDecl]:
 
 def _register_extensions(ast: SourceAst, registry: Registry,
                          diagnostics: list[Diagnostic]) -> None:
+    seen: set[str] = set()
     for decl in _walk_extends(ast.items):
+        if decl.name in seen:
+            diagnostics.append(Diagnostic(
+                "E003", f"duplicate extension code {decl.name!r}", span=decl.span))
+            continue
+        seen.add(decl.name)
         fields = dict(decl.fields)
         try:
             if decl.what == "symbol":

@@ -12,11 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .diagnostics import CollidesWithBuiltin, UnknownDialect, UnknownSymbol, UnknownTask
+from .diagnostics import CollidesWithBuiltin, UnknownDialect, UnknownSymbol
 from . import terms
 from .terms import SCALAR, SEQUENCE, SET, DataTerm, TermVocabulary
 
 DIALECTS = ("sys", "nn")
+
+
+def dialect_list_error(dialects: tuple[str, ...] | frozenset[str]) -> str | None:
+    """Why a diagram's dialect list is invalid, or None when it is valid:
+    every dialect must be registered, and ``sys`` is mandatory."""
+    unknown = sorted(d for d in dialects if d not in DIALECTS)
+    if not unknown and "sys" in dialects:
+        return None
+    return (f"dialect list is invalid ({', '.join(unknown) or 'missing sys'}); "
+            f"v0.1 registers: {', '.join(DIALECTS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +134,6 @@ class Signature:
     dialect: str
     name: str
     variants: tuple[tuple[tuple[FormalTerm, ...], tuple[FormalTerm, ...]], ...]
-
-    @property
-    def domain(self) -> tuple[FormalTerm, ...]:
-        return self.variants[0][0]
-
-    @property
-    def range(self) -> tuple[FormalTerm, ...]:
-        return self.variants[0][1]
 
     @property
     def min_in(self) -> int:
@@ -358,14 +360,6 @@ class Registry:
         self._terms: dict[str, DataTerm] = {}  # literal -> parse, for this vocabulary
 
     # -- lookups ----------------------------------------------------------
-
-    def lookup_signature(self, task_code: str, dialects: frozenset[str]) -> Signature:
-        sig = _BUILTINS.get(task_code)
-        if isinstance(sig, Signature) and sig.dialect in dialects:
-            return sig
-        if task_code in self._ext_signatures:
-            return self._ext_signatures[task_code]
-        raise UnknownTask(f"unknown task code {task_code!r}")
 
     def lookup_symbol(self, code: str, dialects: frozenset[str]) -> SymbolDef:
         sym = _BUILTINS.get(code)

@@ -119,10 +119,8 @@ TIKZ_MARKS = {
 }
 
 
-def glyph_for(code: str, dialects: frozenset[str],
-              registry: Registry | None = None) -> GlyphSpec:
+def glyph_for(code: str, dialects: frozenset[str], registry: Registry) -> GlyphSpec:
     """Stable code-to-glyph mapping over signatures, symbols and extensions."""
-    registry = registry or Registry()
     resolution = registry.resolve(code, dialects)
     if resolution is None:
         try:  # notational symbols (flow arrows, zoom, acc) still own a glyph
@@ -151,9 +149,8 @@ class _Drawing:
     """The walk, which decides once what is drawn. A writer subclass sets the notation
     (``marks``, ``esc``, ``term``, ...), spells each element and fixes ``order``."""
 
-    def __init__(self, typed: TypedDiagram, layout: LayoutResult, registry: Registry | None):
-        self.typed, self.layout = typed, layout
-        self.registry = registry or Registry()
+    def __init__(self, typed: TypedDiagram, layout: LayoutResult, registry: Registry):
+        self.typed, self.layout, self.registry = typed, layout, registry
 
     def text(self) -> str:
         diagram, layout = self.typed.diagram, self.layout
@@ -335,8 +332,7 @@ class _Svg(_Drawing):
             yield f'<text x="{box.x + 6}" y="{box.y + 16 + 16 * i}" font-size="10">{row}</text>'
 
 
-def render_svg(typed: TypedDiagram, layout: LayoutResult,
-               registry: Registry | None = None) -> str:
+def render_svg(typed: TypedDiagram, layout: LayoutResult, registry: Registry) -> str:
     """Deterministic SVG 1.1 document for a typed, laid-out diagram."""
     return _Svg(typed, layout, registry).text()
 
@@ -436,7 +432,6 @@ class _Tikz(_Drawing):
                    rf"at ({box.x + 4},{box.y + 10 + 16 * i}) {{{row}}};")
 
 
-def render_tikz(typed: TypedDiagram, layout: LayoutResult,
-                registry: Registry | None = None) -> str:
+def render_tikz(typed: TypedDiagram, layout: LayoutResult, registry: Registry) -> str:
     """Standalone-compilable TikZ with the same visual semantics as the SVG."""
     return _Tikz(typed, layout, registry).text()

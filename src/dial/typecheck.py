@@ -43,14 +43,7 @@ from .terms import (
     DataTerm,
     TermError,
     format_term,
-    parse_term,
 )
-
-
-def parse_data_term(literal: str, registry: Registry | None = None) -> DataTerm:
-    """Strict parse against the registered categories and labels (E004),
-    through the registry's per-literal memo when there is a registry."""
-    return registry.parse_term(literal) if registry else parse_term(literal, BUILTIN_VOCABULARY)
 
 
 def term_text(term: DataTerm | None) -> str:
@@ -151,7 +144,7 @@ class _Ctx:
     node: Node
     registry: Registry
     embeddings: dict[str, int]
-    input_is_resource: tuple[bool, ...]
+    input_is_resource: list[bool]
     diagnostics: list[Diagnostic]
 
     def err(self, code: str, message: str) -> None:
@@ -159,25 +152,19 @@ class _Ctx:
                                            ir_path=self.node.id, ir_kind="node"))
 
 
-def infer_output(node: Node, inputs: list[DataTerm | None],
-                 registry: Registry | None = None,
-                 embeddings: dict[str, int] | None = None,
-                 input_is_resource: list[bool] | None = None,
-                 dialects: frozenset[str] = frozenset({"sys", "nn"}),
-                 ) -> tuple[list[DataTerm | None], list[Diagnostic]]:
+def infer_output(node: Node, inputs: list[DataTerm | None], registry: Registry,
+                 embeddings: dict[str, int], input_is_resource: list[bool],
+                 dialects: frozenset[str]) -> tuple[list[DataTerm | None], list[Diagnostic]]:
     """Output terms for one node given its input terms, plus diagnostics.
 
-    ``inputs`` is indexed by input slot; unwired slots are None.
+    ``inputs`` and ``input_is_resource`` are indexed by input slot; unwired
+    slots are None and not a resource.
     """
-    registry = registry or Registry()
     resolution = registry.resolve(node.code, dialects)
     diagnostics: list[Diagnostic] = []
     if resolution is None:
         return [None], diagnostics
-    ctx = _Ctx(node, registry,
-               embeddings if embeddings is not None else {},
-               tuple(input_is_resource or (False,) * len(inputs)),
-               diagnostics)
+    ctx = _Ctx(node, registry, embeddings, input_is_resource, diagnostics)
     if resolution.signature is not None:
         outs = _infer_task(ctx, resolution.signature, inputs)
     else:
@@ -241,7 +228,7 @@ def _match_domain(ctx: _Ctx, domain: tuple[FormalTerm, ...],
                 continue
             return (slot, formal, "nothing is wired to this input")
         if formal.is_resource and slot < len(ctx.input_is_resource) \
-                and ctx.input_is_resource and not ctx.input_is_resource[slot]:
+                and not ctx.input_is_resource[slot]:
             return (slot, formal, "expects a stored resource")
         reason = match_term(term, formal)
         if reason:
@@ -259,7 +246,7 @@ def _infer_symbol(ctx: _Ctx, res: Resolution, inputs: list[DataTerm | None]) -> 
     declared = node.param("out")
     if declared is not None:
         try:
-            return [parse_data_term(str(declared), ctx.registry)]
+            return [ctx.registry.parse_term(str(declared))]
         except TermError as exc:
             ctx.err("E004", f"declared output term: {exc}")
             return [None]
@@ -442,7 +429,7 @@ class TypedDiagram:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDiagram:
+def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
     """Propagate terms across the dataflow graph to a fixed point.
 
     Terms travel only along the acyclic forward orientation. Recurrent
@@ -463,7 +450,6 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
     """
     from .layout import assign_layers, break_cycles
 
-    registry = registry or Registry()
     embeddings = {e.id: e.dim for e in diagram.embeddings}
     nodes = {n.id: n for n in diagram.nodes}
     resolutions = {n.id: registry.resolve(n.code, diagram.dialects) for n in diagram.nodes}
@@ -564,10 +550,13 @@ def check_diagram(diagram: Diagram, registry: Registry | None = None) -> TypedDi
 
 
 def _collapse(term: DataTerm) -> DataTerm:
-    """Bounded summary for feedback deliveries: carrier plus labels only.
+    """Summary of a feedback delivery. A scalar or distribution term passes
+    whole, dims included. Any other term keeps only every label it holds and
+    the carrier of its innermost term, when that term is not a tuple.
 
-    Keeps the fixed point on a finite domain even when a cycle runs through
-    structure-building operators.
+    This bounds the structure a cycle through structure-building operators
+    can build, but not dims: a cycle through ``oplus`` or ``concat`` can grow
+    a vector until the sweep budget runs out (E105).
     """
     if term.structure in (SCALAR, DIST):
         return term
@@ -592,7 +581,7 @@ def _delivered_term(edge: Edge, nodes: dict[str, Node],
 def _check_declared(edge: Edge, inferred: DataTerm | None, registry: Registry,
                     diagnostics: list[Diagnostic]) -> None:
     try:
-        declared = parse_data_term(edge.declared_term, registry)
+        declared = registry.parse_term(edge.declared_term)
     except TermError as exc:
         diagnostics.append(Diagnostic("E004", f"edge {edge.id}: {exc}",
                                       ir_path=edge.id, ir_kind="edge"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -54,7 +54,7 @@ from dial.parser import (
     PortRef,
     SourceAst,
     TableDecl,
-    Token,
+    Tokens,
     _Lowerer,
     _number,
     _ParseAbort,
@@ -409,9 +409,7 @@ def propagate_in_order(diagram: Diagram, order: list[str],
         width = max(slots, default=-1) + 1
         inputs = [slots.get(i) for i in range(width)]
         res_flags = [flags.get(i, False) for i in range(width)]
-        outs, diags = infer_output(node, inputs, registry,
-                                   input_is_resource=res_flags,
-                                   dialects=diagram.dialects)
+        outs, diags = infer_output(node, inputs, registry, {}, res_flags, diagram.dialects)
         outputs[node_id] = outs
         codes.extend(d.code for d in diags)
     edge_terms: dict[str, DataTerm | None] = {}
@@ -878,6 +876,20 @@ def random_valid_source(rng: random.Random) -> str:
 # Token and a Span per token, the parser over that token list, its earlier
 # term reader and lowering's earlier id lookups
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # keyword | ident | string | number | punct | arrow | eof
+    text: str
+    span: Span
+
+
+def token_list(tokens: Tokens) -> list[Token]:
+    """The library's parallel token lists as one :class:`Token` per token."""
+    return [Token(kind, text, tokens.span(i))
+            for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
+
 
 _ARROW_RE = re.compile(r"->|<->|\|->|\?>|-o|~>")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -1,0 +1,40 @@
+"""No dead code: every function, class and method under ``src/dial`` is named
+somewhere in ``src/dial``, as a name or an attribute."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dial"
+# library entry points that nothing in the package calls
+ENTRY_POINTS = frozenset({"write_goldens", "canonical_serialize", "deserialize"})
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, name) of each top-level definition and method;
+    dunder methods are left out, since the language calls them."""
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFINITIONS) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_definition_is_named_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = [f"{file}:{qualified}" for file, tree in trees.items()
+            for qualified, name in definitions(tree)
+            if name not in used and name not in ENTRY_POINTS]
+    assert dead == []

@@ -10,6 +10,7 @@ import pytest
 from dial.cli import compile_file
 from dial.layout import (
     GRID,
+    Box,
     _weak_components,
     assign_layers,
     break_cycles,
@@ -111,14 +112,15 @@ def test_independent_chains_keep_declaration_order():
     oriented, _ = break_cycles(d)
     ids = [n.id for n in d.nodes]
     layers = assign_layers(ids, oriented)
-    order = order_within_layers(ids, layers, oriented)
+    order = order_within_layers(ids, layers, oriented, dict.fromkeys(ids, 0))
     assert order[0] == ["v0", "v1"]
     assert order[1] == ["v2", "v3"]
 
 
 def test_single_layer_is_declaration_order():
     d = diagram_from_edges(3, [])
-    order = order_within_layers([n.id for n in d.nodes], {f"v{i}": 0 for i in range(3)}, [])
+    ids = [n.id for n in d.nodes]
+    order = order_within_layers(ids, dict.fromkeys(ids, 0), [], dict.fromkeys(ids, 0))
     assert order[0] == ["v0", "v1", "v2"]
 
 
@@ -128,7 +130,7 @@ def test_crossing_reduction_reaches_minimum_on_small_bipartite():
     oriented, _ = break_cycles(d)
     ids = [n.id for n in d.nodes]
     layers = assign_layers(ids, oriented)
-    order = order_within_layers(ids, layers, oriented)
+    order = order_within_layers(ids, layers, oriented, dict.fromkeys(ids, 0))
     pairs = [(u, v) for _, u, v in oriented]
     got = count_crossings(order[0], order[1], pairs)
     best = min_crossings(["v0", "v1"], ["v2", "v3"], pairs)
@@ -140,7 +142,7 @@ def test_complete_bipartite_crossings_not_worse_than_minimum():
     oriented, _ = break_cycles(d)
     ids = [n.id for n in d.nodes]
     layers = assign_layers(ids, oriented)
-    order = order_within_layers(ids, layers, oriented)
+    order = order_within_layers(ids, layers, oriented, dict.fromkeys(ids, 0))
     pairs = [(u, v) for _, u, v in oriented]
     assert count_crossings(order[0], order[1], pairs) == \
         min_crossings(["v0", "v1"], ["v2", "v3"], pairs)
@@ -194,6 +196,10 @@ def test_layer_monotonicity_in_main_area():
             assert lay.layers[edge.source.node] < lay.layers[edge.target.node], edge
 
 
+def intersects(a: Box, b: Box) -> bool:
+    return not (a.right <= b.x or b.right <= a.x or a.bottom <= b.y or b.bottom <= a.y)
+
+
 def test_group_containment_and_owner_separation():
     result = compile_file("corpus/pass/qa_system.dial")
     lay = layout(result.diagram)
@@ -204,7 +210,7 @@ def test_group_containment_and_owner_separation():
             assert gbox.x < mbox.x and mbox.right < gbox.right
             assert gbox.y < mbox.y and mbox.bottom < gbox.bottom
         owner_box = lay.node_boxes[group.owner]
-        assert not owner_box.intersects(gbox)
+        assert not intersects(owner_box, gbox)
 
 
 def test_no_overlaps():
@@ -214,11 +220,11 @@ def test_no_overlaps():
         boxes = list(lay.node_boxes.items())
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
-                assert not boxes[i][1].intersects(boxes[j][1]), (boxes[i], boxes[j])
+                assert not intersects(boxes[i][1], boxes[j][1]), (boxes[i], boxes[j])
         regions = list(lay.table_regions.values()) + [lay.title_region]
         for _, nbox in boxes:
             for region in regions:
-                assert not nbox.intersects(region)
+                assert not intersects(nbox, region)
 
 
 def test_coordinates_are_grid_quantized_integers():
@@ -309,7 +315,7 @@ def test_layout_matches_quadratic_reference():
         ids = [n.id for n in d.nodes]
         layers = assign_layers(ids, oriented)
         band_of = _weak_components(ids, d.edges)
-        for bands in (None, band_of):
+        for bands in (dict.fromkeys(ids, 0), band_of):
             assert order_within_layers(ids, layers, oriented, bands) == \
                 reference_order_within_layers(ids, layers, oriented, bands), i
         assert layout(d) == reference_layout(d), i

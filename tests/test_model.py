@@ -1,4 +1,4 @@
-"""Core IR: construction API, structural validation, canonical encoding."""
+"""Core IR: structural validation, canonical encoding."""
 
 from __future__ import annotations
 
@@ -6,72 +6,82 @@ import json
 
 import pytest
 
-from dial.diagnostics import DuplicateId, SerializationError, UnknownDialect, UnknownNode
+from dial.cli import compile_source
+from dial.diagnostics import SerializationError
 from dial.model import (
     Diagram,
     DetailGroup,
+    Edge,
     EmbeddingDecl,
     MetaTable,
     Node,
     PerfAnnotation,
     Port,
-    add_edge,
-    add_node,
     canonical_serialize,
     deserialize,
-    new_diagram,
     validate_structure,
 )
+from dial.registry import Registry
 
 
 def task(node_id: str, code: str, **kw) -> Node:
     return Node(id=node_id, kind="task", code=code, shape_class="component", **kw)
 
 
+def add_edge(d: Diagram, source: str, target: str, kind: str = "flow",
+             out_slot: int = 0, in_slot: int = 0) -> None:
+    d.edges.append(Edge(f"e{len(d.edges)}", Port(source, out_slot, "out"),
+                        Port(target, in_slot, "in"), kind))
+
+
 def chain_diagram() -> Diagram:
-    d = new_diagram("chain", {"sys"})
-    add_node(d, Node("src", "io", "interface", params=(("out", "S"),)))
-    add_node(d, task("p", "POS"))
-    add_node(d, task("n", "NER"))
-    add_edge(d, Port("src", 0, "out"), Port("p", 0, "in"))
-    add_edge(d, Port("p", 0, "out"), Port("n", 0, "in"))
+    d = Diagram("chain", frozenset({"sys"}), nodes=[
+        Node("src", "io", "interface", params=(("out", "S"),)), task("p", "POS"), task("n", "NER")])
+    add_edge(d, "src", "p")
+    add_edge(d, "p", "n")
     return d
 
 
+def validate(d: Diagram) -> list[str]:
+    return [x.code for x in validate_structure(d, Registry())]
+
+
 def test_new_diagram():
-    d = new_diagram("QA", {"sys"})
-    assert d.dialects == frozenset({"sys"})
-    assert not d.nodes and not d.edges
-    both = new_diagram("M", {"sys", "nn"})
-    assert "nn" in both.dialects
+    for line, dialects in (("sys", {"sys"}), ("sys, nn", {"sys", "nn"})):
+        result = compile_source(f'dial 0.1\ndialect {line}\ndiagram "QA" {{ }}\n')
+        assert result.diagnostics == []
+        assert result.diagram.dialects == frozenset(dialects)
+        assert not result.diagram.nodes and not result.diagram.edges
 
 
 def test_new_diagram_unknown_dialect():
-    with pytest.raises(UnknownDialect):
-        new_diagram("X", {"db"})
-    with pytest.raises(UnknownDialect):
-        new_diagram("X", {"nn"})  # sys is mandatory
+    # E003 from lowering; the interchange decoder reports the same list as E021
+    for line, names in (("sys, db", "db"), ("nn", "missing sys")):  # sys is mandatory
+        result = compile_source(f'dial 0.1\ndialect {line}\ndiagram "X" {{ }}\n')
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E003", f"dialect list is invalid ({names}); v0.1 registers: sys, nn")]
+        assert result.diagram is None
 
 
 def test_add_node_and_duplicates():
-    d = new_diagram("t", {"sys"})
-    assert add_node(d, task("p", "POS")) == "p"
-    assert len(d.nodes) == 1
-    with pytest.raises(DuplicateId):
-        add_node(d, task("p", "POS"))
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "t" {\n'
+                            '  node p: POS\n  node p: POS\n}\n')
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E003", "duplicate declaration id 'p'")]
+    assert [n.id for n in result.diagram.nodes] == ["p"]
 
 
 def test_unresolved_code_is_deferred():
-    d = new_diagram("t", {"sys"})
-    add_node(d, Node("b", "nn_layer", "bilstm"))
-    codes = [x.code for x in validate_structure(d)]
-    assert codes == ["E010"]
+    d = Diagram("t", frozenset({"sys"}), nodes=[Node("b", "nn_layer", "bilstm")])
+    assert validate(d) == ["E010"]
 
 
 def test_add_edge_unknown_node():
     d = chain_diagram()
-    with pytest.raises(UnknownNode):
-        add_edge(d, Port("src", 0, "out"), Port("ghost", 0, "in"))
+    add_edge(d, "src", "ghost")
+    diags = validate_structure(d, Registry())
+    assert [(x.code, x.ir_path, x.message) for x in diags] == [
+        ("E011", "e2", "edge references unknown node 'ghost'")]
 
 
 def test_edges_stay_closed_under_nodes():
@@ -82,35 +92,36 @@ def test_edges_stay_closed_under_nodes():
 
 
 def test_validate_clean_chain():
-    assert validate_structure(chain_diagram()) == []
+    assert validate(chain_diagram()) == []
 
 
 def test_validate_is_pure():
     d = chain_diagram()
-    add_node(d, Node("b", "nn_layer", "bilstm"))
-    assert validate_structure(d) == validate_structure(d)
+    d.nodes.append(Node("b", "nn_layer", "bilstm"))
+    registry = Registry()
+    assert validate_structure(d, registry) == validate_structure(d, registry)
 
 
 def test_persist_into_task_is_flagged():
     d = chain_diagram()
-    add_edge(d, Port("p", 0, "out"), Port("n", 0, "in"), "persist")
-    codes = [x.code for x in validate_structure(d)]
+    add_edge(d, "p", "n", "persist")
+    codes = validate(d)
     # the slot is already taken by the flow edge, and the target is no resource
     assert "E013" in codes and "E011" in codes
 
 
 def test_query_needs_a_resource_endpoint():
     d = chain_diagram()
-    add_node(d, Node("f", "function", "func"))
-    add_edge(d, Port("src", 0, "out"), Port("f", 0, "in"), "query")
-    codes = [x.code for x in validate_structure(d)]
+    d.nodes.append(Node("f", "function", "func"))
+    add_edge(d, "src", "f", "query")
+    codes = validate(d)
     assert codes == ["E013"]
 
 
 def test_slot_beyond_arity():
     d = chain_diagram()
-    add_edge(d, Port("p", 3, "out"), Port("n", 2, "in"))
-    codes = [x.code for x in validate_structure(d)]
+    add_edge(d, "p", "n", out_slot=3, in_slot=2)
+    codes = validate(d)
     assert codes.count("E011") == 2
 
 
@@ -118,31 +129,31 @@ def test_group_cycle_detection():
     d = chain_diagram()
     d.groups.append(DetailGroup("g1", owner="p", member_nodes=("n",)))
     d.groups.append(DetailGroup("g2", owner="n", member_nodes=("p",)))
-    codes = [x.code for x in validate_structure(d)]
+    codes = validate(d)
     assert "E012" in codes
 
 
 def test_owner_inside_its_own_group():
     d = chain_diagram()
     d.groups.append(DetailGroup("g1", owner="p", member_nodes=("p", "n")))
-    codes = [x.code for x in validate_structure(d)]
+    codes = validate(d)
     assert "E012" in codes
 
 
 def test_dangling_group_member():
     d = chain_diagram()
     d.groups.append(DetailGroup("g1", owner="p", member_nodes=("ghost",)))
-    codes = [x.code for x in validate_structure(d)]
+    codes = validate(d)
     assert codes == ["E011"]
 
 
 def test_node_in_two_groups():
     # layout would draw the node in both boxes; the later group is named
     d = chain_diagram()
-    add_node(d, Node("f", "function", "func"))
+    d.nodes.append(Node("f", "function", "func"))
     d.groups.append(DetailGroup("g1", owner="p", member_nodes=("f", "f")))
     d.groups.append(DetailGroup("g2", owner="n", member_nodes=("f",)))
-    diags = validate_structure(d)
+    diags = validate_structure(d, Registry())
     assert [(x.code, x.ir_path) for x in diags] == [("E014", "g2")]
     assert "'g1'" in diags[0].message and "'f'" in diags[0].message
 
@@ -154,16 +165,16 @@ def test_node_in_two_groups_from_interchange_json():
         {"id": "g2", "owner": "src", "member_nodes": ["n"], "member_edges": []},
         {"id": "g3", "owner": "src", "member_nodes": ["n", "p"], "member_edges": []},
     ]
-    diags = validate_structure(deserialize(json.dumps(doc).encode()))
+    diags = validate_structure(deserialize(json.dumps(doc).encode()), Registry())
     assert [(x.code, x.ir_path) for x in diags] == [
         ("E014", "g2"), ("E014", "g3"), ("E014", "g3")]
 
 
 def rich_diagram() -> Diagram:
     d = chain_diagram()
-    add_node(d, Node("gold1", "resource", "gold", label="labels",
-                     params=(("out", "S^NER"),),
-                     perf=(PerfAnnotation("acc", 0.9, "dev"),)))
+    d.nodes.append(Node("gold1", "resource", "gold", label="labels",
+                        params=(("out", "S^NER"),),
+                        perf=(PerfAnnotation("acc", 0.9, "dev"),)))
     d.groups.append(DetailGroup("g1", owner="p", member_nodes=("n",),
                                 member_edges=("e1",)))
     d.tables.append(MetaTable("results", "results", rows=(("acc", "0.9"),)))
@@ -185,12 +196,8 @@ def test_round_trip():
 
 
 def test_declaration_order_is_significant():
-    a = new_diagram("t", {"sys"})
-    add_node(a, task("p", "POS"))
-    add_node(a, task("n", "NER"))
-    b = new_diagram("t", {"sys"})
-    add_node(b, task("n", "NER"))
-    add_node(b, task("p", "POS"))
+    a = Diagram("t", frozenset({"sys"}), nodes=[task("p", "POS"), task("n", "NER")])
+    b = Diagram("t", frozenset({"sys"}), nodes=[task("n", "NER"), task("p", "POS")])
     assert canonical_serialize(a) != canonical_serialize(b)
 
 
@@ -243,12 +250,16 @@ def _set(path: tuple, value):
     _set(("groups", 0, "exit_side"), None),
     _set(("tables", 0, "placement"), {}),
     _set(("embeddings", 0, "label"), 300),
+    _set(("dialects",), ["db", "sys"]),
+    _set(("dialects",), ["nn"]),
+    _set(("edges", 0, "target", "slot"), -1),
 ], ids=["empty_source", "params_triple", "acc_out_of_range", "dim_zero",
         "unhashable_dialect", "perf_not_object", "dialect_not_string",
         "title_placement_null", "label_not_string", "param_name_not_string",
         "detail_not_string", "placement_hint_not_string", "declared_term_not_string",
         "member_node_not_string", "member_edge_not_string", "entry_side_not_string",
-        "exit_side_null", "table_placement_not_string", "embedding_label_not_string"])
+        "exit_side_null", "table_placement_not_string", "embedding_label_not_string",
+        "unknown_dialect", "missing_sys", "negative_slot"])
 def test_malformed_document_is_e021(mutate):
     doc = json.loads(canonical_serialize(rich_diagram()))
     mutate(doc)

@@ -8,20 +8,26 @@ from collections import Counter
 
 import pytest
 
-from dial import terms, typecheck
+from dial import terms
 from dial.cli import compile_source
 from dial.diagnostics import Span, has_errors
 from dial.model import Diagram
-from dial.parser import DetailDecl, Token, format_source, lower, parse, tokenize
+from dial.parser import DetailDecl, format_source, lower, parse, tokenize
 from oracles import (
     mutate_source,
     random_front_end_source,
     reference_lower,
     reference_parse,
     reference_tokenize,
+    token_list,
 )
 
 MINIMAL = 'dial 0.1\ndialect sys\ndiagram "D" { }\n'
+
+
+def lex(source: str):
+    tokens, diags = tokenize(source)
+    return token_list(tokens), diags
 
 
 def parse_source(source: str):
@@ -45,14 +51,14 @@ def wrap(*items: str, dialects: str = "sys") -> str:
 
 
 def test_tokenize_node_decl():
-    tokens, diags = tokenize("node p: POS")
+    tokens, diags = lex("node p: POS")
     assert not diags
-    assert [(t.kind, t.text) for t in list(tokens)[:-1]] == [
+    assert [(t.kind, t.text) for t in tokens[:-1]] == [
         ("keyword", "node"), ("ident", "p"), ("punct", ":"), ("ident", "POS")]
 
 
 def test_tokenize_arrows():
-    tokens, _ = tokenize("a -> b <-> c |-> d ?> e -o f ~> g")
+    tokens, _ = lex("a -> b <-> c |-> d ?> e -o f ~> g")
     arrows = [t.text for t in tokens if t.kind == "arrow"]
     assert arrows == ["->", "<->", "|->", "?>", "-o", "~>"]
 
@@ -69,14 +75,14 @@ def test_illegal_character():
 
 
 def test_comments_are_discarded():
-    tokens, _ = tokenize("// hello\nnode p: POS // trailing\n")
+    tokens, _ = lex("// hello\nnode p: POS // trailing\n")
     assert all(t.kind != "string" for t in tokens)
     assert tokens[0].text == "node"
     assert tokens[0].span.line == 2
 
 
 def test_spans_cover_positions():
-    tokens, _ = tokenize('node p: POS\nedge a -> b\n')
+    tokens, _ = lex('node p: POS\nedge a -> b\n')
     for token in tokens:
         assert token.span.line >= 1 and token.span.col >= 1
 
@@ -112,14 +118,14 @@ TOKEN_POSITIONS = {
 @pytest.mark.parametrize("source, expected, lexical", TOKEN_POSITIONS.values(),
                          ids=TOKEN_POSITIONS)
 def test_token_positions(source, expected, lexical):
-    tokens, diags = tokenize(source)
+    tokens, diags = lex(source)
     assert [(t.kind, t.text, t.span.line, t.span.col, t.span.length) for t in tokens] == expected
     assert [(d.code, d.message, d.span.line, d.span.col) for d in diags] == \
         [("E001", *e001) for e001 in lexical]
 
 
 def test_positions_after_an_escaped_newline_are_physical():
-    tokens, _ = tokenize('diagram "a\\\nb" {\n  node')
+    tokens, _ = lex('diagram "a\\\nb" {\n  node')
     assert [(t.text, t.span.line, t.span.col) for t in tokens] == [
         ("diagram", 1, 1), ("a\nb", 1, 9), ("{", 2, 4), ("node", 3, 3), ("", 3, 7)]
 
@@ -133,21 +139,19 @@ def test_tokenize_matches_character_loop_on_odd_input():
                 for _ in range(2000)]
     for source in sources:
         if "\\\n" not in source:
-            tokens, diags = tokenize(source)
-            assert (list(tokens), diags) == reference_tokenize(source), source
+            assert lex(source) == reference_tokenize(source), source
 
 
 def test_tokenize_builds_no_token_or_span(monkeypatch):
     built: Counter[str] = Counter()
-    for cls in (Token, Span):
-        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
-            built[_name] += 1
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counting)
+    def counting(self, *args, _init=Span.__init__):
+        built["Span"] += 1
+        _init(self, *args)
+    monkeypatch.setattr(Span, "__init__", counting)
     tokens, diags = tokenize(wide_source(1000))
     assert diags == [] and len(tokens) == 44_009
     assert built == Counter()
-    assert tokens[2].span == Span(2, 1, 7) and built == {"Token": 1, "Span": 2}
+    assert tokens.span(2) == Span(2, 1, 7) and built == {"Span": 2}
 
 
 # -- parser ------------------------------------------------------------------
@@ -285,6 +289,19 @@ def test_extension_collision_is_reported():
     assert [d.code for d in unit.diagnostics] == ["E003"]
 
 
+@pytest.mark.parametrize("second", [
+    "extend symbol z { glyph: op_cond; }",
+    "extend task z { domain: S; range: S; }",
+], ids=["symbol_twice", "task_beside_symbol"])
+def test_repeated_extension_code_is_e003(second):
+    # like a repeated node id; the later block neither replaces nor shadows the first
+    unit = lower(parse_source(wrap("extend symbol z { glyph: op_func; }", second))[0])
+    assert [(d.code, d.message, d.span.line, d.span.col) for d in unit.diagnostics] == [
+        ("E003", "duplicate extension code 'z'", 5, 3)]
+    resolution = unit.registry.resolve("z", frozenset({"sys"}))
+    assert resolution.kind == "operator" and resolution.symbol.glyph_id == "op_func"
+
+
 # -- formatter ---------------------------------------------------------------
 
 
@@ -394,7 +411,7 @@ def test_front_end_matches_quadratic_reference():
             src = mutate_source(rng, src)
         tokens, lex_diags = tokenize(src)
         ref_tokens, ref_lex_diags = reference_tokenize(src)
-        assert (list(tokens), lex_diags) == (ref_tokens, ref_lex_diags), src
+        assert (token_list(tokens), lex_diags) == (ref_tokens, ref_lex_diags), src
         ast, diags = parse(tokens)
         assert (ast, diags) == reference_parse(ref_tokens), src
         if ast is None:
@@ -490,8 +507,7 @@ def test_compile_parses_each_distinct_term_once(monkeypatch):
         calls[literal] += 1
         return real(literal, vocab)
 
-    for module in (terms, typecheck):
-        monkeypatch.setattr(module, "parse_term", counting)
+    monkeypatch.setattr(terms, "parse_term", counting)
     result = compile_source(wide_source(75))
     assert result.diagnostics == [] and result.typed is not None
     assert calls == {"S^Token": 1, "S^{POS,Token}": 1, "S^{NER,Names}": 1}

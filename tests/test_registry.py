@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from dial.diagnostics import CollidesWithBuiltin, UnknownDialect, UnknownSymbol, UnknownTask
+from dial.diagnostics import CollidesWithBuiltin, UnknownDialect, UnknownSymbol
 from dial.registry import (
     DATA_CATEGORIES,
     META,
@@ -29,24 +29,23 @@ def registry() -> Registry:
 
 
 def test_pos_signature(registry):
-    sig = registry.lookup_signature("POS", SYS)
-    assert [t.base for t in sig.domain] == ["s_T"]
-    assert sig.range[0].base == "s_T"
-    assert sig.range[0].required == frozenset({"POS"})
+    [(domain, rng)] = registry.resolve("POS", SYS).signature.variants
+    assert [t.base for t in domain] == ["s_T"]
+    assert rng[0].base == "s_T"
+    assert rng[0].required == frozenset({"POS"})
 
 
 def test_abductive_signature(registry):
-    sig = registry.lookup_signature("ABD", SYS)
-    assert sig.domain[0].base == "PredArg"
-    assert sig.domain[0].required == frozenset({"F"})
-    assert sig.domain[1].is_resource
-    assert sig.range[0].structure == "sequence"
-    assert sig.range[0].element.base == "PredArg"
+    [(domain, rng)] = registry.resolve("ABD", SYS).signature.variants
+    assert domain[0].base == "PredArg"
+    assert domain[0].required == frozenset({"F"})
+    assert domain[1].is_resource
+    assert rng[0].structure == "sequence"
+    assert rng[0].element.base == "PredArg"
 
 
 def test_unknown_task(registry):
-    with pytest.raises(UnknownTask):
-        registry.lookup_signature("FOO", SYS)
+    assert registry.resolve("FOO", SYS) is None
 
 
 def test_rank_symbol(registry):
@@ -80,17 +79,15 @@ def test_builtin_codes_are_unique_across_tables():
 
 
 def _scan_resolve(registry, code, dialects):
-    """``resolve`` as two lookups, each a scan that raises when nothing matches."""
-    try:
-        sig = registry.lookup_signature(code, dialects)
+    """``resolve`` as two lookups, each a scan of the builtin table in scope
+    before the extension table: signatures first, then symbols."""
+    sig = next((s for s in SIGNATURES if s.task_code == code and s.dialect in dialects),
+               registry._ext_signatures.get(code))
+    if sig is not None:
         return Resolution("task", signature=sig, is_extension=sig.dialect == "ext")
-    except UnknownTask:
-        pass
-    try:
-        sym = registry.lookup_symbol(code, dialects)
-    except UnknownSymbol:
-        return None
-    if sym.category == META:
+    sym = next((s for s in SYMBOLS if s.code == code and s.dialect in dialects),
+               registry._ext_symbols.get(code))
+    if sym is None or sym.category == META:
         return None
     return Resolution(kind_for_symbol(sym), symbol=sym, is_extension=sym.dialect == "ext")
 
@@ -153,8 +150,8 @@ def test_extension_task_signature(registry):
     registry.register_extension(Signature(
         task_code="LangID", dialect="ext", name="language id",
         variants=((domain, rng),)))
-    sig = registry.lookup_signature("LangID", SYS)
-    assert sig.range[0].required == frozenset({"Lang"})
+    [(_, rng)] = registry.resolve("LangID", SYS).signature.variants
+    assert rng[0].required == frozenset({"Lang"})
     assert registry.vocabulary.knows_label("Lang")
 
 
@@ -173,8 +170,8 @@ def test_meta_symbols_are_not_node_codes(registry):
 
 
 def test_lookups_are_pure(registry):
-    a = registry.lookup_signature("WSD", SYS)
-    b = registry.lookup_signature("WSD", SYS)
+    a = registry.resolve("WSD", SYS).signature
+    b = registry.resolve("WSD", SYS).signature
     assert a == b and a is b
 
 

@@ -47,15 +47,16 @@ def compile_corpus(name: str):
 
 
 def test_fixed_glyph_assignments():
-    assert glyph_for("dataset", SYS).primitive == "cylinder"
-    assert glyph_for("cond", SYS).primitive == "diamond"
-    assert glyph_for("encoder", SYS).primitive == "trapezoid-right"
-    assert glyph_for("decoder", SYS).primitive == "trapezoid-left"
-    assert glyph_for("gold", SYS).badge == "star"
-    assert glyph_for("kbfn", SYS).badge == "f"
-    assert glyph_for("classifier", SYS).badge == "C"
-    assert glyph_for("gru", BOTH).badge == "GRU"
-    assert glyph_for("gru", BOTH).mark == "lstm"  # shares the LSTM geometry
+    registry = Registry()
+    assert glyph_for("dataset", SYS, registry).primitive == "cylinder"
+    assert glyph_for("cond", SYS, registry).primitive == "diamond"
+    assert glyph_for("encoder", SYS, registry).primitive == "trapezoid-right"
+    assert glyph_for("decoder", SYS, registry).primitive == "trapezoid-left"
+    assert glyph_for("gold", SYS, registry).badge == "star"
+    assert glyph_for("kbfn", SYS, registry).badge == "f"
+    assert glyph_for("classifier", SYS, registry).badge == "C"
+    assert glyph_for("gru", BOTH, registry).badge == "GRU"
+    assert glyph_for("gru", BOTH, registry).mark == "lstm"  # shares the LSTM geometry
 
 
 def test_glyph_totality():
@@ -65,8 +66,8 @@ def test_glyph_totality():
             spec = glyph_for(symbol.code, scope, registry)
             assert isinstance(spec, GlyphSpec), symbol.code
     for sig in SIGNATURES:
-        assert glyph_for(sig.task_code, SYS).primitive == "rectangle"
-    assert glyph_for("kb", SYS).badge == "KB"
+        assert glyph_for(sig.task_code, SYS, registry).primitive == "rectangle"
+    assert glyph_for("kb", SYS, registry).badge == "KB"
 
 
 def test_every_registry_glyph_id_exists():

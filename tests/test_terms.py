@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from dial.registry import ANNOTATION_LABELS, BUILTIN_VOCABULARY
+from dial.registry import ANNOTATION_LABELS, BUILTIN_VOCABULARY, Registry
 from dial.terms import (
     DIST,
     MAX_NESTING,
@@ -21,7 +21,7 @@ from dial.terms import (
     format_term,
     parse_term,
 )
-from dial.typecheck import parse_data_term, term_text
+from dial.typecheck import term_text
 from oracles import mutate_term_literal, random_term_literal, reference_parse_term
 
 
@@ -91,8 +91,8 @@ def test_malformed_terms(bad):
 
 
 def test_parse_data_term_uses_builtin_registry():
-    term = parse_data_term("S^NER")
-    assert term.base == "s_T"
+    term = Registry().parse_term("S^NER")
+    assert term.base == "s_T" and term == parse("S^NER")
 
 
 def test_format_round_trip_examples():

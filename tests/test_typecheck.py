@@ -19,7 +19,6 @@ from dial.typecheck import (
     dim_combine,
     infer_output,
     match_term,
-    parse_data_term,
 )
 from oracles import (
     propagate_in_order,
@@ -34,7 +33,7 @@ SYS = frozenset({"sys"})
 
 
 def term(text: str):
-    return parse_data_term(text)
+    return Registry().parse_term(text)
 
 
 # -- match_term ---------------------------------------------------------------
@@ -72,7 +71,7 @@ def test_structure_must_agree():
 def infer(code: str, inputs, kind="task", params=(), resource=None):
     node = Node(id="x", kind=kind, code=code, params=tuple(params))
     terms = [term(t) if isinstance(t, str) else t for t in inputs]
-    return infer_output(node, terms, input_is_resource=resource, dialects=SYS)
+    return infer_output(node, terms, Registry(), {}, resource or [False] * len(terms), SYS)
 
 
 def test_pos_tagging():
