@@ -96,10 +96,6 @@ class UnknownDialect(DialError):
     pass
 
 
-class UnknownSymbol(DialError):
-    pass
-
-
 class CollidesWithBuiltin(DialError):
     pass
 

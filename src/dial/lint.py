@@ -75,8 +75,8 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult, registry: Registry,
 
     symbol_names = _symbol_names(registry, diagram.dialects)
     for node in diagram.nodes:
-        resolution = registry.resolve(node.code, diagram.dialects)
-        if resolution is not None and resolution.is_extension:
+        found = registry.resolve(node.code, diagram.dialects)
+        if found is not None and found.dialect == "ext":
             emit("W205", f"node {node.id!r} uses extension code {node.code!r}; "
                          "introduce new symbols sparingly", node.id)
         if node.label is not None:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, SerializationError
-from .registry import Registry, Resolution, dialect_list_error
+from .registry import Registry, Signature, SymbolDef, dialect_list_error, node_kind
 
 IR_VERSION = "0.1"
 
@@ -150,7 +150,7 @@ def validate_structure(diagram: Diagram, registry: Registry) -> list[Diagnostic]
     listed by more than one detail group.
     """
     out: list[Diagnostic] = []
-    resolutions: dict[str, Resolution | None] = {}
+    resolutions: dict[str, Signature | SymbolDef | None] = {}
     node_ids = {n.id for n in diagram.nodes}
     embedding_ids = {e.id for e in diagram.embeddings}
 
@@ -202,7 +202,7 @@ def validate_structure(diagram: Diagram, registry: Registry) -> list[Diagnostic]
 
         def _kind(node_id: str) -> str | None:
             res = resolutions.get(node_id)
-            return res.kind if res else None
+            return node_kind(res) if res else None
 
         if edge.flow_kind == "persist" and edge.target.node in node_ids:
             if _kind(edge.target.node) not in (None, "resource"):
@@ -338,7 +338,8 @@ def _expect(obj, key: str, types, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise _bad(f"{where}: missing key {key!r}")
     value = obj[key]
-    if types is not None and not isinstance(value, types):
+    # JSON true/false decode as bool, an int subclass; no key here takes one
+    if types is not None and (not isinstance(value, types) or isinstance(value, bool)):
         raise _bad(f"{where}: key {key!r} has the wrong type")
     return value
 

@@ -49,10 +49,9 @@ from .model import (
     Port,
     default_shape_class,
 )
-from .registry import FormalTerm, Registry, Signature, SymbolDef, dialect_list_error
+from .registry import Registry, Signature, Slot, SymbolDef, dialect_list_error, node_kind
 from .terms import (
     MAX_NESTING,
-    DataTerm,
     TermError,
     TermNestingError,
     TermParser,
@@ -695,10 +694,8 @@ def _register_extensions(ast: SourceAst, registry: Registry,
                     for literal in fields.get(key, ()):
                         for label in parse_term(literal, None).all_labels():
                             registry.register_label(label)
-                domain = tuple(_formal_from_term(registry.parse_term(lit))
-                               for lit in fields.get("domain", ()))
-                rng = tuple(_formal_from_term(registry.parse_term(lit))
-                            for lit in fields.get("range", ()))
+                domain = tuple(Slot(registry.parse_term(lit)) for lit in fields.get("domain", ()))
+                rng = tuple(Slot(registry.parse_term(lit)) for lit in fields.get("range", ()))
                 if not domain or not rng:
                     diagnostics.append(Diagnostic(
                         "E003", f"extension task {decl.name!r} needs domain and range",
@@ -712,18 +709,6 @@ def _register_extensions(ast: SourceAst, registry: Registry,
         except TermError as exc:
             diagnostics.append(Diagnostic(
                 "E004", f"in extension {decl.name!r}: {exc}", span=decl.span))
-
-
-def _formal_from_term(term: DataTerm) -> FormalTerm:
-    return FormalTerm(
-        base=term.base,
-        required=term.annotations,
-        structure=term.structure,
-        element=_formal_from_term(term.element) if term.element else None,
-        elements=tuple(_formal_from_term(t) for t in term.elements),
-        subscript=term.subscript,
-        dims=term.dims,
-    )
 
 
 _TAG_CODE = {"dataset": "dataset", "gold": "gold", "kb": "kb", "kbfn": "kbfn"}
@@ -799,8 +784,8 @@ class _Lowerer:
                 if key == "out":
                     self._check_term(str(value), decl.span)
                 params.append((key, value))
-        resolution = self.registry.resolve(decl.code, self.diagram.dialects)
-        kind = resolution.kind if resolution else "operator"
+        found = self.registry.resolve(decl.code, self.diagram.dialects)
+        kind = node_kind(found) if found else "operator"
         node = Node(
             id=decl.id, kind=kind, code=decl.code, label=label,
             params=tuple(params),
@@ -989,7 +974,7 @@ def _format_items(items, depth: int, lines: list[str]) -> None:
                     lo_in, hi_in, lo_out, hi_out = value
                     lines.append(f"{pad}  arity: {lo_in}..{hi_in} -> {lo_out}..{hi_out};")
                 else:
-                    lines.append(f"{pad}  {key}: {value};")
+                    lines.append(f"{pad}  {key}: {_param_value(value)};")
             lines.append(pad + "}")
 
 

@@ -17,12 +17,12 @@ from .registry import (
     BUILTIN_VOCABULARY,
     DATA_CATEGORIES,
     DIALECTS,
-    FormalTerm,
     Registry,
+    Slot,
 )
 from .render import GLYPH_TABLE, SVG_MARKS
-from .terms import MAX_NESTING
-from .typecheck import formal_text
+from .terms import MAX_NESTING, SEQUENCE, SET, DataTerm
+from .typecheck import term_text
 
 ERROR_CODES = [
     ("E001", "lexical error"),
@@ -45,26 +45,25 @@ ERROR_CODES = [
 ]
 
 
-def _formal_text(t: FormalTerm) -> str:
-    if t.structure == "set":
-        return "{" + _formal_text(t.element) + "}"
-    if t.structure == "sequence":
-        return "[" + _formal_text(t.element) + "]"
-    if t.structure == "tuple":
-        return "(" + ", ".join(_formal_text(e) for e in t.elements) + ")"
-    text = formal_text(t)
-    if t.optional:
-        text += "^(" + ",".join(sorted(t.optional)) + ")"
+def _pattern_text(term: DataTerm, optional: frozenset[str]) -> str:
+    """A slot's pattern with its optional labels on the innermost term."""
+    if term.structure == SET:
+        return "{" + _pattern_text(term.element, optional) + "}"
+    if term.structure == SEQUENCE:
+        return "[" + _pattern_text(term.element, optional) + "]"
+    text = term_text(term)
+    if optional:
+        text += "^(" + ",".join(sorted(optional)) + ")"
     return text
 
 
-def _formal_list(terms: tuple[FormalTerm, ...]) -> str:
+def _slot_list(slots: tuple[Slot, ...]) -> str:
     parts = []
-    for t in terms:
-        text = _formal_text(t)
-        if t.is_resource:
+    for slot in slots:
+        text = _pattern_text(slot.term, slot.optional)
+        if slot.is_resource:
             text += " (resource)"
-        if t.optional_term:
+        if slot.optional_term:
             text = f"({text})"
         parts.append(text)
     return ", ".join(parts)
@@ -87,7 +86,7 @@ def generate_reference() -> str:
         for i, (domain, rng) in enumerate(sig.variants):
             code = sig.task_code if i == 0 else ""
             name = sig.name if i == 0 else "(alternative)"
-            add(f"| {code} | {name} | {_formal_list(domain)} | {_formal_list(rng)} |")
+            add(f"| {code} | {name} | {_slot_list(domain)} | {_slot_list(rng)} |")
     add("")
     add("Superscripts in parentheses are optional annotations; a term in")
     add("parentheses is an optional input or output. Resource inputs must be")

@@ -6,15 +6,22 @@ and never leak between compilations.
 
 Dialects shipped in v0.1: ``sys`` (whole-system vocabulary) and ``nn``
 (neural-network layer vocabulary).
+
+Each fact is stored once, as one record, and :meth:`Registry.resolve`
+returns that record: a :class:`Signature` for a task code, a
+:class:`SymbolDef` for a symbol code, or None. :func:`node_kind` derives a
+node's kind from either. A signature's inputs and outputs are
+:class:`Slot` values, each a :class:`~dial.terms.DataTerm` pattern plus the
+flags that belong to the slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .diagnostics import CollidesWithBuiltin, UnknownDialect, UnknownSymbol
+from .diagnostics import CollidesWithBuiltin, UnknownDialect
 from . import terms
-from .terms import SCALAR, SEQUENCE, SET, DataTerm, TermVocabulary
+from .terms import SEQUENCE, SET, DataTerm, TermVocabulary
 
 DIALECTS = ("sys", "nn")
 
@@ -108,24 +115,20 @@ BUILTIN_VOCABULARY = TermVocabulary(
 
 
 # ---------------------------------------------------------------------------
-# Formal terms and task signatures
+# Task signatures
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FormalTerm:
-    """One slot of a signature's domain or range."""
+class Slot:
+    """One input or output of a signature: a data-term pattern plus the flags
+    that belong to the slot rather than to the term. The pattern's labels
+    are required; a ``None`` base or ``None`` dims match anything."""
 
-    base: str | None = None
-    required: frozenset[str] = frozenset()
-    optional: frozenset[str] = frozenset()
-    is_resource: bool = False
-    structure: str = SCALAR
-    element: "FormalTerm | None" = None
-    elements: tuple["FormalTerm", ...] = ()
+    term: DataTerm
+    optional: frozenset[str] = frozenset()  # labels documented as optional
+    is_resource: bool = False  # must be wired from a stored resource
     optional_term: bool = False  # whole slot may be left unwired
-    subscript: str | None = None
-    dims: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ class Signature:
     task_code: str
     dialect: str
     name: str
-    variants: tuple[tuple[tuple[FormalTerm, ...], tuple[FormalTerm, ...]], ...]
+    variants: tuple[tuple[tuple[Slot, ...], tuple[Slot, ...]], ...]
 
     @property
     def min_in(self) -> int:
@@ -148,17 +151,16 @@ class Signature:
         return max(len(rng) for _, rng in self.variants)
 
 
-def _ft(base: str, req: str = "", opt: str = "", **kw) -> FormalTerm:
+def _ft(base: str, req: str = "", opt: str = "", subscript: str | None = None,
+        **flags) -> Slot:
     split = lambda s: frozenset(x for x in s.split(",") if x)
-    return FormalTerm(base=base, required=split(req), optional=split(opt), **kw)
+    return Slot(DataTerm(base=base, annotations=split(req), subscript=subscript),
+                split(opt), **flags)
 
 
-def _seq(inner: FormalTerm, **kw) -> FormalTerm:
-    return FormalTerm(structure=SEQUENCE, element=inner, **kw)
-
-
-def _setof(inner: FormalTerm, **kw) -> FormalTerm:
-    return FormalTerm(structure=SET, element=inner, **kw)
+def _of(structure: str, inner: Slot) -> Slot:
+    """``inner`` wrapped as a set or sequence; the slot's flags stay."""
+    return replace(inner, term=DataTerm(structure=structure, element=inner.term))
 
 
 _S = _ft("s_T")
@@ -196,14 +198,14 @@ SIGNATURES: tuple[Signature, ...] = (
     _sig("SUMM", "text summarisation",
          ([_ft("T", opt="Chunk,NER,Arg,Name,Sem")], [_T])),
     _sig("COREF", "co-reference resolution",
-         ([_ft("s_T", req="NER")], [_setof(_ft("Chains"))]),
-         ([_ft("T", opt="Token")], [_setof(_ft("Chains"))])),
+         ([_ft("s_T", req="NER")], [_of(SET, _ft("Chains"))]),
+         ([_ft("T", opt="Token")], [_of(SET, _ft("Chains"))])),
     _sig("RST", "rhetorical structure classification",
          ([_S], [_ft("s_T", req="RS")]),
          ([_ft("s_T", subscript="1"), _ft("s_T", subscript="2")], [_ft("s_T", req="RS")]),
          ([_T], [_ft("T", req="RS")])),
     _sig("ARGSTR", "argumentation structure classification",
-         ([_seq(_S), _T], [_ft("T", req="ArgStruct")])),
+         ([_of(SEQUENCE, _S), _T], [_ft("T", req="ArgStruct")])),
     _sig("ARGSCH", "argument scheme classification",
          ([_ft("T", req="ArgStruct")], [_ft("P_c", req="ArgScheme")])),
     _sig("POLEM", "polarity and emotion analysis",
@@ -212,17 +214,17 @@ SIGNATURES: tuple[Signature, ...] = (
     _sig("STRSIM", "string similarity",
          ([_ft("t_T", subscript="1"), _ft("t_T", subscript="2")], [_ft("Score")])),
     _sig("SEMSIM", "semantic similarity",
-         ([_setof(_ft("t_T", opt="entity"))], [_ft("Score")])),
+         ([_of(SET, _ft("t_T", opt="entity"))], [_ft("Score")])),
     _sig("SEMREL", "semantic relatedness",
-         ([_setof(_ft("t_T", opt="entity"))], [_ft("Score")])),
+         ([_of(SET, _ft("t_T", opt="entity"))], [_ft("Score")])),
     _sig("IND", "inductive reasoning",
-         ([_ft("PredArg", req="F"), replace(_ft("KB", req="R", is_resource=True), optional_term=True),
+         ([_ft("PredArg", req="F"), _ft("KB", req="R", is_resource=True, optional_term=True),
            _ft("KB", req="Constraints", is_resource=True)],
           [_ft("s_T", opt="PredArg")])),
     _sig("DED", "deductive reasoning",
          ([_ft("PredArg"), _ft("KB", req="F,R", is_resource=True)], [_ft("PredArg")])),
     _sig("ABD", "abductive reasoning",
-         ([_ft("PredArg", req="F"), _KB], [_seq(_ft("PredArg"))])),
+         ([_ft("PredArg", req="F"), _KB], [_of(SEQUENCE, _ft("PredArg"))])),
 )
 
 
@@ -305,7 +307,7 @@ SYMBOLS: tuple[SymbolDef, ...] = (
     _sym("hidden_bwd", "nn", "hidden layer, backward", "nn_hidden_bwd", ((1, 2), (1, 1)), NN),
 )
 
-# Node kind implied by a code (tasks are always kind "task").
+# Node kind implied by a symbol code (a task code always gives "task").
 _KIND_OVERRIDES = {
     "classifier": "classifier", "classification": "classifier", "regression": "classifier",
     "func": "function", "func_contract": "function",
@@ -313,36 +315,17 @@ _KIND_OVERRIDES = {
 }
 
 
-def kind_for_symbol(symbol: SymbolDef) -> str:
-    if symbol.code in _KIND_OVERRIDES:
-        return _KIND_OVERRIDES[symbol.code]
-    if symbol.category == RESOURCE:
+def node_kind(found: Signature | SymbolDef) -> str:
+    """The kind of a node whose code resolves to ``found``."""
+    if isinstance(found, Signature):
+        return "task"
+    if found.code in _KIND_OVERRIDES:
+        return _KIND_OVERRIDES[found.code]
+    if found.category == RESOURCE:
         return "resource"
-    if symbol.category == NN:
+    if found.category == NN:
         return "nn_layer"
     return "operator"
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """Outcome of resolving a node code against a dialect scope."""
-
-    kind: str
-    signature: Signature | None = None
-    symbol: SymbolDef | None = None
-    is_extension: bool = False
-
-    @property
-    def min_in(self) -> int:
-        return self.signature.min_in if self.signature else self.symbol.min_in
-
-    @property
-    def max_in(self) -> int:
-        return self.signature.max_in if self.signature else self.symbol.max_in
-
-    @property
-    def max_out(self) -> int:
-        return self.signature.max_out if self.signature else self.symbol.max_out
 
 
 # Every builtin signature and symbol by its code; no code is in both tables.
@@ -361,14 +344,6 @@ class Registry:
 
     # -- lookups ----------------------------------------------------------
 
-    def lookup_symbol(self, code: str, dialects: frozenset[str]) -> SymbolDef:
-        sym = _BUILTINS.get(code)
-        if isinstance(sym, SymbolDef) and sym.dialect in dialects:
-            return sym
-        if code in self._ext_symbols:
-            return self._ext_symbols[code]
-        raise UnknownSymbol(f"unknown symbol {code!r} in dialects {sorted(dialects)}")
-
     def list_symbols(self, dialect: str) -> list[SymbolDef]:
         if dialect not in DIALECTS:
             raise UnknownDialect(f"unknown dialect {dialect!r}")
@@ -379,18 +354,16 @@ class Registry:
             raise UnknownDialect(f"unknown dialect {dialect!r}")
         return [s for s in SIGNATURES if s.dialect == dialect]
 
-    def resolve(self, code: str, dialects: frozenset[str]) -> Resolution | None:
-        """Resolve a node code to its kind; None when nothing matches."""
+    def resolve(self, code: str, dialects: frozenset[str]) -> Signature | SymbolDef | None:
+        """The signature or symbol a node code names in ``dialects``, as
+        stored; None when nothing matches or the symbol is notation only."""
         found = _BUILTINS.get(code)
         if found is not None and found.dialect not in dialects:
             return None
-        is_extension = found is None
         found = found or self._ext_signatures.get(code) or self._ext_symbols.get(code)
-        if isinstance(found, Signature):
-            return Resolution("task", signature=found, is_extension=is_extension)
-        if found is None or found.category == META:
+        if isinstance(found, SymbolDef) and found.category == META:
             return None  # flow arrows, zoom boxes, acc badges: not node codes
-        return Resolution(kind_for_symbol(found), symbol=found, is_extension=is_extension)
+        return found
 
     def parse_term(self, literal: str) -> DataTerm:
         """``terms.parse_term`` against :attr:`vocabulary`; a successful parse
@@ -403,7 +376,8 @@ class Registry:
     # -- extensions ---------------------------------------------------------
 
     def register_extension(self, definition: SymbolDef | Signature) -> None:
-        self._terms.clear()
+        """Add an extension code; its labels are registered separately, with
+        :meth:`register_label`, before its slot terms are parsed."""
         code = definition.code if isinstance(definition, SymbolDef) else definition.task_code
         if code in _BUILTINS:
             raise CollidesWithBuiltin(f"{code!r} is a builtin code")
@@ -411,16 +385,6 @@ class Registry:
             self._ext_symbols[code] = definition
         else:
             self._ext_signatures[code] = definition
-            for dom, rng in definition.variants:
-                for term in (*dom, *rng):
-                    self._collect_labels(term)
-
-    def _collect_labels(self, term: FormalTerm) -> None:
-        self._ext_labels.update(term.required | term.optional)
-        if term.element is not None:
-            self._collect_labels(term.element)
-        for el in term.elements:
-            self._collect_labels(el)
 
     def register_label(self, label: str) -> None:
         self._terms.clear()

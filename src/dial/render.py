@@ -8,7 +8,10 @@ exactly one element carrying class ``node-shape``; groups, tables and the
 title carry their own classes, so structural tests can count elements.
 
 Both emitters are pure functions of (typed diagram, layout, registry) and
-stamp their output with the toolchain version.
+stamp their output with the toolchain version. A node's glyph comes from
+what ``Registry.resolve`` returns for its code: the task box for a
+signature, the symbol's own glyph for a symbol, and the extension box when
+the code does not resolve.
 """
 
 from __future__ import annotations
@@ -17,10 +20,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import __version__
-from .diagnostics import RenderMismatch, UnknownSymbol
+from .diagnostics import RenderMismatch
 from .layout import Box, LayoutResult, node_display_lines
 from .model import Diagram, Node
-from .registry import Registry
+from .registry import Registry, Signature
 from .terms import DIST, SEQUENCE, SET, TUPLE, DataTerm
 from .typecheck import TypedDiagram, term_text
 
@@ -120,17 +123,13 @@ TIKZ_MARKS = {
 
 
 def glyph_for(code: str, dialects: frozenset[str], registry: Registry) -> GlyphSpec:
-    """Stable code-to-glyph mapping over signatures, symbols and extensions."""
-    resolution = registry.resolve(code, dialects)
-    if resolution is None:
-        try:  # notational symbols (flow arrows, zoom, acc) still own a glyph
-            symbol = registry.lookup_symbol(code, dialects)
-        except UnknownSymbol:
-            raise UnknownSymbol(f"no glyph for unknown code {code!r}")
-        return GLYPH_TABLE[symbol.glyph_id]
-    if resolution.signature is not None:
+    """Stable code-to-glyph mapping over signatures, symbols and extensions; a
+    code that does not resolve as a node code is drawn as an extension box."""
+    found = registry.resolve(code, dialects)
+    if isinstance(found, Signature):
         return GLYPH_TABLE["task_box"]
-    return GLYPH_TABLE.get(resolution.symbol.glyph_id, GLYPH_TABLE["box_extension"])
+    glyph_id = found.glyph_id if found is not None else "box_extension"
+    return GLYPH_TABLE.get(glyph_id, GLYPH_TABLE["box_extension"])
 
 
 def _check_pairing(diagram: Diagram, layout: LayoutResult) -> dict[str, Node]:
@@ -183,10 +182,7 @@ class _Drawing:
     def nodes(self) -> Iterator[str]:
         diagram = self.typed.diagram
         for node in diagram.nodes:
-            try:
-                glyph = glyph_for(node.code, diagram.dialects, self.registry)
-            except UnknownSymbol:
-                glyph = GLYPH_TABLE["box_extension"]
+            glyph = glyph_for(node.code, diagram.dialects, self.registry)
             plain = node_display_lines(node)
             lines = [self.esc(line) for line in plain]
             mark = self.mark_text(node, glyph)

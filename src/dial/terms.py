@@ -73,12 +73,13 @@ class DataTerm:
         return replace(self, annotations=self.annotations | labels)
 
     def all_labels(self) -> frozenset[str]:
-        if self.structure == TUPLE:
-            out: frozenset[str] = frozenset()
-            for el in self.elements:
-                out |= el.all_labels()
-            return out
-        return self.core().annotations
+        """Every label the term holds, through set, sequence and tuple nesting."""
+        if self.element is not None:
+            return self.element.all_labels()
+        out = self.annotations
+        for el in self.elements:
+            out |= el.all_labels()
+        return out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ only grow but the dimension calculus can grow a vector around a flow cycle
 forever. Each node reports the diagnostics of its latest evaluation, in
 declaration order, which keeps their order deterministic.
 
+A task's input is matched against its signature slot's pattern, a
+``DataTerm`` like the input itself (:func:`match_term`), and each output
+is the range slot's pattern as stored, plus the labels it inherits.
+
 Inference rules in brief:
 
   task codes     range terms from the signature; outputs inherit the labels
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic
 from .model import Diagram, Edge, Node
-from .registry import BUILTIN_VOCABULARY, FormalTerm, Registry, Resolution, Signature
+from .registry import BUILTIN_VOCABULARY, Registry, Signature, Slot, SymbolDef
 from .terms import (
     DIST,
     SCALAR,
@@ -57,33 +61,34 @@ def term_text(term: DataTerm | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def match_term(actual: DataTerm, formal: FormalTerm) -> str | None:
+def match_term(actual: DataTerm, pattern: DataTerm) -> str | None:
     """None on match, otherwise a human-readable mismatch reason.
 
-    Bases must be equal (no subtyping), required labels must be present,
-    structures must agree, and dims the formal pins down must be identical.
+    ``pattern`` is a signature slot's term. Bases must be equal (no subtyping)
+    unless the pattern's is None, its labels must be present, structures
+    must agree, and dims the pattern pins down must be identical.
     """
-    if formal.structure in (SET, SEQUENCE):
-        if actual.structure != formal.structure:
-            return f"expected a {formal.structure} term, got {term_text(actual)}"
-        return match_term(actual.element, formal.element)
-    if formal.structure == TUPLE:
-        if actual.structure != TUPLE or len(actual.elements) != len(formal.elements):
-            return f"expected a {len(formal.elements)}-tuple, got {term_text(actual)}"
-        for a, f in zip(actual.elements, formal.elements):
+    if pattern.structure in (SET, SEQUENCE):
+        if actual.structure != pattern.structure:
+            return f"expected a {pattern.structure} term, got {term_text(actual)}"
+        return match_term(actual.element, pattern.element)
+    if pattern.structure == TUPLE:
+        if actual.structure != TUPLE or len(actual.elements) != len(pattern.elements):
+            return f"expected a {len(pattern.elements)}-tuple, got {term_text(actual)}"
+        for a, f in zip(actual.elements, pattern.elements):
             reason = match_term(a, f)
             if reason:
                 return reason
         return None
     if actual.structure in (SET, SEQUENCE, TUPLE):
         return f"expected a plain term, got {term_text(actual)}"
-    if formal.base is not None and actual.base != formal.base:
-        return (f"category {_cat(actual.base)} where {_cat(formal.base)} is required")
-    missing = formal.required - actual.annotations
+    if pattern.base is not None and actual.base != pattern.base:
+        return (f"category {_cat(actual.base)} where {_cat(pattern.base)} is required")
+    missing = pattern.annotations - actual.annotations
     if missing:
         return "missing classification " + ", ".join(sorted(missing))
-    if formal.dims is not None and actual.dims != formal.dims:
-        return f"dimensions {list(actual.dims or [])} do not equal {list(formal.dims)}"
+    if pattern.dims is not None and actual.dims != pattern.dims:
+        return f"dimensions {list(actual.dims or [])} do not equal {list(pattern.dims)}"
     return None
 
 
@@ -91,22 +96,6 @@ def _cat(code: str | None) -> str:
     if code is None:
         return "<any>"
     return BUILTIN_VOCABULARY.canonical.get(code, code)
-
-
-def formal_text(formal: FormalTerm) -> str:
-    return term_text(_formal_to_term(formal))
-
-
-def _formal_to_term(formal: FormalTerm) -> DataTerm:
-    return DataTerm(
-        base=formal.base,
-        annotations=formal.required,
-        subscript=formal.subscript,
-        dims=formal.dims,
-        structure=SCALAR if formal.structure == DIST else formal.structure,
-        element=_formal_to_term(formal.element) if formal.element else None,
-        elements=tuple(_formal_to_term(t) for t in formal.elements),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +149,15 @@ def infer_output(node: Node, inputs: list[DataTerm | None], registry: Registry,
     ``inputs`` and ``input_is_resource`` are indexed by input slot; unwired
     slots are None and not a resource.
     """
-    resolution = registry.resolve(node.code, dialects)
+    found = registry.resolve(node.code, dialects)
     diagnostics: list[Diagnostic] = []
-    if resolution is None:
+    if found is None:
         return [None], diagnostics
     ctx = _Ctx(node, registry, embeddings, input_is_resource, diagnostics)
-    if resolution.signature is not None:
-        outs = _infer_task(ctx, resolution.signature, inputs)
+    if isinstance(found, Signature):
+        outs = _infer_task(ctx, found, inputs)
     else:
-        outs = _infer_symbol(ctx, resolution, inputs)
+        outs = _infer_symbol(ctx, found, inputs)
     return outs, diagnostics
 
 
@@ -181,7 +170,7 @@ def _infer_task(ctx: _Ctx, sig: Signature, inputs: list[DataTerm | None]) -> lis
         ctx.err("E101", f"{sig.task_code} takes {_arity_text(sig)} input(s), {wired} wired")
         candidates = [sig.variants[0]]
     chosen = None
-    first_failure: tuple[int, FormalTerm, str] | None = None
+    first_failure: tuple[int, Slot, str] | None = None
     for domain, rng in candidates:
         failure = _match_domain(ctx, domain, inputs)
         if failure is None:
@@ -191,9 +180,9 @@ def _infer_task(ctx: _Ctx, sig: Signature, inputs: list[DataTerm | None]) -> lis
             first_failure = failure
     if chosen is None:
         if arity_ok:
-            slot, formal, reason = first_failure
-            ctx.err("E102", f"input {slot} does not fit {sig.task_code}'s domain term "
-                            f"{formal_text(formal)}: {reason}")
+            index, slot, reason = first_failure
+            ctx.err("E102", f"input {index} does not fit {sig.task_code}'s domain term "
+                            f"{term_text(slot.term)}: {reason}")
         chosen = candidates[0]
     domain, rng = chosen
     inherited: dict[str | None, frozenset[str]] = {}
@@ -202,16 +191,11 @@ def _infer_task(ctx: _Ctx, sig: Signature, inputs: list[DataTerm | None]) -> lis
             continue
         core = term.core()
         inherited[core.base] = inherited.get(core.base, frozenset()) | core.annotations
-    outs: list[DataTerm | None] = []
-    for formal in rng:
-        term = _formal_to_term(formal)
-        core_base = term.core().base
-        term = term.with_labels(inherited.get(core_base, frozenset()))
-        outs.append(term)
-    return outs
+    return [slot.term.with_labels(inherited.get(slot.term.core().base, frozenset()))
+            for slot in rng]
 
 
-def _variant_min(domain: tuple[FormalTerm, ...]) -> int:
+def _variant_min(domain: tuple[Slot, ...]) -> int:
     return sum(1 for t in domain if not t.optional_term)
 
 
@@ -219,25 +203,24 @@ def _arity_text(sig: Signature) -> str:
     return str(sig.min_in) if sig.min_in == sig.max_in else f"{sig.min_in}..{sig.max_in}"
 
 
-def _match_domain(ctx: _Ctx, domain: tuple[FormalTerm, ...],
-                  inputs: list[DataTerm | None]) -> tuple[int, FormalTerm, str] | None:
-    for slot, formal in enumerate(domain):
-        term = inputs[slot] if slot < len(inputs) else None
+def _match_domain(ctx: _Ctx, domain: tuple[Slot, ...],
+                  inputs: list[DataTerm | None]) -> tuple[int, Slot, str] | None:
+    for index, slot in enumerate(domain):
+        term = inputs[index] if index < len(inputs) else None
         if term is None:
-            if formal.optional_term:
+            if slot.optional_term:
                 continue
-            return (slot, formal, "nothing is wired to this input")
-        if formal.is_resource and slot < len(ctx.input_is_resource) \
-                and not ctx.input_is_resource[slot]:
-            return (slot, formal, "expects a stored resource")
-        reason = match_term(term, formal)
+            return (index, slot, "nothing is wired to this input")
+        if slot.is_resource and index < len(ctx.input_is_resource) \
+                and not ctx.input_is_resource[index]:
+            return (index, slot, "expects a stored resource")
+        reason = match_term(term, slot.term)
         if reason:
-            return (slot, formal, reason)
+            return (index, slot, reason)
     return None
 
 
-def _infer_symbol(ctx: _Ctx, res: Resolution, inputs: list[DataTerm | None]) -> list[DataTerm | None]:
-    sym = res.symbol
+def _infer_symbol(ctx: _Ctx, sym: SymbolDef, inputs: list[DataTerm | None]) -> list[DataTerm | None]:
     node = ctx.node
     wired = sum(1 for t in inputs if t is not None)
     if wired < sym.min_in or wired > sym.max_in:

@@ -1,5 +1,6 @@
 """No dead code: every function, class and method under ``src/dial`` is named
-somewhere in ``src/dial``, as a name or an attribute."""
+somewhere in ``src/dial``, as a name or an attribute, and every name a
+module imports is used in that module."""
 
 from __future__ import annotations
 
@@ -38,3 +39,25 @@ def test_every_definition_is_named_in_the_package():
             for qualified, name in definitions(tree)
             if name not in used and name not in ENTRY_POINTS]
     assert dead == []
+
+
+def imported_names(tree: ast.Module):
+    """(line, bound name) of each import in the module, at any depth;
+    ``from __future__`` imports are left out, since they bind nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{path.name}:{line}:{name}" for line, name in imported_names(tree)
+                      if name not in used)
+    assert unused == []

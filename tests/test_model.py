@@ -253,13 +253,17 @@ def _set(path: tuple, value):
     _set(("dialects",), ["db", "sys"]),
     _set(("dialects",), ["nn"]),
     _set(("edges", 0, "target", "slot"), -1),
+    _set(("edges", 0, "source", "slot"), True),
+    _set(("embeddings", 0, "dim"), True),
+    _set(("nodes", -1, "perf"), [{"metric": "acc", "value": False, "corpus": "dev"}]),
 ], ids=["empty_source", "params_triple", "acc_out_of_range", "dim_zero",
         "unhashable_dialect", "perf_not_object", "dialect_not_string",
         "title_placement_null", "label_not_string", "param_name_not_string",
         "detail_not_string", "placement_hint_not_string", "declared_term_not_string",
         "member_node_not_string", "member_edge_not_string", "entry_side_not_string",
         "exit_side_null", "table_placement_not_string", "embedding_label_not_string",
-        "unknown_dialect", "missing_sys", "negative_slot"])
+        "unknown_dialect", "missing_sys", "negative_slot",
+        "bool_slot", "bool_dim", "bool_perf_value"])
 def test_malformed_document_is_e021(mutate):
     doc = json.loads(canonical_serialize(rich_diagram()))
     mutate(doc)

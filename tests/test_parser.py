@@ -13,6 +13,7 @@ from dial.cli import compile_source
 from dial.diagnostics import Span, has_errors
 from dial.model import Diagram
 from dial.parser import DetailDecl, format_source, lower, parse, tokenize
+from dial.registry import node_kind
 from oracles import (
     mutate_source,
     random_front_end_source,
@@ -298,8 +299,8 @@ def test_repeated_extension_code_is_e003(second):
     unit = lower(parse_source(wrap("extend symbol z { glyph: op_func; }", second))[0])
     assert [(d.code, d.message, d.span.line, d.span.col) for d in unit.diagnostics] == [
         ("E003", "duplicate extension code 'z'", 5, 3)]
-    resolution = unit.registry.resolve("z", frozenset({"sys"}))
-    assert resolution.kind == "operator" and resolution.symbol.glyph_id == "op_func"
+    found = unit.registry.resolve("z", frozenset({"sys"}))
+    assert node_kind(found) == "operator" and found.glyph_id == "op_func"
 
 
 # -- formatter ---------------------------------------------------------------
@@ -327,11 +328,18 @@ def test_format_indents_nested_details():
 def test_format_preserves_ir():
     src = wrap("data x: S", "node p: POS(type=MaxEnt) perf(acc=0.9@\"dev\")",
                "edge x -> p as S", 'table t0 { "k": "v"; }',
-               "embedding w (dim=300) \"lbl\"")
-    formatted, _ = format_source(src)
+               "embedding w (dim=300) \"lbl\"",
+               'extend symbol sc { name: "linear scaling"; glyph: op_func; arity: 1..1 -> 1..1; }',
+               "extend task Cls { domain: S, T; range: P_c[0,1]; }",
+               "node s: sc", "node c: Cls")
+    formatted, diags = format_source(src)
+    assert diags == [] and format_source(formatted) == (formatted, [])
     first = lower(parse_source(src)[0])
     second = lower(parse_source(formatted)[0])
     assert first.diagram == second.diagram
+    for code in ("sc", "Cls"):
+        assert (first.registry.resolve(code, frozenset({"sys"}))
+                == second.registry.resolve(code, frozenset({"sys"})))
 
 
 def test_format_source_fails_on_syntax_errors():

@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from dial.diagnostics import CollidesWithBuiltin, UnknownDialect, UnknownSymbol
+from dial.cli import compile_source
+from dial.diagnostics import CollidesWithBuiltin, UnknownDialect
 from dial.registry import (
     DATA_CATEGORIES,
     META,
     SIGNATURES,
     SYMBOLS,
-    FormalTerm,
     Registry,
-    Resolution,
     Signature,
+    Slot,
     SymbolDef,
-    kind_for_symbol,
+    node_kind,
 )
-from dial.terms import TermError
+from dial.terms import DataTerm, TermError
 
 SYS = frozenset({"sys"})
 BOTH = frozenset({"sys", "nn"})
@@ -29,19 +29,25 @@ def registry() -> Registry:
 
 
 def test_pos_signature(registry):
-    [(domain, rng)] = registry.resolve("POS", SYS).signature.variants
-    assert [t.base for t in domain] == ["s_T"]
-    assert rng[0].base == "s_T"
-    assert rng[0].required == frozenset({"POS"})
+    [(domain, rng)] = registry.resolve("POS", SYS).variants
+    assert [slot.term.base for slot in domain] == ["s_T"]
+    assert rng[0].term.base == "s_T"
+    assert rng[0].term.annotations == frozenset({"POS"})
 
 
 def test_abductive_signature(registry):
-    [(domain, rng)] = registry.resolve("ABD", SYS).signature.variants
-    assert domain[0].base == "PredArg"
-    assert domain[0].required == frozenset({"F"})
+    [(domain, rng)] = registry.resolve("ABD", SYS).variants
+    assert domain[0].term.base == "PredArg"
+    assert domain[0].term.annotations == frozenset({"F"})
     assert domain[1].is_resource
-    assert rng[0].structure == "sequence"
-    assert rng[0].element.base == "PredArg"
+    assert rng[0].term.structure == "sequence"
+    assert rng[0].term.element.base == "PredArg"
+
+
+def test_optional_labels_sit_beside_the_pattern(registry):
+    [(domain, _)] = registry.resolve("SEMSIM", SYS).variants
+    assert domain[0].term == DataTerm(structure="set", element=DataTerm(base="t_T"))
+    assert domain[0].optional == frozenset({"entity"})
 
 
 def test_unknown_task(registry):
@@ -49,15 +55,14 @@ def test_unknown_task(registry):
 
 
 def test_rank_symbol(registry):
-    sym = registry.lookup_symbol("rank", SYS)
+    sym = registry.resolve("rank", SYS)
     assert sym.glyph_id == "op_rank"
     assert (sym.min_in, sym.max_in) == (1, 1)
 
 
 def test_bilstm_needs_nn_dialect(registry):
-    assert registry.lookup_symbol("bilstm", BOTH).dialect == "nn"
-    with pytest.raises(UnknownSymbol):
-        registry.lookup_symbol("bilstm", SYS)
+    assert registry.resolve("bilstm", BOTH).dialect == "nn"
+    assert registry.resolve("bilstm", SYS) is None
 
 
 def test_symbol_counts(registry):
@@ -84,19 +89,19 @@ def _scan_resolve(registry, code, dialects):
     sig = next((s for s in SIGNATURES if s.task_code == code and s.dialect in dialects),
                registry._ext_signatures.get(code))
     if sig is not None:
-        return Resolution("task", signature=sig, is_extension=sig.dialect == "ext")
+        return sig
     sym = next((s for s in SYMBOLS if s.code == code and s.dialect in dialects),
                registry._ext_symbols.get(code))
     if sym is None or sym.category == META:
         return None
-    return Resolution(kind_for_symbol(sym), symbol=sym, is_extension=sym.dialect == "ext")
+    return sym
 
 
 def test_resolve_agrees_with_the_lookups(registry):
     def ext_symbol(code, category="operator"):
         return SymbolDef(code=code, dialect="ext", name=code, glyph_id="op_func", min_in=1,
                          max_in=1, min_out=1, max_out=1, category=category)
-    term = (FormalTerm(base="s_T"),)
+    term = (Slot(DataTerm(base="s_T")),)
     registry.register_extension(ext_symbol("twice"))
     registry.register_extension(Signature(task_code="twice", dialect="ext", name="twice",
                                           variants=((term, term),)))
@@ -105,8 +110,8 @@ def test_resolve_agrees_with_the_lookups(registry):
     codes = [s.task_code for s in SIGNATURES] + [s.code for s in SYMBOLS]
     for dialects in (SYS, BOTH, frozenset({"nn"}), frozenset()):
         for code in codes + ["twice", "marker", "scale", "nope"]:
-            assert registry.resolve(code, dialects) == _scan_resolve(registry, code, dialects)
-    assert registry.resolve("twice", SYS).kind == "task"
+            assert registry.resolve(code, dialects) is _scan_resolve(registry, code, dialects)
+    assert node_kind(registry.resolve("twice", SYS)) == "task"
     assert registry.resolve("bilstm", SYS) is None and registry.resolve("POS", frozenset()) is None
 
 
@@ -123,8 +128,8 @@ def test_symbol_codes_unique_per_dialect(registry):
 
 
 def test_kb_resolves_without_a_listing_row(registry):
-    sym = registry.lookup_symbol("kb", SYS)
-    assert sym.category == "resource"
+    sym = registry.resolve("kb", SYS)
+    assert sym.category == "resource" and node_kind(sym) == "resource"
     assert all(s.code != "kb" for s in registry.list_symbols("sys"))
 
 
@@ -133,8 +138,9 @@ def test_register_extension_symbol(registry):
         code="linscale", dialect="ext", name="linear scaling",
         glyph_id="op_func", min_in=1, max_in=1, min_out=1, max_out=1,
         category="operator"))
-    resolution = registry.resolve("linscale", SYS)
-    assert resolution is not None and resolution.is_extension
+    found = registry.resolve("linscale", SYS)
+    assert found is not None and found.dialect == "ext"
+    assert node_kind(found) == "operator"
 
 
 def test_extension_collision(registry):
@@ -144,15 +150,15 @@ def test_extension_collision(registry):
             min_in=1, max_in=1, min_out=1, max_out=1, category="operator"))
 
 
-def test_extension_task_signature(registry):
-    domain = (FormalTerm(base="s_T"),)
-    rng = (FormalTerm(base="s_T", required=frozenset({"Lang"})),)
-    registry.register_extension(Signature(
-        task_code="LangID", dialect="ext", name="language id",
-        variants=((domain, rng),)))
-    [(_, rng)] = registry.resolve("LangID", SYS).signature.variants
-    assert rng[0].required == frozenset({"Lang"})
-    assert registry.vocabulary.knows_label("Lang")
+def test_extension_task_signature():
+    # lowering registers the labels of an extension's terms, then the terms
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "x" {\n'
+                            "  extend task LangID { domain: S; range: S^Lang; }\n}\n")
+    assert result.diagnostics == []
+    [(domain, rng)] = result.registry.resolve("LangID", SYS).variants
+    assert domain == (Slot(DataTerm(base="s_T")),)
+    assert rng == (Slot(DataTerm(base="s_T", annotations=frozenset({"Lang"}))),)
+    assert result.registry.vocabulary.knows_label("Lang")
 
 
 def test_extensions_are_compilation_local():
@@ -166,12 +172,12 @@ def test_extensions_are_compilation_local():
 def test_meta_symbols_are_not_node_codes(registry):
     for code in ("flow", "zoom", "acc"):
         assert registry.resolve(code, SYS) is None
-        assert registry.lookup_symbol(code, SYS) is not None
+        assert any(s.code == code and s.category == META for s in SYMBOLS)
 
 
 def test_lookups_are_pure(registry):
-    a = registry.resolve("WSD", SYS).signature
-    b = registry.resolve("WSD", SYS).signature
+    a = registry.resolve("WSD", SYS)
+    b = registry.resolve("WSD", SYS)
     assert a == b and a is b
 
 
@@ -187,7 +193,8 @@ def test_term_memo_follows_the_vocabulary(registry):
     assert registry.parse_term("S^Lang").annotations == frozenset({"Lang"})
     again = registry.parse_term("S^NER")
     assert again == term and again is not term
+    # registering an extension leaves the vocabulary as it is, and the memo too
+    slot = Slot(DataTerm(base="s_T"))
     registry.register_extension(Signature(
-        task_code="LangID", dialect="ext", name="language id",
-        variants=(((FormalTerm(base="s_T"),), (FormalTerm(base="s_T"),)),)))
-    assert registry.parse_term("S^NER") is not again
+        task_code="LangID", dialect="ext", name="language id", variants=(((slot,), (slot,)),)))
+    assert registry.parse_term("S^NER") is again

@@ -90,6 +90,20 @@ def test_malformed_terms(bad):
         parse(bad)
 
 
+@pytest.mark.parametrize("literal, labels", [
+    ("S^NER", {"NER"}),
+    ("{S^{NER,POS}}", {"NER", "POS"}),
+    ("(S^POS, T^NER)", {"POS", "NER"}),
+    ("{(S^POS, T^NER)}", {"POS", "NER"}),
+    ("{({S^POS}, (T, Term^WSD))}", {"POS", "WSD"}),
+    ("C^ArgScheme", {"ArgScheme"}),
+])
+def test_all_labels_reaches_through_every_nesting(literal, labels):
+    assert parse(literal).all_labels() == frozenset(labels)
+    # labels added to a set of tuples land on the tuple and count too
+    assert parse(literal).with_labels(frozenset({"Sem"})).all_labels() == {"Sem", *labels}
+
+
 def test_parse_data_term_uses_builtin_registry():
     term = Registry().parse_term("S^NER")
     assert term.base == "s_T" and term == parse("S^NER")

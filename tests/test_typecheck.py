@@ -11,14 +11,15 @@ import dial.typecheck
 from dial.cli import compile_source
 from dial.layout import break_cycles
 from dial.model import Node, validate_structure
-from dial.registry import FormalTerm, Registry
-from dial.terms import SEQUENCE, SET
+from dial.registry import Registry
+from dial.terms import SEQUENCE, SET, DataTerm
 from dial.typecheck import (
     DimConflict,
     check_diagram,
     dim_combine,
     infer_output,
     match_term,
+    term_text,
 )
 from oracles import (
     propagate_in_order,
@@ -40,27 +41,27 @@ def term(text: str):
 
 
 def test_superset_of_required_labels_matches():
-    assert match_term(term("S^{NER,POS}"), FormalTerm("s_T", frozenset({"NER"}))) is None
+    assert match_term(term("S^{NER,POS}"), DataTerm("s_T", frozenset({"NER"}))) is None
 
 
 def test_missing_label_reports_reason():
-    reason = match_term(term("S"), FormalTerm("s_T", frozenset({"NER"})))
+    reason = match_term(term("S"), DataTerm("s_T", frozenset({"NER"})))
     assert reason is not None and "NER" in reason
 
 
 def test_no_subtyping_between_categories():
-    reason = match_term(term("T"), FormalTerm("s_T"))
+    reason = match_term(term("T"), DataTerm("s_T"))
     assert reason is not None and "category" in reason
 
 
 def test_dims_pinned_by_formal():
-    assert match_term(term("vec[8]"), FormalTerm("clustered_word")) is None
-    assert match_term(term("vec[8]"), FormalTerm("clustered_word", dims=(8,))) is None
-    assert match_term(term("vec[8]"), FormalTerm("clustered_word", dims=(9,))) is not None
+    assert match_term(term("vec[8]"), DataTerm("clustered_word")) is None
+    assert match_term(term("vec[8]"), DataTerm("clustered_word", dims=(8,))) is None
+    assert match_term(term("vec[8]"), DataTerm("clustered_word", dims=(9,))) is not None
 
 
 def test_structure_must_agree():
-    formal_set = FormalTerm(structure=SET, element=FormalTerm("t_T"))
+    formal_set = DataTerm(structure=SET, element=DataTerm("t_T"))
     assert match_term(term("{Term}"), formal_set) is None
     assert match_term(term("Term"), formal_set) is not None
 
@@ -254,6 +255,66 @@ def test_declared_edge_term_may_understate():
            "  edge x -> p as S^NER\n}\n")
     result = compile_source(src)
     assert result.typed.diagnostics == []
+
+
+def _as_source(data: str, declared: str) -> str:
+    return ('dial 0.1\ndialect sys\ndiagram "as" {\n'
+            f"  data x: {data}\n  node v: verify\n  edge x -> v as {declared}\n}}\n")
+
+
+@pytest.mark.parametrize("data, declared, reason", [
+    ("S", "{S}", "structure scalar is not set"),
+    ("{S}", "S", "structure set is not scalar"),
+    ("S", "(S, T)", "tuple shapes differ"),
+    ("{(S, T)}", "{(S, T, T)}", "tuple shapes differ"),
+    ("C", "P_c[0,1]", "not a distribution"),
+    ("P_c[0,1]", "P_c[0,2]", "distribution ranges differ"),
+    ("S", "T", "category S is not T"),
+    ("(S, T)", "(S, T^NER)", "labels NER were never applied"),
+    ("vec[4]", "vec[8]", "dimensions differ ([4] inferred)"),
+    ("Term_2", "Term_1", "subscripts differ"),
+], ids=["set_vs_scalar", "scalar_vs_set", "tuple_vs_scalar", "tuple_width", "not_dist",
+        "dist_range", "category", "labels", "dims", "subscript"])
+def test_declared_edge_term_conflict_reasons(data, declared, reason):
+    result = compile_source(_as_source(data, declared))
+    carried = term_text(result.registry.parse_term(data))
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E104", f"edge e0 is declared as {declared} but carries {carried}: {reason}")]
+
+
+def _extension_source(domain: str, rng: str, *items: str) -> str:
+    return ('dial 0.1\ndialect sys\ndiagram "ext" {\n'
+            f"  extend task Z {{ domain: {domain}; range: {rng}; }}\n"
+            + "".join(f"  {item}\n" for item in items) + "}\n")
+
+
+def test_extension_tuple_domain():
+    fed = ("node f: func", "node z: Z", "edge f -> z")
+    scalar = compile_source(_extension_source("(S, T)", "T", "data a: S", "edge a -> f", *fed))
+    assert [(d.code, d.message) for d in scalar.diagnostics] == [(
+        "E102", "node 'z': input 0 does not fit Z's domain term (S, T): "
+                "expected a 2-tuple, got S")]
+    pair = ("data a: S", "data b: T", "edge a -> f", "edge b -> f.in1", *fed)
+    assert compile_source(_extension_source("(S, T)", "T", *pair)).diagnostics == []
+    swapped = compile_source(_extension_source("(T, S)", "T", *pair))
+    assert [d.message for d in swapped.diagnostics] == [
+        "node 'z': input 0 does not fit Z's domain term (T, S): category S where T is required"]
+
+
+def test_extension_range_keeps_its_distribution():
+    # the range slot is the parsed term as written, distribution range included
+    result = compile_source(_extension_source(
+        "S", "P_c[0,1]", "data s: S", "node z: Z", "node v: verify",
+        "edge s -> z", "edge z -> v as P_c[0,1]"))
+    assert result.diagnostics == []
+    assert term_text(result.typed.edge_terms["e1"]) == "P_c[0,1]"
+
+
+def test_extension_labels_inside_a_set_of_tuples_are_registered():
+    result = compile_source(_extension_source(
+        "{(S^Foo, T)}", "T", "data p: {(S^Foo, T)}", "node z: Z", "edge p -> z"))
+    assert result.diagnostics == []
+    assert result.registry.vocabulary.knows_label("Foo")
 
 
 def test_entity_linking_updated_kb_persists_back():
