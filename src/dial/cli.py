@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -31,17 +30,17 @@ from .registry import DIALECTS, Registry
 from .typecheck import TypedDiagram, check_diagram
 
 
-@dataclass
 class CompileResult:
     """A compiled file. The back half (layout, lint, render) runs on demand
     from one layout per result. Its stages are looked up as module attributes
     at call time, so a tracer that replaces them there sees every call."""
 
-    file: str
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    diagram: Diagram | None = None
-    registry: Registry | None = None
-    typed: TypedDiagram | None = None
+    def __init__(self, file: str) -> None:
+        self.file = file
+        self.diagnostics: list[Diagnostic] = []
+        self.diagram: Diagram | None = None
+        self.registry: Registry | None = None
+        self.typed: TypedDiagram | None = None
 
     @property
     def failed(self) -> bool:

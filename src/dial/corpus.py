@@ -14,10 +14,10 @@ Golden files change only with an explicit toolchain version bump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cli import CompileResult, compile_file
+from .record import Record
 from .registry import Registry
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[2] / "corpus"
@@ -27,8 +27,7 @@ _EDGE_SYMBOLS = {"flow": "flow", "biflow": "biflow", "persist": "persist",
                  "query": "query", "interface": "interface"}
 
 
-@dataclass(frozen=True)
-class CorpusCase:
+class CorpusCase(Record):
     name: str
     source: Path
     expect: Path
@@ -37,17 +36,18 @@ class CorpusCase:
     golden_tikz: Path | None = None
 
 
-@dataclass
-class CaseResult:
+class CaseResult(Record):
     case: CorpusCase
-    ok: bool
-    failures: list[str] = field(default_factory=list)
-    codes: list[str] = field(default_factory=list)
-    result: CompileResult | None = None
+    failures: list[str]  # empty when the case passes
+    codes: list[str]
+    result: CompileResult
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
-@dataclass
-class CorpusReport:
+class CorpusReport(Record):
     results: list[CaseResult]
     sys_codes: frozenset[str]
     nn_codes: frozenset[str]
@@ -79,33 +79,28 @@ def run_case(case: CorpusCase) -> CaseResult:
     result = compile_file(str(case.source))
     codes = [d.code for d in result.diagnostics]
 
-    out = CaseResult(case, ok=True, codes=codes, result=result)
+    out = CaseResult(case, [], codes, result)
 
     expected = case.expect.read_text(encoding="utf-8") if case.expect.exists() else ""
     actual = "".join(f"{code}\n" for code in codes)
     if actual != expected:
-        out.ok = False
         out.failures.append(
             f"diagnostic codes {codes} do not match {case.expect.name}")
 
     if case.should_pass:
         if result.typed is None:
-            out.ok = False
             out.failures.append("expected a clean compile")
             return out
         warnings = result.lint()
         if warnings:
-            out.ok = False
             out.failures.append(
                 "lint warnings on a pass case: " + " ".join(d.code for d in warnings))
         for golden, kind in ((case.golden_svg, "svg"), (case.golden_tikz, "tikz")):
             if golden is None:
                 continue
             if not golden.exists():
-                out.ok = False
                 out.failures.append(f"missing golden {kind} file {golden.name}")
             elif golden.read_bytes() != result.render(kind).encode("utf-8"):
-                out.ok = False
                 out.failures.append(f"{kind} output differs from {golden.name}")
     return out
 
@@ -135,7 +130,7 @@ def used_codes(results: list[CaseResult]) -> tuple[frozenset[str], frozenset[str
     sys_tasks = {s.task_code for s in registry.list_signatures("sys")}
     nn_symbols = {s.code for s in registry.list_symbols("nn")}
     for item in results:
-        if not item.case.should_pass or item.result is None or item.result.diagram is None:
+        if not item.case.should_pass or item.result.diagram is None:
             continue
         diagram = item.result.diagram
         for node in diagram.nodes:

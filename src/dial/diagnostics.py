@@ -21,12 +21,12 @@ Codes are stable across releases:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import IO
 
+from .record import Record
 
-@dataclass(frozen=True)
-class Span:
+
+class Span(Record):
     """Source position, 1-based line and column."""
 
     line: int
@@ -37,8 +37,7 @@ class Span:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     code: str
     message: str
     file: str | None = None
@@ -46,9 +45,11 @@ class Diagnostic:
     ir_path: str | None = None  # node/edge id when no source span is known
     ir_kind: str | None = None  # what ir_path names: "node", "edge" or "group"
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (len(self.code) == 4 and self.code[0] in "EW" and self.code[1:].isdigit()):
             raise ValueError(f"bad diagnostic code: {self.code!r}")
+        return self
 
     @property
     def severity(self) -> str:

@@ -36,10 +36,10 @@ two or more anchors is a ``Fraction``; Python compares the two exactly.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import Diagram, Edge, Node
+from .record import Record
 
 GRID = 4
 H_GAP = 32
@@ -51,8 +51,7 @@ GROUP_PAD = 12
 CHAR_W = 8
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     x: int
     y: int
     w: int
@@ -74,8 +73,7 @@ class Box:
         return Box(self.x + dx, self.y + dy, self.w, self.h)
 
 
-@dataclass
-class LayoutResult:
+class LayoutResult(Record):
     node_boxes: dict[str, Box]
     edge_routes: dict[str, tuple[tuple[int, int], ...]]
     group_boxes: dict[str, Box]
@@ -251,16 +249,15 @@ def node_size(node: Node) -> tuple[int, int]:
     return w, h
 
 
-@dataclass
 class _Area:
     """One independently laid out region (the main area or a group box)."""
 
-    nodes: list[Node]
-    edges: list[Edge]
-    boxes: dict[str, Box] = field(default_factory=dict)
-    layers: dict[str, int] = field(default_factory=dict)
-    width: int = 0
-    height: int = 0
+    def __init__(self, nodes: list[Node], edges: list[Edge]) -> None:
+        self.nodes = nodes
+        self.edges = edges
+        self.boxes: dict[str, Box] = {}
+        self.layers: dict[str, int] = {}
+        self.width = self.height = 0
 
 
 def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:

@@ -16,18 +16,16 @@ order of the node, edge, group or table the rule names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import Diagnostic
 from .layout import LayoutResult, _weak_components
+from .record import Record
 from .registry import Registry
 from .typecheck import TypedDiagram
 
 OWNER_INPUT_SIDE = "left"  # inputs enter on the left in left-to-right layout
 
 
-@dataclass(frozen=True)
-class LintRule:
+class LintRule(Record):
     code: str
     description: str
 

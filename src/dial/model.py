@@ -12,9 +12,9 @@ analyses over them are pure functions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, SerializationError
+from .record import Record
 from .registry import Registry, Signature, SymbolDef, dialect_list_error, node_kind
 
 IR_VERSION = "0.1"
@@ -32,8 +32,7 @@ def default_shape_class(kind: str) -> str:
     return "component" if kind in COMPONENT_KINDS else "feature"
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(Record):
     node: str
     slot: int = 0
     direction: str = "out"  # "in" | "out"
@@ -42,21 +41,21 @@ class Port:
         return f"{self.node}.{self.direction}{self.slot}"
 
 
-@dataclass(frozen=True)
-class PerfAnnotation:
+class PerfAnnotation(Record):
     metric: str
     value: float
     corpus: str
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.metric:
             raise ValueError("perf metric must be non-empty")
         if self.metric == "acc" and not 0.0 <= self.value <= 1.0:
             raise ValueError(f"acc must lie in [0,1], got {self.value}")
+        return self
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     id: str
     kind: str
     code: str
@@ -74,8 +73,7 @@ class Node:
         return default
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     id: str
     source: Port
     target: Port
@@ -83,8 +81,7 @@ class Edge:
     declared_term: str | None = None  # literal text of the author's `as` term
 
 
-@dataclass(frozen=True)
-class DetailGroup:
+class DetailGroup(Record):
     id: str
     owner: str
     member_nodes: tuple[str, ...] = ()
@@ -93,36 +90,42 @@ class DetailGroup:
     exit_side: str = "right"
 
 
-@dataclass(frozen=True)
-class MetaTable:
+class MetaTable(Record):
     id: str
     kind: str = "freeform"  # hyperparams | results | freeform
     rows: tuple[tuple[str, str], ...] = ()
     placement: str = "bottom_right"
 
 
-@dataclass(frozen=True)
-class EmbeddingDecl:
+class EmbeddingDecl(Record):
     id: str
     dim: int
     label: str | None = None
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dim < 1:
             raise ValueError(f"embedding dim must be >= 1, got {self.dim}")
+        return self
 
 
-@dataclass
 class Diagram:
-    name: str
-    dialects: frozenset[str]
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    groups: list[DetailGroup] = field(default_factory=list)
-    tables: list[MetaTable] = field(default_factory=list)
-    embeddings: list[EmbeddingDecl] = field(default_factory=list)
-    format_version: str = IR_VERSION
-    title_placement: str = "top_left"
+    def __init__(self, name: str, dialects: frozenset[str], nodes: list[Node] | None = None,
+                 edges: list[Edge] | None = None, groups: list[DetailGroup] | None = None,
+                 tables: list[MetaTable] | None = None, embeddings: list[EmbeddingDecl] | None = None,
+                 format_version: str = IR_VERSION, title_placement: str = "top_left") -> None:
+        self.name = name
+        self.dialects = dialects
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
+        self.groups = [] if groups is None else groups
+        self.tables = [] if tables is None else tables
+        self.embeddings = [] if embeddings is None else embeddings
+        self.format_version = format_version
+        self.title_placement = title_placement
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     def node_by_id(self, node_id: str) -> Node | None:
         for node in self.nodes:
@@ -307,25 +310,10 @@ def canonical_serialize(diagram: Diagram) -> bytes:
         "dialects": sorted(diagram.dialects),
         "nodes": [_node_obj(n) for n in diagram.nodes],
         "edges": [_edge_obj(e) for e in diagram.edges],
-        "groups": [
-            {
-                "id": g.id,
-                "owner": g.owner,
-                "member_nodes": list(g.member_nodes),
-                "member_edges": list(g.member_edges),
-                "entry_side": g.entry_side,
-                "exit_side": g.exit_side,
-            }
-            for g in diagram.groups
-        ],
-        "tables": [
-            {"id": t.id, "kind": t.kind, "rows": [[k, v] for k, v in t.rows],
-             "placement": t.placement}
-            for t in diagram.tables
-        ],
-        "embeddings": [
-            {"id": e.id, "dim": e.dim, "label": e.label} for e in diagram.embeddings
-        ],
+        # a group, table or embedding is written as its fields, in order
+        "groups": [g._asdict() for g in diagram.groups],
+        "tables": [t._asdict() for t in diagram.tables],
+        "embeddings": [e._asdict() for e in diagram.embeddings],
     }
     return (json.dumps(doc, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
 

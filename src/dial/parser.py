@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
 
 from .diagnostics import CollidesWithBuiltin, Diagnostic, Span
 from .model import (
@@ -49,6 +48,7 @@ from .model import (
     Port,
     default_shape_class,
 )
+from .record import Record, replace
 from .registry import Registry, Signature, Slot, SymbolDef, dialect_list_error, node_kind
 from .terms import (
     MAX_NESTING,
@@ -120,14 +120,9 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
     tokens = Tokens(source)
     kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
     diagnostics: list[Diagnostic] = []
-    end = len(source)  # where eof sits; a comment ending the input keeps its start
     for m in _SCAN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "comment":
-            if m.end() == len(source):
-                end = m.start()
+        if kind in ("space", "comment"):
             continue
         text = m.group()
         if kind == "ident":
@@ -145,7 +140,7 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
         starts.append(m.start())
     kinds.append("eof")
     texts.append("")
-    starts.append(end)
+    starts.append(len(source))
     return tokens, diagnostics
 
 
@@ -154,23 +149,20 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PortRef:
+class PortRef(Record):
     node: str
     slot: str | None
     span: Span
 
 
-@dataclass(frozen=True)
-class PerfItem:
+class PerfItem(Record):
     metric: str
     value: float
     corpus: str
     span: Span
 
 
-@dataclass(frozen=True)
-class NodeDecl:
+class NodeDecl(Record):
     id: str
     code: str
     params: tuple[tuple[str, object], ...]
@@ -178,8 +170,7 @@ class NodeDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class DataDecl:
+class DataDecl(Record):
     id: str
     term_literal: str
     tag: str | None  # dataset | gold | kb | kbfn
@@ -187,8 +178,7 @@ class DataDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class EdgeDecl:
+class EdgeDecl(Record):
     source: PortRef
     arrow: str
     target: PortRef
@@ -196,8 +186,7 @@ class EdgeDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class DetailDecl:
+class DetailDecl(Record):
     id: str
     owner: str
     entry_side: str
@@ -206,32 +195,28 @@ class DetailDecl:
     span: Span
 
 
-@dataclass(frozen=True)
-class TableDecl:
+class TableDecl(Record):
     id: str
     placement: str | None
     rows: tuple[tuple[str, str], ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class EmbedDecl:
+class EmbedDecl(Record):
     id: str
     dim: int
     label: str | None
     span: Span
 
 
-@dataclass(frozen=True)
-class ExtendDecl:
+class ExtendDecl(Record):
     what: str  # "symbol" | "task"
     name: str
     fields: tuple[tuple[str, object], ...]
     span: Span
 
 
-@dataclass(frozen=True)
-class SourceAst:
+class SourceAst(Record):
     version: str
     dialects: tuple[str, ...]
     name: str
@@ -627,12 +612,11 @@ def parse(tokens: Tokens) -> tuple[SourceAst | None, list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LoweredUnit:
+class LoweredUnit(Record):
     diagram: Diagram | None
     registry: Registry
     diagnostics: list[Diagnostic]
-    spans: dict[str, dict[str, Span]] = field(default_factory=dict)  # kind -> id -> span
+    spans: dict[str, dict[str, Span]]  # kind -> id -> span
 
 
 def lower(ast: SourceAst) -> LoweredUnit:

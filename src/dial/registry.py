@@ -17,10 +17,9 @@ flags that belong to the slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .diagnostics import CollidesWithBuiltin, UnknownDialect
 from . import terms
+from .record import Record, replace
 from .terms import SEQUENCE, SET, DataTerm, TermVocabulary
 
 DIALECTS = ("sys", "nn")
@@ -41,8 +40,7 @@ def dialect_list_error(dialects: tuple[str, ...] | frozenset[str]) -> str | None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DataCategory:
+class DataCategory(Record):
     code: str
     description: str
     core: bool = True  # False for the documented extended set
@@ -119,8 +117,7 @@ BUILTIN_VOCABULARY = TermVocabulary(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(Record):
     """One input or output of a signature: a data-term pattern plus the flags
     that belong to the slot rather than to the term. The pattern's labels
     are required; a ``None`` base or ``None`` dims match anything."""
@@ -131,8 +128,7 @@ class Slot:
     optional_term: bool = False  # whole slot may be left unwired
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     task_code: str
     dialect: str
     name: str
@@ -235,8 +231,7 @@ SIGNATURES: tuple[Signature, ...] = (
 OPERATOR, RESOURCE, NN, META = "operator", "resource", "nn", "meta"
 
 
-@dataclass(frozen=True)
-class SymbolDef:
+class SymbolDef(Record):
     code: str
     dialect: str
     name: str

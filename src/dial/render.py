@@ -17,12 +17,12 @@ the code does not resolve.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import __version__
 from .diagnostics import RenderMismatch
 from .layout import Box, LayoutResult, node_display_lines
 from .model import Diagram, Node
+from .record import Record
 from .registry import Registry, Signature
 from .terms import DIST, SEQUENCE, SET, TUPLE, DataTerm
 from .typecheck import TypedDiagram, term_text
@@ -33,8 +33,7 @@ RECT, ROUND_RECT, CIRCLE, ELLIPSE, DIAMOND = "rectangle", "rounded-rectangle", "
 TRAP_L, TRAP_R, CYLINDER, TEXT_GLYPH = "trapezoid-left", "trapezoid-right", "cylinder", "annotated-text-glyph"
 
 
-@dataclass(frozen=True)
-class GlyphSpec:
+class GlyphSpec(Record):
     glyph_id: str
     primitive: str
     mark: str | None = None  # centered symbol, realized per backend

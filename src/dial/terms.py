@@ -22,7 +22,8 @@ ranking) is inference-only and has no source syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+
+from .record import Record, replace
 
 SCALAR = "scalar"
 SET = "set"
@@ -48,8 +49,7 @@ class TermNestingError(TermError):
     """A data term nested deeper than :data:`MAX_NESTING` brackets."""
 
 
-@dataclass(frozen=True)
-class DataTerm:
+class DataTerm(Record):
     base: str | None = None
     annotations: frozenset[str] = frozenset()
     subscript: str | None = None
@@ -82,8 +82,7 @@ class DataTerm:
         return out
 
 
-@dataclass(frozen=True)
-class TermVocabulary:
+class TermVocabulary(Record):
     """Spelling and label tables the term parser resolves against."""
 
     spellings: dict[str, str]  # source spelling -> category code
@@ -212,7 +211,8 @@ class TermParser:
             if lo > hi:
                 raise TermError(f"distribution range [{lo:g},{hi:g}] is inverted", pos)
             sub = None if sub in ("", "c") else sub
-            return DataTerm(base="P_c", subscript=sub, structure=DIST, dist_range=(lo, hi))
+            return DataTerm(base="P_c", annotations=self._parse_sup(), subscript=sub,
+                            structure=DIST, dist_range=(lo, hi))
 
         # Predicate-argument structure keeps its traditional Pred(Arg) spelling.
         if text == "Pred" and self._at("("):

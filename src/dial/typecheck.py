@@ -33,10 +33,10 @@ Inference rules in brief:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
 
 from .diagnostics import Diagnostic
 from .model import Diagram, Edge, Node
+from .record import Record, replace
 from .registry import BUILTIN_VOCABULARY, Registry, Signature, Slot, SymbolDef
 from .terms import (
     DIST,
@@ -128,8 +128,7 @@ def dim_combine(op: str, dims_a: tuple[int, ...], dims_b: tuple[int, ...]) -> tu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Ctx:
+class _Ctx(Record):
     node: Node
     registry: Registry
     embeddings: dict[str, int]
@@ -405,11 +404,10 @@ def _project(ctx: _Ctx, term: DataTerm) -> DataTerm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TypedDiagram:
+class TypedDiagram(Record):
     diagram: Diagram
     edge_terms: dict[str, DataTerm]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
 
 
 def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:

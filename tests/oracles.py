@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -59,6 +58,7 @@ from dial.parser import (
     _number,
     _ParseAbort,
 )
+from dial.record import Record, replace
 from dial.registry import Registry
 from dial.terms import (
     DIST,
@@ -74,7 +74,8 @@ from dial.typecheck import TypedDiagram, _check_declared, _collapse, infer_outpu
 
 # ---------------------------------------------------------------------------
 # The earlier term reader, over (kind, text, pos) triples: verbatim apart from
-# its names (parse_term also took ``vocab=None`` there, as TermParser did)
+# its names (parse_term also took ``vocab=None`` there, as TermParser did) and
+# the labels it reads after a distribution range, as the grammar now allows
 # ---------------------------------------------------------------------------
 
 _REFERENCE_TOKEN_RE = re.compile(
@@ -180,7 +181,8 @@ class ReferenceTermParser:
             if lo > hi:
                 raise TermError(f"distribution range [{lo:g},{hi:g}] is inverted", pos)
             sub = None if sub in ("", "c") else sub
-            return DataTerm(base="P_c", subscript=sub, structure=DIST, dist_range=(lo, hi))
+            return DataTerm(base="P_c", annotations=self._parse_sup(), subscript=sub,
+                            structure=DIST, dist_range=(lo, hi))
 
         # Predicate-argument structure keeps its traditional Pred(Arg) spelling.
         if text == "Pred" and self._peek() and self._peek()[1] == "(":
@@ -873,13 +875,13 @@ def random_valid_source(rng: random.Random) -> str:
 
 # ---------------------------------------------------------------------------
 # Reference front end, verbatim: the character-loop tokenizer that built a
-# Token and a Span per token, the parser over that token list, its earlier
-# term reader and lowering's earlier id lookups
+# Token and a Span per token (its eof now after a closing comment too), the
+# parser over that token list, its earlier term reader and lowering's earlier
+# id lookups
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # keyword | ident | string | number | punct | arrow | eof
     text: str
     span: Span
@@ -919,7 +921,9 @@ def reference_tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             continue
         if source.startswith("//", i):
             j = source.find("\n", i)
-            i = n if j < 0 else j
+            j = n if j < 0 else j
+            col += j - i
+            i = j
             continue
         m = _ARROW_RE.match(source, i)
         if m:

@@ -100,6 +100,34 @@ def test_positions_after_an_escaped_newline(tmp_path, rest, where):
     assert [(d["code"], d["line"], d["col"]) for d in json.loads(out)] == where
 
 
+def test_end_of_input_after_a_closing_comment(tmp_path):
+    # the input ends in a comment with no newline: end of input is after it
+    src = tmp_path / "comment.dial"
+    src.write_text(HEADER + "  node a: POS // note")
+    code, out, _ = dial("check", "--json", str(src))
+    assert code == 1
+    assert [(d["code"], d["line"], d["col"], d["message"]) for d in json.loads(out)] == [
+        ("E002", 4, 22, "unexpected end of input, expected '}'")]
+
+
+def test_labelled_distribution_reads_back(tmp_path):
+    # a task whose range is a distribution passes its input's labels on; the
+    # term the E104 message shows can be declared on the edge as written
+    src = tmp_path / "dist.dial"
+    body = ("  extend task Z { domain: C^ArgScheme; range: P_c[0,1]; }\n"
+            "  data c: C^ArgScheme\n  node z: Z\n  node v: verify\n"
+            "  edge c -> z\n  edge z -> v as ")
+    src.write_text(HEADER + body + "S\n}\n")
+    code, out, _ = dial("check", "--json", str(src))
+    assert code == 1
+    [diagnostic] = json.loads(out)
+    assert diagnostic["code"] == "E104"
+    carried = diagnostic["message"].split(" carries ")[1].split(":")[0]
+    assert carried == "P_c[0,1]^ArgScheme"
+    src.write_text(HEADER + body + carried + "\n}\n")
+    assert dial("check", str(src)) == (0, "", "")
+
+
 def test_check_multiple_files_aggregate():
     code, out, err = dial("check", QA, BROKEN)
     assert code == 1 and "E102" in err

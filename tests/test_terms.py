@@ -111,7 +111,8 @@ def test_parse_data_term_uses_builtin_registry():
 
 def test_format_round_trip_examples():
     for literal in ["S^NER", "S^{NER,POS}", "vec[300]", "{Term}", "(S, T)",
-                    "P_entail[0,1]", "Term_New", "Pred(Arg)^F", "KB^{F,R}"]:
+                    "P_entail[0,1]", "Term_New", "Pred(Arg)^F", "KB^{F,R}",
+                    "P_c[0,1]^ArgScheme", "{P_entail[0.5,1]^{NER,POS}}"]:
         term = parse(literal)
         printed = format_term(term, BUILTIN_VOCABULARY.canonical)
         assert parse(printed) == term, f"{literal} -> {printed}"
@@ -138,6 +139,35 @@ def test_parse_format_inverse(spelling, labels, dims):
     if dims:
         literal += "[" + ",".join(map(str, dims)) + "]"
     term = parse(literal)
+    assert parse(format_term(term, BUILTIN_VOCABULARY.canonical)) == term
+
+
+_CANONICAL = BUILTIN_VOCABULARY.canonical
+_LABEL_SETS = st.frozensets(st.sampled_from(_LABELS), max_size=3)
+_BASE_TERMS = st.builds(
+    lambda code, labels, sub, dims: DataTerm(
+        base=code, annotations=labels, dims=None if dims is None else tuple(dims),
+        # a subscript reads back only after a spelling without "_" or "(": not Ch_T_1
+        subscript=sub if _CANONICAL[code].isalnum() else None),
+    st.sampled_from(sorted(_CANONICAL)), _LABEL_SETS, st.sampled_from([None, "1", "New"]),
+    st.one_of(st.none(), st.lists(st.integers(1, 999), min_size=1, max_size=3)))
+_DIST_TERMS = st.builds(
+    lambda labels, sub, bounds: DataTerm(base="P_c", annotations=labels, subscript=sub,
+                                         structure=DIST, dist_range=tuple(sorted(bounds))),
+    _LABEL_SETS, st.sampled_from([None, "entail"]),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=2, max_size=2))
+_TERMS = st.recursive(
+    _BASE_TERMS | _DIST_TERMS,
+    lambda inner: inner.map(lambda t: DataTerm(structure=SET, element=t))
+    | st.lists(inner, min_size=2, max_size=3).map(
+        lambda ts: DataTerm(structure=TUPLE, elements=tuple(ts))),
+    max_leaves=6)
+
+
+@given(_TERMS)
+def test_format_then_parse_is_identity(term):
+    # every term the reader can give, labelled distributions included, prints
+    # as a literal that reads back as the same term
     assert parse(format_term(term, BUILTIN_VOCABULARY.canonical)) == term
 
 
@@ -185,7 +215,7 @@ def test_term_reader_matches_triple_reference(vocab):
             literal = mutate_term_literal(rng, literal)
         got = _outcome(parse_term, literal, vocab)
         assert got == _outcome(reference_parse_term, literal, vocab), literal
-        message = got[1] if isinstance(got, tuple) else "parsed"
+        message = "parsed" if isinstance(got, DataTerm) else got[1]
         seen.update(case for case in TERM_CASES if case in message)
     for case, least in TERM_CASES.items():
         if vocab is None and case.startswith("unknown "):
