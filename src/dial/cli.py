@@ -11,6 +11,10 @@ or a non-canonical file under fmt --check), 2 usage or I/O failure.
 Diagnostics go to stderr; --json replaces them with one JSON array on
 stdout. Rendered artifacts and formatted sources never mix with
 diagnostics. NO_COLOR suppresses ANSI colors.
+
+``run`` may be called any number of times in one process. Its argument
+parser is built on the first call and reused; help and usage text still go
+to each call's own streams.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import argparse
 import contextlib
 import os
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from . import __version__, layout, lint as lint_mod, render
@@ -138,7 +142,9 @@ def _print_human(diagnostics: list[Diagnostic], stream) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check(args, stdout, stderr) -> int:
+def _report(args, stdout, stderr, diagnose, deny_warnings: bool = False) -> int:
+    """Print ``diagnose(result)`` for every readable file in ``args.files`` and
+    "cannot read" for every other one; exit 2 if any file could not be read."""
     all_diags: list[Diagnostic] = []
     worst = 0
     for path in args.files:
@@ -146,15 +152,22 @@ def _cmd_check(args, stdout, stderr) -> int:
             result = compile_file(path)
         except OSError as exc:
             print(f"dial: cannot read {path}: {exc}", file=stderr)
-            return 2
-        all_diags.extend(result.diagnostics)
+            worst = 2
+            continue
+        all_diags.extend(diagnose(result))
         if result.failed:
-            worst = 1
+            worst = max(worst, 1)
     if args.json:
         dump_json(all_diags, stdout)
     else:
         _print_human(all_diags, stderr)
+    if deny_warnings and any(d.severity == "warning" for d in all_diags):
+        worst = max(worst, 1)
     return worst
+
+
+def _cmd_check(args, stdout, stderr) -> int:
+    return _report(args, stdout, stderr, lambda result: result.diagnostics)
 
 
 def _cmd_lint(args, stdout, stderr) -> int:
@@ -166,28 +179,9 @@ def _cmd_lint(args, stdout, stderr) -> int:
         print("dial lint: at least one FILE is required", file=stderr)
         return 2
     disabled = frozenset(args.allow or ())
-    all_diags: list[Diagnostic] = []
-    worst = 0
-    saw_warnings = False
-    for path in args.files:
-        try:
-            result = compile_file(path)
-        except OSError as exc:
-            print(f"dial: cannot read {path}: {exc}", file=stderr)
-            return 2
-        diags = result.diagnostics + result.lint(disabled)
-        all_diags.extend(diags)
-        if result.failed:
-            worst = 1
-        if any(d.severity == "warning" for d in diags):
-            saw_warnings = True
-    if args.json:
-        dump_json(all_diags, stdout)
-    else:
-        _print_human(all_diags, stderr)
-    if args.deny == "warnings" and saw_warnings:
-        worst = max(worst, 1)
-    return worst
+    return _report(args, stdout, stderr,
+                   lambda result: result.diagnostics + result.lint(disabled),
+                   deny_warnings=args.deny == "warnings")
 
 
 def _cmd_render(args, stdout, stderr) -> int:
@@ -264,6 +258,7 @@ def _cmd_symbols(args, stdout, stderr) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dial", description="compiler toolchain for the DIAL diagram language")

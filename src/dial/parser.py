@@ -49,7 +49,8 @@ from .model import (
     default_shape_class,
 )
 from .record import Record, replace
-from .registry import Registry, Signature, Slot, SymbolDef, dialect_list_error, node_kind
+from .registry import (SYMBOL_CATEGORIES, Registry, Signature, Slot, SymbolDef,
+                       dialect_list_error, node_kind)
 from .terms import (
     MAX_NESTING,
     TermError,
@@ -662,6 +663,8 @@ def _register_extensions(ast: SourceAst, registry: Registry,
                 "E003", f"duplicate extension code {decl.name!r}", span=decl.span))
             continue
         seen.add(decl.name)
+        for problem in _extend_field_problems(decl):
+            diagnostics.append(Diagnostic("E003", problem, span=decl.span))
         fields = dict(decl.fields)
         try:
             if decl.what == "symbol":
@@ -693,6 +696,28 @@ def _register_extensions(ast: SourceAst, registry: Registry,
         except TermError as exc:
             diagnostics.append(Diagnostic(
                 "E004", f"in extension {decl.name!r}: {exc}", span=decl.span))
+
+
+_EXTEND_FIELDS = {"symbol": ("name", "glyph", "arity", "category"), "task": ("domain", "range")}
+
+
+def _extend_field_problems(decl: ExtendDecl) -> list[str]:
+    """Unknown, repeated and out-of-range fields of one ``extend`` block.
+    Glyph ids are not checked here: the glyph table lives in ``render``."""
+    allowed = _EXTEND_FIELDS[decl.what]
+    where = f"extend {decl.what} {decl.name!r}"
+    problems: list[str] = []
+    given: set[str] = set()
+    for key, value in decl.fields:
+        if key not in allowed:
+            problems.append(f"{where} takes no field {key!r} (fields: {', '.join(allowed)})")
+        elif key in given:
+            problems.append(f"{where} gives field {key!r} twice")
+        elif key == "category" and value not in SYMBOL_CATEGORIES:
+            problems.append(f"{where} has category {value!r}, not one of "
+                            f"{', '.join(SYMBOL_CATEGORIES)}")
+        given.add(key)
+    return problems
 
 
 _TAG_CODE = {"dataset": "dataset", "gold": "gold", "kb": "kb", "kbfn": "kbfn"}

@@ -229,6 +229,7 @@ SIGNATURES: tuple[Signature, ...] = (
 # ---------------------------------------------------------------------------
 
 OPERATOR, RESOURCE, NN, META = "operator", "resource", "nn", "meta"
+SYMBOL_CATEGORIES = (OPERATOR, RESOURCE, NN, META)
 
 
 class SymbolDef(Record):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import io
 import json
 import shutil
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dial.cli import run
+from dial.cli import _build_parser, run
 from dial.terms import MAX_NESTING
 from oracles import mutate_source, random_front_end_source, random_valid_source
 
@@ -137,6 +139,21 @@ def test_check_missing_file_is_usage_failure():
     code, out, err = dial("check", "no_such_file.dial")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["check", "lint"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_unreadable_file_keeps_other_diagnostics(command, as_json):
+    # the readable file's E010 is still reported, before or after the missing one
+    flags = ["--json"] if as_json else []
+    code, out, err = dial(command, "corpus/fail/unknown_code.dial", "no_such_file.dial",
+                          *flags)
+    assert code == 2
+    assert err.count("cannot read") == 1 and "no_such_file.dial" in err
+    if as_json:
+        assert [d["code"] for d in json.loads(out)] == ["E010"]
+    else:
+        assert out == "" and "E010" in err
 
 
 # -- lint ----------------------------------------------------------------------
@@ -278,6 +295,54 @@ def test_unknown_command_is_usage_error():
 def test_render_requires_output():
     code, out, err = dial("render", QA)
     assert code == 2
+
+
+# -- the argument parser is built once per process ------------------------------
+
+
+def test_parser_is_built_once(monkeypatch):
+    dial("check", QA)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = dial("check", QA, "--json")
+    assert code == 0 and json.loads(out) == []
+    assert built == []
+
+
+def test_lint_allow_does_not_leak_into_the_next_call():
+    fixture = str(LINT_FIXTURES / "w207.dial")
+    code, _, err = dial("lint", "--allow", "W207", fixture)
+    assert code == 0 and "W207" not in err
+    code, _, err = dial("lint", fixture)
+    assert code == 0 and "W207" in err
+
+
+def fresh_parser_output(argv: list[str]) -> tuple[str, str]:
+    """What a newly built parser prints for ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit):
+            _build_parser.__wrapped__().parse_args(argv)
+    return out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["render", QA], 2),
+    (["--help"], 0),
+    (["lint", "--help"], 0),
+], ids=["usage_error", "help", "subcommand_help"])
+def test_parser_output_goes_to_each_calls_streams(argv, status):
+    dial("check", QA)
+    dial("lint", QA)
+    expected_out, expected_err = fresh_parser_output(argv)
+    assert dial(*argv) == (status, expected_out, expected_err)
+    assert (expected_out if status == 0 else expected_err).startswith("usage: dial")
 
 
 def test_installed_entry_point_runs():

@@ -303,6 +303,32 @@ def test_repeated_extension_code_is_e003(second):
     assert node_kind(found) == "operator" and found.glyph_id == "op_func"
 
 
+@pytest.mark.parametrize("block, message", [
+    ("extend symbol z { colour: red; }",
+     "extend symbol 'z' takes no field 'colour' (fields: name, glyph, arity, category)"),
+    ("extend task Q { domain: S; range: S; arity: 1..1 -> 1..1; }",
+     "extend task 'Q' takes no field 'arity' (fields: domain, range)"),
+    ("extend symbol z { glyph: op_func; glyph: op_cond; }",
+     "extend symbol 'z' gives field 'glyph' twice"),
+    ("extend task Q { domain: S; range: S; range: T; }",
+     "extend task 'Q' gives field 'range' twice"),
+    ("extend symbol z { category: bogus; }",
+     "extend symbol 'z' has category 'bogus', not one of operator, resource, nn, meta"),
+], ids=["symbol_unknown_field", "task_unknown_field", "symbol_field_twice",
+        "task_field_twice", "bad_category"])
+def test_extension_fields_are_checked(block, message):
+    unit = lower(parse_source(wrap(block))[0])
+    assert [(d.code, d.message, d.span.line, d.span.col) for d in unit.diagnostics] == [
+        ("E003", message, 4, 3)]
+
+
+def test_extension_with_every_field_is_clean():
+    unit = lower(parse_source(wrap(
+        'extend symbol z { name: "zed"; glyph: nosuch; arity: 1..2 -> 1..1; category: nn; }',
+        "extend task Q { domain: S, T; range: S; }"))[0])
+    assert unit.diagnostics == []
+
+
 # -- formatter ---------------------------------------------------------------
 
 
