@@ -304,7 +304,7 @@ _COMMANDS = {
 }
 
 
-def run(argv: list[str], stdin=None, stdout=None, stderr=None) -> int:
+def run(argv: list[str], stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()

@@ -22,10 +22,6 @@ from .registry import Registry
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[2] / "corpus"
 
-# Edge flow kinds that realize a registered symbol.
-_EDGE_SYMBOLS = {"flow": "flow", "biflow": "biflow", "persist": "persist",
-                 "query": "query", "interface": "interface"}
-
 
 class CorpusCase(Record):
     name: str
@@ -139,9 +135,8 @@ def used_codes(results: list[CaseResult]) -> tuple[frozenset[str], frozenset[str
             if node.code in nn_symbols:
                 nn_codes.add(node.code)
         for edge in diagram.edges:
-            symbol = _EDGE_SYMBOLS.get(edge.flow_kind)
-            if symbol:
-                sys_codes.add(symbol)
+            if edge.flow_kind != "recurrent":  # every other flow kind is a symbol code
+                sys_codes.add(edge.flow_kind)
         if diagram.groups:
             sys_codes.add("zoom")
         if any(node.perf for node in diagram.nodes):

@@ -702,7 +702,8 @@ _EXTEND_FIELDS = {"symbol": ("name", "glyph", "arity", "category"), "task": ("do
 
 
 def _extend_field_problems(decl: ExtendDecl) -> list[str]:
-    """Unknown, repeated and out-of-range fields of one ``extend`` block.
+    """Unknown, repeated and out-of-range fields (an unknown category, an
+    arity whose minimum exceeds its maximum) of one ``extend`` block.
     Glyph ids are not checked here: the glyph table lives in ``render``."""
     allowed = _EXTEND_FIELDS[decl.what]
     where = f"extend {decl.what} {decl.name!r}"
@@ -716,11 +717,14 @@ def _extend_field_problems(decl: ExtendDecl) -> list[str]:
         elif key == "category" and value not in SYMBOL_CATEGORIES:
             problems.append(f"{where} has category {value!r}, not one of "
                             f"{', '.join(SYMBOL_CATEGORIES)}")
+        elif key == "arity":
+            for side, lo, hi in (("input", *value[:2]), ("output", *value[2:])):
+                if lo > hi:
+                    problems.append(f"{where} has {side} arity {lo}..{hi}: minimum above maximum")
         given.add(key)
     return problems
 
 
-_TAG_CODE = {"dataset": "dataset", "gold": "gold", "kb": "kb", "kbfn": "kbfn"}
 _SLOT_RE = re.compile(r"(in|out)(\d+)$")
 
 
@@ -805,7 +809,7 @@ class _Lowerer:
 
     def _data(self, decl: DataDecl, group: str | None) -> None:
         self._check_term(decl.term_literal, decl.span)
-        code = _TAG_CODE.get(decl.tag, "interface")
+        code = decl.tag or "interface"
         kind = "resource" if decl.tag else "io"
         node = Node(
             id=decl.id, kind=kind, code=code, label=decl.tag_label,

@@ -12,14 +12,7 @@ from pathlib import Path
 
 from . import __version__
 from .lint import RULES
-from .registry import (
-    ANNOTATION_LABELS,
-    BUILTIN_VOCABULARY,
-    DATA_CATEGORIES,
-    DIALECTS,
-    Registry,
-    Slot,
-)
+from .registry import ANNOTATION_LABELS, DATA_CATEGORIES, DIALECTS, Registry, Slot
 from .render import GLYPH_TABLE, SVG_MARKS
 from .terms import MAX_NESTING, SEQUENCE, SET, DataTerm
 from .typecheck import term_text
@@ -120,9 +113,8 @@ def generate_reference() -> str:
     add("| code | spelled | description |")
     add("|---|---|---|")
     for cat in DATA_CATEGORIES:
-        spelled = BUILTIN_VOCABULARY.canonical.get(cat.code, cat.code)
         extended = "" if cat.core else " (extended)"
-        add(f"| {cat.code} | {spelled} | {cat.description}{extended} |")
+        add(f"| {cat.code} | {cat.spelled or cat.code} | {cat.description}{extended} |")
     add("")
     add("Registered annotation labels: " + ", ".join(sorted(ANNOTATION_LABELS)) + ".")
     add("")

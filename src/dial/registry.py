@@ -12,7 +12,9 @@ returns that record: a :class:`Signature` for a task code, a
 :class:`SymbolDef` for a symbol code, or None. :func:`node_kind` derives a
 node's kind from either. A signature's inputs and outputs are
 :class:`Slot` values, each a :class:`~dial.terms.DataTerm` pattern plus the
-flags that belong to the slot.
+flags that belong to the slot. A data category is one
+:class:`DataCategory` row, its preferred spelling included, and the term
+reader's spelling tables (:data:`BUILTIN_VOCABULARY`) are derived from the rows.
 """
 
 from __future__ import annotations
@@ -44,25 +46,28 @@ class DataCategory(Record):
     code: str
     description: str
     core: bool = True  # False for the documented extended set
+    spelled: str | None = None  # preferred source spelling, when not the code
 
 
 DATA_CATEGORIES: tuple[DataCategory, ...] = (
     DataCategory("T", "raw text"),
     DataCategory("p_T", "passage: contiguous fragment of a text"),
-    DataCategory("s_T", "sentence: self-contained word sequence"),
+    DataCategory("s_T", "sentence: self-contained word sequence", spelled="S"),
     DataCategory("Ch_T", "single printable character"),
-    DataCategory("t_T", "term: concept-bearing word or word group"),
+    DataCategory("t_T", "term: concept-bearing word or word group", spelled="Term"),
     DataCategory("w_T", "single word"),
     DataCategory("dt", "dialogue turn"),
     DataCategory("sense", "disambiguated word with sense identifier"),
-    DataCategory("clustered_word", "word vector in an embedding space"),
+    DataCategory("clustered_word", "word vector in an embedding space", spelled="vec"),
     DataCategory("im", "raw image"),
-    DataCategory("sentence_sense", "sentence with resolved discourse identity"),
+    DataCategory("sentence_sense", "sentence with resolved discourse identity",
+                 spelled="ssense"),
     DataCategory("q", "query input"),
     DataCategory("a", "answer output"),
     DataCategory("F", "fact: predicate over constant tuples"),
     DataCategory("R", "rule: conditional predicate definition"),
-    DataCategory("P_c", "classification outcome, optionally a distribution over [a,b]"),
+    DataCategory("P_c", "classification outcome, optionally a distribution over [a,b]",
+                 spelled="C"),
     # Extended categories: carriers that signatures produce or consume but the
     # core category table leaves unnamed.
     DataCategory("Structure", "parse structure", core=False),
@@ -70,7 +75,7 @@ DATA_CATEGORIES: tuple[DataCategory, ...] = (
     DataCategory("Entity", "linked entity reference", core=False),
     DataCategory("Tuples", "labeled result tuples", core=False),
     DataCategory("Chains", "identified reference chain", core=False),
-    DataCategory("PredArg", "predicate-argument structure", core=False),
+    DataCategory("PredArg", "predicate-argument structure", core=False, spelled="Pred(Arg)"),
     DataCategory("KB", "knowledge-base contents", core=False),
 )
 
@@ -82,31 +87,15 @@ ANNOTATION_LABELS: frozenset[str] = frozenset(
     }
 )
 
-# Source spelling -> category code. Single-glyph shorthands sit beside the
-# category codes themselves; "terms"/"string" are comparison-task carriers.
-_BASE_SPELLINGS: dict[str, str] = {
-    "T": "T", "p_T": "p_T", "S": "s_T", "s_T": "s_T", "Ch_T": "Ch_T",
-    "Term": "t_T", "t_T": "t_T", "w_T": "w_T", "dt": "dt", "sense": "sense",
-    "vec": "clustered_word", "clustered_word": "clustered_word", "im": "im",
-    "ssense": "sentence_sense", "sentence_sense": "sentence_sense",
-    "q": "q", "a": "a", "F": "F", "R": "R", "P_c": "P_c", "C": "P_c",
-    "Structure": "Structure", "Score": "Score", "Entity": "Entity",
-    "Tuples": "Tuples", "Chains": "Chains", "PredArg": "PredArg", "KB": "KB",
-    "terms": "t_T", "string": "t_T",
-}
-
-_CANONICAL_SPELLING: dict[str, str] = {
-    "T": "T", "p_T": "p_T", "s_T": "S", "Ch_T": "Ch_T", "t_T": "Term",
-    "w_T": "w_T", "dt": "dt", "sense": "sense", "clustered_word": "vec",
-    "im": "im", "sentence_sense": "ssense", "q": "q", "a": "a", "F": "F",
-    "R": "R", "P_c": "C", "Structure": "Structure", "Score": "Score",
-    "Entity": "Entity", "Tuples": "Tuples", "Chains": "Chains",
-    "PredArg": "Pred(Arg)", "KB": "KB",
-}
-
+# A source spelling is a category code, a preferred spelling that reads as
+# one name, or a comparison-task carrier alias ("terms" implies a set).
 BUILTIN_VOCABULARY = TermVocabulary(
-    spellings=_BASE_SPELLINGS,
-    canonical=_CANONICAL_SPELLING,
+    spellings={
+        **{cat.code: cat.code for cat in DATA_CATEGORIES},
+        **{cat.spelled: cat.code for cat in DATA_CATEGORIES
+           if cat.spelled and cat.spelled.isidentifier()},
+        "terms": "t_T", "string": "t_T"},
+    canonical={cat.code: cat.spelled or cat.code for cat in DATA_CATEGORIES},
     labels=ANNOTATION_LABELS,
     set_spellings=frozenset({"terms"}),
 )

@@ -13,20 +13,21 @@ A task's input is matched against its signature slot's pattern, a
 ``DataTerm`` like the input itself (:func:`match_term`), and each output
 is the range slot's pattern as stored, plus the labels it inherits.
 
-Inference rules in brief:
+Inference rules in brief. A symbol whose rule is data is a row of one of
+three tables: ``_FIXED_OUTPUT``, ``_PASS_THROUGH`` or ``_WIDTH_LAYERS``.
+The rules that compute:
 
   task codes     range terms from the signature; outputs inherit the labels
                  of same-category inputs and add the signature's own labels
   oplus, concat  dimension calculus on vectors; label union otherwise
+  compose        label union, dims dropped
   otimes         dims concatenate; paired sets become sets of tuples
   set            wraps into set-of
   rank(n)        set/sequence input becomes sequence-of, length at most n
   sim            two inputs give Score; a set of pairs gives a set of Scores
-  cond           two outputs, each typed as the input
   proj           carrier becomes a vector sized by the referenced embedding
-  entail         predicate-argument structure
-  verify         input unchanged
-  classifier     classification outcome (regression gives Score)
+  classifier     classification outcome; softmax a distribution over [0,1]
+  encoder, w2v   a vector, sized by ``units`` or ``dim``
   query edges    deliver Tuples regardless of the knowledge base's contents
 """
 
@@ -219,12 +220,27 @@ def _match_domain(ctx: _Ctx, domain: tuple[Slot, ...],
     return None
 
 
+# Symbols whose output is a plain term of one category, whatever their inputs.
+_FIXED_OUTPUT = {
+    "entail": "PredArg", "join": "Tuples", "regression": "Score", "loss": "Score",
+    "decoder": "T", "dataset": "T", "gold": "T", "kb": "KB", "kbfn": "KB", "ground_truth": "P_c",
+}
+# Symbols that pass their first input through, by number of outputs.
+_PASS_THROUGH = {"verify": 1, "activation": 1, "attention": 1, "cond": 2}
+# Layers giving vectors of width parameter * factor; without the parameter
+# they keep the dims of their first input.
+_WIDTH_LAYERS = {"lstm": ("units", 1), "gru": ("units", 1), "recnn": ("units", 1),
+                 "hidden_fwd": ("units", 1), "hidden_bwd": ("units", 1),
+                 "bilstm": ("units", 2), "conv": ("filters", 1)}
+
+
 def _infer_symbol(ctx: _Ctx, sym: SymbolDef, inputs: list[DataTerm | None]) -> list[DataTerm | None]:
     node = ctx.node
     wired = sum(1 for t in inputs if t is not None)
     if wired < sym.min_in or wired > sym.max_in:
         ctx.err("E101", f"{sym.code} takes {sym.min_in}..{sym.max_in} input(s), {wired} wired")
     present = [t for t in inputs if t is not None]
+    first = present[0] if present else None
     declared = node.param("out")
     if declared is not None:
         try:
@@ -234,91 +250,62 @@ def _infer_symbol(ctx: _Ctx, sym: SymbolDef, inputs: list[DataTerm | None]) -> l
             return [None]
 
     code = sym.code
+    if code in _FIXED_OUTPUT:
+        return [DataTerm(base=_FIXED_OUTPUT[code])]
+    if code in _PASS_THROUGH:
+        return [first] * _PASS_THROUGH[code]
+    if code in _WIDTH_LAYERS:
+        key, factor = _WIDTH_LAYERS[code]
+        width = _int_param(node, key)
+        dims = (factor * width,) if width else (first.core().dims if first is not None else None)
+        return [DataTerm(base="clustered_word", dims=dims)]
     if code in ("oplus", "concat"):
         return [_fold_combine(ctx, code, present)]
+    if code == "compose":
+        return [_fold_combine(ctx, code, present, combine_dims=False)]
     if code == "otimes":
-        return [_tensor(ctx, present)]
+        return [_tensor(present)]
     if code == "set":
-        if not present:
-            return [None]
-        inner = present[0] if len(present) == 1 else DataTerm(structure=TUPLE,
-                                                              elements=tuple(present))
-        return [DataTerm(structure=SET, element=inner)]
+        gathered = _gather(present)
+        return [DataTerm(structure=SET, element=gathered) if gathered is not None else None]
     if code == "rank":
-        if not present:
+        if first is None:
             return [None]
         top_n = node.param("n")
         top_n = int(top_n) if isinstance(top_n, (int, float)) else None
-        source = present[0]
-        element = source.element if source.structure in (SET, SEQUENCE) else source
+        element = first.element if first.structure in (SET, SEQUENCE) else first
         return [DataTerm(structure=SEQUENCE, element=element, max_len=top_n)]
     if code == "sim":
-        if len(present) == 1 and present[0].structure == SET \
-                and present[0].element is not None \
-                and present[0].element.structure == TUPLE:
+        if len(present) == 1 and first.structure == SET and first.element is not None \
+                and first.element.structure == TUPLE:
             return [DataTerm(structure=SET, element=DataTerm(base="Score"))]
         return [DataTerm(base="Score")]
-    if code == "cond":
-        passthrough = present[0] if present else None
-        return [passthrough, passthrough]
     if code == "proj":
-        return [_project(ctx, present[0]) if present else None]
-    if code == "entail":
-        return [DataTerm(base="PredArg")]
-    if code == "verify":
-        return [present[0] if present else None]
-    if code == "join":
-        return [DataTerm(base="Tuples")]
-    if code == "compose":
-        return [_fold_combine(ctx, "oplus", present, combine_dims=False)]
+        return [_project(ctx, first) if first is not None else None]
     if code in ("classifier", "classification", "svm"):
         sub = node.param("class")
         return [DataTerm(base="P_c", subscript=str(sub) if sub is not None else None)]
-    if code == "regression":
-        return [DataTerm(base="Score")]
+    if code == "softmax":
+        sub = node.param("class")
+        return [DataTerm(base="P_c", subscript=str(sub) if sub is not None else None,
+                         structure=DIST, dist_range=(0.0, 1.0),
+                         dims=first.core().dims if first is not None else None)]
     if code == "encoder":
         units = _int_param(node, "units")
-        dims = (units,) if units else None
-        return [DataTerm(base="clustered_word", dims=dims,
-                         annotations=_present_labels(present))]
-    if code == "decoder":
-        return [DataTerm(base="T")]
+        return [DataTerm(base="clustered_word", dims=(units,) if units else None,
+                         annotations=frozenset().union(*(t.all_labels() for t in present)))]
     if code == "w2v":
         dim = _int_param(node, "dim")
         return [DataTerm(base="clustered_word", dims=(dim,) if dim else None)]
-    if code in ("dataset", "gold"):
-        return [DataTerm(base="T")]
-    if code in ("kb", "kbfn"):
-        return [DataTerm(base="KB")]
-    if code == "ground_truth":
-        return [DataTerm(base="P_c")]
-    if code == "softmax":
-        sub = node.param("class")
-        dims = present[0].core().dims if present else None
-        return [DataTerm(base="P_c", subscript=str(sub) if sub is not None else None,
-                         structure=DIST, dist_range=(0.0, 1.0), dims=dims)]
-    if code == "loss":
-        return [DataTerm(base="Score")]
-    if code in ("activation", "attention"):
-        return [present[0] if present else None]
-    if code in ("lstm", "gru", "recnn", "hidden_fwd", "hidden_bwd"):
-        units = _int_param(node, "units")
-        dims = (units,) if units else (present[0].core().dims if present else None)
-        return [DataTerm(base="clustered_word", dims=dims)]
-    if code == "bilstm":
-        units = _int_param(node, "units")
-        dims = (2 * units,) if units else (present[0].core().dims if present else None)
-        return [DataTerm(base="clustered_word", dims=dims)]
-    if code == "conv":
-        filters = _int_param(node, "filters")
-        dims = (filters,) if filters else (present[0].core().dims if present else None)
-        return [DataTerm(base="clustered_word", dims=dims)]
     # func, func_contract, interface and undeclared extensions act as generic functions.
-    if not present:
-        return [None]
-    if len(present) == 1:
-        return [present[0]]
-    return [DataTerm(structure=TUPLE, elements=tuple(present))]
+    return [_gather(present)]
+
+
+def _gather(present: list[DataTerm]) -> DataTerm | None:
+    """The one present input, a tuple of several, or None for none."""
+    if len(present) > 1:
+        return DataTerm(structure=TUPLE, elements=tuple(present))
+    return present[0] if present else None
 
 
 def _int_param(node: Node, key: str) -> int | None:
@@ -326,13 +313,6 @@ def _int_param(node: Node, key: str) -> int | None:
     if isinstance(value, (int, float)) and int(value) > 0:
         return int(value)
     return None
-
-
-def _present_labels(present: list[DataTerm]) -> frozenset[str]:
-    labels: frozenset[str] = frozenset()
-    for term in present:
-        labels |= term.all_labels()
-    return labels
 
 
 def _fold_combine(ctx: _Ctx, op: str, present: list[DataTerm],
@@ -369,7 +349,7 @@ def _combine_two(ctx: _Ctx, op: str, a: DataTerm, b: DataTerm,
     return merged
 
 
-def _tensor(ctx: _Ctx, present: list[DataTerm]) -> DataTerm | None:
+def _tensor(present: list[DataTerm]) -> DataTerm | None:
     if not present:
         return None
     out = present[0]

@@ -297,6 +297,21 @@ def test_render_requires_output():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lint"], "dial lint: at least one FILE is required"),
+    (["render", "{tmp}/missing.dial", "-o", "{tmp}/out.svg"],
+     "dial: cannot read {tmp}/missing.dial: "),
+    (["render", QA, "-o", "{tmp}/no_dir/out.svg"], "dial: cannot write {tmp}/no_dir/out.svg: "),
+    (["fmt", "{tmp}/missing.dial"], "dial: cannot read {tmp}/missing.dial: "),
+], ids=["lint_without_file", "render_unreadable", "render_into_missing_dir",
+        "fmt_unreadable"])
+def test_exit_two_paths_write_nothing(tmp_path, argv, message):
+    code, out, err = dial(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(message.format(tmp=tmp_path)) and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- the argument parser is built once per process ------------------------------
 
 

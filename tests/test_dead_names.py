@@ -61,3 +61,39 @@ def test_every_import_is_used_in_its_module():
         unused.extend(f"{path.name}:{line}:{name}" for line, name in imported_names(tree)
                       if name not in used)
     assert unused == []
+
+
+# (file, function, parameter) left unread on purpose
+UNREAD_PARAMETERS = frozenset({
+    # every _cmd_* takes the dispatch signature (args, stdout, stderr)
+    ("cli.py", "_cmd_render", "stdout"), ("cli.py", "_cmd_symbols", "stderr"),
+    # lower_items calls every handler with the enclosing group, and the
+    # reference lowerer in the tests overrides this one
+    ("parser.py", "_detail", "parent_group"),
+})
+
+
+def test_every_parameter_is_used():
+    """Every parameter is read in its function's body, save a method's
+    ``self`` or ``cls``, which the language binds."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, DEFINITIONS)}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = func.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            if id(func) in methods:
+                params = params[1:]  # self or cls
+            body = func.body if isinstance(func.body, list) else [func.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(func, "name", "<lambda>")
+            unread.extend(f"{path.name}:{func.lineno}:{name}({p.arg})" for p in params
+                          if p.arg not in read
+                          and (path.name, name, p.arg) not in UNREAD_PARAMETERS)
+    assert unread == []

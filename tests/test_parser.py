@@ -314,8 +314,12 @@ def test_repeated_extension_code_is_e003(second):
      "extend task 'Q' gives field 'range' twice"),
     ("extend symbol z { category: bogus; }",
      "extend symbol 'z' has category 'bogus', not one of operator, resource, nn, meta"),
+    ("extend symbol z { arity: 5..2 -> 1..1; }",
+     "extend symbol 'z' has input arity 5..2: minimum above maximum"),
+    ("extend symbol z { arity: 1..2 -> 3..0; }",
+     "extend symbol 'z' has output arity 3..0: minimum above maximum"),
 ], ids=["symbol_unknown_field", "task_unknown_field", "symbol_field_twice",
-        "task_field_twice", "bad_category"])
+        "task_field_twice", "bad_category", "inverted_input_arity", "inverted_output_arity"])
 def test_extension_fields_are_checked(block, message):
     unit = lower(parse_source(wrap(block))[0])
     assert [(d.code, d.message, d.span.line, d.span.col) for d in unit.diagnostics] == [

@@ -69,10 +69,11 @@ def test_structure_must_agree():
 # -- infer_output on tasks -----------------------------------------------------
 
 
-def infer(code: str, inputs, kind="task", params=(), resource=None):
+def infer(code: str, inputs, kind="task", params=(), resource=None, dialects=SYS):
     node = Node(id="x", kind=kind, code=code, params=tuple(params))
     terms = [term(t) if isinstance(t, str) else t for t in inputs]
-    return infer_output(node, terms, Registry(), {}, resource or [False] * len(terms), SYS)
+    return infer_output(node, terms, Registry(), {}, resource or [False] * len(terms),
+                        dialects)
 
 
 def test_pos_tagging():
@@ -167,6 +168,28 @@ def test_oplus_dim_conflict_is_e103():
 def test_declared_out_param_wins():
     outs, _ = infer("func", ["S"], kind="function", params=(("out", "a"),))
     assert outs[0].base == "a"
+
+
+@pytest.mark.parametrize("code, inputs, params, expected", [
+    ("set", ["S^POS"], (), "{S^POS}"),
+    ("set", ["S", "T"], (), "{(S, T)}"),
+    ("encoder", ["S^POS", "T^NER"], (("units", 8),), "vec^{NER,POS}[8]"),
+    ("encoder", ["S"], (), "vec"),
+    ("decoder", ["vec[8]"], (), "T"),
+    ("regression", ["vec[8]", "S"], (), "Score"),
+    ("dataset", [], (), "T"),
+    ("gold", [], (), "T"),
+    ("ground_truth", [], (), "C"),
+    ("conv", ["vec[4]"], (("filters", 16),), "vec[16]"),
+    ("conv", ["vec[4]"], (), "vec[4]"),
+    ("otimes", ["vec[2]", "vec[3]"], (), "vec[2,3]"),
+], ids=["set_one", "set_two", "encoder_units", "encoder_bare", "decoder", "regression",
+        "dataset", "gold", "ground_truth", "conv_filters", "conv_input_dims",
+        "otimes_vectors"])
+def test_symbol_output_rules(code, inputs, params, expected):
+    outs, diags = infer(code, inputs, kind="operator", params=params,
+                        dialects=frozenset({"sys", "nn"}))
+    assert [term_text(t) for t in outs] == [expected] and diags == []
 
 
 # -- dim_combine ------------------------------------------------------------------
