@@ -36,8 +36,9 @@ from .typecheck import TypedDiagram, check_diagram
 
 class CompileResult:
     """A compiled file. The back half (layout, lint, render) runs on demand
-    from one layout per result. Its stages are looked up as module attributes
-    at call time, so a tracer that replaces them there sees every call."""
+    from one layout per result, drawn in the checker's orientation. Its stages
+    are looked up as module attributes at call time, so a tracer that
+    replaces them there sees every call."""
 
     def __init__(self, file: str) -> None:
         self.file = file
@@ -52,8 +53,8 @@ class CompileResult:
 
     @cached_property
     def layout_result(self) -> layout.LayoutResult:
-        """Layout of ``typed.diagram``; requires a typed diagram."""
-        return layout.layout(self.typed.diagram)
+        """Layout of ``typed.diagram`` in ``typed``'s orientation; requires a typed diagram."""
+        return layout.layout(self.typed.diagram, self.typed.oriented, self.typed.reversed_edges)
 
     def lint(self, disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
         """W2xx warnings located in ``file``; ``[]`` without a typed diagram."""

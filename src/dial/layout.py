@@ -1,7 +1,8 @@
 """Deterministic left-to-right layered layout.
 
 Phases 2-5 are near-linear in nodes plus edges (N + E); phase 1 is too on
-chains and fans, but not in the worst case:
+chains and fans, but not in the worst case. Phase 1 runs once per compile,
+in the checker; ``layout`` draws the orientation the checker used:
   1. cycle handling   recurrent edges are excluded outright; remaining cycles
                       are broken by reversing the declaration-latest edge
                       that closes a cycle. Whether an edge closes one is a
@@ -79,6 +80,7 @@ class LayoutResult(Record):
     group_boxes: dict[str, Box]
     reversed_edges: frozenset[str]
     layers: dict[str, int]
+    bands: dict[str, int]
     table_regions: dict[str, Box]
     title_region: Box
     width: int
@@ -252,11 +254,11 @@ def node_size(node: Node) -> tuple[int, int]:
 class _Area:
     """One independently laid out region (the main area or a group box)."""
 
-    def __init__(self, nodes: list[Node], edges: list[Edge]) -> None:
+    def __init__(self, nodes: list[Node]) -> None:
         self.nodes = nodes
-        self.edges = edges
         self.boxes: dict[str, Box] = {}
         self.layers: dict[str, int] = {}
+        self.bands: dict[str, int] = {}  # weakly-connected component within the area
         self.width = self.height = 0
 
 
@@ -288,12 +290,12 @@ def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:
 def _layout_area(nodes: list[Node], edges: list[Edge],
                  oriented: list[tuple[str, str, str]]) -> _Area:
     """Lay out one area; ``oriented`` holds exactly the oriented edges inside it."""
-    area = _Area(nodes, edges)
+    area = _Area(nodes)
     ids = [n.id for n in nodes]
     id_set = set(ids)
     area.layers = assign_layers(ids, oriented)
-    band_of = _weak_components(ids, [e for e in edges
-                                     if e.source.node in id_set and e.target.node in id_set])
+    area.bands = band_of = _weak_components(
+        ids, [e for e in edges if e.source.node in id_set and e.target.node in id_set])
     by_layer = order_within_layers(ids, area.layers, oriented, band_of)
 
     sizes = {n.id: node_size(n) for n in nodes}
@@ -351,10 +353,10 @@ def table_size(rows: tuple[tuple[str, str], ...]) -> tuple[int, int]:
     return _quant(CHAR_W * widest + 16), _quant(16 * len(rows) + 12)
 
 
-def layout(diagram: Diagram) -> LayoutResult:
-    """Pure function of the diagram value; integer coordinates only."""
-    oriented, reversed_ids = break_cycles(diagram)
-
+def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
+           reversed_ids: frozenset[str]) -> LayoutResult:
+    """Pure function of the diagram and its orientation, the pair that
+    ``break_cycles(diagram)`` returns; integer coordinates only."""
     # Bucket nodes, edges and oriented edges by area once; a node or edge
     # listed by several groups is laid out in each of them.
     node_groups = _groups_by_member(g.member_nodes for g in diagram.groups)
@@ -385,6 +387,7 @@ def layout(diagram: Diagram) -> LayoutResult:
 
     node_boxes: dict[str, Box] = {}
     layers: dict[str, int] = dict(main.layers)
+    bands: dict[str, int] = dict(main.bands)
 
     # Title strip, then the main area.
     content_y = TITLE_H + MARGIN
@@ -400,8 +403,8 @@ def layout(diagram: Diagram) -> LayoutResult:
         origin_y = y_cursor + GROUP_PAD + 12  # room for the group caption
         for node_id, box in sub.boxes.items():
             node_boxes[node_id] = box.shifted(origin_x, origin_y)
-        for node_id, layer in sub.layers.items():
-            layers[node_id] = layer
+        layers.update(sub.layers)
+        bands.update(sub.bands)
         group_boxes[group.id] = Box(
             MARGIN, y_cursor,
             _quant(sub.width + 2 * GROUP_PAD),
@@ -470,6 +473,7 @@ def layout(diagram: Diagram) -> LayoutResult:
         group_boxes=group_boxes,
         reversed_edges=reversed_ids,
         layers=layers,
+        bands=bands,
         table_regions=table_regions,
         title_region=title_region,
         width=_quant(width),

@@ -11,13 +11,13 @@ order of the node, edge, group or table the rule names.
   W205  extension symbol in use
   W206  verbal label duplicates a registered symbol
   W207  classifier or task node without a performance annotation
-  W208  feature- and component-level nodes side by side in one layer
+  W208  feature- and component-level nodes in one layer of one drawn band
 """
 
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
-from .layout import LayoutResult, _weak_components
+from .layout import LayoutResult
 from .record import Record
 from .registry import Registry
 from .typecheck import TypedDiagram
@@ -110,15 +110,12 @@ def _mixed_layers(typed: TypedDiagram, layout_result: LayoutResult,
     diagram = typed.diagram
     members = diagram.group_member_ids()
     top = [n for n in diagram.nodes if n.id not in members]
-    band = _bands(diagram, {n.id for n in top})
     seen: dict[tuple[int, int], dict[str, str]] = {}
     out: list[Diagnostic] = []
     flagged: set[tuple[int, int]] = set()
     for node in top:
-        layer = layout_result.layers.get(node.id)
-        if layer is None:
-            continue
-        key = (band[node.id], layer)
+        layer = layout_result.layers[node.id]
+        key = (layout_result.bands[node.id], layer)
         classes = seen.setdefault(key, {})
         classes.setdefault(node.shape_class, node.id)
         if len(classes) > 1 and key not in flagged:
@@ -132,10 +129,3 @@ def _mixed_layers(typed: TypedDiagram, layout_result: LayoutResult,
                 ir_path=feature or component,
             ))
     return out
-
-
-def _bands(diagram, top_ids: set[str]) -> dict[str, int]:
-    edges = [e for e in diagram.edges
-             if e.source.node in top_ids and e.target.node in top_ids]
-    ordered_ids = [n.id for n in diagram.nodes if n.id in top_ids]
-    return _weak_components(ordered_ids, edges)

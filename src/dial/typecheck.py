@@ -113,8 +113,6 @@ def dim_combine(op: str, dims_a: tuple[int, ...], dims_b: tuple[int, ...]) -> tu
     concatenates the dimension lists."""
     if op == "otimes":
         return tuple(dims_a) + tuple(dims_b)
-    if op not in ("oplus", "concat"):
-        raise ValueError(f"no dimension rule for operator {op!r}")
     if len(dims_a) != len(dims_b):
         raise DimConflict(
             f"{op} needs operands of equal rank, got {list(dims_a)} and {list(dims_b)}")
@@ -385,18 +383,22 @@ def _project(ctx: _Ctx, term: DataTerm) -> DataTerm:
 
 
 class TypedDiagram(Record):
+    """``oriented`` and ``reversed_edges`` are what ``break_cycles`` returned:
+    the compile's one orientation, which the checker used and layout draws."""
     diagram: Diagram
     edge_terms: dict[str, DataTerm]
     diagnostics: list[Diagnostic]
+    oriented: list[tuple[str, str, str]]
+    reversed_edges: frozenset[str]
 
 
 def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
     """Propagate terms across the dataflow graph to a fixed point.
 
-    Terms travel only along the acyclic forward orientation. Recurrent
-    edges, and any flow edge the cycle-breaker has to reverse, feed back
-    into a slot: labels only where the slot has a forward feed, else a
-    collapsed term.
+    Terms travel only along the acyclic forward orientation, which the
+    result carries for ``layout`` to draw. Recurrent edges, and any flow
+    edge the cycle-breaker has to reverse, feed back into a slot: labels
+    only where the slot has a forward feed, else a collapsed term.
 
     Nodes are ranked by layer of the forward orientation, then declaration
     index. A sweep visits queued nodes in rank order; a node whose output
@@ -409,6 +411,7 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
     evaluated once more on the final inputs, and E105 names the first of
     them in declaration order.
     """
+    # looked up in .layout per call, so a tracer that replaces them there sees the call
     from .layout import assign_layers, break_cycles
 
     embeddings = {e.id: e.dim for e in diagram.embeddings}
@@ -507,7 +510,7 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
         diagnostics.append(Diagnostic(
             "E105", f"node {node_id!r}: term propagation did not reach a fixed point",
             ir_path=node_id, ir_kind="node"))
-    return TypedDiagram(diagram, edge_terms, diagnostics)
+    return TypedDiagram(diagram, edge_terms, diagnostics, oriented, backward)
 
 
 def _collapse(term: DataTerm) -> DataTerm:

@@ -470,7 +470,7 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
     embeddings = {e.id: e.dim for e in diagram.embeddings}
     resolutions = {n.id: registry.resolve(n.code, diagram.dialects) for n in diagram.nodes}
     outputs: dict[str, list[DataTerm | None]] = {n.id: [None] for n in diagram.nodes}
-    _, backward = break_cycles(diagram)
+    oriented, backward = break_cycles(diagram)
     label_count = max(1, len(registry.vocabulary.labels | registry.vocabulary.extra_labels))
     max_rounds = len(diagram.edges) * label_count + 2
 
@@ -547,7 +547,7 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
                 ir_path=edge.id))
         if edge.declared_term is not None:
             _check_declared(edge, delivered, registry, diagnostics)
-    return TypedDiagram(diagram, edge_terms, diagnostics), converged
+    return TypedDiagram(diagram, edge_terms, diagnostics, oriented, backward), converged
 
 
 # ---------------------------------------------------------------------------
@@ -745,13 +745,13 @@ def reference_order_within_layers(node_ids: list[str], layers: dict[str, int],
 
 def _reference_layout_area(nodes: list[Node], edges: list[Edge],
                            oriented_all: list[tuple[str, str, str]]) -> _Area:
-    area = _Area(nodes, edges)
+    area = _Area(nodes)
     ids = [n.id for n in nodes]
     id_set = set(ids)
     oriented = [(e, u, v) for e, u, v in oriented_all if u in id_set and v in id_set]
     area.layers = assign_layers(ids, oriented)
-    band_of = _weak_components(ids, [e for e in edges
-                                     if e.source.node in id_set and e.target.node in id_set])
+    area.bands = band_of = _weak_components(
+        ids, [e for e in edges if e.source.node in id_set and e.target.node in id_set])
     by_layer = reference_order_within_layers(ids, area.layers, oriented, band_of)
 
     sizes = {n.id: node_size(n) for n in nodes}
@@ -795,10 +795,8 @@ def _reference_layout_area(nodes: list[Node], edges: list[Edge],
     return area
 
 
-def reference_areas(diagram: Diagram) -> list[_Area]:
+def reference_areas(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> list[_Area]:
     """The main area, then one area per group, as the earlier layout chose them."""
-    oriented, _ = reference_break_cycles(diagram)
-
     member_ids = diagram.group_member_ids()
     top_nodes = [n for n in diagram.nodes if n.id not in member_ids]
     group_edge_ids = {eid for g in diagram.groups for eid in g.member_edges}
@@ -815,15 +813,16 @@ def reference_areas(diagram: Diagram) -> list[_Area]:
 
 
 def reference_layout(diagram: Diagram) -> LayoutResult:
-    """``layout`` with its cycle search and areas taken from the references.
+    """``layout`` of the reference orientation, with its areas taken from the
+    references.
 
-    Only the assembly of areas into boxes, tables, title and routes, which
-    the references leave alone, runs the library's code.
+    Only the assembly of areas into boxes, bands, tables, title and routes,
+    which the references leave alone, runs the library's code.
     """
-    areas = iter(reference_areas(diagram))
-    with mock.patch.object(dial.layout, "break_cycles", reference_break_cycles), \
-            mock.patch.object(dial.layout, "_layout_area", lambda *_: next(areas)):
-        return dial.layout.layout(diagram)
+    oriented, reversed_ids = reference_break_cycles(diagram)
+    areas = iter(reference_areas(diagram, oriented))
+    with mock.patch.object(dial.layout, "_layout_area", lambda *_: next(areas)):
+        return dial.layout.layout(diagram, oriented, reversed_ids)
 
 
 # ---------------------------------------------------------------------------

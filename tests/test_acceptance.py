@@ -131,7 +131,7 @@ def test_c5_layout_determinism_and_layering():
         for i in range(1000):
             diagram = random_layout_diagram(rng, max_nodes=8,
                                             cyclic=rng.random() < 0.4)
-            result = layout(diagram)
+            result = layout(diagram, *break_cycles(diagram))
             for edge in diagram.edges:
                 if edge.flow_kind == "recurrent" or edge.id in result.reversed_edges:
                     continue
@@ -144,21 +144,23 @@ def test_c5_layout_determinism_and_layering():
                     f"case {i}: longest-path oracle"
         for name in PASS_CASES:
             compiled = compile_file(f"corpus/pass/{name}.dial")
-            assert layout(compiled.diagram) == layout(compiled.diagram)
+            drawn = (compiled.diagram, compiled.typed.oriented, compiled.typed.reversed_edges)
+            assert layout(*drawn) == layout(*drawn)
 
 
 def test_c6_render_determinism_against_goldens():
     with budget("6 render determinism", 5.0):
         for name in PASS_CASES:
             compiled = compile_file(f"corpus/pass/{name}.dial")
-            first_svg = render_svg(compiled.typed, layout(compiled.diagram),
+            drawn = (compiled.diagram, compiled.typed.oriented, compiled.typed.reversed_edges)
+            first_svg = render_svg(compiled.typed, layout(*drawn),
                                    registry=compiled.registry).encode()
-            second_svg = render_svg(compiled.typed, layout(compiled.diagram),
+            second_svg = render_svg(compiled.typed, layout(*drawn),
                                     registry=compiled.registry).encode()
             assert first_svg == second_svg
             golden_svg = Path(f"corpus/golden/{name}.svg").read_bytes()
             assert first_svg == golden_svg, f"{name}: svg differs from golden"
-            first_tikz = render_tikz(compiled.typed, layout(compiled.diagram),
+            first_tikz = render_tikz(compiled.typed, layout(*drawn),
                                      registry=compiled.registry).encode()
             golden_tikz = Path(f"corpus/golden/{name}.tex").read_bytes()
             assert first_tikz == golden_tikz, f"{name}: tikz differs from golden"
@@ -201,7 +203,8 @@ def test_c8_lint_rules():
             code = f"W20{i}"
             compiled = compile_file(str(fixtures / f"{code.lower()}.dial"))
             assert compiled.diagnostics == [], f"{code} fixture must compile clean"
-            result = layout(compiled.typed.diagram)
+            result = layout(compiled.diagram, compiled.typed.oriented,
+                            compiled.typed.reversed_edges)
             fired = [d.code for d in lint(compiled.typed, result, compiled.registry)]
             assert fired == [code], f"{code} fixture fired {fired}"
         for name in PASS_CASES:

@@ -1,6 +1,7 @@
 """No dead code: every function, class and method under ``src/dial`` is named
-somewhere in ``src/dial``, as a name or an attribute, and every name a
-module imports is used in that module."""
+somewhere in ``src/dial``, as a name or an attribute, every name a module
+imports is used in that module, and no module imports another's private
+name."""
 
 from __future__ import annotations
 
@@ -61,6 +62,17 @@ def test_every_import_is_used_in_its_module():
         unused.extend(f"{path.name}:{line}:{name}" for line, name in imported_names(tree)
                       if name not in used)
     assert unused == []
+
+
+def test_no_module_imports_a_private_name():
+    """A ``_``-prefixed name stays in its module; tests may still import one."""
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                private.extend(f"{path.name}:{node.lineno}:{alias.name}" for alias in node.names
+                               if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert private == []
 
 
 # (file, function, parameter) left unread on purpose

@@ -153,22 +153,22 @@ def test_complete_bipartite_crossings_not_worse_than_minimum():
 
 def test_empty_diagram_is_title_only():
     d = Diagram(name="empty", dialects=frozenset({"sys"}))
-    result = layout(d)
+    result = layout(d, *break_cycles(d))
     assert result.node_boxes == {} and result.edge_routes == {}
     assert result.title_region.w > 0
 
 
 def test_layout_deterministic():
     result = compile_file("corpus/pass/qa_system.dial")
-    first = layout(result.diagram)
-    second = layout(result.diagram)
+    first = result.layout_result
+    second = layout(result.diagram, *break_cycles(result.diagram))
     assert first == second
     assert debug_dump(result.diagram, first) == debug_dump(result.diagram, second)
 
 
 def test_qa_two_separate_components():
     result = compile_file("corpus/pass/qa_system.dial")
-    lay = layout(result.diagram)
+    lay = result.layout_result
     # doc (KB construction) and q (semantic parsing) start separate bands
     doc, q = lay.node_boxes["doc"], lay.node_boxes["q"]
     members = result.diagram.group_member_ids()
@@ -182,7 +182,7 @@ def test_qa_two_separate_components():
 def test_layer_monotonicity_in_main_area():
     for name in ("qa_system", "lexicon_attention", "entailment"):
         result = compile_file(f"corpus/pass/{name}.dial")
-        lay = layout(result.diagram)
+        lay = result.layout_result
         members = result.diagram.group_member_ids()
         for edge in result.diagram.edges:
             if edge.flow_kind == "recurrent" or edge.id in lay.reversed_edges:
@@ -202,7 +202,7 @@ def intersects(a: Box, b: Box) -> bool:
 
 def test_group_containment_and_owner_separation():
     result = compile_file("corpus/pass/qa_system.dial")
-    lay = layout(result.diagram)
+    lay = result.layout_result
     for group in result.diagram.groups:
         gbox = lay.group_boxes[group.id]
         for member in group.member_nodes:
@@ -216,7 +216,7 @@ def test_group_containment_and_owner_separation():
 def test_no_overlaps():
     for name in ("qa_system", "lexicon_attention", "entailment"):
         result = compile_file(f"corpus/pass/{name}.dial")
-        lay = layout(result.diagram)
+        lay = result.layout_result
         boxes = list(lay.node_boxes.items())
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
@@ -229,7 +229,7 @@ def test_no_overlaps():
 
 def test_coordinates_are_grid_quantized_integers():
     result = compile_file("corpus/pass/lexicon_attention.dial")
-    lay = layout(result.diagram)
+    lay = result.layout_result
     for box in lay.node_boxes.values():
         assert all(isinstance(v, int) for v in (box.x, box.y, box.w, box.h))
         assert box.x % GRID == 0 and box.y % GRID == 0
@@ -237,7 +237,7 @@ def test_coordinates_are_grid_quantized_integers():
 
 def test_tables_default_bottom_right():
     result = compile_file("corpus/pass/lexicon_attention.dial")
-    lay = layout(result.diagram)
+    lay = result.layout_result
     content_right = max(b.right for b in lay.node_boxes.values())
     for table_id, region in lay.table_regions.items():
         assert region.y > max(b.bottom for b in lay.node_boxes.values()) - 1
@@ -249,7 +249,7 @@ def test_random_dags_layer_invariant():
     rng = random.Random(17)
     for _ in range(100):
         d = random_layout_diagram(rng, cyclic=rng.random() < 0.5)
-        lay = layout(d)
+        lay = layout(d, *break_cycles(d))
         for edge in d.edges:
             if edge.flow_kind == "recurrent" or edge.id in lay.reversed_edges:
                 continue
@@ -275,7 +275,7 @@ def test_long_task_chain_lays_out_in_under_a_second(reverse):
     n = 2000
     d = task_chain(n, reverse)
     start = time.perf_counter()
-    result = layout(d)
+    result = layout(d, *break_cycles(d))
     elapsed = time.perf_counter() - start
     assert result.layers[f"t{n - 1}"] == n - 1 and not result.reversed_edges
     assert elapsed < 1.0, elapsed
@@ -318,7 +318,7 @@ def test_layout_matches_quadratic_reference():
         for bands in (dict.fromkeys(ids, 0), band_of):
             assert order_within_layers(ids, layers, oriented, bands) == \
                 reference_order_within_layers(ids, layers, oriented, bands), i
-        assert layout(d) == reference_layout(d), i
+        assert layout(d, oriented, reversed_ids) == reference_layout(d), i
         reversing += bool(reversed_ids)
         grouped += bool(d.groups)
         banded += len(set(band_of.values())) > 1

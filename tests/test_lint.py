@@ -111,3 +111,20 @@ def test_w208_comes_in_node_order():
         "  edge s -> f1\n  edge f1 -> f2\n  edge f1 -> c2\n  edge s -> c1\n}\n")
     assert result.diagnostics == []
     assert [d.ir_path for d in result.lint() if d.code == "W208"] == ["f1", "f2"]
+
+
+def test_w208_judges_the_drawn_bands():
+    # the detail group's member edge a -> c does not join c to the main
+    # area's band of a and f, so c is drawn in a band of its own and shares
+    # no band and layer with f
+    result = compile_source(
+        'dial 0.1\ndialect sys\ndiagram "bands" {\n'
+        "  data a: S\n  node f: func\n  node c: POS\n  edge a -> f\n"
+        "  detail g for f {\n    data d: S\n    node m: func\n    edge d -> m\n"
+        "    edge a -> c\n  }\n}\n")
+    assert result.diagnostics == []
+    drawn = result.layout_result
+    assert drawn.layers["c"] == drawn.layers["f"]
+    assert drawn.bands["c"] != drawn.bands["f"]
+    assert drawn.node_boxes["c"].y > drawn.node_boxes["f"].bottom
+    assert [d.code for d in result.lint()] == ["W207"]

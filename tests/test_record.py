@@ -96,8 +96,9 @@ def test_mutable_holders_get_fresh_containers():
         getattr(first, name).append(name)
         assert getattr(second, name) == [], name
     assert CompileResult("a").diagnostics is not CompileResult("b").diagnostics
-    one, two = _Area([], []), _Area([], [])
+    one, two = _Area([]), _Area([])
     assert one.boxes is not two.boxes and one.layers is not two.layers
+    assert one.bands is not two.bands
 
 
 def test_diagram_equality_compares_every_field():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 
@@ -126,11 +127,15 @@ def test_lexicon_attention_has_two_table_regions():
     assert svg.count('class="table-box"') == 2
 
 
+def fresh_layout(result):
+    """A layout of ``result`` built anew, apart from its cached one."""
+    return layout(result.typed.diagram, result.typed.oriented, result.typed.reversed_edges)
+
+
 def test_svg_deterministic():
     result = compile_corpus("entailment")
-    lay = layout(result.typed.diagram)
-    a = render_svg(result.typed, lay, registry=result.registry)
-    b = render_svg(result.typed, layout(result.typed.diagram), registry=result.registry)
+    a = render_svg(result.typed, result.layout_result, registry=result.registry)
+    b = render_svg(result.typed, fresh_layout(result), registry=result.registry)
     assert a == b
 
 
@@ -152,9 +157,8 @@ def test_integer_coordinates_only():
 def test_mismatched_layout_is_e301():
     first = compile_corpus("entailment")
     other = compile_corpus("qa_system")
-    lay = layout(other.typed.diagram)
     with pytest.raises(RenderMismatch):
-        render_svg(first.typed, lay, registry=first.registry)
+        render_svg(first.typed, other.layout_result, registry=first.registry)
 
 
 # -- TikZ -----------------------------------------------------------------------
@@ -180,8 +184,8 @@ def test_superscript_terms_in_tikz_math_mode():
 
 def test_tikz_deterministic():
     result = compile_corpus("lexicon_attention")
-    a = render_tikz(result.typed, layout(result.typed.diagram), registry=result.registry)
-    b = render_tikz(result.typed, layout(result.typed.diagram), registry=result.registry)
+    a = render_tikz(result.typed, result.layout_result, registry=result.registry)
+    b = render_tikz(result.typed, fresh_layout(result), registry=result.registry)
     assert a == b
 
 
@@ -257,20 +261,18 @@ def test_tikz_balanced_braces():
 
 
 def test_one_layout_serves_lint_and_both_backends(monkeypatch):
-    calls = 0
-    real = dial.layout.layout
-
-    def counting(diagram):
-        nonlocal calls
-        calls += 1
-        return real(diagram)
-
-    monkeypatch.setattr(dial.layout, "layout", counting)
+    # the layout draws the checker's orientation, so the cycle test runs once too
+    calls: Counter[str] = Counter()
+    for name in ("layout", "break_cycles"):
+        def counting(*args, name=name, real=getattr(dial.layout, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(dial.layout, name, counting)
     result = compile_corpus("lexicon_attention")
     assert result.lint() == []
     result.render("svg")
     result.render("tikz")
-    assert calls == 1
+    assert calls == {"layout": 1, "break_cycles": 1}
 
 
 def test_render_scans_no_node_list(monkeypatch):
