@@ -75,13 +75,14 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
     tokens, diags = tokenize(source)
     result.diagnostics.extend(diags)
     ast, diags = parse(tokens)
+    del tokens  # the AST keeps its own spans; frees the token lists before lowering
     result.diagnostics.extend(diags)
     if ast is None or has_errors(result.diagnostics):
         result.diagnostics = _located(result.diagnostics, file_name, {})
         return result
 
     unit: LoweredUnit = lower(ast)
-    del tokens, ast  # not needed past lowering; frees them before type-checking
+    del ast  # not needed past lowering; frees it before type-checking
     result.diagnostics.extend(unit.diagnostics)
     result.diagram = unit.diagram
     result.registry = unit.registry

@@ -4,10 +4,13 @@ Pipeline: tokenize -> parse (AST with spans, declaration-level error
 recovery) -> lower (core IR plus extension overlay) -> format (canonical
 printer, idempotent).
 
-Each stage is linear in tokens plus declarations. ``tokenize`` is one regex
-scan into :class:`Tokens`, parallel lists of kinds, texts and start offsets;
-a token's line and column are worked out only when a diagnostic or an AST
-node asks for its span. ``parse`` reads those lists, and so does
+Each stage is linear in tokens plus declarations. ``tokenize`` is one
+``findall`` of every lexeme into :class:`Tokens`, parallel lists of kinds,
+texts and start offsets: a start sums the lengths before it, and a kind is
+looked up by first character, the whole text deciding only a string, arrow,
+comment, non-ASCII digit or illegal character. A token's line and column are
+worked out only when a diagnostic or an AST node asks for its span.
+``parse`` reads those lists, and so does
 :class:`~dial.terms.TermParser`, which reads a data term in place from its
 first index, so a term costs only its own tokens. ``lower`` looks node and
 group ids up in maps local to one lowering and builds each detail group's
@@ -100,19 +103,17 @@ class Tokens:
         return Span(line, offset - self.line_starts[line - 1] + 1, length)
 
 
-# One alternative per lexeme, tried in order. A backslash escapes any character
-# in a string, a newline too; an unescaped newline or the end leaves it open.
-_SCAN_RE = re.compile(r"""
-    (?P<space>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<arrow>->|<->|\|->|\?>|-o|~>)
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
-  | (?P<open>"(?:[^"\\\n]|\\.)*\\?)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[:{}()\[\],=@^.;])
-  | (?P<illegal>.)
-""", re.VERBOSE | re.DOTALL)
+# A string up to its closing quote; a backslash escapes any character, and an
+# unescaped newline or the end leaves the string open.
+_STRING = r'"(?:[^"\\\n]|\\.)*'
+# Every lexeme, whitespace and comments too, tried in order.
+_LEXEME_RE = re.compile(r'[ \t\r\n]+|[A-Za-z_][A-Za-z0-9_]*|//[^\n]*|->|<->|\|->|\?>|-o|~>|'
+                        + _STRING + r'["\\]?|\d+(?:\.\d+)?|.', re.DOTALL)
+_STRING_RE = re.compile(_STRING + '"', re.DOTALL)  # a closed string lexeme
+# A lexeme's kind by its first character; tokenize decides the other lexemes.
+_FIRST_KIND = {**dict.fromkeys(" \t\r\n", "space"), **dict.fromkeys(":{}()[],=@^.;", "punct"),
+               **dict.fromkeys("0123456789", "number"),
+               **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -121,24 +122,34 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
     tokens = Tokens(source)
     kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
     diagnostics: list[Diagnostic] = []
-    for m in _SCAN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind in ("space", "comment"):
+    end = 0
+    for text in _LEXEME_RE.findall(source):
+        start = end
+        end += len(text)
+        kind = _FIRST_KIND.get(text[0])
+        if kind == "space":
             continue
-        text = m.group()
         if kind == "ident":
             if text in KEYWORDS:
                 kind = "keyword"
-        elif kind == "string":
-            text = _ESCAPE_RE.sub(r"\1", text[1:-1])
-        elif kind in ("open", "illegal"):
-            message = "unterminated string literal" if kind == "open" \
-                else f"illegal character {text!r}"
-            diagnostics.append(Diagnostic("E001", message, span=tokens.span_at(m.start())))
-            continue
+        elif kind is None:
+            first = text[0]
+            if first == '"' and _STRING_RE.fullmatch(text):
+                kind, text = "string", _ESCAPE_RE.sub(r"\1", text[1:-1])
+            elif first.isdecimal():  # exactly the digits \d matches
+                kind = "number"
+            elif first == "/" and len(text) > 1:  # a comment
+                continue
+            elif first == '"' or len(text) == 1:
+                message = "unterminated string literal" if first == '"' \
+                    else f"illegal character {text!r}"
+                diagnostics.append(Diagnostic("E001", message, span=tokens.span_at(start)))
+                continue
+            else:
+                kind = "arrow"
         kinds.append(kind)
         texts.append(text)
-        starts.append(m.start())
+        starts.append(start)
     kinds.append("eof")
     texts.append("")
     starts.append(len(source))
@@ -248,14 +259,17 @@ class Parser:
         return self.kinds[self.pos], self.texts[self.pos]
 
     def span(self, offset: int = 0) -> Span:
-        """Span of the current token, or of the one ``offset`` tokens away."""
-        return self.tokens.span(self.pos + offset)
+        """:meth:`Tokens.span` of the token ``offset`` from the current one, in one frame."""
+        tokens, index = self.tokens, self.pos + offset
+        line = bisect_right(tokens.line_starts, tokens.starts[index])
+        return Span(line, tokens.starts[index] - tokens.line_starts[line - 1] + 1,
+                    len(self.texts[index]))
 
     def at(self, text: str | None = None, kind: str | None = None) -> bool:
-        """A ``text`` is punctuation or a keyword, so a string never matches it."""
-        return ((text is None or self.texts[self.pos] == text
-                 and self.kinds[self.pos] != "string")
-                and (kind is None or self.kinds[self.pos] == kind))
+        """The current token is ``text`` (which a string never is) or else of ``kind``."""
+        pos = self.pos
+        current = self.kinds[pos]  # its kind
+        return current == kind if text is None else self.texts[pos] == text and current != "string"
 
     def advance(self) -> str:
         """Step past the current token (never past eof); returns its text."""
@@ -265,9 +279,13 @@ class Parser:
         return text
 
     def expect(self, text: str | None = None, kind: str | None = None, what: str = "") -> str:
-        if self.at(text, kind):
-            return self.advance()
-        expected = what or (repr(text) if text else kind or "token")
+        """Step past the token :meth:`at` would match, inline; no caller expects eof."""
+        pos = self.pos
+        current = self.kinds[pos]  # its kind
+        if current == kind if text is None else self.texts[pos] == text and current != "string":
+            self.pos = pos + 1
+            return self.texts[pos]
+        expected = what or repr(text)
         found = token_text(*self.peek()) or "end of input"
         self.error(f"expected {expected}, found {found!r}", self.span())
         raise _ParseAbort()
@@ -346,7 +364,7 @@ class Parser:
                 f"embedding or extend), found {token_text(kind, text) or 'end of input'!r}",
                 span)
             raise _ParseAbort()
-        self.advance()
+        self.pos += 1  # a keyword, never eof
         return handler(self, span)
 
     def _node(self, span: Span) -> NodeDecl:

@@ -147,32 +147,32 @@ class TermParser:
 
     def _at(self, text: str) -> bool:
         i = self.index
-        return i < len(self.kinds) and token_text(self.kinds[i], self.texts[i]) == text
+        return i < len(self.kinds) and self.texts[i] == text and self.kinds[i] != "string"
 
     def _take(self, text: str | None = None, kind: str | None = None) -> str:
-        """Step past ``text``, or a token of ``kind``: ``ident`` (a keyword
-        is a name here too) or ``number``."""
+        """Step past ``text`` (never a string), or else a token of ``kind``:
+        ``ident`` (a keyword is a name here too) or ``number``."""
         i = self.index
-        expected = text or ("num" if kind == "number" else kind)  # the word messages use
+        if i < len(self.kinds):
+            found_kind = self.kinds[i]
+            if (self.texts[i] == text and found_kind != "string" if text is not None
+                    else found_kind == kind or found_kind == "keyword" and kind == "ident"):
+                self.index = i + 1
+                return self.texts[i]
+        word = text or ("num" if kind == "number" else kind)  # the word messages use
         if i == len(self.kinds):
-            raise TermError(f"term ended early, expected {expected}", i)
+            raise TermError(f"term ended early, expected {word}", i)
         found = token_text(self.kinds[i], self.texts[i])
-        if text is not None and found != text:
-            raise TermError(f"expected {text!r}, found {found!r}", i)
-        found_kind = "ident" if self.kinds[i] == "keyword" else self.kinds[i]
-        if kind is not None and found_kind != kind:
-            raise TermError(f"expected {expected}, found {found!r}", i)
-        self.index += 1
-        return found
+        raise TermError(f"expected {word if text is None else repr(text)}, found {found!r}", i)
 
     def parse(self) -> DataTerm:
         i = self.index
         if i == len(self.kinds):
             raise TermError("empty data term", i)
-        text = token_text(self.kinds[i], self.texts[i])
-        if text not in ("(", "{"):
-            if self.kinds[i] not in ("ident", "keyword"):
-                raise TermError(f"expected a data term, found {text!r}", i)
+        kind, text = self.kinds[i], self.texts[i]
+        if kind != "punct" or text not in ("(", "{"):
+            if kind not in ("ident", "keyword"):
+                raise TermError(f"expected a data term, found {token_text(kind, text)!r}", i)
             return self._parse_base()
         if self.depth == MAX_NESTING:
             raise TermNestingError(f"data term nested deeper than {MAX_NESTING} levels", i)

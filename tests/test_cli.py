@@ -251,6 +251,24 @@ def test_fmt_check_flags_non_canonical(tmp_path):
     assert code == 1
 
 
+SIDES_AND_PLACEMENTS = (
+    'dial 0.1\ndialect sys\n\ndiagram "D" at bottom_right {\n  node f: POS\n'
+    "  detail g for f entry top exit bottom {\n    node m: func\n  }\n"
+    "  detail h for m exit left {\n  }\n"
+    '  table t at top_left {\n    "k": "v";\n  }\n}\n')
+
+
+def test_fmt_keeps_sides_and_placements(tmp_path):
+    canonical = tmp_path / "c.dial"
+    canonical.write_text(SIDES_AND_PLACEMENTS)
+    assert dial("fmt", str(canonical)) == (0, SIDES_AND_PLACEMENTS, "")
+    assert dial("fmt", "--check", str(canonical)) == (0, "", "")
+    messy = tmp_path / "m.dial"
+    messy.write_text(SIDES_AND_PLACEMENTS.replace(" at ", "  at ").replace(" exit ", "\nexit "))
+    assert dial("fmt", "--check", str(messy)) == (1, "", "")
+    assert dial("fmt", str(messy)) == (0, SIDES_AND_PLACEMENTS, "")
+
+
 def test_fmt_syntax_error_exits_one(tmp_path):
     bad = tmp_path / "bad.dial"
     bad.write_text("dial 0.1 what\n")

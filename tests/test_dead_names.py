@@ -1,7 +1,7 @@
-"""No dead code: every function, class and method under ``src/dial`` is named
-somewhere in ``src/dial``, as a name or an attribute, every name a module
-imports is used in that module, and no module imports another's private
-name."""
+"""No dead code: every function, class, method and module-level constant
+under ``src/dial`` is named somewhere in ``src/dial``, as a name or an
+attribute, every name a module imports is used in that module, and no module
+imports another's private name."""
 
 from __future__ import annotations
 
@@ -15,11 +15,17 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def definitions(tree: ast.Module):
-    """(qualified name, name) of each top-level definition and method;
-    dunder methods are left out, since the language calls them."""
+    """(qualified name, name) of each top-level definition, method and
+    constant (a name a module-level assignment binds); dunder names are left
+    out, since the language reads them."""
     for node in tree.body:
         if isinstance(node, DEFINITIONS):
             yield node.name, node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, DEFINITIONS) and not item.name.startswith("__"):
@@ -32,7 +38,7 @@ def test_every_definition_is_named_in_the_package():
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)

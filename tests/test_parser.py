@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import string
 import time
 from collections import Counter
 
@@ -143,6 +144,34 @@ def test_tokenize_matches_character_loop_on_odd_input():
             assert lex(source) == reference_tokenize(source), source
 
 
+# characters where one lexeme can end and another begin: quotes, escapes,
+# comment and arrow parts, a non-ASCII digit, illegal characters, whitespace
+BOUNDARY = ['"', "\\", "/", "-", "<", ">", "|", "?", "~", "o", ".", "_", "٣", "é",
+            "\xa0", "#", *":{}()[],=@^;", " ", "\t", "\r", "\n"]
+ALNUM = string.ascii_letters + string.digits
+
+
+def test_tokenize_matches_character_loop_at_lexeme_boundaries():
+    rng = random.Random(20261020)
+    seen: Counter[str] = Counter()
+    while seen["source"] < 20_000:
+        source = "".join(rng.choice(BOUNDARY) if rng.random() < 0.8 else rng.choice(ALNUM)
+                         for _ in range(rng.randrange(1, 16)))
+        if "\\\n" in source:  # as above
+            continue
+        seen["source"] += 1
+        tokens, diags = lex(source)
+        assert (tokens, diags) == reference_tokenize(source), source
+        kinds = [t.kind for t in tokens]
+        seen.update(kinds)
+        seen.update(d.message.split(" ")[0] for d in diags)  # unterminated, illegal
+        seen["escaped string"] += "string" in kinds and "\\" in source
+        seen["comment"] += "//" in source
+    for case in ("arrow", "string", "number", "punct", "unterminated", "illegal",
+                 "escaped string", "comment"):
+        assert seen[case] >= 50, (case, seen)
+
+
 def test_tokenize_builds_no_token_or_span(monkeypatch):
     built: Counter[str] = Counter()
     def counting(cls, *args, _new=Span.__new__):
@@ -219,6 +248,31 @@ def test_a_string_is_never_punctuation_or_keyword(item, errors):
     got = compile_source(src).diagnostics
     assert [(d.code, d.span.line, d.span.col, d.message) for d in got] == errors
     assert (format_source(src)[0] is None) == bool(errors)
+
+
+def test_detail_sides_and_placements_reach_the_diagram():
+    src = wrap("node f: POS", "detail g for f exit top {", "  node m: func", "}",
+               "detail h for m entry bottom exit left {", "}",
+               'table t at top_left { "k": "v"; }').replace('"T" {', '"T" at bottom_right {')
+    unit = lower_source(src)
+    sides = {g.id: (g.entry_side, g.exit_side) for g in unit.diagram.groups}
+    assert sides == {"g": ("left", "top"), "h": ("bottom", "left")}
+    assert unit.diagram.title_placement == "bottom_right"
+    assert [t.placement for t in unit.diagram.tables] == ["top_left"]
+
+
+# each item ends at the name at fault: recovery stops at the next '}', so a
+# block after the name would close the diagram early
+@pytest.mark.parametrize("src, line, col, message", [
+    (wrap("node f: POS", "detail g for f entry middle"), 5, 24, "unknown side 'middle'"),
+    (wrap("node f: POS", "detail g for f exit up"), 5, 23, "unknown side 'up'"),
+    (wrap("node f: POS", "table t at center"), 5, 14, "unknown region 'center'"),
+    (MINIMAL.replace('"D" {', '"D" at middle {'), 3, 16, "unknown region 'middle'"),
+], ids=["entry", "exit", "table", "title"])
+def test_unknown_side_or_region_is_e002(src, line, col, message):
+    _, diags = parse_source(src)
+    assert [(d.code, d.span.line, d.span.col, d.message) for d in diags] == [
+        ("E002", line, col, message)]
 
 
 # -- lowering ----------------------------------------------------------------
