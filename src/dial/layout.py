@@ -14,19 +14,23 @@ in the checker; ``layout`` draws the orientation the checker used:
                       the worst case: after chains a1..aK and b1..bK, each
                       edge a_i -> b1 walks back through a_(i-1)..a1, so
                       the phase is O(E * (N + E))
-  2. layering         longest path from the sources of each weakly-connected
-                      component, over one topological order: O(N + E);
-                      components are stacked as separate bands
+  2. layering         longest path from the sources, over one topological
+                      order of an area's oriented edges: O(N + E). An area
+                      (the main area or a group box) holds the edges with
+                      both ends in it; its bands are the weak components of
+                      those same edges, recurrent ones included
   3. ordering         four fixed barycenter sweeps (down, up, down, up) with
                       declaration order breaking ties; the node -> position
                       map is built once and rewritten only for the layer
                       just sorted: O(E + N log N) per sweep
   4. coordinates      integer boxes on a 4-unit grid; title strip at the top
-                      left, meta tables at the bottom right, zoom-in groups
-                      in their own boxes below the main area. Nodes, edges
-                      and oriented edges are bucketed by area, and stack
-                      heights by (band, layer), in one pass each
-  5. routing          polylines; recurrent edges loop above the node row
+                      left, then any top tables, then the main area, zoom-in
+                      groups in their own boxes below it and meta tables at
+                      the bottom right. Nodes and edges are bucketed by
+                      area, and stack heights by (band, layer), in one pass
+                      each; every box is placed once, where it is drawn
+  5. routing          polylines; recurrent edges and self-edges loop above
+                      the node row
 
 Everything is integer arithmetic, so equal diagrams produce byte-identical
 layouts on every platform. The barycenter keys are exact too: a node's own
@@ -36,7 +40,6 @@ two or more anchors is a ``Fraction``; Python compares the two exactly.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from fractions import Fraction
 
 from .model import Diagram, Edge, Node
@@ -263,6 +266,7 @@ class _Area:
 
 
 def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:
+    """Band of each node: ``edges`` join nodes of ``node_ids`` only."""
     parent = {n: n for n in node_ids}
 
     def find(x: str) -> str:
@@ -272,11 +276,9 @@ def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:
         return x
 
     for edge in edges:
-        a, b = edge.source.node, edge.target.node
-        if a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+        ra, rb = find(edge.source.node), find(edge.target.node)
+        if ra != rb:
+            parent[rb] = ra
     roots: dict[str, int] = {}
     band_of: dict[str, int] = {}
     for node in node_ids:  # bands numbered by first declaration
@@ -288,14 +290,15 @@ def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:
 
 
 def _layout_area(nodes: list[Node], edges: list[Edge],
-                 oriented: list[tuple[str, str, str]]) -> _Area:
-    """Lay out one area; ``oriented`` holds exactly the oriented edges inside it."""
+                 orientation: dict[str, tuple[str, str, str]]) -> _Area:
+    """Lay out one area. ``edges`` holds the edges with both ends in it,
+    recurrent ones included: the bands are their weak components, and the
+    layers and order follow the checker's ``orientation`` of them."""
     area = _Area(nodes)
     ids = [n.id for n in nodes]
-    id_set = set(ids)
+    oriented = [orientation[e.id] for e in edges if e.id in orientation]
     area.layers = assign_layers(ids, oriented)
-    area.bands = band_of = _weak_components(
-        ids, [e for e in edges if e.source.node in id_set and e.target.node in id_set])
+    area.bands = band_of = _weak_components(ids, edges)
     by_layer = order_within_layers(ids, area.layers, oriented, band_of)
 
     sizes = {n.id: node_size(n) for n in nodes}
@@ -339,15 +342,6 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
     return area
 
 
-def _groups_by_member(memberships: Iterable[tuple[str, ...]]) -> dict[str, set[int]]:
-    """Member id -> indexes of the groups that list it."""
-    groups: dict[str, set[int]] = {}
-    for index, member_ids in enumerate(memberships):
-        for member in member_ids:
-            groups.setdefault(member, set()).add(index)
-    return groups
-
-
 def table_size(rows: tuple[tuple[str, str], ...]) -> tuple[int, int]:
     widest = max(len(k) + len(v) + 2 for k, v in rows)
     return _quant(CHAR_W * widest + 16), _quant(16 * len(rows) + 12)
@@ -357,40 +351,41 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
            reversed_ids: frozenset[str]) -> LayoutResult:
     """Pure function of the diagram and its orientation, the pair that
     ``break_cycles(diagram)`` returns; integer coordinates only."""
-    # Bucket nodes, edges and oriented edges by area once; a node or edge
-    # listed by several groups is laid out in each of them.
-    node_groups = _groups_by_member(g.member_nodes for g in diagram.groups)
-    edge_groups = _groups_by_member(g.member_edges for g in diagram.groups)
+    # Bucket nodes and edges by area once: a node belongs to every group that
+    # lists it, or else to the main area, and an edge to each area that holds
+    # both its ends.
+    node_groups: dict[str, set[int]] = {}
+    for index, group in enumerate(diagram.groups):
+        for member in group.member_nodes:
+            node_groups.setdefault(member, set()).add(index)
     top_nodes = [n for n in diagram.nodes if n.id not in node_groups]
-    top_edges = [e for e in diagram.edges
-                 if e.id not in edge_groups
-                 and e.source.node not in node_groups and e.target.node not in node_groups]
     members: list[list[Node]] = [[] for _ in diagram.groups]
     for node in diagram.nodes:
         for index in node_groups.get(node.id, ()):
             members[index].append(node)
+    top_edges: list[Edge] = []
     medges: list[list[Edge]] = [[] for _ in diagram.groups]
     for edge in diagram.edges:
-        for index in edge_groups.get(edge.id, ()):
-            medges[index].append(edge)
-    top_oriented: list[tuple[str, str, str]] = []
-    moriented: list[list[tuple[str, str, str]]] = [[] for _ in diagram.groups]
-    for item in oriented:
-        in_u, in_v = node_groups.get(item[1]), node_groups.get(item[2])
+        in_u, in_v = node_groups.get(edge.source.node), node_groups.get(edge.target.node)
         if in_u is None and in_v is None:
-            top_oriented.append(item)
+            top_edges.append(edge)
         elif in_u and in_v:
             for index in in_u & in_v:
-                moriented[index].append(item)
+                medges[index].append(edge)
+    orientation = {item[0]: item for item in oriented}
 
-    main = _layout_area(top_nodes, top_edges, top_oriented)
+    # Tables placed at the top stack between the title strip and the content.
+    top_strips: dict[str, int] = {}
+    for table in diagram.tables:
+        if table.rows and table.placement.startswith("top"):
+            top_strips[table.placement] = (top_strips.get(table.placement, 0)
+                                           + table_size(table.rows)[1] + V_GAP)
+    content_y = TITLE_H + MARGIN + max(top_strips.values(), default=0)
 
+    main = _layout_area(top_nodes, top_edges, orientation)
     node_boxes: dict[str, Box] = {}
     layers: dict[str, int] = dict(main.layers)
     bands: dict[str, int] = dict(main.bands)
-
-    # Title strip, then the main area.
-    content_y = TITLE_H + MARGIN
     for node_id, box in main.boxes.items():
         node_boxes[node_id] = box.shifted(MARGIN, content_y)
 
@@ -398,7 +393,7 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
     group_boxes: dict[str, Box] = {}
     y_cursor = content_y + main.height + (BAND_GAP if main.nodes else 0)
     for index, group in enumerate(diagram.groups):
-        sub = _layout_area(members[index], medges[index], moriented[index])
+        sub = _layout_area(members[index], medges[index], orientation)
         origin_x = MARGIN + GROUP_PAD
         origin_y = y_cursor + GROUP_PAD + 12  # room for the group caption
         for node_id, box in sub.boxes.items():
@@ -424,31 +419,15 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
     # Meta tables anchor bottom-right unless a placement hint overrides.
     table_regions: dict[str, Box] = {}
     strip_cursors: dict[str, int] = {}
-    top_strip_h = 0
     for table in diagram.tables:
         if not table.rows:
             continue
         w, h = table_size(table.rows)
         region = table.placement
-        if region.startswith("top"):
-            y = TITLE_H + MARGIN + strip_cursors.get(region, 0)
-            top_strip_h = max(top_strip_h, strip_cursors.get(region, 0) + h + V_GAP)
-        else:
-            y = content_bottom + BAND_GAP + strip_cursors.get(region, 0)
+        top = TITLE_H + MARGIN if region.startswith("top") else content_bottom + BAND_GAP
         x = MARGIN if region.endswith("left") else max(content_w - w, MARGIN)
-        table_regions[table.id] = Box(_quant(x), _quant(y), w, h)
+        table_regions[table.id] = Box(_quant(x), _quant(top + strip_cursors.get(region, 0)), w, h)
         strip_cursors[region] = strip_cursors.get(region, 0) + h + V_GAP
-
-    if top_strip_h:
-        # Shift everything below the top tables down so nothing overlaps.
-        for node_id in list(node_boxes):
-            node_boxes[node_id] = node_boxes[node_id].shifted(0, top_strip_h)
-        for group_id in list(group_boxes):
-            group_boxes[group_id] = group_boxes[group_id].shifted(0, top_strip_h)
-        for table in diagram.tables:
-            if table.id in table_regions and not table.placement.startswith("top"):
-                table_regions[table.id] = table_regions[table.id].shifted(0, top_strip_h)
-        content_bottom += top_strip_h
 
     title_w = _quant(CHAR_W * max(len(diagram.name), 1) + 8)
     if diagram.title_placement.endswith("right"):
@@ -461,7 +440,7 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
         title_y = 0
     title_region = Box(title_x, title_y, title_w, TITLE_H - MARGIN)
 
-    edge_routes = _route_edges(diagram, node_boxes, reversed_ids)
+    edge_routes = _route_edges(diagram, node_boxes)
 
     width = max([content_w] + [b.right for b in table_regions.values()]
                 + [title_region.right]) + MARGIN
@@ -481,17 +460,15 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
     )
 
 
-def _route_edges(diagram: Diagram, boxes: dict[str, Box],
-                 reversed_ids: frozenset[str]) -> dict[str, tuple[tuple[int, int], ...]]:
+def _route_edges(diagram: Diagram,
+                 boxes: dict[str, Box]) -> dict[str, tuple[tuple[int, int], ...]]:
     routes: dict[str, tuple[tuple[int, int], ...]] = {}
     for edge in diagram.edges:
         src = boxes.get(edge.source.node)
         tgt = boxes.get(edge.target.node)
         if src is None or tgt is None:
             continue
-        if edge.flow_kind == "recurrent":
-            routes[edge.id] = _loop_route(src, tgt)
-        elif edge.id in reversed_ids and edge.source.node == edge.target.node:
+        if edge.flow_kind == "recurrent" or edge.source.node == edge.target.node:
             routes[edge.id] = _loop_route(src, tgt)
         elif src.x > tgt.x:
             routes[edge.id] = ((src.x, src.cy), (tgt.right, tgt.cy))

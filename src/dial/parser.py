@@ -1014,8 +1014,6 @@ def _port_text(ref: PortRef) -> str:
 
 
 def _param_value(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, (int, float)):
         return _num_text(value)
     text = str(value)

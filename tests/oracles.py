@@ -796,18 +796,21 @@ def _reference_layout_area(nodes: list[Node], edges: list[Edge],
 
 
 def reference_areas(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> list[_Area]:
-    """The main area, then one area per group, as the earlier layout chose them."""
+    """The main area, then one area per group, as the earlier layout chose them.
+
+    An area holds the edges with both ends in it: for the main area, both
+    ends outside every group; for a group, both ends among its members.
+    """
     member_ids = diagram.group_member_ids()
     top_nodes = [n for n in diagram.nodes if n.id not in member_ids]
-    group_edge_ids = {eid for g in diagram.groups for eid in g.member_edges}
     top_edges = [e for e in diagram.edges
-                 if e.id not in group_edge_ids
-                 and e.source.node not in member_ids and e.target.node not in member_ids]
+                 if e.source.node not in member_ids and e.target.node not in member_ids]
 
     areas = [_reference_layout_area(top_nodes, top_edges, oriented)]
     for group in diagram.groups:
         members = [n for n in diagram.nodes if n.id in group.member_nodes]
-        medges = [e for e in diagram.edges if e.id in group.member_edges]
+        medges = [e for e in diagram.edges
+                  if e.source.node in group.member_nodes and e.target.node in group.member_nodes]
         areas.append(_reference_layout_area(members, medges, oriented))
     return areas
 

@@ -222,7 +222,16 @@ def test_render_debug_layout_goes_to_stderr(tmp_path):
     code, out, err = dial("render", QA, "-o", str(target), "--debug-layout")
     assert code == 0
     assert out == ""
-    assert "layer 0:" in err
+    assert "layer 0:" in err and "reversed:" not in err
+    # a flow cycle: the edge that closes it, e2, is drawn backward
+    cyclic = tmp_path / "cycle.dial"
+    cyclic.write_text('dial 0.1\ndialect sys\ndiagram "cycle" {\n'
+                      "  data x: T\n  node a: func\n  node b: func\n"
+                      "  edge x -> a\n  edge a -> b\n  edge b -> a\n}\n")
+    code, out, err = dial("render", str(cyclic), "-o", str(target), "--debug-layout")
+    assert code == 0
+    assert out == ""
+    assert err.splitlines()[-1] == "  reversed: e2"
 
 
 # -- fmt -----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from dial.cli import compile_file
+from dial.cli import compile_file, compile_source
 from dial.layout import (
     GRID,
     Box,
@@ -18,7 +18,7 @@ from dial.layout import (
     layout,
     order_within_layers,
 )
-from dial.model import Diagram, Edge, Node, Port
+from dial.model import Diagram, Edge, MetaTable, Node, Port
 from oracles import (
     count_crossings,
     longest_path_oracle,
@@ -152,10 +152,14 @@ def test_complete_bipartite_crossings_not_worse_than_minimum():
 
 
 def test_empty_diagram_is_title_only():
-    d = Diagram(name="empty", dialects=frozenset({"sys"}))
+    # a table without rows gets no region and takes no room
+    d = Diagram(name="empty", dialects=frozenset({"sys"}),
+                tables=[MetaTable(id="none", placement="top_left")])
     result = layout(d, *break_cycles(d))
     assert result.node_boxes == {} and result.edge_routes == {}
-    assert result.title_region.w > 0
+    assert result.table_regions == {}
+    assert result.title_region == Box(8, 0, 48, 16)
+    assert (result.width, result.height) == (168, 40)
 
 
 def test_layout_deterministic():
@@ -243,6 +247,65 @@ def test_tables_default_bottom_right():
         assert region.y > max(b.bottom for b in lay.node_boxes.values()) - 1
         assert region.right >= content_right - 200  # anchored toward the right edge
     assert lay.title_region.x == 8 and lay.title_region.y == 0
+
+
+PLACED = (
+    'dial 0.1\ndialect sys\ndiagram "placed" at bottom_right {\n'
+    "  data a: S\n  node f: func\n  edge a -> f\n"
+    "  detail g for f {\n    data d: S\n    node m: func\n    edge d -> m\n  }\n"
+    '  table tl at top_left {\n    "k": "v";\n    "k2": "v2";\n    "k3": "v3";\n  }\n'
+    '  table tr at top_right {\n    "key": "value";\n  }\n'
+    '  table tr2 at top_right {\n    "x": "y";\n  }\n'
+    '  table bl at bottom_left {\n    "b": "1";\n  }\n'
+    '  table br at bottom_right {\n    "c": "2";\n    "d": "3";\n  }\n'
+    '  table br2 {\n    "e": "4";\n  }\n'
+    "}\n")
+
+
+def test_table_strips_title_and_content_geometry():
+    # the top-right strip (two tables, 88 high with gaps) is taller than the
+    # top-left one (76), so the content starts 88 below the title strip; the
+    # bottom tables and the title follow the content
+    result = compile_source(PLACED)
+    assert result.diagnostics == []
+    lay = result.layout_result
+    assert lay.node_boxes == {"a": Box(8, 120, 88, 32), "f": Box(128, 120, 48, 28),
+                              "d": Box(20, 208, 88, 32), "m": Box(140, 208, 48, 28)}
+    assert lay.group_boxes == {"g": Box(8, 184, 192, 68)}
+    assert lay.table_regions == {
+        "tl": Box(8, 32, 64, 60), "tr": Box(104, 32, 96, 28), "tr2": Box(152, 76, 48, 28),
+        "bl": Box(8, 284, 48, 28), "br": Box(152, 284, 48, 44), "br2": Box(152, 344, 48, 28)}
+    assert lay.title_region == Box(144, 388, 56, 16)
+    assert (lay.width, lay.height) == (208, 412)
+
+
+def test_self_edges_and_recurrent_edges_loop_above_their_nodes():
+    d = diagram_from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)],
+                           kinds={2: "recurrent", 3: "recurrent"})
+    lay = layout(d, *break_cycles(d))
+    v0, v1 = lay.node_boxes["v0"], lay.node_boxes["v1"]
+    assert lay.edge_routes["e1"] == ((v0.right, v0.cy), (v1.x, v1.cy))
+    for edge_id, src, tgt in (("e0", v0, v0), ("e2", v1, v0), ("e3", v1, v1)):
+        top = min(src.y, tgt.y) - 12
+        assert lay.edge_routes[edge_id] == (
+            (src.right, src.cy), (src.right + 8, src.cy), (src.right + 8, top),
+            (tgt.x - 8, top), (tgt.x - 8, tgt.cy), (tgt.x, tgt.cy)), edge_id
+
+
+def test_edge_between_group_members_joins_their_band():
+    # d -> m is declared outside the detail block, so g does not list it;
+    # both its ends are members of g, so it is g's edge and one band holds both
+    result = compile_source(
+        'dial 0.1\ndialect sys\ndiagram "bands" {\n'
+        "  data a: S\n  node f: func\n  edge a -> f\n"
+        "  detail g for f {\n    data d: S\n    node m: func\n  }\n"
+        "  edge d -> m\n}\n")
+    assert result.diagnostics == []
+    assert result.diagram.groups[0].member_edges == ()
+    lay = result.layout_result
+    assert lay.bands["d"] == lay.bands["m"]
+    assert (lay.layers["d"], lay.layers["m"]) == (0, 1)
+    assert lay.node_boxes["d"].y == lay.node_boxes["m"].y
 
 
 def test_random_dags_layer_invariant():

@@ -114,9 +114,9 @@ def test_w208_comes_in_node_order():
 
 
 def test_w208_judges_the_drawn_bands():
-    # the detail group's member edge a -> c does not join c to the main
-    # area's band of a and f, so c is drawn in a band of its own and shares
-    # no band and layer with f
+    # a -> c has both ends in the main area, so it joins c to the band of a
+    # and f, although the detail group lists it: c is drawn at f's layer,
+    # stacked under f, and the layer mixes a feature and a component node
     result = compile_source(
         'dial 0.1\ndialect sys\ndiagram "bands" {\n'
         "  data a: S\n  node f: func\n  node c: POS\n  edge a -> f\n"
@@ -124,7 +124,10 @@ def test_w208_judges_the_drawn_bands():
         "    edge a -> c\n  }\n}\n")
     assert result.diagnostics == []
     drawn = result.layout_result
-    assert drawn.layers["c"] == drawn.layers["f"]
-    assert drawn.bands["c"] != drawn.bands["f"]
-    assert drawn.node_boxes["c"].y > drawn.node_boxes["f"].bottom
-    assert [d.code for d in result.lint()] == ["W207"]
+    assert drawn.layers["c"] == drawn.layers["f"] == 1
+    assert drawn.bands["c"] == drawn.bands["f"]
+    assert drawn.node_boxes["c"].y == drawn.node_boxes["f"].bottom + 16
+    warnings = result.lint()
+    assert [d.code for d in warnings] == ["W207", "W208"]
+    assert warnings[1].message.startswith(
+        "layer 1 mixes feature node 'f' with component node 'c'")

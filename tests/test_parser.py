@@ -231,6 +231,7 @@ def test_diagnostic_spans_inside_input():
 
 @pytest.mark.parametrize("item, errors", [
     ('table t { "}": "v"; }', []),
+    ("table t { }", [("E002", 4, 13, "a table needs at least one row")]),
     ('"node" a: POS', [("E002", 4, 3, "expected a declaration (node, data, edge, detail, "
                                       "table, embedding or extend), found '\"node\"'")]),
     ('data s: "{" S "}"', [("E002", 4, 11, "malformed data term: expected a data term, "
@@ -240,7 +241,7 @@ def test_diagnostic_spans_inside_input():
     ('node "a": POS', [("E002", 4, 8, "expected node identifier, found '\"a\"'")]),
     ('node a: POS("k"=1)', [("E002", 4, 15, "expected a parameter name, found '\"k\"'")]),
     ('node a: ""', [("E002", 4, 11, "expected symbol or task code, found '\"\"'")]),
-], ids=["table_key", "keyword", "term_bracket", "term_caret", "expect", "param_name",
+], ids=["table_key", "empty_table", "keyword", "term_bracket", "term_caret", "expect", "param_name",
         "empty_string"])
 def test_a_string_is_never_punctuation_or_keyword(item, errors):
     # a misplaced string is shown with its quotes, never as the text it spells

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from dial.reference import generate_reference
+from dial.reference import generate_reference, main
 
 
 def test_reference_document_is_current():
@@ -20,3 +20,10 @@ def test_reference_lists_everything():
     # 26 signature rows plus alternatives, 30 + 13 symbol rows
     assert "| ABD |" in text and "| POS |" in text
     assert "| hidden_bwd |" in text and "| zoom |" in text
+
+
+def test_main_writes_the_reference(tmp_path, capsys):
+    target = tmp_path / "docs" / "reference.md"
+    assert main([str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == generate_reference()
+    assert capsys.readouterr().out == f"wrote {target}\n"

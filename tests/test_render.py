@@ -127,6 +127,51 @@ def test_lexicon_attention_has_two_table_regions():
     assert svg.count('class="table-box"') == 2
 
 
+GLYPHS = ('dial 0.1\ndialect sys\ndiagram "glyphs" {\n'
+          "  data s: S\n  node c: cond\n  node e: encoder\n  node d: decoder\n"
+          "  node r: rank(n=3)\n  node q: func\n  node z: func\n"
+          "  edge s -> c\n  edge c -> e\n  edge c -> r\n  edge e -> d\n"
+          "  edge d <-> z\n  edge r -> q\n}\n")
+SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def test_polygon_glyphs_follow_their_boxes():
+    result = compile_source(GLYPHS)
+    assert result.diagnostics == []
+    boxes = result.layout_result.node_boxes
+
+    def corners(node_id, fractions):
+        b = boxes[node_id]
+        return " ".join(f"{b.x + b.w * fx // 4},{b.y + b.h * fy // 4}" for fx, fy in fractions)
+
+    root = ET.fromstring(result.render("svg"))
+    polygons = [p.get("points") for p in root.iter(f"{SVG_NS}polygon")]
+    assert polygons == [
+        corners("c", ((2, 0), (4, 2), (2, 4), (0, 2))),  # cond: a diamond
+        corners("e", ((0, 0), (4, 1), (4, 3), (0, 4))),  # encoder: narrows to the right
+        corners("d", ((0, 1), (4, 0), (4, 4), (0, 3))),  # decoder: widens to the right
+    ]
+
+
+def test_biflow_has_arrows_at_both_ends():
+    root = ET.fromstring(compile_source(GLYPHS).render("svg"))
+    lines = {line.get("class"): line for line in root.iter(f"{SVG_NS}polyline")}
+    assert lines["edge edge-biflow"].get("marker-start") == "url(#arrow)"
+    assert lines["edge edge-biflow"].get("marker-end") == "url(#arrow)"
+    assert lines["edge edge-flow"].get("marker-start") is None
+
+
+def test_sequence_term_shows_its_bound():
+    # rank(n=3) emits a sequence of at most three elements
+    result = compile_source(GLYPHS)
+    svg = result.render("svg")
+    assert ">[S]&#8804;3</text>" in svg
+    labels = [t.text for t in ET.fromstring(svg).iter(f"{SVG_NS}text")
+              if t.get("class") == "edge-term"]
+    assert "[S]\u22643" in labels
+    assert "{$[S]\\leq 3$}" in result.render("tikz")
+
+
 def fresh_layout(result):
     """A layout of ``result`` built anew, apart from its cached one."""
     return layout(result.typed.diagram, result.typed.oriented, result.typed.reversed_edges)
