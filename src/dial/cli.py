@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__, layout, lint as lint_mod, render
 from .diagnostics import Diagnostic, dump_json, has_errors
 from .model import Diagram, validate_structure
-from .parser import LoweredUnit, format_source, lower, parse, tokenize
+from .parser import LoweredUnit, format_source, locate, lower, parse, tokenize
 from .registry import DIALECTS, Registry
 from .typecheck import TypedDiagram, check_diagram
 
@@ -75,10 +75,10 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
     tokens, diags = tokenize(source)
     result.diagnostics.extend(diags)
     ast, diags = parse(tokens)
-    del tokens  # the AST keeps its own spans; frees the token lists before lowering
+    del tokens  # the AST keeps its own offsets; frees the token lists before lowering
     result.diagnostics.extend(diags)
     if ast is None or has_errors(result.diagnostics):
-        result.diagnostics = _located(result.diagnostics, file_name, {})
+        result.diagnostics = _located(result.diagnostics, file_name, source, {})
         return result
 
     unit: LoweredUnit = lower(ast)
@@ -87,14 +87,14 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
     result.diagram = unit.diagram
     result.registry = unit.registry
     if unit.diagram is None or has_errors(result.diagnostics):
-        result.diagnostics = _located(result.diagnostics, file_name, unit.spans)
+        result.diagnostics = _located(result.diagnostics, file_name, source, unit.spans)
         return result
 
     result.diagnostics.extend(validate_structure(unit.diagram, unit.registry))
     if not has_errors(result.diagnostics):
         result.typed = check_diagram(unit.diagram, unit.registry)
         result.diagnostics.extend(result.typed.diagnostics)
-    result.diagnostics = _located(result.diagnostics, file_name, unit.spans)
+    result.diagnostics = _located(result.diagnostics, file_name, source, unit.spans)
     return result
 
 
@@ -107,10 +107,13 @@ def compile_file(path: str) -> CompileResult:
     return compile_source(read_source(path), path)
 
 
-def _located(diagnostics: list[Diagnostic], file_name: str, spans) -> list[Diagnostic]:
+def _located(diagnostics: list[Diagnostic], file_name: str, source: str,
+             spans: dict[str, dict[str, int]]) -> list[Diagnostic]:
+    """Each of ``diagnostics`` in ``file_name``, at its ``ir_path``'s declaration if spanless."""
     out = []
     for diag in diagnostics:
-        span = diag.span or spans.get(diag.ir_kind, {}).get(diag.ir_path)
+        at = spans.get(diag.ir_kind, {}).get(diag.ir_path)
+        span = diag.span or (None if at is None else locate(source, at))
         out.append(diag.with_location(file_name, span))
     return out
 

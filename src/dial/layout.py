@@ -22,7 +22,8 @@ in the checker; ``layout`` draws the orientation the checker used:
   3. ordering         four fixed barycenter sweeps (down, up, down, up) with
                       declaration order breaking ties; the node -> position
                       map is built once and rewritten only for the layer
-                      just sorted: O(E + N log N) per sweep
+                      just sorted, and a layer of one node, already at
+                      position 0, is never sorted: O(E + N log N) per sweep
   4. coordinates      integer boxes on a 4-unit grid; title strip at the top
                       left, then any top tables, then the main area, zoom-in
                       groups in their own boxes below it and meta tables at
@@ -206,7 +207,7 @@ def order_within_layers(node_ids: list[str], layers: dict[str, int],
         preds[v].append(u)
         succs[u].append(v)
 
-    layer_keys = sorted(by_layer)
+    layer_keys = sorted(key for key, layer in by_layer.items() if len(layer) > 1)
     positions = {n: i for layer in by_layer.values() for i, n in enumerate(layer)}
 
     def bary(node: str, neighbor: dict[str, list[str]]) -> int | Fraction:
@@ -394,8 +395,11 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
     y_cursor = content_y + main.height + (BAND_GAP if main.nodes else 0)
     for index, group in enumerate(diagram.groups):
         sub = _layout_area(members[index], medges[index], orientation)
+        # room for the group caption, and below it for loops over the first row
+        caption_h = 24 if any(e.flow_kind == "recurrent" or e.source.node == e.target.node
+                              for e in medges[index]) else 12
         origin_x = MARGIN + GROUP_PAD
-        origin_y = y_cursor + GROUP_PAD + 12  # room for the group caption
+        origin_y = y_cursor + GROUP_PAD + caption_h
         for node_id, box in sub.boxes.items():
             node_boxes[node_id] = box.shifted(origin_x, origin_y)
         layers.update(sub.layers)
@@ -403,7 +407,7 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
         group_boxes[group.id] = Box(
             MARGIN, y_cursor,
             _quant(sub.width + 2 * GROUP_PAD),
-            _quant(sub.height + 2 * GROUP_PAD + 12),
+            _quant(sub.height + 2 * GROUP_PAD + caption_h),
         )
         y_cursor = group_boxes[group.id].bottom + V_GAP
 

@@ -1,6 +1,6 @@
 """Front end for the textual diagram DSL.
 
-Pipeline: tokenize -> parse (AST with spans, declaration-level error
+Pipeline: tokenize -> parse (AST with source offsets, declaration-level error
 recovery) -> lower (core IR plus extension overlay) -> format (canonical
 printer, idempotent).
 
@@ -8,8 +8,9 @@ Each stage is linear in tokens plus declarations. ``tokenize`` is one
 ``findall`` of every lexeme into :class:`Tokens`, parallel lists of kinds,
 texts and start offsets: a start sums the lengths before it, and a kind is
 looked up by first character, the whole text deciding only a string, arrow,
-comment, non-ASCII digit or illegal character. A token's line and column are
-worked out only when a diagnostic or an AST node asks for its span.
+comment, non-ASCII digit or illegal character. The AST keeps token offsets,
+and :func:`locate` makes a :class:`Span` only for a diagnostic, so a valid
+file builds none, nor a table of line starts.
 ``parse`` reads those lists, and so does
 :class:`~dial.terms.TermParser`, which reads a data term in place from its
 first index, so a term costs only its own tokens. ``lower`` looks node and
@@ -36,6 +37,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Callable
+from functools import lru_cache
 
 from .diagnostics import CollidesWithBuiltin, Diagnostic, Span
 from .model import (
@@ -82,25 +85,21 @@ ITEM_KEYWORDS = frozenset({"node", "data", "edge", "detail", "table", "embedding
 
 
 class Tokens:
-    """Parallel lists of kinds, texts and start offsets, ending with ``eof``.
-    A :class:`Span` is made only on request, from a table of line starts."""
+    """Parallel lists of kinds, texts and start offsets into ``source``,
+    ending with ``eof``. A :class:`Span` is made only on request."""
 
     def __init__(self, source: str) -> None:
+        self.source = source
         self.kinds: list[str] = []  # keyword | ident | string | number | punct | arrow | eof
         self.texts: list[str] = []  # a string token's text is unescaped
         self.starts: list[int] = []  # source offset of each token's first character
-        self.line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
 
     def __len__(self) -> int:
         return len(self.kinds)
 
     def span(self, index: int) -> Span:
-        return self.span_at(self.starts[index], len(self.texts[index]))
-
-    def span_at(self, offset: int, length: int = 1) -> Span:
-        """Physical line and column of a source offset; a tab is one column."""
-        line = bisect_right(self.line_starts, offset)
-        return Span(line, offset - self.line_starts[line - 1] + 1, length)
+        """Span of token ``index``; a string's length is that of its unescaped text."""
+        return locate(self.source, self.starts[index], len(self.texts[index]))
 
 
 # A string up to its closing quote; a backslash escapes any character, and an
@@ -116,6 +115,21 @@ _FIRST_KIND = {**dict.fromkeys(" \t\r\n", "space"), **dict.fromkeys(":{}()[],=@^
                **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@lru_cache(maxsize=1)  # the diagnostics of one source share its table
+def _line_starts(source: str) -> list[int]:
+    return [0] + [m.end() for m in re.finditer("\n", source)]
+
+
+def locate(source: str, offset: int, length: int | None = None) -> Span:
+    """Physical line and column of a source offset (a tab is one column), and
+    ``length``, by default that of the lexeme at the offset."""
+    line_starts = _line_starts(source)
+    line = bisect_right(line_starts, offset)
+    if length is None:
+        length = _LEXEME_RE.match(source, offset).end() - offset
+    return Span(line, offset - line_starts[line - 1] + 1, length)
 
 
 def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
@@ -143,7 +157,7 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
             elif first == '"' or len(text) == 1:
                 message = "unterminated string literal" if first == '"' \
                     else f"illegal character {text!r}"
-                diagnostics.append(Diagnostic("E001", message, span=tokens.span_at(start)))
+                diagnostics.append(Diagnostic("E001", message, span=locate(source, start, 1)))
                 continue
             else:
                 kind = "arrow"
@@ -164,14 +178,14 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
 class PortRef(Record):
     node: str
     slot: str | None
-    span: Span
+    at: int  # source offset of its first token
 
 
 class PerfItem(Record):
     metric: str
     value: float
     corpus: str
-    span: Span
+    at: int
 
 
 class NodeDecl(Record):
@@ -179,7 +193,7 @@ class NodeDecl(Record):
     code: str
     params: tuple[tuple[str, object], ...]
     perf: tuple[PerfItem, ...]
-    span: Span
+    at: int
 
 
 class DataDecl(Record):
@@ -187,7 +201,7 @@ class DataDecl(Record):
     term_literal: str
     tag: str | None  # dataset | gold | kb | kbfn
     tag_label: str | None
-    span: Span
+    at: int
 
 
 class EdgeDecl(Record):
@@ -195,7 +209,7 @@ class EdgeDecl(Record):
     arrow: str
     target: PortRef
     as_literal: str | None
-    span: Span
+    at: int
 
 
 class DetailDecl(Record):
@@ -204,28 +218,28 @@ class DetailDecl(Record):
     entry_side: str
     exit_side: str
     items: tuple
-    span: Span
+    at: int
 
 
 class TableDecl(Record):
     id: str
     placement: str | None
     rows: tuple[tuple[str, str], ...]
-    span: Span
+    at: int
 
 
 class EmbedDecl(Record):
     id: str
     dim: int
     label: str | None
-    span: Span
+    at: int
 
 
 class ExtendDecl(Record):
     what: str  # "symbol" | "task"
     name: str
     fields: tuple[tuple[str, object], ...]
-    span: Span
+    at: int
 
 
 class SourceAst(Record):
@@ -234,7 +248,8 @@ class SourceAst(Record):
     name: str
     title_placement: str | None
     items: tuple
-    span: Span
+    at: int
+    source: str  # the text the offsets index, for locating lowering's diagnostics
 
 
 class _ParseAbort(Exception):
@@ -248,6 +263,7 @@ class Parser:
         self.tokens = tokens
         self.kinds = tokens.kinds
         self.texts = tokens.texts
+        self.starts = tokens.starts
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.depth = 0  # detail blocks open around the current item
@@ -259,11 +275,8 @@ class Parser:
         return self.kinds[self.pos], self.texts[self.pos]
 
     def span(self, offset: int = 0) -> Span:
-        """:meth:`Tokens.span` of the token ``offset`` from the current one, in one frame."""
-        tokens, index = self.tokens, self.pos + offset
-        line = bisect_right(tokens.line_starts, tokens.starts[index])
-        return Span(line, tokens.starts[index] - tokens.line_starts[line - 1] + 1,
-                    len(self.texts[index]))
+        """:meth:`Tokens.span` of the token ``offset`` from the current one."""
+        return self.tokens.span(self.pos + offset)
 
     def at(self, text: str | None = None, kind: str | None = None) -> bool:
         """The current token is ``text`` (which a string never is) or else of ``kind``."""
@@ -312,12 +325,12 @@ class Parser:
 
     def parse_unit(self) -> SourceAst | None:
         try:
-            start = self.span()
+            at = self.starts[self.pos]
             self.expect("dial", what="'dial' header")
             version = self.expect(kind="number", what="language version")
             if version != DSL_VERSION:
-                self.error(f"unsupported language version {version!r} "
-                           f"(this toolchain speaks {DSL_VERSION})", start)
+                self.error(f"unsupported language version {version!r} "  # at 'dial'
+                           f"(this toolchain speaks {DSL_VERSION})", self.span(-2))
             self.expect("dialect", what="'dialect'")
             dialects = [self.expect(kind="ident", what="dialect name")]
             while self.at(","):
@@ -332,7 +345,7 @@ class Parser:
             self.expect("{", what="'{'")
             items = self._items_until_close()
             return SourceAst(version, tuple(dialects), name, title_placement,
-                             tuple(items), start)
+                             tuple(items), at, self.tokens.source)
         except _ParseAbort:
             return None
 
@@ -354,26 +367,25 @@ class Parser:
                     return items
 
     def _item(self):
-        """One declaration; its handler gets the span of its keyword."""
+        """One declaration; its handler gets the offset of its keyword."""
         kind, text = self.peek()
         handler = _ITEM_HANDLERS.get(text) if kind == "keyword" else None
-        span = self.span()
         if handler is None:
             self.error(
                 "expected a declaration (node, data, edge, detail, table, "
                 f"embedding or extend), found {token_text(kind, text) or 'end of input'!r}",
-                span)
+                self.span())
             raise _ParseAbort()
         self.pos += 1  # a keyword, never eof
-        return handler(self, span)
+        return handler(self, self.starts[self.pos - 1])
 
-    def _node(self, span: Span) -> NodeDecl:
+    def _node(self, at: int) -> NodeDecl:
         ident = self.expect(kind="ident", what="node identifier")
         self.expect(":", what="':'")
         code = self.expect(kind="ident", what="symbol or task code")
         params = self._params() if self.at("(") else ()
         perf = self._perf() if self.at("perf") else ()
-        return NodeDecl(ident, code, params, perf, span)
+        return NodeDecl(ident, code, params, perf, at)
 
     def _params(self) -> tuple[tuple[str, object], ...]:
         self.expect("(")
@@ -407,7 +419,7 @@ class Parser:
         self.expect("(")
         out: list[PerfItem] = []
         while True:
-            span = self.span()
+            at = self.starts[self.pos]
             metric = self.expect(kind="ident", what="metric name")
             self.expect("=", what="'='")
             value = float(self.expect(kind="number", what="metric value"))
@@ -415,14 +427,14 @@ class Parser:
                 self.error("acc must lie in [0,1]", self.span(-1))
             self.expect("@", what="'@'")
             corpus = self.expect(kind="string", what="corpus name")
-            out.append(PerfItem(metric, value, corpus, span))
+            out.append(PerfItem(metric, value, corpus, at))
             if self.at(","):
                 self.advance()
                 continue
             self.expect(")", what="')' or ','")
             return tuple(out)
 
-    def _data(self, span: Span) -> DataDecl:
+    def _data(self, at: int) -> DataDecl:
         ident = self.expect(kind="ident", what="data identifier")
         self.expect(":", what="':'")
         literal = self._dataterm_literal()
@@ -437,18 +449,18 @@ class Parser:
                 self.expect("(", what="'('")
                 tag_label = self.expect(kind="string", what="dataset label")
                 self.expect(")", what="')'")
-        return DataDecl(ident, literal, tag, tag_label, span)
+        return DataDecl(ident, literal, tag, tag_label, at)
 
     def _portref(self) -> PortRef:
-        span = self.span()
+        at = self.starts[self.pos]
         node = self.expect(kind="ident", what="node reference")
         slot = None
         if self.at("."):
             self.advance()
             slot = self.expect(kind="ident", what="port name")
-        return PortRef(node, slot, span)
+        return PortRef(node, slot, at)
 
-    def _edge(self, span: Span) -> EdgeDecl:
+    def _edge(self, at: int) -> EdgeDecl:
         source = self._portref()
         arrow = self.expect(kind="arrow", what="an arrow (->, <->, |->, ?>, -o, ~>)")
         target = self._portref()
@@ -456,7 +468,7 @@ class Parser:
         if self.at("as"):
             self.advance()
             as_literal = self._dataterm_literal()
-        return EdgeDecl(source, arrow, target, as_literal, span)
+        return EdgeDecl(source, arrow, target, as_literal, at)
 
     def _dataterm_literal(self) -> str:
         """Consume the tokens of one data term; names are checked at lowering."""
@@ -477,7 +489,7 @@ class Parser:
         self.pos = term_parser.index
         return "".join(self.texts[start:self.pos])
 
-    def _detail(self, span: Span) -> DetailDecl:
+    def _detail(self, at: int) -> DetailDecl:
         ident = self.expect(kind="ident", what="detail group identifier")
         self.expect("for", what="'for'")
         owner = self.expect(kind="ident", what="owner node identifier")
@@ -490,13 +502,14 @@ class Parser:
             exit_side = self._side()
         self.expect("{", what="'{'")
         if self.depth == MAX_NESTING:
-            self.error(f"detail blocks nested deeper than {MAX_NESTING} levels", span)
+            self.error(f"detail blocks nested deeper than {MAX_NESTING} levels",
+                       locate(self.tokens.source, at))
             self.skip_to_close()
             raise _ParseAbort()
         self.depth += 1
         items = self._items_until_close()
         self.depth -= 1
-        return DetailDecl(ident, owner, entry_side, exit_side, tuple(items), span)
+        return DetailDecl(ident, owner, entry_side, exit_side, tuple(items), at)
 
     def _side(self) -> str:
         side = self.expect(kind="ident", what="a side (left, right, top, bottom)")
@@ -513,7 +526,7 @@ class Parser:
             raise _ParseAbort()
         return region
 
-    def _table(self, span: Span) -> TableDecl:
+    def _table(self, at: int) -> TableDecl:
         ident = self.expect(kind="ident", what="table identifier")
         placement = None
         if self.at("at"):
@@ -533,9 +546,9 @@ class Parser:
         self.advance()
         if not rows:
             self.error("a table needs at least one row", self.span(-1))
-        return TableDecl(ident, placement, tuple(rows), span)
+        return TableDecl(ident, placement, tuple(rows), at)
 
-    def _embedding(self, span: Span) -> EmbedDecl:
+    def _embedding(self, at: int) -> EmbedDecl:
         ident = self.expect(kind="ident", what="embedding identifier")
         self.expect("(", what="'('")
         if self.expect(kind="ident", what="'dim'") != "dim":
@@ -550,9 +563,9 @@ class Parser:
         label = None
         if self.at(kind="string"):
             label = self.advance()
-        return EmbedDecl(ident, int(dim), label, span)
+        return EmbedDecl(ident, int(dim), label, at)
 
-    def _extend(self, span: Span) -> ExtendDecl:
+    def _extend(self, at: int) -> ExtendDecl:
         what = self.expect(kind="ident", what="'symbol' or 'task'")
         if what not in ("symbol", "task"):
             self.error("extend introduces either a symbol or a task", self.span(-1))
@@ -584,7 +597,7 @@ class Parser:
                     raise _ParseAbort()
             self.expect(";", what="';'")
         self.advance()
-        return ExtendDecl(what, name, tuple(fields), span)
+        return ExtendDecl(what, name, tuple(fields), at)
 
     def _arity(self) -> tuple[int, int, int, int]:
         lo_in = self._arity_bound("minimum input arity")
@@ -635,7 +648,7 @@ class LoweredUnit(Record):
     diagram: Diagram | None
     registry: Registry
     diagnostics: list[Diagnostic]
-    spans: dict[str, dict[str, Span]]  # kind -> id -> span
+    spans: dict[str, dict[str, int]]  # kind -> id -> source offset of its declaration
 
 
 def lower(ast: SourceAst) -> LoweredUnit:
@@ -643,20 +656,20 @@ def lower(ast: SourceAst) -> LoweredUnit:
     data-term names are checked here (E004), ids here (E003)."""
     registry = Registry()
     diagnostics: list[Diagnostic] = []
-    spans: dict[str, dict[str, Span]] = {
+    spans: dict[str, dict[str, int]] = {
         kind: {} for kind in ("node", "edge", "group", "table", "embedding")}
 
     problem = dialect_list_error(ast.dialects)
     if problem:
-        diagnostics.append(Diagnostic("E003", problem, span=ast.span))
+        diagnostics.append(Diagnostic("E003", problem, span=locate(ast.source, ast.at)))
         return LoweredUnit(None, registry, diagnostics, spans)
 
     diagram = Diagram(ast.name, frozenset(ast.dialects))
     if ast.title_placement:
         diagram.title_placement = ast.title_placement
 
-    _register_extensions(ast, registry, diagnostics)
-    lowerer = _Lowerer(diagram, registry, diagnostics, spans)
+    lowerer = _Lowerer(diagram, registry, diagnostics, spans, ast.source)
+    _register_extensions(ast, registry, lowerer.err)
     lowerer.lower_items(ast.items, group=None)
     lowerer.lower_edges()
     return LoweredUnit(diagram, registry, diagnostics, spans)
@@ -673,16 +686,16 @@ def _walk_extends(items) -> list[ExtendDecl]:
 
 
 def _register_extensions(ast: SourceAst, registry: Registry,
-                         diagnostics: list[Diagnostic]) -> None:
+                         err: Callable[[str, str, int], None]) -> None:
+    """Register every ``extend`` block; ``err(code, message, offset)`` reports."""
     seen: set[str] = set()
     for decl in _walk_extends(ast.items):
         if decl.name in seen:
-            diagnostics.append(Diagnostic(
-                "E003", f"duplicate extension code {decl.name!r}", span=decl.span))
+            err("E003", f"duplicate extension code {decl.name!r}", decl.at)
             continue
         seen.add(decl.name)
         for problem in _extend_field_problems(decl):
-            diagnostics.append(Diagnostic("E003", problem, span=decl.span))
+            err("E003", problem, decl.at)
         fields = dict(decl.fields)
         try:
             if decl.what == "symbol":
@@ -702,18 +715,15 @@ def _register_extensions(ast: SourceAst, registry: Registry,
                 domain = tuple(Slot(registry.parse_term(lit)) for lit in fields.get("domain", ()))
                 rng = tuple(Slot(registry.parse_term(lit)) for lit in fields.get("range", ()))
                 if not domain or not rng:
-                    diagnostics.append(Diagnostic(
-                        "E003", f"extension task {decl.name!r} needs domain and range",
-                        span=decl.span))
+                    err("E003", f"extension task {decl.name!r} needs domain and range", decl.at)
                     continue
                 registry.register_extension(Signature(
                     task_code=decl.name, dialect="ext", name=decl.name,
                     variants=((domain, rng),)))
         except CollidesWithBuiltin as exc:
-            diagnostics.append(Diagnostic("E003", str(exc), span=decl.span))
+            err("E003", str(exc), decl.at)
         except TermError as exc:
-            diagnostics.append(Diagnostic(
-                "E004", f"in extension {decl.name!r}: {exc}", span=decl.span))
+            err("E004", f"in extension {decl.name!r}: {exc}", decl.at)
 
 
 _EXTEND_FIELDS = {"symbol": ("name", "glyph", "arity", "category"), "task": ("domain", "range")}
@@ -747,11 +757,12 @@ _SLOT_RE = re.compile(r"(in|out)(\d+)$")
 
 
 class _Lowerer:
-    def __init__(self, diagram, registry, diagnostics, spans) -> None:
+    def __init__(self, diagram, registry, diagnostics, spans, source) -> None:
         self.diagram = diagram
         self.registry = registry
         self.diagnostics = diagnostics
         self.spans = spans
+        self.source = source
         self.pending_edges: list[tuple[EdgeDecl, str | None]] = []  # (decl, group id)
         self.next_in_slot: dict[str, int] = {}
         self.node_pos: dict[str, int] = {}  # node id -> index in diagram.nodes
@@ -759,8 +770,8 @@ class _Lowerer:
         self.table_ids: set[str] = set()
         self.embedding_ids: set[str] = set()
 
-    def err(self, code: str, message: str, span: Span) -> None:
-        self.diagnostics.append(Diagnostic(code, message, span=span))
+    def err(self, code: str, message: str, at: int) -> None:
+        self.diagnostics.append(Diagnostic(code, message, span=locate(self.source, at)))
 
     # -- declarations ---------------------------------------------------
 
@@ -780,21 +791,21 @@ class _Lowerer:
                 self._embedding(item)
             # ExtendDecl already handled in the registration pre-pass.
 
-    def _check_term(self, literal: str, span: Span) -> bool:
+    def _check_term(self, literal: str, at: int) -> bool:
         try:
             self.registry.parse_term(literal)
             return True
         except TermError as exc:
-            self.err("E004", str(exc), span)
+            self.err("E004", str(exc), at)
             return False
 
-    def _add_node(self, node: Node, span: Span, group: str | None) -> bool:
+    def _add_node(self, node: Node, at: int, group: str | None) -> bool:
         if node.id in self.node_pos:
-            self.err("E003", f"duplicate declaration id {node.id!r}", span)
+            self.err("E003", f"duplicate declaration id {node.id!r}", at)
             return False
         self.node_pos[node.id] = len(self.diagram.nodes)
         self.diagram.nodes.append(node)
-        self.spans["node"][node.id] = span
+        self.spans["node"][node.id] = at
         if group is not None:
             self.members[group][0].append(node.id)
         return True
@@ -808,12 +819,12 @@ class _Lowerer:
             elif key == "shape":
                 if value not in ("feature", "component"):
                     self.err("E003", f"shape must be feature or component, got {value!r}",
-                             decl.span)
+                             decl.at)
                 else:
                     shape = str(value)
             else:
                 if key == "out":
-                    self._check_term(str(value), decl.span)
+                    self._check_term(str(value), decl.at)
                 params.append((key, value))
         found = self.registry.resolve(decl.code, self.diagram.dialects)
         kind = node_kind(found) if found else "operator"
@@ -823,10 +834,10 @@ class _Lowerer:
             shape_class=shape or default_shape_class(kind),
             perf=tuple(PerfAnnotation(p.metric, p.value, p.corpus) for p in decl.perf),
         )
-        self._add_node(node, decl.span, group)
+        self._add_node(node, decl.at, group)
 
     def _data(self, decl: DataDecl, group: str | None) -> None:
-        self._check_term(decl.term_literal, decl.span)
+        self._check_term(decl.term_literal, decl.at)
         code = decl.tag or "interface"
         kind = "resource" if decl.tag else "io"
         node = Node(
@@ -834,17 +845,17 @@ class _Lowerer:
             params=(("out", decl.term_literal),),
             shape_class="component",
         )
-        self._add_node(node, decl.span, group)
+        self._add_node(node, decl.at, group)
 
     def _detail(self, decl: DetailDecl, parent_group: str | None) -> None:
         if decl.id in self.members:
-            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.span)
+            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.at)
             return
         self.members[decl.id] = ([], [])
         group = DetailGroup(decl.id, decl.owner, entry_side=decl.entry_side,
                             exit_side=decl.exit_side)
         self.diagram.groups.append(group)
-        self.spans["group"][decl.id] = decl.span
+        self.spans["group"][decl.id] = decl.at
         self.lower_items(decl.items, group=decl.id)
         owner_idx = self.node_pos.get(decl.owner)
         if owner_idx is not None:
@@ -852,26 +863,26 @@ class _Lowerer:
                 self.diagram.nodes[owner_idx], detail=decl.id)
         else:
             self.err("E011", f"detail group {decl.id!r} refines unknown node "
-                             f"{decl.owner!r}", decl.span)
+                             f"{decl.owner!r}", decl.at)
 
     def _table(self, decl: TableDecl) -> None:
         if decl.id in self.table_ids:
-            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.span)
+            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.at)
             return
         self.table_ids.add(decl.id)
         kind = decl.id if decl.id in ("hyperparams", "results") else "freeform"
         self.diagram.tables.append(MetaTable(
             decl.id, kind=kind, rows=decl.rows,
             placement=decl.placement or "bottom_right"))
-        self.spans["table"][decl.id] = decl.span
+        self.spans["table"][decl.id] = decl.at
 
     def _embedding(self, decl: EmbedDecl) -> None:
         if decl.id in self.embedding_ids:
-            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.span)
+            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.at)
             return
         self.embedding_ids.add(decl.id)
         self.diagram.embeddings.append(EmbeddingDecl(decl.id, decl.dim, decl.label))
-        self.spans["embedding"][decl.id] = decl.span
+        self.spans["embedding"][decl.id] = decl.at
 
     # -- edges (second pass so forward references work) -------------------
 
@@ -908,7 +919,7 @@ class _Lowerer:
         ok = True
         for ref in (decl.source, decl.target):
             if ref.node not in self.node_pos:
-                self.err("E011", f"edge references unknown node {ref.node!r}", ref.span)
+                self.err("E011", f"edge references unknown node {ref.node!r}", ref.at)
                 ok = False
         if not ok:
             return
@@ -916,10 +927,10 @@ class _Lowerer:
         tgt_slot = self._resolve_slot(decl.target, "in", kind)
         if src_slot is None or tgt_slot is None:
             bad = decl.source if src_slot is None else decl.target
-            self.err("E011", f"bad port name {bad.slot!r} on {bad.node!r}", bad.span)
+            self.err("E011", f"bad port name {bad.slot!r} on {bad.node!r}", bad.at)
             return
         if decl.as_literal is not None:
-            self._check_term(decl.as_literal, decl.span)
+            self._check_term(decl.as_literal, decl.at)
         edge_id = f"e{len(self.diagram.edges)}"
         self.diagram.edges.append(Edge(
             edge_id,
@@ -927,7 +938,7 @@ class _Lowerer:
             Port(decl.target.node, tgt_slot, "in"),
             kind, decl.as_literal,
         ))
-        self.spans["edge"][edge_id] = decl.span
+        self.spans["edge"][edge_id] = decl.at
         if group is not None:
             self.members[group][1].append(edge_id)
 

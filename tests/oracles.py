@@ -877,9 +877,10 @@ def random_valid_source(rng: random.Random) -> str:
 
 # ---------------------------------------------------------------------------
 # Reference front end, verbatim: the character-loop tokenizer that built a
-# Token and a Span per token (its eof now after a closing comment too), the
-# parser over that token list, its earlier term reader and lowering's earlier
-# id lookups
+# Token and a Span per token (its eof now after a closing comment too, and
+# each token now carrying the source offset its own loop counted), the parser
+# over that token list, its earlier term reader and lowering's earlier id
+# lookups; the AST records and lowered units hold those offsets
 # ---------------------------------------------------------------------------
 
 
@@ -887,11 +888,12 @@ class Token(Record):
     kind: str  # keyword | ident | string | number | punct | arrow | eof
     text: str
     span: Span
+    at: int  # source offset of its first character
 
 
 def token_list(tokens: Tokens) -> list[Token]:
     """The library's parallel token lists as one :class:`Token` per token."""
-    return [Token(kind, text, tokens.span(i))
+    return [Token(kind, text, tokens.span(i), tokens.starts[i])
             for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
 
 
@@ -908,7 +910,7 @@ def reference_tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     n = len(source)
 
     def emit(kind: str, text: str) -> None:
-        tokens.append(Token(kind, text, Span(line, col, len(text))))
+        tokens.append(Token(kind, text, Span(line, col, len(text)), i))
 
     while i < n:
         ch = source[i]
@@ -983,18 +985,20 @@ def reference_tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             "E001", f"illegal character {ch!r}", span=Span(line, col)))
         i += 1
         col += 1
-    tokens.append(Token("eof", "", Span(line, col, 0)))
+    tokens.append(Token("eof", "", Span(line, col, 0), i))
     return tokens, diagnostics
 
 
 class TokenListParser:
     """The parser before the flat token stream, reading a list of
     :class:`Token` values; verbatim apart from its name, its term reader,
-    which :class:`ReferenceParser` supplies, and the quotes its ``expect``
-    and ``_item`` messages put around a string token."""
+    which :class:`ReferenceParser` supplies, the quotes its ``expect``
+    and ``_item`` messages put around a string token, and the token offsets
+    and ``source`` it records in the AST."""
 
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, tokens: list[Token], source: str) -> None:
         self.tokens = tokens
+        self.source = source
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.depth = 0  # detail blocks open around the current item
@@ -1045,12 +1049,12 @@ class TokenListParser:
 
     def parse_unit(self) -> SourceAst | None:
         try:
-            start = self.peek().span
+            start = self.peek()
             self.expect("dial", what="'dial' header")
             version = self.expect(kind="number", what="language version").text
             if version != DSL_VERSION:
                 self.error(f"unsupported language version {version!r} "
-                           f"(this toolchain speaks {DSL_VERSION})", start)
+                           f"(this toolchain speaks {DSL_VERSION})", start.span)
             self.expect("dialect", what="'dialect'")
             dialects = [self.expect(kind="ident", what="dialect name").text]
             while self.at(","):
@@ -1065,7 +1069,7 @@ class TokenListParser:
             self.expect("{", what="'{'")
             items = self._items_until_close()
             return SourceAst(version, tuple(dialects), name, title_placement,
-                             tuple(items), start)
+                             tuple(items), start.at, self.source)
         except _ParseAbort:
             return None
 
@@ -1102,13 +1106,13 @@ class TokenListParser:
         return handler()
 
     def _node(self) -> NodeDecl:
-        span = self.advance().span
+        keyword = self.advance()
         ident = self.expect(kind="ident", what="node identifier").text
         self.expect(":", what="':'")
         code = self.expect(kind="ident", what="symbol or task code").text
         params = self._params() if self.at("(") else ()
         perf = self._perf() if self.at("perf") else ()
-        return NodeDecl(ident, code, params, perf, span)
+        return NodeDecl(ident, code, params, perf, keyword.at)
 
     def _params(self) -> tuple[tuple[str, object], ...]:
         self.expect("(")
@@ -1151,7 +1155,7 @@ class TokenListParser:
                 self.error("acc must lie in [0,1]", vtok.span)
             self.expect("@", what="'@'")
             corpus = self.expect(kind="string", what="corpus name").text
-            out.append(PerfItem(mtok.text, value, corpus, mtok.span))
+            out.append(PerfItem(mtok.text, value, corpus, mtok.at))
             if self.at(","):
                 self.advance()
                 continue
@@ -1159,7 +1163,7 @@ class TokenListParser:
             return tuple(out)
 
     def _data(self) -> DataDecl:
-        span = self.advance().span
+        keyword = self.advance()
         ident = self.expect(kind="ident", what="data identifier").text
         self.expect(":", what="':'")
         literal = self._dataterm_literal()
@@ -1175,7 +1179,7 @@ class TokenListParser:
                 self.expect("(", what="'('")
                 tag_label = self.expect(kind="string", what="dataset label").text
                 self.expect(")", what="')'")
-        return DataDecl(ident, literal, tag, tag_label, span)
+        return DataDecl(ident, literal, tag, tag_label, keyword.at)
 
     def _portref(self) -> PortRef:
         tok = self.expect(kind="ident", what="node reference")
@@ -1183,10 +1187,10 @@ class TokenListParser:
         if self.at("."):
             self.advance()
             slot = self.expect(kind="ident", what="port name").text
-        return PortRef(tok.text, slot, tok.span)
+        return PortRef(tok.text, slot, tok.at)
 
     def _edge(self) -> EdgeDecl:
-        span = self.advance().span
+        keyword = self.advance()
         source = self._portref()
         arrow = self.expect(kind="arrow", what="an arrow (->, <->, |->, ?>, -o, ~>)").text
         target = self._portref()
@@ -1194,10 +1198,10 @@ class TokenListParser:
         if self.at("as"):
             self.advance()
             as_literal = self._dataterm_literal()
-        return EdgeDecl(source, arrow, target, as_literal, span)
+        return EdgeDecl(source, arrow, target, as_literal, keyword.at)
 
     def _detail(self) -> DetailDecl:
-        span = self.advance().span
+        keyword = self.advance()
         ident = self.expect(kind="ident", what="detail group identifier").text
         self.expect("for", what="'for'")
         owner = self.expect(kind="ident", what="owner node identifier").text
@@ -1210,13 +1214,13 @@ class TokenListParser:
             exit_side = self._side()
         self.expect("{", what="'{'")
         if self.depth == MAX_NESTING:
-            self.error(f"detail blocks nested deeper than {MAX_NESTING} levels", span)
+            self.error(f"detail blocks nested deeper than {MAX_NESTING} levels", keyword.span)
             self.skip_to_close()
             raise _ParseAbort()
         self.depth += 1
         items = self._items_until_close()
         self.depth -= 1
-        return DetailDecl(ident, owner, entry_side, exit_side, tuple(items), span)
+        return DetailDecl(ident, owner, entry_side, exit_side, tuple(items), keyword.at)
 
     def _side(self) -> str:
         tok = self.expect(kind="ident", what="a side (left, right, top, bottom)")
@@ -1234,7 +1238,7 @@ class TokenListParser:
         return tok.text
 
     def _table(self) -> TableDecl:
-        span = self.advance().span
+        keyword = self.advance()
         ident = self.expect(kind="ident", what="table identifier").text
         placement = None
         if self.at("at"):
@@ -1254,10 +1258,10 @@ class TokenListParser:
         close = self.advance()
         if not rows:
             self.error("a table needs at least one row", close.span)
-        return TableDecl(ident, placement, tuple(rows), span)
+        return TableDecl(ident, placement, tuple(rows), keyword.at)
 
     def _embedding(self) -> EmbedDecl:
-        span = self.advance().span
+        keyword = self.advance()
         ident = self.expect(kind="ident", what="embedding identifier").text
         self.expect("(", what="'('")
         key = self.expect(kind="ident", what="'dim'")
@@ -1273,10 +1277,10 @@ class TokenListParser:
         label = None
         if self.at(kind="string"):
             label = self.advance().text
-        return EmbedDecl(ident, int(dim_tok.text), label, span)
+        return EmbedDecl(ident, int(dim_tok.text), label, keyword.at)
 
     def _extend(self) -> ExtendDecl:
-        span = self.advance().span
+        keyword = self.advance()
         what_tok = self.expect(kind="ident", what="'symbol' or 'task'")
         if what_tok.text not in ("symbol", "task"):
             self.error("extend introduces either a symbol or a task", what_tok.span)
@@ -1308,7 +1312,7 @@ class TokenListParser:
                     raise _ParseAbort()
             self.expect(";", what="';'")
         self.advance()
-        return ExtendDecl(what_tok.text, name, tuple(fields), span)
+        return ExtendDecl(what_tok.text, name, tuple(fields), keyword.at)
 
     def _arity(self) -> tuple[int, int, int, int]:
         lo_in = int(self.expect(kind="number", what="minimum input arity").text)
@@ -1386,12 +1390,12 @@ class ReferenceLowerer(_Lowerer):
         super().__init__(*args)
         self.group_ids: set[str] = set()
 
-    def _add_node(self, node: Node, span: Span, group: str | None) -> bool:
+    def _add_node(self, node: Node, at: int, group: str | None) -> bool:
         if self.diagram.node_by_id(node.id) is not None:
-            self.err("E003", f"duplicate declaration id {node.id!r}", span)
+            self.err("E003", f"duplicate declaration id {node.id!r}", at)
             return False
         self.diagram.nodes.append(node)
-        self.spans["node"][node.id] = span
+        self.spans["node"][node.id] = at
         if group is not None:
             idx = next(i for i, g in enumerate(self.diagram.groups) if g.id == group)
             g = self.diagram.groups[idx]
@@ -1400,13 +1404,13 @@ class ReferenceLowerer(_Lowerer):
 
     def _detail(self, decl: DetailDecl, parent_group: str | None) -> None:
         if decl.id in self.group_ids:
-            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.span)
+            self.err("E003", f"duplicate declaration id {decl.id!r}", decl.at)
             return
         self.group_ids.add(decl.id)
         group = DetailGroup(decl.id, decl.owner, entry_side=decl.entry_side,
                             exit_side=decl.exit_side)
         self.diagram.groups.append(group)
-        self.spans["group"][decl.id] = decl.span
+        self.spans["group"][decl.id] = decl.at
         self.lower_items(decl.items, group=decl.id)
         owner_idx = _node_index(self.diagram, decl.owner)
         if owner_idx >= 0:
@@ -1414,7 +1418,7 @@ class ReferenceLowerer(_Lowerer):
                 self.diagram.nodes[owner_idx], detail=decl.id)
         else:
             self.err("E011", f"detail group {decl.id!r} refines unknown node "
-                             f"{decl.owner!r}", decl.span)
+                             f"{decl.owner!r}", decl.at)
 
     def lower_edges(self) -> None:
         for decl, group in self.pending_edges:
@@ -1425,7 +1429,7 @@ class ReferenceLowerer(_Lowerer):
         ok = True
         for ref in (decl.source, decl.target):
             if self.diagram.node_by_id(ref.node) is None:
-                self.err("E011", f"edge references unknown node {ref.node!r}", ref.span)
+                self.err("E011", f"edge references unknown node {ref.node!r}", ref.at)
                 ok = False
         if not ok:
             return
@@ -1433,10 +1437,10 @@ class ReferenceLowerer(_Lowerer):
         tgt_slot = self._resolve_slot(decl.target, "in", kind)
         if src_slot is None or tgt_slot is None:
             bad = decl.source if src_slot is None else decl.target
-            self.err("E011", f"bad port name {bad.slot!r} on {bad.node!r}", bad.span)
+            self.err("E011", f"bad port name {bad.slot!r} on {bad.node!r}", bad.at)
             return
         if decl.as_literal is not None:
-            self._check_term(decl.as_literal, decl.span)
+            self._check_term(decl.as_literal, decl.at)
         edge_id = f"e{len(self.diagram.edges)}"
         self.diagram.edges.append(Edge(
             edge_id,
@@ -1444,17 +1448,18 @@ class ReferenceLowerer(_Lowerer):
             Port(decl.target.node, tgt_slot, "in"),
             kind, decl.as_literal,
         ))
-        self.spans["edge"][edge_id] = decl.span
+        self.spans["edge"][edge_id] = decl.at
         if group is not None:
             idx = next(i for i, g in enumerate(self.diagram.groups) if g.id == group)
             g = self.diagram.groups[idx]
             self.diagram.groups[idx] = replace(g, member_edges=g.member_edges + (edge_id,))
 
 
-def reference_parse(tokens: list[Token]) -> tuple[SourceAst | None, list[Diagnostic]]:
+def reference_parse(tokens: list[Token],
+                    source: str) -> tuple[SourceAst | None, list[Diagnostic]]:
     """The earlier ``parse`` run with :class:`ReferenceParser`, over the
-    tokens of :func:`reference_tokenize`."""
-    parser = ReferenceParser(tokens)
+    tokens :func:`reference_tokenize` made of ``source``."""
+    parser = ReferenceParser(tokens, source)
     ast = parser.parse_unit()
     if ast is not None and not parser.at(kind="eof"):
         parser.error(f"trailing input after the diagram: {parser.peek().text!r}",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -290,6 +291,23 @@ def test_self_edges_and_recurrent_edges_loop_above_their_nodes():
         assert lay.edge_routes[edge_id] == (
             (src.right, src.cy), (src.right + 8, src.cy), (src.right + 8, top),
             (tgt.x - 8, top), (tgt.x - 8, tgt.cy), (tgt.x, tgt.cy)), edge_id
+
+
+@pytest.mark.parametrize("loop", ["m ~> d", "m ~> m", "m -> m"])
+def test_loop_in_a_group_passes_between_caption_and_first_row(loop):
+    result = compile_source(
+        'dial 0.1\ndialect sys\ndiagram "t" {\n'
+        "  data s: S^Token\n  node f: func\n  edge s -> f\n"
+        "  detail g for f {\n    data d: S^Token\n    node m: func\n"
+        f"    edge d -> m\n    edge {loop}\n  }}\n}}\n")
+    assert result.diagnostics == []
+    lay = result.layout_result
+    caption = re.search(r'<text x="\d+" y="(\d+)"[^>]*>zoom: func</text>', result.render("svg"))
+    route = lay.edge_routes["e2"]
+    assert route[2][1] == route[3][1]  # the top segment
+    assert int(caption[1]) < route[2][1] < min(lay.node_boxes[n].y for n in ("d", "m"))
+    group = lay.group_boxes["g"]
+    assert max(lay.node_boxes[n].bottom for n in ("d", "m")) <= group.bottom
 
 
 def test_edge_between_group_members_joins_their_band():

@@ -147,6 +147,23 @@ def test_dangling_group_member():
     assert codes == ["E011"]
 
 
+def test_projection_of_unknown_embedding():
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "t" {\n  embedding w (dim=3)\n'
+                            "  data a: S\n  node p: proj(embedding=glove)\n  edge a -> p\n}\n")
+    assert [(d.code, d.message, d.ir_path, str(d.span)) for d in result.diagnostics] == [
+        ("E011", "projection references unknown embedding 'glove'", "p", "6:3")]
+
+
+def test_dangling_group_owner_and_member_edge():
+    # lowering reports an unknown owner itself, so only a built diagram reaches these
+    d = chain_diagram()
+    d.groups.append(DetailGroup("g1", owner="ghost", member_nodes=("n",),
+                                member_edges=("e1", "e7")))
+    assert [(x.code, x.message, x.ir_path) for x in validate_structure(d, Registry())] == [
+        ("E011", "detail group owner 'ghost' does not exist", "g1"),
+        ("E011", "detail group member edge 'e7' does not exist", "g1")]
+
+
 def test_node_in_two_groups():
     # layout would draw the node in both boxes; the later group is named
     d = chain_diagram()

@@ -6,9 +6,11 @@ import random
 import string
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import dial.parser
 from dial import terms
 from dial.cli import compile_source
 from dial.diagnostics import Span, has_errors
@@ -182,6 +184,40 @@ def test_tokenize_builds_no_token_or_span(monkeypatch):
     assert diags == [] and len(tokens) == 44_009
     assert built == Counter()
     assert tokens.span(2) == Span(2, 1, 7) and built == {"Span": 2}
+
+
+def spans_in(value) -> list[Span]:
+    """Every :class:`Span` inside records, tuples, lists and dicts."""
+    if isinstance(value, Span):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [span for item in value for span in spans_in(item)]
+    return []
+
+
+def test_valid_compile_builds_no_span_or_line_table(monkeypatch):
+    sources = [wide_source(1000)] + [path.read_text() for path in
+                                     sorted(Path("corpus/pass").glob("*.dial"))]
+    built: Counter[str] = Counter()
+    def counting(cls, *args, _new=Span.__new__):
+        built["Span"] += 1
+        return _new(cls, *args)
+    def line_starts(source, _build=dial.parser._line_starts):
+        built["line table"] += 1
+        return _build(source)
+    monkeypatch.setattr(Span, "__new__", counting)
+    monkeypatch.setattr(dial.parser, "_line_starts", line_starts)
+    for source in sources:
+        result = compile_source(source)
+        assert result.diagnostics == [] and spans_in(result.lint()) == []
+        assert result.render("svg").startswith("<?xml")
+        ast, diags = parse(tokenize(source)[0])
+        unit = lower(ast)
+        assert diags == unit.diagnostics == []
+        assert spans_in(ast) == spans_in(unit.spans) == []
+    assert built == Counter()
 
 
 # -- parser ------------------------------------------------------------------
@@ -494,8 +530,9 @@ FRONT_END_CASES = {  # case -> least number of sources (of 2,400) that show it
 
 def test_front_end_matches_quadratic_reference():
     # the flat token stream, the term reader over its lists and the lowering
-    # maps give the same tokens, spans, AST, diagnostics and lowered unit as
-    # the character loop, the earlier copying reader over triples and scans
+    # maps give the same tokens, spans, offsets, AST, diagnostics and lowered
+    # unit as the character loop, the earlier copying reader over triples and
+    # scans
     rng = random.Random(20261018)
     seen: Counter[str] = Counter()
     for i in range(2400):
@@ -506,13 +543,15 @@ def test_front_end_matches_quadratic_reference():
         ref_tokens, ref_lex_diags = reference_tokenize(src)
         assert (token_list(tokens), lex_diags) == (ref_tokens, ref_lex_diags), src
         ast, diags = parse(tokens)
-        assert (ast, diags) == reference_parse(ref_tokens), src
+        assert (ast, diags) == reference_parse(ref_tokens, src), src
         if ast is None:
             continue
         unit, ref = lower(ast), reference_lower(ast)
         assert unit.diagram == ref.diagram, src
         assert unit.spans == ref.spans, src
         assert unit.diagnostics == ref.diagnostics, src
+        token_spans = {token.span for token in ref_tokens}  # lowering reports at a token
+        assert all(d.span in token_spans for d in unit.diagnostics), src
         messages = [d.message for d in diags + unit.diagnostics]
         groups = unit.diagram.groups if unit.diagram else []
         seen.update({case for case in FRONT_END_CASES

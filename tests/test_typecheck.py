@@ -165,6 +165,16 @@ def test_oplus_dim_conflict_is_e103():
     assert [d.code for d in diags] == ["E103"]
 
 
+@pytest.mark.parametrize("op", ["oplus", "concat"])
+def test_mismatched_leading_dims_is_e103(op):
+    result = compile_source(
+        'dial 0.1\ndialect sys\ndiagram "t" {\n  data a: vec[2,3]\n  data b: vec[4,5]\n'
+        f"  node c: {op}\n  edge a -> c\n  edge b -> c\n}}\n")
+    assert [(d.code, d.message, d.ir_path, str(d.span)) for d in result.diagnostics] == [
+        ("E103", f"node 'c': {op} needs matching leading dimensions, got [2, 3] and [4, 5]",
+         "c", "6:3")]
+
+
 def test_declared_out_param_wins():
     outs, _ = infer("func", ["S"], kind="function", params=(("out", "a"),))
     assert outs[0].base == "a"
