@@ -92,8 +92,6 @@ def run_case(case: CorpusCase) -> CaseResult:
             out.failures.append(
                 "lint warnings on a pass case: " + " ".join(d.code for d in warnings))
         for golden, kind in ((case.golden_svg, "svg"), (case.golden_tikz, "tikz")):
-            if golden is None:
-                continue
             if not golden.exists():
                 out.failures.append(f"missing golden {kind} file {golden.name}")
             elif golden.read_bytes() != result.render(kind).encode("utf-8"):
@@ -122,15 +120,14 @@ def used_codes(results: list[CaseResult]) -> tuple[frozenset[str], frozenset[str
     registry = Registry()
     sys_codes: set[str] = set()
     nn_codes: set[str] = set()
-    sys_symbols = {s.code for s in registry.list_symbols("sys")}
-    sys_tasks = {s.task_code for s in registry.list_signatures("sys")}
+    sys_entries = {s.code for s in registry.list_symbols("sys") + registry.list_signatures("sys")}
     nn_symbols = {s.code for s in registry.list_symbols("nn")}
     for item in results:
         if not item.case.should_pass or item.result.diagram is None:
             continue
         diagram = item.result.diagram
         for node in diagram.nodes:
-            if node.code in sys_symbols or node.code in sys_tasks:
+            if node.code in sys_entries:
                 sys_codes.add(node.code)
             if node.code in nn_symbols:
                 nn_codes.add(node.code)

@@ -159,13 +159,13 @@ def break_cycles(diagram: Diagram) -> tuple[list[tuple[str, str, str]], frozense
 
 def assign_layers(node_ids: list[str],
                   oriented: list[tuple[str, str, str]]) -> dict[str, int]:
-    """Longest path from any source; sources sit at layer 0."""
+    """Longest path from any source; sources sit at layer 0. ``oriented`` is
+    acyclic and both ends of each of its edges are in ``node_ids``."""
     preds: dict[str, list[str]] = {n: [] for n in node_ids}
     succs: dict[str, list[str]] = {n: [] for n in node_ids}
     for _, u, v in oriented:
-        if u in preds and v in preds:
-            preds[v].append(u)
-            succs[u].append(v)
+        preds[v].append(u)
+        succs[u].append(v)
     layers: dict[str, int] = {}
     in_deg = {n: len(preds[n]) for n in node_ids}
     order = [n for n in node_ids if in_deg[n] == 0]
@@ -176,8 +176,6 @@ def assign_layers(node_ids: list[str],
                 order.append(nxt)
     for node in order:
         layers[node] = max((layers[p] + 1 for p in preds[node]), default=0)
-    for node in node_ids:  # unreachable only if cycles survived, which they cannot
-        layers.setdefault(node, 0)
     return layers
 
 
@@ -354,7 +352,8 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
     ``break_cycles(diagram)`` returns; integer coordinates only."""
     # Bucket nodes and edges by area once: a node belongs to every group that
     # lists it, or else to the main area, and an edge to each area that holds
-    # both its ends.
+    # both its ends. A loop (recurrent edge or self-edge) is drawn above its
+    # ends, so a group holding an end makes room for it under the caption.
     node_groups: dict[str, set[int]] = {}
     for index, group in enumerate(diagram.groups):
         for member in group.member_nodes:
@@ -366,8 +365,12 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
             members[index].append(node)
     top_edges: list[Edge] = []
     medges: list[list[Edge]] = [[] for _ in diagram.groups]
+    loop_ends: set[str] = set()
     for edge in diagram.edges:
-        in_u, in_v = node_groups.get(edge.source.node), node_groups.get(edge.target.node)
+        u, v = edge.source.node, edge.target.node
+        if edge.flow_kind == "recurrent" or u == v:
+            loop_ends.update((u, v))
+        in_u, in_v = node_groups.get(u), node_groups.get(v)
         if in_u is None and in_v is None:
             top_edges.append(edge)
         elif in_u and in_v:
@@ -395,9 +398,7 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
     y_cursor = content_y + main.height + (BAND_GAP if main.nodes else 0)
     for index, group in enumerate(diagram.groups):
         sub = _layout_area(members[index], medges[index], orientation)
-        # room for the group caption, and below it for loops over the first row
-        caption_h = 24 if any(e.flow_kind == "recurrent" or e.source.node == e.target.node
-                              for e in medges[index]) else 12
+        caption_h = 24 if any(n.id in loop_ends for n in members[index]) else 12
         origin_x = MARGIN + GROUP_PAD
         origin_y = y_cursor + GROUP_PAD + caption_h
         for node_id, box in sub.boxes.items():

@@ -61,7 +61,7 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult, registry: Registry,
                          "data belongs at the bottom right", table.id)
 
     for edge in diagram.edges:
-        if edge.id in layout_result.reversed_edges and edge.flow_kind != "recurrent":
+        if edge.id in layout_result.reversed_edges:
             emit("W203", f"edge {edge.id} flows backward; left-to-right is the "
                          "default (recurrent edges use ~>)", edge.id)
 

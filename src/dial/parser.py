@@ -648,7 +648,7 @@ class LoweredUnit(Record):
     diagram: Diagram | None
     registry: Registry
     diagnostics: list[Diagnostic]
-    spans: dict[str, dict[str, int]]  # kind -> id -> source offset of its declaration
+    spans: dict[str, dict[str, int]]  # node/edge/group -> id -> offset of its declaration
 
 
 def lower(ast: SourceAst) -> LoweredUnit:
@@ -656,8 +656,7 @@ def lower(ast: SourceAst) -> LoweredUnit:
     data-term names are checked here (E004), ids here (E003)."""
     registry = Registry()
     diagnostics: list[Diagnostic] = []
-    spans: dict[str, dict[str, int]] = {
-        kind: {} for kind in ("node", "edge", "group", "table", "embedding")}
+    spans: dict[str, dict[str, int]] = {kind: {} for kind in ("node", "edge", "group")}
 
     problem = dialect_list_error(ast.dialects)
     if problem:
@@ -708,17 +707,16 @@ def _register_extensions(ast: SourceAst, registry: Registry,
                     category=str(fields.get("category", "operator")),
                 ))
             else:
-                for key in ("domain", "range"):
-                    for literal in fields.get(key, ()):
-                        for label in parse_term(literal, None).all_labels():
-                            registry.register_label(label)
+                registry.register_labels(frozenset(
+                    label for key in ("domain", "range") for literal in fields.get(key, ())
+                    for label in parse_term(literal, None).all_labels()))
                 domain = tuple(Slot(registry.parse_term(lit)) for lit in fields.get("domain", ()))
                 rng = tuple(Slot(registry.parse_term(lit)) for lit in fields.get("range", ()))
                 if not domain or not rng:
                     err("E003", f"extension task {decl.name!r} needs domain and range", decl.at)
                     continue
                 registry.register_extension(Signature(
-                    task_code=decl.name, dialect="ext", name=decl.name,
+                    code=decl.name, dialect="ext", name=decl.name,
                     variants=((domain, rng),)))
         except CollidesWithBuiltin as exc:
             err("E003", str(exc), decl.at)
@@ -874,7 +872,6 @@ class _Lowerer:
         self.diagram.tables.append(MetaTable(
             decl.id, kind=kind, rows=decl.rows,
             placement=decl.placement or "bottom_right"))
-        self.spans["table"][decl.id] = decl.at
 
     def _embedding(self, decl: EmbedDecl) -> None:
         if decl.id in self.embedding_ids:
@@ -882,7 +879,6 @@ class _Lowerer:
             return
         self.embedding_ids.add(decl.id)
         self.diagram.embeddings.append(EmbeddingDecl(decl.id, decl.dim, decl.label))
-        self.spans["embedding"][decl.id] = decl.at
 
     # -- edges (second pass so forward references work) -------------------
 

@@ -77,7 +77,7 @@ def generate_reference() -> str:
     add("|---|---|---|---|")
     for sig in registry.list_signatures("sys"):
         for i, (domain, rng) in enumerate(sig.variants):
-            code = sig.task_code if i == 0 else ""
+            code = sig.code if i == 0 else ""
             name = sig.name if i == 0 else "(alternative)"
             add(f"| {code} | {name} | {_slot_list(domain)} | {_slot_list(rng)} |")
     add("")

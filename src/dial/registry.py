@@ -7,14 +7,17 @@ and never leak between compilations.
 Dialects shipped in v0.1: ``sys`` (whole-system vocabulary) and ``nn``
 (neural-network layer vocabulary).
 
-Each fact is stored once, as one record, and :meth:`Registry.resolve`
-returns that record: a :class:`Signature` for a task code, a
-:class:`SymbolDef` for a symbol code, or None. :func:`node_kind` derives a
-node's kind from either. A signature's inputs and outputs are
+Each fact is stored once, as one record keyed by its ``code``, and
+:meth:`Registry.resolve` returns that record: a :class:`Signature` for a task
+code, a :class:`SymbolDef` for a symbol code, or None. :func:`node_kind`
+derives a node's kind from either. A signature's inputs and outputs are
 :class:`Slot` values, each a :class:`~dial.terms.DataTerm` pattern plus the
 flags that belong to the slot. A data category is one
 :class:`DataCategory` row, its preferred spelling included, and the term
 reader's spelling tables (:data:`BUILTIN_VOCABULARY`) are derived from the rows.
+
+A compile's extensions have the same shape: one table of extension records
+by code beside the builtin index, and a vocabulary that only gains labels.
 """
 
 from __future__ import annotations
@@ -117,15 +120,20 @@ class Slot(Record):
     optional_term: bool = False  # whole slot may be left unwired
 
 
+def required_inputs(domain: tuple[Slot, ...]) -> int:
+    """How many of a signature variant's inputs must be wired."""
+    return sum(1 for slot in domain if not slot.optional_term)
+
+
 class Signature(Record):
-    task_code: str
+    code: str
     dialect: str
     name: str
     variants: tuple[tuple[tuple[Slot, ...], tuple[Slot, ...]], ...]
 
     @property
     def min_in(self) -> int:
-        return min(sum(1 for t in dom if not t.optional_term) for dom, _ in self.variants)
+        return min(required_inputs(dom) for dom, _ in self.variants)
 
     @property
     def max_in(self) -> int:
@@ -315,17 +323,17 @@ def node_kind(found: Signature | SymbolDef) -> str:
 
 # Every builtin signature and symbol by its code; no code is in both tables.
 _BUILTINS: dict[str, Signature | SymbolDef] = {
-    **{sig.task_code: sig for sig in SIGNATURES}, **{sym.code: sym for sym in SYMBOLS}}
+    entry.code: entry for entry in SIGNATURES + SYMBOLS}
 
 
 class Registry:
-    """Builtin tables plus a per-compilation extension overlay."""
+    """Builtin tables plus a per-compilation extension overlay of the same
+    shape: extension records by code, and the vocabulary with their labels."""
 
     def __init__(self) -> None:
-        self._ext_symbols: dict[str, SymbolDef] = {}
-        self._ext_signatures: dict[str, Signature] = {}
-        self._ext_labels: set[str] = set()
-        self._terms: dict[str, DataTerm] = {}  # literal -> parse, for this vocabulary
+        self._extensions: dict[str, Signature | SymbolDef] = {}
+        self.vocabulary: TermVocabulary = BUILTIN_VOCABULARY
+        self._terms: dict[str, DataTerm] = {}  # literal -> successful parse
 
     # -- lookups ----------------------------------------------------------
 
@@ -345,14 +353,14 @@ class Registry:
         found = _BUILTINS.get(code)
         if found is not None and found.dialect not in dialects:
             return None
-        found = found or self._ext_signatures.get(code) or self._ext_symbols.get(code)
+        found = found or self._extensions.get(code)
         if isinstance(found, SymbolDef) and found.category == META:
             return None  # flow arrows, zoom boxes, acc badges: not node codes
         return found
 
     def parse_term(self, literal: str) -> DataTerm:
         """``terms.parse_term`` against :attr:`vocabulary`; a successful parse
-        is kept until the vocabulary changes, a failing one raises every time."""
+        is kept for the compile, a failing one raises every time."""
         term = self._terms.get(literal)
         if term is None:
             term = self._terms[literal] = terms.parse_term(literal, self.vocabulary)
@@ -362,21 +370,11 @@ class Registry:
 
     def register_extension(self, definition: SymbolDef | Signature) -> None:
         """Add an extension code; its labels are registered separately, with
-        :meth:`register_label`, before its slot terms are parsed."""
-        code = definition.code if isinstance(definition, SymbolDef) else definition.task_code
-        if code in _BUILTINS:
-            raise CollidesWithBuiltin(f"{code!r} is a builtin code")
-        if isinstance(definition, SymbolDef):
-            self._ext_symbols[code] = definition
-        else:
-            self._ext_signatures[code] = definition
+        :meth:`register_labels`, before its slot terms are parsed."""
+        if definition.code in _BUILTINS:
+            raise CollidesWithBuiltin(f"{definition.code!r} is a builtin code")
+        self._extensions[definition.code] = definition
 
-    def register_label(self, label: str) -> None:
-        self._terms.clear()
-        self._ext_labels.add(label)
-
-    @property
-    def vocabulary(self) -> TermVocabulary:
-        if not self._ext_labels:
-            return BUILTIN_VOCABULARY
-        return BUILTIN_VOCABULARY.with_extra_labels(frozenset(self._ext_labels))
+    def register_labels(self, labels: frozenset[str]) -> None:
+        # Kept parses stay valid: a parse reads spellings, and labels only by membership.
+        self.vocabulary = replace(self.vocabulary, labels=self.vocabulary.labels | labels)

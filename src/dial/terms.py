@@ -89,13 +89,6 @@ class TermVocabulary(Record):
     canonical: dict[str, str]  # category code -> preferred spelling
     labels: frozenset[str]
     set_spellings: frozenset[str] = frozenset()  # spellings that imply set-of
-    extra_labels: frozenset[str] = frozenset()  # per-compilation extension labels
-
-    def with_extra_labels(self, labels: frozenset[str]) -> "TermVocabulary":
-        return replace(self, extra_labels=self.extra_labels | labels)
-
-    def knows_label(self, label: str) -> bool:
-        return label in self.labels or label in self.extra_labels
 
 
 _TOKEN_RE = re.compile(
@@ -264,7 +257,7 @@ class TermParser:
             self._take("Arg")
             self._take(")")
             text = "PredArg"
-        if self.vocab is not None and not self.vocab.knows_label(text):
+        if self.vocab is not None and text not in self.vocab.labels:
             raise TermError(f"unknown classification label {text!r}", pos)
         return text
 

@@ -38,7 +38,7 @@ import heapq
 from .diagnostics import Diagnostic
 from .model import Diagram, Edge, Node
 from .record import Record, replace
-from .registry import BUILTIN_VOCABULARY, Registry, Signature, Slot, SymbolDef
+from .registry import BUILTIN_VOCABULARY, Registry, Signature, Slot, SymbolDef, required_inputs
 from .terms import (
     DIST,
     SCALAR,
@@ -51,9 +51,7 @@ from .terms import (
 )
 
 
-def term_text(term: DataTerm | None) -> str:
-    if term is None:
-        return "<unresolved>"
+def term_text(term: DataTerm) -> str:
     return format_term(term, BUILTIN_VOCABULARY.canonical)
 
 
@@ -161,11 +159,10 @@ def infer_output(node: Node, inputs: list[DataTerm | None], registry: Registry,
 
 def _infer_task(ctx: _Ctx, sig: Signature, inputs: list[DataTerm | None]) -> list[DataTerm | None]:
     wired = sum(1 for t in inputs if t is not None)
-    candidates = [v for v in sig.variants
-                  if _variant_min(v[0]) <= wired <= len(v[0])]
+    candidates = [v for v in sig.variants if required_inputs(v[0]) <= wired <= len(v[0])]
     arity_ok = bool(candidates)
     if not arity_ok:
-        ctx.err("E101", f"{sig.task_code} takes {_arity_text(sig)} input(s), {wired} wired")
+        ctx.err("E101", f"{sig.code} takes {_arity_text(sig)} input(s), {wired} wired")
         candidates = [sig.variants[0]]
     chosen = None
     first_failure: tuple[int, Slot, str] | None = None
@@ -179,7 +176,7 @@ def _infer_task(ctx: _Ctx, sig: Signature, inputs: list[DataTerm | None]) -> lis
     if chosen is None:
         if arity_ok:
             index, slot, reason = first_failure
-            ctx.err("E102", f"input {index} does not fit {sig.task_code}'s domain term "
+            ctx.err("E102", f"input {index} does not fit {sig.code}'s domain term "
                             f"{term_text(slot.term)}: {reason}")
         chosen = candidates[0]
     domain, rng = chosen
@@ -191,10 +188,6 @@ def _infer_task(ctx: _Ctx, sig: Signature, inputs: list[DataTerm | None]) -> lis
         inherited[core.base] = inherited.get(core.base, frozenset()) | core.annotations
     return [slot.term.with_labels(inherited.get(slot.term.core().base, frozenset()))
             for slot in rng]
-
-
-def _variant_min(domain: tuple[Slot, ...]) -> int:
-    return sum(1 for t in domain if not t.optional_term)
 
 
 def _arity_text(sig: Signature) -> str:
@@ -419,7 +412,7 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
     resolutions = {n.id: registry.resolve(n.code, diagram.dialects) for n in diagram.nodes}
     outputs: dict[str, list[DataTerm | None]] = {n.id: [None] for n in diagram.nodes}
     oriented, backward = break_cycles(diagram)
-    label_count = max(1, len(registry.vocabulary.labels | registry.vocabulary.extra_labels))
+    label_count = len(registry.vocabulary.labels)
     max_rounds = len(diagram.edges) * label_count + 2
 
     # In-edges keep declaration order: the last feed of a slot wins.

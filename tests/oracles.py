@@ -234,7 +234,7 @@ class ReferenceTermParser:
             self._take("Arg")
             self._take(")")
             text = "PredArg"
-        if self.vocab is not None and not self.vocab.knows_label(text):
+        if self.vocab is not None and text not in self.vocab.labels:
             raise TermError(f"unknown classification label {text!r}", pos)
         return text
 
@@ -471,7 +471,7 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
     resolutions = {n.id: registry.resolve(n.code, diagram.dialects) for n in diagram.nodes}
     outputs: dict[str, list[DataTerm | None]] = {n.id: [None] for n in diagram.nodes}
     oriented, backward = break_cycles(diagram)
-    label_count = max(1, len(registry.vocabulary.labels | registry.vocabulary.extra_labels))
+    label_count = len(registry.vocabulary.labels)
     max_rounds = len(diagram.edges) * label_count + 2
 
     def delivered_term(edge: Edge) -> DataTerm | None:

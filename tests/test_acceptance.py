@@ -64,7 +64,7 @@ def test_c1_registry_conformance():
         assert len(SIGNATURES) == 26
         sys_sigs = registry.list_signatures("sys")
         assert len(sys_sigs) == 26
-        assert len({s.task_code for s in sys_sigs}) == 26
+        assert len({s.code for s in sys_sigs}) == 26
         assert len([c for c in DATA_CATEGORIES if c.core]) == 16
         for literal in TABLE5_TERMS:
             parse_term(literal, BUILTIN_VOCABULARY)

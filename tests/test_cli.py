@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dial.cli import _build_parser, run
+from dial.diagnostics import Diagnostic
 from dial.terms import MAX_NESTING
 from oracles import mutate_source, random_front_end_source, random_valid_source
 
@@ -493,3 +494,7 @@ def test_every_command_survives_generated_sources(rng, make, mutations):
         if code == 0:
             path.write_text(out, encoding="utf-8")
             assert dial("fmt", str(path)) == (0, out, "")
+
+
+def test_a_diagnostic_without_a_file_is_shown_at_its_ir_path():
+    assert Diagnostic("E102", "m", ir_path="e0").render_human() == "e0: error E102: m"

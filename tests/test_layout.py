@@ -310,6 +310,23 @@ def test_loop_in_a_group_passes_between_caption_and_first_row(loop):
     assert max(lay.node_boxes[n].bottom for n in ("d", "m")) <= group.bottom
 
 
+@pytest.mark.parametrize("loop", ["m2 ~> m", "m2 ~> d"])
+def test_loop_between_two_groups_passes_between_caption_and_first_row(loop):
+    # the loop is in neither group's area edges; g holds its upper end, so g makes room
+    result = compile_source(
+        'dial 0.1\ndialect sys\ndiagram "t" {\n'
+        "  data s: S\n  node f: func\n  node h: func\n  edge s -> f\n  edge f -> h\n"
+        "  detail g for f {\n    data d: S\n    node m: func\n    edge d -> m\n  }\n"
+        "  detail k for h {\n    data d2: S\n    node m2: func\n    edge d2 -> m2\n  }\n"
+        f"  edge {loop}\n}}\n")
+    assert result.diagnostics == []
+    lay = result.layout_result
+    g_caption = re.search(r'<text x="\d+" y="(\d+)"[^>]*>zoom: func</text>', result.render("svg"))
+    route = lay.edge_routes["e4"]
+    assert route[2][1] == route[3][1]  # the top segment
+    assert int(g_caption[1]) < route[2][1] < min(lay.node_boxes[n].y for n in ("d", "m"))
+
+
 def test_edge_between_group_members_joins_their_band():
     # d -> m is declared outside the detail block, so g does not list it;
     # both its ends are members of g, so it is g's edge and one band holds both

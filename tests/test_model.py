@@ -289,6 +289,23 @@ def test_malformed_document_is_e021(mutate):
     assert exc.value.diagnostic.code == "E021"
 
 
+def _append_first_edge(doc: dict) -> None:
+    doc["edges"].append(doc["edges"][0])
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set(("nodes", 0, "kind"), "blob"), "node 'src': unknown kind 'blob'"),
+    (_set(("edges", 0, "flow_kind"), "zap"), "edge 'e0': unknown flow kind 'zap'"),
+    (_append_first_edge, "duplicate edge id 'e0'"),
+], ids=["unknown_node_kind", "unknown_flow_kind", "duplicate_edge_id"])
+def test_decoder_names_the_bad_record(mutate, message):
+    doc = json.loads(canonical_serialize(rich_diagram()))
+    mutate(doc)
+    with pytest.raises(SerializationError) as exc:
+        deserialize(json.dumps(doc).encode())
+    assert (exc.value.diagnostic.code, exc.value.diagnostic.message) == ("E021", message)
+
+
 def test_deeply_nested_document_is_e021():
     with pytest.raises(SerializationError) as exc:
         deserialize(b"[" * 100_000 + b"]" * 100_000)

@@ -409,8 +409,10 @@ def test_repeated_extension_code_is_e003(second):
      "extend symbol 'z' has input arity 5..2: minimum above maximum"),
     ("extend symbol z { arity: 1..2 -> 3..0; }",
      "extend symbol 'z' has output arity 3..0: minimum above maximum"),
+    ("extend task T { domain: S; }", "extension task 'T' needs domain and range"),
 ], ids=["symbol_unknown_field", "task_unknown_field", "symbol_field_twice",
-        "task_field_twice", "bad_category", "inverted_input_arity", "inverted_output_arity"])
+        "task_field_twice", "bad_category", "inverted_input_arity", "inverted_output_arity",
+        "task_without_range"])
 def test_extension_fields_are_checked(block, message):
     unit = lower(parse_source(wrap(block))[0])
     assert [(d.code, d.message, d.span.line, d.span.col) for d in unit.diagnostics] == [
@@ -422,6 +424,45 @@ def test_extension_with_every_field_is_clean():
         'extend symbol z { name: "zed"; glyph: nosuch; arity: 1..2 -> 1..1; category: nn; }',
         "extend task Q { domain: S, T; range: S; }"))[0])
     assert unit.diagnostics == []
+
+
+# the first diagnostic only: where a block closes early, recovery also reports
+# the diagram's own '}' as trailing input
+@pytest.mark.parametrize("item, line, col, message", [
+    ("embedding e (dim=0)", 4, 20, "embedding dim must be a positive integer"),
+    ("embedding e (dim=1.5)", 4, 20, "embedding dim must be a positive integer"),
+    ("extend foo X { }", 4, 10, "extend introduces either a symbol or a task"),
+    ("extend symbol X { name: (; }", 4, 27, "expected a field value, found '('"),
+], ids=["dim_zero", "dim_fraction", "extend_neither", "field_value"])
+def test_malformed_embedding_or_extend_is_e002(item, line, col, message):
+    _, diags = parse_source(wrap(item))
+    assert (diags[0].code, diags[0].span.line, diags[0].span.col, diags[0].message) == (
+        "E002", line, col, message)
+
+
+def test_source_ending_inside_extend_is_e002():
+    _, diags = parse_source('dial 0.1\ndialect sys\ndiagram "T" {\n  extend symbol X { name: y;')
+    assert (diags[0].code, diags[0].message) == ("E002", "unexpected end of input inside extend")
+
+
+@pytest.mark.parametrize("item, code, message", [
+    ("extend task T { domain: Bogus; range: S; }", "E004",
+     "in extension 'T': unknown data category 'Bogus'"),
+    ("node a: func(shape=round)", "E003", "shape must be feature or component, got 'round'"),
+], ids=["task_unknown_category", "unknown_shape"])
+def test_lowering_rejects_the_declaration(item, code, message):
+    unit = lower(parse_source(wrap(item))[0])
+    assert [(d.code, d.message, d.span.line, d.span.col) for d in unit.diagnostics] == [
+        (code, message, 4, 3)]
+
+
+def test_labels_of_a_duplicate_extension_are_not_registered():
+    unit = lower(parse_source(wrap("extend task LangID { domain: S; range: S^Lang; }",
+                                   "extend task LangID { domain: S; range: S^Other; }",
+                                   "data e: T^Other"))[0])
+    assert [(d.code, d.message) for d in unit.diagnostics] == [
+        ("E003", "duplicate extension code 'LangID'"),
+        ("E004", "unknown classification label 'Other'")]
 
 
 # -- formatter ---------------------------------------------------------------

@@ -72,26 +72,29 @@ def test_symbol_counts(registry):
         registry.list_symbols("log")
 
 
-def test_signature_count():
+def test_signature_count(registry):
     assert len(SIGNATURES) == 26
-    assert len({s.task_code for s in SIGNATURES}) == 26
+    assert len({s.code for s in SIGNATURES}) == 26
+    with pytest.raises(UnknownDialect, match="unknown dialect 'xx'"):
+        registry.list_signatures("xx")
 
 
 def test_builtin_codes_are_unique_across_tables():
     # the registry indexes both tables by code in one map
-    codes = [s.task_code for s in SIGNATURES] + [s.code for s in SYMBOLS]
+    codes = [s.code for s in SIGNATURES] + [s.code for s in SYMBOLS]
     assert len(set(codes)) == len(codes) == 70
 
 
 def _scan_resolve(registry, code, dialects):
     """``resolve`` as two lookups, each a scan of the builtin table in scope
-    before the extension table: signatures first, then symbols."""
-    sig = next((s for s in SIGNATURES if s.task_code == code and s.dialect in dialects),
-               registry._ext_signatures.get(code))
+    before the extension of its record type: signatures first, then symbols."""
+    ext = registry._extensions.get(code)
+    sig = next((s for s in SIGNATURES if s.code == code and s.dialect in dialects),
+               ext if isinstance(ext, Signature) else None)
     if sig is not None:
         return sig
     sym = next((s for s in SYMBOLS if s.code == code and s.dialect in dialects),
-               registry._ext_symbols.get(code))
+               ext if isinstance(ext, SymbolDef) else None)
     if sym is None or sym.category == META:
         return None
     return sym
@@ -103,11 +106,11 @@ def test_resolve_agrees_with_the_lookups(registry):
                          max_in=1, min_out=1, max_out=1, category=category)
     term = (Slot(DataTerm(base="s_T")),)
     registry.register_extension(ext_symbol("twice"))
-    registry.register_extension(Signature(task_code="twice", dialect="ext", name="twice",
+    registry.register_extension(Signature(code="twice", dialect="ext", name="twice",
                                           variants=((term, term),)))
     registry.register_extension(ext_symbol("marker", category=META))
     registry.register_extension(ext_symbol("scale"))
-    codes = [s.task_code for s in SIGNATURES] + [s.code for s in SYMBOLS]
+    codes = [s.code for s in SIGNATURES] + [s.code for s in SYMBOLS]
     for dialects in (SYS, BOTH, frozenset({"nn"}), frozenset()):
         for code in codes + ["twice", "marker", "scale", "nope"]:
             assert registry.resolve(code, dialects) is _scan_resolve(registry, code, dialects)
@@ -158,7 +161,7 @@ def test_extension_task_signature():
     [(domain, rng)] = result.registry.resolve("LangID", SYS).variants
     assert domain == (Slot(DataTerm(base="s_T")),)
     assert rng == (Slot(DataTerm(base="s_T", annotations=frozenset({"Lang"}))),)
-    assert result.registry.vocabulary.knows_label("Lang")
+    assert "Lang" in result.registry.vocabulary.labels
 
 
 def test_extensions_are_compilation_local():
@@ -182,19 +185,19 @@ def test_lookups_are_pure(registry):
 
 
 def test_term_memo_follows_the_vocabulary(registry):
-    # a parse is kept per literal until the vocabulary changes; a failure is
-    # never kept, so it raises again with the same message
+    # a parse is kept per literal for the compile, since the vocabulary only
+    # gains labels; a failure is never kept, so it raises again with the same message
     term = registry.parse_term("S^NER")
     assert registry.parse_term("S^NER") is term
     for _ in range(2):
         with pytest.raises(TermError, match="unknown classification label 'Lang'"):
             registry.parse_term("S^Lang")
-    registry.register_label("Lang")
+    registry.register_labels(frozenset({"Lang"}))
     assert registry.parse_term("S^Lang").annotations == frozenset({"Lang"})
     again = registry.parse_term("S^NER")
-    assert again == term and again is not term
+    assert again == term and again is term
     # registering an extension leaves the vocabulary as it is, and the memo too
     slot = Slot(DataTerm(base="s_T"))
     registry.register_extension(Signature(
-        task_code="LangID", dialect="ext", name="language id", variants=(((slot,), (slot,)),)))
+        code="LangID", dialect="ext", name="language id", variants=(((slot,), (slot,)),)))
     assert registry.parse_term("S^NER") is again

@@ -67,7 +67,7 @@ def test_glyph_totality():
             spec = glyph_for(symbol.code, scope, registry)
             assert isinstance(spec, GlyphSpec), symbol.code
     for sig in SIGNATURES:
-        assert glyph_for(sig.task_code, SYS, registry).primitive == "rectangle"
+        assert glyph_for(sig.code, SYS, registry).primitive == "rectangle"
     assert glyph_for("kb", SYS, registry).badge == "KB"
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 import dial.typecheck
 from dial.cli import compile_source
 from dial.layout import break_cycles
-from dial.model import Node, validate_structure
+from dial.model import Node, deserialize, validate_structure
 from dial.registry import Registry
 from dial.terms import SEQUENCE, SET, DataTerm
 from dial.typecheck import (
@@ -66,6 +67,10 @@ def test_structure_must_agree():
     assert match_term(term("Term"), formal_set) is not None
 
 
+def test_a_term_without_a_base_is_named_any():
+    assert match_term(DataTerm(), DataTerm(base="s_T")) == "category <any> where S is required"
+
+
 # -- infer_output on tasks -----------------------------------------------------
 
 
@@ -104,6 +109,16 @@ def test_annotation_accumulation():
 def test_arity_violation():
     _, diags = infer("POS", [])
     assert [d.code for d in diags] == ["E101"]
+
+
+def test_unresolved_code_infers_nothing():
+    assert infer("NOPE", []) == ([None], [])
+
+
+def test_optional_resource_input_may_stay_unwired():
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "t" {\n'
+                            "  data d: T\n  node p: PREDC\n  edge d -> p\n}\n")
+    assert result.diagnostics == []
 
 
 def test_coref_variants():
@@ -163,6 +178,15 @@ def test_oplus_merges_labels_without_dims():
 def test_oplus_dim_conflict_is_e103():
     _, diags = infer("oplus", ["vec[3]", "vec[2,2]"], kind="operator")
     assert [d.code for d in diags] == ["E103"]
+
+
+def test_otimes_arity_and_dimensionless_operands():
+    outs, diags = infer("otimes", [], kind="operator")
+    assert outs == [None]
+    assert [(d.code, d.message) for d in diags] == [
+        ("E101", "node 'x': otimes takes 2..8 input(s), 0 wired")]
+    outs, diags = infer("otimes", ["S", "S^POS"], kind="operator")
+    assert diags == [] and outs[0].dims is None
 
 
 @pytest.mark.parametrize("op", ["oplus", "concat"])
@@ -315,6 +339,37 @@ def test_declared_edge_term_conflict_reasons(data, declared, reason):
         ("E104", f"edge e0 is declared as {declared} but carries {carried}: {reason}")]
 
 
+def test_declared_tuple_that_is_carried_is_clean():
+    assert compile_source(_as_source("(S, T)", "(S, T)")).diagnostics == []
+
+
+def test_port_that_produces_nothing_is_e102():
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "t" {\n  data d: T @dataset("d")\n'
+                            "  node f: func\n  edge d.out1 -> f\n}\n")
+    assert [(d.code, d.message, d.ir_path) for d in result.diagnostics] == [
+        ("E101", "node 'f': func takes 1..8 input(s), 0 wired", "f"),
+        ("E102", "edge e0 carries no resolvable term (source d.out1 produced nothing)", "e0")]
+
+
+def test_malformed_terms_of_a_deserialized_diagram_are_e004():
+    # the front end rejects these terms at lowering; the interchange format does not parse them
+    doc = {"format_version": "0.1", "name": "t", "dialects": ["sys"], "groups": [],
+           "tables": [], "embeddings": [],
+           "nodes": [{"id": "a", "kind": "io", "code": "interface", "params": [["out", "S^"]],
+                      "shape_class": "component", "perf": []},
+                     {"id": "b", "kind": "function", "code": "func", "params": [],
+                      "shape_class": "component", "perf": []}],
+           "edges": [{"id": "e0", "source": {"node": "a", "slot": 0},
+                      "target": {"node": "b", "slot": 0}, "flow_kind": "flow",
+                      "declared_term": "S^"}]}
+    typed = check_diagram(deserialize(json.dumps(doc).encode()), Registry())
+    assert [(d.code, d.message, d.ir_path) for d in typed.diagnostics] == [
+        ("E004", "node 'a': declared output term: term ended early, expected ident", "a"),
+        ("E101", "node 'b': func takes 1..8 input(s), 0 wired", "b"),
+        ("E102", "edge e0 carries no resolvable term (source a.out0 produced nothing)", "e0"),
+        ("E004", "edge e0: term ended early, expected ident", "e0")]
+
+
 def _extension_source(domain: str, rng: str, *items: str) -> str:
     return ('dial 0.1\ndialect sys\ndiagram "ext" {\n'
             f"  extend task Z {{ domain: {domain}; range: {rng}; }}\n"
@@ -347,7 +402,7 @@ def test_extension_labels_inside_a_set_of_tuples_are_registered():
     result = compile_source(_extension_source(
         "{(S^Foo, T)}", "T", "data p: {(S^Foo, T)}", "node z: Z", "edge p -> z"))
     assert result.diagnostics == []
-    assert result.registry.vocabulary.knows_label("Foo")
+    assert "Foo" in result.registry.vocabulary.labels
 
 
 def test_entity_linking_updated_kb_persists_back():
