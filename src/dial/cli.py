@@ -66,7 +66,7 @@ class CompileResult:
     def render(self, fmt: str) -> str:
         """SVG or TikZ text (``fmt`` is "svg" or "tikz"); requires a typed diagram."""
         emit = {"svg": render.render_svg, "tikz": render.render_tikz}[fmt]
-        return emit(self.typed, self.layout_result, registry=self.registry)
+        return emit(self.typed, self.layout_result)
 
 
 def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
@@ -90,9 +90,10 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
         result.diagnostics = _located(result.diagnostics, file_name, source, unit.spans)
         return result
 
-    result.diagnostics.extend(validate_structure(unit.diagram, unit.registry))
-    if not has_errors(result.diagnostics):
-        result.typed = check_diagram(unit.diagram, unit.registry)
+    diags, graph = validate_structure(unit.diagram, unit.registry)
+    result.diagnostics.extend(diags)
+    if graph is not None:
+        result.typed = check_diagram(unit.diagram, graph, unit.registry)
         result.diagnostics.extend(result.typed.diagnostics)
     result.diagnostics = _located(result.diagnostics, file_name, source, unit.spans)
     return result

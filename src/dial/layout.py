@@ -106,6 +106,7 @@ def break_cycles(diagram: Diagram) -> tuple[list[tuple[str, str, str]], frozense
     Returns (oriented edge list as (edge id, source node, target node) after
     any reversals, reversed edge ids). Edges are considered in declaration
     order, so the edge reversed is always the one closing the cycle latest.
+    Both ends of every edge are nodes of ``diagram``, as validation ensures.
     """
     succs: dict[str, set[str]] = {n.id: set() for n in diagram.nodes}
     preds: dict[str, set[str]] = {n.id: set() for n in diagram.nodes}
@@ -137,8 +138,6 @@ def break_cycles(diagram: Diagram) -> tuple[list[tuple[str, str, str]], frozense
         if edge.flow_kind == "recurrent":
             continue
         u, v = edge.source.node, edge.target.node
-        if u not in succs or v not in succs:
-            continue
         if u == v or reaches(v, u):
             reversed_ids.add(edge.id)
             if u != v:
@@ -469,10 +468,7 @@ def _route_edges(diagram: Diagram,
                  boxes: dict[str, Box]) -> dict[str, tuple[tuple[int, int], ...]]:
     routes: dict[str, tuple[tuple[int, int], ...]] = {}
     for edge in diagram.edges:
-        src = boxes.get(edge.source.node)
-        tgt = boxes.get(edge.target.node)
-        if src is None or tgt is None:
-            continue
+        src, tgt = boxes[edge.source.node], boxes[edge.target.node]
         if edge.flow_kind == "recurrent" or edge.source.node == edge.target.node:
             routes[edge.id] = _loop_route(src, tgt)
         elif src.x > tgt.x:

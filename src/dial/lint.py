@@ -73,8 +73,7 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult, registry: Registry,
 
     symbol_names = _symbol_names(registry, diagram.dialects)
     for node in diagram.nodes:
-        found = registry.resolve(node.code, diagram.dialects)
-        if found is not None and found.dialect == "ext":
+        if typed.graph.resolved[node.id].dialect == "ext":
             emit("W205", f"node {node.id!r} uses extension code {node.code!r}; "
                          "introduce new symbols sparingly", node.id)
         if node.label is not None:
@@ -107,9 +106,8 @@ def _mixed_layers(typed: TypedDiagram, layout_result: LayoutResult,
                   disabled: frozenset[str]) -> list[Diagnostic]:
     if "W208" in disabled:
         return []
-    diagram = typed.diagram
-    members = diagram.group_member_ids()
-    top = [n for n in diagram.nodes if n.id not in members]
+    group_of = typed.graph.group_of
+    top = [n for n in typed.diagram.nodes if n.id not in group_of]
     seen: dict[tuple[int, int], dict[str, str]] = {}
     out: list[Diagnostic] = []
     flagged: set[tuple[int, int]] = set()

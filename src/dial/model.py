@@ -7,6 +7,12 @@ significant everywhere; it seeds the deterministic layout tie-breaking.
 
 Diagrams are treated as immutable once construction is complete; all
 analyses over them are pure functions.
+
+:func:`validate_structure` is the last stage that sees a rejected diagram.
+When it finds nothing wrong it returns the diagram's :class:`Graph`: each
+node by id, the record its code resolved to, and the group of each group
+member. The checker, lint and render read those facts from the ``Graph``
+instead of resolving codes or mapping ids again.
 """
 
 from __future__ import annotations
@@ -133,20 +139,25 @@ class Diagram:
                 return node
         return None
 
-    def group_member_ids(self) -> frozenset[str]:
-        out: set[str] = set()
-        for group in self.groups:
-            out.update(group.member_nodes)
-        return frozenset(out)
-
 
 # ---------------------------------------------------------------------------
 # Structural validation
 # ---------------------------------------------------------------------------
 
 
-def validate_structure(diagram: Diagram, registry: Registry) -> list[Diagnostic]:
-    """All structural violations; empty iff the diagram is well-formed.
+class Graph(Record):
+    """What validation settled about a diagram it accepted, read by the later
+    stages instead of being worked out again: each node by id, the record its
+    code resolved to, and the detail group of each group member."""
+    nodes: dict[str, Node]
+    resolved: dict[str, Signature | SymbolDef]
+    group_of: dict[str, str]  # member node id -> group id
+
+
+def validate_structure(diagram: Diagram,
+                       registry: Registry) -> tuple[list[Diagnostic], Graph | None]:
+    """All structural violations, and the diagram's :class:`Graph` when there
+    are none (None otherwise).
 
     E010 unresolved code, E011 dangling reference or bad port, E012 group
     containment cycle, E013 persist/query endpoint kind violation, E014 node
@@ -154,7 +165,7 @@ def validate_structure(diagram: Diagram, registry: Registry) -> list[Diagnostic]
     """
     out: list[Diagnostic] = []
     resolutions: dict[str, Signature | SymbolDef | None] = {}
-    node_ids = {n.id for n in diagram.nodes}
+    nodes = {n.id: n for n in diagram.nodes}
     embedding_ids = {e.id for e in diagram.embeddings}
 
     for node in diagram.nodes:
@@ -178,7 +189,7 @@ def validate_structure(diagram: Diagram, registry: Registry) -> list[Diagnostic]
     occupied: dict[tuple[str, int], str] = {}
     for edge in diagram.edges:
         for port, bound_attr in ((edge.source, "max_out"), (edge.target, "max_in")):
-            if port.node not in node_ids:
+            if port.node not in nodes:
                 out.append(Diagnostic(
                     "E011", f"edge references unknown node {port.node!r}",
                     ir_path=edge.id, ir_kind="edge"))
@@ -192,7 +203,7 @@ def validate_structure(diagram: Diagram, registry: Registry) -> list[Diagnostic]
                     f"(max {getattr(res, bound_attr)})",
                     ir_path=edge.id, ir_kind="edge",
                 ))
-        if edge.flow_kind != "recurrent" and edge.target.node in node_ids:
+        if edge.flow_kind != "recurrent" and edge.target.node in nodes:
             key = (edge.target.node, edge.target.slot)
             if key in occupied:
                 out.append(Diagnostic(
@@ -207,32 +218,33 @@ def validate_structure(diagram: Diagram, registry: Registry) -> list[Diagnostic]
             res = resolutions.get(node_id)
             return node_kind(res) if res else None
 
-        if edge.flow_kind == "persist" and edge.target.node in node_ids:
+        if edge.flow_kind == "persist" and edge.target.node in nodes:
             if _kind(edge.target.node) not in (None, "resource"):
                 out.append(Diagnostic(
                     "E013", "persistence must flow into a stored resource",
                     ir_path=edge.id, ir_kind="edge"))
-        if edge.flow_kind == "query" and edge.source.node in node_ids and edge.target.node in node_ids:
+        if edge.flow_kind == "query" and edge.source.node in nodes and edge.target.node in nodes:
             if _kind(edge.source.node) != "resource" and _kind(edge.target.node) != "resource":
                 out.append(Diagnostic(
                     "E013", "a query edge must touch a stored resource",
                     ir_path=edge.id, ir_kind="edge"))
 
-    out.extend(_validate_groups(diagram, node_ids))
-    return out
+    group_of = _validate_groups(diagram, nodes, out)
+    return out, None if out else Graph(nodes, resolutions, group_of)
 
 
-def _validate_groups(diagram: Diagram, node_ids: set[str]) -> list[Diagnostic]:
-    out: list[Diagnostic] = []
+def _validate_groups(diagram: Diagram, nodes: dict[str, Node],
+                     out: list[Diagnostic]) -> dict[str, str]:
+    """Appends the group violations to ``out``; returns each member's group."""
     edge_ids = {e.id for e in diagram.edges}
     owner_of: dict[str, str] = {}  # member node -> group id
     for group in diagram.groups:
-        if group.owner not in node_ids:
+        if group.owner not in nodes:
             out.append(Diagnostic(
                 "E011", f"detail group owner {group.owner!r} does not exist",
                 ir_path=group.id, ir_kind="group"))
         for member in group.member_nodes:
-            if member not in node_ids:
+            if member not in nodes:
                 out.append(Diagnostic(
                     "E011", f"detail group member {member!r} does not exist",
                     ir_path=group.id, ir_kind="group"))
@@ -269,7 +281,7 @@ def _validate_groups(diagram: Diagram, node_ids: set[str]) -> list[Diagnostic]:
                 "E012", f"node {group.owner!r} is a member of its own detail group",
                 ir_path=group.id, ir_kind="group",
             ))
-    return out
+    return owner_of
 
 
 # ---------------------------------------------------------------------------

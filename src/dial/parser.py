@@ -707,17 +707,21 @@ def _register_extensions(ast: SourceAst, registry: Registry,
                     category=str(fields.get("category", "operator")),
                 ))
             else:
-                registry.register_labels(frozenset(
+                # parsed outside the registry's term cache, against the block's
+                # labels, which join the vocabulary only once the block is registered
+                labels = frozenset(
                     label for key in ("domain", "range") for literal in fields.get(key, ())
-                    for label in parse_term(literal, None).all_labels()))
-                domain = tuple(Slot(registry.parse_term(lit)) for lit in fields.get("domain", ()))
-                rng = tuple(Slot(registry.parse_term(lit)) for lit in fields.get("range", ()))
+                    for label in parse_term(literal, None).all_labels())
+                vocab = replace(registry.vocabulary, labels=registry.vocabulary.labels | labels)
+                domain = tuple(Slot(parse_term(lit, vocab)) for lit in fields.get("domain", ()))
+                rng = tuple(Slot(parse_term(lit, vocab)) for lit in fields.get("range", ()))
                 if not domain or not rng:
                     err("E003", f"extension task {decl.name!r} needs domain and range", decl.at)
                     continue
                 registry.register_extension(Signature(
                     code=decl.name, dialect="ext", name=decl.name,
                     variants=((domain, rng),)))
+                registry.register_labels(labels)
         except CollidesWithBuiltin as exc:
             err("E003", str(exc), decl.at)
         except TermError as exc:

@@ -11,31 +11,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .diagnostics import ERROR_CODES
 from .lint import RULES
 from .registry import ANNOTATION_LABELS, DATA_CATEGORIES, DIALECTS, Registry, Slot
 from .render import GLYPH_TABLE, SVG_MARKS
 from .terms import MAX_NESTING, SEQUENCE, SET, DataTerm
 from .typecheck import term_text
-
-ERROR_CODES = [
-    ("E001", "lexical error"),
-    ("E002", "syntax error"),
-    ("E003", "duplicate declaration id / extension collision"),
-    ("E004", "malformed data-term literal"),
-    ("E010", "node code does not resolve in the enabled dialects"),
-    ("E011", "dangling reference or invalid port"),
-    ("E012", "detail-group containment cycle"),
-    ("E013", "persistence or query edge without a stored resource"),
-    ("E014", "node listed by more than one detail group"),
-    ("E020", "interchange document version mismatch"),
-    ("E021", "malformed interchange document"),
-    ("E101", "input arity violation"),
-    ("E102", "input does not fit the signature's domain"),
-    ("E103", "dimension conflict"),
-    ("E104", "declared edge term conflicts with the inferred term"),
-    ("E105", "term propagation did not reach a fixed point"),
-    ("E301", "layout does not belong to the diagram"),
-]
 
 
 def _pattern_text(term: DataTerm, optional: frozenset[str]) -> str:
@@ -127,7 +108,7 @@ def generate_reference() -> str:
     add("")
     add("| code | meaning |")
     add("|---|---|")
-    for code, meaning in ERROR_CODES:
+    for code, meaning in ERROR_CODES.items():
         add(f"| {code} | {meaning} |")
     for rule in RULES:
         add(f"| {rule.code} | {rule.description} |")

@@ -370,7 +370,7 @@ class Registry:
 
     def register_extension(self, definition: SymbolDef | Signature) -> None:
         """Add an extension code; its labels are registered separately, with
-        :meth:`register_labels`, before its slot terms are parsed."""
+        :meth:`register_labels`, once it is added."""
         if definition.code in _BUILTINS:
             raise CollidesWithBuiltin(f"{definition.code!r} is a builtin code")
         self._extensions[definition.code] = definition

@@ -7,11 +7,11 @@ only spell each element, as markup or as commands. Each node contributes
 exactly one element carrying class ``node-shape``; groups, tables and the
 title carry their own classes, so structural tests can count elements.
 
-Both emitters are pure functions of (typed diagram, layout, registry) and
-stamp their output with the toolchain version. A node's glyph comes from
-what ``Registry.resolve`` returns for its code: the task box for a
-signature, the symbol's own glyph for a symbol, and the extension box when
-the code does not resolve.
+Both emitters are pure functions of (typed diagram, layout) and stamp their
+output with the toolchain version. A node's glyph comes from the record its
+code resolved to in validation, which the typed diagram's ``graph`` keeps:
+the task box for a signature, and the symbol's own glyph for a symbol, or
+the extension box when that glyph id is not in the table.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from collections.abc import Iterator
 from . import __version__
 from .diagnostics import RenderMismatch
 from .layout import Box, LayoutResult, node_display_lines
-from .model import Diagram, Node
+from .model import Node
 from .record import Record
-from .registry import Registry, Signature
+from .registry import Signature, SymbolDef
 from .terms import DIST, SEQUENCE, SET, TUPLE, DataTerm
 from .typecheck import TypedDiagram, term_text
 
@@ -121,44 +121,41 @@ TIKZ_MARKS = {
 }
 
 
-def glyph_for(code: str, dialects: frozenset[str], registry: Registry) -> GlyphSpec:
-    """Stable code-to-glyph mapping over signatures, symbols and extensions; a
-    code that does not resolve as a node code is drawn as an extension box."""
-    found = registry.resolve(code, dialects)
+def glyph_for(found: Signature | SymbolDef) -> GlyphSpec:
+    """Stable mapping from what a node code resolved to, a signature, a symbol
+    or an extension, to its glyph; an unknown glyph id gets the extension box."""
     if isinstance(found, Signature):
         return GLYPH_TABLE["task_box"]
-    glyph_id = found.glyph_id if found is not None else "box_extension"
-    return GLYPH_TABLE.get(glyph_id, GLYPH_TABLE["box_extension"])
+    return GLYPH_TABLE.get(found.glyph_id, GLYPH_TABLE["box_extension"])
 
 
-def _check_pairing(diagram: Diagram, layout: LayoutResult) -> dict[str, Node]:
-    """Each node of ``diagram`` by id; E301 unless the layout boxes exactly those."""
-    by_id = {n.id: n for n in diagram.nodes}
-    missing = [n.id for n in diagram.nodes if n.id not in layout.node_boxes]
-    extra = [nid for nid in layout.node_boxes if nid not in by_id]
+def _check_pairing(typed: TypedDiagram, layout: LayoutResult) -> None:
+    """E301 unless the layout boxes exactly the typed diagram's nodes and routes its edges."""
+    nodes = typed.graph.nodes
+    missing = [nid for nid in nodes if nid not in layout.node_boxes]
+    missing += [e.id for e in typed.diagram.edges if e.id not in layout.edge_routes]
+    extra = [nid for nid in layout.node_boxes if nid not in nodes]
     if missing or extra:
         raise RenderMismatch(
             "E301: layout does not belong to this diagram "
             f"(missing {missing}, foreign {extra})")
-    return by_id
 
 
 class _Drawing:
     """The walk, which decides once what is drawn. A writer subclass sets the notation
     (``marks``, ``esc``, ``term``, ...), spells each element and fixes ``order``."""
 
-    def __init__(self, typed: TypedDiagram, layout: LayoutResult, registry: Registry):
-        self.typed, self.layout, self.registry = typed, layout, registry
+    def __init__(self, typed: TypedDiagram, layout: LayoutResult):
+        self.typed, self.layout = typed, layout
 
     def text(self) -> str:
-        diagram, layout = self.typed.diagram, self.layout
-        by_id = _check_pairing(diagram, layout)
+        diagram, layout, by_id = self.typed.diagram, self.layout, self.typed.graph.nodes
+        _check_pairing(self.typed, layout)
         out = self.head(self.esc(diagram.name))
         for group in diagram.groups:
-            owner = by_id.get(group.owner)
-            caption = f"zoom: {owner.label or owner.code if owner else group.owner}"
+            owner = by_id[group.owner]
+            caption = f"zoom: {owner.label or owner.code}"
             out.extend(self.group(layout.group_boxes[group.id], self.esc(caption)))
-        del by_id  # not needed past the captions; frees it before the text is joined
         for draw in self.order:
             out.extend(draw(self))
         for table in diagram.tables:
@@ -170,18 +167,16 @@ class _Drawing:
 
     def edges(self) -> Iterator[str]:
         for edge in self.typed.diagram.edges:
-            route = self.layout.edge_routes.get(edge.id)
-            if route is None:
-                continue
+            route = self.layout.edge_routes[edge.id]
             (x0, y0), (x1, y1) = route[0], route[-1]
             term = self.typed.edge_terms.get(edge.id)
             yield from self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4),
                                  None if term is None else self.term(term))
 
     def nodes(self) -> Iterator[str]:
-        diagram = self.typed.diagram
-        for node in diagram.nodes:
-            glyph = glyph_for(node.code, diagram.dialects, self.registry)
+        resolved = self.typed.graph.resolved
+        for node in self.typed.diagram.nodes:
+            glyph = glyph_for(resolved[node.id])
             plain = node_display_lines(node)
             lines = [self.esc(line) for line in plain]
             mark = self.mark_text(node, glyph)
@@ -327,9 +322,9 @@ class _Svg(_Drawing):
             yield f'<text x="{box.x + 6}" y="{box.y + 16 + 16 * i}" font-size="10">{row}</text>'
 
 
-def render_svg(typed: TypedDiagram, layout: LayoutResult, registry: Registry) -> str:
+def render_svg(typed: TypedDiagram, layout: LayoutResult) -> str:
     """Deterministic SVG 1.1 document for a typed, laid-out diagram."""
-    return _Svg(typed, layout, registry).text()
+    return _Svg(typed, layout).text()
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +422,6 @@ class _Tikz(_Drawing):
                    rf"at ({box.x + 4},{box.y + 10 + 16 * i}) {{{row}}};")
 
 
-def render_tikz(typed: TypedDiagram, layout: LayoutResult, registry: Registry) -> str:
+def render_tikz(typed: TypedDiagram, layout: LayoutResult) -> str:
     """Standalone-compilable TikZ with the same visual semantics as the SVG."""
-    return _Tikz(typed, layout, registry).text()
+    return _Tikz(typed, layout).text()

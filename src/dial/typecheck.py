@@ -1,6 +1,10 @@
 """Semantic analysis: term matching, per-node output inference, the
 dimension calculus, and whole-diagram propagation.
 
+Only a diagram that ``validate_structure`` accepted is checked: the checker
+takes each node's signature or symbol from the validation's ``Graph`` and
+resolves no code itself.
+
 Propagation is a worklist over the nodes in topological rank, so an acyclic
 diagram costs one evaluation per node whatever its declaration order; a
 node is evaluated again only after one of its sources changed. Sweeps are
@@ -36,7 +40,7 @@ from __future__ import annotations
 import heapq
 
 from .diagnostics import Diagnostic
-from .model import Diagram, Edge, Node
+from .model import Diagram, Edge, Graph, Node
 from .record import Record, replace
 from .registry import BUILTIN_VOCABULARY, Registry, Signature, Slot, SymbolDef, required_inputs
 from .terms import (
@@ -137,18 +141,16 @@ class _Ctx(Record):
                                            ir_path=self.node.id, ir_kind="node"))
 
 
-def infer_output(node: Node, inputs: list[DataTerm | None], registry: Registry,
-                 embeddings: dict[str, int], input_is_resource: list[bool],
-                 dialects: frozenset[str]) -> tuple[list[DataTerm | None], list[Diagnostic]]:
-    """Output terms for one node given its input terms, plus diagnostics.
+def infer_output(node: Node, found: Signature | SymbolDef, inputs: list[DataTerm | None],
+                 registry: Registry, embeddings: dict[str, int],
+                 input_is_resource: list[bool]) -> tuple[list[DataTerm | None], list[Diagnostic]]:
+    """Output terms for one node, whose code resolved to ``found``, given its
+    input terms, plus diagnostics.
 
     ``inputs`` and ``input_is_resource`` are indexed by input slot; unwired
     slots are None and not a resource.
     """
-    found = registry.resolve(node.code, dialects)
     diagnostics: list[Diagnostic] = []
-    if found is None:
-        return [None], diagnostics
     ctx = _Ctx(node, registry, embeddings, input_is_resource, diagnostics)
     if isinstance(found, Signature):
         outs = _infer_task(ctx, found, inputs)
@@ -376,17 +378,22 @@ def _project(ctx: _Ctx, term: DataTerm) -> DataTerm:
 
 
 class TypedDiagram(Record):
-    """``oriented`` and ``reversed_edges`` are what ``break_cycles`` returned:
-    the compile's one orientation, which the checker used and layout draws."""
+    """``graph`` is what validation settled about ``diagram``. ``oriented``
+    and ``reversed_edges`` are what ``break_cycles`` returned: the compile's
+    one orientation, which the checker used and layout draws."""
     diagram: Diagram
+    graph: Graph
     edge_terms: dict[str, DataTerm]
     diagnostics: list[Diagnostic]
     oriented: list[tuple[str, str, str]]
     reversed_edges: frozenset[str]
 
 
-def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
+def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDiagram:
     """Propagate terms across the dataflow graph to a fixed point.
+
+    ``graph`` is what ``validate_structure`` returned for ``diagram``, so
+    every node's code resolves and every edge joins two of its nodes.
 
     Terms travel only along the acyclic forward orientation, which the
     result carries for ``layout`` to draw. Recurrent edges, and any flow
@@ -408,8 +415,7 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
     from .layout import assign_layers, break_cycles
 
     embeddings = {e.id: e.dim for e in diagram.embeddings}
-    nodes = {n.id: n for n in diagram.nodes}
-    resolutions = {n.id: registry.resolve(n.code, diagram.dialects) for n in diagram.nodes}
+    nodes = graph.nodes
     outputs: dict[str, list[DataTerm | None]] = {n.id: [None] for n in diagram.nodes}
     oriented, backward = break_cycles(diagram)
     label_count = len(registry.vocabulary.labels)
@@ -418,7 +424,7 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
     # In-edges keep declaration order: the last feed of a slot wins.
     in_edges: dict[str, list[Edge]] = {n.id: [] for n in diagram.nodes}
     for edge in diagram.edges:
-        in_edges.setdefault(edge.target.node, []).append(edge)
+        in_edges[edge.target.node].append(edge)
 
     node_diags: dict[str, list[Diagnostic]] = {}  # from each node's latest evaluation
 
@@ -432,8 +438,7 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
                 feedback.append((edge.target.slot, delivered))
                 continue
             slots[edge.target.slot] = delivered
-            src = nodes.get(edge.source.node)
-            resource_flags[edge.target.slot] = bool(src and src.kind == "resource")
+            resource_flags[edge.target.slot] = nodes[edge.source.node].kind == "resource"
         for slot, delivered in feedback:
             if delivered is None:
                 continue
@@ -443,19 +448,17 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
                 slots[slot] = _collapse(delivered)
         width = max(slots, default=-1) + 1
         outs, node_diags[node.id] = infer_output(
-            node, [slots.get(i) for i in range(width)], registry, embeddings,
-            [resource_flags.get(i, False) for i in range(width)], diagram.dialects)
+            node, graph.resolved[node.id], [slots.get(i) for i in range(width)], registry,
+            embeddings, [resource_flags.get(i, False) for i in range(width)])
         return outs
 
     layers = assign_layers([n.id for n in diagram.nodes], oriented)
-    order = sorted((layers[n.id], i, n) for i, n in enumerate(diagram.nodes)
-                   if resolutions[n.id] is not None)
+    order = sorted((layers[n.id], i, n) for i, n in enumerate(diagram.nodes))
     rank = {n.id: r for r, (_, _, n) in enumerate(order)}
     # Successors over every edge: a feedback target depends on its source too.
     successors: dict[str, list[int]] = {n.id: [] for n in diagram.nodes}
     for edge in diagram.edges:
-        if edge.source.node in successors and edge.target.node in rank:
-            successors[edge.source.node].append(rank[edge.target.node])
+        successors[edge.source.node].append(rank[edge.target.node])
 
     sweep = list(range(len(order)))  # heap of ranks; sorted, hence a heap
     later: list[int] = []  # ranks queued for the next sweep
@@ -489,7 +492,7 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
         delivered = _delivered_term(edge, nodes, outputs)
         if delivered is not None:
             edge_terms[edge.id] = delivered
-        elif resolutions.get(edge.source.node) is not None:
+        else:
             diagnostics.append(Diagnostic(
                 "E102", f"edge {edge.id} carries no resolvable term "
                         f"(source {edge.source} produced nothing)",
@@ -503,7 +506,7 @@ def check_diagram(diagram: Diagram, registry: Registry) -> TypedDiagram:
         diagnostics.append(Diagnostic(
             "E105", f"node {node_id!r}: term propagation did not reach a fixed point",
             ir_path=node_id, ir_kind="node"))
-    return TypedDiagram(diagram, edge_terms, diagnostics, oriented, backward)
+    return TypedDiagram(diagram, graph, edge_terms, diagnostics, oriented, backward)
 
 
 def _collapse(term: DataTerm) -> DataTerm:
@@ -524,12 +527,9 @@ def _collapse(term: DataTerm) -> DataTerm:
 
 def _delivered_term(edge: Edge, nodes: dict[str, Node],
                     outputs: dict[str, list[DataTerm | None]]) -> DataTerm | None:
-    source = nodes.get(edge.source.node)
-    if source is None:
-        return None
-    if edge.flow_kind == "query" and source.kind == "resource":
+    if edge.flow_kind == "query" and nodes[edge.source.node].kind == "resource":
         return DataTerm(base="Tuples")
-    outs = outputs.get(edge.source.node, [])
+    outs = outputs[edge.source.node]
     if edge.source.slot < len(outs):
         return outs[edge.source.slot]
     return None

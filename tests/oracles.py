@@ -411,7 +411,8 @@ def propagate_in_order(diagram: Diagram, order: list[str],
         width = max(slots, default=-1) + 1
         inputs = [slots.get(i) for i in range(width)]
         res_flags = [flags.get(i, False) for i in range(width)]
-        outs, diags = infer_output(node, inputs, registry, {}, res_flags, diagram.dialects)
+        found = registry.resolve(node.code, diagram.dialects)
+        outs, diags = infer_output(node, found, inputs, registry, {}, res_flags)
         outputs[node_id] = outs
         codes.extend(d.code for d in diags)
     edge_terms: dict[str, DataTerm | None] = {}
@@ -517,8 +518,8 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
             if resolutions[node.id] is None:
                 continue
             inputs, res_flags = gather(node)
-            outs, _ = infer_output(node, inputs, registry, embeddings,
-                                   res_flags, diagram.dialects)
+            outs, _ = infer_output(node, resolutions[node.id], inputs, registry,
+                                   embeddings, res_flags)
             if outs != outputs[node.id]:
                 outputs[node.id] = outs
                 changed = True
@@ -531,8 +532,8 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
         if resolutions[node.id] is None:
             continue
         inputs, res_flags = gather(node)
-        _, diags = infer_output(node, inputs, registry, embeddings,
-                                res_flags, diagram.dialects)
+        _, diags = infer_output(node, resolutions[node.id], inputs, registry,
+                                embeddings, res_flags)
         diagnostics.extend(diags)
 
     edge_terms: dict[str, DataTerm] = {}
@@ -547,7 +548,8 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
                 ir_path=edge.id))
         if edge.declared_term is not None:
             _check_declared(edge, delivered, registry, diagnostics)
-    return TypedDiagram(diagram, edge_terms, diagnostics, oriented, backward), converged
+    # resolves codes itself, so it has no validation Graph to carry
+    return TypedDiagram(diagram, None, edge_terms, diagnostics, oriented, backward), converged
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +803,7 @@ def reference_areas(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> l
     An area holds the edges with both ends in it: for the main area, both
     ends outside every group; for a group, both ends among its members.
     """
-    member_ids = diagram.group_member_ids()
+    member_ids = {m for group in diagram.groups for m in group.member_nodes}
     top_nodes = [n for n in diagram.nodes if n.id not in member_ids]
     top_edges = [e for e in diagram.edges
                  if e.source.node not in member_ids and e.target.node not in member_ids]

@@ -18,6 +18,7 @@ from dial.cli import compile_file, run
 from dial.corpus import corpus_suite
 from dial.layout import assign_layers, break_cycles, layout
 from dial.lint import lint
+from dial.model import validate_structure
 from dial.parser import format_source, lower, parse, tokenize
 from dial.registry import BUILTIN_VOCABULARY, DATA_CATEGORIES, SIGNATURES, Registry
 from dial.render import render_svg, render_tikz
@@ -91,7 +92,8 @@ def test_c3_typechecker_oracle_equivalence():
         registry = Registry()
         for i in range(1000):
             diagram = random_propagation_diagram(rng, max_nodes=8)
-            typed = check_diagram(diagram, registry)
+            _, graph = validate_structure(diagram, registry)
+            typed = check_diagram(diagram, graph, registry)
             orders = topological_orders(diagram, cap=40)
             assert orders, "generated graphs are DAGs"
             reference = None
@@ -153,15 +155,12 @@ def test_c6_render_determinism_against_goldens():
         for name in PASS_CASES:
             compiled = compile_file(f"corpus/pass/{name}.dial")
             drawn = (compiled.diagram, compiled.typed.oriented, compiled.typed.reversed_edges)
-            first_svg = render_svg(compiled.typed, layout(*drawn),
-                                   registry=compiled.registry).encode()
-            second_svg = render_svg(compiled.typed, layout(*drawn),
-                                    registry=compiled.registry).encode()
+            first_svg = render_svg(compiled.typed, layout(*drawn)).encode()
+            second_svg = render_svg(compiled.typed, layout(*drawn)).encode()
             assert first_svg == second_svg
             golden_svg = Path(f"corpus/golden/{name}.svg").read_bytes()
             assert first_svg == golden_svg, f"{name}: svg differs from golden"
-            first_tikz = render_tikz(compiled.typed, layout(*drawn),
-                                     registry=compiled.registry).encode()
+            first_tikz = render_tikz(compiled.typed, layout(*drawn)).encode()
             golden_tikz = Path(f"corpus/golden/{name}.tex").read_bytes()
             assert first_tikz == golden_tikz, f"{name}: tikz differs from golden"
 

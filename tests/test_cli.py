@@ -300,6 +300,15 @@ def test_symbols_sys_has_30_lines():
     assert len(out.strip().splitlines()) == 30
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text: str) -> int:
+        raise BrokenPipeError
+
+
+def test_closed_output_pipe_exits_two():
+    assert run(["symbols"], stdout=_ClosedPipe(), stderr=io.StringIO()) == 2
+
+
 def test_symbols_json():
     code, out, _ = dial("symbols", "--dialect", "nn", "--json")
     payload = json.loads(out)

@@ -176,7 +176,7 @@ def test_qa_two_separate_components():
     lay = result.layout_result
     # doc (KB construction) and q (semantic parsing) start separate bands
     doc, q = lay.node_boxes["doc"], lay.node_boxes["q"]
-    members = result.diagram.group_member_ids()
+    members = result.typed.graph.group_of
     top_boxes = [lay.node_boxes[n.id] for n in result.diagram.nodes
                  if n.id not in members]
     band_break = max(min(doc.y, q.y), 0)
@@ -188,7 +188,7 @@ def test_layer_monotonicity_in_main_area():
     for name in ("qa_system", "lexicon_attention", "entailment"):
         result = compile_file(f"corpus/pass/{name}.dial")
         lay = result.layout_result
-        members = result.diagram.group_member_ids()
+        members = result.typed.graph.group_of
         for edge in result.diagram.edges:
             if edge.flow_kind == "recurrent" or edge.id in lay.reversed_edges:
                 continue

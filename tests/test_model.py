@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +44,7 @@ def chain_diagram() -> Diagram:
 
 
 def validate(d: Diagram) -> list[str]:
-    return [x.code for x in validate_structure(d, Registry())]
+    return [x.code for x in validate_structure(d, Registry())[0]]
 
 
 def test_new_diagram():
@@ -79,7 +80,7 @@ def test_unresolved_code_is_deferred():
 def test_add_edge_unknown_node():
     d = chain_diagram()
     add_edge(d, "src", "ghost")
-    diags = validate_structure(d, Registry())
+    diags, _ = validate_structure(d, Registry())
     assert [(x.code, x.ir_path, x.message) for x in diags] == [
         ("E011", "e2", "edge references unknown node 'ghost'")]
 
@@ -93,6 +94,43 @@ def test_edges_stay_closed_under_nodes():
 
 def test_validate_clean_chain():
     assert validate(chain_diagram()) == []
+
+
+def test_accepted_diagram_gets_its_graph():
+    d = chain_diagram()
+    d.groups.append(DetailGroup("g1", owner="p", member_nodes=("n",)))
+    registry = Registry()
+    diags, graph = validate_structure(d, registry)
+    assert diags == []
+    assert graph.nodes == {n.id: n for n in d.nodes}
+    assert graph.resolved == {n.id: registry.resolve(n.code, d.dialects) for n in d.nodes}
+    assert graph.group_of == {"n": "g1"}
+    d.nodes.append(Node("b", "nn_layer", "bilstm"))
+    assert validate_structure(d, registry)[1] is None
+
+
+def test_a_full_pipeline_resolves_each_node_code_at_most_twice(monkeypatch):
+    # once in lowering and once in validation; check, lint and render read the Graph
+    calls: list[str] = []
+    real = Registry.resolve
+
+    def counting(self, code, dialects):
+        calls.append(code)
+        return real(self, code, dialects)
+
+    monkeypatch.setattr(Registry, "resolve", counting)
+    chain = "\n".join(["dial 0.1", "dialect sys", 'diagram "chain" {', "  data t0: S^Token"]
+                      + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}" for i in range(1, 300)]
+                      + [f"  edge t{i} -> t{i + 1}" for i in range(299)] + ["}", ""])
+    sources = [p.read_text(encoding="utf-8") for p in sorted(Path("corpus/pass").glob("*.dial"))]
+    for source in sources + [chain]:
+        calls.clear()
+        result = compile_source(source)
+        result.lint()
+        result.render("svg")
+        result.render("tikz")
+        assert result.diagnostics == []
+        assert len(calls) <= 2 * len(result.diagram.nodes)
 
 
 def test_validate_is_pure():
@@ -159,7 +197,7 @@ def test_dangling_group_owner_and_member_edge():
     d = chain_diagram()
     d.groups.append(DetailGroup("g1", owner="ghost", member_nodes=("n",),
                                 member_edges=("e1", "e7")))
-    assert [(x.code, x.message, x.ir_path) for x in validate_structure(d, Registry())] == [
+    assert [(x.code, x.message, x.ir_path) for x in validate_structure(d, Registry())[0]] == [
         ("E011", "detail group owner 'ghost' does not exist", "g1"),
         ("E011", "detail group member edge 'e7' does not exist", "g1")]
 
@@ -170,7 +208,7 @@ def test_node_in_two_groups():
     d.nodes.append(Node("f", "function", "func"))
     d.groups.append(DetailGroup("g1", owner="p", member_nodes=("f", "f")))
     d.groups.append(DetailGroup("g2", owner="n", member_nodes=("f",)))
-    diags = validate_structure(d, Registry())
+    diags, _ = validate_structure(d, Registry())
     assert [(x.code, x.ir_path) for x in diags] == [("E014", "g2")]
     assert "'g1'" in diags[0].message and "'f'" in diags[0].message
 
@@ -182,7 +220,7 @@ def test_node_in_two_groups_from_interchange_json():
         {"id": "g2", "owner": "src", "member_nodes": ["n"], "member_edges": []},
         {"id": "g3", "owner": "src", "member_nodes": ["n", "p"], "member_edges": []},
     ]
-    diags = validate_structure(deserialize(json.dumps(doc).encode()), Registry())
+    diags, _ = validate_structure(deserialize(json.dumps(doc).encode()), Registry())
     assert [(x.code, x.ir_path) for x in diags] == [
         ("E014", "g2"), ("E014", "g3"), ("E014", "g3")]
 

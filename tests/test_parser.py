@@ -465,6 +465,18 @@ def test_labels_of_a_duplicate_extension_are_not_registered():
         ("E004", "unknown classification label 'Other'")]
 
 
+@pytest.mark.parametrize("blocks, message", [
+    (["extend task POS { domain: S; range: S^Lang; }"], "'POS' is a builtin code"),
+    (["extend task Q { range: S^Lang; }"], "extension task 'Q' needs domain and range"),
+    (["extend task Q { domain: S; range: S; }", "extend task Q { domain: S; range: S^Lang; }"],
+     "duplicate extension code 'Q'"),
+], ids=["builtin_code", "without_domain", "duplicate"])
+def test_labels_of_a_rejected_extension_are_not_registered(blocks, message):
+    unit = lower(parse_source(wrap(*blocks, "data x: S^Lang"))[0])
+    assert [(d.code, d.message) for d in unit.diagnostics] == [
+        ("E003", message), ("E004", "unknown classification label 'Lang'")]
+
+
 # -- formatter ---------------------------------------------------------------
 
 

@@ -63,12 +63,14 @@ def test_record_semantics(cls):
 @pytest.mark.parametrize("build", [
     lambda: Diagnostic("X001", "bad code"),
     lambda: Diagnostic("E01", "short code"),
+    lambda: Diagnostic("E999", "x"),
     lambda: PerfAnnotation("", 0.5, "test set"),
     lambda: PerfAnnotation("acc", 1.5, "test set"),
     lambda: EmbeddingDecl("w", 0),
     lambda: replace(EmbeddingDecl("w", 3), dim=0),
     lambda: replace(Diagnostic("E001", "m"), code="nope"),
-], ids=["code", "code_length", "metric", "acc", "dim", "replace_dim", "replace_code"])
+], ids=["code", "code_length", "unknown_error_code", "metric", "acc", "dim", "replace_dim",
+        "replace_code"])
 def test_checked_fields_raise_value_error(build):
     with pytest.raises(ValueError):
         build()

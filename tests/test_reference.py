@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
+from dial.diagnostics import ERROR_CODES
 from dial.reference import generate_reference, main
 
 
@@ -20,6 +22,12 @@ def test_reference_lists_everything():
     # 26 signature rows plus alternatives, 30 + 13 symbol rows
     assert "| ABD |" in text and "| POS |" in text
     assert "| hidden_bwd |" in text and "| zoom |" in text
+
+
+def test_every_error_code_in_the_source_is_in_the_table():
+    used = {code for path in Path("src/dial").glob("*.py") if path.name != "diagnostics.py"
+            for code in re.findall(r'"(E\d{3})\b', path.read_text(encoding="utf-8"))}
+    assert used == set(ERROR_CODES)
 
 
 def test_main_writes_the_reference(tmp_path, capsys):

@@ -154,7 +154,7 @@ def test_extension_collision(registry):
 
 
 def test_extension_task_signature():
-    # lowering registers the labels of an extension's terms, then the terms
+    # lowering parses an extension's terms against their own labels, then registers both
     result = compile_source('dial 0.1\ndialect sys\ndiagram "x" {\n'
                             "  extend task LangID { domain: S; range: S^Lang; }\n}\n")
     assert result.diagnostics == []

@@ -47,28 +47,30 @@ def compile_corpus(name: str):
 # -- glyphs --------------------------------------------------------------------
 
 
+def glyph(code: str, dialects: frozenset[str]) -> GlyphSpec:
+    return glyph_for(Registry().resolve(code, dialects))
+
+
 def test_fixed_glyph_assignments():
-    registry = Registry()
-    assert glyph_for("dataset", SYS, registry).primitive == "cylinder"
-    assert glyph_for("cond", SYS, registry).primitive == "diamond"
-    assert glyph_for("encoder", SYS, registry).primitive == "trapezoid-right"
-    assert glyph_for("decoder", SYS, registry).primitive == "trapezoid-left"
-    assert glyph_for("gold", SYS, registry).badge == "star"
-    assert glyph_for("kbfn", SYS, registry).badge == "f"
-    assert glyph_for("classifier", SYS, registry).badge == "C"
-    assert glyph_for("gru", BOTH, registry).badge == "GRU"
-    assert glyph_for("gru", BOTH, registry).mark == "lstm"  # shares the LSTM geometry
+    assert glyph("dataset", SYS).primitive == "cylinder"
+    assert glyph("cond", SYS).primitive == "diamond"
+    assert glyph("encoder", SYS).primitive == "trapezoid-right"
+    assert glyph("decoder", SYS).primitive == "trapezoid-left"
+    assert glyph("gold", SYS).badge == "star"
+    assert glyph("kbfn", SYS).badge == "f"
+    assert glyph("classifier", SYS).badge == "C"
+    assert glyph("gru", BOTH).badge == "GRU"
+    assert glyph("gru", BOTH).mark == "lstm"  # shares the LSTM geometry
 
 
 def test_glyph_totality():
     registry = Registry()
-    for dialect, scope in (("sys", SYS), ("nn", BOTH)):
+    for dialect in ("sys", "nn"):
         for symbol in registry.list_symbols(dialect):
-            spec = glyph_for(symbol.code, scope, registry)
-            assert isinstance(spec, GlyphSpec), symbol.code
+            assert isinstance(glyph_for(symbol), GlyphSpec), symbol.code
     for sig in SIGNATURES:
-        assert glyph_for(sig.code, SYS, registry).primitive == "rectangle"
-    assert glyph_for("kb", SYS, registry).badge == "KB"
+        assert glyph_for(sig).primitive == "rectangle"
+    assert glyph("kb", SYS).badge == "KB"
 
 
 def test_every_registry_glyph_id_exists():
@@ -179,8 +181,8 @@ def fresh_layout(result):
 
 def test_svg_deterministic():
     result = compile_corpus("entailment")
-    a = render_svg(result.typed, result.layout_result, registry=result.registry)
-    b = render_svg(result.typed, fresh_layout(result), registry=result.registry)
+    a = render_svg(result.typed, result.layout_result)
+    b = render_svg(result.typed, fresh_layout(result))
     assert a == b
 
 
@@ -203,7 +205,13 @@ def test_mismatched_layout_is_e301():
     first = compile_corpus("entailment")
     other = compile_corpus("qa_system")
     with pytest.raises(RenderMismatch):
-        render_svg(first.typed, other.layout_result, registry=first.registry)
+        render_svg(first.typed, other.layout_result)
+    # same nodes, one edge fewer: the layout routes no edge e1
+    source = 'dial 0.1\ndialect sys\ndiagram "t" {\n  data x: S\n  node f: func\n%s}\n'
+    both = compile_source(source % "  edge x -> f\n  edge x -> f.in1\n")
+    one = compile_source(source % "  edge x -> f\n")
+    with pytest.raises(RenderMismatch, match=r"missing \['e1'\]"):
+        render_tikz(both.typed, one.layout_result)
 
 
 # -- TikZ -----------------------------------------------------------------------
@@ -229,8 +237,8 @@ def test_superscript_terms_in_tikz_math_mode():
 
 def test_tikz_deterministic():
     result = compile_corpus("lexicon_attention")
-    a = render_tikz(result.typed, result.layout_result, registry=result.registry)
-    b = render_tikz(result.typed, fresh_layout(result), registry=result.registry)
+    a = render_tikz(result.typed, result.layout_result)
+    b = render_tikz(result.typed, fresh_layout(result))
     assert a == b
 
 

@@ -77,8 +77,9 @@ def test_a_term_without_a_base_is_named_any():
 def infer(code: str, inputs, kind="task", params=(), resource=None, dialects=SYS):
     node = Node(id="x", kind=kind, code=code, params=tuple(params))
     terms = [term(t) if isinstance(t, str) else t for t in inputs]
-    return infer_output(node, terms, Registry(), {}, resource or [False] * len(terms),
-                        dialects)
+    registry = Registry()
+    return infer_output(node, registry.resolve(code, dialects), terms, registry, {},
+                        resource or [False] * len(terms))
 
 
 def test_pos_tagging():
@@ -109,10 +110,6 @@ def test_annotation_accumulation():
 def test_arity_violation():
     _, diags = infer("POS", [])
     assert [d.code for d in diags] == ["E101"]
-
-
-def test_unresolved_code_infers_nothing():
-    assert infer("NOPE", []) == ([None], [])
 
 
 def test_optional_resource_input_may_stay_unwired():
@@ -254,6 +251,13 @@ def test_dim_combine_properties(a, b):
 # -- check_diagram -----------------------------------------------------------------
 
 
+def checked(diagram, registry):
+    """``check_diagram`` of a diagram that must pass validation."""
+    diagnostics, graph = validate_structure(diagram, registry)
+    assert graph is not None, diagnostics
+    return check_diagram(diagram, graph, registry)
+
+
 def compile_ok(path: str):
     from pathlib import Path
 
@@ -343,6 +347,13 @@ def test_declared_tuple_that_is_carried_is_clean():
     assert compile_source(_as_source("(S, T)", "(S, T)")).diagnostics == []
 
 
+def test_declared_term_on_an_edge_that_carries_nothing_is_not_compared():
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "t" {\n  node f: func\n'
+                            "  node g: func\n  edge f -> g as S\n}\n")
+    assert [(d.code, d.ir_path) for d in result.diagnostics] == [
+        ("E101", "f"), ("E101", "g"), ("E102", "e0")]
+
+
 def test_port_that_produces_nothing_is_e102():
     result = compile_source('dial 0.1\ndialect sys\ndiagram "t" {\n  data d: T @dataset("d")\n'
                             "  node f: func\n  edge d.out1 -> f\n}\n")
@@ -362,7 +373,7 @@ def test_malformed_terms_of_a_deserialized_diagram_are_e004():
            "edges": [{"id": "e0", "source": {"node": "a", "slot": 0},
                       "target": {"node": "b", "slot": 0}, "flow_kind": "flow",
                       "declared_term": "S^"}]}
-    typed = check_diagram(deserialize(json.dumps(doc).encode()), Registry())
+    typed = checked(deserialize(json.dumps(doc).encode()), Registry())
     assert [(d.code, d.message, d.ir_path) for d in typed.diagnostics] == [
         ("E004", "node 'a': declared output term: term ended early, expected ident", "a"),
         ("E101", "node 'b': func takes 1..8 input(s), 0 wired", "b"),
@@ -425,8 +436,8 @@ def test_check_diagram_is_deterministic():
     for _ in range(25):
         diagram = random_propagation_diagram(rng)
         registry = Registry()
-        first = check_diagram(diagram, registry)
-        second = check_diagram(diagram, registry)
+        first = checked(diagram, registry)
+        second = checked(diagram, registry)
         assert first.edge_terms == second.edge_terms
         assert [d.code for d in first.diagnostics] == [d.code for d in second.diagnostics]
 
@@ -437,7 +448,7 @@ def test_annotation_monotonicity_along_same_carrier_flows():
     registry = Registry()
     for _ in range(60):
         diagram = random_propagation_diagram(rng)
-        typed = check_diagram(diagram, registry)
+        typed = checked(diagram, registry)
         for node in diagram.nodes:
             in_terms = [typed.edge_terms.get(e.id) for e in diagram.edges
                         if e.target.node == node.id]
@@ -457,7 +468,7 @@ def test_propagation_matches_oracle_small():
     for _ in range(50):
         diagram = random_propagation_diagram(rng)
         registry = Registry()
-        typed = check_diagram(diagram, registry)
+        typed = checked(diagram, registry)
         orders = topological_orders(diagram, cap=24)
         assert orders, "generator always yields a DAG"
         reference = None
@@ -487,11 +498,12 @@ def test_worklist_matches_round_robin_reference():
     valid = reversed_some = stuck = declared_same = 0
     for _ in range(1000):
         diagram = random_feedback_diagram(rng)
-        if validate_structure(diagram, registry):
+        _, graph = validate_structure(diagram, registry)
+        if graph is None:
             continue
         valid += 1
         reversed_some += bool(break_cycles(diagram)[1])
-        typed = check_diagram(diagram, registry)
+        typed = check_diagram(diagram, graph, registry)
         got = _diagnostics(typed)
         ranked, converged = round_robin_check(diagram, registry, rank_schedule(diagram))
         if not converged:
