@@ -63,10 +63,11 @@ class CompileResult:
         warnings = lint_mod.lint(self.typed, self.layout_result, self.registry, disabled)
         return [d.with_location(self.file, None) for d in warnings]
 
-    def render(self, fmt: str) -> str:
-        """SVG or TikZ text (``fmt`` is "svg" or "tikz"); requires a typed diagram."""
+    def render(self, fmt: str, out=None) -> str | None:
+        """SVG or TikZ (``fmt`` is "svg" or "tikz") written into the text stream
+        ``out`` as it is drawn, or else returned; requires a typed diagram."""
         emit = {"svg": render.render_svg, "tikz": render.render_tikz}[fmt]
-        return emit(self.typed, self.layout_result)
+        return emit(self.typed, self.layout_result, out)
 
 
 def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
@@ -203,9 +204,9 @@ def _cmd_render(args, stdout, stderr) -> int:
         return 1
     if args.debug_layout:
         stderr.write(layout.debug_dump(result.typed.diagram, result.layout_result))
-    text = result.render(args.format)
     try:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            result.render(args.format, out)
     except OSError as exc:
         print(f"dial: cannot write {args.output}: {exc}", file=stderr)
         return 2

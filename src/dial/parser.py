@@ -257,7 +257,7 @@ class _ParseAbort(Exception):
 
 
 class Parser:
-    """Single-pass recursive descent with panic-mode recovery at item level."""
+    """Single-pass recursive descent with panic-mode recovery per item and per block entry."""
 
     def __init__(self, tokens: Tokens) -> None:
         self.tokens = tokens
@@ -365,6 +365,30 @@ class Parser:
                 if self.at("}"):
                     self.advance()
                     return items
+
+    def _block_body(self, what: str, entry) -> list:
+        """The ``entry;`` list of a table or extend body, through its ``}``. A
+        faulty entry resumes at its ``;`` or the ``}``; the block is then dropped."""
+        entries, failed = [], False
+        while not self.at("}"):
+            if self.at(kind="eof"):
+                self.error(f"unexpected end of input inside {what}", self.span())
+                raise _ParseAbort()
+            try:
+                entries.append(entry())
+                self.expect(";", what="';'")
+            except _ParseAbort:
+                failed = True
+                while not (self.at(";") or self.at("}") or self.at(kind="eof")):
+                    self.advance()
+                if self.at(kind="eof"):
+                    raise
+                if self.at(";"):
+                    self.advance()
+        self.advance()
+        if failed:
+            raise _ParseAbort()
+        return entries
 
     def _item(self):
         """One declaration; its handler gets the offset of its keyword."""
@@ -533,20 +557,15 @@ class Parser:
             self.advance()
             placement = self._region()
         self.expect("{", what="'{'")
-        rows: list[tuple[str, str]] = []
-        while not self.at("}"):
-            if self.at(kind="eof"):
-                self.error("unexpected end of input inside table", self.span())
-                raise _ParseAbort()
-            key = self.expect(kind="string", what="row key string")
-            self.expect(":", what="':'")
-            value = self.expect(kind="string", what="row value string")
-            self.expect(";", what="';'")
-            rows.append((key, value))
-        self.advance()
+        rows = self._block_body("table", self._row)
         if not rows:
             self.error("a table needs at least one row", self.span(-1))
         return TableDecl(ident, placement, tuple(rows), at)
+
+    def _row(self) -> tuple[str, str]:
+        key = self.expect(kind="string", what="row key string")
+        self.expect(":", what="':'")
+        return key, self.expect(kind="string", what="row value string")
 
     def _embedding(self, at: int) -> EmbedDecl:
         ident = self.expect(kind="ident", what="embedding identifier")
@@ -572,32 +591,25 @@ class Parser:
             raise _ParseAbort()
         name = self.expect(kind="ident", what="extension code")
         self.expect("{", what="'{'")
-        fields: list[tuple[str, object]] = []
-        while not self.at("}"):
-            if self.at(kind="eof"):
-                self.error("unexpected end of input inside extend", self.span())
-                raise _ParseAbort()
-            key = self.expect(kind="ident", what="field name")
-            self.expect(":", what="':'")
-            if key in ("domain", "range"):
-                literals = [self._dataterm_literal()]
-                while self.at(","):
-                    self.advance()
-                    literals.append(self._dataterm_literal())
-                fields.append((key, tuple(literals)))
-            elif key == "arity":
-                fields.append((key, self._arity()))
-            else:
-                kind, text = self.peek()
-                if kind in ("ident", "string", "number"):
-                    self.advance()
-                    fields.append((key, text))
-                else:
-                    self.error(f"expected a field value, found {text!r}", self.span())
-                    raise _ParseAbort()
-            self.expect(";", what="';'")
+        return ExtendDecl(what, name, tuple(self._block_body("extend", self._field)), at)
+
+    def _field(self) -> tuple[str, object]:
+        key = self.expect(kind="ident", what="field name")
+        self.expect(":", what="':'")
+        if key in ("domain", "range"):
+            literals = [self._dataterm_literal()]
+            while self.at(","):
+                self.advance()
+                literals.append(self._dataterm_literal())
+            return key, tuple(literals)
+        if key == "arity":
+            return key, self._arity()
+        kind, text = self.peek()
+        if kind not in ("ident", "string", "number"):
+            self.error(f"expected a field value, found {text!r}", self.span())
+            raise _ParseAbort()
         self.advance()
-        return ExtendDecl(what, name, tuple(fields), at)
+        return key, text
 
     def _arity(self) -> tuple[int, int, int, int]:
         lo_in = self._arity_bound("minimum input arity")

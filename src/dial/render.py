@@ -7,16 +7,19 @@ only spell each element, as markup or as commands. Each node contributes
 exactly one element carrying class ``node-shape``; groups, tables and the
 title carry their own classes, so structural tests can count elements.
 
-Both emitters are pure functions of (typed diagram, layout) and stamp their
-output with the toolchain version. A node's glyph comes from the record its
-code resolved to in validation, which the typed diagram's ``graph`` keeps:
-the task box for a signature, and the symbol's own glyph for a symbol, or
-the extension box when that glyph id is not in the table.
+Both emitters depend only on (typed diagram, layout), stamp their
+output with the toolchain version and write it into a text stream line by
+line as it is drawn. A node's glyph comes from the record its code resolved
+to in validation, which the typed diagram's ``graph`` keeps: the task box for
+a signature, and the symbol's own glyph for a symbol, or the extension box
+when that glyph id is not in the table.
 """
 
 from __future__ import annotations
 
+import io
 from collections.abc import Iterator
+from typing import TextIO
 
 from . import __version__
 from .diagnostics import RenderMismatch
@@ -148,22 +151,28 @@ class _Drawing:
     def __init__(self, typed: TypedDiagram, layout: LayoutResult):
         self.typed, self.layout = typed, layout
 
-    def text(self) -> str:
+    def write(self, out: TextIO | None) -> str | None:
+        """E301 before any output; then each line and its newline, into ``out``
+        or, without one, into a string that is returned."""
+        _check_pairing(self.typed, self.layout)
+        sink = io.StringIO() if out is None else out
+        sink.writelines(f"{line}\n" for line in self.lines())
+        return sink.getvalue() if out is None else None
+
+    def lines(self) -> Iterator[str]:
         diagram, layout, by_id = self.typed.diagram, self.layout, self.typed.graph.nodes
-        _check_pairing(self.typed, layout)
-        out = self.head(self.esc(diagram.name))
+        yield from self.head(self.esc(diagram.name))
         for group in diagram.groups:
             owner = by_id[group.owner]
             caption = f"zoom: {owner.label or owner.code}"
-            out.extend(self.group(layout.group_boxes[group.id], self.esc(caption)))
+            yield from self.group(layout.group_boxes[group.id], self.esc(caption))
         for draw in self.order:
-            out.extend(draw(self))
+            yield from draw(self)
         for table in diagram.tables:
             box = layout.table_regions.get(table.id)
             if box is not None:
-                out.extend(self.table(box, [self.esc(f"{k}: {v}") for k, v in table.rows]))
-        out.extend(self.tail)
-        return "\n".join(out) + "\n"
+                yield from self.table(box, [self.esc(f"{k}: {v}") for k, v in table.rows])
+        yield from self.tail
 
     def edges(self) -> Iterator[str]:
         for edge in self.typed.diagram.edges:
@@ -322,9 +331,10 @@ class _Svg(_Drawing):
             yield f'<text x="{box.x + 6}" y="{box.y + 16 + 16 * i}" font-size="10">{row}</text>'
 
 
-def render_svg(typed: TypedDiagram, layout: LayoutResult) -> str:
-    """Deterministic SVG 1.1 document for a typed, laid-out diagram."""
-    return _Svg(typed, layout).text()
+def render_svg(typed: TypedDiagram, layout: LayoutResult, out: TextIO | None = None) -> str | None:
+    """Deterministic SVG 1.1 document for a typed, laid-out diagram, written
+    into ``out`` as it is drawn; without ``out``, returned as a ``str``."""
+    return _Svg(typed, layout).write(out)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +432,7 @@ class _Tikz(_Drawing):
                    rf"at ({box.x + 4},{box.y + 10 + 16 * i}) {{{row}}};")
 
 
-def render_tikz(typed: TypedDiagram, layout: LayoutResult) -> str:
-    """Standalone-compilable TikZ with the same visual semantics as the SVG."""
-    return _Tikz(typed, layout).text()
+def render_tikz(typed: TypedDiagram, layout: LayoutResult, out: TextIO | None = None) -> str | None:
+    """Standalone-compilable TikZ with the same visual semantics as the SVG,
+    written into ``out`` or returned as :func:`render_svg` does."""
+    return _Tikz(typed, layout).write(out)

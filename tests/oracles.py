@@ -1040,6 +1040,28 @@ class TokenListParser:
             if tok.kind == "punct":
                 depth += (tok.text in "({[") - (tok.text in ")}]")
 
+    def _block_body(self, what: str, entry) -> list:
+        entries, failed = [], False
+        while not self.at("}", kind="punct"):
+            if self.at(kind="eof"):
+                self.error(f"unexpected end of input inside {what}", self.peek().span)
+                raise _ParseAbort()
+            try:
+                entries.append(entry())
+                self.expect(";", kind="punct", what="';'")
+            except _ParseAbort:
+                failed = True
+                while not (self.at(";", "punct") or self.at("}", "punct") or self.at(kind="eof")):
+                    self.advance()
+                if self.at(kind="eof"):
+                    raise
+                if self.at(";", "punct"):
+                    self.advance()
+        self.advance()
+        if failed:
+            raise _ParseAbort()
+        return entries
+
     def recover_to_item(self) -> None:
         while not self.at(kind="eof"):
             tok = self.peek()
@@ -1247,20 +1269,15 @@ class TokenListParser:
             self.advance()
             placement = self._region()
         self.expect("{", what="'{'")
-        rows: list[tuple[str, str]] = []
-        while not self.at("}"):
-            if self.at(kind="eof"):
-                self.error("unexpected end of input inside table", self.peek().span)
-                raise _ParseAbort()
-            key = self.expect(kind="string", what="row key string").text
-            self.expect(":", what="':'")
-            value = self.expect(kind="string", what="row value string").text
-            self.expect(";", what="';'")
-            rows.append((key, value))
-        close = self.advance()
+        rows = self._block_body("table", self._row)
         if not rows:
-            self.error("a table needs at least one row", close.span)
+            self.error("a table needs at least one row", self.tokens[self.pos - 1].span)
         return TableDecl(ident, placement, tuple(rows), keyword.at)
+
+    def _row(self) -> tuple[str, str]:
+        key = self.expect(kind="string", what="row key string").text
+        self.expect(":", what="':'")
+        return key, self.expect(kind="string", what="row value string").text
 
     def _embedding(self) -> EmbedDecl:
         keyword = self.advance()
@@ -1289,32 +1306,26 @@ class TokenListParser:
             raise _ParseAbort()
         name = self.expect(kind="ident", what="extension code").text
         self.expect("{", what="'{'")
-        fields: list[tuple[str, object]] = []
-        while not self.at("}"):
-            if self.at(kind="eof"):
-                self.error("unexpected end of input inside extend", self.peek().span)
-                raise _ParseAbort()
-            key = self.expect(kind="ident", what="field name").text
-            self.expect(":", what="':'")
-            if key in ("domain", "range"):
-                literals = [self._dataterm_literal()]
-                while self.at(","):
-                    self.advance()
-                    literals.append(self._dataterm_literal())
-                fields.append((key, tuple(literals)))
-            elif key == "arity":
-                fields.append((key, self._arity()))
-            else:
-                tok = self.peek()
-                if tok.kind in ("ident", "string", "number"):
-                    self.advance()
-                    fields.append((key, tok.text))
-                else:
-                    self.error(f"expected a field value, found {tok.text!r}", tok.span)
-                    raise _ParseAbort()
-            self.expect(";", what="';'")
+        return ExtendDecl(what_tok.text, name, tuple(self._block_body("extend", self._field)),
+                          keyword.at)
+
+    def _field(self) -> tuple[str, object]:
+        key = self.expect(kind="ident", what="field name").text
+        self.expect(":", what="':'")
+        if key in ("domain", "range"):
+            literals = [self._dataterm_literal()]
+            while self.at(","):
+                self.advance()
+                literals.append(self._dataterm_literal())
+            return key, tuple(literals)
+        if key == "arity":
+            return key, self._arity()
+        tok = self.peek()
+        if tok.kind not in ("ident", "string", "number"):
+            self.error(f"expected a field value, found {tok.text!r}", tok.span)
+            raise _ParseAbort()
         self.advance()
-        return ExtendDecl(what_tok.text, name, tuple(fields), keyword.at)
+        return key, tok.text
 
     def _arity(self) -> tuple[int, int, int, int]:
         lo_in = int(self.expect(kind="number", what="minimum input arity").text)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dial.cli import _build_parser, run
+from dial.cli import _build_parser, compile_file, run
 from dial.diagnostics import Diagnostic
 from dial.terms import MAX_NESTING
 from oracles import mutate_source, random_front_end_source, random_valid_source
@@ -208,6 +208,22 @@ def test_render_tikz(tmp_path):
     code, _, _ = dial("render", QA, "-o", str(target), "--format", "tikz")
     assert code == 0
     assert "\\begin{tikzpicture}" in target.read_text()
+
+
+GOLDEN_SUFFIX = {"svg": "svg", "tikz": "tex"}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SUFFIX))
+@pytest.mark.parametrize("name", sorted(p.stem for p in Path("corpus/pass").glob("*.dial")))
+def test_rendered_file_is_the_golden(tmp_path, name, fmt):
+    # the file `dial render` writes as it draws holds the same bytes as the
+    # golden and as the document CompileResult.render returns
+    source = f"corpus/pass/{name}.dial"
+    target = tmp_path / f"{name}.{GOLDEN_SUFFIX[fmt]}"
+    assert dial("render", source, "-o", str(target), "--format", fmt) == (0, "", "")
+    written = target.read_bytes()
+    assert written == Path(f"corpus/golden/{target.name}").read_bytes()
+    assert written == compile_file(source).render(fmt).encode()
 
 
 def test_render_refuses_on_errors(tmp_path):
@@ -403,6 +419,16 @@ def test_installed_entry_point_runs():
     proc = subprocess.run([*cmd, "check", QA], capture_output=True, text=True,
                           cwd=Path.cwd())
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SUFFIX))
+def test_child_interpreter_renders_the_golden(tmp_path, fmt):
+    # a real process through cli.main, writing a real file
+    target = tmp_path / f"qa_system.{GOLDEN_SUFFIX[fmt]}"
+    proc = subprocess.run([sys.executable, "-m", "dial", "render", QA, "-o", str(target),
+                           "--format", fmt], capture_output=True, text=True, cwd=Path.cwd())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert target.read_bytes() == Path(f"corpus/golden/{target.name}").read_bytes()
 
 
 def test_no_color_env_is_respected(monkeypatch, tmp_path):

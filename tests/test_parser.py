@@ -14,7 +14,7 @@ import dial.parser
 from dial import terms
 from dial.cli import compile_source
 from dial.diagnostics import Span, has_errors
-from dial.model import Diagram
+from dial.model import Diagram, validate_structure
 from dial.parser import DetailDecl, format_source, lower, parse, tokenize
 from dial.registry import node_kind
 from oracles import (
@@ -426,8 +426,9 @@ def test_extension_with_every_field_is_clean():
     assert unit.diagnostics == []
 
 
-# the first diagnostic only: where a block closes early, recovery also reports
-# the diagram's own '}' as trailing input
+# the first diagnostic only: after an error before a block's '{', recovery
+# stops at the block's '}', so it also reports the diagram's own '}' as
+# trailing input
 @pytest.mark.parametrize("item, line, col, message", [
     ("embedding e (dim=0)", 4, 20, "embedding dim must be a positive integer"),
     ("embedding e (dim=1.5)", 4, 20, "embedding dim must be a positive integer"),
@@ -438,6 +439,47 @@ def test_malformed_embedding_or_extend_is_e002(item, line, col, message):
     _, diags = parse_source(wrap(item))
     assert (diags[0].code, diags[0].span.line, diags[0].span.col, diags[0].message) == (
         "E002", line, col, message)
+
+
+def checked_declarations(ast) -> list[tuple[str, str, str | None]]:
+    """What lowering and validation say about a parsed unit's declarations."""
+    unit = lower(ast)
+    diags = unit.diagnostics + validate_structure(unit.diagram, unit.registry)[0]
+    return [(d.code, d.message, d.ir_path) for d in diags]
+
+
+@pytest.mark.parametrize("block, errors", [
+    ('table t { "k" "v"; "k2": 5; "k3": "w"; }',
+     [(4, 17, "expected ':', found '\"v\"'"), (4, 28, "expected row value string, found '5'")]),
+    ("extend task Q { domain S; range: S^Lang; arity 1; }",
+     [(4, 26, "expected ':', found 'S'"), (4, 50, "expected ':', found '1'")]),
+], ids=["table", "extend"])
+def test_a_syntax_error_in_a_block_body_resumes_at_its_semicolon_or_brace(block, errors):
+    # each faulty entry resumes at its own ';', the block ends at its own '}',
+    # and every later declaration is parsed and checked as if the block were
+    # not there; a later syntax error is still found
+    later = ("node a: POS", "node b: Bogus", "edge a -> b")
+    ast, diags = parse_source(wrap(block, *later, "node c POS"))
+    assert [(d.span.line, d.span.col, d.message) for d in diags] == errors + [
+        (8, 10, "expected ':', found 'POS'")]
+    assert not any("trailing input" in d.message for d in diags)
+    assert [type(item).__name__ for item in ast.items] == ["NodeDecl", "NodeDecl", "EdgeDecl"]
+    assert [(item.id, item.code) for item in ast.items[:2]] == [("a", "POS"), ("b", "Bogus")]
+    clean, _ = parse_source(wrap(*later))
+    assert checked_declarations(ast) == checked_declarations(clean) == [
+        ("E010", "code 'Bogus' does not resolve in dialects {sys}", "b")]
+
+
+@pytest.mark.parametrize("source", [
+    'table t { "k" "v";', 'table t { "k" "v"', 'table t { "k": "v";\n  node a: POS',
+    "extend task Q { domain S;", "extend task Q { domain S; node a: POS\n}",
+], ids=["table_after_semicolon", "table_inside_row", "table_then_item", "extend",
+        "extend_then_item"])
+def test_a_block_body_without_its_brace_ends_in_diagnostics(source):
+    result = compile_source(f'dial 0.1\ndialect sys\ndiagram "T" {{\n  {source}\n')
+    assert result.failed and result.typed is None
+    assert {d.code for d in result.diagnostics} == {"E002"}
+    assert result.diagnostics[-1].message == "unexpected end of input, expected '}'"
 
 
 def test_source_ending_inside_extend_is_e002():

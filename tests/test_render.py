@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -10,7 +12,7 @@ import pytest
 
 import dial.layout
 from dial import __version__
-from dial.cli import compile_file, compile_source
+from dial.cli import compile_file, compile_source, run
 from dial.diagnostics import RenderMismatch
 from dial.layout import layout
 from dial.model import Diagram
@@ -206,6 +208,12 @@ def test_mismatched_layout_is_e301():
     other = compile_corpus("qa_system")
     with pytest.raises(RenderMismatch):
         render_svg(first.typed, other.layout_result)
+    # the mismatch is found before anything is written into the stream
+    for emit in (render_svg, render_tikz):
+        out = io.StringIO()
+        with pytest.raises(RenderMismatch):
+            emit(first.typed, other.layout_result, out)
+        assert out.getvalue() == ""
     # same nodes, one edge fewer: the layout routes no edge e1
     source = 'dial 0.1\ndialect sys\ndiagram "t" {\n  data x: S\n  node f: func\n%s}\n'
     both = compile_source(source % "  edge x -> f\n  edge x -> f.in1\n")
@@ -353,3 +361,36 @@ def test_render_scans_no_node_list(monkeypatch):
     result.render("svg")
     result.render("tikz")
     assert calls == 0
+
+
+def chain_source(n: int) -> str:
+    decls = ["  data t0: S^Token"] + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}"
+                                      for i in range(1, n)]
+    edges = [f"  edge t{i} -> t{i + 1}" for i in range(n - 1)]
+    return "\n".join(['dial 0.1', 'dialect sys', 'diagram "chain" {', *decls, *edges, "}"]) + "\n"
+
+
+def peak_bytes(call) -> int:
+    """tracemalloc peak of ``call()``, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_render_streams_into_the_file(tmp_path, n):
+    # `dial render` writes the document as it is drawn, so neither the
+    # document nor an encoded copy is held whole: the command peaks within
+    # 1.2x of the compile and layout it needs anyway
+    text = chain_source(n)
+    source = tmp_path / "chain.dial"
+    source.write_text(text)
+    compiled = peak_bytes(lambda: compile_source(text).layout_result)
+    for fmt in ("svg", "tikz"):
+        argv = ["render", str(source), "-o", str(tmp_path / f"chain.{fmt}"), "--format", fmt]
+        rendered = peak_bytes(lambda: run(argv, stdout=io.StringIO(), stderr=io.StringIO()))
+        assert rendered <= 1.2 * compiled, (fmt, rendered, compiled)
