@@ -315,10 +315,16 @@ class Parser:
             if kind == "punct":
                 depth += (text in "({[") - (text in ")}]")
 
-    def recover_to_item(self) -> None:
+    def recover_to_item(self, block: bool = False) -> None:
+        """Step to the next item keyword or ``}``; after a ``block`` header's
+        fault, step over the first ``{`` on the way through its ``}`` first."""
         while not self.at(kind="eof"):
             if self.at("}") or self.at(kind="keyword") and self.texts[self.pos] in ITEM_KEYWORDS:
                 return
+            if block and self.at("{"):
+                self.advance()
+                self.skip_to_close()
+                return self.recover_to_item()
             self.advance()
 
     # -- grammar ------------------------------------------------------------
@@ -358,10 +364,14 @@ class Parser:
             if self.at(kind="eof"):
                 self.error("unexpected end of input, expected '}'", self.span())
                 return items
+            start = self.pos
             try:
                 items.append(self._item())
             except _ParseAbort:
-                self.recover_to_item()
+                # a block's header consumes no '{' but its own
+                self.recover_to_item(self.kinds[start] == "keyword"
+                                     and self.texts[start] in ("detail", "table", "extend")
+                                     and "{" not in self.texts[start:self.pos])
                 if self.at("}"):
                     self.advance()
                     return items

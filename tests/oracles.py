@@ -995,8 +995,10 @@ class TokenListParser:
     """The parser before the flat token stream, reading a list of
     :class:`Token` values; verbatim apart from its name, its term reader,
     which :class:`ReferenceParser` supplies, the quotes its ``expect``
-    and ``_item`` messages put around a string token, and the token offsets
-    and ``source`` it records in the AST."""
+    and ``_item`` messages put around a string token, the token offsets
+    and ``source`` it records in the AST, and the recovery the parser gained
+    since: a faulty block entry resumes at its ``;`` or the block's ``}``,
+    and a block whose header failed before its ``{`` is stepped over whole."""
 
     def __init__(self, tokens: list[Token], source: str) -> None:
         self.tokens = tokens
@@ -1062,11 +1064,15 @@ class TokenListParser:
             raise _ParseAbort()
         return entries
 
-    def recover_to_item(self) -> None:
+    def recover_to_item(self, block: bool = False) -> None:
         while not self.at(kind="eof"):
             tok = self.peek()
             if tok.text in ITEM_KEYWORDS or tok.text == "}":
                 return
+            if block and tok.kind == "punct" and tok.text == "{":
+                self.advance()
+                self.skip_to_close()
+                return self.recover_to_item()
             self.advance()
 
     # -- grammar ------------------------------------------------------------
@@ -1106,10 +1112,15 @@ class TokenListParser:
             if self.at(kind="eof"):
                 self.error("unexpected end of input, expected '}'", self.peek().span)
                 return items
+            first = self.pos
             try:
                 items.append(self._item())
             except _ParseAbort:
-                self.recover_to_item()
+                # a block whose header failed is stepped over whole
+                self.recover_to_item(
+                    self.tokens[first].text in ("detail", "table", "extend")
+                    and not any(tok.kind == "punct" and tok.text == "{"
+                                for tok in self.tokens[first:self.pos]))
                 if self.at("}"):
                     self.advance()
                     return items

@@ -9,6 +9,7 @@ import pytest
 
 from dial.cli import compile_source
 from dial.diagnostics import SerializationError
+from dial.interchange import canonical_serialize, deserialize
 from dial.model import (
     Diagram,
     DetailGroup,
@@ -18,8 +19,6 @@ from dial.model import (
     Node,
     PerfAnnotation,
     Port,
-    canonical_serialize,
-    deserialize,
     validate_structure,
 )
 from dial.registry import Registry
@@ -240,6 +239,13 @@ def rich_diagram() -> Diagram:
 def test_serialize_deterministic():
     d = rich_diagram()
     assert canonical_serialize(d) == canonical_serialize(d)
+
+
+def test_serialized_bytes_are_pinned():
+    # every top-level key, a node with params and perf, both port directions,
+    # a group, a table and an embedding, byte for byte
+    pinned = Path(__file__).parent / "fixtures" / "interchange" / "rich_diagram.json"
+    assert canonical_serialize(rich_diagram()) == pinned.read_bytes()
 
 
 def test_round_trip():

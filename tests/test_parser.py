@@ -298,12 +298,13 @@ def test_detail_sides_and_placements_reach_the_diagram():
     assert [t.placement for t in unit.diagram.tables] == ["top_left"]
 
 
-# each item ends at the name at fault: recovery stops at the next '}', so a
-# block after the name would close the diagram early
+# the block after the name at fault is stepped over whole, so the name is the
+# only diagnostic
 @pytest.mark.parametrize("src, line, col, message", [
-    (wrap("node f: POS", "detail g for f entry middle"), 5, 24, "unknown side 'middle'"),
-    (wrap("node f: POS", "detail g for f exit up"), 5, 23, "unknown side 'up'"),
-    (wrap("node f: POS", "table t at center"), 5, 14, "unknown region 'center'"),
+    (wrap("node f: POS", "detail g for f entry middle { node m: NER }"), 5, 24,
+     "unknown side 'middle'"),
+    (wrap("node f: POS", "detail g for f exit up { }"), 5, 23, "unknown side 'up'"),
+    (wrap("node f: POS", 'table t at center { "k": "v"; }'), 5, 14, "unknown region 'center'"),
     (MINIMAL.replace('"D" {', '"D" at middle {'), 3, 16, "unknown region 'middle'"),
 ], ids=["entry", "exit", "table", "title"])
 def test_unknown_side_or_region_is_e002(src, line, col, message):
@@ -322,6 +323,18 @@ def test_lower_operator_params():
     node = unit.diagram.node_by_id("s1")
     assert node.kind == "operator"
     assert node.param("metric") == "cosine"
+
+
+def test_a_detail_owner_comes_before_its_block_while_an_edge_may_name_a_later_node():
+    early = lower_source(wrap("edge a -> b", "detail g for b { node m: NER }",
+                              "node a: POS", "node b: NER"))
+    assert [(d.code, d.message) for d in early.diagnostics] == [
+        ("E011", "detail group 'g' refines unknown node 'b'")]
+    late = lower_source(wrap("edge a -> b", "node a: POS", "node b: NER",
+                             "detail g for b { node m: NER }"))
+    assert late.diagnostics == []
+    assert [(e.source.node, e.target.node) for e in late.diagram.edges] == [("a", "b")]
+    assert [(g.id, g.owner) for g in late.diagram.groups] == [("g", "b")]
 
 
 def test_lower_gold_data_decl():
@@ -426,9 +439,8 @@ def test_extension_with_every_field_is_clean():
     assert unit.diagnostics == []
 
 
-# the first diagnostic only: after an error before a block's '{', recovery
-# stops at the block's '}', so it also reports the diagram's own '}' as
-# trailing input
+# the only diagnostic: a fault before a block's '{' steps over the block, and
+# a fault inside it resumes at its ';'
 @pytest.mark.parametrize("item, line, col, message", [
     ("embedding e (dim=0)", 4, 20, "embedding dim must be a positive integer"),
     ("embedding e (dim=1.5)", 4, 20, "embedding dim must be a positive integer"),
@@ -437,8 +449,8 @@ def test_extension_with_every_field_is_clean():
 ], ids=["dim_zero", "dim_fraction", "extend_neither", "field_value"])
 def test_malformed_embedding_or_extend_is_e002(item, line, col, message):
     _, diags = parse_source(wrap(item))
-    assert (diags[0].code, diags[0].span.line, diags[0].span.col, diags[0].message) == (
-        "E002", line, col, message)
+    assert [(d.code, d.span.line, d.span.col, d.message) for d in diags] == [
+        ("E002", line, col, message)]
 
 
 def checked_declarations(ast) -> list[tuple[str, str, str | None]]:
@@ -470,11 +482,44 @@ def test_a_syntax_error_in_a_block_body_resumes_at_its_semicolon_or_brace(block,
         ("E010", "code 'Bogus' does not resolve in dialects {sys}", "b")]
 
 
+@pytest.mark.parametrize("block, error", [
+    ("extend foo X { name: y; }", (4, 10, "extend introduces either a symbol or a task")),
+    ('table t at center { "k": "v"; }', (4, 14, "unknown region 'center'")),
+    ("detail g for a entry middle { node z: POS }", (4, 24, "unknown side 'middle'")),
+], ids=["extend", "table", "detail"])
+def test_a_fault_in_a_block_header_steps_over_the_block(block, error):
+    # the first '{' after the fault opens the block, which is skipped through
+    # its matching '}'; every later declaration is parsed and checked as if
+    # the block were not there
+    later = ("node a: POS", "node b: Bogus", "edge a -> b")
+    ast, diags = parse_source(wrap(block, *later, "node c POS"))
+    assert [(d.span.line, d.span.col, d.message) for d in diags] == [
+        error, (8, 10, "expected ':', found 'POS'")]
+    assert not any("trailing input" in d.message for d in diags)
+    assert [type(item).__name__ for item in ast.items] == ["NodeDecl", "NodeDecl", "EdgeDecl"]
+    clean, _ = parse_source(wrap(*later))
+    assert checked_declarations(ast) == checked_declarations(clean) == [
+        ("E010", "code 'Bogus' does not resolve in dialects {sys}", "b")]
+
+
+@pytest.mark.parametrize("item, message", [
+    ('table t { "k" "v"; } {', "expected ':', found '\"v\"'"),
+    ('"table" {', "expected a declaration (node, data, edge, detail, table, embedding or "
+                  "extend), found '\"table\"'"),
+], ids=["after_the_body", "string"])
+def test_a_stray_brace_is_no_block_to_step_over(item, message):
+    # only a block keyword whose header failed owns the next '{'; here it is
+    # one more token to skip, not a block that would swallow what follows
+    _, diags = parse_source(wrap(item, "node a: POS", "node b POS"))
+    assert [d.message for d in diags] == [message, "expected ':', found 'POS'"]
+
+
 @pytest.mark.parametrize("source", [
     'table t { "k" "v";', 'table t { "k" "v"', 'table t { "k": "v";\n  node a: POS',
     "extend task Q { domain S;", "extend task Q { domain S; node a: POS\n}",
+    'table t at center { "k": "v";\n  node a: POS',
 ], ids=["table_after_semicolon", "table_inside_row", "table_then_item", "extend",
-        "extend_then_item"])
+        "extend_then_item", "header_then_item"])
 def test_a_block_body_without_its_brace_ends_in_diagnostics(source):
     result = compile_source(f'dial 0.1\ndialect sys\ndiagram "T" {{\n  {source}\n')
     assert result.failed and result.typed is None

@@ -107,17 +107,18 @@ def test_diagram_equality_compares_every_field():
     def build(**changes):
         return Diagram("d", frozenset({"sys"}), **{"nodes": [Node("a", "task", "POS")], **changes})
     assert build() == build()
-    for changes in ({"nodes": []}, {"title_placement": "top_right"}, {"format_version": "9.9"}):
+    for changes in ({"nodes": []}, {"title_placement": "top_right"}):
         assert build() != build(**changes), changes
 
 
 def test_cold_start_imports_neither_dataclasses_nor_inspect():
     # the CLI's import path defines its records without dataclasses, which
-    # would pull in inspect, ast, dis and tokenize
+    # would pull in inspect, ast, dis and tokenize; nor does it load the
+    # interchange codec, which no command uses
     package_root = str(Path(dial.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     script = ("import sys\nimport dial.cli\nfrom dial.registry import Registry\nRegistry()\n"
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+              "print(sorted({'dataclasses', 'inspect', 'dial.interchange'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr

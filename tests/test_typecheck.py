@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 
 import dial.typecheck
 from dial.cli import compile_source
+from dial.interchange import deserialize
 from dial.layout import break_cycles
-from dial.model import Node, deserialize, validate_structure
+from dial.model import Node, validate_structure
 from dial.registry import Registry
 from dial.terms import SEQUENCE, SET, DataTerm
 from dial.typecheck import (
