@@ -30,7 +30,7 @@ from . import __version__, layout, lint as lint_mod, render
 from .diagnostics import Diagnostic, dump_json, has_errors
 from .model import Diagram, validate_structure
 from .parser import LoweredUnit, format_source, locate, lower, parse, tokenize
-from .registry import DIALECTS, Registry
+from .registry import DIALECTS, Registry, list_symbols
 from .typecheck import TypedDiagram, check_diagram
 
 
@@ -60,7 +60,7 @@ class CompileResult:
         """W2xx warnings located in ``file``; ``[]`` without a typed diagram."""
         if self.typed is None:
             return []
-        warnings = lint_mod.lint(self.typed, self.layout_result, self.registry, disabled)
+        warnings = lint_mod.lint(self.typed, self.layout_result, disabled)
         return [d.with_location(self.file, None) for d in warnings]
 
     def render(self, fmt: str, out=None) -> str | None:
@@ -235,11 +235,10 @@ def _cmd_fmt(args, stdout, stderr) -> int:
 
 
 def _cmd_symbols(args, stdout, stderr) -> int:
-    registry = Registry()
     dialects = [args.dialect] if args.dialect else list(DIALECTS)
     rows = []
     for dialect in dialects:
-        for sym in registry.list_symbols(dialect):
+        for sym in list_symbols(dialect):
             mark = render.GLYPH_TABLE[sym.glyph_id].mark
             glyph = render.SVG_MARKS.get(mark, "") if mark else ""
             rows.append({

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cli import CompileResult, compile_file
 from .record import Record
-from .registry import Registry
+from .registry import list_signatures, list_symbols
 
 DEFAULT_ROOT = Path(__file__).resolve().parents[2] / "corpus"
 
@@ -117,11 +117,10 @@ def write_goldens(root: Path = DEFAULT_ROOT) -> list[Path]:
 
 def used_codes(results: list[CaseResult]) -> tuple[frozenset[str], frozenset[str]]:
     """Registry codes exercised by the pass cases, split by dialect."""
-    registry = Registry()
     sys_codes: set[str] = set()
     nn_codes: set[str] = set()
-    sys_entries = {s.code for s in registry.list_symbols("sys") + registry.list_signatures("sys")}
-    nn_symbols = {s.code for s in registry.list_symbols("nn")}
+    sys_entries = {s.code for s in list_symbols("sys") + list_signatures("sys")}
+    nn_symbols = {s.code for s in list_symbols("nn")}
     for item in results:
         if not item.case.should_pass or item.result.diagram is None:
             continue

@@ -498,8 +498,7 @@ def debug_dump(diagram: Diagram, result: LayoutResult) -> str:
     for node_id, layer in result.layers.items():
         by_layer.setdefault(layer, []).append(node_id)
     for layer in sorted(by_layer):
-        ordered = sorted(by_layer[layer], key=lambda n: result.node_boxes[n].y
-                         if n in result.node_boxes else 0)
+        ordered = sorted(by_layer[layer], key=lambda n: result.node_boxes[n].y)
         lines.append(f"  layer {layer}: " + " ".join(ordered))
     if result.reversed_edges:
         lines.append("  reversed: " + " ".join(sorted(result.reversed_edges)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .diagnostics import Diagnostic
 from .layout import LayoutResult
 from .record import Record
-from .registry import Registry
+from .registry import list_symbols
 from .typecheck import TypedDiagram
 
 OWNER_INPUT_SIDE = "left"  # inputs enter on the left in left-to-right layout
@@ -42,7 +42,7 @@ RULES: tuple[LintRule, ...] = (
 )
 
 
-def lint(typed: TypedDiagram, layout_result: LayoutResult, registry: Registry,
+def lint(typed: TypedDiagram, layout_result: LayoutResult,
          disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
     diagram = typed.diagram
     out: list[Diagnostic] = []
@@ -71,7 +71,7 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult, registry: Registry,
                          f"{group.entry_side}; its owner takes input on the "
                          f"{OWNER_INPUT_SIDE}", group.id)
 
-    symbol_names = _symbol_names(registry, diagram.dialects)
+    symbol_names = _symbol_names(diagram.dialects)
     for node in diagram.nodes:
         if typed.graph.resolved[node.id].dialect == "ext":
             emit("W205", f"node {node.id!r} uses extension code {node.code!r}; "
@@ -94,10 +94,10 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult, registry: Registry,
     return out
 
 
-def _symbol_names(registry: Registry, dialects: frozenset[str]) -> dict[str, str]:
+def _symbol_names(dialects: frozenset[str]) -> dict[str, str]:
     names: dict[str, str] = {}
     for dialect in sorted(dialects):
-        for symbol in registry.list_symbols(dialect):
+        for symbol in list_symbols(dialect):
             names[symbol.code.lower()] = symbol.code
     return names
 

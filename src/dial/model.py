@@ -67,11 +67,11 @@ class Node(Record):
     detail: str | None = None  # id of the group refining this node
     placement_hint: str | None = None
 
-    def param(self, key: str, default=None):
+    def param(self, key: str):
         for k, v in self.params:
             if k == key:
                 return v
-        return default
+        return None
 
 
 class Edge(Record):
@@ -180,6 +180,10 @@ def validate_structure(diagram: Diagram,
                     ir_path=node.id, ir_kind="node",
                 ))
 
+    def _kind(node_id: str) -> str | None:
+        res = resolutions.get(node_id)
+        return node_kind(res) if res else None
+
     occupied: dict[tuple[str, int], str] = {}
     for edge in diagram.edges:
         for port, bound_attr in ((edge.source, "max_out"), (edge.target, "max_in")):
@@ -207,10 +211,6 @@ def validate_structure(diagram: Diagram,
                 ))
             else:
                 occupied[key] = edge.id
-
-        def _kind(node_id: str) -> str | None:
-            res = resolutions.get(node_id)
-            return node_kind(res) if res else None
 
         if edge.flow_kind == "persist" and edge.target.node in nodes:
             if _kind(edge.target.node) not in (None, "resource"):

@@ -730,13 +730,13 @@ def _register_extensions(ast: SourceAst, registry: Registry,
                 ))
             else:
                 # parsed outside the registry's term cache, against the block's
-                # labels, which join the vocabulary only once the block is registered
+                # labels, which join registry.labels only once the block is registered
                 labels = frozenset(
                     label for key in ("domain", "range") for literal in fields.get(key, ())
                     for label in parse_term(literal, None).all_labels())
-                vocab = replace(registry.vocabulary, labels=registry.vocabulary.labels | labels)
-                domain = tuple(Slot(parse_term(lit, vocab)) for lit in fields.get("domain", ()))
-                rng = tuple(Slot(parse_term(lit, vocab)) for lit in fields.get("range", ()))
+                known = registry.labels | labels
+                domain = tuple(Slot(parse_term(lit, known)) for lit in fields.get("domain", ()))
+                rng = tuple(Slot(parse_term(lit, known)) for lit in fields.get("range", ()))
                 if not domain or not rng:
                     err("E003", f"extension task {decl.name!r} needs domain and range", decl.at)
                     continue

@@ -13,10 +13,9 @@ from pathlib import Path
 from . import __version__
 from .diagnostics import ERROR_CODES
 from .lint import RULES
-from .registry import ANNOTATION_LABELS, DATA_CATEGORIES, DIALECTS, Registry, Slot
+from .registry import ANNOTATION_LABELS, DIALECTS, Slot, list_signatures, list_symbols
 from .render import GLYPH_TABLE, SVG_MARKS
-from .terms import MAX_NESTING, SEQUENCE, SET, DataTerm
-from .typecheck import term_text
+from .terms import DATA_CATEGORIES, MAX_NESTING, SEQUENCE, SET, DataTerm, format_term
 
 
 def _pattern_text(term: DataTerm, optional: frozenset[str]) -> str:
@@ -25,7 +24,7 @@ def _pattern_text(term: DataTerm, optional: frozenset[str]) -> str:
         return "{" + _pattern_text(term.element, optional) + "}"
     if term.structure == SEQUENCE:
         return "[" + _pattern_text(term.element, optional) + "]"
-    text = term_text(term)
+    text = format_term(term)
     if optional:
         text += "^(" + ",".join(sorted(optional)) + ")"
     return text
@@ -44,7 +43,6 @@ def _slot_list(slots: tuple[Slot, ...]) -> str:
 
 
 def generate_reference() -> str:
-    registry = Registry()
     out: list[str] = []
     add = out.append
     add(f"# The dial language reference (toolchain v{__version__})")
@@ -56,7 +54,7 @@ def generate_reference() -> str:
     add("")
     add("| code | task | domain | range |")
     add("|---|---|---|---|")
-    for sig in registry.list_signatures("sys"):
+    for sig in list_signatures("sys"):
         for i, (domain, rng) in enumerate(sig.variants):
             code = sig.code if i == 0 else ""
             name = sig.name if i == 0 else "(alternative)"
@@ -73,7 +71,7 @@ def generate_reference() -> str:
         add("")
         add("| code | glyph | geometry | arity in/out | meaning |")
         add("|---|---|---|---|---|")
-        for sym in registry.list_symbols(dialect):
+        for sym in list_symbols(dialect):
             glyph = GLYPH_TABLE[sym.glyph_id]
             mark = SVG_MARKS.get(glyph.mark, "") if glyph.mark else ""
             geometry = glyph.primitive

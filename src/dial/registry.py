@@ -10,14 +10,16 @@ Dialects shipped in v0.1: ``sys`` (whole-system vocabulary) and ``nn``
 Each fact is stored once, as one record keyed by its ``code``, and
 :meth:`Registry.resolve` returns that record: a :class:`Signature` for a task
 code, a :class:`SymbolDef` for a symbol code, or None. :func:`node_kind`
-derives a node's kind from either. A signature's inputs and outputs are
-:class:`Slot` values, each a :class:`~dial.terms.DataTerm` pattern plus the
-flags that belong to the slot. A data category is one
-:class:`DataCategory` row, its preferred spelling included, and the term
-reader's spelling tables (:data:`BUILTIN_VOCABULARY`) are derived from the rows.
+derives a node's kind from either, and :func:`list_symbols` and
+:func:`list_signatures` list a dialect's builtins. A signature's inputs and
+outputs are :class:`Slot` values, each a :class:`~dial.terms.DataTerm`
+pattern plus the flags that belong to the slot. The data categories and
+their spellings are fixed by the language and live in :mod:`dial.terms`.
 
-A compile's extensions have the same shape: one table of extension records
-by code beside the builtin index, and a vocabulary that only gains labels.
+A :class:`Registry` holds only what a compile can change: one table of
+extension records by code beside the builtin index, and the compile's
+vocabulary, :attr:`Registry.labels`, which starts at
+:data:`ANNOTATION_LABELS` and only grows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from .diagnostics import CollidesWithBuiltin, UnknownDialect
 from . import terms
 from .record import Record, replace
-from .terms import SEQUENCE, SET, DataTerm, TermVocabulary
+from .terms import SEQUENCE, SET, DataTerm
 
 DIALECTS = ("sys", "nn")
 
@@ -40,67 +42,12 @@ def dialect_list_error(dialects: tuple[str, ...] | frozenset[str]) -> str | None
             f"v0.1 registers: {', '.join(DIALECTS)}")
 
 
-# ---------------------------------------------------------------------------
-# Data categories
-# ---------------------------------------------------------------------------
-
-
-class DataCategory(Record):
-    code: str
-    description: str
-    core: bool = True  # False for the documented extended set
-    spelled: str | None = None  # preferred source spelling, when not the code
-
-
-DATA_CATEGORIES: tuple[DataCategory, ...] = (
-    DataCategory("T", "raw text"),
-    DataCategory("p_T", "passage: contiguous fragment of a text"),
-    DataCategory("s_T", "sentence: self-contained word sequence", spelled="S"),
-    DataCategory("Ch_T", "single printable character"),
-    DataCategory("t_T", "term: concept-bearing word or word group", spelled="Term"),
-    DataCategory("w_T", "single word"),
-    DataCategory("dt", "dialogue turn"),
-    DataCategory("sense", "disambiguated word with sense identifier"),
-    DataCategory("clustered_word", "word vector in an embedding space", spelled="vec"),
-    DataCategory("im", "raw image"),
-    DataCategory("sentence_sense", "sentence with resolved discourse identity",
-                 spelled="ssense"),
-    DataCategory("q", "query input"),
-    DataCategory("a", "answer output"),
-    DataCategory("F", "fact: predicate over constant tuples"),
-    DataCategory("R", "rule: conditional predicate definition"),
-    DataCategory("P_c", "classification outcome, optionally a distribution over [a,b]",
-                 spelled="C"),
-    # Extended categories: carriers that signatures produce or consume but the
-    # core category table leaves unnamed.
-    DataCategory("Structure", "parse structure", core=False),
-    DataCategory("Score", "numeric score", core=False),
-    DataCategory("Entity", "linked entity reference", core=False),
-    DataCategory("Tuples", "labeled result tuples", core=False),
-    DataCategory("Chains", "identified reference chain", core=False),
-    DataCategory("PredArg", "predicate-argument structure", core=False, spelled="Pred(Arg)"),
-    DataCategory("KB", "knowledge-base contents", core=False),
-)
-
 ANNOTATION_LABELS: frozenset[str] = frozenset(
     {
         "POS", "Chunk", "NER", "Names", "Token", "Sem", "WSD", "SRL",
         "Arg", "Name", "RS", "RST", "ArgStruct", "ArgScheme",
         "F", "R", "Constraints", "entity", "PredArg",
     }
-)
-
-# A source spelling is a category code, a preferred spelling that reads as
-# one name, or a comparison-task carrier alias ("terms" implies a set).
-BUILTIN_VOCABULARY = TermVocabulary(
-    spellings={
-        **{cat.code: cat.code for cat in DATA_CATEGORIES},
-        **{cat.spelled: cat.code for cat in DATA_CATEGORIES
-           if cat.spelled and cat.spelled.isidentifier()},
-        "terms": "t_T", "string": "t_T"},
-    canonical={cat.code: cat.spelled or cat.code for cat in DATA_CATEGORIES},
-    labels=ANNOTATION_LABELS,
-    set_spellings=frozenset({"terms"}),
 )
 
 
@@ -326,26 +273,30 @@ _BUILTINS: dict[str, Signature | SymbolDef] = {
     entry.code: entry for entry in SIGNATURES + SYMBOLS}
 
 
+def list_symbols(dialect: str) -> list[SymbolDef]:
+    """A dialect's builtin symbols in its documented listing."""
+    if dialect not in DIALECTS:
+        raise UnknownDialect(f"unknown dialect {dialect!r}")
+    return [s for s in SYMBOLS if s.dialect == dialect and s.listed]
+
+
+def list_signatures(dialect: str) -> list[Signature]:
+    """A dialect's builtin task signatures."""
+    if dialect not in DIALECTS:
+        raise UnknownDialect(f"unknown dialect {dialect!r}")
+    return [s for s in SIGNATURES if s.dialect == dialect]
+
+
 class Registry:
-    """Builtin tables plus a per-compilation extension overlay of the same
-    shape: extension records by code, and the vocabulary with their labels."""
+    """One compile's overlay on the builtin tables: extension records by
+    code, and :attr:`labels`, the classification labels its terms may use."""
 
     def __init__(self) -> None:
         self._extensions: dict[str, Signature | SymbolDef] = {}
-        self.vocabulary: TermVocabulary = BUILTIN_VOCABULARY
+        self.labels: frozenset[str] = ANNOTATION_LABELS
         self._terms: dict[str, DataTerm] = {}  # literal -> successful parse
 
     # -- lookups ----------------------------------------------------------
-
-    def list_symbols(self, dialect: str) -> list[SymbolDef]:
-        if dialect not in DIALECTS:
-            raise UnknownDialect(f"unknown dialect {dialect!r}")
-        return [s for s in SYMBOLS if s.dialect == dialect and s.listed]
-
-    def list_signatures(self, dialect: str) -> list[Signature]:
-        if dialect not in DIALECTS:
-            raise UnknownDialect(f"unknown dialect {dialect!r}")
-        return [s for s in SIGNATURES if s.dialect == dialect]
 
     def resolve(self, code: str, dialects: frozenset[str]) -> Signature | SymbolDef | None:
         """The signature or symbol a node code names in ``dialects``, as
@@ -359,11 +310,11 @@ class Registry:
         return found
 
     def parse_term(self, literal: str) -> DataTerm:
-        """``terms.parse_term`` against :attr:`vocabulary`; a successful parse
+        """``terms.parse_term`` against :attr:`labels`; a successful parse
         is kept for the compile, a failing one raises every time."""
         term = self._terms.get(literal)
         if term is None:
-            term = self._terms[literal] = terms.parse_term(literal, self.vocabulary)
+            term = self._terms[literal] = terms.parse_term(literal, self.labels)
         return term
 
     # -- extensions ---------------------------------------------------------
@@ -376,5 +327,5 @@ class Registry:
         self._extensions[definition.code] = definition
 
     def register_labels(self, labels: frozenset[str]) -> None:
-        # Kept parses stay valid: a parse reads spellings, and labels only by membership.
-        self.vocabulary = replace(self.vocabulary, labels=self.vocabulary.labels | labels)
+        # Kept parses stay valid: labels only grow, and a parse reads them by membership.
+        self.labels |= labels

@@ -27,8 +27,8 @@ from .layout import Box, LayoutResult, node_display_lines
 from .model import Node
 from .record import Record
 from .registry import Signature, SymbolDef
-from .terms import DIST, SEQUENCE, SET, TUPLE, DataTerm
-from .typecheck import TypedDiagram, term_text
+from .terms import DIST, SEQUENCE, SET, TUPLE, DataTerm, format_term
+from .typecheck import TypedDiagram
 
 STAMP = f"dialc v{__version__}"
 
@@ -224,9 +224,9 @@ def _svg_term(term: DataTerm) -> str:
     if term.structure == SEQUENCE:
         bound = f"&#8804;{term.max_len}" if term.max_len is not None else ""
         return f"[{_svg_term(term.element)}]{bound}"
-    out = _esc_xml(term_text(DataTerm(base=term.base, subscript=term.subscript,
-                                      dims=term.dims, structure=term.structure,
-                                      dist_range=term.dist_range)))
+    out = _esc_xml(format_term(DataTerm(base=term.base, subscript=term.subscript,
+                                        dims=term.dims, structure=term.structure,
+                                        dist_range=term.dist_range)))
     labels = sorted(term.annotations)
     if labels:
         out += ('<tspan baseline-shift="super" font-size="8">'
@@ -234,9 +234,9 @@ def _svg_term(term: DataTerm) -> str:
     return out
 
 
-def _shape_svg(glyph: GlyphSpec, box: Box, cls: str) -> str:
+def _shape_svg(glyph: GlyphSpec, box: Box) -> str:
     dash = ' stroke-dasharray="4 3"' if glyph.dashed else ""
-    common = f'class="{cls}" fill="none" stroke="black"{dash}'
+    common = f'class="node-shape" fill="none" stroke="black"{dash}'
     x, y, w, h = box.x, box.y, box.w, box.h
     if glyph.primitive == CIRCLE:
         r = min(w, h) // 2
@@ -314,7 +314,7 @@ class _Svg(_Drawing):
                    f'text-anchor="middle">{label}</text>')
 
     def node(self, glyph: GlyphSpec, box: Box, lines: list[str], badge: str | None) -> Iterator[str]:
-        yield _shape_svg(glyph, box, "node-shape")
+        yield _shape_svg(glyph, box)
         cx = box.x + box.w // 2
         ty = box.y + box.h // 2 - 6 * (len(lines) - 1) + 4
         for i, line in enumerate(lines):
@@ -357,8 +357,8 @@ def _tikz_term(term: DataTerm) -> str:
     if term.structure == SEQUENCE:
         bound = f"\\leq {term.max_len}" if term.max_len is not None else ""
         return f"[{_tikz_term(term.element)}]{bound}"
-    out = term_text(DataTerm(base=term.base, structure=term.structure,
-                             dist_range=term.dist_range)).replace("_", r"\_")
+    out = format_term(DataTerm(base=term.base, structure=term.structure,
+                               dist_range=term.dist_range)).replace("_", r"\_")
     if term.subscript and term.structure != DIST:
         out += f"_{{{term.subscript}}}"
     labels = sorted(term.annotations)

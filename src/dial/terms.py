@@ -14,9 +14,14 @@ The textual form is ASCII; renderers translate to glyphs:
 :class:`TermParser` reads one token format, parallel lists of token kinds
 and texts named as the DSL tokenizer names them: the DSL parser hands it its
 own lists, and :func:`parse_term` lexes a standalone literal into such lists.
-Base spellings are resolved against a :class:`TermVocabulary`; the builtin
-vocabulary lives in :mod:`dial.registry`. Sequence structure (the output of
-ranking) is inference-only and has no source syntax.
+Sequence structure (the output of ranking) is inference-only and has no
+source syntax.
+
+The data categories are fixed by the language: one :class:`DataCategory`
+row each, its preferred spelling included, and the spelling tables
+(:data:`SPELLINGS`, :data:`SET_SPELLINGS`, :data:`CANONICAL`) are constants
+derived from the rows. What a compile can change is its set of
+classification labels, which the reader takes as an argument.
 """
 
 from __future__ import annotations
@@ -82,13 +87,53 @@ class DataTerm(Record):
         return out
 
 
-class TermVocabulary(Record):
-    """Spelling and label tables the term parser resolves against."""
+class DataCategory(Record):
+    code: str
+    description: str
+    core: bool = True  # False for the documented extended set
+    spelled: str | None = None  # preferred source spelling, when not the code
 
-    spellings: dict[str, str]  # source spelling -> category code
-    canonical: dict[str, str]  # category code -> preferred spelling
-    labels: frozenset[str]
-    set_spellings: frozenset[str] = frozenset()  # spellings that imply set-of
+
+DATA_CATEGORIES: tuple[DataCategory, ...] = (
+    DataCategory("T", "raw text"),
+    DataCategory("p_T", "passage: contiguous fragment of a text"),
+    DataCategory("s_T", "sentence: self-contained word sequence", spelled="S"),
+    DataCategory("Ch_T", "single printable character"),
+    DataCategory("t_T", "term: concept-bearing word or word group", spelled="Term"),
+    DataCategory("w_T", "single word"),
+    DataCategory("dt", "dialogue turn"),
+    DataCategory("sense", "disambiguated word with sense identifier"),
+    DataCategory("clustered_word", "word vector in an embedding space", spelled="vec"),
+    DataCategory("im", "raw image"),
+    DataCategory("sentence_sense", "sentence with resolved discourse identity",
+                 spelled="ssense"),
+    DataCategory("q", "query input"),
+    DataCategory("a", "answer output"),
+    DataCategory("F", "fact: predicate over constant tuples"),
+    DataCategory("R", "rule: conditional predicate definition"),
+    DataCategory("P_c", "classification outcome, optionally a distribution over [a,b]",
+                 spelled="C"),
+    # Extended categories: carriers that signatures produce or consume but the
+    # core category table leaves unnamed.
+    DataCategory("Structure", "parse structure", core=False),
+    DataCategory("Score", "numeric score", core=False),
+    DataCategory("Entity", "linked entity reference", core=False),
+    DataCategory("Tuples", "labeled result tuples", core=False),
+    DataCategory("Chains", "identified reference chain", core=False),
+    DataCategory("PredArg", "predicate-argument structure", core=False, spelled="Pred(Arg)"),
+    DataCategory("KB", "knowledge-base contents", core=False),
+)
+
+# A source spelling is a category code, a preferred spelling that reads as
+# one name, or a comparison-task carrier alias ("terms" implies a set).
+SPELLINGS: dict[str, str] = {  # source spelling -> category code
+    **{cat.code: cat.code for cat in DATA_CATEGORIES},
+    **{cat.spelled: cat.code for cat in DATA_CATEGORIES
+       if cat.spelled and cat.spelled.isidentifier()},
+    "terms": "t_T", "string": "t_T"}
+SET_SPELLINGS: frozenset[str] = frozenset({"terms"})  # spellings that imply set-of
+CANONICAL: dict[str, str] = {  # category code -> preferred spelling
+    cat.code: cat.spelled or cat.code for cat in DATA_CATEGORIES}
 
 
 _TOKEN_RE = re.compile(
@@ -125,16 +170,17 @@ class TermParser:
     :func:`parse_term` passes a literal's lists; the DSL parser passes its
     own, with the term's first index as ``start``, and reads :attr:`index`
     afterwards to know where the term ended. ``TermError.pos`` is a token
-    index. With ``vocab=None`` the parser checks structure only; base and
-    label names pass through unresolved (the DSL front end uses this to find
-    a term's extent before extensions are registered).
+    index. Bases resolve against :data:`SPELLINGS` and labels must be in
+    ``labels``. With ``labels=None`` the parser checks structure only; base
+    and label names pass through unresolved (the DSL front end uses this to
+    find a term's extent before extensions are registered).
     """
 
     def __init__(self, kinds: list[str], texts: list[str],
-                 vocab: TermVocabulary | None, start: int = 0) -> None:
+                 labels: frozenset[str] | None, start: int = 0) -> None:
         self.kinds = kinds
         self.texts = texts
-        self.vocab = vocab
+        self.labels = labels
         self.index = start
         self.depth = 0  # brackets open around the term being parsed
 
@@ -224,14 +270,14 @@ class TermParser:
         return term
 
     def _resolve_base(self, text: str, pos: int) -> tuple[str, str | None, bool]:
-        if self.vocab is None:
+        if self.labels is None:
             return text, None, False
-        if text in self.vocab.spellings:
-            return self.vocab.spellings[text], None, text in self.vocab.set_spellings
+        if text in SPELLINGS:
+            return SPELLINGS[text], None, text in SET_SPELLINGS
         if "_" in text:
             head, _, sub = text.partition("_")
-            if head in self.vocab.spellings and sub:
-                return self.vocab.spellings[head], sub, head in self.vocab.set_spellings
+            if head in SPELLINGS and sub:
+                return SPELLINGS[head], sub, head in SET_SPELLINGS
         raise TermError(f"unknown data category {text!r}", pos)
 
     def _parse_sup(self) -> frozenset[str]:
@@ -257,7 +303,7 @@ class TermParser:
             self._take("Arg")
             self._take(")")
             text = "PredArg"
-        if self.vocab is not None and text not in self.vocab.labels:
+        if self.labels is not None and text not in self.labels:
             raise TermError(f"unknown classification label {text!r}", pos)
         return text
 
@@ -279,31 +325,31 @@ class TermParser:
         return int(text)
 
 
-def parse_term(literal: str, vocab: TermVocabulary | None) -> DataTerm:
+def parse_term(literal: str, labels: frozenset[str] | None) -> DataTerm:
     """Parse a standalone data-term literal; raises TermError on any defect.
-    With ``vocab=None`` only its structure is checked, as in :class:`TermParser`."""
+    With ``labels=None`` only its structure is checked, as in :class:`TermParser`."""
     kinds, texts = _lex_literal(literal)
-    parser = TermParser(kinds, texts, vocab)
+    parser = TermParser(kinds, texts, labels)
     term = parser.parse()
     if parser.index < len(kinds):
         raise TermError(f"trailing input {texts[parser.index]!r} after data term", parser.index)
     return term
 
 
-def format_term(term: DataTerm, canonical: dict[str, str]) -> str:
+def format_term(term: DataTerm) -> str:
     """Canonical ASCII rendering; the inverse of parse_term on its image."""
     if term.structure == TUPLE:
-        return "(" + ", ".join(format_term(t, canonical) for t in term.elements) + ")"
+        return "(" + ", ".join(format_term(t) for t in term.elements) + ")"
     if term.structure == SET:
-        return "{" + format_term(term.element, canonical) + "}"
+        return "{" + format_term(term.element) + "}"
     if term.structure == SEQUENCE:
         bound = f"<={term.max_len}" if term.max_len is not None else ""
-        return f"[{format_term(term.element, canonical)}]{bound}"
+        return f"[{format_term(term.element)}]{bound}"
     if term.structure == DIST:
         lo, hi = term.dist_range
         out = f"P_{term.subscript or 'c'}[{_fmt_num(lo)},{_fmt_num(hi)}]"
         return out + _fmt_sup(term.annotations)
-    spelling = canonical.get(term.base, term.base or "?")
+    spelling = CANONICAL.get(term.base, term.base or "?")
     if term.subscript:
         spelling = f"{spelling}_{term.subscript}"
     out = spelling + _fmt_sup(term.annotations)

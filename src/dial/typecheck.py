@@ -42,8 +42,9 @@ import heapq
 from .diagnostics import Diagnostic
 from .model import Diagram, Edge, Graph, Node
 from .record import Record, replace
-from .registry import BUILTIN_VOCABULARY, Registry, Signature, Slot, SymbolDef, required_inputs
+from .registry import Registry, Signature, Slot, SymbolDef, required_inputs
 from .terms import (
+    CANONICAL,
     DIST,
     SCALAR,
     SEQUENCE,
@@ -53,10 +54,6 @@ from .terms import (
     TermError,
     format_term,
 )
-
-
-def term_text(term: DataTerm) -> str:
-    return format_term(term, BUILTIN_VOCABULARY.canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +70,18 @@ def match_term(actual: DataTerm, pattern: DataTerm) -> str | None:
     """
     if pattern.structure in (SET, SEQUENCE):
         if actual.structure != pattern.structure:
-            return f"expected a {pattern.structure} term, got {term_text(actual)}"
+            return f"expected a {pattern.structure} term, got {format_term(actual)}"
         return match_term(actual.element, pattern.element)
     if pattern.structure == TUPLE:
         if actual.structure != TUPLE or len(actual.elements) != len(pattern.elements):
-            return f"expected a {len(pattern.elements)}-tuple, got {term_text(actual)}"
+            return f"expected a {len(pattern.elements)}-tuple, got {format_term(actual)}"
         for a, f in zip(actual.elements, pattern.elements):
             reason = match_term(a, f)
             if reason:
                 return reason
         return None
     if actual.structure in (SET, SEQUENCE, TUPLE):
-        return f"expected a plain term, got {term_text(actual)}"
+        return f"expected a plain term, got {format_term(actual)}"
     if pattern.base is not None and actual.base != pattern.base:
         return (f"category {_cat(actual.base)} where {_cat(pattern.base)} is required")
     missing = pattern.annotations - actual.annotations
@@ -98,7 +95,7 @@ def match_term(actual: DataTerm, pattern: DataTerm) -> str | None:
 def _cat(code: str | None) -> str:
     if code is None:
         return "<any>"
-    return BUILTIN_VOCABULARY.canonical.get(code, code)
+    return CANONICAL.get(code, code)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,7 @@ def _infer_task(ctx: _Ctx, sig: Signature, inputs: list[DataTerm | None]) -> lis
         if arity_ok:
             index, slot, reason = first_failure
             ctx.err("E102", f"input {index} does not fit {sig.code}'s domain term "
-                            f"{term_text(slot.term)}: {reason}")
+                            f"{format_term(slot.term)}: {reason}")
         chosen = candidates[0]
     domain, rng = chosen
     inherited: dict[str | None, frozenset[str]] = {}
@@ -418,7 +415,7 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
     nodes = graph.nodes
     outputs: dict[str, list[DataTerm | None]] = {n.id: [None] for n in diagram.nodes}
     oriented, backward = break_cycles(diagram)
-    label_count = len(registry.vocabulary.labels)
+    label_count = len(registry.labels)
     max_rounds = len(diagram.edges) * label_count + 2
 
     # In-edges keep declaration order: the last feed of a slot wins.
@@ -548,8 +545,8 @@ def _check_declared(edge: Edge, inferred: DataTerm | None, registry: Registry,
     reason = _declared_conflict(declared, inferred)
     if reason:
         diagnostics.append(Diagnostic(
-            "E104", f"edge {edge.id} is declared as {term_text(declared)} but carries "
-                    f"{term_text(inferred)}: {reason}",
+            "E104", f"edge {edge.id} is declared as {format_term(declared)} but carries "
+                    f"{format_term(inferred)}: {reason}",
             ir_path=edge.id, ir_kind="edge"))
 
 

@@ -64,18 +64,20 @@ from dial.terms import (
     DIST,
     MAX_NESTING,
     SET,
+    SET_SPELLINGS,
+    SPELLINGS,
     TUPLE,
     DataTerm,
     TermError,
     TermNestingError,
-    TermVocabulary,
 )
 from dial.typecheck import TypedDiagram, _check_declared, _collapse, infer_output
 
 # ---------------------------------------------------------------------------
 # The earlier term reader, over (kind, text, pos) triples: verbatim apart from
-# its names (parse_term also took ``vocab=None`` there, as TermParser did) and
-# the labels it reads after a distribution range, as the grammar now allows
+# its names (parse_term also took ``labels=None`` there, as TermParser did), the
+# labels it reads after a distribution range, as the grammar now allows, and
+# the label set it takes where it took a vocabulary record
 # ---------------------------------------------------------------------------
 
 _REFERENCE_TOKEN_RE = re.compile(
@@ -104,15 +106,15 @@ class ReferenceTermParser:
     Shared between :func:`parse_term` (standalone literals) and the DSL
     parser, which passes its own token list and the term's first index as
     ``start`` and reads :attr:`index` afterwards to know where it ended. With
-    ``vocab=None`` the parser checks structure only; base and label names
+    ``labels=None`` the parser checks structure only; base and label names
     pass through unresolved (the DSL front end uses this to find a term's
     extent before extensions are registered).
     """
 
     def __init__(self, tokens: list[tuple[str, str, int]],
-                 vocab: TermVocabulary | None, start: int = 0) -> None:
+                 labels: frozenset[str] | None, start: int = 0) -> None:
         self.tokens = tokens
-        self.vocab = vocab
+        self.labels = labels
         self.index = start
         self.depth = 0  # brackets open around the term being parsed
 
@@ -201,14 +203,14 @@ class ReferenceTermParser:
         return term
 
     def _resolve_base(self, text: str, pos: int) -> tuple[str, str | None, bool]:
-        if self.vocab is None:
+        if self.labels is None:
             return text, None, False
-        if text in self.vocab.spellings:
-            return self.vocab.spellings[text], None, text in self.vocab.set_spellings
+        if text in SPELLINGS:
+            return SPELLINGS[text], None, text in SET_SPELLINGS
         if "_" in text:
             head, _, sub = text.partition("_")
-            if head in self.vocab.spellings and sub:
-                return self.vocab.spellings[head], sub, head in self.vocab.set_spellings
+            if head in SPELLINGS and sub:
+                return SPELLINGS[head], sub, head in SET_SPELLINGS
         raise TermError(f"unknown data category {text!r}", pos)
 
     def _parse_sup(self) -> frozenset[str]:
@@ -234,7 +236,7 @@ class ReferenceTermParser:
             self._take("Arg")
             self._take(")")
             text = "PredArg"
-        if self.vocab is not None and text not in self.vocab.labels:
+        if self.labels is not None and text not in self.labels:
             raise TermError(f"unknown classification label {text!r}", pos)
         return text
 
@@ -256,9 +258,9 @@ class ReferenceTermParser:
         return int(text)
 
 
-def reference_parse_term(literal: str, vocab: TermVocabulary | None) -> DataTerm:
+def reference_parse_term(literal: str, labels: frozenset[str] | None) -> DataTerm:
     """Parse a standalone data-term literal; raises TermError on any defect."""
-    parser = ReferenceTermParser(reference_lex_literal(literal), vocab)
+    parser = ReferenceTermParser(reference_lex_literal(literal), labels)
     term = parser.parse()
     leftover = parser._peek()
     if leftover is not None:
@@ -472,7 +474,7 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
     resolutions = {n.id: registry.resolve(n.code, diagram.dialects) for n in diagram.nodes}
     outputs: dict[str, list[DataTerm | None]] = {n.id: [None] for n in diagram.nodes}
     oriented, backward = break_cycles(diagram)
-    label_count = len(registry.vocabulary.labels)
+    label_count = len(registry.labels)
     max_rounds = len(diagram.edges) * label_count + 2
 
     def delivered_term(edge: Edge) -> DataTerm | None:
@@ -998,7 +1000,9 @@ class TokenListParser:
     and ``_item`` messages put around a string token, the token offsets
     and ``source`` it records in the AST, and the recovery the parser gained
     since: a faulty block entry resumes at its ``;`` or the block's ``}``,
-    and a block whose header failed before its ``{`` is stepped over whole."""
+    and a block whose header failed before its ``{`` is stepped over whole.
+    An item starts at, and recovery stops at, a token of kind ``keyword``
+    only: a quoted ``"node"`` is a string."""
 
     def __init__(self, tokens: list[Token], source: str) -> None:
         self.tokens = tokens
@@ -1067,7 +1071,8 @@ class TokenListParser:
     def recover_to_item(self, block: bool = False) -> None:
         while not self.at(kind="eof"):
             tok = self.peek()
-            if tok.text in ITEM_KEYWORDS or tok.text == "}":
+            if tok.kind == "keyword" and tok.text in ITEM_KEYWORDS \
+                    or tok.kind == "punct" and tok.text == "}":
                 return
             if block and tok.kind == "punct" and tok.text == "{":
                 self.advance()
@@ -1118,7 +1123,8 @@ class TokenListParser:
             except _ParseAbort:
                 # a block whose header failed is stepped over whole
                 self.recover_to_item(
-                    self.tokens[first].text in ("detail", "table", "extend")
+                    self.tokens[first].kind == "keyword"
+                    and self.tokens[first].text in ("detail", "table", "extend")
                     and not any(tok.kind == "punct" and tok.text == "{"
                                 for tok in self.tokens[first:self.pos]))
                 if self.at("}"):
@@ -1131,7 +1137,7 @@ class TokenListParser:
             "node": self._node, "data": self._data, "edge": self._edge,
             "detail": self._detail, "table": self._table,
             "embedding": self._embedding, "extend": self._extend,
-        }.get(tok.text)
+        }.get(tok.text) if tok.kind == "keyword" else None
         if handler is None:
             self.error(
                 "expected a declaration (node, data, edge, detail, table, "
@@ -1378,14 +1384,15 @@ def _node_index(diagram: Diagram, node_id: str) -> int:
 
 class ReferenceParser(TokenListParser):
     """The parser with its earlier term reader, which copied every token left
-    in the file into a fresh triple list at each data term."""
+    in the file into a fresh triple list at each data term; a string keeps
+    its quotes there, as messages show it."""
 
     def _dataterm_literal(self) -> str:
         """Consume the tokens of one data term; names are checked at lowering."""
         start = self.pos
-        triples = [(_term_kind(t), t.text, idx)
+        triples = [(_term_kind(t), _shown(t), idx)
                    for idx, t in enumerate(self.tokens[start:], start)]
-        term_parser = ReferenceTermParser(triples, vocab=None)
+        term_parser = ReferenceTermParser(triples, labels=None)
         try:
             term_parser.parse()
         except TermError as exc:
@@ -1514,7 +1521,8 @@ def random_front_end_source(rng: random.Random) -> str:
     """A source whose ids come from small pools, so that duplicate nodes and
     groups, unknown owners and edges to unknown nodes are common. Detail
     blocks nest up to three deep and hold edges; terms are sometimes
-    malformed or nested past the limit."""
+    malformed or nested past the limit, and a declaration sometimes starts
+    with its keyword quoted, which is a string and no keyword."""
     lines = ["dial 0.1", "dialect sys", 'diagram "front" {']
     declared: list[str] = []
 
@@ -1551,8 +1559,11 @@ def random_front_end_source(rng: random.Random) -> str:
                 lines.append(pad + "}")
             elif r < 0.96:
                 lines.append(f"{pad}embedding w{rng.randrange(2)} (dim=8)")
-            else:
+            elif r < 0.98:
                 lines.append(f'{pad}table t{rng.randrange(2)} {{ "k": "v"; }}')
+            else:
+                keyword = rng.choice(sorted(ITEM_KEYWORDS))
+                lines.append(f'{pad}"{keyword}" {node_id()}: {rng.choice(_CODES)} {{ edge {ref()} -> {ref()} }}')
 
     items(0)
     lines.append("}")

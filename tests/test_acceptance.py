@@ -20,9 +20,10 @@ from dial.layout import assign_layers, break_cycles, layout
 from dial.lint import lint
 from dial.model import validate_structure
 from dial.parser import format_source, lower, parse, tokenize
-from dial.registry import BUILTIN_VOCABULARY, DATA_CATEGORIES, SIGNATURES, Registry
+from dial.registry import (ANNOTATION_LABELS, SIGNATURES, Registry, list_signatures,
+                           list_symbols)
 from dial.render import render_svg, render_tikz
-from dial.terms import parse_term
+from dial.terms import DATA_CATEGORIES, parse_term
 from dial.typecheck import DimConflict, check_diagram, dim_combine
 from oracles import (
     longest_path_oracle,
@@ -61,17 +62,16 @@ class budget:
 
 def test_c1_registry_conformance():
     with budget("1 registry conformance", 1.0):
-        registry = Registry()
         assert len(SIGNATURES) == 26
-        sys_sigs = registry.list_signatures("sys")
+        sys_sigs = list_signatures("sys")
         assert len(sys_sigs) == 26
         assert len({s.code for s in sys_sigs}) == 26
         assert len([c for c in DATA_CATEGORIES if c.core]) == 16
         for literal in TABLE5_TERMS:
-            parse_term(literal, BUILTIN_VOCABULARY)
+            parse_term(literal, ANNOTATION_LABELS)
         assert len(TABLE5_TERMS) == 7
-        assert len(registry.list_symbols("sys")) == 30
-        assert len(registry.list_symbols("nn")) == 13
+        assert len(list_symbols("sys")) == 30
+        assert len(list_symbols("nn")) == 13
 
 
 def test_c2_corpus():
@@ -204,7 +204,7 @@ def test_c8_lint_rules():
             assert compiled.diagnostics == [], f"{code} fixture must compile clean"
             result = layout(compiled.diagram, compiled.typed.oriented,
                             compiled.typed.reversed_edges)
-            fired = [d.code for d in lint(compiled.typed, result, compiled.registry)]
+            fired = [d.code for d in lint(compiled.typed, result)]
             assert fired == [code], f"{code} fixture fired {fired}"
         for name in PASS_CASES:
             status, _, err = _run("lint", "--deny", "warnings",

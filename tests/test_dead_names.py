@@ -115,3 +115,15 @@ def test_every_parameter_is_used():
                           if p.arg not in read
                           and (path.name, name, p.arg) not in UNREAD_PARAMETERS)
     assert unread == []
+
+
+def test_every_registry_method_reads_self():
+    """A ``Registry`` holds one compile's state; a method that reads none of
+    it is a module function, which callers reach without building one."""
+    tree = ast.parse((SRC / "registry.py").read_text(encoding="utf-8"))
+    [registry] = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Registry"]
+    stateless = [item.name for item in registry.body if isinstance(item, DEFINITIONS)
+                 and not any(isinstance(node, ast.Name) and node.id == item.args.args[0].arg
+                             for stmt in item.body for node in ast.walk(stmt))]
+    assert stateless == []

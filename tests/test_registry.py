@@ -7,7 +7,6 @@ import pytest
 from dial.cli import compile_source
 from dial.diagnostics import CollidesWithBuiltin, UnknownDialect
 from dial.registry import (
-    DATA_CATEGORIES,
     META,
     SIGNATURES,
     SYMBOLS,
@@ -15,9 +14,11 @@ from dial.registry import (
     Signature,
     Slot,
     SymbolDef,
+    list_signatures,
+    list_symbols,
     node_kind,
 )
-from dial.terms import DataTerm, TermError
+from dial.terms import DATA_CATEGORIES, DataTerm, TermError
 
 SYS = frozenset({"sys"})
 BOTH = frozenset({"sys", "nn"})
@@ -65,18 +66,18 @@ def test_bilstm_needs_nn_dialect(registry):
     assert registry.resolve("bilstm", SYS) is None
 
 
-def test_symbol_counts(registry):
-    assert len(registry.list_symbols("nn")) == 13
-    assert len(registry.list_symbols("sys")) == 30
+def test_symbol_counts():
+    assert len(list_symbols("nn")) == 13
+    assert len(list_symbols("sys")) == 30
     with pytest.raises(UnknownDialect):
-        registry.list_symbols("log")
+        list_symbols("log")
 
 
-def test_signature_count(registry):
+def test_signature_count():
     assert len(SIGNATURES) == 26
     assert len({s.code for s in SIGNATURES}) == 26
     with pytest.raises(UnknownDialect, match="unknown dialect 'xx'"):
-        registry.list_signatures("xx")
+        list_signatures("xx")
 
 
 def test_builtin_codes_are_unique_across_tables():
@@ -124,16 +125,16 @@ def test_category_counts():
     assert len({c.code for c in DATA_CATEGORIES}) == len(DATA_CATEGORIES)
 
 
-def test_symbol_codes_unique_per_dialect(registry):
+def test_symbol_codes_unique_per_dialect():
     for dialect in ("sys", "nn"):
-        codes = [s.code for s in registry.list_symbols(dialect)]
+        codes = [s.code for s in list_symbols(dialect)]
         assert len(codes) == len(set(codes))
 
 
 def test_kb_resolves_without_a_listing_row(registry):
     sym = registry.resolve("kb", SYS)
     assert sym.category == "resource" and node_kind(sym) == "resource"
-    assert all(s.code != "kb" for s in registry.list_symbols("sys"))
+    assert all(s.code != "kb" for s in list_symbols("sys"))
 
 
 def test_register_extension_symbol(registry):
@@ -161,7 +162,7 @@ def test_extension_task_signature():
     [(domain, rng)] = result.registry.resolve("LangID", SYS).variants
     assert domain == (Slot(DataTerm(base="s_T")),)
     assert rng == (Slot(DataTerm(base="s_T", annotations=frozenset({"Lang"}))),)
-    assert "Lang" in result.registry.vocabulary.labels
+    assert "Lang" in result.registry.labels
 
 
 def test_extensions_are_compilation_local():

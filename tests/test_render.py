@@ -16,7 +16,7 @@ from dial.cli import compile_file, compile_source, run
 from dial.diagnostics import RenderMismatch
 from dial.layout import layout
 from dial.model import Diagram
-from dial.registry import SIGNATURES, Registry
+from dial.registry import SIGNATURES, Registry, list_symbols
 from dial.render import (
     GLYPH_TABLE,
     SVG_MARKS,
@@ -66,9 +66,8 @@ def test_fixed_glyph_assignments():
 
 
 def test_glyph_totality():
-    registry = Registry()
     for dialect in ("sys", "nn"):
-        for symbol in registry.list_symbols(dialect):
+        for symbol in list_symbols(dialect):
             assert isinstance(glyph_for(symbol), GlyphSpec), symbol.code
     for sig in SIGNATURES:
         assert glyph_for(sig).primitive == "rectangle"
@@ -76,9 +75,8 @@ def test_glyph_totality():
 
 
 def test_every_registry_glyph_id_exists():
-    registry = Registry()
     for dialect in ("sys", "nn"):
-        for symbol in registry.list_symbols(dialect):
+        for symbol in list_symbols(dialect):
             assert symbol.glyph_id in GLYPH_TABLE, symbol.glyph_id
 
 

@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from dial.registry import ANNOTATION_LABELS, BUILTIN_VOCABULARY, Registry
+from dial.registry import ANNOTATION_LABELS, Registry
 from dial.terms import (
+    CANONICAL,
     DIST,
     MAX_NESTING,
     SEQUENCE,
@@ -21,12 +22,11 @@ from dial.terms import (
     format_term,
     parse_term,
 )
-from dial.typecheck import term_text
 from oracles import mutate_term_literal, random_term_literal, reference_parse_term
 
 
 def parse(text: str) -> DataTerm:
-    return parse_term(text, BUILTIN_VOCABULARY)
+    return parse_term(text, ANNOTATION_LABELS)
 
 
 def test_ner_classified_sentence():
@@ -114,13 +114,13 @@ def test_format_round_trip_examples():
                     "P_entail[0,1]", "Term_New", "Pred(Arg)^F", "KB^{F,R}",
                     "P_c[0,1]^ArgScheme", "{P_entail[0.5,1]^{NER,POS}}"]:
         term = parse(literal)
-        printed = format_term(term, BUILTIN_VOCABULARY.canonical)
+        printed = format_term(term)
         assert parse(printed) == term, f"{literal} -> {printed}"
 
 
 def test_sequence_display_only():
     seq = DataTerm(structure=SEQUENCE, element=parse("Score"), max_len=3)
-    assert term_text(seq) == "[Score]<=3"
+    assert format_term(seq) == "[Score]<=3"
 
 
 _LABELS = sorted(ANNOTATION_LABELS)
@@ -139,17 +139,16 @@ def test_parse_format_inverse(spelling, labels, dims):
     if dims:
         literal += "[" + ",".join(map(str, dims)) + "]"
     term = parse(literal)
-    assert parse(format_term(term, BUILTIN_VOCABULARY.canonical)) == term
+    assert parse(format_term(term)) == term
 
 
-_CANONICAL = BUILTIN_VOCABULARY.canonical
 _LABEL_SETS = st.frozensets(st.sampled_from(_LABELS), max_size=3)
 _BASE_TERMS = st.builds(
     lambda code, labels, sub, dims: DataTerm(
         base=code, annotations=labels, dims=None if dims is None else tuple(dims),
         # a subscript reads back only after a spelling without "_" or "(": not Ch_T_1
-        subscript=sub if _CANONICAL[code].isalnum() else None),
-    st.sampled_from(sorted(_CANONICAL)), _LABEL_SETS, st.sampled_from([None, "1", "New"]),
+        subscript=sub if CANONICAL[code].isalnum() else None),
+    st.sampled_from(sorted(CANONICAL)), _LABEL_SETS, st.sampled_from([None, "1", "New"]),
     st.one_of(st.none(), st.lists(st.integers(1, 999), min_size=1, max_size=3)))
 _DIST_TERMS = st.builds(
     lambda labels, sub, bounds: DataTerm(base="P_c", annotations=labels, subscript=sub,
@@ -168,7 +167,7 @@ _TERMS = st.recursive(
 def test_format_then_parse_is_identity(term):
     # every term the reader can give, labelled distributions included, prints
     # as a literal that reads back as the same term
-    assert parse(format_term(term, BUILTIN_VOCABULARY.canonical)) == term
+    assert parse(format_term(term)) == term
 
 
 @pytest.mark.parametrize("wrap", [lambda t: "{" + t + "}", lambda t: f"({t}, S)"])
@@ -176,12 +175,12 @@ def test_nesting_limit(wrap):
     text = "S"
     for _ in range(MAX_NESTING):
         text = wrap(text)
-    assert format_term(parse(text), BUILTIN_VOCABULARY.canonical) == text
+    assert format_term(parse(text)) == text
     with pytest.raises(TermNestingError):
         parse(wrap(text))
 
 
-TERM_CASES = {  # outcome -> least number of literals (of 3,000 per vocabulary) that show it
+TERM_CASES = {  # outcome -> least number of literals (of 3,000 per label set) that show it
     "parsed": 400,
     "unknown data category": 300,
     "unknown classification label": 90,
@@ -196,15 +195,15 @@ TERM_CASES = {  # outcome -> least number of literals (of 3,000 per vocabulary) 
 }
 
 
-def _outcome(parse_fn, literal, vocab):
+def _outcome(parse_fn, literal, labels):
     try:
-        return parse_fn(literal, vocab)
+        return parse_fn(literal, labels)
     except TermError as exc:
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("vocab", [BUILTIN_VOCABULARY, None], ids=["builtin", "structure_only"])
-def test_term_reader_matches_triple_reference(vocab):
+@pytest.mark.parametrize("labels", [ANNOTATION_LABELS, None], ids=["builtin", "structure_only"])
+def test_term_reader_matches_triple_reference(labels):
     # the reader over parallel kind and text lists gives the same term, or the
     # same error class and message, as the earlier reader over triples
     rng = random.Random(20261018)
@@ -213,11 +212,11 @@ def test_term_reader_matches_triple_reference(vocab):
         literal = random_term_literal(rng)
         if i % 2:
             literal = mutate_term_literal(rng, literal)
-        got = _outcome(parse_term, literal, vocab)
-        assert got == _outcome(reference_parse_term, literal, vocab), literal
+        got = _outcome(parse_term, literal, labels)
+        assert got == _outcome(reference_parse_term, literal, labels), literal
         message = "parsed" if isinstance(got, DataTerm) else got[1]
         seen.update(case for case in TERM_CASES if case in message)
     for case, least in TERM_CASES.items():
-        if vocab is None and case.startswith("unknown "):
+        if labels is None and case.startswith("unknown "):
             continue  # names pass through unresolved
         assert seen[case] >= least, (case, seen)

@@ -14,14 +14,13 @@ from dial.interchange import deserialize
 from dial.layout import break_cycles
 from dial.model import Node, validate_structure
 from dial.registry import Registry
-from dial.terms import SEQUENCE, SET, DataTerm
+from dial.terms import SEQUENCE, SET, DataTerm, format_term
 from dial.typecheck import (
     DimConflict,
     check_diagram,
     dim_combine,
     infer_output,
     match_term,
-    term_text,
 )
 from oracles import (
     propagate_in_order,
@@ -221,7 +220,7 @@ def test_declared_out_param_wins():
 def test_symbol_output_rules(code, inputs, params, expected):
     outs, diags = infer(code, inputs, kind="operator", params=params,
                         dialects=frozenset({"sys", "nn"}))
-    assert [term_text(t) for t in outs] == [expected] and diags == []
+    assert [format_term(t) for t in outs] == [expected] and diags == []
 
 
 # -- dim_combine ------------------------------------------------------------------
@@ -339,7 +338,7 @@ def _as_source(data: str, declared: str) -> str:
         "dist_range", "category", "labels", "dims", "subscript"])
 def test_declared_edge_term_conflict_reasons(data, declared, reason):
     result = compile_source(_as_source(data, declared))
-    carried = term_text(result.registry.parse_term(data))
+    carried = format_term(result.registry.parse_term(data))
     assert [(d.code, d.message) for d in result.diagnostics] == [
         ("E104", f"edge e0 is declared as {declared} but carries {carried}: {reason}")]
 
@@ -407,14 +406,14 @@ def test_extension_range_keeps_its_distribution():
         "S", "P_c[0,1]", "data s: S", "node z: Z", "node v: verify",
         "edge s -> z", "edge z -> v as P_c[0,1]"))
     assert result.diagnostics == []
-    assert term_text(result.typed.edge_terms["e1"]) == "P_c[0,1]"
+    assert format_term(result.typed.edge_terms["e1"]) == "P_c[0,1]"
 
 
 def test_extension_labels_inside_a_set_of_tuples_are_registered():
     result = compile_source(_extension_source(
         "{(S^Foo, T)}", "T", "data p: {(S^Foo, T)}", "node z: Z", "edge p -> z"))
     assert result.diagnostics == []
-    assert "Foo" in result.registry.vocabulary.labels
+    assert "Foo" in result.registry.labels
 
 
 def test_entity_linking_updated_kb_persists_back():
