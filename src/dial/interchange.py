@@ -74,7 +74,8 @@ def deserialize(data: bytes) -> Diagram:
     """Inverse of canonical_serialize; E020 on version skew, E021 otherwise."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise _bad(f"not a well-formed interchange document: {exc}") from exc
     version = _expect(doc, "format_version", str, "document")
     if version != IR_VERSION:

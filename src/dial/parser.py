@@ -8,7 +8,9 @@ Each stage is linear in tokens plus declarations. ``tokenize`` is one
 ``findall`` of every lexeme into :class:`Tokens`, parallel lists of kinds,
 texts and start offsets: a start sums the lengths before it, and a kind is
 looked up by first character, the whole text deciding only a string, arrow,
-comment, non-ASCII digit or illegal character. The AST keeps token offsets,
+comment, number or illegal character. A number with more than
+:data:`~dial.terms.MAX_DIGITS` digits before its point is E001 and dropped,
+as an illegal character is. The AST keeps token offsets,
 and :func:`locate` makes a :class:`Span` only for a diagnostic, so a valid
 file builds none, nor a table of line starts.
 ``parse`` reads those lists, and so does
@@ -58,6 +60,7 @@ from .record import Record, replace
 from .registry import (SYMBOL_CATEGORIES, Registry, Signature, Slot, SymbolDef,
                        dialect_list_error, node_kind)
 from .terms import (
+    MAX_DIGITS,
     MAX_NESTING,
     TermError,
     TermNestingError,
@@ -111,7 +114,6 @@ _LEXEME_RE = re.compile(r'[ \t\r\n]+|[A-Za-z_][A-Za-z0-9_]*|//[^\n]*|->|<->|\|->
 _STRING_RE = re.compile(_STRING + '"', re.DOTALL)  # a closed string lexeme
 # A lexeme's kind by its first character; tokenize decides the other lexemes.
 _FIRST_KIND = {**dict.fromkeys(" \t\r\n", "space"), **dict.fromkeys(":{}()[],=@^.;", "punct"),
-               **dict.fromkeys("0123456789", "number"),
                **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -151,6 +153,11 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
             if first == '"' and _STRING_RE.fullmatch(text):
                 kind, text = "string", _ESCAPE_RE.sub(r"\1", text[1:-1])
             elif first.isdecimal():  # exactly the digits \d matches
+                if len(text.partition(".")[0]) > MAX_DIGITS:
+                    diagnostics.append(Diagnostic(
+                        "E001", f"number has more than {MAX_DIGITS} digits",
+                        span=locate(source, start, len(text))))
+                    continue
                 kind = "number"
             elif first == "/" and len(text) > 1:  # a comment
                 continue
@@ -777,7 +784,7 @@ def _extend_field_problems(decl: ExtendDecl) -> list[str]:
     return problems
 
 
-_SLOT_RE = re.compile(r"(in|out)(\d+)$")
+_SLOT_RE = re.compile(rf"(in|out)(\d{{1,{MAX_DIGITS}}})$")
 
 
 class _Lowerer:

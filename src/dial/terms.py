@@ -40,6 +40,10 @@ DIST = "dist"
 # term and for detail blocks. Deeper input is reported (E004 for a term,
 # E002 for a detail block) instead of exhausting Python's recursion limit.
 MAX_NESTING = 100
+# The most digits a number may have before its decimal point, here and in the
+# DSL. Any such number is below 10**18, so it is also a finite float, and no
+# int(), float() or str() ever meets an unbounded one.
+MAX_DIGITS = 18
 
 
 class TermError(ValueError):
@@ -152,8 +156,11 @@ def _lex_literal(text: str) -> tuple[list[str], list[str]]:
             if text[pos:].strip() == "":
                 break
             raise TermError(f"unexpected character {text[pos:].strip()[0]!r}", len(kinds))
-        kinds.append(m.lastgroup)
-        texts.append(m.group(m.lastgroup))
+        kind, lexeme = m.lastgroup, m.group(m.lastgroup)
+        if kind == "number" and len(lexeme.partition(".")[0]) > MAX_DIGITS:
+            raise TermError(f"number has more than {MAX_DIGITS} digits", len(kinds))
+        kinds.append(kind)
+        texts.append(lexeme)
         pos = m.end()
     return kinds, texts
 

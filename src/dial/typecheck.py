@@ -23,9 +23,12 @@ The rules that compute:
 
   task codes     range terms from the signature; outputs inherit the labels
                  of same-category inputs and add the signature's own labels
-  oplus, concat  dimension calculus on vectors; label union otherwise
-  compose        label union, dims dropped
-  otimes         dims concatenate; paired sets become sets of tuples
+  oplus, concat, one combining rule, folded left to right: labels unite, the
+  compose,       left operand's carrier wins and its set or sequence wrapper
+  otimes         stays, and dims combine by ``dim_combine`` (E103 on a
+                 conflict). compose drops dims; otimes keeps no wrapper and
+                 pairs two sets into a set of tuples; concat of two
+                 sequences adds their length bounds
   set            wraps into set-of
   rank(n)        set/sequence input becomes sequence-of, length at most n
   sim            two inputs give Score; a set of pairs gives a set of Scores
@@ -46,6 +49,7 @@ from .registry import Registry, Signature, Slot, SymbolDef, required_inputs
 from .terms import (
     CANONICAL,
     DIST,
+    MAX_DIGITS,
     SCALAR,
     SEQUENCE,
     SET,
@@ -108,8 +112,8 @@ class DimConflict(ValueError):
 
 
 def dim_combine(op: str, dims_a: tuple[int, ...], dims_b: tuple[int, ...]) -> tuple[int, ...]:
-    """oplus/concat are additive in the trailing dimension; otimes
-    concatenates the dimension lists."""
+    """oplus/concat are additive in the trailing dimension, up to
+    ``MAX_DIGITS`` digits; otimes concatenates the dimension lists."""
     if op == "otimes":
         return tuple(dims_a) + tuple(dims_b)
     if len(dims_a) != len(dims_b):
@@ -118,7 +122,10 @@ def dim_combine(op: str, dims_a: tuple[int, ...], dims_b: tuple[int, ...]) -> tu
     if dims_a[:-1] != dims_b[:-1]:
         raise DimConflict(
             f"{op} needs matching leading dimensions, got {list(dims_a)} and {list(dims_b)}")
-    return tuple(dims_a[:-1]) + (dims_a[-1] + dims_b[-1],)
+    total = dims_a[-1] + dims_b[-1]
+    if total >= 10 ** MAX_DIGITS:
+        raise DimConflict(f"{op} gives dimension {total}, more than {MAX_DIGITS} digits")
+    return tuple(dims_a[:-1]) + (total,)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +256,8 @@ def _infer_symbol(ctx: _Ctx, sym: SymbolDef, inputs: list[DataTerm | None]) -> l
         width = _int_param(node, key)
         dims = (factor * width,) if width else (first.core().dims if first is not None else None)
         return [DataTerm(base="clustered_word", dims=dims)]
-    if code in ("oplus", "concat"):
+    if code in ("oplus", "concat", "compose", "otimes"):
         return [_fold_combine(ctx, code, present)]
-    if code == "compose":
-        return [_fold_combine(ctx, code, present, combine_dims=False)]
-    if code == "otimes":
-        return [_tensor(present)]
     if code == "set":
         gathered = _gather(present)
         return [DataTerm(structure=SET, element=gathered) if gathered is not None else None]
@@ -305,19 +308,20 @@ def _int_param(node: Node, key: str) -> int | None:
     return None
 
 
-def _fold_combine(ctx: _Ctx, op: str, present: list[DataTerm],
-                  combine_dims: bool = True) -> DataTerm | None:
+def _fold_combine(ctx: _Ctx, op: str, present: list[DataTerm]) -> DataTerm | None:
     if not present:
         return None
     out = present[0]
     for term in present[1:]:
-        out = _combine_two(ctx, op, out, term, combine_dims)
+        out = _combine_two(ctx, op, out, term)
     return out
 
 
-def _combine_two(ctx: _Ctx, op: str, a: DataTerm, b: DataTerm,
-                 combine_dims: bool) -> DataTerm:
-    # Sequence concatenation adds length bounds.
+def _combine_two(ctx: _Ctx, op: str, a: DataTerm, b: DataTerm) -> DataTerm:
+    # otimes pairs two sets; concat of two sequences adds their length bounds.
+    if op == "otimes" and a.structure == SET and b.structure == SET:
+        return DataTerm(structure=SET, element=DataTerm(structure=TUPLE,
+                                                        elements=(a.element, b.element)))
     if op == "concat" and a.structure == SEQUENCE and b.structure == SEQUENCE:
         bound = None
         if a.max_len is not None and b.max_len is not None:
@@ -326,36 +330,16 @@ def _combine_two(ctx: _Ctx, op: str, a: DataTerm, b: DataTerm,
         return DataTerm(structure=SEQUENCE, element=element, max_len=bound)
     core_a, core_b = a.core(), b.core()
     dims = None
-    if combine_dims and core_a.dims is not None and core_b.dims is not None:
+    if op != "compose" and core_a.dims is not None and core_b.dims is not None:
         try:
             dims = dim_combine(op, core_a.dims, core_b.dims)
         except DimConflict as exc:
             ctx.err("E103", str(exc))
-            dims = None
     # The left operand's carrier wins; annotations accumulate from both.
     merged = replace(core_a, annotations=core_a.annotations | core_b.annotations, dims=dims)
-    if a.structure in (SET, SEQUENCE):
+    if op != "otimes" and a.structure in (SET, SEQUENCE):
         return replace(a, element=merged)
     return merged
-
-
-def _tensor(present: list[DataTerm]) -> DataTerm | None:
-    if not present:
-        return None
-    out = present[0]
-    for term in present[1:]:
-        if out.structure == SET and term.structure == SET:
-            pair = DataTerm(structure=TUPLE, elements=(out.element, term.element))
-            out = DataTerm(structure=SET, element=pair)
-            continue
-        core_a, core_b = out.core(), term.core()
-        if core_a.dims is not None and core_b.dims is not None:
-            dims = dim_combine("otimes", core_a.dims, core_b.dims)
-        else:
-            dims = None
-        out = replace(core_a, annotations=core_a.annotations | core_b.annotations,
-                      dims=dims)
-    return out
 
 
 def _project(ctx: _Ctx, term: DataTerm) -> DataTerm:
@@ -457,30 +441,22 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
     for edge in diagram.edges:
         successors[edge.source.node].append(rank[edge.target.node])
 
-    sweep = list(range(len(order)))  # heap of ranks; sorted, hence a heap
-    later: list[int] = []  # ranks queued for the next sweep
+    heap = [(0, r) for r in range(len(order))]  # (sweep, rank) pairs; sorted, hence a heap
     queued = [True] * len(order)
-    for _ in range(max_rounds):
-        while sweep:
-            r = heapq.heappop(sweep)
-            queued[r] = False
-            node = order[r][2]
-            outs = evaluate(node)
-            if outs != outputs[node.id]:
-                outputs[node.id] = outs
-                for succ in successors[node.id]:
-                    if not queued[succ]:
-                        queued[succ] = True
-                        if succ > r:
-                            heapq.heappush(sweep, succ)
-                        else:
-                            later.append(succ)
-        if not later:
-            break
-        sweep, later = later, []
-        heapq.heapify(sweep)
+    while heap and heap[0][0] < max_rounds:
+        sweep, r = heapq.heappop(heap)
+        queued[r] = False
+        node = order[r][2]
+        outs = evaluate(node)
+        if outs != outputs[node.id]:
+            outputs[node.id] = outs
+            for succ in successors[node.id]:
+                if not queued[succ]:
+                    queued[succ] = True
+                    heapq.heappush(heap, (sweep if succ > r else sweep + 1, succ))
 
-    for r in sweep:  # out of budget: these have not seen their final inputs
+    stuck = [r for _, r in heap]  # out of budget: these have not seen their final inputs
+    for r in stuck:
         evaluate(order[r][2])
     diagnostics = [d for node in diagram.nodes for d in node_diags.get(node.id, ())]
 
@@ -497,9 +473,8 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
         if edge.declared_term is not None:
             _check_declared(edge, delivered, registry, diagnostics)
 
-    if sweep:  # the budget ran out with these nodes still queued
-        stuck = min(sweep, key=lambda r: order[r][1])
-        node_id = order[stuck][2].id
+    if stuck:
+        node_id = order[min(stuck, key=lambda r: order[r][1])][2].id
         diagnostics.append(Diagnostic(
             "E105", f"node {node_id!r}: term propagation did not reach a fixed point",
             ir_path=node_id, ir_kind="node"))

@@ -3,7 +3,8 @@
 These deliberately avoid the library's propagation and layering code paths:
 the propagation oracle schedules nodes itself over explicit topological
 orders, the round-robin reference is the checker's earlier fixed-point loop,
-the layering oracle enumerates every path, the reference layout phases
+the reference tensor is the checker's earlier ``otimes`` fold, the
+layering oracle enumerates every path, the reference layout phases
 are the layout's earlier quadratic cycle search, barycenter sweep and area
 placement, and the reference front end is the earlier character-loop
 tokenizer, the parser over its token list with the earlier term reader, and
@@ -71,7 +72,13 @@ from dial.terms import (
     TermError,
     TermNestingError,
 )
-from dial.typecheck import TypedDiagram, _check_declared, _collapse, infer_output
+from dial.typecheck import (
+    TypedDiagram,
+    _check_declared,
+    _collapse,
+    dim_combine,
+    infer_output,
+)
 
 # ---------------------------------------------------------------------------
 # The earlier term reader, over (kind, text, pos) triples: verbatim apart from
@@ -552,6 +559,26 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
             _check_declared(edge, delivered, registry, diagnostics)
     # resolves codes itself, so it has no validation Graph to carry
     return TypedDiagram(diagram, None, edge_terms, diagnostics, oriented, backward), converged
+
+
+def reference_tensor(present: list[DataTerm]) -> DataTerm | None:
+    """The checker's earlier ``otimes`` fold, kept verbatim as a reference."""
+    if not present:
+        return None
+    out = present[0]
+    for term in present[1:]:
+        if out.structure == SET and term.structure == SET:
+            pair = DataTerm(structure=TUPLE, elements=(out.element, term.element))
+            out = DataTerm(structure=SET, element=pair)
+            continue
+        core_a, core_b = out.core(), term.core()
+        if core_a.dims is not None and core_b.dims is not None:
+            dims = dim_combine("otimes", core_a.dims, core_b.dims)
+        else:
+            dims = None
+        out = replace(core_a, annotations=core_a.annotations | core_b.annotations,
+                      dims=dims)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,8 @@ def test_cold_start_imports_neither_dataclasses_nor_inspect():
     pythonpath = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     script = ("import sys\nimport dial.cli\nfrom dial.registry import Registry\nRegistry()\n"
               "print(sorted({'dataclasses', 'inspect', 'dial.interchange'} & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    # -S: no site start-up, whose imports depend on the interpreter's install
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -14,7 +14,7 @@ from dial.interchange import deserialize
 from dial.layout import break_cycles
 from dial.model import Node, validate_structure
 from dial.registry import Registry
-from dial.terms import SEQUENCE, SET, DataTerm, format_term
+from dial.terms import SEQUENCE, SET, DataTerm, TermError, format_term
 from dial.typecheck import (
     DimConflict,
     check_diagram,
@@ -26,7 +26,9 @@ from oracles import (
     propagate_in_order,
     random_feedback_diagram,
     random_propagation_diagram,
+    random_term_literal,
     rank_schedule,
+    reference_tensor,
     round_robin_check,
     topological_orders,
 )
@@ -214,13 +216,46 @@ def test_declared_out_param_wins():
     ("conv", ["vec[4]"], (("filters", 16),), "vec[16]"),
     ("conv", ["vec[4]"], (), "vec[4]"),
     ("otimes", ["vec[2]", "vec[3]"], (), "vec[2,3]"),
+    ("otimes", ["{S}", "{T}"], (), "{(S, T)}"),
+    ("otimes", ["{S}", "{T}", "{Term}"], (), "{((S, T), Term)}"),
+    ("otimes", ["{S^POS}", "vec[2]"], (), "S^POS"),
+    ("oplus", ["{vec[2]}", "vec[3]"], (), "{vec[5]}"),
+    ("compose", ["vec^POS[2]", "vec[3]"], (), "vec^POS"),
+    ("compose", ["{S}", "T^NER"], (), "{S^NER}"),
 ], ids=["set_one", "set_two", "encoder_units", "encoder_bare", "decoder", "regression",
         "dataset", "gold", "ground_truth", "conv_filters", "conv_input_dims",
-        "otimes_vectors"])
+        "otimes_vectors", "otimes_sets", "otimes_three_sets", "otimes_set_unwrapped",
+        "oplus_set_wrapped", "compose_drops_dims", "compose_set_wrapped"])
 def test_symbol_output_rules(code, inputs, params, expected):
     outs, diags = infer(code, inputs, kind="operator", params=params,
                         dialects=frozenset({"sys", "nn"}))
     assert [format_term(t) for t in outs] == [expected] and diags == []
+
+
+def test_otimes_matches_reference_tensor():
+    # otimes folds through the same _combine_two as oplus, concat and compose;
+    # it must give what its own earlier fold gave
+    rng = random.Random(5)
+    registry = Registry()
+    found = registry.resolve("otimes", SYS)
+    node = Node(id="x", kind="operator", code="otimes")
+    lists = two_sets = 0
+    while lists < 10_000:
+        operands = []
+        for _ in range(rng.randint(1, 4)):
+            try:
+                operands.append(registry.parse_term(random_term_literal(rng)))
+            except TermError:
+                pass
+        if not operands:
+            continue
+        lists += 1
+        two_sets += sum(t.structure == SET for t in operands) >= 2
+        outs, diags = infer_output(node, found, operands, registry, {},
+                                   [False] * len(operands))
+        assert outs == [reference_tensor(operands)], operands
+        assert [d.code for d in diags] == ([] if len(operands) > 1 else ["E101"])
+    assert two_sets >= 300
 
 
 # -- dim_combine ------------------------------------------------------------------
