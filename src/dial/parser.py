@@ -1063,8 +1063,17 @@ def _param_value(value: object) -> str:
 
 
 def _num_text(value) -> str:
-    # floats keep their decimal point so reparsing preserves the value's type
-    return repr(value) if isinstance(value, float) else str(value)
+    """A number as the grammar reads it back: a float positionally, with its
+    shortest digits and a decimal point, so reparsing keeps value and type."""
+    if not isinstance(value, float):
+        return str(value)
+    if value == 10.0 ** MAX_DIGITS:  # what MAX_DIGITS nines round to; its digits lex as E001
+        return "9" * MAX_DIGITS + ".0"
+    text = repr(value)
+    if "e" in text:  # 1e-05, 1e+16
+        mantissa, _, exponent = text.partition("e")
+        text = f"{value:.{max(len(mantissa.partition('.')[2]) - int(exponent), 1)}f}"
+    return text
 
 
 def _esc(text: str) -> str:

@@ -13,6 +13,13 @@ only grow but the dimension calculus can grow a vector around a flow cycle
 forever. Each node reports the diagnostics of its latest evaluation, in
 declaration order, which keeps their order deterministic.
 
+Each distinct evaluation, that is code, params with their types, input
+terms and resource flags, is inferred once per check. That is sound
+because inference reads of a node only its code, its params and, for
+diagnostics alone, its id, and within a check the code fixes what it
+resolves to. So an evaluation without diagnostics gives the same outputs
+wherever its key recurs, and a repeated pipeline stage costs a lookup.
+
 A task's input is matched against its signature slot's pattern, a
 ``DataTerm`` like the input itself (:func:`match_term`), and each output
 is the range slot's pattern as stored, plus the labels it inherits.
@@ -28,7 +35,8 @@ The rules that compute:
   otimes         stays, and dims combine by ``dim_combine`` (E103 on a
                  conflict). compose drops dims; otimes keeps no wrapper and
                  pairs two sets into a set of tuples; concat of two
-                 sequences adds their length bounds
+                 sequences adds their length bounds (E103 at
+                 ``MAX_DIGITS`` digits, as for a dimension)
   set            wraps into set-of
   rank(n)        set/sequence input becomes sequence-of, length at most n
   sim            two inputs give Score; a set of pairs gives a set of Scores
@@ -151,8 +159,11 @@ def infer_output(node: Node, found: Signature | SymbolDef, inputs: list[DataTerm
     """Output terms for one node, whose code resolved to ``found``, given its
     input terms, plus diagnostics.
 
-    ``inputs`` and ``input_is_resource`` are indexed by input slot; unwired
-    slots are None and not a resource.
+    For a task, ``inputs`` and ``input_is_resource`` are indexed by input
+    slot; unwired slots are None and not a resource. A symbol reads only
+    which inputs are present and their order, so for one they may hold just
+    the wired slots' terms in slot order: then a slot number, which only the
+    symbol's arity bounds, costs nothing.
     """
     diagnostics: list[Diagnostic] = []
     ctx = _Ctx(node, registry, embeddings, input_is_resource, diagnostics)
@@ -326,6 +337,9 @@ def _combine_two(ctx: _Ctx, op: str, a: DataTerm, b: DataTerm) -> DataTerm:
         bound = None
         if a.max_len is not None and b.max_len is not None:
             bound = a.max_len + b.max_len
+            if bound >= 10 ** MAX_DIGITS:
+                ctx.err("E103", f"{op} gives length bound {bound}, more than {MAX_DIGITS} digits")
+                bound = None
         element = a.element.with_labels(b.element.all_labels()) if a.element else a.element
         return DataTerm(structure=SEQUENCE, element=element, max_len=bound)
     core_a, core_b = a.core(), b.core()
@@ -391,6 +405,13 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
     After ``max_rounds`` sweeps the queue may still hold nodes; they are
     evaluated once more on the final inputs, and E105 names the first of
     them in declaration order.
+
+    An evaluation whose key, the node's code, its params tagged with their
+    types, its input terms and resource flags, matches an earlier clean one
+    reuses that output list and reports no diagnostics: ``infer_output`` is a
+    pure function of the key, and of the node's id only through diagnostics.
+    Evaluations with diagnostics are not shared, so each diagnostic still
+    comes from its own node's evaluation. The memo lives for one call.
     """
     # looked up in .layout per call, so a tracer that replaces them there sees the call
     from .layout import assign_layers, break_cycles
@@ -408,6 +429,7 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
         in_edges[edge.target.node].append(edge)
 
     node_diags: dict[str, list[Diagnostic]] = {}  # from each node's latest evaluation
+    clean: dict[tuple, list[DataTerm | None]] = {}  # evaluation key -> outputs, no diagnostics
 
     def evaluate(node: Node) -> list[DataTerm | None]:
         slots: dict[int, DataTerm | None] = {}
@@ -427,10 +449,22 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
                 slots[slot] = slots[slot].with_labels(delivered.all_labels())
             else:
                 slots[slot] = _collapse(delivered)
-        width = max(slots, default=-1) + 1
-        outs, node_diags[node.id] = infer_output(
-            node, graph.resolved[node.id], [slots.get(i) for i in range(width)], registry,
-            embeddings, [resource_flags.get(i, False) for i in range(width)])
+        found = graph.resolved[node.id]
+        # a task reads its inputs by slot, a symbol only the wired ones in slot order
+        at = range(max(slots, default=-1) + 1) if isinstance(found, Signature) else sorted(slots)
+        inputs = [slots.get(i) for i in at]
+        flags = [resource_flags.get(i, False) for i in at]
+        # params by type and repr: 1 == 1.0, yet class=1 gives C_1 and class=1.0 C_1.0;
+        # a decoded diagram's params may also be -0.0 (== 0.0) or unhashable lists
+        key = (node.code, tuple((k, type(v), repr(v)) for k, v in node.params),
+               tuple(inputs), tuple(flags))
+        outs = clean.get(key)
+        if outs is not None:
+            node_diags[node.id] = []
+            return outs
+        outs, node_diags[node.id] = infer_output(node, found, inputs, registry, embeddings, flags)
+        if not node_diags[node.id]:
+            clean[key] = outs
         return outs
 
     layers = assign_layers([n.id for n in diagram.nodes], oriented)

@@ -332,12 +332,18 @@ def mutate_term_literal(rng: random.Random, literal: str) -> str:
 # ---------------------------------------------------------------------------
 
 SOURCE_TERMS = ("S", "S^Token", "S^POS", "S^{Token,POS}", "T", "vec[8]", "vec[4]")
-OP_POOL = ("POS", "NER", "SRL", "oplus", "concat", "rank")
-_ARITY = {"POS": 1, "NER": 1, "SRL": 1, "oplus": 2, "concat": 2, "rank": 1}
+OP_POOL = ("POS", "NER", "SRL", "oplus", "concat", "rank", "classifier")
+_ARITY = {"POS": 1, "NER": 1, "SRL": 1, "oplus": 2, "concat": 2, "rank": 1, "classifier": 1}
+_NUMBER_PARAM = {"rank": "n", "classifier": "class"}
 
 
 def random_propagation_diagram(rng: random.Random, max_nodes: int = 8) -> Diagram:
-    """A random DAG whose declaration order is one topological order."""
+    """A random DAG whose declaration order is one topological order.
+
+    A node with a number parameter is often followed by its twin: the same
+    code and sources, the number as the other type (2 and 2.0), so that
+    equal params of different types meet equal inputs.
+    """
     diagram = Diagram(name="random", dialects=frozenset({"sys"}))
     n_sources = rng.randint(1, 2)
     total = rng.randint(n_sources + 1, max_nodes)
@@ -346,16 +352,23 @@ def random_propagation_diagram(rng: random.Random, max_nodes: int = 8) -> Diagra
         diagram.nodes.append(Node(
             id=f"s{i}", kind="io", code="interface",
             params=(("out", term),), shape_class="component"))
+    last: tuple[Node, list[str]] | None = None
     for i in range(total - n_sources):
-        code = rng.choice(OP_POOL)
+        if last is not None and last[0].params and rng.random() < 0.5:
+            (key, value), = last[0].params
+            code, sources = last[0].code, last[1]
+            params = ((key, float(value) if isinstance(value, int) else int(value)),)
+        else:
+            code = rng.choice(OP_POOL)
+            params = ((_NUMBER_PARAM[code], rng.randint(1, 3)),) if code in _NUMBER_PARAM else ()
+            providers = [n.id for n in diagram.nodes]
+            sources = [rng.choice(providers) for _ in range(_ARITY[code])]
         kind = "task" if code in ("POS", "NER", "SRL") else "operator"
-        params = (("n", rng.randint(1, 3)),) if code == "rank" else ()
         node = Node(id=f"n{i}", kind=kind, code=code, params=params,
                     shape_class="component" if kind == "task" else "feature")
-        providers = [n.id for n in diagram.nodes]
         diagram.nodes.append(node)
-        for slot in range(_ARITY[code]):
-            source = rng.choice(providers)
+        last = (node, sources)
+        for slot, source in enumerate(sources):
             diagram.edges.append(Edge(
                 f"e{len(diagram.edges)}",
                 Port(source, 0, "out"), Port(node.id, slot, "in"), "flow"))

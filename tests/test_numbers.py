@@ -4,7 +4,8 @@ A number may have at most ``MAX_DIGITS`` digits before its decimal point.
 The bound is checked where a number is first read, before any ``int()``,
 ``float()`` or ``str()`` meets it: a longer number is E001 where the DSL
 lexes it, E004 inside a quoted term, E011 in a port name. An ``oplus`` or
-``concat`` sum that reaches ``10 ** MAX_DIGITS`` is E103. The file also runs
+``concat`` sum that reaches ``10 ** MAX_DIGITS``, of dimensions or of
+sequence length bounds, is E103. The file also runs
 under ``python -X int_max_str_digits=640``, where a conversion before the
 bound would fail on the 4,300-digit cases too.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import time
 
 import pytest
 
@@ -112,6 +114,51 @@ def test_a_sum_past_the_bound_is_e103(tmp_path):
     assert run(["render", "-o", str(tmp_path / "sum.svg"), str(path)],
                stdout=out, stderr=err) == 1
     assert "E103" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+def test_a_length_bound_past_the_bound_is_e103(tmp_path):
+    # each concat joins eight copies of the sequence before it, so unbounded
+    # length bounds would pass 640 digits by the last node and make render
+    # raise under -X int_max_str_digits=640
+    nines = "9" * MAX_DIGITS
+    body = [f"  data a: {{S}}\n  node c0: rank(n={nines})\n  edge a -> c0\n"]
+    for i in range(1, 721):
+        body.append(f"  node c{i}: concat\n" + "".join(
+            f"  edge c{i - 1} -> c{i}.in{slot}\n" for slot in range(8)))
+    source = HEADER + "".join(body) + "}\n"
+    result = compile_source(source)
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("E103", f"node 'c1': concat gives length bound {2 * int(nines)}, "
+                 f"more than {MAX_DIGITS} digits")]
+    path = tmp_path / "length.dial"
+    path.write_text(source)
+    for command in ("check", "lint", "svg", "tikz"):
+        output = [str(tmp_path / "out")] if command in ("svg", "tikz") else []
+        assert _run([*COMMANDS[command], *output, str(path)]) == \
+            (1, [(7, 3, "E103", result.diagnostics[0].message)])
+
+
+def test_a_high_input_slot_costs_what_slot_0_costs(tmp_path):
+    # an extension symbol's arity bounds its slot numbers, not the checker's
+    # input list: that holds only the wired slots
+    outcomes = {}
+    for slot in ("0", "9" * (MAX_DIGITS - 1) + "8"):
+        path = tmp_path / slot / "slot.dial"
+        path.parent.mkdir()
+        path.write_text(HEADER + "  extend symbol z { glyph: op_func; "
+                        f"arity: 1..{'9' * MAX_DIGITS} -> 1..1; }}\n"
+                        f"  data a: S\n  node f: z\n  edge a -> f.in{slot}\n}}\n")
+        start = time.perf_counter()
+        for command in ("check", "lint", "svg", "tikz"):
+            output = [str(path.parent / "out")] if command in ("svg", "tikz") else []
+            out, err = io.StringIO(), io.StringIO()
+            code = run([*COMMANDS[command], *output, str(path)], stdout=out, stderr=err)
+            outcomes.setdefault(command, []).append(
+                (code, err.getvalue().replace(str(path), "slot.dial")))
+        assert time.perf_counter() - start < 1.0
+    for command, (at_0, at_high) in outcomes.items():
+        assert at_0 == at_high, command
+    assert outcomes["lint"][0][1].count("W205") == 1
 
 
 def test_deserialize_reports_an_integer_too_long_to_decode():

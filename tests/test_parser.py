@@ -9,11 +9,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dial.parser
 from dial import terms
 from dial.cli import compile_source
 from dial.diagnostics import Span, has_errors
+from dial.interchange import canonical_serialize
 from dial.model import Diagram, validate_structure
 from dial.parser import DetailDecl, format_source, lower, parse, tokenize
 from dial.registry import node_kind
@@ -601,6 +603,24 @@ def test_format_preserves_ir():
     for code in ("sc", "Cls"):
         assert (first.registry.resolve(code, frozenset({"sys"}))
                 == second.registry.resolve(code, frozenset({"sys"})))
+
+
+# a float literal the lexer reads: at most MAX_DIGITS digits before the point
+_FLOAT_LITERALS = st.from_regex(rf"[0-9]{{1,{terms.MAX_DIGITS}}}\.[0-9]{{1,30}}", fullmatch=True)
+
+
+@settings(deadline=None)
+@given(param=_FLOAT_LITERALS, perf=_FLOAT_LITERALS)
+@example(param="0.00001", perf="10000000000000000.0")
+@example(param="999999999999999999.9", perf="0.000000000000000000000123")
+def test_format_prints_floats_the_grammar_reads(param, perf):
+    # repr spells 0.00001 as 1e-05 and 10.0 ** 16 as 1e+16, which do not lex
+    src = wrap("data x: S", f'node p: POS(w={param}) perf(f1={perf}@"dev")', "edge x -> p")
+    formatted, diags = format_source(src)
+    assert diags == [] and format_source(formatted) == (formatted, [])
+    first, second = compile_source(src), compile_source(formatted)
+    assert [d.code for d in second.diagnostics] == [d.code for d in first.diagnostics]
+    assert canonical_serialize(second.diagram) == canonical_serialize(first.diagram)
 
 
 def test_format_source_fails_on_syntax_errors():

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import dial.typecheck
 from dial.cli import compile_source
-from dial.interchange import deserialize
+from dial.interchange import canonical_serialize, deserialize
 from dial.layout import break_cycles
 from dial.model import Node, validate_structure
 from dial.registry import Registry
@@ -594,22 +594,77 @@ def test_node_still_queued_at_e105_reports_on_final_inputs():
         f"got [4, 4] and {list(typed.edge_terms[fed_back.id].dims)}")
 
 
+def _chain_source(decls: list[str], edges: list[str], reverse: bool) -> str:
+    if reverse:
+        decls, edges = decls[::-1], edges[::-1]
+    return "\n".join(['dial 0.1', 'dialect sys', 'diagram "chain" {', *decls, *edges, "}"]) + "\n"
+
+
 @pytest.mark.parametrize("reverse", [True, False])
 def test_check_evaluates_each_chain_node_once(monkeypatch, reverse):
     # one worklist evaluation per node, whatever the declaration order; its
-    # diagnostics are kept, with no second pass to collect them
+    # diagnostics are kept, with no second pass to collect them. Each concat
+    # adds t0's one dimension, so no two nodes see equal inputs and every
+    # evaluation is a call of infer_output.
+    n = 200
+    decls = ["  data t0: vec[1]"] + [f"  node t{i}: concat" for i in range(1, n)]
+    edges = [f"  edge t{i - 1} -> t{i}" for i in range(1, n)] + \
+        [f"  edge t0 -> t{i}.in1" for i in range(1, n)]
+    calls = _count_infer_output(monkeypatch)
+    result = compile_source(_chain_source(decls, edges, reverse))
+    assert result.diagnostics == []
+    assert len(calls) == n
+    last = next(e for e in result.typed.diagram.edges if e.target.node == f"t{n - 1}"
+                and e.source.node != "t0")
+    assert result.typed.edge_terms[last.id].dims == (n - 1,)
+
+
+@pytest.mark.parametrize("reverse", [True, False])
+def test_check_infers_each_distinct_evaluation_once(monkeypatch, reverse):
+    # the labels stop growing at t3, so t4..t6 give each code its last new
+    # input, and the other 193 evaluations repeat one of the first 7
     n = 200
     decls = ["  data t0: S^Token"] + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}"
                                       for i in range(1, n)]
     edges = [f"  edge t{i} -> t{i + 1}" for i in range(n - 1)]
-    if reverse:
-        decls.reverse()
-        edges.reverse()
-    src = "\n".join(['dial 0.1', 'dialect sys', 'diagram "chain" {', *decls, *edges, "}"]) + "\n"
     calls = _count_infer_output(monkeypatch)
-    result = compile_source(src)
+    result = compile_source(_chain_source(decls, edges, reverse))
     assert result.diagnostics == []
-    assert len(calls) == n
+    assert calls == [f"t{i}" for i in range(7)]
+
+
+def test_params_equal_across_types_are_inferred_apart():
+    # 1 == 1.0, but class=1 and class=1.0 name different classes; each pair
+    # of twins reads one source, so only the params' types tell them apart
+    twins = {"c1": "classifier(class=1)", "c2": "classifier(class=1.0)",
+             "r1": "rank(n=2)", "r2": "rank(n=2.0)"}
+    body = ["  data v: vec[300]", "  data s: {S}"]
+    for node_id, code in twins.items():
+        body += [f"  node {node_id}: {code}", f"  node {node_id}_out: verify",
+                 f"  edge {'v' if code.startswith('classifier') else 's'} -> {node_id}",
+                 f"  edge {node_id} -> {node_id}_out"]
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "twins" {\n'
+                            + "\n".join(body) + "\n}\n")
+    assert result.diagnostics == []
+    assert [format_term(result.typed.edge_terms[e.id]) for e in result.typed.diagram.edges] == \
+        ["vec[300]", "C_1", "vec[300]", "C_1.0", "{S}", "[S]<=2", "{S}", "[S]<=2"]
+
+
+def test_decoded_params_of_any_json_value_are_inferred_apart():
+    # a decoded diagram may carry params the grammar cannot write: 0.0 and
+    # -0.0 are equal floats that print apart, and a list is unhashable
+    src = ('dial 0.1\ndialect sys\ndiagram "d" {\n  data v: vec[3]\n'
+           "  node a: classifier(class=1)\n  node b: classifier(class=1)\n"
+           "  node c: classifier(class=1)\n  node o: func\n  edge v -> a\n  edge v -> b\n"
+           "  edge v -> c\n  edge a -> o\n  edge b -> o.in1\n  edge c -> o.in2\n}\n")
+    doc = json.loads(canonical_serialize(compile_source(src).diagram))
+    for node, value in zip(doc["nodes"][1:], (0.0, -0.0, [1, 2])):
+        node["params"] = [["class", value]]
+    diagram = deserialize(json.dumps(doc).encode())
+    typed = checked(diagram, Registry())
+    assert typed.diagnostics == []
+    assert [format_term(typed.edge_terms[f"e{i}"]) for i in range(3, 6)] == \
+        ["C_0.0", "C_-0.0", "C_[1, 2]"]
 
 
 def test_interim_diagnostics_do_not_survive(monkeypatch):
