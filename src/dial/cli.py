@@ -35,10 +35,10 @@ from .typecheck import TypedDiagram, check_diagram
 
 
 class CompileResult:
-    """A compiled file. The back half (layout, lint, render) runs on demand
-    from one layout per result, drawn in the checker's orientation. Its stages
-    are looked up as module attributes at call time, so a tracer that
-    replaces them there sees every call."""
+    """A compiled file. The back half runs on demand in the checker's
+    orientation: lint from the main area's layering alone, render from one
+    cached layout per result. Its stages are looked up as module attributes
+    at call time, so a tracer that replaces them there sees every call."""
 
     def __init__(self, file: str) -> None:
         self.file = file
@@ -60,7 +60,8 @@ class CompileResult:
         """W2xx warnings located in ``file``; ``[]`` without a typed diagram."""
         if self.typed is None:
             return []
-        warnings = lint_mod.lint(self.typed, self.layout_result, disabled)
+        warnings = lint_mod.lint(
+            self.typed, layout.main_layering(self.typed.diagram, self.typed.oriented), disabled)
         return [d.with_location(self.file, None) for d in warnings]
 
     def render(self, fmt: str, out=None) -> str | None:

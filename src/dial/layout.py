@@ -18,7 +18,9 @@ in the checker; ``layout`` draws the orientation the checker used:
                       order of an area's oriented edges: O(N + E). An area
                       (the main area or a group box) holds the edges with
                       both ends in it; its bands are the weak components of
-                      those same edges, recurrent ones included
+                      those same edges, recurrent ones included.
+                      ``main_layering`` is this phase for the main area
+                      alone, all that lint reads of a drawing
   3. ordering         four fixed barycenter sweeps (down, up, down, up) with
                       declaration order breaking ties; the node -> position
                       map is built once and rewritten only for the layer
@@ -89,6 +91,12 @@ class LayoutResult(Record):
     title_region: Box
     width: int
     height: int
+
+
+class Layering(Record):
+    """Each node's layer and band (weak component) within its area."""
+    layers: dict[str, int]
+    bands: dict[str, int]
 
 
 def _quant(v: int) -> int:
@@ -287,16 +295,46 @@ def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:
     return band_of
 
 
+def _main_area(diagram: Diagram) -> tuple[dict[str, set[int]], list[Node], list[Edge]]:
+    """The groups of each group member, then the main area's nodes and edges.
+
+    A node belongs to every group that lists it, or else to the main area,
+    and an edge to each area that holds both its ends.
+    """
+    node_groups: dict[str, set[int]] = {}
+    for index, group in enumerate(diagram.groups):
+        for member in group.member_nodes:
+            node_groups.setdefault(member, set()).add(index)
+    return (node_groups, [n for n in diagram.nodes if n.id not in node_groups],
+            [e for e in diagram.edges
+             if e.source.node not in node_groups and e.target.node not in node_groups])
+
+
+def _layering(ids: list[str], edges: list[Edge],
+              orientation: dict[str, tuple[str, str, str]]
+              ) -> tuple[Layering, list[tuple[str, str, str]]]:
+    """Layering of one area, and the checker's ``orientation`` of its edges.
+    ``edges`` holds the edges with both ends in the area, recurrent ones
+    included: the bands are their weak components, and the layers follow
+    the orientation of them."""
+    oriented = [orientation[e.id] for e in edges if e.id in orientation]
+    return Layering(assign_layers(ids, oriented), _weak_components(ids, edges)), oriented
+
+
+def main_layering(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> Layering:
+    """The main area's layers and bands as ``layout`` draws them, in the
+    orientation ``oriented``, without ordering, boxes or routes."""
+    _, nodes, edges = _main_area(diagram)
+    return _layering([n.id for n in nodes], edges, {item[0]: item for item in oriented})[0]
+
+
 def _layout_area(nodes: list[Node], edges: list[Edge],
                  orientation: dict[str, tuple[str, str, str]]) -> _Area:
-    """Lay out one area. ``edges`` holds the edges with both ends in it,
-    recurrent ones included: the bands are their weak components, and the
-    layers and order follow the checker's ``orientation`` of them."""
+    """Lay out one area from its ``_layering``."""
     area = _Area(nodes)
     ids = [n.id for n in nodes]
-    oriented = [orientation[e.id] for e in edges if e.id in orientation]
-    area.layers = assign_layers(ids, oriented)
-    area.bands = band_of = _weak_components(ids, edges)
+    (area.layers, area.bands), oriented = _layering(ids, edges, orientation)
+    band_of = area.bands
     by_layer = order_within_layers(ids, area.layers, oriented, band_of)
 
     sizes = {n.id: node_size(n) for n in nodes}
@@ -349,20 +387,13 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
            reversed_ids: frozenset[str]) -> LayoutResult:
     """Pure function of the diagram and its orientation, the pair that
     ``break_cycles(diagram)`` returns; integer coordinates only."""
-    # Bucket nodes and edges by area once: a node belongs to every group that
-    # lists it, or else to the main area, and an edge to each area that holds
-    # both its ends. A loop (recurrent edge or self-edge) is drawn above its
-    # ends, so a group holding an end makes room for it under the caption.
-    node_groups: dict[str, set[int]] = {}
-    for index, group in enumerate(diagram.groups):
-        for member in group.member_nodes:
-            node_groups.setdefault(member, set()).add(index)
-    top_nodes = [n for n in diagram.nodes if n.id not in node_groups]
+    # A loop (recurrent edge or self-edge) is drawn above its ends, so a
+    # group holding an end makes room for it under the caption.
+    node_groups, top_nodes, top_edges = _main_area(diagram)
     members: list[list[Node]] = [[] for _ in diagram.groups]
     for node in diagram.nodes:
         for index in node_groups.get(node.id, ()):
             members[index].append(node)
-    top_edges: list[Edge] = []
     medges: list[list[Edge]] = [[] for _ in diagram.groups]
     loop_ends: set[str] = set()
     for edge in diagram.edges:
@@ -370,9 +401,7 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
         if edge.flow_kind == "recurrent" or u == v:
             loop_ends.update((u, v))
         in_u, in_v = node_groups.get(u), node_groups.get(v)
-        if in_u is None and in_v is None:
-            top_edges.append(edge)
-        elif in_u and in_v:
+        if in_u and in_v:
             for index in in_u & in_v:
                 medges[index].append(edge)
     orientation = {item[0]: item for item in oriented}

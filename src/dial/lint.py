@@ -1,4 +1,5 @@
-"""Style rules over the typed, laid-out diagram.
+"""Style rules over the typed diagram and the main area's layering
+(``layout.main_layering``), which ``layout`` draws.
 
 Every rule is a warning; escalation happens only in the CLI (--deny
 warnings). Output order is stable: rule code first, then the declaration
@@ -17,7 +18,7 @@ order of the node, edge, group or table the rule names.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
-from .layout import LayoutResult
+from .layout import Layering, LayoutResult
 from .record import Record
 from .registry import list_symbols
 from .typecheck import TypedDiagram
@@ -42,8 +43,10 @@ RULES: tuple[LintRule, ...] = (
 )
 
 
-def lint(typed: TypedDiagram, layout_result: LayoutResult,
+def lint(typed: TypedDiagram, drawn: Layering | LayoutResult,
          disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
+    """W2xx warnings; of ``drawn`` only the main area's ``layers`` and
+    ``bands`` are read, and W203 reads ``typed``'s orientation."""
     diagram = typed.diagram
     out: list[Diagnostic] = []
 
@@ -61,7 +64,7 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult,
                          "data belongs at the bottom right", table.id)
 
     for edge in diagram.edges:
-        if edge.id in layout_result.reversed_edges:
+        if edge.id in typed.reversed_edges:
             emit("W203", f"edge {edge.id} flows backward; left-to-right is the "
                          "default (recurrent edges use ~>)", edge.id)
 
@@ -88,7 +91,7 @@ def lint(typed: TypedDiagram, layout_result: LayoutResult,
     # W201..W207 each name one kind and are emitted in its declaration order;
     # W208 is emitted per layer, so it is put in node order here
     position = {node.id: i for i, node in enumerate(diagram.nodes)}
-    out.extend(sorted(_mixed_layers(typed, layout_result, disabled),
+    out.extend(sorted(_mixed_layers(typed, drawn, disabled),
                       key=lambda d: position.get(d.ir_path, -1)))
     out.sort(key=lambda d: d.code)  # stable, so each code keeps that order
     return out
@@ -102,7 +105,7 @@ def _symbol_names(dialects: frozenset[str]) -> dict[str, str]:
     return names
 
 
-def _mixed_layers(typed: TypedDiagram, layout_result: LayoutResult,
+def _mixed_layers(typed: TypedDiagram, drawn: Layering | LayoutResult,
                   disabled: frozenset[str]) -> list[Diagnostic]:
     if "W208" in disabled:
         return []
@@ -112,8 +115,8 @@ def _mixed_layers(typed: TypedDiagram, layout_result: LayoutResult,
     out: list[Diagnostic] = []
     flagged: set[tuple[int, int]] = set()
     for node in top:
-        layer = layout_result.layers[node.id]
-        key = (layout_result.bands[node.id], layer)
+        layer = drawn.layers[node.id]
+        key = (drawn.bands[node.id], layer)
         classes = seen.setdefault(key, {})
         classes.setdefault(node.shape_class, node.id)
         if len(classes) > 1 and key not in flagged:

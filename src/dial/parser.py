@@ -65,6 +65,7 @@ from .terms import (
     TermError,
     TermNestingError,
     TermParser,
+    format_number,
     parse_term,
     token_text,
 )
@@ -999,7 +1000,7 @@ def _format_items(items, depth: int, lines: list[str]) -> None:
                 text += "(" + ", ".join(f"{k}={_param_value(v)}" for k, v in item.params) + ")"
             if item.perf:
                 text += " perf(" + ", ".join(
-                    f'{p.metric}={_num_text(p.value)}@"{_esc(p.corpus)}"' for p in item.perf) + ")"
+                    f'{p.metric}={format_number(p.value)}@"{_esc(p.corpus)}"' for p in item.perf) + ")"
             lines.append(text)
         elif isinstance(item, DataDecl):
             text = f"{pad}data {item.id}: {item.term_literal}"
@@ -1055,25 +1056,11 @@ def _port_text(ref: PortRef) -> str:
 
 def _param_value(value: object) -> str:
     if isinstance(value, (int, float)):
-        return _num_text(value)
+        return format_number(value)
     text = str(value)
     if _IDENT_RE.fullmatch(text) and text not in KEYWORDS:
         return text
     return f'"{_esc(text)}"'
-
-
-def _num_text(value) -> str:
-    """A number as the grammar reads it back: a float positionally, with its
-    shortest digits and a decimal point, so reparsing keeps value and type."""
-    if not isinstance(value, float):
-        return str(value)
-    if value == 10.0 ** MAX_DIGITS:  # what MAX_DIGITS nines round to; its digits lex as E001
-        return "9" * MAX_DIGITS + ".0"
-    text = repr(value)
-    if "e" in text:  # 1e-05, 1e+16
-        mantissa, _, exponent = text.partition("e")
-        text = f"{value:.{max(len(mantissa.partition('.')[2]) - int(exponent), 1)}f}"
-    return text
 
 
 def _esc(text: str) -> str:

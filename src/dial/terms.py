@@ -354,7 +354,7 @@ def format_term(term: DataTerm) -> str:
         return f"[{format_term(term.element)}]{bound}"
     if term.structure == DIST:
         lo, hi = term.dist_range
-        out = f"P_{term.subscript or 'c'}[{_fmt_num(lo)},{_fmt_num(hi)}]"
+        out = f"P_{term.subscript or 'c'}[{_range_end(lo)},{_range_end(hi)}]"
         return out + _fmt_sup(term.annotations)
     spelling = CANONICAL.get(term.base, term.base or "?")
     if term.subscript:
@@ -374,5 +374,21 @@ def _fmt_sup(annotations: frozenset[str]) -> str:
     return "^{" + ",".join(labels) + "}"
 
 
-def _fmt_num(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(x)
+def _range_end(x: float) -> str:
+    # an integer-valued end prints as an integer while its digits stay in bounds
+    x = float(x)
+    return format_number(int(x) if x.is_integer() and abs(x) < 10 ** MAX_DIGITS else x)
+
+
+def format_number(value: int | float) -> str:
+    """A number as the grammar reads it back: a float positionally, with its
+    shortest digits and a decimal point, so reparsing keeps value and type."""
+    if not isinstance(value, float):
+        return str(value)
+    if value == 10.0 ** MAX_DIGITS:  # what MAX_DIGITS nines round to; its digits lex as E001
+        return "9" * MAX_DIGITS + ".0"
+    text = repr(value)
+    if "e" in text:  # 1e-05, 1e+16
+        mantissa, _, exponent = text.partition("e")
+        text = f"{value:.{max(len(mantissa.partition('.')[2]) - int(exponent), 1)}f}"
+    return text

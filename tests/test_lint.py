@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import io
+import random
 from pathlib import Path
 
 import pytest
 
-from dial.cli import compile_file, compile_source
-from dial.lint import RULES
+import dial.layout
+from dial.cli import compile_file, compile_source, run
+from dial.layout import Layering, break_cycles, layout, main_layering
+from dial.lint import RULES, lint
+from dial.model import validate_structure
+from dial.registry import Registry
+from oracles import random_grouped_diagram, random_valid_source
 
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 ALL_CODES = [rule.code for rule in RULES]
@@ -126,8 +133,71 @@ def test_w208_judges_the_drawn_bands():
     drawn = result.layout_result
     assert drawn.layers["c"] == drawn.layers["f"] == 1
     assert drawn.bands["c"] == drawn.bands["f"]
+    # lint reads the same layers and bands without drawing
+    linted = main_layering(result.typed.diagram, result.typed.oriented)
+    assert [(linted.layers[n], linted.bands[n]) for n in "cf"] == \
+        [(drawn.layers[n], drawn.bands[n]) for n in "cf"]
     assert drawn.node_boxes["c"].y == drawn.node_boxes["f"].bottom + 16
     warnings = result.lint()
     assert [d.code for d in warnings] == ["W207", "W208"]
     assert warnings[1].message.startswith(
         "layer 1 mixes feature node 'f' with component node 'c'")
+
+
+def test_lint_path_sees_what_is_drawn():
+    paths = sorted(Path("corpus/pass").glob("*.dial")) + sorted(FIXTURES.glob("*.dial"))
+    rng = random.Random(7)
+    inputs = ([(str(p), p.read_text(encoding="utf-8")) for p in paths]
+              + [(f"<random {i}>", random_valid_source(rng)) for i in range(1500)])
+    typed = w208 = 0
+    for name, source in inputs:
+        result = compile_source(source, name)
+        if result.typed is None:
+            continue
+        drawn = lint(result.typed, layout(result.typed.diagram, result.typed.oriented,
+                                          result.typed.reversed_edges))
+        warnings = result.lint()
+        assert warnings == [d.with_location(name, None) for d in drawn], name
+        typed += 1
+        w208 += any(d.code == "W208" for d in warnings)
+    assert typed > 500 and w208 > 50, (typed, w208)
+
+
+def test_main_layering_is_the_drawn_main_area():
+    rng = random.Random(11)
+    validated = 0
+    for i in range(1000):
+        diagram = random_grouped_diagram(rng)
+        if validate_structure(diagram, Registry())[1] is None:
+            continue
+        validated += 1
+        oriented, reversed_ids = break_cycles(diagram)
+        drawn = layout(diagram, oriented, reversed_ids)
+        grouped = {m for group in diagram.groups for m in group.member_nodes}
+        main = [n.id for n in diagram.nodes if n.id not in grouped]
+        assert main_layering(diagram, oriented) == Layering(
+            {n: drawn.layers[n] for n in main}, {n: drawn.bands[n] for n in main}), i
+    assert validated > 150, validated
+
+
+def _lint_json(paths: list[str]) -> list[tuple[int, str]]:
+    outcomes = []
+    for path in paths:
+        out = io.StringIO()
+        outcomes.append((run(["lint", "--json", path], stdout=out, stderr=io.StringIO()),
+                         out.getvalue()))
+    return outcomes
+
+
+def test_dial_lint_builds_no_layout(monkeypatch):
+    paths = [str(p) for p in sorted(Path("corpus").glob("*/*.dial"))
+             + sorted(FIXTURES.glob("*.dial"))]
+    expected = _lint_json(paths)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dial lint drew a layout")
+
+    monkeypatch.setattr(dial.layout, "layout", refuse)
+    monkeypatch.setattr(dial.layout, "order_within_layers", refuse)
+    assert _lint_json(paths) == expected
+    assert {status for status, _ in expected} == {0, 1}

@@ -6,12 +6,13 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dial.registry import ANNOTATION_LABELS, Registry
 from dial.terms import (
     CANONICAL,
     DIST,
+    MAX_DIGITS,
     MAX_NESTING,
     SEQUENCE,
     SET,
@@ -168,6 +169,34 @@ def test_format_then_parse_is_identity(term):
     # every term the reader can give, labelled distributions included, prints
     # as a literal that reads back as the same term
     assert parse(format_term(term)) == term
+
+
+@pytest.mark.parametrize("literal, printed", [
+    ("P_c[0,1]", "P_c[0,1]"),
+    ("P_c[0.5,1.0]", "P_c[0.5,1]"),
+    ("P_c[0,0.00001]", "P_c[0,0.00001]"),
+    ("P_c[0,10000000000000000]", "P_c[0,10000000000000000]"),
+    ("P_c[0,999999999999999999]", "P_c[0,999999999999999999.0]"),
+], ids=["unit", "half", "small", "1e16", "18_nines"])
+def test_range_ends_print_positionally(literal, printed):
+    # repr spells 0.00001 as 1e-05, and 18 nines read as the float 10.0 ** 18,
+    # whose 19 integer digits would be E004
+    assert format_term(parse(literal)) == printed
+
+
+# a range end the lexer reads: at most MAX_DIGITS digits before any point
+_RANGE_ENDS = st.from_regex(rf"[0-9]{{1,{MAX_DIGITS}}}(\.[0-9]{{1,30}})?", fullmatch=True)
+
+
+@given(lo=_RANGE_ENDS, hi=_RANGE_ENDS)
+@example(lo="0", hi="0.00001")
+@example(lo="10000000000000000", hi="10000000000000000.0")
+@example(lo="0.000000000000000000000123", hi="999999999999999999")
+def test_distribution_literals_round_trip(lo, hi):
+    lo, hi = sorted((lo, hi), key=float)
+    term = parse(f"P_c[{lo},{hi}]")
+    printed = format_term(term)
+    assert parse(printed) == term and format_term(parse(printed)) == printed
 
 
 @pytest.mark.parametrize("wrap", [lambda t: "{" + t + "}", lambda t: f"({t}, S)"])

@@ -378,6 +378,11 @@ def test_declared_edge_term_conflict_reasons(data, declared, reason):
         ("E104", f"edge e0 is declared as {declared} but carries {carried}: {reason}")]
 
 
+def test_conflict_prints_a_range_end_the_grammar_reads():
+    [diag] = compile_source(_as_source("P_c[0,0.00001]", "S")).diagnostics
+    assert diag.code == "E104" and " carries P_c[0,0.00001]: " in diag.message
+
+
 def test_declared_tuple_that_is_carried_is_clean():
     assert compile_source(_as_source("(S, T)", "(S, T)")).diagnostics == []
 
