@@ -156,9 +156,14 @@ def validate_structure(diagram: Diagram,
     E010 unresolved code, E011 dangling reference or bad port, E012 group
     containment cycle, E013 persist/query endpoint kind violation, E014 node
     listed by more than one detail group.
+
+    A code names one record within a call, so each resolved code's arity
+    bounds (``max_out``, ``max_in``) are read once and every port is checked
+    against that reading.
     """
     out: list[Diagnostic] = []
     resolutions: dict[str, Signature | SymbolDef | None] = {}
+    bounds: dict[str, tuple[int, int]] = {}  # resolved code -> (max_out, max_in)
     nodes = {n.id: n for n in diagram.nodes}
     embedding_ids = {e.id for e in diagram.embeddings}
 
@@ -172,6 +177,8 @@ def validate_structure(diagram: Diagram,
                 f"{{{', '.join(sorted(diagram.dialects))}}}",
                 ir_path=node.id, ir_kind="node",
             ))
+        elif node.code not in bounds:
+            bounds[node.code] = (res.max_out, res.max_in)
         if node.code == "proj":
             emb = node.param("embedding")
             if emb is not None and emb not in embedding_ids:
@@ -186,19 +193,18 @@ def validate_structure(diagram: Diagram,
 
     occupied: dict[tuple[str, int], str] = {}
     for edge in diagram.edges:
-        for port, bound_attr in ((edge.source, "max_out"), (edge.target, "max_in")):
+        for port, side in ((edge.source, 0), (edge.target, 1)):
             if port.node not in nodes:
                 out.append(Diagnostic(
                     "E011", f"edge references unknown node {port.node!r}",
                     ir_path=edge.id, ir_kind="edge"))
                 continue
-            res = resolutions.get(port.node)
-            if res is not None and port.slot >= getattr(res, bound_attr):
+            bound = bounds.get(nodes[port.node].code)
+            if bound is not None and port.slot >= bound[side]:
                 out.append(Diagnostic(
                     "E011",
                     f"port {port} exceeds the arity of code "
-                    f"{diagram.node_by_id(port.node).code!r} "
-                    f"(max {getattr(res, bound_attr)})",
+                    f"{diagram.node_by_id(port.node).code!r} (max {bound[side]})",
                     ir_path=edge.id, ir_kind="edge",
                 ))
         if edge.flow_kind != "recurrent" and edge.target.node in nodes:

@@ -9,7 +9,9 @@ title carry their own classes, so structural tests can count elements.
 
 Both emitters depend only on (typed diagram, layout), stamp their
 output with the toolchain version and write it into a text stream line by
-line as it is drawn. A node's glyph comes from the record its code resolved
+line as it is drawn. Equal data terms print alike, so the walk spells each
+distinct edge term once per drawing and reuses that markup for every other
+edge carrying it. A node's glyph comes from the record its code resolved
 to in validation, which the typed diagram's ``graph`` keeps: the task box for
 a signature, and the symbol's own glyph for a symbol, or the extension box
 when that glyph id is not in the table.
@@ -175,12 +177,15 @@ class _Drawing:
         yield from self.tail
 
     def edges(self) -> Iterator[str]:
+        spelled: dict[DataTerm | None, str | None] = {None: None}
         for edge in self.typed.diagram.edges:
             route = self.layout.edge_routes[edge.id]
             (x0, y0), (x1, y1) = route[0], route[-1]
             term = self.typed.edge_terms.get(edge.id)
+            if term not in spelled:
+                spelled[term] = self.term(term)
             yield from self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4),
-                                 None if term is None else self.term(term))
+                                 spelled[term])
 
     def nodes(self) -> Iterator[str]:
         resolved = self.typed.graph.resolved
@@ -342,11 +347,13 @@ def render_svg(typed: TypedDiagram, layout: LayoutResult, out: TextIO | None = N
 # ---------------------------------------------------------------------------
 
 
+_TEX_SPECIALS = str.maketrans({
+    "\\": r"\textbackslash{}", "&": r"\&", "%": r"\%", "$": r"\$", "#": r"\#", "_": r"\_",
+    "{": r"\{", "}": r"\}", "~": r"\textasciitilde{}", "^": r"\textasciicircum{}"})
+
+
 def _esc_tex(text: str) -> str:
-    specials = {"\\": r"\textbackslash{}", "&": r"\&", "%": r"\%", "$": r"\$",
-                "#": r"\#", "_": r"\_", "{": r"\{", "}": r"\}",
-                "~": r"\textasciitilde{}", "^": r"\textasciicircum{}"}
-    return "".join(specials.get(ch, ch) for ch in text)
+    return text.translate(_TEX_SPECIALS)
 
 
 def _tikz_term(term: DataTerm) -> str:

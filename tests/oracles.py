@@ -4,6 +4,7 @@ These deliberately avoid the library's propagation and layering code paths:
 the propagation oracle schedules nodes itself over explicit topological
 orders, the round-robin reference is the checker's earlier fixed-point loop,
 the reference tensor is the checker's earlier ``otimes`` fold, the
+reference drawing is render's earlier edge walk and TeX escape, the
 layering oracle enumerates every path, the reference layout phases
 are the layout's earlier quadratic cycle search, barycenter sweep and area
 placement, and the reference front end is the earlier character-loop
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Iterator
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -61,6 +64,7 @@ from dial.parser import (
 )
 from dial.record import Record, replace
 from dial.registry import Registry
+from dial.render import _Drawing, _Svg, _Tikz
 from dial.terms import (
     DIST,
     MAX_NESTING,
@@ -592,6 +596,43 @@ def reference_tensor(present: list[DataTerm]) -> DataTerm | None:
         out = replace(core_a, annotations=core_a.annotations | core_b.annotations,
                       dims=dims)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The drawing's earlier edge walk, which spelled the term of every edge, and
+# its earlier TeX escape, one dict lookup per character: verbatim
+# ---------------------------------------------------------------------------
+
+
+def reference_edges(self) -> Iterator[str]:
+    for edge in self.typed.diagram.edges:
+        route = self.layout.edge_routes[edge.id]
+        (x0, y0), (x1, y1) = route[0], route[-1]
+        term = self.typed.edge_terms.get(edge.id)
+        yield from self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4),
+                             None if term is None else self.term(term))
+
+
+def reference_esc_tex(text: str) -> str:
+    specials = {"\\": r"\textbackslash{}", "&": r"\&", "%": r"\%", "$": r"\$",
+                "#": r"\#", "_": r"\_", "{": r"\{", "}": r"\}",
+                "~": r"\textasciitilde{}", "^": r"\textasciicircum{}"}
+    return "".join(specials.get(ch, ch) for ch in text)
+
+
+@contextmanager
+def reference_drawing() -> Iterator[None]:
+    """Both writers draw with the reference edge walk and TeX escape. The
+    writers' ``order`` tuples and ``_Tikz.esc`` hold the functions bound when
+    their classes were created, so those are patched, not only ``_Drawing``."""
+    edges = _Drawing.edges
+    with ExitStack() as patches:
+        for cls in (_Svg, _Tikz):
+            patches.enter_context(mock.patch.object(
+                cls, "order", tuple(reference_edges if f is edges else f for f in cls.order)))
+        patches.enter_context(mock.patch.object(_Drawing, "edges", reference_edges))
+        patches.enter_context(mock.patch.object(_Tikz, "esc", staticmethod(reference_esc_tex)))
+        yield
 
 
 # ---------------------------------------------------------------------------

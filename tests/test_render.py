@@ -3,28 +3,43 @@
 from __future__ import annotations
 
 import io
+import json
+import random
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import dial.layout
 from dial import __version__
 from dial.cli import compile_file, compile_source, run
 from dial.diagnostics import RenderMismatch
+from dial.interchange import canonical_serialize, deserialize
 from dial.layout import layout
-from dial.model import Diagram
-from dial.registry import SIGNATURES, Registry, list_symbols
+from dial.model import Diagram, validate_structure
+from dial.registry import SIGNATURES, Registry, Signature, list_symbols
 from dial.render import (
     GLYPH_TABLE,
     SVG_MARKS,
     TIKZ_MARKS,
     GlyphSpec,
+    _esc_tex,
+    _Svg,
+    _Tikz,
     glyph_for,
     render_svg,
     render_tikz,
+)
+from dial.typecheck import check_diagram
+from oracles import (
+    random_grouped_diagram,
+    random_valid_source,
+    reference_drawing,
+    reference_esc_tex,
 )
 
 SYS = frozenset({"sys"})
@@ -392,3 +407,90 @@ def test_render_streams_into_the_file(tmp_path, n):
         argv = ["render", str(source), "-o", str(tmp_path / f"chain.{fmt}"), "--format", fmt]
         rendered = peak_bytes(lambda: run(argv, stdout=io.StringIO(), stderr=io.StringIO()))
         assert rendered <= 1.2 * compiled, (fmt, rendered, compiled)
+
+
+# -- work once per distinct value -------------------------------------------------
+
+
+def test_each_distinct_edge_term_is_spelled_once(monkeypatch):
+    result = compile_source(chain_source(300))
+    distinct = set(result.typed.edge_terms.values())
+    assert len(result.typed.edge_terms) == 299 and len(distinct) < 10
+    for fmt, writer in (("svg", _Svg), ("tikz", _Tikz)):
+        spelled = []
+
+        def counting(term, real=writer.term):
+            spelled.append(term)
+            return real(term)
+
+        monkeypatch.setattr(writer, "term", staticmethod(counting))
+        result.render(fmt)
+        assert len(spelled) == len(distinct), fmt
+
+
+def test_validation_reads_each_code_arity_once(monkeypatch):
+    diagram = compile_source(chain_source(300)).diagram
+    reads: Counter[tuple[str, str]] = Counter()
+    for name in ("max_in", "max_out"):
+        def counting(sig, name=name, real=getattr(Signature, name).fget):
+            reads[name, sig.code] += 1
+            return real(sig)
+
+        monkeypatch.setattr(Signature, name, property(counting))
+    diagnostics, graph = validate_structure(diagram, Registry())
+    assert diagnostics == [] and graph is not None
+    assert reads == {(name, code): 1 for name in ("max_in", "max_out")
+                     for code in ("POS", "NER", "SRL")}
+
+
+def _decoded_params_diagram() -> Diagram:
+    # three classifier edges carry C_0.0, C_-0.0 and C_[1, 2]: 0.0 and -0.0
+    # are equal floats that print apart, and a list is unhashable
+    src = ('dial 0.1\ndialect sys\ndiagram "d" {\n  data v: vec[3]\n'
+           "  node a: classifier(class=1)\n  node b: classifier(class=1)\n"
+           "  node c: classifier(class=1)\n  node o: func\n  edge v -> a\n  edge v -> b\n"
+           "  edge v -> c\n  edge a -> o\n  edge b -> o.in1\n  edge c -> o.in2\n}\n")
+    doc = json.loads(canonical_serialize(compile_source(src).diagram))
+    for node, value in zip(doc["nodes"][1:], (0.0, -0.0, [1, 2])):
+        node["params"] = [["class", value]]
+    return deserialize(json.dumps(doc).encode())
+
+
+def _checked_drawings():
+    """(name, typed diagram, layout) of every diagram the differential test draws."""
+    for path in sorted(Path("corpus/pass").glob("*.dial")):
+        result = compile_file(str(path))
+        yield str(path), result.typed, result.layout_result
+    rng = random.Random(5)
+    for i in range(1500):
+        result = compile_source(random_valid_source(rng))
+        if result.typed is not None:
+            yield f"<random {i}>", result.typed, result.layout_result
+    rng = random.Random(11)
+    diagrams = [(f"<grouped {i}>", random_grouped_diagram(rng)) for i in range(1000)]
+    for name, diagram in diagrams + [("<decoded params>", _decoded_params_diagram())]:
+        graph = validate_structure(diagram, Registry())[1]
+        if graph is not None:
+            typed = check_diagram(diagram, graph, Registry())
+            yield name, typed, layout(diagram, typed.oriented, typed.reversed_edges)
+
+
+def test_drawing_matches_the_reference_walk():
+    # the walk spells each distinct edge term once; the bytes stay those of
+    # the walk that spelled every edge's term
+    drawn: Counter[str] = Counter()
+    for name, typed, lay in _checked_drawings():
+        ours = render_svg(typed, lay), render_tikz(typed, lay)
+        with reference_drawing():
+            assert (render_svg(typed, lay), render_tikz(typed, lay)) == ours, name
+        terms = [typed.edge_terms.get(e.id) for e in typed.diagram.edges]
+        drawn[name.split()[0]] += 1
+        drawn["repeated"] += len(set(terms) - {None}) < sum(t is not None for t in terms)
+    assert drawn["corpus/pass/qa_system.dial"] == drawn["<decoded"] == 1
+    assert drawn["<random"] > 500 and drawn["<grouped"] > 150 and drawn["repeated"] > 100, drawn
+
+
+@given(st.text(st.one_of(st.sampled_from("\\&%$#_{}~^"), st.characters())))
+@example("\\&%$#_{}~^ plain text")
+def test_tex_escape_matches_the_per_character_reference(text):
+    assert _esc_tex(text) == reference_esc_tex(text)
