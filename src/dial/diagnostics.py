@@ -96,8 +96,7 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 
 
 def dump_json(diagnostics: list[Diagnostic], stream: IO[str]) -> None:
-    json.dump([d.to_json_obj() for d in diagnostics], stream, indent=2)
-    stream.write("\n")
+    stream.write(json.dumps([d.to_json_obj() for d in diagnostics], indent=2) + "\n")
 
 
 class DialError(Exception):

@@ -14,8 +14,10 @@ in the checker; ``layout`` draws the orientation the checker used:
                       the worst case: after chains a1..aK and b1..bK, each
                       edge a_i -> b1 walks back through a_(i-1)..a1, so
                       the phase is O(E * (N + E))
-  2. layering         longest path from the sources, over one topological
-                      order of an area's oriented edges: O(N + E). An area
+  2. layering         longest path from the sources, in the one pass of
+                      Kahn's topological sort over an area's oriented
+                      edges; a layer is fixed when the queue reaches its
+                      node: O(N + E). An area
                       (the main area or a group box) holds the edges with
                       both ends in it; its bands are the weak components of
                       those same edges, recurrent ones included.
@@ -116,8 +118,10 @@ def break_cycles(diagram: Diagram) -> tuple[list[tuple[str, str, str]], frozense
     order, so the edge reversed is always the one closing the cycle latest.
     Both ends of every edge are nodes of ``diagram``, as validation ensures.
     """
-    succs: dict[str, set[str]] = {n.id: set() for n in diagram.nodes}
-    preds: dict[str, set[str]] = {n.id: set() for n in diagram.nodes}
+    # accepted adjacency; a parallel edge repeats an entry, which the
+    # visited sets of ``reaches`` absorb
+    succs: dict[str, list[str]] = {n.id: [] for n in diagram.nodes}
+    preds: dict[str, list[str]] = {n.id: [] for n in diagram.nodes}
     oriented: list[tuple[str, str, str]] = []
     reversed_ids: set[str] = set()
 
@@ -149,12 +153,12 @@ def break_cycles(diagram: Diagram) -> tuple[list[tuple[str, str, str]], frozense
         if u == v or reaches(v, u):
             reversed_ids.add(edge.id)
             if u != v:
-                succs[v].add(u)
-                preds[u].add(v)
+                succs[v].append(u)
+                preds[u].append(v)
                 oriented.append((edge.id, v, u))
         else:
-            succs[u].add(v)
-            preds[v].add(u)
+            succs[u].append(v)
+            preds[v].append(u)
             oriented.append((edge.id, u, v))
     return oriented, frozenset(reversed_ids)
 
@@ -167,23 +171,25 @@ def break_cycles(diagram: Diagram) -> tuple[list[tuple[str, str, str]], frozense
 def assign_layers(node_ids: list[str],
                   oriented: list[tuple[str, str, str]]) -> dict[str, int]:
     """Longest path from any source; sources sit at layer 0. ``oriented`` is
-    acyclic and both ends of each of its edges are in ``node_ids``."""
-    preds: dict[str, list[str]] = {n: [] for n in node_ids}
+    acyclic and both ends of each of its edges are in ``node_ids``. Kahn's
+    queue reaches a node after all its predecessors, so its layer is final
+    then; the result lists the nodes in queue order."""
     succs: dict[str, list[str]] = {n: [] for n in node_ids}
+    in_deg = dict.fromkeys(node_ids, 0)
     for _, u, v in oriented:
-        preds[v].append(u)
         succs[u].append(v)
-    layers: dict[str, int] = {}
-    in_deg = {n: len(preds[n]) for n in node_ids}
-    order = [n for n in node_ids if in_deg[n] == 0]
+        in_deg[v] += 1
+    reach = dict.fromkeys(node_ids, 0)  # longest path to each node from the queued ones
+    order = [n for n in node_ids if not in_deg[n]]
     for current in order:  # grows while it is read: a FIFO queue
+        below = reach[current] + 1
         for nxt in succs[current]:
+            if reach[nxt] < below:
+                reach[nxt] = below
             in_deg[nxt] -= 1
-            if in_deg[nxt] == 0:
+            if not in_deg[nxt]:
                 order.append(nxt)
-    for node in order:
-        layers[node] = max((layers[p] + 1 for p in preds[node]), default=0)
-    return layers
+    return {n: reach[n] for n in order}
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,8 @@ def order_within_layers(node_ids: list[str], layers: dict[str, int],
     for node in node_ids:
         by_layer.setdefault(layers[node], []).append(node)
     for layer_nodes in by_layer.values():
-        layer_nodes.sort(key=lambda n: (band_of[n], decl_index[n]))
+        if len(layer_nodes) > 1:
+            layer_nodes.sort(key=lambda n: (band_of[n], decl_index[n]))
 
     preds: dict[str, list[str]] = {n: [] for n in node_ids}
     succs: dict[str, list[str]] = {n: [] for n in node_ids}
@@ -251,7 +258,7 @@ def node_display_lines(node: Node) -> list[str]:
 
 def node_size(node: Node) -> tuple[int, int]:
     lines = node_display_lines(node)
-    widest = max(len(line) for line in lines)
+    widest = max(map(len, lines))
     w = _quant(max(CHAR_W * widest + 16, 32))
     base_h = 32 if node.shape_class == "component" else 28
     if node.kind == "resource":

@@ -364,25 +364,37 @@ class Parser:
             return None
 
     def _items_until_close(self) -> list:
+        """Declarations through the closing ``}``, dispatched on their keyword;
+        each handler gets the offset of its keyword."""
         items: list = []
+        kinds, texts = self.kinds, self.texts
         while True:
+            start = self.pos
+            kind, text = kinds[start], texts[start]
+            handler = _ITEM_HANDLERS.get(text) if kind == "keyword" else None
+            if handler is not None:
+                self.pos = start + 1
+                try:
+                    items.append(handler(self, self.starts[start]))
+                    continue
+                except _ParseAbort:
+                    pass
+            elif self.at("}"):
+                self.pos = start + 1
+                return items
+            elif kind == "eof":
+                self.error("unexpected end of input, expected '}'", self.span())
+                return items
+            else:
+                self.error("expected a declaration (node, data, edge, detail, table, "
+                           f"embedding or extend), found {token_text(kind, text)!r}",
+                           self.span())
+            # a block's header consumes no '{' but its own
+            self.recover_to_item(text in ("detail", "table", "extend") and handler is not None
+                                 and "{" not in texts[start:self.pos])
             if self.at("}"):
                 self.advance()
                 return items
-            if self.at(kind="eof"):
-                self.error("unexpected end of input, expected '}'", self.span())
-                return items
-            start = self.pos
-            try:
-                items.append(self._item())
-            except _ParseAbort:
-                # a block's header consumes no '{' but its own
-                self.recover_to_item(self.kinds[start] == "keyword"
-                                     and self.texts[start] in ("detail", "table", "extend")
-                                     and "{" not in self.texts[start:self.pos])
-                if self.at("}"):
-                    self.advance()
-                    return items
 
     def _block_body(self, what: str, entry) -> list:
         """The ``entry;`` list of a table or extend body, through its ``}``. A
@@ -407,19 +419,6 @@ class Parser:
         if failed:
             raise _ParseAbort()
         return entries
-
-    def _item(self):
-        """One declaration; its handler gets the offset of its keyword."""
-        kind, text = self.peek()
-        handler = _ITEM_HANDLERS.get(text) if kind == "keyword" else None
-        if handler is None:
-            self.error(
-                "expected a declaration (node, data, edge, detail, table, "
-                f"embedding or extend), found {token_text(kind, text) or 'end of input'!r}",
-                self.span())
-            raise _ParseAbort()
-        self.pos += 1  # a keyword, never eof
-        return handler(self, self.starts[self.pos - 1])
 
     def _node(self, at: int) -> NodeDecl:
         ident = self.expect(kind="ident", what="node identifier")
@@ -707,9 +706,10 @@ def lower(ast: SourceAst) -> LoweredUnit:
 def _walk_extends(items) -> list[ExtendDecl]:
     out: list[ExtendDecl] = []
     for item in items:
-        if isinstance(item, ExtendDecl):
+        kind = type(item)
+        if kind is ExtendDecl:
             out.append(item)
-        elif isinstance(item, DetailDecl):
+        elif kind is DetailDecl:
             out.extend(_walk_extends(item.items))
     return out
 
@@ -809,17 +809,18 @@ class _Lowerer:
 
     def lower_items(self, items, group: str | None) -> None:
         for item in items:
-            if isinstance(item, NodeDecl):
+            kind = type(item)
+            if kind is NodeDecl:
                 self._node(item, group)
-            elif isinstance(item, DataDecl):
-                self._data(item, group)
-            elif isinstance(item, EdgeDecl):
+            elif kind is EdgeDecl:
                 self.pending_edges.append((item, group))
-            elif isinstance(item, DetailDecl):
+            elif kind is DataDecl:
+                self._data(item, group)
+            elif kind is DetailDecl:
                 self._detail(item, group)
-            elif isinstance(item, TableDecl):
+            elif kind is TableDecl:
                 self._table(item)
-            elif isinstance(item, EmbedDecl):
+            elif kind is EmbedDecl:
                 self._embedding(item)
             # ExtendDecl already handled in the registration pre-pass.
 
@@ -843,29 +844,29 @@ class _Lowerer:
         return True
 
     def _node(self, decl: NodeDecl, group: str | None) -> None:
-        params = []
+        params: tuple | list = ()
         label = shape = None
-        for key, value in decl.params:
-            if key == "label":
-                label = str(value)
-            elif key == "shape":
-                if value not in ("feature", "component"):
-                    self.err("E003", f"shape must be feature or component, got {value!r}",
-                             decl.at)
+        if decl.params:
+            params = []
+            for key, value in decl.params:
+                if key == "label":
+                    label = str(value)
+                elif key == "shape":
+                    if value not in ("feature", "component"):
+                        self.err("E003", f"shape must be feature or component, got {value!r}",
+                                 decl.at)
+                    else:
+                        shape = str(value)
                 else:
-                    shape = str(value)
-            else:
-                if key == "out":
-                    self._check_term(str(value), decl.at)
-                params.append((key, value))
+                    if key == "out":
+                        self._check_term(str(value), decl.at)
+                    params.append((key, value))
         found = self.registry.resolve(decl.code, self.diagram.dialects)
         kind = node_kind(found) if found else "operator"
-        node = Node(
-            id=decl.id, kind=kind, code=decl.code, label=label,
-            params=tuple(params),
-            shape_class=shape or default_shape_class(kind),
-            perf=tuple(PerfAnnotation(p.metric, p.value, p.corpus) for p in decl.perf),
-        )
+        perf = tuple(PerfAnnotation(p.metric, p.value, p.corpus) for p in decl.perf) \
+            if decl.perf else ()
+        node = Node(decl.id, kind, decl.code, label, tuple(params),
+                    shape or default_shape_class(kind), perf)
         self._add_node(node, decl.at, group)
 
     def _data(self, decl: DataDecl, group: str | None) -> None:
@@ -946,26 +947,23 @@ class _Lowerer:
 
     def _edge(self, decl: EdgeDecl, group: str | None) -> None:
         kind = ARROWS[decl.arrow]
-        ok = True
-        for ref in (decl.source, decl.target):
-            if ref.node not in self.node_pos:
-                self.err("E011", f"edge references unknown node {ref.node!r}", ref.at)
-                ok = False
-        if not ok:
+        source, target = decl.source, decl.target
+        if not (source.node in self.node_pos and target.node in self.node_pos):
+            for ref in (source, target):
+                if ref.node not in self.node_pos:
+                    self.err("E011", f"edge references unknown node {ref.node!r}", ref.at)
             return
-        src_slot = self._resolve_slot(decl.source, "out", kind)
-        tgt_slot = self._resolve_slot(decl.target, "in", kind)
+        src_slot = self._resolve_slot(source, "out", kind)
+        tgt_slot = self._resolve_slot(target, "in", kind)
         if src_slot is None or tgt_slot is None:
-            bad = decl.source if src_slot is None else decl.target
+            bad = source if src_slot is None else target
             self.err("E011", f"bad port name {bad.slot!r} on {bad.node!r}", bad.at)
             return
         if decl.as_literal is not None:
             self._check_term(decl.as_literal, decl.at)
         edge_id = f"e{len(self.diagram.edges)}"
         self.diagram.edges.append(Edge(
-            edge_id,
-            Port(decl.source.node, src_slot, "out"),
-            Port(decl.target.node, tgt_slot, "in"),
+            edge_id, Port(source.node, src_slot, "out"), Port(target.node, tgt_slot, "in"),
             kind, decl.as_literal,
         ))
         self.spans["edge"][edge_id] = decl.at

@@ -182,10 +182,12 @@ class _Drawing:
             route = self.layout.edge_routes[edge.id]
             (x0, y0), (x1, y1) = route[0], route[-1]
             term = self.typed.edge_terms.get(edge.id)
-            if term not in spelled:
-                spelled[term] = self.term(term)
+            try:
+                markup = spelled[term]
+            except KeyError:
+                markup = spelled[term] = self.term(term)
             yield from self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4),
-                                 spelled[term])
+                                 markup)
 
     def nodes(self) -> Iterator[str]:
         resolved = self.typed.graph.resolved
@@ -313,7 +315,7 @@ class _Svg(_Drawing):
         if kind == "persist":
             x0, y0 = route[0]
             yield f'<line stroke="black" x1="{x0}" y1="{y0 - 5}" x2="{x0}" y2="{y0 + 5}"/>'
-        label = " ".join(p for p in (term, "?" if kind == "query" else None) if p is not None)
+        label = term if kind != "query" else "?" if term is None else f"{term} ?"
         if label:
             yield (f'<text class="edge-term" x="{at[0]}" y="{at[1]}" font-size="10" '
                    f'text-anchor="middle">{label}</text>')

@@ -430,6 +430,10 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
 
     node_diags: dict[str, list[Diagnostic]] = {}  # from each node's latest evaluation
     clean: dict[tuple, list[DataTerm | None]] = {}  # evaluation key -> outputs, no diagnostics
+    # params by type and repr: 1 == 1.0, yet class=1 gives C_1 and class=1.0 C_1.0;
+    # a decoded diagram's params may also be -0.0 (== 0.0) or unhashable lists
+    param_keys = {n.id: tuple((k, type(v), repr(v)) for k, v in n.params)
+                  for n in diagram.nodes if n.params}
 
     def evaluate(node: Node) -> list[DataTerm | None]:
         slots: dict[int, DataTerm | None] = {}
@@ -454,10 +458,7 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
         at = range(max(slots, default=-1) + 1) if isinstance(found, Signature) else sorted(slots)
         inputs = [slots.get(i) for i in at]
         flags = [resource_flags.get(i, False) for i in at]
-        # params by type and repr: 1 == 1.0, yet class=1 gives C_1 and class=1.0 C_1.0;
-        # a decoded diagram's params may also be -0.0 (== 0.0) or unhashable lists
-        key = (node.code, tuple((k, type(v), repr(v)) for k, v in node.params),
-               tuple(inputs), tuple(flags))
+        key = (node.code, param_keys.get(node.id, ()), tuple(inputs), tuple(flags))
         outs = clean.get(key)
         if outs is not None:
             node_diags[node.id] = []

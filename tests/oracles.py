@@ -5,15 +5,18 @@ the propagation oracle schedules nodes itself over explicit topological
 orders, the round-robin reference is the checker's earlier fixed-point loop,
 the reference tensor is the checker's earlier ``otimes`` fold, the
 reference drawing is render's earlier edge walk and TeX escape, the
-layering oracle enumerates every path, the reference layout phases
+layering oracle enumerates every path, the reference layering is the
+layout's earlier two-pass longest path, the reference layout phases
 are the layout's earlier quadratic cycle search, barycenter sweep and area
-placement, and the reference front end is the earlier character-loop
+placement, the reference diagnostics writer is the earlier chunked
+``json.dump``, and the reference front end is the earlier character-loop
 tokenizer, the parser over its token list with the earlier term reader, and
 lowering's earlier id lookups.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections.abc import Iterator
@@ -599,6 +602,16 @@ def reference_tensor(present: list[DataTerm]) -> DataTerm | None:
 
 
 # ---------------------------------------------------------------------------
+# The earlier diagnostics writer, one write per chunk of the encoder: verbatim
+# ---------------------------------------------------------------------------
+
+
+def reference_dump_json(diagnostics: list[Diagnostic], stream) -> None:
+    json.dump([d.to_json_obj() for d in diagnostics], stream, indent=2)
+    stream.write("\n")
+
+
+# ---------------------------------------------------------------------------
 # The drawing's earlier edge walk, which spelled the term of every edge, and
 # its earlier TeX escape, one dict lookup per character: verbatim
 # ---------------------------------------------------------------------------
@@ -676,6 +689,28 @@ def longest_path_oracle(node_ids: list[str],
         return best
 
     return {n: longest_to(n) for n in node_ids}
+
+
+def reference_assign_layers(node_ids: list[str],
+                            oriented: list[tuple[str, str, str]]) -> dict[str, int]:
+    """The earlier ``assign_layers``, a topological order and then a max over
+    each node's predecessors: verbatim."""
+    preds: dict[str, list[str]] = {n: [] for n in node_ids}
+    succs: dict[str, list[str]] = {n: [] for n in node_ids}
+    for _, u, v in oriented:
+        preds[v].append(u)
+        succs[u].append(v)
+    layers: dict[str, int] = {}
+    in_deg = {n: len(preds[n]) for n in node_ids}
+    order = [n for n in node_ids if in_deg[n] == 0]
+    for current in order:  # grows while it is read: a FIFO queue
+        for nxt in succs[current]:
+            in_deg[nxt] -= 1
+            if in_deg[nxt] == 0:
+                order.append(nxt)
+    for node in order:
+        layers[node] = max((layers[p] + 1 for p in preds[node]), default=0)
+    return layers
 
 
 def count_crossings(upper: list[str], lower: list[str],

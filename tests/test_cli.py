@@ -13,12 +13,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dial.cli import _build_parser, compile_file, run
-from dial.diagnostics import Diagnostic
+from dial.diagnostics import ERROR_CODES, Diagnostic, Span, dump_json
 from dial.terms import MAX_NESTING
-from oracles import mutate_source, random_front_end_source, random_valid_source
+from oracles import (mutate_source, random_front_end_source, random_valid_source,
+                     reference_dump_json)
 
 QA = "corpus/pass/qa_system.dial"
 BROKEN = "corpus/fail/qa_missing_ner.dial"
@@ -155,6 +156,25 @@ def test_unreadable_file_keeps_other_diagnostics(command, as_json):
         assert [d["code"] for d in json.loads(out)] == ["E010"]
     else:
         assert out == "" and "E010" in err
+
+
+class _Writes(list):
+    write = list.append
+
+
+@given(st.lists(st.builds(
+    Diagnostic, st.sampled_from([*ERROR_CODES, "W201", "W207"]), st.text(),
+    st.none() | st.text(), st.none() | st.builds(Span, st.integers(1, 10**6),
+                                                 st.integers(1, 10**6)))))
+@example([])
+@example([Diagnostic("E002", 'a "quote", a \\ and \x00\x1f\x7f\n\t, é ✓ \U0001f600',
+                     'dir\\"x".dial', Span(3, 7))])
+def test_json_diagnostics_are_one_write_of_the_chunked_bytes(diagnostics):
+    # one string per call, byte for byte what json.dump wrote chunk by chunk
+    writes, chunks = _Writes(), io.StringIO()
+    dump_json(diagnostics, writes)
+    reference_dump_json(diagnostics, chunks)
+    assert len(writes) == 1 and writes[0] == chunks.getvalue()
 
 
 # -- lint ----------------------------------------------------------------------

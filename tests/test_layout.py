@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import dial.layout
 from dial.cli import compile_file, compile_source
 from dial.layout import (
     GRID,
@@ -17,6 +18,7 @@ from dial.layout import (
     break_cycles,
     debug_dump,
     layout,
+    main_layering,
     order_within_layers,
 )
 from dial.model import Diagram, Edge, MetaTable, Node, Port
@@ -27,6 +29,7 @@ from oracles import (
     random_feedback_diagram,
     random_grouped_diagram,
     random_layout_diagram,
+    reference_assign_layers,
     reference_break_cycles,
     reference_layout,
     reference_order_within_layers,
@@ -422,3 +425,29 @@ def test_layout_matches_quadratic_reference():
         banded += len(set(band_of.values())) > 1
     # the mix exercises what the rewrites touch
     assert reversing > 500 and grouped > 300 and banded > 300, (reversing, grouped, banded)
+
+
+def test_layers_match_the_two_pass_reference_in_queue_order(monkeypatch):
+    # the one-pass layering returns the earlier dict item for item, so its
+    # order, Kahn's queue order, too; the checker's call, every area of a
+    # layout and main_layering are checked on the mix above
+    calls = []
+
+    def checked(ids, oriented):
+        layers = assign_layers(ids, oriented)
+        assert list(layers.items()) == list(reference_assign_layers(ids, oriented).items())
+        calls.append(max(layers.values(), default=0))
+        return layers
+
+    monkeypatch.setattr(dial.layout, "assign_layers", checked)
+    rng = random.Random(29)
+    makers = (random_feedback_diagram,
+              lambda r: random_layout_diagram(r, cyclic=True),
+              random_grouped_diagram)
+    for i in range(2100):
+        d = makers[i % 3](rng)
+        oriented, reversed_ids = break_cycles(d)
+        checked([n.id for n in d.nodes], oriented)
+        main_layering(d, oriented)
+        layout(d, oriented, reversed_ids)
+    assert len(calls) > 3 * 2100 and sum(depth > 2 for depth in calls) > 1000, len(calls)
