@@ -24,7 +24,6 @@ import contextlib
 import os
 import sys
 from functools import cache, cached_property
-from pathlib import Path
 
 from . import __version__, layout, lint as lint_mod, render
 from .diagnostics import Diagnostic, dump_json, has_errors
@@ -103,7 +102,8 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
 
 def read_source(path: str) -> str:
     """UTF-8 with BOM tolerance; undecodable bytes surface as E001."""
-    return Path(path).read_bytes().decode("utf-8-sig", errors="replace")
+    with open(path, "rb") as file:
+        return file.read().decode("utf-8-sig", errors="replace")
 
 
 def compile_file(path: str) -> CompileResult:
@@ -131,9 +131,7 @@ _RESET = "\x1b[0m"
 
 
 def _use_color(stream) -> bool:
-    if os.environ.get("NO_COLOR"):
-        return False
-    return bool(getattr(stream, "isatty", lambda: False)())
+    return not os.environ.get("NO_COLOR") and bool(getattr(stream, "isatty", lambda: False)())
 
 
 def _print_human(diagnostics: list[Diagnostic], stream) -> None:
@@ -229,7 +227,8 @@ def _cmd_fmt(args, stdout, stderr) -> int:
         return 0 if formatted == source else 1
     if args.write:
         if formatted != source:
-            Path(path).write_text(formatted, encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as out:
+                out.write(formatted)
         return 0
     stdout.write(formatted)
     return 0

@@ -7,8 +7,7 @@ rules are ``dial.lint.RULES``.
 
 from __future__ import annotations
 
-import json
-from typing import IO
+import io
 
 from .record import Record
 
@@ -95,7 +94,8 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diagnostics)
 
 
-def dump_json(diagnostics: list[Diagnostic], stream: IO[str]) -> None:
+def dump_json(diagnostics: list[Diagnostic], stream: io.TextIOBase) -> None:
+    import json  # only --json output needs it
     stream.write(json.dumps([d.to_json_obj() for d in diagnostics], indent=2) + "\n")
 
 

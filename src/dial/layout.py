@@ -38,14 +38,14 @@ in the checker; ``layout`` draws the orientation the checker used:
                       the node row
 
 Everything is integer arithmetic, so equal diagrams produce byte-identical
-layouts on every platform. The barycenter keys are exact too: a node's own
-position or its single anchor's is a plain ``int``, and only the mean of
-two or more anchors is a ``Fraction``; Python compares the two exactly.
+layouts on every platform. The barycenter keys are exact too: within one
+layer, each anchor mean is scaled by the lcm of that layer's anchor counts,
+so every key is an ``int`` and equal means give equal keys.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .model import Diagram, Edge, Node
 from .record import Record
@@ -222,22 +222,24 @@ def order_within_layers(node_ids: list[str], layers: dict[str, int],
     layer_keys = sorted(key for key, layer in by_layer.items() if len(layer) > 1)
     positions = {n: i for layer in by_layer.values() for i, n in enumerate(layer)}
 
-    def bary(node: str, neighbor: dict[str, list[str]]) -> int | Fraction:
+    def bary(node: str, neighbor: dict[str, list[str]], scale: int) -> int:
         anchors = neighbor[node]
         if not anchors:
-            return positions[node]
+            return positions[node] * scale
         if len(anchors) == 1:
-            return positions[anchors[0]]
-        return Fraction(sum(positions[p] for p in anchors), len(anchors))
+            return positions[anchors[0]] * scale
+        return sum(positions[p] for p in anchors) * (scale // len(anchors))
 
-    for direction in ("down", "up", "down", "up"):
-        keys = layer_keys if direction == "down" else reversed(layer_keys)
-        neighbor = preds if direction == "down" else succs
-        for key in keys:
-            layer = by_layer[key]
-            layer.sort(key=lambda n: (band_of[n], bary(n, neighbor), decl_index[n]))
-            for i, node in enumerate(layer):
-                positions[node] = i
+    def sweep(keys, neighbor: dict[str, list[str]]) -> list[tuple[list[str], dict, int]]:
+        # a layer's key scale: the lcm of its anchor counts (none counts as 1; lcm(0, ...) is 0)
+        return [(by_layer[key], neighbor, lcm(*{len(neighbor[n]) or 1 for n in by_layer[key]}))
+                for key in keys]
+
+    down, up = sweep(layer_keys, preds), sweep(reversed(layer_keys), succs)
+    for layer, neighbor, scale in down + up + down + up:
+        layer.sort(key=lambda n: (band_of[n], bary(n, neighbor, scale), decl_index[n]))
+        for i, node in enumerate(layer):
+            positions[node] = i
     return by_layer
 
 

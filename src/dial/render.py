@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterator
-from typing import TextIO
 
 from . import __version__
 from .diagnostics import RenderMismatch
@@ -153,7 +152,7 @@ class _Drawing:
     def __init__(self, typed: TypedDiagram, layout: LayoutResult):
         self.typed, self.layout = typed, layout
 
-    def write(self, out: TextIO | None) -> str | None:
+    def write(self, out: io.TextIOBase | None) -> str | None:
         """E301 before any output; then each line and its newline, into ``out``
         or, without one, into a string that is returned."""
         _check_pairing(self.typed, self.layout)
@@ -338,7 +337,7 @@ class _Svg(_Drawing):
             yield f'<text x="{box.x + 6}" y="{box.y + 16 + 16 * i}" font-size="10">{row}</text>'
 
 
-def render_svg(typed: TypedDiagram, layout: LayoutResult, out: TextIO | None = None) -> str | None:
+def render_svg(typed: TypedDiagram, layout: LayoutResult, out: io.TextIOBase | None = None) -> str | None:
     """Deterministic SVG 1.1 document for a typed, laid-out diagram, written
     into ``out`` as it is drawn; without ``out``, returned as a ``str``."""
     return _Svg(typed, layout).write(out)
@@ -441,7 +440,7 @@ class _Tikz(_Drawing):
                    rf"at ({box.x + 4},{box.y + 10 + 16 * i}) {{{row}}};")
 
 
-def render_tikz(typed: TypedDiagram, layout: LayoutResult, out: TextIO | None = None) -> str | None:
+def render_tikz(typed: TypedDiagram, layout: LayoutResult, out: io.TextIOBase | None = None) -> str | None:
     """Standalone-compilable TikZ with the same visual semantics as the SVG,
     written into ``out`` or returned as :func:`render_svg` does."""
     return _Tikz(typed, layout).write(out)

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -449,6 +450,26 @@ def test_child_interpreter_renders_the_golden(tmp_path, fmt):
                            "--format", fmt], capture_output=True, text=True, cwd=Path.cwd())
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
     assert target.read_bytes() == Path(f"corpus/golden/{target.name}").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["check", "--json", "corpus/fail/syntax_recovery.dial"],
+                                  ["lint", "--json", "corpus/fail/syntax_recovery.dial"],
+                                  ["symbols", "--json"]], ids=["check", "lint", "symbols"])
+def test_child_interpreter_writes_json_without_preloaded_modules(argv):
+    # json is imported where --json output is written; this process has
+    # loaded it already, so only a fresh interpreter (-S: no site start-up
+    # imports) shows a missing import
+    package_root = str(Path(__file__).resolve().parents[1] / "src")
+    pythonpath = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-S", "-m", "dial", *argv], capture_output=True,
+                          text=True, cwd=Path.cwd(), env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.stderr == ""
+    rows = json.loads(proc.stdout)
+    if argv[0] == "symbols":
+        assert proc.returncode == 0 and rows
+    else:
+        expected = Path("corpus/fail/syntax_recovery.expect").read_text().split()
+        assert (proc.returncode, [row["code"] for row in rows]) == (1, expected)
 
 
 def test_no_color_env_is_respected(monkeypatch, tmp_path):

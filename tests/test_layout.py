@@ -425,6 +425,33 @@ def test_layout_matches_quadratic_reference():
         banded += len(set(band_of.values())) > 1
     # the mix exercises what the rewrites touch
     assert reversing > 500 and grouped > 300 and banded > 300, (reversing, grouped, banded)
+    # integer keys scaled per layer against the reference's Fractions: equal
+    # means over different anchor counts (1/2 and 2/4, 1/3 and 2/6), means
+    # less than 1/100 apart (33/100, 50/149 and 1/3; 51/101 and 1/2), a node
+    # without anchors (b2, at position 2) beside one whose single anchor is at
+    # position 2, and counts 1 to 40, whose lcm is above 2**52
+    rng = random.Random(31)
+    counts_1_to_40 = [rng.choices(range(40), k=k) for k in range(1, 41)]
+    doubled = [anchors * 2 for anchors in counts_1_to_40[:20]]
+    for width, anchor_lists in (
+            (3, [[0] * 67 + [1] * 33, [0, 0, 1, 1], [], [0] * 4 + [1] * 2, [2], [0, 1],
+                 [0] * 99 + [1] * 50, [0, 0, 1], [0] * 50 + [1] * 51]),
+            (40, rng.sample(counts_1_to_40 + doubled, 60))):
+        ids, layers, oriented = _two_layer_input(width, anchor_lists)
+        for bands in (dict.fromkeys(ids, 0), {n: int(n[1:]) % 2 for n in ids}):
+            assert order_within_layers(ids, layers, oriented, bands) == \
+                reference_order_within_layers(ids, layers, oriented, bands), width
+
+
+def _two_layer_input(width: int, anchor_lists: list[list[int]]):
+    """Anchors ``a0``..``a{width-1}`` in layer 0 and, in layer 1, node ``b{i}``
+    with an edge from each anchor that ``anchor_lists[i]`` names (a repeat
+    is a parallel edge): the ids, layers and oriented edges."""
+    tops = [f"a{j}" for j in range(width)]
+    bottoms = [f"b{i}" for i in range(len(anchor_lists))]
+    pairs = [(f"a{j}", b) for b, anchors in zip(bottoms, anchor_lists) for j in anchors]
+    oriented = [(f"e{k}", u, v) for k, (u, v) in enumerate(pairs)]
+    return tops + bottoms, {**dict.fromkeys(tops, 0), **dict.fromkeys(bottoms, 1)}, oriented
 
 
 def test_layers_match_the_two_pass_reference_in_queue_order(monkeypatch):

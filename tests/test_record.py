@@ -114,11 +114,16 @@ def test_diagram_equality_compares_every_field():
 def test_cold_start_imports_neither_dataclasses_nor_inspect():
     # the CLI's import path defines its records without dataclasses, which
     # would pull in inspect, ast, dis and tokenize; nor does it load the
-    # interchange codec, which no command uses
+    # interchange codec, which no command uses. Layout orders by integer keys
+    # (no fractions, and with it decimal and numbers), diagnostics imports
+    # json only to write --json output, annotations need no typing, and the
+    # CLI opens its files without pathlib
+    unused = {"dataclasses", "inspect", "dial.interchange", "fractions", "decimal", "numbers",
+              "json", "typing", "pathlib"}
     package_root = str(Path(dial.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     script = ("import sys\nimport dial.cli\nfrom dial.registry import Registry\nRegistry()\n"
-              "print(sorted({'dataclasses', 'inspect', 'dial.interchange'} & set(sys.modules)))\n")
+              f"print(sorted({unused!r} & set(sys.modules)))\n")
     # -S: no site start-up, whose imports depend on the interpreter's install
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": pythonpath})
