@@ -6,9 +6,10 @@ printer, idempotent).
 
 Each stage is linear in tokens plus declarations. ``tokenize`` is one
 ``findall`` of every lexeme into :class:`Tokens`, parallel lists of kinds,
-texts and start offsets: a start sums the lengths before it, and a kind is
-looked up by first character, the whole text deciding only a string, arrow,
-comment, number or illegal character. A number with more than
+texts and start offsets: a start sums the lengths before it, and a kind is a
+lookup of the whole text (keyword, punctuation, arrow) or else of the first
+character (identifier, space). A string is the slice between its quotes; only
+one with a backslash meets a regular expression. A number with more than
 :data:`~dial.terms.MAX_DIGITS` digits before its point is E001 and dropped,
 as an illegal character is. The AST keeps token offsets,
 and :func:`locate` makes a :class:`Span` only for a diagnostic, so a valid
@@ -113,8 +114,11 @@ _STRING = r'"(?:[^"\\\n]|\\.)*'
 _LEXEME_RE = re.compile(r'[ \t\r\n]+|[A-Za-z_][A-Za-z0-9_]*|//[^\n]*|->|<->|\|->|\?>|-o|~>|'
                         + _STRING + r'["\\]?|\d+(?:\.\d+)?|.', re.DOTALL)
 _STRING_RE = re.compile(_STRING + '"', re.DOTALL)  # a closed string lexeme
-# A lexeme's kind by its first character; tokenize decides the other lexemes.
-_FIRST_KIND = {**dict.fromkeys(" \t\r\n", "space"), **dict.fromkeys(":{}()[],=@^.;", "punct"),
+# The kind of a keyword, punctuation or arrow lexeme, by its whole text.
+_LEXEME_KIND = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(":{}()[],=@^.;", "punct"),
+                **dict.fromkeys(ARROWS, "arrow")}
+# Any other lexeme's kind by its first character; tokenize decides the rest.
+_FIRST_KIND = {**dict.fromkeys(" \t\r\n", "space"),
                **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -139,20 +143,20 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
     tokens = Tokens(source)
     kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
     diagnostics: list[Diagnostic] = []
+    lexeme_kind, first_kind = _LEXEME_KIND.get, _FIRST_KIND.get
     end = 0
     for text in _LEXEME_RE.findall(source):
         start = end
         end += len(text)
-        kind = _FIRST_KIND.get(text[0])
-        if kind == "space":
-            continue
-        if kind == "ident":
-            if text in KEYWORDS:
-                kind = "keyword"
-        elif kind is None:
+        kind = lexeme_kind(text) or first_kind(text[0])
+        if kind is None:
             first = text[0]
-            if first == '"' and _STRING_RE.fullmatch(text):
-                kind, text = "string", _ESCAPE_RE.sub(r"\1", text[1:-1])
+            if first == '"':  # without a backslash, closed if its last quote is not its first
+                if "\\" not in text:
+                    if len(text) > 1 and text[-1] == '"':
+                        kind, text = "string", text[1:-1]
+                elif _STRING_RE.fullmatch(text):
+                    kind, text = "string", _ESCAPE_RE.sub(r"\1", text[1:-1])
             elif first.isdecimal():  # exactly the digits \d matches
                 if len(text.partition(".")[0]) > MAX_DIGITS:
                     diagnostics.append(Diagnostic(
@@ -160,15 +164,15 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
                         span=locate(source, start, len(text))))
                     continue
                 kind = "number"
-            elif first == "/" and len(text) > 1:  # a comment
+            elif len(text) > 1:  # a comment
                 continue
-            elif first == '"' or len(text) == 1:
+            if kind is None:
                 message = "unterminated string literal" if first == '"' \
                     else f"illegal character {text!r}"
                 diagnostics.append(Diagnostic("E001", message, span=locate(source, start, 1)))
                 continue
-            else:
-                kind = "arrow"
+        elif kind == "space":
+            continue
         kinds.append(kind)
         texts.append(text)
         starts.append(start)

@@ -165,6 +165,10 @@ def _lex_literal(text: str) -> tuple[list[str], list[str]]:
     return kinds, texts
 
 
+_NAME_KINDS = ("ident", "keyword")  # a keyword is a name inside a term
+_NO_LABELS: frozenset[str] = frozenset()
+
+
 def token_text(kind: str, text: str) -> str:
     """A token as the term reader matches it and messages show it: a string
     keeps its quotes, so it is never term punctuation or a name."""
@@ -177,10 +181,13 @@ class TermParser:
     :func:`parse_term` passes a literal's lists; the DSL parser passes its
     own, with the term's first index as ``start``, and reads :attr:`index`
     afterwards to know where the term ended. ``TermError.pos`` is a token
-    index. Bases resolve against :data:`SPELLINGS` and labels must be in
-    ``labels``. With ``labels=None`` the parser checks structure only; base
-    and label names pass through unresolved (the DSL front end uses this to
-    find a term's extent before extensions are registered).
+    index. A step reads one token in place: :meth:`_skip` and :meth:`_expect`
+    punctuation (or ``Arg``), never a string, :meth:`_name` a name and
+    :meth:`_number` a number. Bases resolve against :data:`SPELLINGS` and
+    labels must be in ``labels``. With ``labels=None`` the parser checks
+    structure only; base and label names pass through unresolved (the DSL
+    front end uses this to find a term's extent before extensions are
+    registered).
     """
 
     def __init__(self, kinds: list[str], texts: list[str],
@@ -191,89 +198,94 @@ class TermParser:
         self.index = start
         self.depth = 0  # brackets open around the term being parsed
 
-    def _at(self, text: str) -> bool:
+    def _skip(self, text: str) -> bool:
+        """Step past ``text`` if it comes next."""
         i = self.index
-        return i < len(self.kinds) and self.texts[i] == text and self.kinds[i] != "string"
+        if i < len(self.texts) and self.texts[i] == text and self.kinds[i] != "string":
+            self.index = i + 1
+            return True
+        return False
 
-    def _take(self, text: str | None = None, kind: str | None = None) -> str:
-        """Step past ``text`` (never a string), or else a token of ``kind``:
-        ``ident`` (a keyword is a name here too) or ``number``."""
+    def _expect(self, text: str) -> None:
+        """Step past ``text``, which must come next."""
+        if not self._skip(text):
+            raise self._expected(text, repr(text))
+
+    def _name(self) -> str:
+        """Step past a name (an identifier, or a keyword, which is a name here too)."""
         i = self.index
-        if i < len(self.kinds):
-            found_kind = self.kinds[i]
-            if (self.texts[i] == text and found_kind != "string" if text is not None
-                    else found_kind == kind or found_kind == "keyword" and kind == "ident"):
-                self.index = i + 1
-                return self.texts[i]
-        word = text or ("num" if kind == "number" else kind)  # the word messages use
+        if i < len(self.kinds) and self.kinds[i] in _NAME_KINDS:
+            self.index = i + 1
+            return self.texts[i]
+        raise self._expected("ident")
+
+    def _number(self) -> str:
+        i = self.index
+        if i < len(self.kinds) and self.kinds[i] == "number":
+            self.index = i + 1
+            return self.texts[i]
+        raise self._expected("num")
+
+    def _expected(self, word: str, shown: str | None = None) -> TermError:
+        """The error for the token at the cursor, which is not ``word``."""
+        i = self.index
         if i == len(self.kinds):
-            raise TermError(f"term ended early, expected {word}", i)
+            return TermError(f"term ended early, expected {word}", i)
         found = token_text(self.kinds[i], self.texts[i])
-        raise TermError(f"expected {word if text is None else repr(text)}, found {found!r}", i)
+        return TermError(f"expected {shown or word}, found {found!r}", i)
 
     def parse(self) -> DataTerm:
         i = self.index
         if i == len(self.kinds):
             raise TermError("empty data term", i)
         kind, text = self.kinds[i], self.texts[i]
+        if kind in _NAME_KINDS:
+            self.index = i + 1
+            return self._parse_base(text, i)
         if kind != "punct" or text not in ("(", "{"):
-            if kind not in ("ident", "keyword"):
-                raise TermError(f"expected a data term, found {token_text(kind, text)!r}", i)
-            return self._parse_base()
+            raise TermError(f"expected a data term, found {token_text(kind, text)!r}", i)
         if self.depth == MAX_NESTING:
             raise TermNestingError(f"data term nested deeper than {MAX_NESTING} levels", i)
         self.depth += 1
+        self.index = i + 1
         if text == "(":
-            term = self._parse_tuple()
+            elements = [self.parse()]
+            while self._skip(","):
+                elements.append(self.parse())
+            self._expect(")")
+            term = elements[0] if len(elements) == 1 else \
+                DataTerm(None, _NO_LABELS, None, None, TUPLE, None, tuple(elements))
         else:
-            self._take("{")
-            term = DataTerm(structure=SET, element=self.parse())
-            self._take("}")
+            term = DataTerm(None, _NO_LABELS, None, None, SET, self.parse())
+            self._expect("}")
         self.depth -= 1
         return term
 
-    def _parse_tuple(self) -> DataTerm:
-        self._take("(")
-        elements = [self.parse()]
-        while self._at(","):
-            self._take(",")
-            elements.append(self.parse())
-        self._take(")")
-        if len(elements) == 1:
-            return elements[0]
-        return DataTerm(structure=TUPLE, elements=tuple(elements))
-
-    def _parse_base(self) -> DataTerm:
-        pos, text = self.index, self._take(kind="ident")
-
+    def _parse_base(self, text: str, pos: int) -> DataTerm:
+        """The term whose base name ``text``, at ``pos``, was just read."""
         # Classification outcome with an explicit range: P_<class>[a,b].
-        if text.startswith("P_") and self._at("["):
+        if text.startswith("P_") and self._skip("["):
             sub = text[2:]
-            self._take("[")
-            lo = float(self._take(kind="number"))
-            self._take(",")
-            hi = float(self._take(kind="number"))
-            self._take("]")
+            lo = float(self._number())
+            self._expect(",")
+            hi = float(self._number())
+            self._expect("]")
             if lo > hi:
                 raise TermError(f"distribution range [{lo:g},{hi:g}] is inverted", pos)
             sub = None if sub in ("", "c") else sub
-            return DataTerm(base="P_c", annotations=self._parse_sup(), subscript=sub,
-                            structure=DIST, dist_range=(lo, hi))
+            return DataTerm("P_c", self._parse_sup(), sub, None, DIST, None, (), None, (lo, hi))
 
         # Predicate-argument structure keeps its traditional Pred(Arg) spelling.
-        if text == "Pred" and self._at("("):
-            self._take("(")
-            self._take("Arg")
-            self._take(")")
+        if text == "Pred" and self._skip("("):
+            self._expect("Arg")
+            self._expect(")")
             base, subscript, as_set = "PredArg", None, False
         else:
             base, subscript, as_set = self._resolve_base(text, pos)
 
-        labels = self._parse_sup()
-        dims = self._parse_dims()
-        term = DataTerm(base=base, annotations=labels, subscript=subscript, dims=dims)
+        term = DataTerm(base, self._parse_sup(), subscript, self._parse_dims())
         if as_set:
-            term = DataTerm(structure=SET, element=term)
+            term = DataTerm(None, _NO_LABELS, None, None, SET, term)
         return term
 
     def _resolve_base(self, text: str, pos: int) -> tuple[str, str | None, bool]:
@@ -288,45 +300,37 @@ class TermParser:
         raise TermError(f"unknown data category {text!r}", pos)
 
     def _parse_sup(self) -> frozenset[str]:
-        if not self._at("^"):
-            return frozenset()
-        self._take("^")
-        labels: list[str] = []
-        if self._at("{"):
-            self._take("{")
-            labels.append(self._take_label())
-            while self._at(","):
-                self._take(",")
-                labels.append(self._take_label())
-            self._take("}")
-        else:
-            labels.append(self._take_label())
+        if not self._skip("^"):
+            return _NO_LABELS
+        if not self._skip("{"):
+            return frozenset((self._label(),))
+        labels = [self._label()]
+        while self._skip(","):
+            labels.append(self._label())
+        self._expect("}")
         return frozenset(labels)
 
-    def _take_label(self) -> str:
-        pos, text = self.index, self._take(kind="ident")
-        if text == "Pred" and self._at("("):
-            self._take("(")
-            self._take("Arg")
-            self._take(")")
+    def _label(self) -> str:
+        pos, text = self.index, self._name()
+        if text == "Pred" and self._skip("("):
+            self._expect("Arg")
+            self._expect(")")
             text = "PredArg"
         if self.labels is not None and text not in self.labels:
             raise TermError(f"unknown classification label {text!r}", pos)
         return text
 
     def _parse_dims(self) -> tuple[int, ...] | None:
-        if not self._at("["):
+        if not self._skip("["):
             return None
-        self._take("[")
-        dims = [self._take_dim()]
-        while self._at(","):
-            self._take(",")
-            dims.append(self._take_dim())
-        self._take("]")
+        dims = [self._dim()]
+        while self._skip(","):
+            dims.append(self._dim())
+        self._expect("]")
         return tuple(dims)
 
-    def _take_dim(self) -> int:
-        pos, text = self.index, self._take(kind="number")
+    def _dim(self) -> int:
+        pos, text = self.index, self._number()
         if "." in text or int(text) < 1:
             raise TermError(f"dimension must be a positive integer, got {text}", pos)
         return int(text)

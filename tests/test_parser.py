@@ -7,6 +7,7 @@ import string
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -118,6 +119,15 @@ TOKEN_POSITIONS = {
     # eof sits at the end of the input, also after a comment with no newline
     "comment_at_end": ("node p\n  // trailing", [
         ("keyword", "node", 1, 1, 4), ("ident", "p", 1, 6, 1), ("eof", "", 2, 14, 0)], []),
+    # the last character is a quote, but an escaped one: the string stays open
+    "open_string_at_escaped_quote": ('x "abc\\"', [("ident", "x", 1, 1, 1), ("eof", "", 1, 9, 0)],
+                                     [("unterminated string literal", 1, 3)]),
+    "string_ending_in_escaped_backslash": ('x "a\\\\" y', [
+        ("ident", "x", 1, 1, 1), ("string", "a\\", 1, 3, 2), ("ident", "y", 1, 9, 1),
+        ("eof", "", 1, 10, 0)], []),
+    "empty_string": ('x "" y', [
+        ("ident", "x", 1, 1, 1), ("string", "", 1, 3, 0), ("ident", "y", 1, 6, 1),
+        ("eof", "", 1, 7, 0)], []),
 }
 
 
@@ -186,6 +196,25 @@ def test_tokenize_builds_no_token_or_span(monkeypatch):
     assert diags == [] and len(tokens) == 44_009
     assert built == Counter()
     assert tokens.span(2) == Span(2, 1, 7) and built == {"Span": 2}
+
+
+def test_tokenize_matches_no_pattern_for_a_string_without_backslash(monkeypatch):
+    calls: Counter[str] = Counter()
+    def counting(name, pattern):
+        def count(method):
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+            return counted
+        return SimpleNamespace(fullmatch=count(pattern.fullmatch), sub=count(pattern.sub))
+    monkeypatch.setattr(dial.parser, "_STRING_RE", counting("string", dial.parser._STRING_RE))
+    monkeypatch.setattr(dial.parser, "_ESCAPE_RE", counting("escape", dial.parser._ESCAPE_RE))
+    tokens, diags = tokenize(wide_source(1000))
+    assert diags == [] and tokens.kinds.count("string") == 1001
+    assert calls == Counter()
+    tokens, diags = tokenize(" ".join(f'"a\\"{i}\\\\"' for i in range(7)))
+    assert diags == [] and tokens.texts == [f'a"{i}\\' for i in range(7)] + [""]
+    assert calls == {"string": 7, "escape": 7}
 
 
 def spans_in(value) -> list[Span]:

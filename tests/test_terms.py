@@ -20,6 +20,8 @@ from dial.terms import (
     DataTerm,
     TermError,
     TermNestingError,
+    TermParser,
+    _lex_literal,
     format_term,
     parse_term,
 )
@@ -249,3 +251,24 @@ def test_term_reader_matches_triple_reference(labels):
         if labels is None and case.startswith("unknown "):
             continue  # names pass through unresolved
         assert seen[case] >= least, (case, seen)
+
+
+@pytest.mark.parametrize("labels", [ANNOTATION_LABELS, None], ids=["builtin", "structure_only"])
+def test_term_reader_in_place_stops_at_the_next_token(labels):
+    # the DSL parser reads a term inside its own token lists and takes the
+    # term's extent from where the reader stops
+    rng = random.Random(20261021)
+    read = 0
+    for i in range(3000):
+        literal = random_term_literal(rng)
+        if i % 2:
+            literal = mutate_term_literal(rng, literal)
+        try:
+            term = parse_term(literal, labels)
+        except TermError:
+            continue
+        kinds, texts = _lex_literal(literal)
+        reader = TermParser(["ident", *kinds, "punct"], ["x", *texts, ";"], labels, start=1)
+        assert reader.parse() == term and reader.index == len(kinds) + 1, literal
+        read += 1
+    assert read >= 400
