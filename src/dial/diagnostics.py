@@ -68,17 +68,6 @@ class Diagnostic(Record):
     def with_location(self, file: str | None, span: Span | None) -> Diagnostic:
         return Diagnostic(self.code, self.message, file, span, self.ir_path, self.ir_kind)
 
-    def to_json_obj(self) -> dict:
-        # Frozen wire shape: exactly these six keys.
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "file": self.file,
-            "line": self.span.line if self.span else None,
-            "col": self.span.col if self.span else None,
-            "message": self.message,
-        }
-
     def render_human(self) -> str:
         where = ""
         if self.file and self.span:
@@ -95,8 +84,16 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 
 
 def dump_json(diagnostics: list[Diagnostic], stream: io.TextIOBase) -> None:
-    import json  # only --json output needs it
-    stream.write(json.dumps([d.to_json_obj() for d in diagnostics], indent=2) + "\n")
+    """One object per diagnostic in the frozen wire shape, exactly these six keys,
+    in one write, byte for byte as ``json.dumps(..., indent=2)`` prints the list."""
+    from json.encoder import encode_basestring_ascii as text  # only --json output needs it
+    objects = ",\n".join(
+        f'  {{\n    "code": {text(d.code)},\n    "severity": {text(d.severity)},\n'
+        f'    "file": {"null" if d.file is None else text(d.file)},\n'
+        f'    "line": {"null" if d.span is None else d.span.line},\n'
+        f'    "col": {"null" if d.span is None else d.span.col},\n'
+        f'    "message": {text(d.message)}\n  }}' for d in diagnostics)
+    stream.write(f"[\n{objects}\n]\n" if objects else "[]\n")
 
 
 class DialError(Exception):

@@ -26,14 +26,15 @@ in the checker; ``layout`` draws the orientation the checker used:
   3. ordering         four fixed barycenter sweeps (down, up, down, up) with
                       declaration order breaking ties; the node -> position
                       map is built once and rewritten only for the layer
-                      just sorted, and a layer of one node, already at
-                      position 0, is never sorted: O(E + N log N) per sweep
+                      just sorted; a layer of one node, already at position
+                      0, is never sorted, and without a layer of two nodes
+                      nothing is set up for a sweep: O(E + N log N) per sweep
   4. coordinates      integer boxes on a 4-unit grid; title strip at the top
                       left, then any top tables, then the main area, zoom-in
                       groups in their own boxes below it and meta tables at
                       the bottom right. Nodes and edges are bucketed by
                       area, and stack heights by (band, layer), in one pass
-                      each; every box is placed once, where it is drawn
+                      each; every box is built once, where it is drawn
   5. routing          polylines; recurrent edges and self-edges loop above
                       the node row
 
@@ -77,9 +78,6 @@ class Box(Record):
     @property
     def cy(self) -> int:
         return self.y + self.h // 2
-
-    def shifted(self, dx: int, dy: int) -> "Box":
-        return Box(self.x + dx, self.y + dy, self.w, self.h)
 
 
 class LayoutResult(Record):
@@ -209,9 +207,11 @@ def order_within_layers(node_ids: list[str], layers: dict[str, int],
     by_layer: dict[int, list[str]] = {}
     for node in node_ids:
         by_layer.setdefault(layers[node], []).append(node)
-    for layer_nodes in by_layer.values():
-        if len(layer_nodes) > 1:
-            layer_nodes.sort(key=lambda n: (band_of[n], decl_index[n]))
+    layer_keys = sorted(key for key, layer in by_layer.items() if len(layer) > 1)
+    if not layer_keys:  # every node is alone in its layer, at position 0
+        return by_layer
+    for key in layer_keys:
+        by_layer[key].sort(key=lambda n: (band_of[n], decl_index[n]))
 
     preds: dict[str, list[str]] = {n: [] for n in node_ids}
     succs: dict[str, list[str]] = {n: [] for n in node_ids}
@@ -219,7 +219,6 @@ def order_within_layers(node_ids: list[str], layers: dict[str, int],
         preds[v].append(u)
         succs[u].append(v)
 
-    layer_keys = sorted(key for key, layer in by_layer.items() if len(layer) > 1)
     positions = {n: i for layer in by_layer.values() for i, n in enumerate(layer)}
 
     def bary(node: str, neighbor: dict[str, list[str]], scale: int) -> int:
@@ -338,8 +337,8 @@ def main_layering(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> Lay
 
 
 def _layout_area(nodes: list[Node], edges: list[Edge],
-                 orientation: dict[str, tuple[str, str, str]]) -> _Area:
-    """Lay out one area from its ``_layering``."""
+                 orientation: dict[str, tuple[str, str, str]], ox: int, oy: int) -> _Area:
+    """Lay out one area from its ``_layering``, its top left corner at (``ox``, ``oy``)."""
     area = _Area(nodes)
     ids = [n.id for n in nodes]
     (area.layers, area.bands), oriented = _layering(ids, edges, orientation)
@@ -380,7 +379,7 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
             band = band_of[node_id]
             x = _quant(col_x[layer] + (col_w[layer] - w) // 2)
             y = _quant(cursors.get(band, band_y[band]))
-            area.boxes[node_id] = Box(x, y, w, h)
+            area.boxes[node_id] = Box(x + ox, y + oy, w, h)
             cursors[band] = y + h + V_GAP
     area.width = _quant(total_w)
     area.height = _quant(total_h)
@@ -423,23 +422,17 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
                                            + table_size(table.rows)[1] + V_GAP)
     content_y = TITLE_H + MARGIN + max(top_strips.values(), default=0)
 
-    main = _layout_area(top_nodes, top_edges, orientation)
-    node_boxes: dict[str, Box] = {}
-    layers: dict[str, int] = dict(main.layers)
-    bands: dict[str, int] = dict(main.bands)
-    for node_id, box in main.boxes.items():
-        node_boxes[node_id] = box.shifted(MARGIN, content_y)
+    main = _layout_area(top_nodes, top_edges, orientation, MARGIN, content_y)
+    node_boxes, layers, bands = main.boxes, main.layers, main.bands
 
     # Group boxes stack below the main area, one per declaration.
     group_boxes: dict[str, Box] = {}
     y_cursor = content_y + main.height + (BAND_GAP if main.nodes else 0)
     for index, group in enumerate(diagram.groups):
-        sub = _layout_area(members[index], medges[index], orientation)
         caption_h = 24 if any(n.id in loop_ends for n in members[index]) else 12
-        origin_x = MARGIN + GROUP_PAD
-        origin_y = y_cursor + GROUP_PAD + caption_h
-        for node_id, box in sub.boxes.items():
-            node_boxes[node_id] = box.shifted(origin_x, origin_y)
+        sub = _layout_area(members[index], medges[index], orientation,
+                           MARGIN + GROUP_PAD, y_cursor + GROUP_PAD + caption_h)
+        node_boxes.update(sub.boxes)
         layers.update(sub.layers)
         bands.update(sub.bands)
         group_boxes[group.id] = Box(
@@ -507,12 +500,13 @@ def _route_edges(diagram: Diagram,
     routes: dict[str, tuple[tuple[int, int], ...]] = {}
     for edge in diagram.edges:
         src, tgt = boxes[edge.source.node], boxes[edge.target.node]
+        (sx, sy, sw, sh), (tx, ty, tw, th) = src, tgt
         if edge.flow_kind == "recurrent" or edge.source.node == edge.target.node:
             routes[edge.id] = _loop_route(src, tgt)
-        elif src.x > tgt.x:
-            routes[edge.id] = ((src.x, src.cy), (tgt.right, tgt.cy))
+        elif sx > tx:
+            routes[edge.id] = ((sx, sy + sh // 2), (tx + tw, ty + th // 2))
         else:
-            routes[edge.id] = ((src.right, src.cy), (tgt.x, tgt.cy))
+            routes[edge.id] = ((sx + sw, sy + sh // 2), (tx, ty + th // 2))
     return routes
 
 

@@ -438,8 +438,8 @@ class Parser:
         while True:
             kind, key = self.peek()
             if kind not in ("ident", "keyword"):
-                self.error(f"expected a parameter name, found {token_text(kind, key)!r}",
-                           self.span())
+                found = token_text(kind, key) or "end of input"
+                self.error(f"expected a parameter name, found {found!r}", self.span())
                 raise _ParseAbort()
             self.advance()
             self.expect("=", what="'='")
@@ -449,7 +449,8 @@ class Parser:
             elif kind in ("string", "ident", "keyword"):
                 value = text
             else:
-                self.error(f"expected a parameter value, found {text!r}", self.span())
+                self.error(f"expected a parameter value, found {text or 'end of input'!r}",
+                           self.span())
                 raise _ParseAbort()
             self.advance()
             out.append((key, value))
@@ -627,7 +628,7 @@ class Parser:
             return key, self._arity()
         kind, text = self.peek()
         if kind not in ("ident", "string", "number"):
-            self.error(f"expected a field value, found {text!r}", self.span())
+            self.error(f"expected a field value, found {text or 'end of input'!r}", self.span())
             raise _ParseAbort()
         self.advance()
         return key, text

@@ -7,9 +7,9 @@ only spell each element, as markup or as commands. Each node contributes
 exactly one element carrying class ``node-shape``; groups, tables and the
 title carry their own classes, so structural tests can count elements.
 
-Both emitters depend only on (typed diagram, layout), stamp their
-output with the toolchain version and write it into a text stream line by
-line as it is drawn. Equal data terms print alike, so the walk spells each
+Both emitters depend only on (typed diagram, layout), stamp their output
+with the toolchain version and write it into a text stream as it is drawn,
+one string per element. Equal data terms print alike, so the walk spells each
 distinct edge term once per drawing and reuses that markup for every other
 edge carrying it. A node's glyph comes from the record its code resolved
 to in validation, which the typed diagram's ``graph`` keeps: the task box for
@@ -153,27 +153,27 @@ class _Drawing:
         self.typed, self.layout = typed, layout
 
     def write(self, out: io.TextIOBase | None) -> str | None:
-        """E301 before any output; then each line and its newline, into ``out``
-        or, without one, into a string that is returned."""
+        """E301 before any output; then the drawn elements, into ``out`` or returned."""
         _check_pairing(self.typed, self.layout)
-        sink = io.StringIO() if out is None else out
-        sink.writelines(f"{line}\n" for line in self.lines())
-        return sink.getvalue() if out is None else None
+        if out is None:
+            return "".join(self.elements())
+        out.writelines(self.elements())
 
-    def lines(self) -> Iterator[str]:
+    def elements(self) -> Iterator[str]:
+        """Each drawn element, in drawing order, as one string of whole lines."""
         diagram, layout, by_id = self.typed.diagram, self.layout, self.typed.graph.nodes
-        yield from self.head(self.esc(diagram.name))
+        yield self.head(self.esc(diagram.name))
         for group in diagram.groups:
             owner = by_id[group.owner]
             caption = f"zoom: {owner.label or owner.code}"
-            yield from self.group(layout.group_boxes[group.id], self.esc(caption))
+            yield self.group(layout.group_boxes[group.id], self.esc(caption))
         for draw in self.order:
             yield from draw(self)
         for table in diagram.tables:
             box = layout.table_regions.get(table.id)
             if box is not None:
-                yield from self.table(box, [self.esc(f"{k}: {v}") for k, v in table.rows])
-        yield from self.tail
+                yield self.table(box, [self.esc(f"{k}: {v}") for k, v in table.rows])
+        yield self.tail
 
     def edges(self) -> Iterator[str]:
         spelled: dict[DataTerm | None, str | None] = {None: None}
@@ -185,8 +185,7 @@ class _Drawing:
                 markup = spelled[term]
             except KeyError:
                 markup = spelled[term] = self.term(term)
-            yield from self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4),
-                                 markup)
+            yield self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4), markup)
 
     def nodes(self) -> Iterator[str]:
         resolved = self.typed.graph.resolved
@@ -198,7 +197,7 @@ class _Drawing:
             if mark is not None:
                 lines[0] = mark if plain[0] == node.code else f"{mark} {lines[0]}"
             badge = glyph.badge and self.esc_mark(self.marks.get(glyph.badge, glyph.badge))
-            yield from self.node(glyph, self.layout.node_boxes[node.id], lines, badge)
+            yield self.node(glyph, self.layout.node_boxes[node.id], lines, badge)
 
     def mark_text(self, node: Node, glyph: GlyphSpec) -> str | None:
         if glyph.mark is None:
@@ -243,7 +242,7 @@ def _svg_term(term: DataTerm) -> str:
 def _shape_svg(glyph: GlyphSpec, box: Box) -> str:
     dash = ' stroke-dasharray="4 3"' if glyph.dashed else ""
     common = f'class="node-shape" fill="none" stroke="black"{dash}'
-    x, y, w, h = box.x, box.y, box.w, box.h
+    x, y, w, h = box
     if glyph.primitive == CIRCLE:
         r = min(w, h) // 2
         return f'<circle {common} cx="{x + w // 2}" cy="{y + h // 2}" r="{r}"/>'
@@ -279,11 +278,11 @@ class _Svg(_Drawing):
     marks, rank_count = SVG_MARKS, "{}"
     esc = esc_mark = staticmethod(_esc_xml)
     term = staticmethod(_svg_term)
-    tail = ("</svg>",)
+    tail = "</svg>\n"
 
-    def head(self, title: str) -> list[str]:
+    def head(self, title: str) -> str:
         width, height, tr = self.layout.width, self.layout.height, self.layout.title_region
-        return [
+        return "\n".join([
             '<?xml version="1.0" encoding="UTF-8"?>',
             f"<!-- {STAMP} -->",
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -296,45 +295,49 @@ class _Svg(_Drawing):
             "</defs>",
             f'<text class="title" x="{tr.x}" y="{tr.y + 12}" '
             f'font-size="14" font-weight="bold">{title}</text>',
-        ]
+        ]) + "\n"
 
-    def group(self, box: Box, caption: str) -> Iterator[str]:
-        yield (f'<rect class="group-box" fill="none" stroke="black" stroke-dasharray="6 4" '
-               f'x="{box.x}" y="{box.y}" width="{box.w}" height="{box.h}"/>')
-        yield f'<text x="{box.x + 4}" y="{box.y + 12}" font-size="9">{caption}</text>'
+    def group(self, box: Box, caption: str) -> str:
+        return (f'<rect class="group-box" fill="none" stroke="black" stroke-dasharray="6 4" '
+                f'x="{box.x}" y="{box.y}" width="{box.w}" height="{box.h}"/>\n'
+                f'<text x="{box.x + 4}" y="{box.y + 12}" font-size="9">{caption}</text>\n')
 
-    def edge(self, kind: str, route, at: tuple[int, int], term: str | None) -> Iterator[str]:
-        pts = " ".join(f"{x},{y}" for x, y in route)
+    def edge(self, kind: str, route, at: tuple[int, int], term: str | None) -> str:
+        pts = " ".join([f"{x},{y}" for x, y in route])
         dash = ' stroke-dasharray="5 3"' if kind == "query" else ""
         markers = ' marker-end="url(#arrow)"'
         if kind == "biflow":
             markers += ' marker-start="url(#arrow)"'
-        yield (f'<polyline class="edge edge-{kind}" fill="none" '
-               f'stroke="black"{dash} points="{pts}"{markers}/>')
+        out = (f'<polyline class="edge edge-{kind}" fill="none" '
+               f'stroke="black"{dash} points="{pts}"{markers}/>\n')
         if kind == "persist":
             x0, y0 = route[0]
-            yield f'<line stroke="black" x1="{x0}" y1="{y0 - 5}" x2="{x0}" y2="{y0 + 5}"/>'
+            out += f'<line stroke="black" x1="{x0}" y1="{y0 - 5}" x2="{x0}" y2="{y0 + 5}"/>\n'
         label = term if kind != "query" else "?" if term is None else f"{term} ?"
         if label:
-            yield (f'<text class="edge-term" x="{at[0]}" y="{at[1]}" font-size="10" '
-                   f'text-anchor="middle">{label}</text>')
+            out += (f'<text class="edge-term" x="{at[0]}" y="{at[1]}" font-size="10" '
+                    f'text-anchor="middle">{label}</text>\n')
+        return out
 
-    def node(self, glyph: GlyphSpec, box: Box, lines: list[str], badge: str | None) -> Iterator[str]:
-        yield _shape_svg(glyph, box)
-        cx = box.x + box.w // 2
-        ty = box.y + box.h // 2 - 6 * (len(lines) - 1) + 4
-        for i, line in enumerate(lines):
-            yield (f'<text x="{cx}" y="{ty + 12 * i}" text-anchor="middle" '
-                   f'font-size="{12 if i == 0 else 9}">{line}</text>')
+    def node(self, glyph: GlyphSpec, box: Box, lines: list[str], badge: str | None) -> str:
+        x, y, w, h = box
+        cx, ty = x + w // 2, y + h // 2 - 6 * (len(lines) - 1) + 4
+        out = (f'{_shape_svg(glyph, box)}\n'
+               f'<text x="{cx}" y="{ty}" text-anchor="middle" font-size="12">{lines[0]}</text>\n')
+        for i in range(1, len(lines)):
+            out += (f'<text x="{cx}" y="{ty + 12 * i}" text-anchor="middle" '
+                    f'font-size="9">{lines[i]}</text>\n')
         if badge is not None:
-            yield (f'<text x="{box.right - 4}" y="{box.y + 10}" '
-                   f'text-anchor="end" font-size="9">{badge}</text>')
+            out += (f'<text x="{x + w - 4}" y="{y + 10}" '
+                    f'text-anchor="end" font-size="9">{badge}</text>\n')
+        return out
 
-    def table(self, box: Box, rows: list[str]) -> Iterator[str]:
-        yield (f'<rect class="table-box" fill="none" stroke="black" '
-               f'x="{box.x}" y="{box.y}" width="{box.w}" height="{box.h}"/>')
+    def table(self, box: Box, rows: list[str]) -> str:
+        out = (f'<rect class="table-box" fill="none" stroke="black" '
+               f'x="{box.x}" y="{box.y}" width="{box.w}" height="{box.h}"/>\n')
         for i, row in enumerate(rows):
-            yield f'<text x="{box.x + 6}" y="{box.y + 16 + 16 * i}" font-size="10">{row}</text>'
+            out += f'<text x="{box.x + 6}" y="{box.y + 16 + 16 * i}" font-size="10">{row}</text>\n'
+        return out
 
 
 def render_svg(typed: TypedDiagram, layout: LayoutResult, out: io.TextIOBase | None = None) -> str | None:
@@ -399,11 +402,11 @@ class _Tikz(_Drawing):
     esc = staticmethod(_esc_tex)
     esc_mark = staticmethod(str)  # TikZ marks are TeX source already
     term = staticmethod(_tikz_term)
-    tail = (r"\end{tikzpicture}", r"\end{document}")
+    tail = "\\end{tikzpicture}\n\\end{document}\n"
 
-    def head(self, title: str) -> list[str]:
+    def head(self, title: str) -> str:
         tr = self.layout.title_region
-        return [
+        return "\n".join([
             f"% {STAMP}",
             r"\documentclass[border=4pt]{standalone}",
             r"\usepackage{tikz}",
@@ -411,33 +414,37 @@ class _Tikz(_Drawing):
             r"\begin{document}",
             r"\begin{tikzpicture}[x=1pt, y=-1pt, font=\ttfamily\small, >={Stealth[length=5pt]}]",
             rf"\node[anchor=north west, font=\ttfamily\bfseries] at ({tr.x},{tr.y}) {{{title}}};",
-        ]
+        ]) + "\n"
 
-    def group(self, box: Box, caption: str) -> Iterator[str]:
-        yield rf"\draw[dashed] ({box.x},{box.y}) rectangle ({box.right},{box.bottom});"
-        yield (rf"\node[anchor=north west, font=\ttfamily\tiny] "
-               rf"at ({box.x + 2},{box.y + 1}) {{{caption}}};")
+    def group(self, box: Box, caption: str) -> str:
+        return (rf"\draw[dashed] ({box.x},{box.y}) rectangle ({box.right},{box.bottom});" "\n"
+                rf"\node[anchor=north west, font=\ttfamily\tiny] "
+                rf"at ({box.x + 2},{box.y + 1}) {{{caption}}};" "\n")
 
-    def edge(self, kind: str, route, at: tuple[int, int], term: str | None) -> Iterator[str]:
-        path = " -- ".join(f"({x},{y})" for x, y in route)
-        yield rf"\draw[{_TIKZ_ARROWS.get(kind, '->')}] {path};"
+    def edge(self, kind: str, route, at: tuple[int, int], term: str | None) -> str:
+        path = " -- ".join([f"({x},{y})" for x, y in route])
+        out = rf"\draw[{_TIKZ_ARROWS.get(kind, '->')}] {path};" "\n"
         if term is not None:
-            yield rf"\node[font=\tiny, anchor=south] at ({at[0]},{at[1]}) {{${term}$}};"
+            out += rf"\node[font=\tiny, anchor=south] at ({at[0]},{at[1]}) {{${term}$}};" "\n"
+        return out
 
-    def node(self, glyph: GlyphSpec, box: Box, lines: list[str], badge: str | None) -> Iterator[str]:
+    def node(self, glyph: GlyphSpec, box: Box, lines: list[str], badge: str | None) -> str:
+        x, y, w, h = box
         style = _TIKZ_STYLES[glyph.primitive] + (", dashed" if glyph.dashed else "")
         text = r"\\ ".join([lines[0]] + [rf"{{\tiny {line}}}" for line in lines[1:]])
-        yield (rf"\node[{style}, align=center, minimum width={box.w}pt, "
-               rf"minimum height={box.h}pt] "
-               rf"at ({box.x + box.w // 2},{box.y + box.h // 2}) {{{text}}};")
+        out = (rf"\node[{style}, align=center, minimum width={w}pt, "
+               rf"minimum height={h}pt] "
+               rf"at ({x + w // 2},{y + h // 2}) {{{text}}};" "\n")
         if badge is not None:
-            yield rf"\node[anchor=north east, font=\tiny] at ({box.right},{box.y}) {{{badge}}};"
+            out += rf"\node[anchor=north east, font=\tiny] at ({x + w},{y}) {{{badge}}};" "\n"
+        return out
 
-    def table(self, box: Box, rows: list[str]) -> Iterator[str]:
-        yield rf"\draw ({box.x},{box.y}) rectangle ({box.right},{box.bottom});"
+    def table(self, box: Box, rows: list[str]) -> str:
+        out = rf"\draw ({box.x},{box.y}) rectangle ({box.right},{box.bottom});" "\n"
         for i, row in enumerate(rows):
-            yield (rf"\node[anchor=west, font=\ttfamily\scriptsize] "
-                   rf"at ({box.x + 4},{box.y + 10 + 16 * i}) {{{row}}};")
+            out += (rf"\node[anchor=west, font=\ttfamily\scriptsize] "
+                    rf"at ({box.x + 4},{box.y + 10 + 16 * i}) {{{row}}};" "\n")
+        return out
 
 
 def render_tikz(typed: TypedDiagram, layout: LayoutResult, out: io.TextIOBase | None = None) -> str | None:

@@ -231,7 +231,7 @@ class TermParser:
         i = self.index
         if i == len(self.kinds):
             return TermError(f"term ended early, expected {word}", i)
-        found = token_text(self.kinds[i], self.texts[i])
+        found = token_text(self.kinds[i], self.texts[i]) or "end of input"
         return TermError(f"expected {shown or word}, found {found!r}", i)
 
     def parse(self) -> DataTerm:
@@ -243,7 +243,8 @@ class TermParser:
             self.index = i + 1
             return self._parse_base(text, i)
         if kind != "punct" or text not in ("(", "{"):
-            raise TermError(f"expected a data term, found {token_text(kind, text)!r}", i)
+            found = token_text(kind, text) or "end of input"
+            raise TermError(f"expected a data term, found {found!r}", i)
         if self.depth == MAX_NESTING:
             raise TermNestingError(f"data term nested deeper than {MAX_NESTING} levels", i)
         self.depth += 1

@@ -142,9 +142,9 @@ class ReferenceTermParser:
         if tok is None:
             raise TermError(f"term ended early, expected {text or kind}", self._end_pos())
         if text is not None and tok[1] != text:
-            raise TermError(f"expected {text!r}, found {tok[1]!r}", tok[2])
+            raise TermError(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok[2])
         if kind is not None and tok[0] != kind:
-            raise TermError(f"expected {kind}, found {tok[1]!r}", tok[2])
+            raise TermError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
         self.index += 1
         return tok
 
@@ -158,7 +158,7 @@ class ReferenceTermParser:
         kind, text, pos = tok
         if text not in ("(", "{"):
             if kind != "ident":
-                raise TermError(f"expected a data term, found {text!r}", pos)
+                raise TermError(f"expected a data term, found {text or 'end of input'!r}", pos)
             return self._parse_base()
         if self.depth == MAX_NESTING:
             raise TermNestingError(f"data term nested deeper than {MAX_NESTING} levels", pos)
@@ -602,12 +602,20 @@ def reference_tensor(present: list[DataTerm]) -> DataTerm | None:
 
 
 # ---------------------------------------------------------------------------
-# The earlier diagnostics writer, one write per chunk of the encoder: verbatim
+# The earlier diagnostics writer, one write per chunk of the encoder, with the
+# earlier ``Diagnostic.to_json_obj`` inlined: verbatim
 # ---------------------------------------------------------------------------
 
 
 def reference_dump_json(diagnostics: list[Diagnostic], stream) -> None:
-    json.dump([d.to_json_obj() for d in diagnostics], stream, indent=2)
+    json.dump([{
+        "code": d.code,
+        "severity": d.severity,
+        "file": d.file,
+        "line": d.span.line if d.span else None,
+        "col": d.span.col if d.span else None,
+        "message": d.message,
+    } for d in diagnostics], stream, indent=2)
     stream.write("\n")
 
 
@@ -622,8 +630,8 @@ def reference_edges(self) -> Iterator[str]:
         route = self.layout.edge_routes[edge.id]
         (x0, y0), (x1, y1) = route[0], route[-1]
         term = self.typed.edge_terms.get(edge.id)
-        yield from self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4),
-                             None if term is None else self.term(term))
+        yield self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4),
+                        None if term is None else self.term(term))
 
 
 def reference_esc_tex(text: str) -> str:
@@ -864,7 +872,7 @@ def reference_order_within_layers(node_ids: list[str], layers: dict[str, int],
 
 
 def _reference_layout_area(nodes: list[Node], edges: list[Edge],
-                           oriented_all: list[tuple[str, str, str]]) -> _Area:
+                           oriented_all: list[tuple[str, str, str]], ox: int, oy: int) -> _Area:
     area = _Area(nodes)
     ids = [n.id for n in nodes]
     id_set = set(ids)
@@ -908,15 +916,16 @@ def _reference_layout_area(nodes: list[Node], edges: list[Edge],
             band = band_of[node_id]
             x = _quant(col_x[layer] + (col_w[layer] - w) // 2)
             y = _quant(cursors[band])
-            area.boxes[node_id] = Box(x, y, w, h)
+            area.boxes[node_id] = Box(x + ox, y + oy, w, h)
             cursors[band] = y + h + V_GAP
     area.width = _quant(total_w)
     area.height = _quant(total_h)
     return area
 
 
-def reference_areas(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> list[_Area]:
-    """The main area, then one area per group, as the earlier layout chose them.
+def reference_areas(diagram: Diagram) -> list[tuple[list[Node], list[Edge]]]:
+    """The nodes and edges of the main area, then of one area per group, as
+    the earlier layout chose them.
 
     An area holds the edges with both ends in it: for the main area, both
     ends outside every group; for a group, both ends among its members.
@@ -926,25 +935,29 @@ def reference_areas(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> l
     top_edges = [e for e in diagram.edges
                  if e.source.node not in member_ids and e.target.node not in member_ids]
 
-    areas = [_reference_layout_area(top_nodes, top_edges, oriented)]
+    areas = [(top_nodes, top_edges)]
     for group in diagram.groups:
         members = [n for n in diagram.nodes if n.id in group.member_nodes]
         medges = [e for e in diagram.edges
                   if e.source.node in group.member_nodes and e.target.node in group.member_nodes]
-        areas.append(_reference_layout_area(members, medges, oriented))
+        areas.append((members, medges))
     return areas
 
 
 def reference_layout(diagram: Diagram) -> LayoutResult:
     """``layout`` of the reference orientation, with its areas taken from the
-    references.
+    references and each placed at the origin ``layout`` gives it.
 
     Only the assembly of areas into boxes, bands, tables, title and routes,
     which the references leave alone, runs the library's code.
     """
     oriented, reversed_ids = reference_break_cycles(diagram)
-    areas = iter(reference_areas(diagram, oriented))
-    with mock.patch.object(dial.layout, "_layout_area", lambda *_: next(areas)):
+    areas = iter(reference_areas(diagram))
+
+    def area_at(_nodes, _edges, _orientation, ox: int, oy: int) -> _Area:
+        return _reference_layout_area(*next(areas), oriented, ox, oy)
+
+    with mock.patch.object(dial.layout, "_layout_area", area_at):
         return dial.layout.layout(diagram, oriented, reversed_ids)
 
 
@@ -1277,8 +1290,8 @@ class TokenListParser:
         while True:
             key_tok = self.peek()
             if key_tok.kind not in ("ident", "keyword"):
-                self.error(f"expected a parameter name, found {key_tok.text!r}",
-                           key_tok.span)
+                found = key_tok.text or "end of input"
+                self.error(f"expected a parameter name, found {found!r}", key_tok.span)
                 raise _ParseAbort()
             key = self.advance().text
             self.expect("=", what="'='")
@@ -1290,7 +1303,8 @@ class TokenListParser:
                 self.advance()
                 value = tok.text
             else:
-                self.error(f"expected a parameter value, found {tok.text!r}", tok.span)
+                self.error(f"expected a parameter value, found {tok.text or 'end of input'!r}",
+                           tok.span)
                 raise _ParseAbort()
             out.append((key, value))
             if self.at(","):
@@ -1455,7 +1469,7 @@ class TokenListParser:
             return key, self._arity()
         tok = self.peek()
         if tok.kind not in ("ident", "string", "number"):
-            self.error(f"expected a field value, found {tok.text!r}", tok.span)
+            self.error(f"expected a field value, found {tok.text or 'end of input'!r}", tok.span)
             raise _ParseAbort()
         self.advance()
         return key, tok.text

@@ -563,6 +563,19 @@ def test_source_ending_inside_extend_is_e002():
     assert (diags[0].code, diags[0].message) == ("E002", "unexpected end of input inside extend")
 
 
+@pytest.mark.parametrize("item, col, message", [
+    ("data x: (S", 13, "malformed data term: expected ')', found 'end of input'"),
+    ("data x:", 10, "malformed data term: expected a data term, found 'end of input'"),
+    ("node a: POS(", 15, "expected a parameter name, found 'end of input'"),
+    ("node a: POS(k=", 17, "expected a parameter value, found 'end of input'"),
+    ("extend symbol s { name:", 26, "expected a field value, found 'end of input'"),
+], ids=["term_closer", "term", "param_name", "param_value", "field_value"])
+def test_a_source_ending_inside_an_item_names_the_end_of_input(item, col, message):
+    # the end-of-input token's text is empty; a message shows it by name
+    _, diags = parse_source(f'dial 0.1\ndialect sys\ndiagram "T" {{\n  {item}')
+    assert (diags[0].code, str(diags[0].span), diags[0].message) == ("E002", f"4:{col}", message)
+
+
 @pytest.mark.parametrize("item, code, message", [
     ("extend task T { domain: Bogus; range: S; }", "E004",
      "in extension 'T': unknown data category 'Bogus'"),
@@ -710,7 +723,7 @@ FRONT_END_CASES = {  # case -> least number of sources (of 2,400) that show it
     "edge references unknown node": 500,
     "malformed data term": 250,
     "data term nested deeper": 70,
-    "found ''": 20,  # the input ends inside a term
+    "found 'end of input'": 20,  # the input ends inside a term
     "nested detail": 150,
     "group of two nodes": 200,
     "group of two edges": 40,

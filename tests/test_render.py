@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import random
@@ -384,8 +385,11 @@ def chain_source(n: int) -> str:
 
 
 def peak_bytes(call) -> int:
-    """tracemalloc peak of ``call()``, after one untraced warm-up call."""
+    """tracemalloc peak of ``call()``, after one untraced warm-up call and a
+    full collection, so that the peak does not depend on what earlier tests
+    left in the free lists."""
     call()
+    gc.collect()
     tracemalloc.start()
     try:
         call()
@@ -407,6 +411,27 @@ def test_render_streams_into_the_file(tmp_path, n):
         argv = ["render", str(source), "-o", str(tmp_path / f"chain.{fmt}"), "--format", fmt]
         rendered = peak_bytes(lambda: run(argv, stdout=io.StringIO(), stderr=io.StringIO()))
         assert rendered <= 1.2 * compiled, (fmt, rendered, compiled)
+
+
+class _CountedWrites(io.StringIO):
+    """A text stream that counts the calls to its ``write``."""
+
+    calls = 0
+
+    def write(self, text: str) -> int:
+        self.calls += 1
+        return super().write(text)
+
+
+def test_render_writes_one_string_per_drawn_element():
+    # the head, each of the 299 edges and 300 nodes, and the tail: one write
+    # each, whatever number of lines the element takes
+    result = compile_source(chain_source(300))
+    for fmt in ("svg", "tikz"):
+        sink = _CountedWrites()
+        result.render(fmt, sink)
+        assert sink.calls == 1 + 299 + 300 + 1, fmt
+        assert sink.getvalue() == result.render(fmt), fmt
 
 
 # -- work once per distinct value -------------------------------------------------
