@@ -29,7 +29,7 @@ from . import __version__, layout, lint as lint_mod, render
 from .diagnostics import Diagnostic, dump_json, has_errors
 from .model import Diagram, validate_structure
 from .parser import LoweredUnit, format_source, locate, lower, parse, tokenize
-from .registry import DIALECTS, Registry, list_symbols
+from .registry import DIALECTS, list_symbols
 from .typecheck import TypedDiagram, check_diagram
 
 
@@ -43,7 +43,6 @@ class CompileResult:
         self.file = file
         self.diagnostics: list[Diagnostic] = []
         self.diagram: Diagram | None = None
-        self.registry: Registry | None = None
         self.typed: TypedDiagram | None = None
 
     @property
@@ -86,7 +85,6 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
     del ast  # not needed past lowering; frees it before type-checking
     result.diagnostics.extend(unit.diagnostics)
     result.diagram = unit.diagram
-    result.registry = unit.registry
     if unit.diagram is None or has_errors(result.diagnostics):
         result.diagnostics = _located(result.diagnostics, file_name, source, unit.spans)
         return result
@@ -226,9 +224,13 @@ def _cmd_fmt(args, stdout, stderr) -> int:
     if args.check:
         return 0 if formatted == source else 1
     if args.write:
-        if formatted != source:
-            with open(path, "w", encoding="utf-8") as out:
-                out.write(formatted)
+        try:
+            if formatted != source:
+                with open(path, "w", encoding="utf-8") as out:
+                    out.write(formatted)
+        except OSError as exc:
+            print(f"dial: cannot write {path}: {exc}", file=stderr)
+            return 2
         return 0
     stdout.write(formatted)
     return 0

@@ -268,17 +268,6 @@ def node_size(node: Node) -> tuple[int, int]:
     return w, h
 
 
-class _Area:
-    """One independently laid out region (the main area or a group box)."""
-
-    def __init__(self, nodes: list[Node]) -> None:
-        self.nodes = nodes
-        self.boxes: dict[str, Box] = {}
-        self.layers: dict[str, int] = {}
-        self.bands: dict[str, int] = {}  # weakly-connected component within the area
-        self.width = self.height = 0
-
-
 def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:
     """Band of each node: ``edges`` join nodes of ``node_ids`` only."""
     parent = {n: n for n in node_ids}
@@ -337,13 +326,14 @@ def main_layering(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> Lay
 
 
 def _layout_area(nodes: list[Node], edges: list[Edge],
-                 orientation: dict[str, tuple[str, str, str]], ox: int, oy: int) -> _Area:
-    """Lay out one area from its ``_layering``, its top left corner at (``ox``, ``oy``)."""
-    area = _Area(nodes)
+                 orientation: dict[str, tuple[str, str, str]], ox: int, oy: int
+                 ) -> tuple[dict[str, Box], Layering, int, int]:
+    """Lay out one area from its ``_layering``, its top left corner at (``ox``,
+    ``oy``): each node's box, the layering, and the area's width and height."""
     ids = [n.id for n in nodes]
-    (area.layers, area.bands), oriented = _layering(ids, edges, orientation)
-    band_of = area.bands
-    by_layer = order_within_layers(ids, area.layers, oriented, band_of)
+    layering, oriented = _layering(ids, edges, orientation)
+    band_of = layering.bands
+    by_layer = order_within_layers(ids, layering.layers, oriented, band_of)
 
     sizes = {n.id: node_size(n) for n in nodes}
     col_w: dict[int, int] = {
@@ -372,6 +362,7 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
         y_cursor += band_height[band] + BAND_GAP
     total_h = max(y_cursor - BAND_GAP, 0)
 
+    boxes: dict[str, Box] = {}
     for layer, layer_nodes in by_layer.items():
         cursors: dict[int, int] = {}
         for node_id in layer_nodes:
@@ -379,11 +370,9 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
             band = band_of[node_id]
             x = _quant(col_x[layer] + (col_w[layer] - w) // 2)
             y = _quant(cursors.get(band, band_y[band]))
-            area.boxes[node_id] = Box(x + ox, y + oy, w, h)
+            boxes[node_id] = Box(x + ox, y + oy, w, h)
             cursors[band] = y + h + V_GAP
-    area.width = _quant(total_w)
-    area.height = _quant(total_h)
-    return area
+    return boxes, layering, _quant(total_w), _quant(total_h)
 
 
 def table_size(rows: tuple[tuple[str, str], ...]) -> tuple[int, int]:
@@ -422,23 +411,24 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
                                            + table_size(table.rows)[1] + V_GAP)
     content_y = TITLE_H + MARGIN + max(top_strips.values(), default=0)
 
-    main = _layout_area(top_nodes, top_edges, orientation, MARGIN, content_y)
-    node_boxes, layers, bands = main.boxes, main.layers, main.bands
+    node_boxes, (layers, bands), _, main_h = _layout_area(
+        top_nodes, top_edges, orientation, MARGIN, content_y)
 
     # Group boxes stack below the main area, one per declaration.
     group_boxes: dict[str, Box] = {}
-    y_cursor = content_y + main.height + (BAND_GAP if main.nodes else 0)
+    y_cursor = content_y + main_h + (BAND_GAP if top_nodes else 0)
     for index, group in enumerate(diagram.groups):
         caption_h = 24 if any(n.id in loop_ends for n in members[index]) else 12
-        sub = _layout_area(members[index], medges[index], orientation,
-                           MARGIN + GROUP_PAD, y_cursor + GROUP_PAD + caption_h)
-        node_boxes.update(sub.boxes)
-        layers.update(sub.layers)
-        bands.update(sub.bands)
+        boxes, (sub_layers, sub_bands), sub_w, sub_h = _layout_area(
+            members[index], medges[index], orientation,
+            MARGIN + GROUP_PAD, y_cursor + GROUP_PAD + caption_h)
+        node_boxes.update(boxes)
+        layers.update(sub_layers)
+        bands.update(sub_bands)
         group_boxes[group.id] = Box(
             MARGIN, y_cursor,
-            _quant(sub.width + 2 * GROUP_PAD),
-            _quant(sub.height + 2 * GROUP_PAD + caption_h),
+            _quant(sub_w + 2 * GROUP_PAD),
+            _quant(sub_h + 2 * GROUP_PAD + caption_h),
         )
         y_cursor = group_boxes[group.id].bottom + V_GAP
 

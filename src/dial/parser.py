@@ -20,7 +20,7 @@ first index, so a term costs only its own tokens. ``lower`` looks node and
 group ids up in maps local to one lowering and builds each detail group's
 member tuples once, at the end.
 
-Grammar sketch (see the generated reference for the full version):
+Grammar sketch, the grammar's only statement (docs/reference.md holds none):
 
   unit      := "dial" VERSION "dialect" ident ("," ident)* diagram
   diagram   := "diagram" STRING ("at" region)? "{" item* "}"
@@ -350,19 +350,17 @@ class Parser:
                 self.error(f"unsupported language version {version!r} "  # at 'dial'
                            f"(this toolchain speaks {DSL_VERSION})", self.span(-2))
             self.expect("dialect", what="'dialect'")
-            dialects = [self.expect(kind="ident", what="dialect name")]
-            while self.at(","):
-                self.advance()
-                dialects.append(self.expect(kind="ident", what="dialect name"))
+            dialects = self._list(lambda: self.expect(kind="ident", what="dialect name"),
+                                  parenthesized=False)
             self.expect("diagram", what="'diagram'")
             name = self.expect(kind="string", what="diagram name")
             title_placement = None
             if self.at("at"):
                 self.advance()
-                title_placement = self._region()
+                title_placement = self._word("region", REGIONS)
             self.expect("{", what="'{'")
             items = self._items_until_close()
-            return SourceAst(version, tuple(dialects), name, title_placement,
+            return SourceAst(version, dialects, name, title_placement,
                              tuple(items), at, self.tokens.source)
         except _ParseAbort:
             return None
@@ -424,61 +422,58 @@ class Parser:
             raise _ParseAbort()
         return entries
 
+    def _list(self, entry: Callable[[], object], parenthesized: bool = True) -> tuple:
+        """``( entry {, entry} )``, or the entries alone when not ``parenthesized``."""
+        if parenthesized:
+            self.expect("(")
+        out = [entry()]
+        while self.at(","):
+            self.advance()
+            out.append(entry())
+        if parenthesized:
+            self.expect(")", what="')' or ','")
+        return tuple(out)
+
     def _node(self, at: int) -> NodeDecl:
         ident = self.expect(kind="ident", what="node identifier")
         self.expect(":", what="':'")
         code = self.expect(kind="ident", what="symbol or task code")
-        params = self._params() if self.at("(") else ()
-        perf = self._perf() if self.at("perf") else ()
+        params = self._list(self._param) if self.at("(") else ()
+        perf = ()
+        if self.at("perf"):
+            self.advance()
+            perf = self._list(self._perf_item)
         return NodeDecl(ident, code, params, perf, at)
 
-    def _params(self) -> tuple[tuple[str, object], ...]:
-        self.expect("(")
-        out: list[tuple[str, object]] = []
-        while True:
-            kind, key = self.peek()
-            if kind not in ("ident", "keyword"):
-                found = token_text(kind, key) or "end of input"
-                self.error(f"expected a parameter name, found {found!r}", self.span())
-                raise _ParseAbort()
-            self.advance()
-            self.expect("=", what="'='")
-            kind, text = self.peek()
-            if kind == "number":
-                value: object = _number(text)
-            elif kind in ("string", "ident", "keyword"):
-                value = text
-            else:
-                self.error(f"expected a parameter value, found {text or 'end of input'!r}",
-                           self.span())
-                raise _ParseAbort()
-            self.advance()
-            out.append((key, value))
-            if self.at(","):
-                self.advance()
-                continue
-            self.expect(")", what="')' or ','")
-            return tuple(out)
+    def _param(self) -> tuple[str, object]:
+        kind, key = self.peek()
+        if kind not in ("ident", "keyword"):
+            found = token_text(kind, key) or "end of input"
+            self.error(f"expected a parameter name, found {found!r}", self.span())
+            raise _ParseAbort()
+        self.advance()
+        self.expect("=", what="'='")
+        kind, text = self.peek()
+        if kind == "number":
+            value: object = _number(text)
+        elif kind in ("string", "ident", "keyword"):
+            value = text
+        else:
+            self.error(f"expected a parameter value, found {text or 'end of input'!r}",
+                       self.span())
+            raise _ParseAbort()
+        self.advance()
+        return key, value
 
-    def _perf(self) -> tuple[PerfItem, ...]:
-        self.advance()  # perf
-        self.expect("(")
-        out: list[PerfItem] = []
-        while True:
-            at = self.starts[self.pos]
-            metric = self.expect(kind="ident", what="metric name")
-            self.expect("=", what="'='")
-            value = float(self.expect(kind="number", what="metric value"))
-            if metric == "acc" and not 0.0 <= value <= 1.0:
-                self.error("acc must lie in [0,1]", self.span(-1))
-            self.expect("@", what="'@'")
-            corpus = self.expect(kind="string", what="corpus name")
-            out.append(PerfItem(metric, value, corpus, at))
-            if self.at(","):
-                self.advance()
-                continue
-            self.expect(")", what="')' or ','")
-            return tuple(out)
+    def _perf_item(self) -> PerfItem:
+        at = self.starts[self.pos]
+        metric = self.expect(kind="ident", what="metric name")
+        self.expect("=", what="'='")
+        value = float(self.expect(kind="number", what="metric value"))
+        if metric == "acc" and not 0.0 <= value <= 1.0:
+            self.error("acc must lie in [0,1]", self.span(-1))
+        self.expect("@", what="'@'")
+        return PerfItem(metric, value, self.expect(kind="string", what="corpus name"), at)
 
     def _data(self, at: int) -> DataDecl:
         ident = self.expect(kind="ident", what="data identifier")
@@ -542,10 +537,10 @@ class Parser:
         entry_side, exit_side = "left", "right"
         if self.at("entry"):
             self.advance()
-            entry_side = self._side()
+            entry_side = self._word("side", SIDES)
         if self.at("exit"):
             self.advance()
-            exit_side = self._side()
+            exit_side = self._word("side", SIDES)
         self.expect("{", what="'{'")
         if self.depth == MAX_NESTING:
             self.error(f"detail blocks nested deeper than {MAX_NESTING} levels",
@@ -557,27 +552,20 @@ class Parser:
         self.depth -= 1
         return DetailDecl(ident, owner, entry_side, exit_side, tuple(items), at)
 
-    def _side(self) -> str:
-        side = self.expect(kind="ident", what="a side (left, right, top, bottom)")
-        if side not in SIDES:
-            self.error(f"unknown side {side!r}", self.span(-1))
+    def _word(self, noun: str, words: tuple[str, ...]) -> str:
+        """An identifier that is one of ``words``, each a kind of ``noun``."""
+        word = self.expect(kind="ident", what=f"a {noun} ({', '.join(words)})")
+        if word not in words:
+            self.error(f"unknown {noun} {word!r}", self.span(-1))
             raise _ParseAbort()
-        return side
-
-    def _region(self) -> str:
-        region = self.expect(kind="ident", what="a region (top_left, top_right, "
-                                                "bottom_left, bottom_right)")
-        if region not in REGIONS:
-            self.error(f"unknown region {region!r}", self.span(-1))
-            raise _ParseAbort()
-        return region
+        return word
 
     def _table(self, at: int) -> TableDecl:
         ident = self.expect(kind="ident", what="table identifier")
         placement = None
         if self.at("at"):
             self.advance()
-            placement = self._region()
+            placement = self._word("region", REGIONS)
         self.expect("{", what="'{'")
         rows = self._block_body("table", self._row)
         if not rows:
@@ -619,11 +607,7 @@ class Parser:
         key = self.expect(kind="ident", what="field name")
         self.expect(":", what="':'")
         if key in ("domain", "range"):
-            literals = [self._dataterm_literal()]
-            while self.at(","):
-                self.advance()
-                literals.append(self._dataterm_literal())
-            return key, tuple(literals)
+            return key, self._list(self._dataterm_literal, parenthesized=False)
         if key == "arity":
             return key, self._arity()
         kind, text = self.peek()

@@ -15,19 +15,13 @@ from .diagnostics import ERROR_CODES
 from .lint import RULES
 from .registry import ANNOTATION_LABELS, DIALECTS, Slot, list_signatures, list_symbols
 from .render import GLYPH_TABLE, SVG_MARKS
-from .terms import DATA_CATEGORIES, MAX_NESTING, SEQUENCE, SET, DataTerm, format_term
+from .terms import DATA_CATEGORIES, MAX_NESTING, DataTerm, format_term
 
 
 def _pattern_text(term: DataTerm, optional: frozenset[str]) -> str:
-    """A slot's pattern with its optional labels on the innermost term."""
-    if term.structure == SET:
-        return "{" + _pattern_text(term.element, optional) + "}"
-    if term.structure == SEQUENCE:
-        return "[" + _pattern_text(term.element, optional) + "]"
-    text = format_term(term)
-    if optional:
-        text += "^(" + ",".join(sorted(optional)) + ")"
-    return text
+    """A slot's pattern, its optional labels after each plain term in it."""
+    suffix = "^(" + ",".join(sorted(optional)) + ")" if optional else ""
+    return format_term(term, lambda plain: format_term(plain) + suffix)
 
 
 def _slot_list(slots: tuple[Slot, ...]) -> str:

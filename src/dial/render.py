@@ -28,7 +28,7 @@ from .layout import Box, LayoutResult, node_display_lines
 from .model import Node
 from .record import Record
 from .registry import Signature, SymbolDef
-from .terms import DIST, SEQUENCE, SET, TUPLE, DataTerm, format_term
+from .terms import DIST, DataTerm, format_term
 from .typecheck import TypedDiagram
 
 STAMP = f"dialc v{__version__}"
@@ -147,7 +147,7 @@ def _check_pairing(typed: TypedDiagram, layout: LayoutResult) -> None:
 
 class _Drawing:
     """The walk, which decides once what is drawn. A writer subclass sets the notation
-    (``marks``, ``esc``, ``term``, ...), spells each element and fixes ``order``."""
+    (``marks``, ``esc``, ``term_notation``, ...), spells each element and fixes ``order``."""
 
     def __init__(self, typed: TypedDiagram, layout: LayoutResult):
         self.typed, self.layout = typed, layout
@@ -184,7 +184,7 @@ class _Drawing:
             try:
                 markup = spelled[term]
             except KeyError:
-                markup = spelled[term] = self.term(term)
+                markup = spelled[term] = format_term(term, *self.term_notation)
             yield self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4), markup)
 
     def nodes(self) -> Iterator[str]:
@@ -220,15 +220,8 @@ def _esc_xml(text: str) -> str:
             .replace('"', "&quot;"))
 
 
-def _svg_term(term: DataTerm) -> str:
-    """Term markup with superscript tspans."""
-    if term.structure == TUPLE:
-        return "(" + ", ".join(_svg_term(t) for t in term.elements) + ")"
-    if term.structure == SET:
-        return "{" + _svg_term(term.element) + "}"
-    if term.structure == SEQUENCE:
-        bound = f"&#8804;{term.max_len}" if term.max_len is not None else ""
-        return f"[{_svg_term(term.element)}]{bound}"
+def _svg_plain(term: DataTerm) -> str:
+    """Markup of a scalar or distribution term, its labels in a superscript tspan."""
     out = _esc_xml(format_term(DataTerm(base=term.base, subscript=term.subscript,
                                         dims=term.dims, structure=term.structure,
                                         dist_range=term.dist_range)))
@@ -277,7 +270,7 @@ class _Svg(_Drawing):
     order = (_Drawing.edges, _Drawing.nodes)
     marks, rank_count = SVG_MARKS, "{}"
     esc = esc_mark = staticmethod(_esc_xml)
-    term = staticmethod(_svg_term)
+    term_notation = (_svg_plain, ("{", "}"), "&#8804;")
     tail = "</svg>\n"
 
     def head(self, title: str) -> str:
@@ -360,14 +353,7 @@ def _esc_tex(text: str) -> str:
     return text.translate(_TEX_SPECIALS)
 
 
-def _tikz_term(term: DataTerm) -> str:
-    if term.structure == TUPLE:
-        return "(" + ", ".join(_tikz_term(t) for t in term.elements) + ")"
-    if term.structure == SET:
-        return r"\{" + _tikz_term(term.element) + r"\}"
-    if term.structure == SEQUENCE:
-        bound = f"\\leq {term.max_len}" if term.max_len is not None else ""
-        return f"[{_tikz_term(term.element)}]{bound}"
+def _tikz_plain(term: DataTerm) -> str:
     out = format_term(DataTerm(base=term.base, structure=term.structure,
                                dist_range=term.dist_range)).replace("_", r"\_")
     if term.subscript and term.structure != DIST:
@@ -401,7 +387,7 @@ class _Tikz(_Drawing):
     marks, rank_count = TIKZ_MARKS, "${}$"
     esc = staticmethod(_esc_tex)
     esc_mark = staticmethod(str)  # TikZ marks are TeX source already
-    term = staticmethod(_tikz_term)
+    term_notation = (_tikz_plain, (r"\{", r"\}"), "\\leq ")
     tail = "\\end{tikzpicture}\n\\end{document}\n"
 
     def head(self, title: str) -> str:

@@ -27,6 +27,7 @@ classification labels, which the reader takes as an argument.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 
 from .record import Record, replace
 
@@ -348,16 +349,23 @@ def parse_term(literal: str, labels: frozenset[str] | None) -> DataTerm:
     return term
 
 
-def format_term(term: DataTerm) -> str:
-    """Canonical ASCII rendering; the inverse of parse_term on its image."""
-    if term.structure == TUPLE:
-        return "(" + ", ".join(format_term(t) for t in term.elements) + ")"
-    if term.structure == SET:
-        return "{" + format_term(term.element) + "}"
-    if term.structure == SEQUENCE:
-        bound = f"<={term.max_len}" if term.max_len is not None else ""
-        return f"[{format_term(term.element)}]{bound}"
-    if term.structure == DIST:
+def format_term(term: DataTerm, plain: Callable[[DataTerm], str] | None = None,
+                braces: tuple[str, str] = ("{", "}"), bound: str = "<=") -> str:
+    """Canonical ASCII rendering; the inverse of parse_term on its image. This is
+    the one walk over tuple, set and sequence structure for every notation:
+    ``plain`` spells a scalar or distribution term, ``braces`` enclose a set's
+    element and ``bound`` precedes a sequence's length bound."""
+    structure = term.structure
+    if structure == TUPLE:
+        return "(" + ", ".join([format_term(t, plain, braces, bound) for t in term.elements]) + ")"
+    if structure == SET:
+        return braces[0] + format_term(term.element, plain, braces, bound) + braces[1]
+    if structure == SEQUENCE:
+        inner = format_term(term.element, plain, braces, bound)
+        return f"[{inner}]" if term.max_len is None else f"[{inner}]{bound}{term.max_len}"
+    if plain is not None:
+        return plain(term)
+    if structure == DIST:
         lo, hi = term.dist_range
         out = f"P_{term.subscript or 'c'}[{_range_end(lo)},{_range_end(hi)}]"
         return out + _fmt_sup(term.annotations)

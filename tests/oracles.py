@@ -5,6 +5,8 @@ the propagation oracle schedules nodes itself over explicit topological
 orders, the round-robin reference is the checker's earlier fixed-point loop,
 the reference tensor is the checker's earlier ``otimes`` fold, the
 reference drawing is render's earlier edge walk and TeX escape, the
+reference term spellings are the four earlier walks over a term's
+structure (ASCII, SVG, TikZ and the language reference's slot patterns), the
 layering oracle enumerates every path, the reference layering is the
 layout's earlier two-pass longest path, the reference layout phases
 are the layout's earlier quadratic cycle search, barycenter sweep and area
@@ -33,8 +35,8 @@ from dial.layout import (
     H_GAP,
     V_GAP,
     Box,
+    Layering,
     LayoutResult,
-    _Area,
     _quant,
     _weak_components,
     assign_layers,
@@ -67,10 +69,12 @@ from dial.parser import (
 )
 from dial.record import Record, replace
 from dial.registry import Registry
-from dial.render import _Drawing, _Svg, _Tikz
+from dial.render import _Drawing, _esc_xml, _Svg, _Tikz
 from dial.terms import (
+    CANONICAL,
     DIST,
     MAX_NESTING,
+    SEQUENCE,
     SET,
     SET_SPELLINGS,
     SPELLINGS,
@@ -78,6 +82,8 @@ from dial.terms import (
     DataTerm,
     TermError,
     TermNestingError,
+    _fmt_sup,
+    _range_end,
 )
 from dial.typecheck import (
     TypedDiagram,
@@ -620,8 +626,90 @@ def reference_dump_json(diagnostics: list[Diagnostic], stream) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The drawing's earlier edge walk, which spelled the term of every edge, and
-# its earlier TeX escape, one dict lookup per character: verbatim
+# The earlier term spellings, one walk over a term's tuple, set and sequence
+# structure each: ASCII (``terms.format_term``), SVG and TikZ (``render``) and
+# the language reference's slot patterns. Verbatim, but for their names and
+# their calls of the ASCII walk
+# ---------------------------------------------------------------------------
+
+
+def reference_format_term(term: DataTerm) -> str:
+    """Canonical ASCII rendering; the inverse of parse_term on its image."""
+    if term.structure == TUPLE:
+        return "(" + ", ".join(reference_format_term(t) for t in term.elements) + ")"
+    if term.structure == SET:
+        return "{" + reference_format_term(term.element) + "}"
+    if term.structure == SEQUENCE:
+        bound = f"<={term.max_len}" if term.max_len is not None else ""
+        return f"[{reference_format_term(term.element)}]{bound}"
+    if term.structure == DIST:
+        lo, hi = term.dist_range
+        out = f"P_{term.subscript or 'c'}[{_range_end(lo)},{_range_end(hi)}]"
+        return out + _fmt_sup(term.annotations)
+    spelling = CANONICAL.get(term.base, term.base or "?")
+    if term.subscript:
+        spelling = f"{spelling}_{term.subscript}"
+    out = spelling + _fmt_sup(term.annotations)
+    if term.dims is not None:
+        out += "[" + ",".join(str(d) for d in term.dims) + "]"
+    return out
+
+
+def reference_svg_term(term: DataTerm) -> str:
+    """Term markup with superscript tspans."""
+    if term.structure == TUPLE:
+        return "(" + ", ".join(reference_svg_term(t) for t in term.elements) + ")"
+    if term.structure == SET:
+        return "{" + reference_svg_term(term.element) + "}"
+    if term.structure == SEQUENCE:
+        bound = f"&#8804;{term.max_len}" if term.max_len is not None else ""
+        return f"[{reference_svg_term(term.element)}]{bound}"
+    out = _esc_xml(reference_format_term(DataTerm(base=term.base, subscript=term.subscript,
+                                                  dims=term.dims, structure=term.structure,
+                                                  dist_range=term.dist_range)))
+    labels = sorted(term.annotations)
+    if labels:
+        out += ('<tspan baseline-shift="super" font-size="8">'
+                + _esc_xml(",".join(labels)) + "</tspan>")
+    return out
+
+
+def reference_tikz_term(term: DataTerm) -> str:
+    if term.structure == TUPLE:
+        return "(" + ", ".join(reference_tikz_term(t) for t in term.elements) + ")"
+    if term.structure == SET:
+        return r"\{" + reference_tikz_term(term.element) + r"\}"
+    if term.structure == SEQUENCE:
+        bound = f"\\leq {term.max_len}" if term.max_len is not None else ""
+        return f"[{reference_tikz_term(term.element)}]{bound}"
+    out = reference_format_term(DataTerm(base=term.base, structure=term.structure,
+                                         dist_range=term.dist_range)).replace("_", r"\_")
+    if term.subscript and term.structure != DIST:
+        out += f"_{{{term.subscript}}}"
+    labels = sorted(term.annotations)
+    if labels:
+        out += "^{" + ",".join(labels) + "}"
+    if term.dims is not None:
+        out += "[" + ",".join(str(d) for d in term.dims) + "]"
+    return out
+
+
+def reference_pattern_text(term: DataTerm, optional: frozenset[str]) -> str:
+    """A slot's pattern with its optional labels on the innermost term."""
+    if term.structure == SET:
+        return "{" + reference_pattern_text(term.element, optional) + "}"
+    if term.structure == SEQUENCE:
+        return "[" + reference_pattern_text(term.element, optional) + "]"
+    text = reference_format_term(term)
+    if optional:
+        text += "^(" + ",".join(sorted(optional)) + ")"
+    return text
+
+
+# ---------------------------------------------------------------------------
+# The drawing's earlier edge walk, which spelled the term of every edge with
+# the writer's earlier term walk, and its earlier TeX escape, one dict lookup
+# per character: verbatim
 # ---------------------------------------------------------------------------
 
 
@@ -643,14 +731,16 @@ def reference_esc_tex(text: str) -> str:
 
 @contextmanager
 def reference_drawing() -> Iterator[None]:
-    """Both writers draw with the reference edge walk and TeX escape. The
-    writers' ``order`` tuples and ``_Tikz.esc`` hold the functions bound when
-    their classes were created, so those are patched, not only ``_Drawing``."""
+    """Both writers draw with the reference edge walk, term spellings and TeX
+    escape. The writers' ``order`` tuples and ``_Tikz.esc`` hold the functions
+    bound when their classes were created, so those are patched, not only
+    ``_Drawing``."""
     edges = _Drawing.edges
     with ExitStack() as patches:
-        for cls in (_Svg, _Tikz):
+        for cls, term in ((_Svg, reference_svg_term), (_Tikz, reference_tikz_term)):
             patches.enter_context(mock.patch.object(
                 cls, "order", tuple(reference_edges if f is edges else f for f in cls.order)))
+            patches.enter_context(mock.patch.object(cls, "term", staticmethod(term), create=True))
         patches.enter_context(mock.patch.object(_Drawing, "edges", reference_edges))
         patches.enter_context(mock.patch.object(_Tikz, "esc", staticmethod(reference_esc_tex)))
         yield
@@ -872,15 +962,15 @@ def reference_order_within_layers(node_ids: list[str], layers: dict[str, int],
 
 
 def _reference_layout_area(nodes: list[Node], edges: list[Edge],
-                           oriented_all: list[tuple[str, str, str]], ox: int, oy: int) -> _Area:
-    area = _Area(nodes)
+                           oriented_all: list[tuple[str, str, str]], ox: int, oy: int
+                           ) -> tuple[dict[str, Box], Layering, int, int]:
     ids = [n.id for n in nodes]
     id_set = set(ids)
     oriented = [(e, u, v) for e, u, v in oriented_all if u in id_set and v in id_set]
-    area.layers = assign_layers(ids, oriented)
-    area.bands = band_of = _weak_components(
+    layers = assign_layers(ids, oriented)
+    band_of = _weak_components(
         ids, [e for e in edges if e.source.node in id_set and e.target.node in id_set])
-    by_layer = reference_order_within_layers(ids, area.layers, oriented, band_of)
+    by_layer = reference_order_within_layers(ids, layers, oriented, band_of)
 
     sizes = {n.id: node_size(n) for n in nodes}
     col_w: dict[int, int] = {
@@ -909,6 +999,7 @@ def _reference_layout_area(nodes: list[Node], edges: list[Edge],
         y_cursor += band_height + BAND_GAP
     total_h = max(y_cursor - BAND_GAP, 0)
 
+    boxes: dict[str, Box] = {}
     for layer, layer_nodes in by_layer.items():
         cursors = dict(band_y)
         for node_id in layer_nodes:
@@ -916,11 +1007,9 @@ def _reference_layout_area(nodes: list[Node], edges: list[Edge],
             band = band_of[node_id]
             x = _quant(col_x[layer] + (col_w[layer] - w) // 2)
             y = _quant(cursors[band])
-            area.boxes[node_id] = Box(x + ox, y + oy, w, h)
+            boxes[node_id] = Box(x + ox, y + oy, w, h)
             cursors[band] = y + h + V_GAP
-    area.width = _quant(total_w)
-    area.height = _quant(total_h)
-    return area
+    return boxes, Layering(layers, band_of), _quant(total_w), _quant(total_h)
 
 
 def reference_areas(diagram: Diagram) -> list[tuple[list[Node], list[Edge]]]:
@@ -954,7 +1043,8 @@ def reference_layout(diagram: Diagram) -> LayoutResult:
     oriented, reversed_ids = reference_break_cycles(diagram)
     areas = iter(reference_areas(diagram))
 
-    def area_at(_nodes, _edges, _orientation, ox: int, oy: int) -> _Area:
+    def area_at(_nodes, _edges, _orientation, ox: int, oy: int
+                ) -> tuple[dict[str, Box], Layering, int, int]:
         return _reference_layout_area(*next(areas), oriented, ox, oy)
 
     with mock.patch.object(dial.layout, "_layout_area", area_at):
@@ -1290,7 +1380,7 @@ class TokenListParser:
         while True:
             key_tok = self.peek()
             if key_tok.kind not in ("ident", "keyword"):
-                found = key_tok.text or "end of input"
+                found = _shown(key_tok) or "end of input"
                 self.error(f"expected a parameter name, found {found!r}", key_tok.span)
                 raise _ParseAbort()
             key = self.advance().text
@@ -1645,15 +1735,27 @@ _BAD_TERMS = (
     "(" * _DEEP + "S, T" + ")" * _DEEP)
 _NODE_IDS = tuple(f"n{i}" for i in range(8))
 _GHOSTS = ("ghost", "n9")
+# Node suffixes, detail sides and placements, a few of them faulty: a wrong or
+# missing word, an entry without its name or value, a missing separator.
+_PARAMS = ("", "(n=2)", '(label="x")', "(out=S^NER)", "(out=Bogus)") * 8 + (
+    "(n=)", "(=2)", "(n=2,)", "(n=2 k=3)", '(n=2, "k"=1)')
+_PERF = ("",) * 40 + (' perf(acc=0.9@"c")', ' perf(acc=0.5@"c", f1=0.5@"d")', ' perf(acc=@"c")',
+                     ' perf(acc=0.9@"c" f1=1@"d")', ' perf(f1=0.5 "c")')
+_SIDES = ("",) * 40 + (" entry top", " exit bottom", " entry left exit top",
+                       " entry middle", " exit up", " entry", " exit 3")
+_PLACEMENTS = ("",) * 3 + (" at top_left", " at bottom_right", " at middle", " at")
 
 
 def random_front_end_source(rng: random.Random) -> str:
     """A source whose ids come from small pools, so that duplicate nodes and
     groups, unknown owners and edges to unknown nodes are common. Detail
-    blocks nest up to three deep and hold edges; terms are sometimes
-    malformed or nested past the limit, and a declaration sometimes starts
-    with its keyword quoted, which is a string and no keyword."""
-    lines = ["dial 0.1", "dialect sys", 'diagram "front" {']
+    blocks nest up to three deep and hold edges. Terms are sometimes
+    malformed or nested past the limit; a node's parameters or perf entries,
+    a detail block's sides and a placement are sometimes wrong or missing;
+    and a declaration sometimes starts with its keyword quoted, which is a
+    string and no keyword."""
+    title = rng.choice(("",) * 80 + _PLACEMENTS[3:])
+    lines = ["dial 0.1", "dialect sys", f'diagram "front"{title} {{']
     declared: list[str] = []
 
     def term() -> str:
@@ -1677,20 +1779,22 @@ def random_front_end_source(rng: random.Random) -> str:
                 tag = rng.choice(("",) * 4 + (" @gold", " @kb", ' @dataset("c")'))
                 lines.append(f"{pad}data {node_id()}: {term()}{tag}")
             elif r < 0.5:
-                params = rng.choice(("", "(n=2)", '(label="x")', "(out=S^NER)", "(out=Bogus)"))
-                lines.append(f"{pad}node {node_id()}: {rng.choice(_CODES)}{params}")
+                suffix = rng.choice(_PARAMS) + rng.choice(_PERF)
+                lines.append(f"{pad}node {node_id()}: {rng.choice(_CODES)}{suffix}")
             elif r < 0.8:
                 as_term = f" as {term()}" if rng.random() < 0.4 else ""
                 lines.append(f"{pad}edge {ref()} {rng.choice(tuple(ARROWS))} {ref()}{as_term}")
             elif r < 0.92 and depth < 3:
                 owner = rng.choice(_NODE_IDS + _GHOSTS)
-                lines.append(f"{pad}detail g{rng.randrange(4)} for {owner} {{")
+                sides = rng.choice(_SIDES)
+                lines.append(f"{pad}detail g{rng.randrange(4)} for {owner}{sides} {{")
                 items(depth + 1)
                 lines.append(pad + "}")
             elif r < 0.96:
                 lines.append(f"{pad}embedding w{rng.randrange(2)} (dim=8)")
             elif r < 0.98:
-                lines.append(f'{pad}table t{rng.randrange(2)} {{ "k": "v"; }}')
+                placement = rng.choice(_PLACEMENTS)
+                lines.append(f'{pad}table t{rng.randrange(2)}{placement} {{ "k": "v"; }}')
             else:
                 keyword = rng.choice(sorted(ITEM_KEYWORDS))
                 lines.append(f'{pad}"{keyword}" {node_id()}: {rng.choice(_CODES)} {{ edge {ref()} -> {ref()} }}')

@@ -323,6 +323,24 @@ def test_fmt_syntax_error_exits_one(tmp_path):
     assert code == 1 and "E002" in err
 
 
+def test_fmt_write_that_cannot_write_exits_two(tmp_path, monkeypatch):
+    # the write fails through ``open`` itself, so the test holds for root too
+    messy = tmp_path / "m.dial"
+    source = 'dial 0.1\ndialect sys\ndiagram "D" {\n node   a :POS\n}\n'
+    messy.write_text(source)
+
+    def refusing(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise PermissionError(13, "Permission denied", file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("dial.cli.open", refusing, raising=False)
+    code, out, err = dial("fmt", "--write", str(messy))
+    assert (code, out) == (2, "")
+    assert err == f"dial: cannot write {messy}: [Errno 13] Permission denied: '{messy}'\n"
+    assert messy.read_text() == source
+
+
 # -- symbols -------------------------------------------------------------------
 
 

@@ -724,6 +724,13 @@ FRONT_END_CASES = {  # case -> least number of sources (of 2,400) that show it
     "malformed data term": 250,
     "data term nested deeper": 70,
     "found 'end of input'": 20,  # the input ends inside a term
+    "expected a parameter name": 150,
+    "expected a parameter value": 50,
+    "expected metric": 45,  # a perf entry without its name or value
+    "expected a side": 50,
+    "unknown side": 50,
+    "expected a region": 30,
+    "unknown region": 25,
     "nested detail": 150,
     "group of two nodes": 200,
     "group of two edges": 40,

@@ -15,7 +15,6 @@ import pytest
 import dial
 from dial.cli import CompileResult
 from dial.diagnostics import Diagnostic
-from dial.layout import _Area
 from dial.model import Diagram, EmbeddingDecl, Node, PerfAnnotation
 from dial.record import Record, replace
 
@@ -98,9 +97,6 @@ def test_mutable_holders_get_fresh_containers():
         getattr(first, name).append(name)
         assert getattr(second, name) == [], name
     assert CompileResult("a").diagnostics is not CompileResult("b").diagnostics
-    one, two = _Area([]), _Area([])
-    assert one.boxes is not two.boxes and one.layers is not two.layers
-    assert one.bands is not two.bands
 
 
 def test_diagram_equality_compares_every_field():

@@ -6,6 +6,7 @@ import pytest
 
 from dial.cli import compile_source
 from dial.diagnostics import CollidesWithBuiltin, UnknownDialect
+from dial.parser import lower, parse, tokenize
 from dial.registry import (
     META,
     SIGNATURES,
@@ -156,13 +157,14 @@ def test_extension_collision(registry):
 
 def test_extension_task_signature():
     # lowering parses an extension's terms against their own labels, then registers both
-    result = compile_source('dial 0.1\ndialect sys\ndiagram "x" {\n'
-                            "  extend task LangID { domain: S; range: S^Lang; }\n}\n")
-    assert result.diagnostics == []
-    [(domain, rng)] = result.registry.resolve("LangID", SYS).variants
+    source = ('dial 0.1\ndialect sys\ndiagram "x" {\n'
+              "  extend task LangID { domain: S; range: S^Lang; }\n}\n")
+    assert compile_source(source).diagnostics == []
+    registry = lower(parse(tokenize(source)[0])[0]).registry
+    [(domain, rng)] = registry.resolve("LangID", SYS).variants
     assert domain == (Slot(DataTerm(base="s_T")),)
     assert rng == (Slot(DataTerm(base="s_T", annotations=frozenset({"Lang"}))),)
-    assert "Lang" in result.registry.labels
+    assert "Lang" in registry.labels
 
 
 def test_extensions_are_compilation_local():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import dial.layout
+import dial.render
 from dial import __version__
 from dial.cli import compile_file, compile_source, run
 from dial.diagnostics import RenderMismatch
@@ -441,15 +442,17 @@ def test_each_distinct_edge_term_is_spelled_once(monkeypatch):
     result = compile_source(chain_source(300))
     distinct = set(result.typed.edge_terms.values())
     assert len(result.typed.edge_terms) == 299 and len(distinct) < 10
-    for fmt, writer in (("svg", _Svg), ("tikz", _Tikz)):
+    for fmt in ("svg", "tikz"):
         spelled = []
 
-        def counting(term, real=writer.term):
-            spelled.append(term)
-            return real(term)
+        def counting(term, *notation, real=dial.render.format_term):
+            if notation:  # the walk spells an edge term; a plain spelling passes no notation
+                spelled.append(term)
+            return real(term, *notation)
 
-        monkeypatch.setattr(writer, "term", staticmethod(counting))
+        monkeypatch.setattr(dial.render, "format_term", counting)
         result.render(fmt)
+        monkeypatch.undo()
         assert len(spelled) == len(distinct), fmt
 
 

@@ -8,7 +8,10 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dial.registry import ANNOTATION_LABELS, Registry
+from dial.model import validate_structure
+from dial.reference import _pattern_text
+from dial.registry import ANNOTATION_LABELS, SIGNATURES, Registry
+from dial.render import _Svg, _Tikz
 from dial.terms import (
     CANONICAL,
     DIST,
@@ -25,7 +28,17 @@ from dial.terms import (
     format_term,
     parse_term,
 )
-from oracles import mutate_term_literal, random_term_literal, reference_parse_term
+from dial.typecheck import check_diagram
+from oracles import (
+    mutate_term_literal,
+    random_propagation_diagram,
+    random_term_literal,
+    reference_format_term,
+    reference_parse_term,
+    reference_pattern_text,
+    reference_svg_term,
+    reference_tikz_term,
+)
 
 
 def parse(text: str) -> DataTerm:
@@ -124,6 +137,43 @@ def test_format_round_trip_examples():
 def test_sequence_display_only():
     seq = DataTerm(structure=SEQUENCE, element=parse("Score"), max_len=3)
     assert format_term(seq) == "[Score]<=3"
+
+
+def test_the_one_term_walk_spells_what_the_four_walks_did():
+    # seeded random literals, the edge terms of checked random diagrams (their
+    # rank nodes give bounded sequences) and hand-built terms neither makes
+    rng = random.Random(20261020)
+    terms: list[DataTerm] = []
+    while len(terms) < 3000:
+        try:
+            terms.append(parse(random_term_literal(rng)))
+        except TermError:
+            pass
+    registry = Registry()
+    for _ in range(300):
+        diagram = random_propagation_diagram(rng)
+        graph = validate_structure(diagram, registry)[1]
+        terms += [t for t in check_diagram(diagram, graph, registry).edge_terms.values() if t]
+    assert any(t.structure == SEQUENCE and t.max_len is not None for t in terms)
+    labelled = frozenset({"NER", "POS"})
+    dist = DataTerm("P_c", labelled, "entail", (3, 4), DIST, dist_range=(0.0, 0.5))
+    pair = DataTerm(structure=TUPLE, elements=(parse("S^NER"), parse("Term_New[300]")))
+    made = [dist, DataTerm(structure=SET, element=pair),
+            DataTerm(structure=SEQUENCE, element=parse("S^{NER,POS}"), max_len=5),
+            DataTerm(structure=SEQUENCE, element=dist),
+            DataTerm("Ch_T", labelled, "x", (2,)), DataTerm(None, labelled)]
+    terms += made + [DataTerm(structure=TUPLE, elements=(t, parse("T"))) for t in made]
+    for term in terms:
+        assert format_term(term) == reference_format_term(term), term
+        assert format_term(term, *_Svg.term_notation) == reference_svg_term(term), term
+        assert format_term(term, *_Tikz.term_notation) == reference_tikz_term(term), term
+
+    slots = [slot for sig in SIGNATURES for variant in sig.variants for side in variant
+             for slot in side]
+    assert any(slot.optional for slot in slots)
+    for slot in slots:
+        assert _pattern_text(slot.term, slot.optional) == \
+            reference_pattern_text(slot.term, slot.optional), slot
 
 
 _LABELS = sorted(ANNOTATION_LABELS)

@@ -13,6 +13,7 @@ from dial.cli import compile_source
 from dial.interchange import canonical_serialize, deserialize
 from dial.layout import break_cycles
 from dial.model import Node, validate_structure
+from dial.parser import lower, parse, tokenize
 from dial.registry import Registry
 from dial.terms import SEQUENCE, SET, DataTerm, TermError, format_term
 from dial.typecheck import (
@@ -373,7 +374,7 @@ def _as_source(data: str, declared: str) -> str:
         "dist_range", "category", "labels", "dims", "subscript"])
 def test_declared_edge_term_conflict_reasons(data, declared, reason):
     result = compile_source(_as_source(data, declared))
-    carried = format_term(result.registry.parse_term(data))
+    carried = format_term(term(data))
     assert [(d.code, d.message) for d in result.diagnostics] == [
         ("E104", f"edge e0 is declared as {declared} but carries {carried}: {reason}")]
 
@@ -450,10 +451,10 @@ def test_extension_range_keeps_its_distribution():
 
 
 def test_extension_labels_inside_a_set_of_tuples_are_registered():
-    result = compile_source(_extension_source(
-        "{(S^Foo, T)}", "T", "data p: {(S^Foo, T)}", "node z: Z", "edge p -> z"))
-    assert result.diagnostics == []
-    assert "Foo" in result.registry.labels
+    source = _extension_source(
+        "{(S^Foo, T)}", "T", "data p: {(S^Foo, T)}", "node z: Z", "edge p -> z")
+    assert compile_source(source).diagnostics == []
+    assert "Foo" in lower(parse(tokenize(source)[0])[0]).registry.labels
 
 
 def test_entity_linking_updated_kb_persists_back():
