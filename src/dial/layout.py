@@ -34,7 +34,8 @@ in the checker; ``layout`` draws the orientation the checker used:
                       groups in their own boxes below it and meta tables at
                       the bottom right. Nodes and edges are bucketed by
                       area, and stack heights by (band, layer), in one pass
-                      each; every box is built once, where it is drawn
+                      each; every box is built once, where it is drawn, and
+                      each distinct ``node_face`` is sized once per area
   5. routing          polylines; recurrent edges and self-edges loop above
                       the node row
 
@@ -257,6 +258,15 @@ def node_display_lines(node: Node) -> list[str]:
     return lines
 
 
+def node_face(node: Node) -> tuple | None:
+    """What sizes and spells a node with no params and no perf: ``node[1:7]``,
+    its kind, code, label, empty params, shape class and empty perf, which
+    hold only strings, ``None`` and empty tuples. Within one compile a code
+    resolves to one record, so equal faces draw equal bytes. Any other node
+    has no face: its values may compare equal yet print apart (``1``, ``1.0``)."""
+    return None if node.params or node.perf else node[1:7]
+
+
 def node_size(node: Node) -> tuple[int, int]:
     lines = node_display_lines(node)
     widest = max(map(len, lines))
@@ -335,7 +345,16 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
     band_of = layering.bands
     by_layer = order_within_layers(ids, layering.layers, oriented, band_of)
 
-    sizes = {n.id: node_size(n) for n in nodes}
+    sizes: dict[str, tuple[int, int]] = {}
+    faces: dict[tuple, tuple[int, int]] = {}  # each distinct face sized once
+    for n in nodes:
+        face = node_face(n)
+        if face is None:
+            sizes[n.id] = node_size(n)
+        elif (size := faces.get(face)) is not None:
+            sizes[n.id] = size
+        else:
+            sizes[n.id] = faces[face] = node_size(n)
     col_w: dict[int, int] = {
         layer: max(sizes[n][0] for n in layer_nodes)
         for layer, layer_nodes in by_layer.items()

@@ -443,6 +443,8 @@ class Parser:
         if self.at("perf"):
             self.advance()
             perf = self._list(self._perf_item)
+            if not all(perf):  # an entry left out is None
+                perf = tuple(filter(None, perf))
         return NodeDecl(ident, code, params, perf, at)
 
     def _param(self) -> tuple[str, object]:
@@ -465,15 +467,20 @@ class Parser:
         self.advance()
         return key, value
 
-    def _perf_item(self) -> PerfItem:
+    def _perf_item(self) -> PerfItem | None:
+        """One ``metric=value@"corpus"`` entry; None for an ``acc`` outside
+        [0,1], which is reported and left out of the node, so that lowering
+        the recovered tree does not meet it."""
         at = self.starts[self.pos]
         metric = self.expect(kind="ident", what="metric name")
         self.expect("=", what="'='")
         value = float(self.expect(kind="number", what="metric value"))
-        if metric == "acc" and not 0.0 <= value <= 1.0:
+        out_of_range = metric == "acc" and not 0.0 <= value <= 1.0
+        if out_of_range:
             self.error("acc must lie in [0,1]", self.span(-1))
         self.expect("@", what="'@'")
-        return PerfItem(metric, value, self.expect(kind="string", what="corpus name"), at)
+        corpus = self.expect(kind="string", what="corpus name")
+        return None if out_of_range else PerfItem(metric, value, corpus, at)
 
     def _data(self, at: int) -> DataDecl:
         ident = self.expect(kind="ident", what="data identifier")

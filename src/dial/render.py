@@ -11,10 +11,12 @@ Both emitters depend only on (typed diagram, layout), stamp their output
 with the toolchain version and write it into a text stream as it is drawn,
 one string per element. Equal data terms print alike, so the walk spells each
 distinct edge term once per drawing and reuses that markup for every other
-edge carrying it. A node's glyph comes from the record its code resolved
-to in validation, which the typed diagram's ``graph`` keeps: the task box for
-a signature, and the symbol's own glyph for a symbol, or the extension box
-when that glyph id is not in the table.
+edge carrying it. Likewise it builds the glyph, lines and badge of each
+distinct ``node_face`` (that of a node with no params and no perf) once per
+drawing, and spells every other node on its own. A node's glyph comes from
+the record its code resolved to in validation, which the typed diagram's
+``graph`` keeps: the task box for a signature, and the symbol's own glyph for
+a symbol, or the extension box when that glyph id is not in the table.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections.abc import Iterator
 
 from . import __version__
 from .diagnostics import RenderMismatch
-from .layout import Box, LayoutResult, node_display_lines
+from .layout import Box, LayoutResult, node_display_lines, node_face
 from .model import Node
 from .record import Record
 from .registry import Signature, SymbolDef
@@ -188,16 +190,24 @@ class _Drawing:
             yield self.edge(edge.flow_kind, route, ((x0 + x1) // 2, (y0 + y1) // 2 - 4), markup)
 
     def nodes(self) -> Iterator[str]:
-        resolved = self.typed.graph.resolved
+        resolved, boxes = self.typed.graph.resolved, self.layout.node_boxes
+        faces: dict[tuple, tuple[GlyphSpec, list[str], str | None]] = {}
         for node in self.typed.diagram.nodes:
-            glyph = glyph_for(resolved[node.id])
-            plain = node_display_lines(node)
-            lines = [self.esc(line) for line in plain]
-            mark = self.mark_text(node, glyph)
-            if mark is not None:
-                lines[0] = mark if plain[0] == node.code else f"{mark} {lines[0]}"
-            badge = glyph.badge and self.esc_mark(self.marks.get(glyph.badge, glyph.badge))
-            yield self.node(glyph, self.layout.node_boxes[node.id], lines, badge)
+            face = node_face(node)
+            drawn = faces.get(face) if face is not None else None
+            if drawn is None:
+                glyph = glyph_for(resolved[node.id])
+                plain = node_display_lines(node)
+                lines = [self.esc(line) for line in plain]
+                mark = self.mark_text(node, glyph)
+                if mark is not None:
+                    lines[0] = mark if plain[0] == node.code else f"{mark} {lines[0]}"
+                badge = glyph.badge and self.esc_mark(self.marks.get(glyph.badge, glyph.badge))
+                drawn = glyph, lines, badge
+                if face is not None:
+                    faces[face] = drawn
+            glyph, lines, badge = drawn
+            yield self.node(glyph, boxes[node.id], lines, badge)
 
     def mark_text(self, node: Node, glyph: GlyphSpec) -> str | None:
         if glyph.mark is None:

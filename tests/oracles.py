@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import permutations
 from unittest import mock
 
+import dial.cli
 import dial.layout
 import dial.parser
 from dial.diagnostics import Diagnostic, Span
@@ -41,8 +42,10 @@ from dial.layout import (
     _weak_components,
     assign_layers,
     break_cycles,
+    node_display_lines,
     node_size,
 )
+from dial.interchange import canonical_serialize, deserialize
 from dial.model import DetailGroup, Diagram, Edge, Node, Port
 from dial.parser import (
     ARROWS,
@@ -69,7 +72,7 @@ from dial.parser import (
 )
 from dial.record import Record, replace
 from dial.registry import Registry
-from dial.render import _Drawing, _esc_xml, _Svg, _Tikz
+from dial.render import _Drawing, _esc_xml, _Svg, _Tikz, glyph_for
 from dial.terms import (
     CANONICAL,
     DIST,
@@ -708,8 +711,8 @@ def reference_pattern_text(term: DataTerm, optional: frozenset[str]) -> str:
 
 # ---------------------------------------------------------------------------
 # The drawing's earlier edge walk, which spelled the term of every edge with
-# the writer's earlier term walk, and its earlier TeX escape, one dict lookup
-# per character: verbatim
+# the writer's earlier term walk, its earlier node walk, which spelled every
+# node, and its earlier TeX escape, one dict lookup per character: verbatim
 # ---------------------------------------------------------------------------
 
 
@@ -722,6 +725,19 @@ def reference_edges(self) -> Iterator[str]:
                         None if term is None else self.term(term))
 
 
+def reference_nodes(self) -> Iterator[str]:
+    resolved = self.typed.graph.resolved
+    for node in self.typed.diagram.nodes:
+        glyph = glyph_for(resolved[node.id])
+        plain = node_display_lines(node)
+        lines = [self.esc(line) for line in plain]
+        mark = self.mark_text(node, glyph)
+        if mark is not None:
+            lines[0] = mark if plain[0] == node.code else f"{mark} {lines[0]}"
+        badge = glyph.badge and self.esc_mark(self.marks.get(glyph.badge, glyph.badge))
+        yield self.node(glyph, self.layout.node_boxes[node.id], lines, badge)
+
+
 def reference_esc_tex(text: str) -> str:
     specials = {"\\": r"\textbackslash{}", "&": r"\&", "%": r"\%", "$": r"\$",
                 "#": r"\#", "_": r"\_", "{": r"\{", "}": r"\}",
@@ -731,19 +747,84 @@ def reference_esc_tex(text: str) -> str:
 
 @contextmanager
 def reference_drawing() -> Iterator[None]:
-    """Both writers draw with the reference edge walk, term spellings and TeX
-    escape. The writers' ``order`` tuples and ``_Tikz.esc`` hold the functions
-    bound when their classes were created, so those are patched, not only
-    ``_Drawing``."""
-    edges = _Drawing.edges
+    """Both writers draw with the reference edge and node walks, term
+    spellings and TeX escape. The writers' ``order`` tuples and ``_Tikz.esc``
+    hold the functions bound when their classes were created, so those are
+    patched, not only ``_Drawing``."""
+    walks = {_Drawing.edges: reference_edges, _Drawing.nodes: reference_nodes}
     with ExitStack() as patches:
         for cls, term in ((_Svg, reference_svg_term), (_Tikz, reference_tikz_term)):
             patches.enter_context(mock.patch.object(
-                cls, "order", tuple(reference_edges if f is edges else f for f in cls.order)))
+                cls, "order", tuple(walks.get(f, f) for f in cls.order)))
             patches.enter_context(mock.patch.object(cls, "term", staticmethod(term), create=True))
         patches.enter_context(mock.patch.object(_Drawing, "edges", reference_edges))
+        patches.enter_context(mock.patch.object(_Drawing, "nodes", reference_nodes))
         patches.enter_context(mock.patch.object(_Tikz, "esc", staticmethod(reference_esc_tex)))
         yield
+
+
+_FACES_SOURCE = """dial 0.1
+dialect sys
+diagram "faces" {
+  data x: S^Token
+  node a: POS
+  node b: POS(label="tagger")
+  node c: POS(shape=feature)
+  node d: POS(label="tagger", shape=feature)
+  node e: POS
+  node f: POS(label="a<b & {c}_d")
+  node g: POS(label="a<b & {c}_d")
+  node s: oplus
+  node t: oplus(label="sum")
+  node u: oplus(label="oplus")
+  node v: rank
+  node w: rank(label="top")
+  node z: rank
+  edge x -> a
+  edge x -> b
+  edge x -> c
+  edge x -> d
+  edge x -> e
+  edge x -> f
+  edge x -> g
+  edge a -> s
+  edge b -> s.in1
+  edge c -> t
+  edge d -> t.in1
+  edge e -> u
+  edge f -> u.in1
+  edge s -> v
+  edge t -> w
+  edge u -> z
+  detail zoom for g {
+    data y: S^Token
+    node p: POS
+    node q: POS(label="tagger")
+    node r: POS
+    edge y -> p
+    edge y -> q
+    edge y -> r
+  }
+}
+"""
+
+
+def repeated_face_diagrams() -> list[tuple[str, Diagram]]:
+    """Diagrams whose parameter-free nodes repeat a face, beside nodes of the
+    same code that differ from them in one field of the face: a compiled
+    one, whose POS, oplus and rank nodes differ in label or shape, also
+    inside a detail group, and one decoded from an interchange document,
+    whose eight ``func`` nodes differ only in kind or shape class, two to
+    each of four faces."""
+    faces = dial.cli.compile_source(_FACES_SOURCE)
+    assert not faces.diagnostics, faces.diagnostics
+    fan = "\n".join(["dial 0.1", "dialect sys", 'diagram "kinds" {', "  data x: S"]
+                     + [f"  node f{i}: func\n  edge x -> f{i}" for i in range(8)] + ["}"])
+    doc = json.loads(canonical_serialize(dial.cli.compile_source(fan).diagram))
+    for i, node in enumerate(doc["nodes"][1:]):
+        node["kind"] = ("operator", "resource")[i % 2]
+        node["shape_class"] = ("feature", "component")[i // 2 % 2]
+    return [("<faces>", faces.diagram), ("<decoded kinds>", deserialize(json.dumps(doc).encode()))]
 
 
 # ---------------------------------------------------------------------------
@@ -1219,9 +1300,10 @@ class TokenListParser:
     and ``_item`` messages put around a string token, the token offsets
     and ``source`` it records in the AST, and the recovery the parser gained
     since: a faulty block entry resumes at its ``;`` or the block's ``}``,
-    and a block whose header failed before its ``{`` is stepped over whole.
-    An item starts at, and recovery stops at, a token of kind ``keyword``
-    only: a quoted ``"node"`` is a string."""
+    and a block whose header failed before its ``{`` is stepped over whole;
+    a perf entry whose ``acc`` lies outside [0,1] is reported and left out
+    of the node. An item starts at, and recovery stops at, a token of kind
+    ``keyword`` only: a quoted ``"node"`` is a string."""
 
     def __init__(self, tokens: list[Token], source: str) -> None:
         self.tokens = tokens
@@ -1412,11 +1494,13 @@ class TokenListParser:
             self.expect("=", what="'='")
             vtok = self.expect(kind="number", what="metric value")
             value = float(vtok.text)
-            if mtok.text == "acc" and not 0.0 <= value <= 1.0:
+            out_of_range = mtok.text == "acc" and not 0.0 <= value <= 1.0
+            if out_of_range:
                 self.error("acc must lie in [0,1]", vtok.span)
             self.expect("@", what="'@'")
             corpus = self.expect(kind="string", what="corpus name").text
-            out.append(PerfItem(mtok.text, value, corpus, mtok.at))
+            if not out_of_range:
+                out.append(PerfItem(mtok.text, value, corpus, mtok.at))
             if self.at(","):
                 self.advance()
                 continue
@@ -1736,11 +1820,13 @@ _BAD_TERMS = (
 _NODE_IDS = tuple(f"n{i}" for i in range(8))
 _GHOSTS = ("ghost", "n9")
 # Node suffixes, detail sides and placements, a few of them faulty: a wrong or
-# missing word, an entry without its name or value, a missing separator.
+# missing word, an entry without its name or value, a missing separator, an
+# acc outside [0,1].
 _PARAMS = ("", "(n=2)", '(label="x")', "(out=S^NER)", "(out=Bogus)") * 8 + (
     "(n=)", "(=2)", "(n=2,)", "(n=2 k=3)", '(n=2, "k"=1)')
 _PERF = ("",) * 40 + (' perf(acc=0.9@"c")', ' perf(acc=0.5@"c", f1=0.5@"d")', ' perf(acc=@"c")',
-                     ' perf(acc=0.9@"c" f1=1@"d")', ' perf(f1=0.5 "c")')
+                     ' perf(acc=0.9@"c" f1=1@"d")', ' perf(f1=0.5 "c")', ' perf(acc=2@"c")',
+                     ' perf(f1=0.5@"d", acc=1.5@"c")')
 _SIDES = ("",) * 40 + (" entry top", " exit bottom", " entry left exit top",
                        " entry middle", " exit up", " entry", " exit 3")
 _PLACEMENTS = ("",) * 3 + (" at top_left", " at bottom_right", " at middle", " at")
@@ -1751,7 +1837,8 @@ def random_front_end_source(rng: random.Random) -> str:
     groups, unknown owners and edges to unknown nodes are common. Detail
     blocks nest up to three deep and hold edges. Terms are sometimes
     malformed or nested past the limit; a node's parameters or perf entries,
-    a detail block's sides and a placement are sometimes wrong or missing;
+    a detail block's sides and a placement are sometimes wrong or missing,
+    and a perf ``acc`` sometimes lies outside [0,1];
     and a declaration sometimes starts with its keyword quoted, which is a
     string and no keyword."""
     title = rng.choice(("",) * 80 + _PLACEMENTS[3:])

@@ -33,6 +33,7 @@ from oracles import (
     reference_break_cycles,
     reference_layout,
     reference_order_within_layers,
+    repeated_face_diagrams,
 )
 
 
@@ -408,7 +409,7 @@ def test_layout_matches_quadratic_reference():
     makers = (random_feedback_diagram,
               lambda r: random_layout_diagram(r, cyclic=True),
               random_grouped_diagram)
-    reversing = grouped = banded = 0
+    reversing = grouped = banded = repeated = 0
     for i in range(2100):
         d = makers[i % 3](rng)
         oriented, reversed_ids = break_cycles(d)
@@ -423,8 +424,15 @@ def test_layout_matches_quadratic_reference():
         reversing += bool(reversed_ids)
         grouped += bool(d.groups)
         banded += len(set(band_of.values())) > 1
-    # the mix exercises what the rewrites touch
+        faces = [n[1:7] for n in d.nodes if not (n.params or n.perf)]
+        repeated += len(set(faces)) < len(faces)
+    # the mix exercises what the rewrites touch; the reference sizes every
+    # node, the layout each distinct face of a parameter-free node once
     assert reversing > 500 and grouped > 300 and banded > 300, (reversing, grouped, banded)
+    assert repeated > 1000, repeated
+    # faces that differ in label, shape class or kind alone
+    for name, d in repeated_face_diagrams():
+        assert layout(d, *break_cycles(d)) == reference_layout(d), name
     # integer keys scaled per layer against the reference's Fractions: equal
     # means over different anchor counts (1/2 and 2/4, 1/3 and 2/6), means
     # less than 1/100 apart (33/100, 50/149 and 1/3; 51/101 and 1/2), a node

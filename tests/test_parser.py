@@ -287,6 +287,22 @@ def test_perf_acc_bounds_checked():
     assert any(d.code == "E002" and "acc" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("perf, kept", [('acc=2@"c"', ()),
+                                        ('f1=0.5@"d", acc=2@"c"', (("f1", 0.5, "d"),))])
+def test_an_out_of_range_acc_is_reported_and_left_out_of_the_tree(perf, kept):
+    # the E002 sits on the value; the tree keeps the node and its other
+    # entries, so lowering it returns diagnostics instead of raising
+    src = wrap(f"node a: NER perf({perf})")
+    ast, diags = parse_source(src)
+    line = src.splitlines()[3]
+    assert [(d.code, d.message, d.span) for d in diags] == [
+        ("E002", "acc must lie in [0,1]", Span(4, line.index("2@") + 1, 1))]
+    assert [(p.metric, p.value, p.corpus) for p in ast.items[0].perf] == list(kept)
+    unit = lower(ast)
+    assert unit.diagnostics == []
+    assert [tuple(p) for p in unit.diagram.nodes[0].perf] == list(kept)
+
+
 def test_diagnostic_spans_inside_input():
     src = wrap("node a POS")
     lines = src.splitlines()
@@ -727,6 +743,7 @@ FRONT_END_CASES = {  # case -> least number of sources (of 2,400) that show it
     "expected a parameter name": 150,
     "expected a parameter value": 50,
     "expected metric": 45,  # a perf entry without its name or value
+    "acc must lie in [0,1]": 60,
     "expected a side": 50,
     "unknown side": 50,
     "expected a region": 30,

@@ -42,6 +42,7 @@ from oracles import (
     random_valid_source,
     reference_drawing,
     reference_esc_tex,
+    repeated_face_diagrams,
 )
 
 SYS = frozenset({"sys"})
@@ -266,7 +267,8 @@ def test_tikz_deterministic():
 
 
 def test_output_stable_under_hash_randomization():
-    # set-iteration order must never leak into artifacts
+    # set-iteration order must never leak into artifacts, nor the order of
+    # the drawing's per-face memo, which a chain of repeated faces fills
     import os
     import subprocess
     import sys
@@ -282,11 +284,13 @@ def test_output_stable_under_hash_randomization():
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     cyclic = CYCLIC
     assert compile_source(cyclic).layout_result.reversed_edges == {"e3", "e5"}
+    chain = chain_source(60)  # 59 parameter-free tasks in 3 faces
     script = (
         "from dial.cli import compile_file, compile_source\n"
         "import hashlib\n"
         "h = hashlib.sha256()\n"
-        f"for r in (compile_file('corpus/pass/qa_system.dial'), compile_source({cyclic!r})):\n"
+        f"for r in (compile_file('corpus/pass/qa_system.dial'), compile_source({cyclic!r}),\n"
+        f"          compile_source({chain!r})):\n"
         "    assert not r.diagnostics, r.diagnostics\n"
         "    h.update((r.render('svg') + r.render('tikz')).encode())\n"
         "    h.update(repr(sorted(r.layout_result.reversed_edges)).encode())\n"
@@ -456,6 +460,26 @@ def test_each_distinct_edge_term_is_spelled_once(monkeypatch):
         assert len(spelled) == len(distinct), fmt
 
 
+def test_each_distinct_node_face_is_sized_and_spelled_once(monkeypatch):
+    # 299 parameter-free tasks in 3 faces, fed by a data node whose `out`
+    # param gives it no face: 4 sizes per layout, 4 spellings per drawing
+    typed = compile_source(chain_source(300)).typed
+    assert len(typed.diagram.nodes) == 300 and typed.diagram.nodes[0].params
+    calls: Counter[str] = Counter()
+    for module, name in ((dial.layout, "node_size"), (dial.render, "node_display_lines")):
+        def counting(node, name=name, real=getattr(module, name)):
+            calls[name] += 1
+            return real(node)
+
+        monkeypatch.setattr(module, name, counting)
+    lay = layout(typed.diagram, typed.oriented, typed.reversed_edges)
+    assert calls == {"node_size": 4}
+    for draw in (render_svg, render_tikz):
+        calls.clear()
+        draw(typed, lay)
+        assert calls == {"node_display_lines": 4}, draw
+
+
 def test_validation_reads_each_code_arity_once(monkeypatch):
     diagram = compile_source(chain_source(300)).diagram
     reads: Counter[tuple[str, str]] = Counter()
@@ -496,7 +520,8 @@ def _checked_drawings():
             yield f"<random {i}>", result.typed, result.layout_result
     rng = random.Random(11)
     diagrams = [(f"<grouped {i}>", random_grouped_diagram(rng)) for i in range(1000)]
-    for name, diagram in diagrams + [("<decoded params>", _decoded_params_diagram())]:
+    diagrams += [("<decoded params>", _decoded_params_diagram()), *repeated_face_diagrams()]
+    for name, diagram in diagrams:
         graph = validate_structure(diagram, Registry())[1]
         if graph is not None:
             typed = check_diagram(diagram, graph, Registry())
@@ -504,18 +529,23 @@ def _checked_drawings():
 
 
 def test_drawing_matches_the_reference_walk():
-    # the walk spells each distinct edge term once; the bytes stay those of
-    # the walk that spelled every edge's term
+    # the walk spells each distinct edge term and each distinct face of a
+    # parameter-free node once; the bytes stay those of the walk that
+    # spelled every edge's term and every node
     drawn: Counter[str] = Counter()
     for name, typed, lay in _checked_drawings():
         ours = render_svg(typed, lay), render_tikz(typed, lay)
         with reference_drawing():
             assert (render_svg(typed, lay), render_tikz(typed, lay)) == ours, name
         terms = [typed.edge_terms.get(e.id) for e in typed.diagram.edges]
+        faces = [n[1:7] for n in typed.diagram.nodes if not (n.params or n.perf)]
         drawn[name.split()[0]] += 1
         drawn["repeated"] += len(set(terms) - {None}) < sum(t is not None for t in terms)
-    assert drawn["corpus/pass/qa_system.dial"] == drawn["<decoded"] == 1
+        drawn["repeated faces"] += len(set(faces)) < len(faces)
+    assert drawn["corpus/pass/qa_system.dial"] == drawn["<faces>"] == 1
+    assert drawn["<decoded"] == 2  # the params diagram and the kinds one
     assert drawn["<random"] > 500 and drawn["<grouped"] > 150 and drawn["repeated"] > 100, drawn
+    assert drawn["repeated faces"] > 150, drawn
 
 
 @given(st.text(st.one_of(st.sampled_from("\\&%$#_{}~^"), st.characters())))
