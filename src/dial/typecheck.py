@@ -5,13 +5,13 @@ Only a diagram that ``validate_structure`` accepted is checked: the checker
 takes each node's signature or symbol from the validation's ``Graph`` and
 resolves no code itself.
 
-Propagation is a worklist over the nodes in topological rank, so an acyclic
-diagram costs one evaluation per node whatever its declaration order; a
-node is evaluated again only after one of its sources changed. Sweeps are
-capped at a budget; running out of it is reported as E105, since labels
-only grow but the dimension calculus can grow a vector around a flow cycle
-forever. Each node reports the diagnostics of its latest evaluation, in
-declaration order, which keeps their order deterministic.
+Propagation visits every node once in topological rank, so an acyclic
+diagram costs one evaluation per node whatever its declaration order; only
+a feedback edge queues a node again, on a worklist. Sweeps are capped at a
+budget; running out of it is reported as E105, since labels only grow but
+the dimension calculus can grow a vector around a flow cycle forever. Each
+node reports the diagnostics of its latest evaluation, in declaration
+order, which keeps their order deterministic.
 
 Each distinct evaluation, that is code, params with their types, input
 terms and resource flags, is inferred once per check. That is sound
@@ -19,6 +19,7 @@ because inference reads of a node only its code, its params and, for
 diagnostics alone, its id, and within a check the code fixes what it
 resolves to. So an evaluation without diagnostics gives the same outputs
 wherever its key recurs, and a repeated pipeline stage costs a lookup.
+Equal inferred terms are one object per check, so they compare by identity.
 
 A task's input is matched against its signature slot's pattern, a
 ``DataTerm`` like the input itself (:func:`match_term`), and each output
@@ -398,20 +399,23 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
     Nodes are ranked by layer of the forward orientation, then declaration
     index. A sweep visits queued nodes in rank order; a node whose output
     changed queues its successors over every edge, those ranked later for
-    this sweep and the others for the next. The result is the round-robin
-    over the nodes in rank order, minus the evaluations whose inputs had not
-    changed. An empty queue proves the fixed point, and each node's last
-    evaluation saw its final inputs, so its diagnostics are the ones kept.
-    After ``max_rounds`` sweeps the queue may still hold nodes; they are
-    evaluated once more on the final inputs, and E105 names the first of
-    them in declaration order.
+    this sweep and the others for the next. In sweep 0 every node is queued
+    until its visit, so only a feedback edge can queue one, and the heap is
+    built only if one did. The result is the round-robin over the nodes in
+    rank order, minus the evaluations whose inputs had not changed. An empty
+    queue proves the fixed point, and each node's last evaluation saw its
+    final inputs, so its diagnostics are the ones kept and each edge carries
+    what its target last received. After ``max_rounds`` sweeps the queue may
+    still hold nodes; they are evaluated once more on the final inputs, and
+    E105 names the first of them in declaration order.
 
     An evaluation whose key, the node's code, its params tagged with their
     types, its input terms and resource flags, matches an earlier clean one
     reuses that output list and reports no diagnostics: ``infer_output`` is a
     pure function of the key, and of the node's id only through diagnostics.
     Evaluations with diagnostics are not shared, so each diagnostic still
-    comes from its own node's evaluation. The memo lives for one call.
+    comes from its own node's evaluation. Each term an inference returns is
+    replaced by the first equal one. The memo and that table live for one call.
     """
     # looked up in .layout per call, so a tracer that replaces them there sees the call
     from .layout import assign_layers, break_cycles
@@ -422,14 +426,24 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
     oriented, backward = break_cycles(diagram)
     label_count = len(registry.labels)
     max_rounds = len(diagram.edges) * label_count + 2
+    layers = assign_layers([n.id for n in diagram.nodes], oriented)
+    order = sorted((layers[n.id], i, n) for i, n in enumerate(diagram.nodes))
+    rank = {n.id: r for r, (_, _, n) in enumerate(order)}
 
-    # In-edges keep declaration order: the last feed of a slot wins.
-    in_edges: dict[str, list[Edge]] = {n.id: [] for n in diagram.nodes}
+    # In-edges keep declaration order: the last feed of a slot wins. A forward
+    # edge's target ranks after its source; a feedback edge's need not.
+    in_edges: dict[str, list[tuple[Edge, bool]]] = {n.id: [] for n in diagram.nodes}
+    feedback: dict[str, list[int]] = {}  # source id -> ranks of its feedback targets
     for edge in diagram.edges:
-        in_edges[edge.target.node].append(edge)
+        fed_back = edge.flow_kind == "recurrent" or edge.id in backward
+        in_edges[edge.target.node].append((edge, fed_back))
+        if fed_back:
+            feedback.setdefault(edge.source.node, []).append(rank[edge.target.node])
 
     node_diags: dict[str, list[Diagnostic]] = {}  # from each node's latest evaluation
     clean: dict[tuple, list[DataTerm | None]] = {}  # evaluation key -> outputs, no diagnostics
+    interned = {_QUERY_TERM: _QUERY_TERM}  # each inferred term -> the first equal one
+    carried: dict[str, DataTerm | None] = {}  # edge id -> what its target last received
     # params by type and repr: 1 == 1.0, yet class=1 gives C_1 and class=1.0 C_1.0;
     # a decoded diagram's params may also be -0.0 (== 0.0) or unhashable lists
     param_keys = {n.id: tuple((k, type(v), repr(v)) for k, v in n.params)
@@ -438,15 +452,22 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
     def evaluate(node: Node) -> list[DataTerm | None]:
         slots: dict[int, DataTerm | None] = {}
         resource_flags: dict[int, bool] = {}
-        feedback: list[tuple[int, DataTerm | None]] = []
-        for edge in in_edges[node.id]:
-            delivered = _delivered_term(edge, nodes, outputs)
-            if edge.flow_kind == "recurrent" or edge.id in backward:
-                feedback.append((edge.target.slot, delivered))
+        fed_back: list[tuple[int, DataTerm | None]] = []
+        for edge, is_feedback in in_edges[node.id]:
+            source = edge.source
+            from_resource = nodes[source.node].kind == "resource"
+            if from_resource and edge.flow_kind == "query":
+                delivered = _QUERY_TERM
+            else:
+                outs = outputs[source.node]
+                delivered = outs[source.slot] if source.slot < len(outs) else None
+            carried[edge.id] = delivered
+            if is_feedback:
+                fed_back.append((edge.target.slot, delivered))
                 continue
             slots[edge.target.slot] = delivered
-            resource_flags[edge.target.slot] = nodes[edge.source.node].kind == "resource"
-        for slot, delivered in feedback:
+            resource_flags[edge.target.slot] = from_resource
+        for slot, delivered in fed_back:
             if delivered is None:
                 continue
             if slots.get(slot) is not None:
@@ -464,31 +485,36 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
             node_diags[node.id] = []
             return outs
         outs, node_diags[node.id] = infer_output(node, found, inputs, registry, embeddings, flags)
+        outs = [interned.setdefault(term, term) for term in outs]
         if not node_diags[node.id]:
             clean[key] = outs
         return outs
 
-    layers = assign_layers([n.id for n in diagram.nodes], oriented)
-    order = sorted((layers[n.id], i, n) for i, n in enumerate(diagram.nodes))
-    rank = {n.id: r for r, (_, _, n) in enumerate(order)}
-    # Successors over every edge: a feedback target depends on its source too.
-    successors: dict[str, list[int]] = {n.id: [] for n in diagram.nodes}
-    for edge in diagram.edges:
-        successors[edge.source.node].append(rank[edge.target.node])
-
-    heap = [(0, r) for r in range(len(order))]  # (sweep, rank) pairs; sorted, hence a heap
+    heap: list[tuple[int, int]] = []  # (sweep, rank) pairs still to visit after sweep 0
     queued = [True] * len(order)
-    while heap and heap[0][0] < max_rounds:
-        sweep, r = heapq.heappop(heap)
+
+    def visit(sweep: int, r: int, succs: list[int] | None) -> None:
         queued[r] = False
         node = order[r][2]
         outs = evaluate(node)
-        if outs != outputs[node.id]:
-            outputs[node.id] = outs
-            for succ in successors[node.id]:
+        if succs and outs != outputs[node.id]:
+            for succ in succs:
                 if not queued[succ]:
                     queued[succ] = True
                     heapq.heappush(heap, (sweep if succ > r else sweep + 1, succ))
+        outputs[node.id] = outs  # equal to the old outputs when unchanged
+
+    # Sweep 0 visits every node in rank order; the worklist takes what it queued.
+    for r, (_, _, node) in enumerate(order):
+        visit(0, r, feedback.get(node.id))
+    if heap:
+        # Successors over every edge: a feedback target depends on its source too.
+        successors: dict[str, list[int]] = {n.id: [] for n in diagram.nodes}
+        for edge in diagram.edges:
+            successors[edge.source.node].append(rank[edge.target.node])
+        while heap and heap[0][0] < max_rounds:
+            sweep, r = heapq.heappop(heap)
+            visit(sweep, r, successors[order[r][2].id])
 
     stuck = [r for _, r in heap]  # out of budget: these have not seen their final inputs
     for r in stuck:
@@ -497,7 +523,7 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
 
     edge_terms: dict[str, DataTerm] = {}
     for edge in diagram.edges:
-        delivered = _delivered_term(edge, nodes, outputs)
+        delivered = carried[edge.id]
         if delivered is not None:
             edge_terms[edge.id] = delivered
         else:
@@ -532,14 +558,7 @@ def _collapse(term: DataTerm) -> DataTerm:
     return DataTerm(base=base, annotations=term.all_labels())
 
 
-def _delivered_term(edge: Edge, nodes: dict[str, Node],
-                    outputs: dict[str, list[DataTerm | None]]) -> DataTerm | None:
-    if edge.flow_kind == "query" and nodes[edge.source.node].kind == "resource":
-        return DataTerm(base="Tuples")
-    outs = outputs[edge.source.node]
-    if edge.source.slot < len(outs):
-        return outs[edge.source.slot]
-    return None
+_QUERY_TERM = DataTerm(base="Tuples")  # what a query edge from a resource delivers
 
 
 def _check_declared(edge: Edge, inferred: DataTerm | None, registry: Registry,

@@ -200,6 +200,13 @@ def test_lint_allow_disables_one_rule():
     assert code == 0 and "W207" not in err
 
 
+def test_lint_warning_line_names_its_file_without_a_position():
+    # a lint warning has a file and no span
+    fixture = str(LINT_FIXTURES / "w207.dial")
+    assert dial("lint", fixture) == (0, "", f"{fixture}: warning W207: task node 'p' carries "
+                                            "no perf annotation; report quality per component\n")
+
+
 def test_lint_corpus_passes_deny_warnings():
     for name in ("qa_system", "lexicon_attention", "entailment"):
         code, _, err = dial("lint", "--deny", "warnings", f"corpus/pass/{name}.dial")

@@ -107,3 +107,15 @@ def test_main_reports_every_case(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:-1] == [f"ok   {case.name}" for case in CASES]
     assert lines[-1].startswith("coverage: ")
+
+
+def test_main_fails_on_a_failing_case(corpus_copy, monkeypatch, capsys):
+    (corpus_copy / "pass" / "qa_system.dial").write_text(UNKNOWN_CODE)
+    # corpus_suite's root default was bound when it was defined, so route the call
+    real_suite = corpus.corpus_suite
+    monkeypatch.setattr(corpus, "corpus_suite", lambda: real_suite(corpus_copy))
+    assert corpus.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL qa_system  [\"diagnostic codes ['E010'] do not match qa_system.expect\", "
+        "'expected a clean compile']"]

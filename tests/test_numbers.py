@@ -116,6 +116,39 @@ def test_a_sum_past_the_bound_is_e103(tmp_path):
     assert "E103" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("last", ["9", "8"], ids=["reaches_the_bound", "stays_below"])
+def test_a_dimension_sum_of_exactly_the_bound_is_e103(last):
+    # 1 + (10 ** MAX_DIGITS - 1) has MAX_DIGITS + 1 digits; one less has not
+    big = "9" * (MAX_DIGITS - 1) + last
+    result = compile_source(HEADER + f"  data a: vec[1]\n  data b: vec[{big}]\n"
+                            "  node c: concat\n  node v: verify\n"
+                            "  edge a -> c\n  edge b -> c\n  edge c -> v\n}\n")
+    total = 1 + int(big)
+    if total < 10 ** MAX_DIGITS:
+        assert result.diagnostics == []
+        assert result.typed.edge_terms["e2"].dims == (total,)
+    else:
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E103", f"node 'c': concat gives dimension {total}, more than {MAX_DIGITS} digits")]
+
+
+@pytest.mark.parametrize("last", ["9", "8"], ids=["reaches_the_bound", "stays_below"])
+def test_a_length_bound_sum_of_exactly_the_bound_is_e103(last):
+    big = "9" * (MAX_DIGITS - 1) + last
+    result = compile_source(HEADER + "  data a: {S}\n  node r1: rank(n=1)\n"
+                            f"  node r2: rank(n={big})\n  node c: concat\n  node v: verify\n"
+                            "  edge a -> r1\n  edge a -> r2\n  edge r1 -> c\n  edge r2 -> c\n"
+                            "  edge c -> v\n}\n")
+    total = 1 + int(big)
+    if total < 10 ** MAX_DIGITS:
+        assert result.diagnostics == []
+        assert result.typed.edge_terms["e4"].max_len == total
+    else:
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E103", f"node 'c': concat gives length bound {total}, "
+                     f"more than {MAX_DIGITS} digits")]
+
+
 def test_a_length_bound_past_the_bound_is_e103(tmp_path):
     # each concat joins eight copies of the sequence before it, so unbounded
     # length bounds would pass 640 digits by the last node and make render

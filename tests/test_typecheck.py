@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 
@@ -637,6 +638,89 @@ def test_check_infers_each_distinct_evaluation_once(monkeypatch, reverse):
     result = compile_source(_chain_source(decls, edges, reverse))
     assert result.diagnostics == []
     assert calls == [f"t{i}" for i in range(7)]
+
+
+def _task_chain(n: int, reverse: bool) -> str:
+    """The benchmark's chain: one S^Token source and n - 1 POS/NER/SRL tasks,
+    whose last edge asserts every label the chain has added."""
+    decls = ["  data t0: S^Token"] + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}"
+                                      for i in range(1, n)]
+    edges = [f"  edge t{i} -> t{i + 1}" for i in range(n - 1)]
+    edges[-1] += " as S^{NER,Names,POS,SRL,Sem,Token}"
+    return _chain_source(decls, edges, reverse)
+
+
+class _CountingHeapq:
+    """Stands in for the checker's ``heapq`` and records each function called."""
+
+    def __init__(self) -> None:
+        self.calls: list[str] = []
+
+    def __getattr__(self, name: str):
+        real = getattr(heapq, name)
+
+        def counted(*args):
+            self.calls.append(name)
+            return real(*args)
+        return counted
+
+
+@pytest.mark.parametrize("n, reverse", [(300, False), (80, True)])
+def test_an_acyclic_check_never_touches_the_heap(monkeypatch, n, reverse):
+    # only a feedback edge can queue a node after sweep 0, so a chain, in
+    # either declaration order, is one plain pass in rank order
+    counting = _CountingHeapq()
+    monkeypatch.setattr(dial.typecheck, "heapq", counting)
+    assert compile_source(_task_chain(n, reverse)).diagnostics == []
+    assert counting.calls == []
+    # the stand-in does see the heap of a diagram with a self-loop
+    compile_source('dial 0.1\ndialect sys\ndiagram "loop" {\n  data x: S^Token\n'
+                   "  node a: oplus\n  edge a -> a\n  edge x -> a.in1\n}\n")
+    assert counting.calls == ["heappush", "heappop"]
+
+
+def test_equal_edge_terms_are_one_object():
+    # each term infer_output returns is replaced by the first equal one of
+    # the check, so the chain's 299 edges hold 4 objects, one per value
+    typed = compile_source(_task_chain(300, False)).typed
+    terms = list(typed.edge_terms.values())
+    assert len(terms) == 299
+    assert len({id(t) for t in terms}) == len(set(terms)) == 4
+
+
+@pytest.mark.parametrize("body, calls", [
+    # a self-loop queues its own node for sweep 1: it ranks at, not after, itself
+    ("  data x: S^Token\n  node a: oplus\n  edge a -> a\n  edge x -> a.in1\n",
+     ["x", "a", "a"]),
+    # c ~> a queues a for sweep 1; there a's new labels reach c over the
+    # recurrent a ~> c, whose target ranks after its source, though b's
+    # output does not change
+    ("  data s: S^Token\n  node a: oplus\n  node b: POS\n  node c: oplus\n"
+     "  edge s -> a\n  edge a -> b\n  edge b -> c\n  edge c ~> a.in1\n  edge a ~> c.in1\n",
+     ["s", "a", "b", "c", "a", "b", "c"]),
+], ids=["self_loop", "recurrent_both_ways"])
+def test_feedback_evaluations_keep_their_order(monkeypatch, body, calls):
+    # the infer_output sequences the single-heap worklist made, recorded from it
+    seen = _count_infer_output(monkeypatch)
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "feedback" {\n' + body + "}\n")
+    assert result.diagnostics == []
+    assert seen == calls
+
+
+@pytest.mark.parametrize("code, carried", [
+    ("lstm(units=8)", "vec[8]"), ("gru(units=8)", "vec[8]"), ("recnn(units=8)", "vec[8]"),
+    ("hidden_fwd(units=8)", "vec[8]"), ("hidden_bwd(units=8)", "vec[8]"),
+    ("bilstm(units=8)", "vec[16]"), ("conv(filters=5)", "vec[5]"),
+    ("lstm", "vec[300]"), ("bilstm", "vec[300]"), ("conv", "vec[300]"),
+    ("conv(units=8)", "vec[300]"),
+])
+def test_a_width_layer_is_as_wide_as_its_parameter(code, carried):
+    # width times the layer's factor; without its parameter, the input's dims
+    src = ('dial 0.1\ndialect sys, nn\ndiagram "width" {\n  data x: vec[300]\n'
+           f"  node l: {code}\n  node v: verify\n  edge x -> l\n  edge l -> v\n}}\n")
+    result = compile_source(src)
+    assert result.diagnostics == []
+    assert format_term(result.typed.edge_terms["e1"]) == carried
 
 
 def test_params_equal_across_types_are_inferred_apart():
