@@ -35,8 +35,8 @@ from .typecheck import TypedDiagram, check_diagram
 
 class CompileResult:
     """A compiled file. The back half runs on demand in the checker's
-    orientation: lint from the main area's layering alone, render from one
-    cached layout per result. Its stages are looked up as module attributes
+    orientation: lint from the typed diagram alone, render from one cached
+    layout per result. Its stages are looked up as module attributes
     at call time, so a tracer that replaces them there sees every call."""
 
     def __init__(self, file: str) -> None:
@@ -58,9 +58,8 @@ class CompileResult:
         """W2xx warnings located in ``file``; ``[]`` without a typed diagram."""
         if self.typed is None:
             return []
-        warnings = lint_mod.lint(
-            self.typed, layout.main_layering(self.typed.diagram, self.typed.oriented), disabled)
-        return [d.with_location(self.file, None) for d in warnings]
+        return [d.with_location(self.file, None)
+                for d in lint_mod.lint(self.typed, disabled=disabled)]
 
     def render(self, fmt: str, out=None) -> str | None:
         """SVG or TikZ (``fmt`` is "svg" or "tikz") written into the text stream

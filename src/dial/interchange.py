@@ -111,8 +111,6 @@ def _decode(doc: dict) -> Diagram:
                                _expect(p, "corpus", str, "perf"))
                 for p in _expect(obj, "perf", list, "node")
             ),
-            detail=_optional(obj, "detail", None, "node"),
-            placement_hint=_optional(obj, "placement_hint", None, "node"),
         )
         if node.kind not in NODE_KINDS:
             raise _bad(f"node {node.id!r}: unknown kind {node.kind!r}")

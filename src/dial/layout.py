@@ -259,12 +259,12 @@ def node_display_lines(node: Node) -> list[str]:
 
 
 def node_face(node: Node) -> tuple | None:
-    """What sizes and spells a node with no params and no perf: ``node[1:7]``,
+    """What sizes and spells a node with no params and no perf: ``node[1:]``,
     its kind, code, label, empty params, shape class and empty perf, which
     hold only strings, ``None`` and empty tuples. Within one compile a code
     resolves to one record, so equal faces draw equal bytes. Any other node
     has no face: its values may compare equal yet print apart (``1``, ``1.0``)."""
-    return None if node.params or node.perf else node[1:7]
+    return None if node.params or node.perf else node[1:]
 
 
 def node_size(node: Node) -> tuple[int, int]:

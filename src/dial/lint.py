@@ -1,5 +1,6 @@
-"""Style rules over the typed diagram and the main area's layering
-(``layout.main_layering``), which ``layout`` draws.
+"""Style rules over the typed diagram. W208 reads the main area's layering,
+which ``lint`` works out itself with ``layout.main_layering`` in the
+checker's orientation, so it sees the layers and bands ``layout`` draws.
 
 Every rule is a warning; escalation happens only in the CLI (--deny
 warnings). Output order is stable: rule code first, then the declaration
@@ -18,7 +19,7 @@ order of the node, edge, group or table the rule names.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
-from .layout import Layering, LayoutResult
+from .layout import main_layering
 from .record import Record
 from .registry import list_symbols
 from .typecheck import TypedDiagram
@@ -43,10 +44,9 @@ RULES: tuple[LintRule, ...] = (
 )
 
 
-def lint(typed: TypedDiagram, drawn: Layering | LayoutResult,
-         disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
-    """W2xx warnings; of ``drawn`` only the main area's ``layers`` and
-    ``bands`` are read, and W203 reads ``typed``'s orientation."""
+def lint(typed: TypedDiagram, *, disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
+    """W2xx warnings, except the rules in ``disabled``; W203 reads ``typed``'s
+    orientation."""
     diagram = typed.diagram
     out: list[Diagnostic] = []
 
@@ -91,7 +91,7 @@ def lint(typed: TypedDiagram, drawn: Layering | LayoutResult,
     # W201..W207 each name one kind and are emitted in its declaration order;
     # W208 is emitted per layer, so it is put in node order here
     position = {node.id: i for i, node in enumerate(diagram.nodes)}
-    out.extend(sorted(_mixed_layers(typed, drawn, disabled),
+    out.extend(sorted(_mixed_layers(typed, disabled),
                       key=lambda d: position.get(d.ir_path, -1)))
     out.sort(key=lambda d: d.code)  # stable, so each code keeps that order
     return out
@@ -105,10 +105,10 @@ def _symbol_names(dialects: frozenset[str]) -> dict[str, str]:
     return names
 
 
-def _mixed_layers(typed: TypedDiagram, drawn: Layering | LayoutResult,
-                  disabled: frozenset[str]) -> list[Diagnostic]:
+def _mixed_layers(typed: TypedDiagram, disabled: frozenset[str]) -> list[Diagnostic]:
     if "W208" in disabled:
         return []
+    drawn = main_layering(typed.diagram, typed.oriented)
     group_of = typed.graph.group_of
     top = [n for n in typed.diagram.nodes if n.id not in group_of]
     seen: dict[tuple[int, int], dict[str, str]] = {}

@@ -6,7 +6,8 @@ subgraphs, and meta tables carry display rows. Declaration order is
 significant everywhere; it seeds the deterministic layout tie-breaking.
 
 Diagrams are treated as immutable once construction is complete; all
-analyses over them are pure functions.
+analyses over them are pure functions. Each fact is held once: a node has no
+link to the group that refines it, since ``DetailGroup.owner`` states that.
 
 :func:`validate_structure` is the last stage that sees a rejected diagram,
 lowered from source or decoded by :mod:`dial.interchange`; only a decoded one
@@ -64,8 +65,6 @@ class Node(Record):
     params: tuple[tuple[str, object], ...] = ()
     shape_class: str = "component"
     perf: tuple[PerfAnnotation, ...] = ()
-    detail: str | None = None  # id of the group refining this node
-    placement_hint: str | None = None
 
     def param(self, key: str):
         for k, v in self.params:

@@ -11,7 +11,8 @@ lookup of the whole text (keyword, punctuation, arrow) or else of the first
 character (identifier, space). A string is the slice between its quotes; only
 one with a backslash meets a regular expression. A number with more than
 :data:`~dial.terms.MAX_DIGITS` digits before its point is E001 and dropped,
-as an illegal character is. The AST keeps token offsets,
+as an illegal character is. The AST keeps token offsets (a perf entry is
+the IR's own ``PerfAnnotation``, which lowering passes on unchanged),
 and :func:`locate` makes a :class:`Span` only for a diagnostic, so a valid
 file builds none, nor a table of line starts.
 ``parse`` reads those lists, and so does
@@ -193,18 +194,11 @@ class PortRef(Record):
     at: int  # source offset of its first token
 
 
-class PerfItem(Record):
-    metric: str
-    value: float
-    corpus: str
-    at: int
-
-
 class NodeDecl(Record):
     id: str
     code: str
     params: tuple[tuple[str, object], ...]
-    perf: tuple[PerfItem, ...]
+    perf: tuple[PerfAnnotation, ...]
     at: int
 
 
@@ -467,11 +461,10 @@ class Parser:
         self.advance()
         return key, value
 
-    def _perf_item(self) -> PerfItem | None:
+    def _perf_item(self) -> PerfAnnotation | None:
         """One ``metric=value@"corpus"`` entry; None for an ``acc`` outside
         [0,1], which is reported and left out of the node, so that lowering
         the recovered tree does not meet it."""
-        at = self.starts[self.pos]
         metric = self.expect(kind="ident", what="metric name")
         self.expect("=", what="'='")
         value = float(self.expect(kind="number", what="metric value"))
@@ -480,7 +473,7 @@ class Parser:
             self.error("acc must lie in [0,1]", self.span(-1))
         self.expect("@", what="'@'")
         corpus = self.expect(kind="string", what="corpus name")
-        return None if out_of_range else PerfItem(metric, value, corpus, at)
+        return None if out_of_range else PerfAnnotation(metric, value, corpus)
 
     def _data(self, at: int) -> DataDecl:
         ident = self.expect(kind="ident", what="data identifier")
@@ -859,10 +852,8 @@ class _Lowerer:
                     params.append((key, value))
         found = self.registry.resolve(decl.code, self.diagram.dialects)
         kind = node_kind(found) if found else "operator"
-        perf = tuple(PerfAnnotation(p.metric, p.value, p.corpus) for p in decl.perf) \
-            if decl.perf else ()
         node = Node(decl.id, kind, decl.code, label, tuple(params),
-                    shape or default_shape_class(kind), perf)
+                    shape or default_shape_class(kind), decl.perf)
         self._add_node(node, decl.at, group)
 
     def _data(self, decl: DataDecl, group: str | None) -> None:
@@ -886,11 +877,7 @@ class _Lowerer:
         self.diagram.groups.append(group)
         self.spans["group"][decl.id] = decl.at
         self.lower_items(decl.items, group=decl.id)
-        owner_idx = self.node_pos.get(decl.owner)
-        if owner_idx is not None:
-            self.diagram.nodes[owner_idx] = replace(
-                self.diagram.nodes[owner_idx], detail=decl.id)
-        else:
+        if decl.owner not in self.node_pos:
             self.err("E011", f"detail group {decl.id!r} refines unknown node "
                              f"{decl.owner!r}", decl.at)
 

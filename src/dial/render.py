@@ -214,7 +214,7 @@ class _Drawing:
             return None
         text = self.marks[glyph.mark]
         if glyph.mark == "rank" and (top_n := node.param("n")) is not None:
-            text += self.rank_count.format(top_n)
+            text += self.rank_count(top_n)
         if glyph.mark == "proj" and (emb := node.param("embedding")) is not None:
             text += f"_{emb}"
         return self.esc_mark(text)
@@ -278,7 +278,7 @@ class _Svg(_Drawing):
     """SVG markup. Edges come before nodes, so nodes paint over them."""
 
     order = (_Drawing.edges, _Drawing.nodes)
-    marks, rank_count = SVG_MARKS, "{}"
+    marks, rank_count = SVG_MARKS, staticmethod(str)
     esc = esc_mark = staticmethod(_esc_xml)
     term_notation = (_svg_plain, ("{", "}"), "&#8804;")
     tail = "</svg>\n"
@@ -363,14 +363,21 @@ def _esc_tex(text: str) -> str:
     return text.translate(_TEX_SPECIALS)
 
 
+def _tex_math(text: str) -> str:
+    """A user string written in math mode: unchanged unless it holds one of
+    TeX's special characters, and then escaped inside an ``\\mbox``."""
+    escaped = _esc_tex(text)
+    return text if escaped == text else rf"\mbox{{{escaped}}}"
+
+
 def _tikz_plain(term: DataTerm) -> str:
     out = format_term(DataTerm(base=term.base, structure=term.structure,
                                dist_range=term.dist_range)).replace("_", r"\_")
     if term.subscript and term.structure != DIST:
-        out += f"_{{{term.subscript}}}"
+        out += f"_{{{_tex_math(term.subscript)}}}"
     labels = sorted(term.annotations)
     if labels:
-        out += "^{" + ",".join(labels) + "}"
+        out += "^{" + _tex_math(",".join(labels)) + "}"
     if term.dims is not None:
         out += "[" + ",".join(str(d) for d in term.dims) + "]"
     return out
@@ -394,7 +401,8 @@ class _Tikz(_Drawing):
     """TikZ commands. Nodes come before edges."""
 
     order = (_Drawing.nodes, _Drawing.edges)
-    marks, rank_count = TIKZ_MARKS, "${}$"
+    marks = TIKZ_MARKS
+    rank_count = staticmethod(lambda top_n: f"${_tex_math(str(top_n))}$")
     esc = staticmethod(_esc_tex)
     esc_mark = staticmethod(str)  # TikZ marks are TeX source already
     term_notation = (_tikz_plain, (r"\{", r"\}"), "\\leq ")

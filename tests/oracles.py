@@ -13,7 +13,8 @@ are the layout's earlier quadratic cycle search, barycenter sweep and area
 placement, the reference diagnostics writer is the earlier chunked
 ``json.dump``, and the reference front end is the earlier character-loop
 tokenizer, the parser over its token list with the earlier term reader, and
-lowering's earlier id lookups.
+lowering's earlier id lookups. The artifact validity oracle checks a drawing
+with the standard library alone: the SVG as XML, the TikZ token by token.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import xml.etree.ElementTree as ET
+from collections import Counter
 from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
@@ -46,7 +49,7 @@ from dial.layout import (
     node_size,
 )
 from dial.interchange import canonical_serialize, deserialize
-from dial.model import DetailGroup, Diagram, Edge, Node, Port
+from dial.model import DetailGroup, Diagram, Edge, Node, PerfAnnotation, Port
 from dial.parser import (
     ARROWS,
     DSL_VERSION,
@@ -61,7 +64,6 @@ from dial.parser import (
     ExtendDecl,
     LoweredUnit,
     NodeDecl,
-    PerfItem,
     PortRef,
     SourceAst,
     TableDecl,
@@ -828,6 +830,106 @@ def repeated_face_diagrams() -> list[tuple[str, Diagram]]:
 
 
 # ---------------------------------------------------------------------------
+# Artifact validity: what an SVG viewer or TeX would refuse or misdraw
+# ---------------------------------------------------------------------------
+
+_SVG_TOKEN = re.compile(r"[A-Za-z]|-?\d+(?:\.\d+)?")
+_TEX_TOKEN = re.compile(r"\\[A-Za-z]+|\\.|.")
+
+
+def _svg_points(element: ET.Element) -> list[tuple[float, float]]:
+    """The coordinates an element is drawn at: the corners of a rect, circle
+    or ellipse, the vertices of a line, polyline, polygon or path, and a
+    text's anchor."""
+    def get(name: str) -> float:
+        return float(element.get(name, 0))
+
+    tag = element.tag.rsplit("}", 1)[-1]
+    if tag == "circle":
+        r = get("r")
+        return [(get("cx") - r, get("cy") - r), (get("cx") + r, get("cy") + r)]
+    if tag == "ellipse":
+        return [(get("cx") - get("rx"), get("cy") - get("ry")),
+                (get("cx") + get("rx"), get("cy") + get("ry"))]
+    if tag == "line":
+        return [(get("x1"), get("y1")), (get("x2"), get("y2"))]
+    if tag in ("polyline", "polygon"):
+        numbers = [float(v) for v in _SVG_TOKEN.findall(element.get("points"))]
+        return list(zip(numbers[::2], numbers[1::2]))
+    if tag == "path":  # M, L and Z, and A, whose end point is its last pair
+        points, command, args = [], "", []
+        for token in _SVG_TOKEN.findall(element.get("d")) + ["Z"]:
+            if token.isalpha():
+                command, args = token, []
+                continue
+            args.append(float(token))
+            if len(args) == {"M": 2, "L": 2, "A": 7}[command]:
+                points.append((args[-2], args[-1]))
+                args = []
+        return points
+    if "x" in element.attrib:
+        return [(get("x"), get("y")), (get("x") + get("width"), get("y") + get("height"))]
+    return []
+
+
+def svg_problems(svg: str) -> list[str]:
+    """Why ``svg`` is not a valid drawing, [] when it is: it does not parse as
+    XML, an id repeats, or a coordinate drawn outside ``<defs>`` lies outside
+    the ``viewBox``."""
+    try:
+        root = ET.fromstring(svg)
+    except ET.ParseError as exc:
+        return [f"not XML: {exc}"]
+    problems = [f"id {i!r} is used {n} times"
+                for i, n in Counter(e.get("id") for e in root.iter() if "id" in e.attrib).items()
+                if n > 1]
+    x0, y0, width, height = map(float, root.get("viewBox").split())
+    defined = {e for defs in root.iter("{http://www.w3.org/2000/svg}defs") for e in defs.iter()}
+    for element in root.iter():
+        if element is root or element in defined:
+            continue
+        for x, y in _svg_points(element):
+            if not (x0 <= x <= x0 + width and y0 <= y <= y0 + height):
+                problems.append(f"{element.tag.rsplit('}', 1)[-1]} at ({x:g}, {y:g}) "
+                                f"lies outside the viewBox {x0:g} {y0:g} {width:g} {height:g}")
+    return problems
+
+
+def tikz_problems(tex: str) -> list[str]:
+    """Why ``tex`` would not typeset as drawn, line by line, [] when it would:
+    a brace or an unescaped ``$`` that does not balance, or a ``_`` or ``^``
+    outside math mode. The group after ``\\mbox`` is text, even in math mode."""
+    problems = []
+    for number, line in enumerate(tex.splitlines(), 1):
+        groups: list[tuple[bool, bool]] = []  # each open brace: (mode outside, mode inside)
+        math = mbox = False
+        for token in _TEX_TOKEN.findall(line):
+            if token == "%":  # a comment runs to the end of the line
+                break
+            if token == "{":
+                groups.append((math, math and not mbox))
+                math = math and not mbox
+            elif token == "}":
+                if not groups:
+                    problems.append(f"line {number}: a '}}' closes nothing")
+                    break
+                outside, inside = groups.pop()
+                if math != inside:
+                    problems.append(f"line {number}: a '$' is not closed inside its braces")
+                math = outside
+            elif token == "$":
+                math = not math
+            elif token in ("_", "^") and not math:
+                problems.append(f"line {number}: {token!r} outside math mode")
+            mbox = math and token == "\\mbox"
+        if groups:
+            problems.append(f"line {number}: {len(groups)} '{{' left open")
+        if math:
+            problems.append(f"line {number}: a '$' is left open")
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # Random DAGs for layout
 # ---------------------------------------------------------------------------
 
@@ -1485,10 +1587,10 @@ class TokenListParser:
             self.expect(")", what="')' or ','")
             return tuple(out)
 
-    def _perf(self) -> tuple[PerfItem, ...]:
+    def _perf(self) -> tuple[PerfAnnotation, ...]:
         self.advance()  # perf
         self.expect("(")
-        out: list[PerfItem] = []
+        out: list[PerfAnnotation] = []
         while True:
             mtok = self.expect(kind="ident", what="metric name")
             self.expect("=", what="'='")
@@ -1500,7 +1602,7 @@ class TokenListParser:
             self.expect("@", what="'@'")
             corpus = self.expect(kind="string", what="corpus name").text
             if not out_of_range:
-                out.append(PerfItem(mtok.text, value, corpus, mtok.at))
+                out.append(PerfAnnotation(mtok.text, value, corpus))
             if self.at(","):
                 self.advance()
                 continue
@@ -1747,11 +1849,7 @@ class ReferenceLowerer(_Lowerer):
         self.diagram.groups.append(group)
         self.spans["group"][decl.id] = decl.at
         self.lower_items(decl.items, group=decl.id)
-        owner_idx = _node_index(self.diagram, decl.owner)
-        if owner_idx >= 0:
-            self.diagram.nodes[owner_idx] = replace(
-                self.diagram.nodes[owner_idx], detail=decl.id)
-        else:
+        if _node_index(self.diagram, decl.owner) < 0:
             self.err("E011", f"detail group {decl.id!r} refines unknown node "
                              f"{decl.owner!r}", decl.at)
 

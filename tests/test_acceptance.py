@@ -202,9 +202,7 @@ def test_c8_lint_rules():
             code = f"W20{i}"
             compiled = compile_file(str(fixtures / f"{code.lower()}.dial"))
             assert compiled.diagnostics == [], f"{code} fixture must compile clean"
-            result = layout(compiled.diagram, compiled.typed.oriented,
-                            compiled.typed.reversed_edges)
-            fired = [d.code for d in lint(compiled.typed, result)]
+            fired = [d.code for d in lint(compiled.typed)]
             assert fired == [code], f"{code} fixture fired {fired}"
         for name in PASS_CASES:
             status, _, err = _run("lint", "--deny", "warnings",

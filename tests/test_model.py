@@ -248,6 +248,19 @@ def test_serialized_bytes_are_pinned():
     assert canonical_serialize(rich_diagram()) == pinned.read_bytes()
 
 
+@pytest.mark.parametrize("detail, hint", [(None, None), ("g1", "top"), (5, ["x"])],
+                         ids=["null", "strings", "ill_typed"])
+def test_documents_with_the_retired_node_keys_still_decode(detail, hint):
+    # documents written before Node lost ``detail`` and ``placement_hint``
+    # carry both keys on every node; the decoder ignores them, as any key
+    # it does not read
+    pinned = (Path(__file__).parent / "fixtures" / "interchange" / "rich_diagram.json").read_bytes()
+    doc = json.loads(pinned)
+    for node in doc["nodes"]:
+        node["detail"], node["placement_hint"] = detail, hint
+    assert deserialize(json.dumps(doc).encode()) == deserialize(pinned) == rich_diagram()
+
+
 def test_round_trip():
     d = rich_diagram()
     data = canonical_serialize(d)
@@ -302,8 +315,6 @@ def _set(path: tuple, value):
     _set(("title_placement",), None),
     _set(("nodes", 0, "label"), 7),
     _set(("nodes", 0, "params"), [[1, 2]]),
-    _set(("nodes", 0, "detail"), ["g1"]),
-    _set(("nodes", 0, "placement_hint"), 3),
     _set(("edges", 0, "declared_term"), 5),
     _set(("groups", 0, "member_nodes"), [[1]]),
     _set(("groups", 0, "member_edges"), ["e1", None]),
@@ -320,7 +331,7 @@ def _set(path: tuple, value):
 ], ids=["empty_source", "params_triple", "acc_out_of_range", "dim_zero",
         "unhashable_dialect", "perf_not_object", "dialect_not_string",
         "title_placement_null", "label_not_string", "param_name_not_string",
-        "detail_not_string", "placement_hint_not_string", "declared_term_not_string",
+        "declared_term_not_string",
         "member_node_not_string", "member_edge_not_string", "entry_side_not_string",
         "exit_side_null", "table_placement_not_string", "embedding_label_not_string",
         "unknown_dialect", "missing_sys", "negative_slot",

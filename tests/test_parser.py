@@ -425,7 +425,7 @@ def test_detail_groups_collect_members():
     group = unit.diagram.groups[0]
     assert set(group.member_nodes) == {"gi", "f"}
     assert len(group.member_edges) == 1
-    assert unit.diagram.node_by_id("p").detail == "dz"
+    assert group.owner == "p"
 
 
 def test_extension_labels_resolve_in_terms():

@@ -77,7 +77,8 @@ def test_checked_fields_raise_value_error(build):
 
 def test_replace_changes_named_fields_only():
     node = Node("a", "task", "POS")
-    assert replace(node, detail="g", label="x") == Node("a", "task", "POS", label="x", detail="g")
+    assert replace(node, shape_class="feature", label="x") == \
+        Node("a", "task", "POS", label="x", shape_class="feature")
     with pytest.raises(TypeError, match="no field 'colour'"):
         replace(node, colour="red")
 

@@ -31,6 +31,7 @@ from dial.render import (
     GlyphSpec,
     _esc_tex,
     _Svg,
+    _tex_math,
     _Tikz,
     glyph_for,
     render_svg,
@@ -39,10 +40,14 @@ from dial.render import (
 from dial.typecheck import check_diagram
 from oracles import (
     random_grouped_diagram,
+    random_layout_diagram,
+    random_propagation_diagram,
     random_valid_source,
     reference_drawing,
     reference_esc_tex,
     repeated_face_diagrams,
+    svg_problems,
+    tikz_problems,
 )
 
 SYS = frozenset({"sys"})
@@ -552,3 +557,122 @@ def test_drawing_matches_the_reference_walk():
 @example("\\&%$#_{}~^ plain text")
 def test_tex_escape_matches_the_per_character_reference(text):
     assert _esc_tex(text) == reference_esc_tex(text)
+
+
+@given(st.text(st.one_of(st.sampled_from("\\&%$#_{}~^"), st.characters())))
+@example("\\&%$#_{}~^ plain text")
+@example("LAT, PN_1")
+def test_math_mode_strings_are_plain_or_boxed(text):
+    plain = not any(ch in "\\&%$#_{}~^" for ch in text)
+    assert _tex_math(text) == (text if plain else r"\mbox{" + reference_esc_tex(text) + "}")
+
+
+# -- Artifact validity ----------------------------------------------------------
+
+# a rank count and a classifier's class that close the math group and \input a file
+TEX_INJECTION = """dial 0.1
+dialect sys
+diagram "tex" {
+  data s: {S}
+  node r: rank(n="}\\\\input{/etc/hostname}{")
+  node c: classifier(class="x}\\\\input{/etc/hostname}{")
+  node v: verify
+  edge s -> r
+  edge r -> c
+  edge c -> v
+}
+"""
+PROJECTION = """dial 0.1
+dialect sys
+diagram "projection" {
+  embedding w (dim=300) "word vectors"
+  data s: S^Token
+  node p: proj(embedding=w)
+  node q: proj(embedding=w, label="shared")
+  edge s -> p
+  edge s -> q
+}
+"""
+GOLDENS = ["entailment", "lexicon_attention", "qa_system"]
+
+
+@pytest.mark.parametrize("svg, problem", [
+    ('<svg viewBox="0 0 10 10"><rect x="2" y="2" width="9" height="1"/></svg>',
+     "rect at (11, 3) lies outside"),
+    ('<svg viewBox="0 0 10 10"><polyline points="1,1 5,-1"/></svg>', "polyline at (5, -1)"),
+    ('<svg viewBox="0 0 10 10"><path d="M 1 1 A 2 2 0 0 1 12 1 Z"/></svg>', "path at (12, 1)"),
+    ('<svg viewBox="0 0 10 10"><text id="a" x="1" y="1"/><text id="a" x="1" y="1"/></svg>',
+     "id 'a' is used 2 times"),
+    ('<svg viewBox="0 0 10 10"><text x="1" y="1">a < b</text></svg>', "not XML"),
+], ids=["rect", "polyline", "arc_end", "repeated_id", "unescaped_lt"])
+def test_svg_oracle_finds_planted_faults(svg, problem):
+    assert svg_problems(svg.replace("<svg ", '<svg xmlns="http://www.w3.org/2000/svg" ')) != []
+    assert any(p.startswith(problem) for p in svg_problems(svg)), svg_problems(svg)
+
+
+@pytest.mark.parametrize("line, problem", [
+    (r"\node at (0,0) {a_b};", "'_' outside math mode"),
+    (r"\node at (0,0) {$x$^2};", "'^' outside math mode"),
+    (r"\node at (0,0) {$\mbox{a_b}$};", "'_' outside math mode"),
+    (r"\node at (0,0) {a}};", "a '}' closes nothing"),
+    (r"\node at (0,0) {{$a$};", "1 '{' left open"),
+    (r"\node at (0,0) {$a} {b$};", "a '$' is not closed inside its braces"),
+    (r"\node at (0,0) {a} $b\$;", "a '$' is left open"),
+], ids=["subscript", "superscript", "in_mbox", "closes_nothing", "left_open", "dollar_crosses",
+        "dollar_open"])
+def test_tikz_oracle_finds_planted_faults(line, problem):
+    problems = tikz_problems("% a comment {$_\n" + line)  # a comment is not read
+    assert f"line 2: {problem}" in problems and not any(p.startswith("line 1") for p in problems)
+
+
+def test_tikz_writes_no_user_string_raw_in_math_mode():
+    result = compile_source(TEX_INJECTION)
+    assert result.diagnostics == []
+    tikz = result.render("tikz")
+    assert r"\input" not in tikz and tikz_problems(tikz) == []
+    assert r"$R\uparrow$$\mbox{\}\textbackslash{}input\{/etc/hostname\}\{}$" in tikz
+    assert r"$C_{\mbox{x\}\textbackslash{}input\{/etc/hostname\}\{}}$" in tikz
+    assert svg_problems(result.render("svg")) == []
+    # an extension's label may hold '_', which math mode would read as a subscript
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "labels" {\n'
+                            "  extend task Tag { domain: S; range: S^lang_id; }\n"
+                            "  data s: S\n  node t: Tag\n  node v: verify\n"
+                            "  edge s -> t\n  edge t -> v\n}\n")
+    assert result.diagnostics == []
+    assert r"{$S^{\mbox{lang\_id}}$}" in result.render("tikz")
+
+
+def test_generated_drawings_are_valid_svg_and_tikz():
+    rng = random.Random(13)
+    diagrams = [("<propagation>", random_propagation_diagram(rng)) for _ in range(300)]
+    diagrams += [("<layout>", random_layout_diagram(rng, cyclic=i % 2 == 1)) for i in range(300)]
+    diagrams += [("<grouped>", random_grouped_diagram(rng)) for _ in range(300)]
+    drawn: Counter[str] = Counter()
+    for name, diagram in [*diagrams, *repeated_face_diagrams()]:
+        graph = validate_structure(diagram, Registry())[1]
+        if graph is None:
+            continue
+        typed = check_diagram(diagram, graph, Registry())
+        lay = layout(diagram, typed.oriented, typed.reversed_edges)
+        assert svg_problems(render_svg(typed, lay)) == [], name
+        assert tikz_problems(render_tikz(typed, lay)) == [], name
+        drawn[name] += 1
+    assert drawn["<propagation>"] > 250 and drawn["<layout>"] > 100, drawn
+    assert drawn["<grouped>"] > 30 and drawn["<faces>"] == 1, drawn
+
+
+@pytest.mark.parametrize("name", GOLDENS + ["projection"])
+def test_svg_goldens_and_projections_are_valid(name):
+    svg = (compile_source(PROJECTION).render("svg") if name == "projection"
+           else Path(f"corpus/golden/{name}.svg").read_text(encoding="utf-8"))
+    assert svg_problems(svg) == []
+
+
+@pytest.mark.xfail(strict=True, reason="a projection mark writes its embedding outside math "
+                   "mode, as $\\vec{\\Pi}$_emb; ROADMAP's version-bump item (artifact "
+                   "validity, then one output-changing PR) mends it with the goldens")
+@pytest.mark.parametrize("name", GOLDENS + ["projection"])
+def test_tikz_goldens_and_projections_are_valid(name):
+    tikz = (compile_source(PROJECTION).render("tikz") if name == "projection"
+            else Path(f"corpus/golden/{name}.tex").read_text(encoding="utf-8"))
+    assert tikz_problems(tikz) == []
