@@ -5,16 +5,18 @@ recovery) -> lower (core IR plus extension overlay) -> format (canonical
 printer, idempotent).
 
 Each stage is linear in tokens plus declarations. ``tokenize`` is one
-``findall`` of every lexeme into :class:`Tokens`, parallel lists of kinds,
-texts and start offsets: a start sums the lengths before it, and a kind is a
-lookup of the whole text (keyword, punctuation, arrow) or else of the first
-character (identifier, space). A string is the slice between its quotes; only
-one with a backslash meets a regular expression. A number with more than
-:data:`~dial.terms.MAX_DIGITS` digits before its point is E001 and dropped,
-as an illegal character is. The AST keeps token offsets (a perf entry is
-the IR's own ``PerfAnnotation``, which lowering passes on unchanged),
-and :func:`locate` makes a :class:`Span` only for a diagnostic, so a valid
-file builds none, nor a table of line starts.
+``findall`` of every lexeme, each with the blanks after it, into
+:class:`Tokens`, parallel lists of kinds, texts and start offsets: a start
+sums the match lengths before it, a text is its match without those blanks,
+kept as the first equal text of the source (so equal ids are one object
+downstream), and a kind is a lookup of the whole text (keyword, punctuation,
+arrow) or else of the first character (identifier). A string is the slice
+between its quotes; only one with a backslash meets a regular expression.
+A number with more than :data:`~dial.terms.MAX_DIGITS` digits before its
+point is E001 and dropped, as an illegal character is. The AST keeps token
+offsets (a perf entry is the IR's own ``PerfAnnotation``, which lowering
+passes on unchanged), and :func:`locate` makes a :class:`Span` only for a
+diagnostic, so a valid file builds none, nor a table of line starts.
 ``parse`` reads those lists, and so does
 :class:`~dial.terms.TermParser`, which reads a data term in place from its
 first index, so a term costs only its own tokens. ``lower`` looks node and
@@ -111,16 +113,18 @@ class Tokens:
 # A string up to its closing quote; a backslash escapes any character, and an
 # unescaped newline or the end leaves the string open.
 _STRING = r'"(?:[^"\\\n]|\\.)*'
-# Every lexeme, whitespace and comments too, tried in order.
-_LEXEME_RE = re.compile(r'[ \t\r\n]+|[A-Za-z_][A-Za-z0-9_]*|//[^\n]*|->|<->|\|->|\?>|-o|~>|'
-                        + _STRING + r'["\\]?|\d+(?:\.\d+)?|.', re.DOTALL)
+# Every lexeme, comments too, tried in order.
+_LEXEME = (r'[A-Za-z_][A-Za-z0-9_]*|//[^\n]*|->|<->|\|->|\?>|-o|~>|'
+           + _STRING + r'["\\]?|\d+(?:\.\d+)?|.')
+_LEXEME_RE = re.compile(_LEXEME, re.DOTALL)
+_BLANKS = " \t\r\n"  # whitespace; any other control or space character is illegal
+_TOKEN_RE = re.compile(f"(?:{_LEXEME})[{_BLANKS}]*", re.DOTALL)  # the blanks after it ride on it
 _STRING_RE = re.compile(_STRING + '"', re.DOTALL)  # a closed string lexeme
 # The kind of a keyword, punctuation or arrow lexeme, by its whole text.
 _LEXEME_KIND = {**dict.fromkeys(KEYWORDS, "keyword"), **dict.fromkeys(":{}()[],=@^.;", "punct"),
                 **dict.fromkeys(ARROWS, "arrow")}
 # Any other lexeme's kind by its first character; tokenize decides the rest.
-_FIRST_KIND = {**dict.fromkeys(" \t\r\n", "space"),
-               **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")}
+_FIRST_KIND = dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -145,10 +149,17 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
     kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
     diagnostics: list[Diagnostic] = []
     lexeme_kind, first_kind = _LEXEME_KIND.get, _FIRST_KIND.get
-    end = 0
-    for text in _LEXEME_RE.findall(source):
+    first_text = {}.setdefault  # the first of each equal text, so equal ids are one object
+    blanks = _BLANKS
+    end = len(source) - len(source.lstrip(blanks))
+    matches = _TOKEN_RE.findall(source, end)
+    matches.reverse()  # popped, so each match is freed once it is read
+    pop = matches.pop
+    while matches:
+        match = pop()
         start = end
-        end += len(text)
+        end += len(match)
+        text = match.rstrip(blanks)
         kind = lexeme_kind(text) or first_kind(text[0])
         if kind is None:
             first = text[0]
@@ -172,10 +183,8 @@ def tokenize(source: str) -> tuple[Tokens, list[Diagnostic]]:
                     else f"illegal character {text!r}"
                 diagnostics.append(Diagnostic("E001", message, span=locate(source, start, 1)))
                 continue
-        elif kind == "space":
-            continue
         kinds.append(kind)
-        texts.append(text)
+        texts.append(first_text(text, text))
         starts.append(start)
     kinds.append("eof")
     texts.append("")

@@ -1058,6 +1058,35 @@ def random_grouped_diagram(rng: random.Random, max_components: int = 4) -> Diagr
     return diagram
 
 
+def fed_diagram(diagram: Diagram) -> Diagram:
+    """``diagram`` (from ``random_layout_diagram`` or ``random_grouped_diagram``)
+    wired so that it can check clean.
+
+    A forward in-edge is a non-recurrent edge that ``reference_break_cycles``
+    does not reverse. Every node with none reads one added ``interface`` node
+    whose ``out`` is ``S``, and each target numbers its non-recurrent in-edges
+    0, 1, 2, ..., forward ones first, so no two share a slot.
+    """
+    reversed_ids = reference_break_cycles(diagram)[1]
+    fed = {e.target.node for e in diagram.edges
+           if e.flow_kind != "recurrent" and e.id not in reversed_ids}
+    feeds = [Edge(f"feed{n.id}", Port("feed"), Port(n.id, 0, "in"))
+             for n in diagram.nodes if n.id not in fed]
+    slots = Counter(e.target.node for e in feeds)
+    wired: dict[str, Edge] = {}
+    for e in sorted(diagram.edges, key=lambda e: e.id in reversed_ids):
+        target = e.target
+        if e.flow_kind != "recurrent":
+            target = Port(target.node, slots[target.node], "in")
+            slots[target.node] += 1
+        wired[e.id] = Edge(e.id, e.source, target, e.flow_kind)
+    feed = Node(id="feed", kind="io", code="interface", params=(("out", "S"),))
+    return Diagram(name=diagram.name, dialects=diagram.dialects,
+                   nodes=[feed, *diagram.nodes],
+                   edges=[*feeds, *(wired[e.id] for e in diagram.edges)],
+                   groups=diagram.groups)
+
+
 # ---------------------------------------------------------------------------
 # Reference layout phases: the earlier quadratic versions, kept verbatim
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import string
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -215,6 +216,58 @@ def test_tokenize_matches_no_pattern_for_a_string_without_backslash(monkeypatch)
     tokens, diags = tokenize(" ".join(f'"a\\"{i}\\\\"' for i in range(7)))
     assert diags == [] and tokens.texts == [f'a"{i}\\' for i in range(7)] + [""]
     assert calls == {"string": 7, "escape": 7}
+
+
+def test_tokenize_makes_one_match_per_token(monkeypatch):
+    # the blanks after a lexeme ride on its match, so no match is whitespace
+    found: list[int] = []
+    def findall(*args, _findall=dial.parser._TOKEN_RE.findall):
+        matches = _findall(*args)
+        found.append(len(matches))
+        return matches
+    monkeypatch.setattr(dial.parser, "_TOKEN_RE", SimpleNamespace(findall=findall))
+    tokens, diags = tokenize(wide_source(1000))
+    assert diags == [] and found == [len(tokens) - 1]
+
+
+def test_tokenize_keeps_one_object_per_distinct_text():
+    tokens, _ = tokenize(wide_source(1000))
+    assert len({id(text) for text in tokens.texts}) == len(set(tokens.texts)) == 3783
+
+
+def test_tokenize_frees_each_match_once_it_is_read():
+    # what tokenize holds at its peak beyond the tokens it returns is small
+    # beside them: the match list is not kept whole beside the kept texts
+    source = wide_source(1000)
+    tokenize(source)  # compiled patterns and caches are not part of the peak
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tokens, diags = tokenize(source)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = current - before
+    assert diags == [] and len(tokens) == 44_009
+    assert peak - current <= kept / 8, (peak - current, kept)
+
+
+# blanks are " \t\r\n" only; every other control or space character is illegal
+ODD_SPACES = ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"]
+
+
+@pytest.mark.parametrize("source", [
+    " \t\r\n \n\t", "\n\n  \ndial 0.1\n",
+    'dial 0.1\r\ndialect sys\r\ndiagram "D" {\r\n\tnode a: POS\r\n\t\tedge a -> b\r\n}\r\n',
+    "node a: POS  // no newline after this comment \t",
+    'node a: "open   \n \t\r\n', 'table t { "k": "open  \t',
+    'node a: "open\\ ', 'node a: "open\\\t  \n',
+    *[f"{space}node{space}" for space in ODD_SPACES],
+    *[f"a {space} b{space}\n" for space in ODD_SPACES],
+])
+def test_tokenize_matches_character_loop_on_whitespace(source):
+    assert lex(source) == reference_tokenize(source)
 
 
 def spans_in(value) -> list[Span]:
@@ -754,30 +807,55 @@ FRONT_END_CASES = {  # case -> least number of sources (of 2,400) that show it
 }
 
 
+def relaid(rng: random.Random, source: str) -> str:
+    """``source`` with a leading blank line, tab indents, trailing blanks,
+    CRLF line ends and ``//`` comment lines between its lines."""
+    lines = [rng.choice(("", " ", "\t ")) + "\r\n"]
+    for line in source.split("\n"):
+        body = line.lstrip(" ")
+        lines.append("\t" * ((len(line) - len(body)) // 2) + body
+                     + rng.choice(("", " ", "\t", " \t ")) + "\r\n")
+        if rng.random() < 0.3:
+            lines.append(rng.choice(("", "\t", "  ")) + "// between declarations\r\n")
+    return "".join(lines)
+
+
+def compare_front_end(src: str):
+    """The front end's tokens, AST, diagnostics and lowered unit of ``src``,
+    checked against the reference; None when the parse gives no AST."""
+    tokens, lex_diags = tokenize(src)
+    ref_tokens, ref_lex_diags = reference_tokenize(src)
+    assert (token_list(tokens), lex_diags) == (ref_tokens, ref_lex_diags), src
+    ast, diags = parse(tokens)
+    assert (ast, diags) == reference_parse(ref_tokens, src), src
+    if ast is None:
+        return None
+    unit, ref = lower(ast), reference_lower(ast)
+    assert unit.diagram == ref.diagram, src
+    assert unit.spans == ref.spans, src
+    assert unit.diagnostics == ref.diagnostics, src
+    token_spans = {token.span for token in ref_tokens}  # lowering reports at a token
+    assert all(d.span in token_spans for d in unit.diagnostics), src
+    return ast, diags, unit
+
+
 def test_front_end_matches_quadratic_reference():
     # the flat token stream, the term reader over its lists and the lowering
     # maps give the same tokens, spans, offsets, AST, diagnostics and lowered
     # unit as the character loop, the earlier copying reader over triples and
-    # scans
-    rng = random.Random(20261018)
+    # scans; each unmutated source also once more, laid out differently
+    rng, relay = random.Random(20261018), random.Random(20261021)
     seen: Counter[str] = Counter()
     for i in range(2400):
         src = random_front_end_source(rng)
         if i % 3:
             src = mutate_source(rng, src)
-        tokens, lex_diags = tokenize(src)
-        ref_tokens, ref_lex_diags = reference_tokenize(src)
-        assert (token_list(tokens), lex_diags) == (ref_tokens, ref_lex_diags), src
-        ast, diags = parse(tokens)
-        assert (ast, diags) == reference_parse(ref_tokens, src), src
-        if ast is None:
+        else:
+            seen["re-laid"] += compare_front_end(relaid(relay, src)) is not None
+        compared = compare_front_end(src)
+        if compared is None:
             continue
-        unit, ref = lower(ast), reference_lower(ast)
-        assert unit.diagram == ref.diagram, src
-        assert unit.spans == ref.spans, src
-        assert unit.diagnostics == ref.diagnostics, src
-        token_spans = {token.span for token in ref_tokens}  # lowering reports at a token
-        assert all(d.span in token_spans for d in unit.diagnostics), src
+        ast, diags, unit = compared
         messages = [d.message for d in diags + unit.diagnostics]
         groups = unit.diagram.groups if unit.diagram else []
         seen.update({case for case in FRONT_END_CASES
@@ -788,6 +866,7 @@ def test_front_end_matches_quadratic_reference():
         seen["group of two edges"] += any(len(g.member_edges) > 1 for g in groups)
     for case, least in FRONT_END_CASES.items():
         assert seen[case] >= least, (case, seen)
+    assert seen["re-laid"] >= 750, seen  # re-laid sources that parsed and lowered
 
 
 # -- scaling guards ------------------------------------------------------------

@@ -39,6 +39,7 @@ from dial.render import (
 )
 from dial.typecheck import check_diagram
 from oracles import (
+    fed_diagram,
     random_grouped_diagram,
     random_layout_diagram,
     random_propagation_diagram,
@@ -647,6 +648,9 @@ def test_generated_drawings_are_valid_svg_and_tikz():
     diagrams = [("<propagation>", random_propagation_diagram(rng)) for _ in range(300)]
     diagrams += [("<layout>", random_layout_diagram(rng, cyclic=i % 2 == 1)) for i in range(300)]
     diagrams += [("<grouped>", random_grouped_diagram(rng)) for _ in range(300)]
+    # the same layout-shaped draws, fed so that they check clean and their edges carry terms
+    diagrams += [(f"<fed {name[1:]}", fed_diagram(diagram)) for name, diagram in diagrams
+                 if name in ("<layout>", "<grouped>")]
     drawn: Counter[str] = Counter()
     for name, diagram in [*diagrams, *repeated_face_diagrams()]:
         graph = validate_structure(diagram, Registry())[1]
@@ -657,8 +661,13 @@ def test_generated_drawings_are_valid_svg_and_tikz():
         assert svg_problems(render_svg(typed, lay)) == [], name
         assert tikz_problems(render_tikz(typed, lay)) == [], name
         drawn[name] += 1
+        drawn[name + " clean"] += typed.diagnostics == []
+        drawn[name + " termed edges"] += len(typed.edge_terms)
     assert drawn["<propagation>"] > 250 and drawn["<layout>"] > 100, drawn
     assert drawn["<grouped>"] > 30 and drawn["<faces>"] == 1, drawn
+    assert drawn["<fed layout> clean"] > 250 and drawn["<fed grouped> clean"] > 150, drawn
+    assert drawn["<fed layout> termed edges"] > 1500, drawn
+    assert drawn["<fed grouped> termed edges"] > 2000, drawn
 
 
 @pytest.mark.parametrize("name", GOLDENS + ["projection"])
