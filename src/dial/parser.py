@@ -19,9 +19,18 @@ passes on unchanged), and :func:`locate` makes a :class:`Span` only for a
 diagnostic, so a valid file builds none, nor a table of line starts.
 ``parse`` reads those lists, and so does
 :class:`~dial.terms.TermParser`, which reads a data term in place from its
-first index, so a term costs only its own tokens. ``lower`` looks node and
-group ids up in maps local to one lowering and builds each detail group's
-member tuples once, at the end.
+first index, so a term costs only its own tokens. Whether a term parses, and
+where it ends, depend only on its window: its tokens and the one after them
+that ended it. So a parser parses each distinct window once and gives a later
+equal window the same literal (at most :data:`_TERM_WINDOWS` windows per
+first token). Node, data, edge, port and perf heads are read from the lists
+in place; each token either matches or goes to ``expect``, the one error
+path. ``lower`` looks node and group ids up in maps local to one lowering,
+resolves each distinct node code once, and builds each detail group's member
+tuples once, at the end. The AST and IR records these stages build per
+declaration check nothing in a ``__new__`` of their own, so they are built
+with ``tuple.__new__`` from a tuple of every field, without the namedtuple's
+Python-level constructor.
 
 Grammar sketch, the grammar's only statement (docs/reference.md holds none):
 
@@ -85,6 +94,9 @@ ARROWS = {
     "?>": "query", "-o": "interface", "~>": "recurrent",
 }
 ITEM_KEYWORDS = frozenset({"node", "data", "edge", "detail", "table", "embedding", "extend"})
+# Builds a record that has no ``__new__`` of its own from a tuple of every
+# field, without the namedtuple's Python-level constructor.
+_new = tuple.__new__
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +283,11 @@ class _ParseAbort(Exception):
     pass
 
 
+# Term windows kept per first token text: N distinct terms that share a first
+# token would otherwise cost O(N^2) slice compares.
+_TERM_WINDOWS = 8
+
+
 class Parser:
     """Single-pass recursive descent with panic-mode recovery per item and per block entry."""
 
@@ -282,6 +299,9 @@ class Parser:
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         self.depth = 0  # detail blocks open around the current item
+        # first token text -> (length, texts, kinds, literal) of each term
+        # window that parsed cleanly
+        self.term_windows: dict[str, list[tuple[int, list[str], list[str], str]]] = {}
 
     # -- cursor helpers -----------------------------------------------------
 
@@ -317,6 +337,12 @@ class Parser:
         found = token_text(*self.peek()) or "end of input"
         self.error(f"expected {expected}, found {found!r}", self.span())
         raise _ParseAbort()
+
+    def expect_at(self, pos: int, text: str | None = None, kind: str | None = None,
+                  what: str = "") -> None:
+        """:meth:`expect` at token ``pos``, which an inline read turned down, so it raises."""
+        self.pos = pos
+        self.expect(text, kind, what)
 
     def error(self, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic("E002", message, span=span))
@@ -438,17 +464,23 @@ class Parser:
         return tuple(out)
 
     def _node(self, at: int) -> NodeDecl:
-        ident = self.expect(kind="ident", what="node identifier")
-        self.expect(":", what="':'")
-        code = self.expect(kind="ident", what="symbol or task code")
-        params = self._list(self._param) if self.at("(") else ()
-        perf = ()
-        if self.at("perf"):
-            self.advance()
+        kinds, texts, pos = self.kinds, self.texts, self.pos
+        if kinds[pos] != "ident":
+            self.expect(kind="ident", what="node identifier")
+        if texts[pos + 1] != ":" or kinds[pos + 1] == "string":
+            self.expect_at(pos + 1, ":", what="':'")
+        if kinds[pos + 2] != "ident":
+            self.expect_at(pos + 2, kind="ident", what="symbol or task code")
+        self.pos = pos + 3
+        params = perf = ()
+        if texts[pos + 3] == "(" and kinds[pos + 3] != "string":
+            params = self._list(self._param)
+        if texts[self.pos] == "perf" and kinds[self.pos] != "string":
+            self.pos += 1
             perf = self._list(self._perf_item)
             if not all(perf):  # an entry left out is None
                 perf = tuple(filter(None, perf))
-        return NodeDecl(ident, code, params, perf, at)
+        return _new(NodeDecl, (texts[pos], texts[pos + 2], params, perf, at))
 
     def _param(self) -> tuple[str, object]:
         kind, key = self.peek()
@@ -474,22 +506,34 @@ class Parser:
         """One ``metric=value@"corpus"`` entry; None for an ``acc`` outside
         [0,1], which is reported and left out of the node, so that lowering
         the recovered tree does not meet it."""
-        metric = self.expect(kind="ident", what="metric name")
-        self.expect("=", what="'='")
-        value = float(self.expect(kind="number", what="metric value"))
+        kinds, texts, pos = self.kinds, self.texts, self.pos
+        if kinds[pos] != "ident":
+            self.expect(kind="ident", what="metric name")
+        if texts[pos + 1] != "=" or kinds[pos + 1] == "string":
+            self.expect_at(pos + 1, "=", what="'='")
+        if kinds[pos + 2] != "number":
+            self.expect_at(pos + 2, kind="number", what="metric value")
+        metric, value = texts[pos], float(texts[pos + 2])
         out_of_range = metric == "acc" and not 0.0 <= value <= 1.0
         if out_of_range:
-            self.error("acc must lie in [0,1]", self.span(-1))
-        self.expect("@", what="'@'")
-        corpus = self.expect(kind="string", what="corpus name")
-        return None if out_of_range else PerfAnnotation(metric, value, corpus)
+            self.error("acc must lie in [0,1]", self.tokens.span(pos + 2))
+        if texts[pos + 3] != "@" or kinds[pos + 3] == "string":
+            self.expect_at(pos + 3, "@", what="'@'")
+        if kinds[pos + 4] != "string":
+            self.expect_at(pos + 4, kind="string", what="corpus name")
+        self.pos = pos + 5
+        return None if out_of_range else PerfAnnotation(metric, value, texts[pos + 4])
 
     def _data(self, at: int) -> DataDecl:
-        ident = self.expect(kind="ident", what="data identifier")
-        self.expect(":", what="':'")
+        kinds, texts, pos = self.kinds, self.texts, self.pos
+        if kinds[pos] != "ident":
+            self.expect(kind="ident", what="data identifier")
+        if texts[pos + 1] != ":" or kinds[pos + 1] == "string":
+            self.expect_at(pos + 1, ":", what="':'")
+        self.pos = pos + 2
         literal = self._dataterm_literal()
         tag = tag_label = None
-        if self.at("@"):
+        if texts[self.pos] == "@" and kinds[self.pos] != "string":
             self.advance()
             tag = self.expect(kind="ident", what="resource tag")
             if tag not in ("dataset", "gold", "kb", "kbfn"):
@@ -499,31 +543,46 @@ class Parser:
                 self.expect("(", what="'('")
                 tag_label = self.expect(kind="string", what="dataset label")
                 self.expect(")", what="')'")
-        return DataDecl(ident, literal, tag, tag_label, at)
+        return _new(DataDecl, (texts[pos], literal, tag, tag_label, at))
 
     def _portref(self) -> PortRef:
-        at = self.starts[self.pos]
-        node = self.expect(kind="ident", what="node reference")
-        slot = None
-        if self.at("."):
-            self.advance()
-            slot = self.expect(kind="ident", what="port name")
-        return PortRef(node, slot, at)
+        kinds, texts, pos = self.kinds, self.texts, self.pos
+        if kinds[pos] != "ident":
+            self.expect(kind="ident", what="node reference")
+        if texts[pos + 1] != "." or kinds[pos + 1] == "string":
+            self.pos = pos + 1
+            return _new(PortRef, (texts[pos], None, self.starts[pos]))
+        if kinds[pos + 2] != "ident":
+            self.expect_at(pos + 2, kind="ident", what="port name")
+        self.pos = pos + 3
+        return _new(PortRef, (texts[pos], texts[pos + 2], self.starts[pos]))
 
     def _edge(self, at: int) -> EdgeDecl:
         source = self._portref()
-        arrow = self.expect(kind="arrow", what="an arrow (->, <->, |->, ?>, -o, ~>)")
+        pos = self.pos
+        if self.kinds[pos] != "arrow":
+            self.expect(kind="arrow", what="an arrow (->, <->, |->, ?>, -o, ~>)")
+        self.pos = pos + 1
         target = self._portref()
         as_literal = None
-        if self.at("as"):
-            self.advance()
+        if self.texts[self.pos] == "as" and self.kinds[self.pos] != "string":
+            self.pos += 1
             as_literal = self._dataterm_literal()
-        return EdgeDecl(source, arrow, target, as_literal, at)
+        return _new(EdgeDecl, (source, self.texts[pos], target, as_literal, at))
 
     def _dataterm_literal(self) -> str:
-        """Consume the tokens of one data term; names are checked at lowering."""
+        """Consume the tokens of one data term; names are checked at lowering.
+        A term's outcome and extent depend only on its window (its tokens and
+        the one after), so a window met before is not parsed again."""
         start = self.pos
-        term_parser = TermParser(self.kinds, self.texts, None, start)
+        kinds, texts = self.kinds, self.texts
+        windows = self.term_windows.get(texts[start])
+        if windows is not None:
+            for n, window_texts, window_kinds, literal in windows:
+                if texts[start:start + n] == window_texts and kinds[start:start + n] == window_kinds:
+                    self.pos = start + n - 1
+                    return literal
+        term_parser = TermParser(kinds, texts, None, start)
         try:
             term_parser.parse()
         except TermError as exc:
@@ -536,8 +595,13 @@ class Parser:
             else:
                 self.error(f"malformed data term: {exc}", span)
             raise _ParseAbort()
-        self.pos = term_parser.index
-        return "".join(self.texts[start:self.pos])
+        end = self.pos = term_parser.index
+        literal = "".join(texts[start:end])
+        if windows is None:
+            windows = self.term_windows[texts[start]] = []
+        if len(windows) < _TERM_WINDOWS:  # the window ends at `end`, which is at most eof
+            windows.append((end - start + 1, texts[start:end + 1], kinds[start:end + 1], literal))
+        return literal
 
     def _detail(self, at: int) -> DetailDecl:
         ident = self.expect(kind="ident", what="detail group identifier")
@@ -795,6 +859,7 @@ class _Lowerer:
         self.source = source
         self.pending_edges: list[tuple[EdgeDecl, str | None]] = []  # (decl, group id)
         self.next_in_slot: dict[str, int] = {}
+        self.kinds_by_code: dict[str, tuple[str, str]] = {}  # code -> (kind, default shape class)
         self.node_pos: dict[str, int] = {}  # node id -> index in diagram.nodes
         self.members: dict[str, tuple[list[str], list[str]]] = {}  # group id -> (nodes, edges)
         self.table_ids: set[str] = set()
@@ -859,21 +924,22 @@ class _Lowerer:
                     if key == "out":
                         self._check_term(str(value), decl.at)
                     params.append((key, value))
-        found = self.registry.resolve(decl.code, self.diagram.dialects)
-        kind = node_kind(found) if found else "operator"
-        node = Node(decl.id, kind, decl.code, label, tuple(params),
-                    shape or default_shape_class(kind), decl.perf)
+        known = self.kinds_by_code.get(decl.code)  # a code names one record within a lowering
+        if known is None:
+            found = self.registry.resolve(decl.code, self.diagram.dialects)
+            kind = node_kind(found) if found else "operator"
+            known = self.kinds_by_code[decl.code] = (kind, default_shape_class(kind))
+        kind, shape_class = known
+        node = _new(Node, (decl.id, kind, decl.code, label, tuple(params),
+                           shape or shape_class, decl.perf))
         self._add_node(node, decl.at, group)
 
     def _data(self, decl: DataDecl, group: str | None) -> None:
         self._check_term(decl.term_literal, decl.at)
         code = decl.tag or "interface"
         kind = "resource" if decl.tag else "io"
-        node = Node(
-            id=decl.id, kind=kind, code=code, label=decl.tag_label,
-            params=(("out", decl.term_literal),),
-            shape_class="component",
-        )
+        node = _new(Node, (decl.id, kind, code, decl.tag_label, (("out", decl.term_literal),),
+                           "component", ()))
         self._add_node(node, decl.at, group)
 
     def _detail(self, decl: DetailDecl, parent_group: str | None) -> None:
@@ -917,14 +983,7 @@ class _Lowerer:
                                for g in self.diagram.groups]
 
     def _resolve_slot(self, ref: PortRef, direction: str, flow_kind: str) -> int | None:
-        if ref.slot is None:
-            if direction == "out":
-                return 0
-            if flow_kind == "recurrent":
-                return 0
-            slot = self.next_in_slot.get(ref.node, 0)
-            self.next_in_slot[ref.node] = slot + 1
-            return slot
+        """The slot a named port gives, or None for a port ``direction`` has not."""
         if ref.slot == "true":
             return 0 if direction == "out" else None
         if ref.slot == "false":
@@ -945,8 +1004,15 @@ class _Lowerer:
                 if ref.node not in self.node_pos:
                     self.err("E011", f"edge references unknown node {ref.node!r}", ref.at)
             return
-        src_slot = self._resolve_slot(source, "out", kind)
-        tgt_slot = self._resolve_slot(target, "in", kind)
+        # an unnamed source is slot 0; an unnamed target the next free slot, unless recurrent
+        src_slot = 0 if source.slot is None else self._resolve_slot(source, "out", kind)
+        if target.slot is not None:
+            tgt_slot = self._resolve_slot(target, "in", kind)
+        elif kind == "recurrent":
+            tgt_slot = 0
+        else:
+            tgt_slot = self.next_in_slot.get(target.node, 0)
+            self.next_in_slot[target.node] = tgt_slot + 1
         if src_slot is None or tgt_slot is None:
             bad = source if src_slot is None else target
             self.err("E011", f"bad port name {bad.slot!r} on {bad.node!r}", bad.at)
@@ -954,10 +1020,9 @@ class _Lowerer:
         if decl.as_literal is not None:
             self._check_term(decl.as_literal, decl.at)
         edge_id = f"e{len(self.diagram.edges)}"
-        self.diagram.edges.append(Edge(
-            edge_id, Port(source.node, src_slot, "out"), Port(target.node, tgt_slot, "in"),
-            kind, decl.as_literal,
-        ))
+        self.diagram.edges.append(_new(Edge, (
+            edge_id, _new(Port, (source.node, src_slot, "out")),
+            _new(Port, (target.node, tgt_slot, "in")), kind, decl.as_literal)))
         self.spans["edge"][edge_id] = decl.at
         if group is not None:
             self.members[group][1].append(edge_id)

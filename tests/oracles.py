@@ -49,7 +49,8 @@ from dial.layout import (
     node_size,
 )
 from dial.interchange import canonical_serialize, deserialize
-from dial.model import DetailGroup, Diagram, Edge, Node, PerfAnnotation, Port
+from dial.model import (DetailGroup, Diagram, Edge, Node, PerfAnnotation, Port,
+                        default_shape_class)
 from dial.parser import (
     ARROWS,
     DSL_VERSION,
@@ -68,12 +69,13 @@ from dial.parser import (
     SourceAst,
     TableDecl,
     Tokens,
+    _SLOT_RE,
     _Lowerer,
     _number,
     _ParseAbort,
 )
 from dial.record import Record, replace
-from dial.registry import Registry
+from dial.registry import Registry, node_kind
 from dial.render import _Drawing, _esc_xml, _Svg, _Tikz, glyph_for
 from dial.terms import (
     CANONICAL,
@@ -1849,8 +1851,10 @@ class ReferenceParser(TokenListParser):
 class ReferenceLowerer(_Lowerer):
     """Lowering with its earlier lookups: a scan of ``diagram.nodes`` per node,
     owner and edge endpoint, a scan of ``diagram.groups`` per member, and a
-    member tuple regrown for every member. Only ``node_index``, no longer a
-    ``Diagram`` method, is called as a function."""
+    member tuple regrown for every member, one slot resolver for named
+    and unnamed ports alike, and a registry lookup and a constructor call
+    for every node. Only ``node_index``, no longer a ``Diagram`` method, is
+    called as a function."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
@@ -1867,6 +1871,41 @@ class ReferenceLowerer(_Lowerer):
             g = self.diagram.groups[idx]
             self.diagram.groups[idx] = replace(g, member_nodes=g.member_nodes + (node.id,))
         return True
+
+    def _node(self, decl: NodeDecl, group: str | None) -> None:
+        params: tuple | list = ()
+        label = shape = None
+        if decl.params:
+            params = []
+            for key, value in decl.params:
+                if key == "label":
+                    label = str(value)
+                elif key == "shape":
+                    if value not in ("feature", "component"):
+                        self.err("E003", f"shape must be feature or component, got {value!r}",
+                                 decl.at)
+                    else:
+                        shape = str(value)
+                else:
+                    if key == "out":
+                        self._check_term(str(value), decl.at)
+                    params.append((key, value))
+        found = self.registry.resolve(decl.code, self.diagram.dialects)
+        kind = node_kind(found) if found else "operator"
+        node = Node(decl.id, kind, decl.code, label, tuple(params),
+                    shape or default_shape_class(kind), decl.perf)
+        self._add_node(node, decl.at, group)
+
+    def _data(self, decl: DataDecl, group: str | None) -> None:
+        self._check_term(decl.term_literal, decl.at)
+        code = decl.tag or "interface"
+        kind = "resource" if decl.tag else "io"
+        node = Node(
+            id=decl.id, kind=kind, code=code, label=decl.tag_label,
+            params=(("out", decl.term_literal),),
+            shape_class="component",
+        )
+        self._add_node(node, decl.at, group)
 
     def _detail(self, decl: DetailDecl, parent_group: str | None) -> None:
         if decl.id in self.group_ids:
@@ -1885,6 +1924,27 @@ class ReferenceLowerer(_Lowerer):
     def lower_edges(self) -> None:
         for decl, group in self.pending_edges:
             self._edge(decl, group)
+
+    def _resolve_slot(self, ref: PortRef, direction: str, flow_kind: str) -> int | None:
+        if ref.slot is None:
+            if direction == "out":
+                return 0
+            if flow_kind == "recurrent":
+                return 0
+            slot = self.next_in_slot.get(ref.node, 0)
+            self.next_in_slot[ref.node] = slot + 1
+            return slot
+        if ref.slot == "true":
+            return 0 if direction == "out" else None
+        if ref.slot == "false":
+            return 1 if direction == "out" else None
+        m = _SLOT_RE.match(ref.slot)
+        if m is None or m.group(1) != direction:
+            return None
+        slot = int(m.group(2))
+        if direction == "in" and flow_kind != "recurrent":
+            self.next_in_slot[ref.node] = max(self.next_in_slot.get(ref.node, 0), slot + 1)
+        return slot
 
     def _edge(self, decl: EdgeDecl, group: str | None) -> None:
         kind = ARROWS[decl.arrow]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast as python_ast
 import random
 import string
 import time
@@ -20,8 +21,11 @@ from dial.diagnostics import Span, has_errors
 from dial.interchange import canonical_serialize
 from dial.model import Diagram, validate_structure
 from dial.parser import DetailDecl, format_source, lower, parse, tokenize
-from dial.registry import node_kind
+from dial.registry import Registry, node_kind
 from oracles import (
+    ReferenceTermParser,
+    _shown,
+    _term_kind,
     mutate_source,
     random_front_end_source,
     reference_lower,
@@ -365,6 +369,9 @@ def test_diagnostic_spans_inside_input():
         assert 1 <= d.span.col <= len(lines[d.span.line - 1]) + 1
 
 
+DECLARATION = "expected a declaration (node, data, edge, detail, table, embedding or extend), found"
+
+
 @pytest.mark.parametrize("item, errors", [
     ('table t { "}": "v"; }', []),
     ("table t { }", [("E002", 4, 13, "a table needs at least one row")]),
@@ -377,8 +384,19 @@ def test_diagnostic_spans_inside_input():
     ('node "a": POS', [("E002", 4, 8, "expected node identifier, found '\"a\"'")]),
     ('node a: POS("k"=1)', [("E002", 4, 15, "expected a parameter name, found '\"k\"'")]),
     ('node a: ""', [("E002", 4, 11, "expected symbol or task code, found '\"\"'")]),
+    ('node a ":" POS', [("E002", 4, 10, "expected ':', found '\":\"'")]),
+    ('data a ":" S', [("E002", 4, 10, "expected ':', found '\":\"'")]),
+    ('node a: POS perf(acc"="0.5@"c")', [("E002", 4, 23, "expected '=', found '\"=\"'")]),
+    ('node a: POS perf(acc=0.5"@""c")', [("E002", 4, 27, "expected '@', found '\"@\"'")]),
+    ('edge a "." b -> c', [("E002", 4, 10, "expected an arrow (->, <->, |->, ?>, -o, ~>), "
+                                          "found '\".\"'")]),
+    ('node a: POS "(" n=2 ")"', [("E002", 4, 15, DECLARATION + " '\"(\"'")]),
+    ('node a: POS "perf"(acc=0.5@"c")', [("E002", 4, 15, DECLARATION + " '\"perf\"'")]),
+    ('data a: S "@"gold', [("E002", 4, 13, DECLARATION + " '\"@\"'")]),
+    ('edge a -> b "as" S', [("E002", 4, 15, DECLARATION + " '\"as\"'")]),
 ], ids=["table_key", "empty_table", "keyword", "term_bracket", "term_caret", "expect", "param_name",
-        "empty_string"])
+        "empty_string", "node_colon", "data_colon", "perf_equals", "perf_at", "port_dot",
+        "node_params", "node_perf", "data_tag", "edge_as"])
 def test_a_string_is_never_punctuation_or_keyword(item, errors):
     # a misplaced string is shown with its quotes, never as the text it spells
     src = wrap(item)
@@ -948,3 +966,179 @@ def test_compile_parses_each_distinct_term_once(monkeypatch):
     result = compile_source(wide_source(75))
     assert result.diagnostics == [] and result.typed is not None
     assert calls == {"S^Token": 1, "S^{POS,Token}": 1, "S^{NER,Names}": 1}
+
+
+# -- work done once per distinct input ------------------------------------------
+
+
+def term_window_count(source: str) -> int:
+    """Distinct windows (a term's tokens and the one after it) of the data
+    terms in ``source``'s ``data`` and ``as`` declarations, each term's
+    extent found by the reference term reader over the reference tokens."""
+    tokens, _ = reference_tokenize(source)
+    triples = [(_term_kind(t), _shown(t), i) for i, t in enumerate(tokens)]
+    windows = set()
+    for i, tok in enumerate(tokens):
+        if tok.kind != "keyword" or tok.text not in ("as", "data"):
+            continue
+        start = i + 1 if tok.text == "as" else i + 3  # past `data ident :`
+        reader = ReferenceTermParser(triples, None, start)
+        reader.parse()
+        windows.add(tuple((t.kind, t.text) for t in tokens[start:reader.index + 1]))
+    return len(windows)
+
+
+def counting_term_parses(monkeypatch) -> Counter[str]:
+    """Counts the data terms the DSL parser reads ("reads") and those that
+    :class:`TermParser` parses ("parses"; a nested term is parsed at a depth
+    above 0)."""
+    calls: Counter[str] = Counter()
+    real_read, real_parse = dial.parser.Parser._dataterm_literal, terms.TermParser.parse
+
+    def reading(self):
+        calls["reads"] += 1
+        return real_read(self)
+
+    def parsing(self):
+        calls["parses"] += self.depth == 0
+        return real_parse(self)
+
+    monkeypatch.setattr(dial.parser.Parser, "_dataterm_literal", reading)
+    monkeypatch.setattr(terms.TermParser, "parse", parsing)
+    return calls
+
+
+def test_parse_reads_each_distinct_term_window_once(monkeypatch):
+    # 168 terms, 3 literals: `S^Token` before `node`, `S^{NER,Names}` before
+    # `node`, and `S^{POS,Token}` before `data`, `detail` and the closing `}`
+    source = wide_source(75)
+    windows = term_window_count(source)
+    tokens, _ = tokenize(source)
+    calls = counting_term_parses(monkeypatch)
+    ast, diags = parse(tokens)
+    assert diags == [] and len(ast.items) == 5 * 75 + 18
+    assert calls["reads"] == 168 and windows == 5 and calls["parses"] == windows
+
+
+def test_terms_sharing_a_first_token_keep_a_bounded_memo():
+    n = 2000
+    tokens, _ = tokenize(wrap(*(f"data d{i}: S^L{i}" for i in range(n))))
+    parser = dial.parser.Parser(tokens)
+    ast = parser.parse_unit()
+    assert parser.diagnostics == []
+    assert [item.term_literal for item in ast.items] == [f"S^L{i}" for i in range(n)]
+    assert len(parser.term_windows["S"]) == dial.parser._TERM_WINDOWS
+
+
+def test_lower_resolves_each_distinct_code_once(monkeypatch):
+    ast, _ = parse_source(wrap("data t0: S^Token", *(
+        f"node t{i}: {('POS', 'NER', 'SRL')[i % 3]}" for i in range(1, 300)), *(
+        f"edge t{i} -> t{i + 1}" for i in range(299))))
+    calls: Counter[str] = Counter()
+    real = Registry.resolve
+
+    def counting(self, code, dialects):
+        calls[code] += 1
+        return real(self, code, dialects)
+
+    monkeypatch.setattr(Registry, "resolve", counting)
+    unit = lower(ast)
+    assert unit.diagnostics == [] and len(unit.diagram.nodes) == 300
+    assert calls == {"POS": 1, "NER": 1, "SRL": 1}
+
+
+def test_records_built_from_a_tuple_check_nothing_and_get_every_field():
+    # `_new(Cls, (...))` skips the namedtuple's constructor: no class on this
+    # path may check its fields in `__new__`, and none may take a default
+    tree = python_ast.parse(Path(dial.parser.__file__).read_text(encoding="utf-8"))
+    built = set()
+    for call in python_ast.walk(tree):
+        if not (isinstance(call, python_ast.Call) and isinstance(call.func, python_ast.Name)
+                and call.func.id == "_new"):
+            continue
+        assert len(call.args) == 2 and not call.keywords, python_ast.unparse(call)
+        cls, fields = getattr(dial.parser, call.args[0].id), call.args[1]
+        assert "__new__" not in vars(cls), cls
+        assert isinstance(fields, python_ast.Tuple), python_ast.unparse(call)
+        assert len(fields.elts) == len(cls._fields), python_ast.unparse(call)
+        built.add(cls.__name__)
+    assert built == {"PortRef", "NodeDecl", "EdgeDecl", "DataDecl", "Node", "Port", "Edge"}
+
+
+MEMO_NEAR_MISSES = [  # a term, and one with the same first tokens but another extent or outcome
+    ("S^Token", "S^Token[3]"),
+    ("S^{A,B}", "S^{A,B}[2]"),
+    ("P_x[0,1]", "P_x"),
+    ("(S, T)", "(S, T"),  # the second a malformed term
+    ("S^Token", "S^"),
+    ("S^{A}", 'S^"{"A"}"'),  # the same texts, but two of them strings
+    ("{" * 100 + "S" + "}" * 100, "{" * 101 + "S" + "}" * 101),  # nested past the limit
+]
+
+
+def recurring_term_source(term: str, near: str) -> str:
+    """``term`` and ``near`` in turn, each before every token that can end a
+    term inside the diagram: ``,``, ``;``, ``@``, ``node``, ``edge``,
+    ``detail`` and ``}``."""
+    lines = []
+    for i, t in enumerate((term, near, term, near)):
+        lines += [f"extend task X{i} {{ domain: {t}, {t}; range: {t}; }}",
+                  f'data a{i}: {t} @gold("g")',
+                  f"data b{i}: {t}",
+                  f"node n{i}: POS",
+                  f"edge b{i} -> n{i} as {t}",
+                  f"edge n{i} -> b{i} as {t}",
+                  f"detail g{i} for n{i} {{", f"  data c{i}: {t}", "}"]
+    return wrap(*lines)
+
+
+@pytest.mark.parametrize("term, near", MEMO_NEAR_MISSES,
+                         ids=["dims", "label_set_dims", "range", "unclosed", "no_label",
+                              "string_texts", "deep"])
+def test_a_remembered_term_window_reads_as_the_reference_parser_reads(term, near, monkeypatch):
+    source = recurring_term_source(term, near)
+    with monkeypatch.context() as patch:
+        calls = counting_term_parses(patch)
+        parse(tokenize(source)[0])
+    assert calls["parses"] < calls["reads"]  # some terms were remembered
+    assert compare_front_end(source) is not None
+    for t in (term, near):  # and once more at the end of input, with no `}`
+        for last in (f"data z: {t}", f"edge b0 -> n0 as {t}"):
+            compare_front_end(f"{source.rstrip().removesuffix('}')}  {last}")
+
+
+INLINE_READ_FAULTS = {  # an item, cut short or wrong, -> what its first diagnostic expects
+    "node": "expected node identifier",
+    "node a": "expected ':'",
+    "node a:": "expected symbol or task code",
+    "node a POS": "expected ':'",
+    "node 3: POS": "expected node identifier",
+    "edge": "expected node reference",
+    "edge a": "expected an arrow",
+    "edge a ->": "expected node reference",
+    "edge a b": "expected an arrow",
+    "edge a -> b.": "expected port name",
+    "edge a. -> b": "expected port name",
+    'edge a "->" b': "expected an arrow",
+    "data": "expected data identifier",
+    "data a": "expected ':'",
+    "data a S": "expected ':'",
+    'node a: POS perf(acc 0.5@"c")': "expected '='",
+    'node a: POS perf(acc=0.5 "c")': "expected '@'",
+    'node a: POS perf(=0.5@"c")': "expected metric name",
+    'node a: POS perf(acc=@"c")': "expected metric value",
+    "node a: POS perf(acc=0.5@c)": "expected corpus name",
+    "node a: POS perf(acc=2@": "acc must lie in [0,1]",
+    "node a: POS perf(acc": "expected '='",
+}
+
+
+@pytest.mark.parametrize("item", INLINE_READ_FAULTS)
+@pytest.mark.parametrize("end", ["\n}\n", ""], ids=["closed", "end_of_input"])
+def test_an_inline_read_reports_what_expect_reports(item, end):
+    source = f'dial 0.1\ndialect sys\ndiagram "T" {{\n  {item}{end}'
+    tokens, _ = tokenize(source)
+    ref_tokens, _ = reference_tokenize(source)
+    ast, diags = parse(tokens)
+    assert (ast, diags) == reference_parse(ref_tokens, source)
+    assert diags[0].code == "E002" and diags[0].message.startswith(INLINE_READ_FAULTS[item])
