@@ -51,8 +51,9 @@ class CompileResult:
 
     @cached_property
     def layout_result(self) -> layout.LayoutResult:
-        """Layout of ``typed.diagram`` in ``typed``'s orientation; requires a typed diagram."""
-        return layout.layout(self.typed.diagram, self.typed.oriented, self.typed.reversed_edges)
+        """Layout of ``typed.diagram`` as ``typed`` orients and layers it; requires one."""
+        typed = self.typed
+        return layout.layout(typed.diagram, typed.oriented, typed.reversed_edges, typed.layers)
 
     def lint(self, disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
         """W2xx warnings located in ``file``; ``[]`` without a typed diagram."""

@@ -22,7 +22,8 @@ in the checker; ``layout`` draws the orientation the checker used:
                       both ends in it; its bands are the weak components of
                       those same edges, recurrent ones included.
                       ``main_layering`` is this phase for the main area
-                      alone, all that lint reads of a drawing
+                      alone, all that lint reads of a drawing; a main area
+                      that holds every node takes the checker's layering
   3. ordering         four fixed barycenter sweeps (down, up, down, up) with
                       declaration order breaking ties; the node -> position
                       map is built once and rewritten only for the layer
@@ -32,12 +33,13 @@ in the checker; ``layout`` draws the orientation the checker used:
   4. coordinates      integer boxes on a 4-unit grid; title strip at the top
                       left, then any top tables, then the main area, zoom-in
                       groups in their own boxes below it and meta tables at
-                      the bottom right. Nodes and edges are bucketed by
-                      area, and stack heights by (band, layer), in one pass
-                      each; every box is built once, where it is drawn, and
-                      each distinct ``node_face`` is sized once per area
-  5. routing          polylines; recurrent edges and self-edges loop above
-                      the node row
+                      the bottom right. If a group has a member, nodes and
+                      edges are bucketed by area in one pass each; one loop
+                      over the layers sets column x, width and band height;
+                      each box is built once, where it is drawn, and each
+                      distinct ``node_face`` is sized once per area
+  5. routing          polylines from one unpacking of each box; recurrent
+                      edges and self-edges loop above the node row
 
 Everything is integer arithmetic, so equal diagrams produce byte-identical
 layouts on every platform. The barycenter keys are exact too: within one
@@ -52,6 +54,8 @@ from math import lcm
 from .model import Diagram, Edge, Node
 from .record import Record
 
+# Every gap, pad and margin is a multiple of GRID, so sums of them and of
+# sizes rounded up to the grid stay on it.
 GRID = 4
 H_GAP = 32
 V_GAP = 16
@@ -76,10 +80,6 @@ class Box(Record):
     def bottom(self) -> int:
         return self.y + self.h
 
-    @property
-    def cy(self) -> int:
-        return self.y + self.h // 2
-
 
 class LayoutResult(Record):
     node_boxes: dict[str, Box]
@@ -102,6 +102,11 @@ class Layering(Record):
 
 def _quant(v: int) -> int:
     return ((v + GRID - 1) // GRID) * GRID
+
+
+# Builds a record that has no ``__new__`` of its own from a tuple of every
+# field, without the namedtuple's Python-level constructor.
+_new = tuple.__new__
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +209,13 @@ def order_within_layers(node_ids: list[str], layers: dict[str, int],
     ``band_of`` keeps weakly-connected components apart: the band index
     always dominates the barycenter.
     """
-    decl_index = {n: i for i, n in enumerate(node_ids)}
     by_layer: dict[int, list[str]] = {}
     for node in node_ids:
         by_layer.setdefault(layers[node], []).append(node)
-    layer_keys = sorted(key for key, layer in by_layer.items() if len(layer) > 1)
-    if not layer_keys:  # every node is alone in its layer, at position 0
+    if len(by_layer) == len(node_ids):  # every node is alone in its layer, at position 0
         return by_layer
+    decl_index = {n: i for i, n in enumerate(node_ids)}
+    layer_keys = sorted(key for key, layer in by_layer.items() if len(layer) > 1)
     for key in layer_keys:
         by_layer[key].sort(key=lambda n: (band_of[n], decl_index[n]))
 
@@ -288,60 +293,77 @@ def _weak_components(node_ids: list[str], edges: list[Edge]) -> dict[str, int]:
             x = parent[x]
         return x
 
+    # A node's parent is read in place; find() runs only past a parent that is no root.
     for edge in edges:
-        ra, rb = find(edge.source.node), find(edge.target.node)
+        ra, rb = parent[edge.source.node], parent[edge.target.node]
+        if parent[ra] != ra:
+            ra = find(ra)
+        if parent[rb] != rb:
+            rb = find(rb)
         if ra != rb:
             parent[rb] = ra
     roots: dict[str, int] = {}
     band_of: dict[str, int] = {}
     for node in node_ids:  # bands numbered by first declaration
-        root = find(node)
+        root = parent[node]
+        if parent[root] != root:
+            root = find(root)
         if root not in roots:
             roots[root] = len(roots)
         band_of[node] = roots[root]
     return band_of
 
 
-def _main_area(diagram: Diagram) -> tuple[dict[str, set[int]], list[Node], list[Edge]]:
-    """The groups of each group member, then the main area's nodes and edges.
+def _main_area(diagram: Diagram, oriented: list[tuple[str, str, str]],
+               layers: dict[str, int] | None
+               ) -> tuple[dict[str, set[int]], list[Node], list[Edge],
+                          list[tuple[str, str, str]], dict[str, int] | None]:
+    """The groups of each group member, then the main area's nodes, its edges,
+    their orientation in ``oriented`` and its layers, if ``layers`` gives them.
 
     A node belongs to every group that lists it, or else to the main area,
-    and an edge to each area that holds both its ends.
+    and an edge to each area that holds both its ends. Without a group
+    member the main area is the whole diagram, in ``oriented`` itself and
+    with ``layers``, every node's; else it is layered by itself.
     """
     node_groups: dict[str, set[int]] = {}
     for index, group in enumerate(diagram.groups):
         for member in group.member_nodes:
             node_groups.setdefault(member, set()).add(index)
+    if not node_groups:
+        return node_groups, diagram.nodes, diagram.edges, oriented, layers
     return (node_groups, [n for n in diagram.nodes if n.id not in node_groups],
             [e for e in diagram.edges
-             if e.source.node not in node_groups and e.target.node not in node_groups])
+             if e.source.node not in node_groups and e.target.node not in node_groups],
+            [item for item in oriented
+             if item[1] not in node_groups and item[2] not in node_groups], None)
 
 
-def _layering(ids: list[str], edges: list[Edge],
-              orientation: dict[str, tuple[str, str, str]]
-              ) -> tuple[Layering, list[tuple[str, str, str]]]:
-    """Layering of one area, and the checker's ``orientation`` of its edges.
-    ``edges`` holds the edges with both ends in the area, recurrent ones
-    included: the bands are their weak components, and the layers follow
-    the orientation of them."""
-    oriented = [orientation[e.id] for e in edges if e.id in orientation]
-    return Layering(assign_layers(ids, oriented), _weak_components(ids, edges)), oriented
+def _layering(ids: list[str], edges: list[Edge], oriented: list[tuple[str, str, str]],
+              layers: dict[str, int] | None) -> Layering:
+    """Layering of one area. ``edges`` holds the edges with both ends in it,
+    recurrent ones included: the bands are their weak components, and the
+    layers, unless ``layers`` gives them, follow ``oriented``, their orientation."""
+    return Layering(assign_layers(ids, oriented) if layers is None else layers,
+                    _weak_components(ids, edges))
 
 
-def main_layering(diagram: Diagram, oriented: list[tuple[str, str, str]]) -> Layering:
+def main_layering(diagram: Diagram, oriented: list[tuple[str, str, str]],
+                  layers: dict[str, int] | None = None) -> Layering:
     """The main area's layers and bands as ``layout`` draws them, in the
-    orientation ``oriented``, without ordering, boxes or routes."""
-    _, nodes, edges = _main_area(diagram)
-    return _layering([n.id for n in nodes], edges, {item[0]: item for item in oriented})[0]
+    orientation ``oriented`` and from ``layers`` as ``layout`` takes them,
+    without ordering, boxes or routes."""
+    _, nodes, edges, area_oriented, layers = _main_area(diagram, oriented, layers)
+    return _layering([n.id for n in nodes], edges, area_oriented, layers)
 
 
-def _layout_area(nodes: list[Node], edges: list[Edge],
-                 orientation: dict[str, tuple[str, str, str]], ox: int, oy: int
+def _layout_area(nodes: list[Node], edges: list[Edge], oriented: list[tuple[str, str, str]],
+                 layers: dict[str, int] | None, ox: int, oy: int
                  ) -> tuple[dict[str, Box], Layering, int, int]:
     """Lay out one area from its ``_layering``, its top left corner at (``ox``,
     ``oy``): each node's box, the layering, and the area's width and height."""
     ids = [n.id for n in nodes]
-    layering, oriented = _layering(ids, edges, orientation)
+    layering = _layering(ids, edges, oriented, layers)
     band_of = layering.bands
     by_layer = order_within_layers(ids, layering.layers, oriented, band_of)
 
@@ -355,25 +377,32 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
             sizes[n.id] = size
         else:
             sizes[n.id] = faces[face] = node_size(n)
-    col_w: dict[int, int] = {
-        layer: max(sizes[n][0] for n in layer_nodes)
-        for layer, layer_nodes in by_layer.items()
-    }
-    col_x: dict[int, int] = {}
+
+    # One pass over the layers in order: each column's x and width, and each
+    # band's stacked height.
+    columns: dict[int, tuple[int, int]] = {}  # layer -> (x, width)
+    band_height: dict[int, int] = {}
     cursor = 0
     for layer in sorted(by_layer):
-        col_x[layer] = cursor
-        cursor += col_w[layer] + H_GAP
+        layer_nodes = by_layer[layer]
+        if len(layer_nodes) == 1:
+            node = layer_nodes[0]
+            col_w, h = sizes[node]
+            band = band_of[node]
+            if band_height.get(band, 0) < h:
+                band_height[band] = h
+        else:
+            col_w = max(sizes[n][0] for n in layer_nodes)
+            stacked: dict[int, int] = {}
+            for n in layer_nodes:
+                band = band_of[n]
+                stacked[band] = stacked.get(band, -V_GAP) + sizes[n][1] + V_GAP
+            for band, h in stacked.items():
+                if band_height.get(band, 0) < h:
+                    band_height[band] = h
+        columns[layer] = cursor, col_w
+        cursor += col_w + H_GAP
     total_w = max(cursor - H_GAP, 0)
-
-    stack_h: dict[tuple[int, int], int] = {}  # (band, layer) -> stacked height
-    for layer, layer_nodes in by_layer.items():
-        for n in layer_nodes:
-            key = (band_of[n], layer)
-            stack_h[key] = stack_h.get(key, -V_GAP) + sizes[n][1] + V_GAP
-    band_height: dict[int, int] = {}
-    for (band, _), h in stack_h.items():
-        band_height[band] = max(band_height.get(band, 0), h)
     band_y: dict[int, int] = {}
     y_cursor = 0
     for band in sorted(band_height):
@@ -383,15 +412,17 @@ def _layout_area(nodes: list[Node], edges: list[Edge],
 
     boxes: dict[str, Box] = {}
     for layer, layer_nodes in by_layer.items():
+        col_x, col_w = columns[layer]
+        col_x += ox
         cursors: dict[int, int] = {}
         for node_id in layer_nodes:
             w, h = sizes[node_id]
             band = band_of[node_id]
-            x = _quant(col_x[layer] + (col_w[layer] - w) // 2)
-            y = _quant(cursors.get(band, band_y[band]))
-            boxes[node_id] = Box(x + ox, y + oy, w, h)
+            dx = (col_w - w) // 2
+            y = cursors.get(band, band_y[band])
+            boxes[node_id] = _new(Box, (col_x + dx + -dx % GRID, y + oy, w, h))
             cursors[band] = y + h + V_GAP
-    return boxes, layering, _quant(total_w), _quant(total_h)
+    return boxes, layering, total_w, total_h
 
 
 def table_size(rows: tuple[tuple[str, str], ...]) -> tuple[int, int]:
@@ -400,27 +431,32 @@ def table_size(rows: tuple[tuple[str, str], ...]) -> tuple[int, int]:
 
 
 def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
-           reversed_ids: frozenset[str]) -> LayoutResult:
+           reversed_ids: frozenset[str], layers: dict[str, int] | None = None) -> LayoutResult:
     """Pure function of the diagram and its orientation, the pair that
-    ``break_cycles(diagram)`` returns; integer coordinates only."""
-    # A loop (recurrent edge or self-edge) is drawn above its ends, so a
-    # group holding an end makes room for it under the caption.
-    node_groups, top_nodes, top_edges = _main_area(diagram)
+    ``break_cycles(diagram)`` returns; integer coordinates only. ``layers``,
+    if given, is ``assign_layers`` of every node in that orientation, as in
+    ``TypedDiagram.layers``; a main area that holds every node takes it as is."""
+    node_groups, top_nodes, top_edges, top_oriented, layers = _main_area(
+        diagram, oriented, layers)
     members: list[list[Node]] = [[] for _ in diagram.groups]
-    for node in diagram.nodes:
-        for index in node_groups.get(node.id, ()):
-            members[index].append(node)
     medges: list[list[Edge]] = [[] for _ in diagram.groups]
     loop_ends: set[str] = set()
-    for edge in diagram.edges:
-        u, v = edge.source.node, edge.target.node
-        if edge.flow_kind == "recurrent" or u == v:
-            loop_ends.update((u, v))
-        in_u, in_v = node_groups.get(u), node_groups.get(v)
-        if in_u and in_v:
-            for index in in_u & in_v:
-                medges[index].append(edge)
-    orientation = {item[0]: item for item in oriented}
+    orientation: dict[str, tuple[str, str, str]] = {}
+    if node_groups:  # else every group is empty
+        for node in diagram.nodes:
+            for index in node_groups.get(node.id, ()):
+                members[index].append(node)
+        # A loop (recurrent edge or self-edge) is drawn above its ends, so a
+        # group holding an end makes room for it under the caption.
+        for edge in diagram.edges:
+            u, v = edge.source.node, edge.target.node
+            if edge.flow_kind == "recurrent" or u == v:
+                loop_ends.update((u, v))
+            in_u, in_v = node_groups.get(u), node_groups.get(v)
+            if in_u and in_v:
+                for index in in_u & in_v:
+                    medges[index].append(edge)
+        orientation = {item[0]: item for item in oriented}
 
     # Tables placed at the top stack between the title strip and the content.
     top_strips: dict[str, int] = {}
@@ -431,34 +467,31 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
     content_y = TITLE_H + MARGIN + max(top_strips.values(), default=0)
 
     node_boxes, (layers, bands), _, main_h = _layout_area(
-        top_nodes, top_edges, orientation, MARGIN, content_y)
+        top_nodes, top_edges, top_oriented, layers, MARGIN, content_y)
 
     # Group boxes stack below the main area, one per declaration.
     group_boxes: dict[str, Box] = {}
     y_cursor = content_y + main_h + (BAND_GAP if top_nodes else 0)
     for index, group in enumerate(diagram.groups):
         caption_h = 24 if any(n.id in loop_ends for n in members[index]) else 12
+        group_oriented = [orientation[e.id] for e in medges[index] if e.id in orientation]
         boxes, (sub_layers, sub_bands), sub_w, sub_h = _layout_area(
-            members[index], medges[index], orientation,
+            members[index], medges[index], group_oriented, None,
             MARGIN + GROUP_PAD, y_cursor + GROUP_PAD + caption_h)
         node_boxes.update(boxes)
         layers.update(sub_layers)
         bands.update(sub_bands)
-        group_boxes[group.id] = Box(
-            MARGIN, y_cursor,
-            _quant(sub_w + 2 * GROUP_PAD),
-            _quant(sub_h + 2 * GROUP_PAD + caption_h),
-        )
-        y_cursor = group_boxes[group.id].bottom + V_GAP
+        group_boxes[group.id] = box = Box(MARGIN, y_cursor, sub_w + 2 * GROUP_PAD,
+                                          sub_h + 2 * GROUP_PAD + caption_h)
+        y_cursor = box.bottom + V_GAP
 
-    content_w = max(
-        [box.right for box in node_boxes.values()]
-        + [box.right for box in group_boxes.values()] + [160],
-    )
-    content_bottom = max(
-        [box.bottom for box in node_boxes.values()]
-        + [box.bottom for box in group_boxes.values()] + [content_y],
-    )
+    content_w, content_bottom = 160, content_y
+    for boxes in (node_boxes, group_boxes):
+        for x, y, w, h in boxes.values():
+            if x + w > content_w:
+                content_w = x + w
+            if y + h > content_bottom:
+                content_bottom = y + h
 
     # Meta tables anchor bottom-right unless a placement hint overrides.
     table_regions: dict[str, Box] = {}
@@ -506,29 +539,25 @@ def layout(diagram: Diagram, oriented: list[tuple[str, str, str]],
 
 def _route_edges(diagram: Diagram,
                  boxes: dict[str, Box]) -> dict[str, tuple[tuple[int, int], ...]]:
+    # the midpoints of each box's left and right sides, from one unpacking of it
+    lefts: dict[str, tuple[int, int]] = {}
+    rights: dict[str, tuple[int, int]] = {}
+    for node_id, (x, y, w, h) in boxes.items():
+        cy = y + h // 2
+        lefts[node_id] = x, cy
+        rights[node_id] = x + w, cy
     routes: dict[str, tuple[tuple[int, int], ...]] = {}
     for edge in diagram.edges:
-        src, tgt = boxes[edge.source.node], boxes[edge.target.node]
-        (sx, sy, sw, sh), (tx, ty, tw, th) = src, tgt
-        if edge.flow_kind == "recurrent" or edge.source.node == edge.target.node:
-            routes[edge.id] = _loop_route(src, tgt)
-        elif sx > tx:
-            routes[edge.id] = ((sx, sy + sh // 2), (tx + tw, ty + th // 2))
+        u, v = edge.source.node, edge.target.node
+        if edge.flow_kind == "recurrent" or u == v:  # out of the right, over both, into the left
+            start, end = rights[u], lefts[v]
+            (sx, sy), (tx, ty), top = start, end, min(boxes[u].y, boxes[v].y) - 12
+            routes[edge.id] = (start, (sx + 8, sy), (sx + 8, top), (tx - 8, top), (tx - 8, ty), end)
+        elif lefts[u][0] > lefts[v][0]:  # the source box starts right of the target's
+            routes[edge.id] = lefts[u], rights[v]
         else:
-            routes[edge.id] = ((sx + sw, sy + sh // 2), (tx, ty + th // 2))
+            routes[edge.id] = rights[u], lefts[v]
     return routes
-
-
-def _loop_route(src: Box, tgt: Box) -> tuple[tuple[int, int], ...]:
-    top = min(src.y, tgt.y) - 12
-    return (
-        (src.right, src.cy),
-        (src.right + 8, src.cy),
-        (src.right + 8, top),
-        (tgt.x - 8, top),
-        (tgt.x - 8, tgt.cy),
-        (tgt.x, tgt.cy),
-    )
 
 
 def debug_dump(diagram: Diagram, result: LayoutResult) -> str:

@@ -1,6 +1,7 @@
 """Style rules over the typed diagram. W208 reads the main area's layering,
 which ``lint`` works out itself with ``layout.main_layering`` in the
-checker's orientation, so it sees the layers and bands ``layout`` draws.
+checker's orientation and layers, so it sees the layers and bands
+``layout`` draws.
 
 Every rule is a warning; escalation happens only in the CLI (--deny
 warnings). Output order is stable: rule code first, then the declaration
@@ -108,7 +109,7 @@ def _symbol_names(dialects: frozenset[str]) -> dict[str, str]:
 def _mixed_layers(typed: TypedDiagram, disabled: frozenset[str]) -> list[Diagnostic]:
     if "W208" in disabled:
         return []
-    drawn = main_layering(typed.diagram, typed.oriented)
+    drawn = main_layering(typed.diagram, typed.oriented, typed.layers)
     group_of = typed.graph.group_of
     top = [n for n in typed.diagram.nodes if n.id not in group_of]
     seen: dict[tuple[int, int], dict[str, str]] = {}

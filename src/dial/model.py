@@ -156,19 +156,23 @@ def validate_structure(diagram: Diagram,
     containment cycle, E013 persist/query endpoint kind violation, E014 node
     listed by more than one detail group.
 
-    A code names one record within a call, so each resolved code's arity
-    bounds (``max_out``, ``max_in``) are read once and every port is checked
-    against that reading.
+    A code names one record within a call, so each distinct code is resolved
+    once, its arity bounds (``max_out``, ``max_in``) are read once and every
+    port is checked against that reading.
     """
     out: list[Diagnostic] = []
     resolutions: dict[str, Signature | SymbolDef | None] = {}
+    by_code: dict[str, Signature | SymbolDef | None] = {}
     bounds: dict[str, tuple[int, int]] = {}  # resolved code -> (max_out, max_in)
     nodes = {n.id: n for n in diagram.nodes}
     embedding_ids = {e.id for e in diagram.embeddings}
 
     for node in diagram.nodes:
-        res = registry.resolve(node.code, diagram.dialects)
-        resolutions[node.id] = res
+        if node.code not in by_code:
+            res = by_code[node.code] = registry.resolve(node.code, diagram.dialects)
+            if res is not None:
+                bounds[node.code] = (res.max_out, res.max_in)
+        res = resolutions[node.id] = by_code[node.code]
         if res is None:
             out.append(Diagnostic(
                 "E010",
@@ -176,8 +180,6 @@ def validate_structure(diagram: Diagram,
                 f"{{{', '.join(sorted(diagram.dialects))}}}",
                 ir_path=node.id, ir_kind="node",
             ))
-        elif node.code not in bounds:
-            bounds[node.code] = (res.max_out, res.max_in)
         if node.code == "proj":
             emb = node.param("embedding")
             if emb is not None and emb not in embedding_ids:

@@ -137,14 +137,16 @@ def glyph_for(found: Signature | SymbolDef) -> GlyphSpec:
 
 def _check_pairing(typed: TypedDiagram, layout: LayoutResult) -> None:
     """E301 unless the layout boxes exactly the typed diagram's nodes and routes its edges."""
-    nodes = typed.graph.nodes
+    nodes, routes = typed.graph.nodes, layout.edge_routes
+    if nodes.keys() == layout.node_boxes.keys() and all(
+            e.id in routes for e in typed.diagram.edges):
+        return
     missing = [nid for nid in nodes if nid not in layout.node_boxes]
-    missing += [e.id for e in typed.diagram.edges if e.id not in layout.edge_routes]
+    missing += [e.id for e in typed.diagram.edges if e.id not in routes]
     extra = [nid for nid in layout.node_boxes if nid not in nodes]
-    if missing or extra:
-        raise RenderMismatch(
-            "E301: layout does not belong to this diagram "
-            f"(missing {missing}, foreign {extra})")
+    raise RenderMismatch(
+        "E301: layout does not belong to this diagram "
+        f"(missing {missing}, foreign {extra})")
 
 
 class _Drawing:

@@ -376,13 +376,16 @@ def _project(ctx: _Ctx, term: DataTerm) -> DataTerm:
 class TypedDiagram(Record):
     """``graph`` is what validation settled about ``diagram``. ``oriented``
     and ``reversed_edges`` are what ``break_cycles`` returned: the compile's
-    one orientation, which the checker used and layout draws."""
+    one orientation, which the checker used and layout draws. ``layers``,
+    the layers the checker ranked by, is also the main area's if no detail
+    group has a member (layout and lint read it, never change it); else None."""
     diagram: Diagram
     graph: Graph
     edge_terms: dict[str, DataTerm]
     diagnostics: list[Diagnostic]
     oriented: list[tuple[str, str, str]]
     reversed_edges: frozenset[str]
+    layers: dict[str, int] | None
 
 
 def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDiagram:
@@ -539,7 +542,8 @@ def check_diagram(diagram: Diagram, graph: Graph, registry: Registry) -> TypedDi
         diagnostics.append(Diagnostic(
             "E105", f"node {node_id!r}: term propagation did not reach a fixed point",
             ir_path=node_id, ir_kind="node"))
-    return TypedDiagram(diagram, graph, edge_terms, diagnostics, oriented, backward)
+    return TypedDiagram(diagram, graph, edge_terms, diagnostics, oriented, backward,
+                        None if graph.group_of else layers)
 
 
 def _collapse(term: DataTerm) -> DataTerm:

@@ -590,8 +590,10 @@ def round_robin_check(diagram: Diagram, registry: Registry | None = None,
                 ir_path=edge.id))
         if edge.declared_term is not None:
             _check_declared(edge, delivered, registry, diagnostics)
-    # resolves codes itself, so it has no validation Graph to carry
-    return TypedDiagram(diagram, None, edge_terms, diagnostics, oriented, backward), converged
+    # resolves codes itself, so it has no validation Graph to carry, and
+    # leaves the layering to layout
+    return TypedDiagram(diagram, None, edge_terms, diagnostics, oriented, backward,
+                        None), converged
 
 
 def reference_tensor(present: list[DataTerm]) -> DataTerm | None:
@@ -1257,7 +1259,9 @@ def reference_layout(diagram: Diagram) -> LayoutResult:
     oriented, reversed_ids = reference_break_cycles(diagram)
     areas = iter(reference_areas(diagram))
 
-    def area_at(_nodes, _edges, _orientation, ox: int, oy: int
+    # the library's area, its orientation and any layers it reuses are ignored:
+    # the reference layers every area itself
+    def area_at(_nodes, _edges, _oriented, _layers, ox: int, oy: int
                 ) -> tuple[dict[str, Box], Layering, int, int]:
         return _reference_layout_area(*next(areas), oriented, ox, oy)
 
@@ -1436,7 +1440,8 @@ class TokenListParser:
     and a block whose header failed before its ``{`` is stepped over whole;
     a perf entry whose ``acc`` lies outside [0,1] is reported and left out
     of the node. An item starts at, and recovery stops at, a token of kind
-    ``keyword`` only: a quoted ``"node"`` is a string."""
+    ``keyword`` only: a quoted ``"node"`` is a string. Nor does a string
+    match a text in ``at`` and ``expect``: a quoted ``":"`` is no colon."""
 
     def __init__(self, tokens: list[Token], source: str) -> None:
         self.tokens = tokens
@@ -1451,8 +1456,10 @@ class TokenListParser:
         return self.tokens[self.pos]
 
     def at(self, text: str | None = None, kind: str | None = None) -> bool:
+        """The current token is ``text``, which a string never is, and of ``kind``."""
         tok = self.peek()
-        return (text is None or tok.text == text) and (kind is None or tok.kind == kind)
+        return ((text is None or tok.text == text and tok.kind != "string")
+                and (kind is None or tok.kind == kind))
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -2017,9 +2024,12 @@ _PERF = ("",) * 40 + (' perf(acc=0.9@"c")', ' perf(acc=0.5@"c", f1=0.5@"d")', ' 
 _SIDES = ("",) * 40 + (" entry top", " exit bottom", " entry left exit top",
                        " entry middle", " exit up", " entry", " exit 3")
 _PLACEMENTS = ("",) * 3 + (" at top_left", " at bottom_right", " at middle", " at")
+# The punctuation and keywords a generated line holds outside its strings,
+# whose only characters are letters.
+MARK_RE = re.compile(r"[:;,.=@(){}\[\]^]|\b(?:as|perf|for|at|entry|exit|dim)\b")
 
 
-def random_front_end_source(rng: random.Random) -> str:
+def random_front_end_source(rng: random.Random, quoter: random.Random) -> str:
     """A source whose ids come from small pools, so that duplicate nodes and
     groups, unknown owners and edges to unknown nodes are common. Detail
     blocks nest up to three deep and hold edges. Terms are sometimes
@@ -2027,7 +2037,9 @@ def random_front_end_source(rng: random.Random) -> str:
     a detail block's sides and a placement are sometimes wrong or missing,
     and a perf ``acc`` sometimes lies outside [0,1];
     and a declaration sometimes starts with its keyword quoted, which is a
-    string and no keyword."""
+    string and no keyword. Drawn from ``quoter``, apart from ``rng``, an item
+    line sometimes has one punctuation mark or keyword quoted where the
+    grammar expects it, inside a term too."""
     title = rng.choice(("",) * 80 + _PLACEMENTS[3:])
     lines = ["dial 0.1", "dialect sys", f'diagram "front"{title} {{']
     declared: list[str] = []
@@ -2075,6 +2087,12 @@ def random_front_end_source(rng: random.Random) -> str:
 
     items(0)
     lines.append("}")
+    for i, line in enumerate(lines[3:-1], 3):  # the items, not the header
+        if quoter.random() < 0.03:
+            marks = list(MARK_RE.finditer(line))
+            if marks:
+                mark = quoter.choice(marks)
+                lines[i] = f'{line[:mark.start()]}"{mark[0]}"{line[mark.end():]}'
     return "\n".join(lines) + "\n"
 
 

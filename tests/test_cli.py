@@ -576,7 +576,7 @@ PASS_SOURCES = [p.read_text() for p in
 
 @settings(max_examples=150, deadline=None)
 @given(rng=st.randoms(use_true_random=False),
-       make=st.sampled_from((random_front_end_source, random_valid_source,
+       make=st.sampled_from((lambda rng: random_front_end_source(rng, rng), random_valid_source,
                              lambda rng: rng.choice(PASS_SOURCES))),
        mutations=st.integers(0, 2))
 def test_every_command_survives_generated_sources(rng, make, mutations):

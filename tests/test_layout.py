@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import random
 import re
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import dial.layout
-from dial.cli import compile_file, compile_source
+from dial.cli import compile_file, compile_source, run
 from dial.layout import (
     GRID,
     Box,
@@ -237,11 +240,26 @@ def test_no_overlaps():
 
 
 def test_coordinates_are_grid_quantized_integers():
-    result = compile_file("corpus/pass/lexicon_attention.dial")
-    lay = result.layout_result
-    for box in lay.node_boxes.values():
-        assert all(isinstance(v, int) for v in (box.x, box.y, box.w, box.h))
-        assert box.x % GRID == 0 and box.y % GRID == 0
+    # every box's x, y, w and h, group boxes under a short or a tall caption
+    # included, is an integer on the grid: layout sums gaps, pads and sizes
+    # without rounding them again
+    diagrams = [compile_file(p).typed.diagram for p in sorted(Path("corpus/pass").glob("*.dial"))]
+    rng = random.Random(40)
+    diagrams += [random_grouped_diagram(rng) for _ in range(300)]
+    captions: Counter[bool] = Counter()
+    for diagram in diagrams:
+        lay = layout(diagram, *break_cycles(diagram))
+        boxes = [*lay.node_boxes.values(), *lay.group_boxes.values(),
+                 *lay.table_regions.values(), lay.title_region]
+        for box in boxes:
+            assert all(type(v) is int and v % GRID == 0 for v in box), (diagram.name, box)
+        assert lay.width % GRID == 0 and lay.height % GRID == 0
+        loop_ends = {end for e in diagram.edges
+                     if e.flow_kind == "recurrent" or e.source.node == e.target.node
+                     for end in (e.source.node, e.target.node)}
+        captions.update(bool(loop_ends & set(g.member_nodes)) for g in diagram.groups
+                        if g.member_nodes)
+    assert captions[True] > 50 and captions[False] > 50, captions
 
 
 def test_tables_default_bottom_right():
@@ -289,12 +307,16 @@ def test_self_edges_and_recurrent_edges_loop_above_their_nodes():
                            kinds={2: "recurrent", 3: "recurrent"})
     lay = layout(d, *break_cycles(d))
     v0, v1 = lay.node_boxes["v0"], lay.node_boxes["v1"]
-    assert lay.edge_routes["e1"] == ((v0.right, v0.cy), (v1.x, v1.cy))
+
+    def cy(box: Box) -> int:
+        return box.y + box.h // 2
+
+    assert lay.edge_routes["e1"] == ((v0.right, cy(v0)), (v1.x, cy(v1)))
     for edge_id, src, tgt in (("e0", v0, v0), ("e2", v1, v0), ("e3", v1, v1)):
         top = min(src.y, tgt.y) - 12
         assert lay.edge_routes[edge_id] == (
-            (src.right, src.cy), (src.right + 8, src.cy), (src.right + 8, top),
-            (tgt.x - 8, top), (tgt.x - 8, tgt.cy), (tgt.x, tgt.cy)), edge_id
+            (src.right, cy(src)), (src.right + 8, cy(src)), (src.right + 8, top),
+            (tgt.x - 8, top), (tgt.x - 8, cy(tgt)), (tgt.x, cy(tgt))), edge_id
 
 
 @pytest.mark.parametrize("loop", ["m ~> d", "m ~> m", "m -> m"])
@@ -420,7 +442,15 @@ def test_layout_matches_quadratic_reference():
         for bands in (dict.fromkeys(ids, 0), band_of):
             assert order_within_layers(ids, layers, oriented, bands) == \
                 reference_order_within_layers(ids, layers, oriented, bands), i
-        assert layout(d, oriented, reversed_ids) == reference_layout(d), i
+        drawn = layout(d, oriented, reversed_ids)
+        assert drawn == reference_layout(d), i
+        # given the checker's layers: the same layout, its layers in the same
+        # order, and that dict itself when no group has a member, unchanged
+        reused = layout(d, oriented, reversed_ids, layers)
+        assert reused == drawn and list(reused.layers.items()) == list(drawn.layers.items()), i
+        assert (reused.layers is layers) != any(g.member_nodes for g in d.groups), i
+        assert main_layering(d, oriented, layers) == main_layering(d, oriented), i
+        assert list(layers.items()) == list(assign_layers(ids, oriented).items()), i
         reversing += bool(reversed_ids)
         grouped += bool(d.groups)
         banded += len(set(band_of.values())) > 1
@@ -465,7 +495,8 @@ def _two_layer_input(width: int, anchor_lists: list[list[int]]):
 def test_layers_match_the_two_pass_reference_in_queue_order(monkeypatch):
     # the one-pass layering returns the earlier dict item for item, so its
     # order, Kahn's queue order, too; the checker's call, every area of a
-    # layout and main_layering are checked on the mix above
+    # layout and main_layering are checked on the mix above. Given the
+    # checker's layers, a diagram without a group member is layered once
     calls = []
 
     def checked(ids, oriented):
@@ -479,10 +510,53 @@ def test_layers_match_the_two_pass_reference_in_queue_order(monkeypatch):
     makers = (random_feedback_diagram,
               lambda r: random_layout_diagram(r, cyclic=True),
               random_grouped_diagram)
+    grouped = areas = 0
     for i in range(2100):
         d = makers[i % 3](rng)
         oriented, reversed_ids = break_cycles(d)
-        checked([n.id for n in d.nodes], oriented)
-        main_layering(d, oriented)
-        layout(d, oriented, reversed_ids)
-    assert len(calls) > 3 * 2100 and sum(depth > 2 for depth in calls) > 1000, len(calls)
+        layers = checked([n.id for n in d.nodes], oriented)
+        main_layering(d, oriented, layers)
+        layout(d, oriented, reversed_ids, layers)
+        members = any(g.member_nodes for g in d.groups)
+        grouped += members
+        areas += len(d.groups) + 2 * members  # each group box; main_layering and the main area
+    # pinned: without the checker's layers, layout and main_layering made 7,325 calls
+    assert grouped == 462 and len(calls) == 2100 + areas == 4049, (grouped, len(calls))
+    assert sum(depth > 2 for depth in calls) == 900, sum(depth > 2 for depth in calls)
+
+
+def test_a_compile_layers_a_group_free_diagram_once(monkeypatch, tmp_path):
+    # the checker's layering is the main area's when no detail group has a
+    # member, so one render and one lint each call assign_layers once; with
+    # a member, the main area and each group box are layered by themselves
+    calls: list[int] = []
+    real = dial.layout.assign_layers
+
+    def counting(ids, oriented):
+        calls.append(len(ids))
+        return real(ids, oriented)
+
+    chain = tmp_path / "chain.dial"
+    chain.write_text("\n".join(
+        ["dial 0.1", "dialect sys", 'diagram "chain" {', "  data t0: S^Token"]
+        + [f"  node t{i}: {('POS', 'NER', 'SRL')[i % 3]}" for i in range(1, 300)]
+        + [f"  edge t{i} -> t{i + 1}" for i in range(299)] + ["}", ""]), encoding="utf-8")
+    paths = sorted(Path("corpus/pass").glob("*.dial")) + [chain]
+    monkeypatch.setattr(dial.layout, "assign_layers", counting)
+    seen = Counter()
+    for path in paths:
+        compiled = compile_file(str(path))
+        diagram = compiled.diagram
+        members = any(group.member_nodes for group in diagram.groups)
+        seen[members] += 1
+        if members:  # the checker keeps no layers that no area is drawn from
+            assert compiled.typed.layers is None, path
+        else:
+            assert compiled.layout_result.layers is compiled.typed.layers, path
+        for argv, areas in ((["render", str(path), "-o", str(tmp_path / "out.svg")],
+                             1 + len(diagram.groups)), (["lint", str(path)], 1)):
+            calls.clear()
+            assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0, argv
+            assert calls[0] == len(diagram.nodes), argv  # the checker's, of every node
+            assert len(calls) == (1 + areas if members else 1), (argv, calls)
+    assert seen == {False: 2, True: 2}, seen

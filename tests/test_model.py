@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,24 @@ def test_unresolved_code_is_deferred():
     assert validate(d) == ["E010"]
 
 
+def test_an_unresolved_code_is_reported_at_each_of_its_nodes(monkeypatch):
+    # resolved once per call, yet E010 once per node, in declaration order
+    d = Diagram("t", frozenset({"sys"}), nodes=[
+        Node("b1", "nn_layer", "bilstm"), task("p", "POS"), Node("b2", "nn_layer", "bilstm"),
+        task("q", "POS"), Node("b3", "nn_layer", "bilstm")])
+    calls: list[str] = []
+    real = Registry.resolve
+
+    def counting(self, code, dialects):
+        calls.append(code)
+        return real(self, code, dialects)
+
+    monkeypatch.setattr(Registry, "resolve", counting)
+    diags, graph = validate_structure(d, Registry())
+    assert [(x.code, x.ir_path) for x in diags] == [("E010", "b1"), ("E010", "b2"), ("E010", "b3")]
+    assert graph is None and calls == ["bilstm", "POS"]
+
+
 def test_add_edge_unknown_node():
     d = chain_diagram()
     add_edge(d, "src", "ghost")
@@ -109,7 +128,8 @@ def test_accepted_diagram_gets_its_graph():
 
 
 def test_a_full_pipeline_resolves_each_node_code_at_most_twice(monkeypatch):
-    # once in lowering and once in validation; check, lint and render read the Graph
+    # each distinct code once in lowering and once in validation; check, lint
+    # and render read the Graph
     calls: list[str] = []
     real = Registry.resolve
 
@@ -129,7 +149,9 @@ def test_a_full_pipeline_resolves_each_node_code_at_most_twice(monkeypatch):
         result.render("svg")
         result.render("tikz")
         assert result.diagnostics == []
-        assert len(calls) <= 2 * len(result.diagram.nodes)
+        counts = Counter(calls)
+        assert set(counts) <= {n.code for n in result.diagram.nodes}, counts
+        assert max(counts.values(), default=0) <= 2, counts
 
 
 def test_validate_is_pure():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast as python_ast
 import random
+import re
 import string
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dial.layout
 import dial.parser
 from dial import terms
 from dial.cli import compile_source
@@ -23,6 +25,7 @@ from dial.model import Diagram, validate_structure
 from dial.parser import DetailDecl, format_source, lower, parse, tokenize
 from dial.registry import Registry, node_kind
 from oracles import (
+    MARK_RE,
     ReferenceTermParser,
     _shown,
     _term_kind,
@@ -403,6 +406,7 @@ def test_a_string_is_never_punctuation_or_keyword(item, errors):
     got = compile_source(src).diagnostics
     assert [(d.code, d.span.line, d.span.col, d.message) for d in got] == errors
     assert (format_source(src)[0] is None) == bool(errors)
+    compare_front_end(src)  # and the reference parser reads it so too
 
 
 def test_detail_sides_and_placements_reach_the_diagram():
@@ -825,6 +829,9 @@ FRONT_END_CASES = {  # case -> least number of sources (of 2,400) that show it
 }
 
 
+QUOTED_MARK = re.compile(f"""found '"(?:{MARK_RE.pattern})"'""")
+
+
 def relaid(rng: random.Random, source: str) -> str:
     """``source`` with a leading blank line, tab indents, trailing blanks,
     CRLF line ends and ``//`` comment lines between its lines."""
@@ -861,11 +868,12 @@ def test_front_end_matches_quadratic_reference():
     # the flat token stream, the term reader over its lists and the lowering
     # maps give the same tokens, spans, offsets, AST, diagnostics and lowered
     # unit as the character loop, the earlier copying reader over triples and
-    # scans; each unmutated source also once more, laid out differently
-    rng, relay = random.Random(20261018), random.Random(20261021)
+    # scans; each unmutated source also once more, laid out differently. Some
+    # sources quote a mark where one is expected: a string is never that mark
+    rng, relay, quoter = random.Random(20261018), random.Random(20261021), random.Random(40)
     seen: Counter[str] = Counter()
     for i in range(2400):
-        src = random_front_end_source(rng)
+        src = random_front_end_source(rng, quoter)
         if i % 3:
             src = mutate_source(rng, src)
         else:
@@ -882,8 +890,10 @@ def test_front_end_matches_quadratic_reference():
             isinstance(inner, DetailDecl) for inner in item.items) for item in ast.items)
         seen["group of two nodes"] += any(len(g.member_nodes) > 1 for g in groups)
         seen["group of two edges"] += any(len(g.member_edges) > 1 for g in groups)
+        seen["quoted mark"] += any(QUOTED_MARK.search(message) for message in messages)
     for case, least in FRONT_END_CASES.items():
         assert seen[case] >= least, (case, seen)
+    assert seen["quoted mark"] >= 200, seen  # a string found where its mark is expected
     assert seen["re-laid"] >= 750, seen  # re-laid sources that parsed and lowered
 
 
@@ -1050,19 +1060,22 @@ def test_lower_resolves_each_distinct_code_once(monkeypatch):
 def test_records_built_from_a_tuple_check_nothing_and_get_every_field():
     # `_new(Cls, (...))` skips the namedtuple's constructor: no class on this
     # path may check its fields in `__new__`, and none may take a default
-    tree = python_ast.parse(Path(dial.parser.__file__).read_text(encoding="utf-8"))
-    built = set()
-    for call in python_ast.walk(tree):
-        if not (isinstance(call, python_ast.Call) and isinstance(call.func, python_ast.Name)
-                and call.func.id == "_new"):
-            continue
-        assert len(call.args) == 2 and not call.keywords, python_ast.unparse(call)
-        cls, fields = getattr(dial.parser, call.args[0].id), call.args[1]
-        assert "__new__" not in vars(cls), cls
-        assert isinstance(fields, python_ast.Tuple), python_ast.unparse(call)
-        assert len(fields.elts) == len(cls._fields), python_ast.unparse(call)
-        built.add(cls.__name__)
-    assert built == {"PortRef", "NodeDecl", "EdgeDecl", "DataDecl", "Node", "Port", "Edge"}
+    for module, records in (
+            (dial.parser, {"PortRef", "NodeDecl", "EdgeDecl", "DataDecl", "Node", "Port", "Edge"}),
+            (dial.layout, {"Box"})):
+        tree = python_ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        built = set()
+        for call in python_ast.walk(tree):
+            if not (isinstance(call, python_ast.Call) and isinstance(call.func, python_ast.Name)
+                    and call.func.id == "_new"):
+                continue
+            assert len(call.args) == 2 and not call.keywords, python_ast.unparse(call)
+            cls, fields = getattr(module, call.args[0].id), call.args[1]
+            assert "__new__" not in vars(cls), cls
+            assert isinstance(fields, python_ast.Tuple), python_ast.unparse(call)
+            assert len(fields.elts) == len(cls._fields), python_ast.unparse(call)
+            built.add(cls.__name__)
+        assert built == records, module
 
 
 MEMO_NEAR_MISSES = [  # a term, and one with the same first tokens but another extent or outcome

@@ -242,6 +242,10 @@ def test_mismatched_layout_is_e301():
     one = compile_source(source % "  edge x -> f\n")
     with pytest.raises(RenderMismatch, match=r"missing \['e1'\]"):
         render_tikz(both.typed, one.layout_result)
+    # every edge routed, one node boxed that the diagram lacks
+    wider = compile_source(source % "  data y: S\n  edge x -> f\n")
+    with pytest.raises(RenderMismatch, match=r"\(missing \[\], foreign \['y'\]\)"):
+        render_svg(one.typed, wider.layout_result)
 
 
 # -- TikZ -----------------------------------------------------------------------
