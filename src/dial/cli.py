@@ -56,17 +56,16 @@ class CompileResult:
         return layout.layout(typed.diagram, typed.oriented, typed.reversed_edges, typed.layers)
 
     def lint(self, disabled: frozenset[str] = frozenset()) -> list[Diagnostic]:
-        """W2xx warnings located in ``file``; ``[]`` without a typed diagram."""
+        """W2xx warnings, as ``lint`` built them; ``[]`` without a typed diagram."""
         if self.typed is None:
             return []
-        return [d.with_location(self.file, None)
-                for d in lint_mod.lint(self.typed, disabled=disabled)]
+        return lint_mod.lint(self.typed, disabled=disabled)
 
     def render(self, fmt: str, out=None) -> str | None:
         """SVG or TikZ (``fmt`` is "svg" or "tikz") written into the text stream
         ``out`` as it is drawn, or else returned; requires a typed diagram."""
-        emit = {"svg": render.render_svg, "tikz": render.render_tikz}[fmt]
-        return emit(self.typed, self.layout_result, out)
+        draw = {"svg": render.render_svg, "tikz": render.render_tikz}[fmt]
+        return draw(self.typed, self.layout_result, out)
 
 
 def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
@@ -78,7 +77,6 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
     del tokens  # the AST keeps its own offsets; frees the token lists before lowering
     result.diagnostics.extend(diags)
     if ast is None or has_errors(result.diagnostics):
-        result.diagnostics = _located(result.diagnostics, file_name, source, {})
         return result
 
     unit: LoweredUnit = lower(ast)
@@ -86,15 +84,17 @@ def compile_source(source: str, file_name: str = "<string>") -> CompileResult:
     result.diagnostics.extend(unit.diagnostics)
     result.diagram = unit.diagram
     if unit.diagram is None or has_errors(result.diagnostics):
-        result.diagnostics = _located(result.diagnostics, file_name, source, unit.spans)
         return result
 
     diags, graph = validate_structure(unit.diagram, unit.registry)
-    result.diagnostics.extend(diags)
     if graph is not None:
         result.typed = check_diagram(unit.diagram, graph, unit.registry)
-        result.diagnostics.extend(result.typed.diagnostics)
-    result.diagnostics = _located(result.diagnostics, file_name, source, unit.spans)
+        diags = result.typed.diagnostics
+    # front-end diagnostics carry their span; these name a declaration instead,
+    # and are shown at it when it has a span
+    for diag in diags:
+        at = unit.spans.get(diag.ir_kind, {}).get(diag.ir_path)
+        result.diagnostics.append(diag if at is None else diag._replace(span=locate(source, at)))
     return result
 
 
@@ -106,17 +106,6 @@ def read_source(path: str) -> str:
 
 def compile_file(path: str) -> CompileResult:
     return compile_source(read_source(path), path)
-
-
-def _located(diagnostics: list[Diagnostic], file_name: str, source: str,
-             spans: dict[str, dict[str, int]]) -> list[Diagnostic]:
-    """Each of ``diagnostics`` in ``file_name``, at its ``ir_path``'s declaration if spanless."""
-    out = []
-    for diag in diagnostics:
-        at = spans.get(diag.ir_kind, {}).get(diag.ir_path)
-        span = diag.span or (None if at is None else locate(source, at))
-        out.append(diag.with_location(file_name, span))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +121,10 @@ def _use_color(stream) -> bool:
     return not os.environ.get("NO_COLOR") and bool(getattr(stream, "isatty", lambda: False)())
 
 
-def _print_human(diagnostics: list[Diagnostic], stream) -> None:
+def _print_human(file: str, diagnostics: list[Diagnostic], stream) -> None:
     color = _use_color(stream)
     for diag in diagnostics:
-        line = diag.render_human()
+        line = diag.render_human(file)
         if color:
             line = _COLORS[diag.severity] + line + _RESET
         print(line, file=stream)
@@ -149,7 +138,7 @@ def _print_human(diagnostics: list[Diagnostic], stream) -> None:
 def _report(args, stdout, stderr, diagnose, deny_warnings: bool = False) -> int:
     """Print ``diagnose(result)`` for every readable file in ``args.files`` and
     "cannot read" for every other one; exit 2 if any file could not be read."""
-    all_diags: list[Diagnostic] = []
+    groups: list[tuple[str, list[Diagnostic]]] = []  # (file, its diagnostics)
     worst = 0
     for path in args.files:
         try:
@@ -158,14 +147,15 @@ def _report(args, stdout, stderr, diagnose, deny_warnings: bool = False) -> int:
             print(f"dial: cannot read {path}: {exc}", file=stderr)
             worst = 2
             continue
-        all_diags.extend(diagnose(result))
+        groups.append((result.file, diagnose(result)))
         if result.failed:
             worst = max(worst, 1)
     if args.json:
-        dump_json(all_diags, stdout)
+        dump_json(groups, stdout)
     else:
-        _print_human(all_diags, stderr)
-    if deny_warnings and any(d.severity == "warning" for d in all_diags):
+        for path, diagnostics in groups:
+            _print_human(path, diagnostics, stderr)
+    if deny_warnings and any(d.severity == "warning" for _, diags in groups for d in diags):
         worst = max(worst, 1)
     return worst
 
@@ -194,7 +184,7 @@ def _cmd_render(args, stdout, stderr) -> int:
     except OSError as exc:
         print(f"dial: cannot read {args.files[0]}: {exc}", file=stderr)
         return 2
-    _print_human(result.diagnostics, stderr)
+    _print_human(result.file, result.diagnostics, stderr)
     if result.failed or result.typed is None:
         print("dial render: refusing to write output with errors present",
               file=stderr)
@@ -219,7 +209,7 @@ def _cmd_fmt(args, stdout, stderr) -> int:
         return 2
     formatted, diagnostics = format_source(source)
     if formatted is None:
-        _print_human([d.with_location(path, d.span) for d in diagnostics], stderr)
+        _print_human(path, diagnostics, stderr)
         return 1
     if args.check:
         return 0 if formatted == source else 1
@@ -280,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser("lint", help="check plus style rules")
     p_lint.add_argument("files", metavar="FILE", nargs="*")
     p_lint.add_argument("--deny", choices=["warnings"])
-    p_lint.add_argument("--allow", action="append", metavar="Wxxx")
+    p_lint.add_argument("--allow", action="append", metavar="Wxxx",
+                        choices=[rule.code for rule in lint_mod.RULES])
     p_lint.add_argument("--json", action="store_true")
     p_lint.add_argument("--list", action="store_true", help="list the rules")
 

@@ -2,7 +2,12 @@
 
 Codes are stable across releases. The error codes and their meanings are
 :data:`ERROR_CODES`, which ``docs/reference.md`` prints; the W2xx style
-rules are ``dial.lint.RULES``.
+rules are ``dial.lint.RULES``. Every code is a literal in the source, so a
+static test (``tests/test_diagnostics.py``) checks them all against those two
+tables, and a diagnostic checks nothing when it is built.
+
+A diagnostic names no file: the file is a fact of the compile
+(``CompileResult.file``), and the printers take it beside its diagnostics.
 """
 
 from __future__ import annotations
@@ -47,33 +52,22 @@ class Span(Record):
 class Diagnostic(Record):
     code: str
     message: str
-    file: str | None = None
     span: Span | None = None
     ir_path: str | None = None  # node/edge id when no source span is known
     ir_kind: str | None = None  # what ir_path names: "node", "edge" or "group"
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        code = self.code
-        # lint's W codes are checked by shape: this module cannot import dial.lint
-        if code not in ERROR_CODES and not (len(code) == 4 and code[0] == "W"
-                                            and code[1:].isdigit()):
-            raise ValueError(f"bad diagnostic code: {code!r}")
-        return self
 
     @property
     def severity(self) -> str:
         return "error" if self.code.startswith("E") else "warning"
 
-    def with_location(self, file: str | None, span: Span | None) -> Diagnostic:
-        return Diagnostic(self.code, self.message, file, span, self.ir_path, self.ir_kind)
-
-    def render_human(self) -> str:
+    def render_human(self, file: str | None) -> str:
+        """One line, located in ``file``, at the span if any; at the
+        ``ir_path`` if there is no file."""
         where = ""
-        if self.file and self.span:
-            where = f"{self.file}:{self.span}: "
-        elif self.file:
-            where = f"{self.file}: "
+        if file and self.span:
+            where = f"{file}:{self.span}: "
+        elif file:
+            where = f"{file}: "
         elif self.ir_path:
             where = f"{self.ir_path}: "
         return f"{where}{self.severity} {self.code}: {self.message}"
@@ -83,16 +77,18 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diagnostics)
 
 
-def dump_json(diagnostics: list[Diagnostic], stream: io.TextIOBase) -> None:
-    """One object per diagnostic in the frozen wire shape, exactly these six keys,
-    in one write, byte for byte as ``json.dumps(..., indent=2)`` prints the list."""
+def dump_json(groups: list[tuple[str, list[Diagnostic]]], stream: io.TextIOBase) -> None:
+    """One object per diagnostic of every ``(file, diagnostics)`` group, in the
+    frozen wire shape, exactly these six keys, in one write, byte for byte as
+    ``json.dumps(..., indent=2)`` prints the list."""
     from json.encoder import encode_basestring_ascii as text  # only --json output needs it
     objects = ",\n".join(
         f'  {{\n    "code": {text(d.code)},\n    "severity": {text(d.severity)},\n'
-        f'    "file": {"null" if d.file is None else text(d.file)},\n'
+        f'    "file": {text(file)},\n'
         f'    "line": {"null" if d.span is None else d.span.line},\n'
         f'    "col": {"null" if d.span is None else d.span.col},\n'
-        f'    "message": {text(d.message)}\n  }}' for d in diagnostics)
+        f'    "message": {text(d.message)}\n  }}'
+        for file, diagnostics in groups for d in diagnostics)
     stream.write(f"[\n{objects}\n]\n" if objects else "[]\n")
 
 

@@ -262,21 +262,30 @@ def _validate_groups(diagram: Diagram, nodes: dict[str, Node],
                     ir_path=group.id, ir_kind="group"))
 
     # The zoomed node must not sit inside its own refinement, transitively:
-    # follow owner -> containing group -> that group's owner -> ...
+    # owner -> containing group -> that group's owner -> ... Each owner sits in
+    # at most one group, so the groups form a functional graph; one
+    # three-colour pass marks every group id whose path runs into a cycle
+    # (None: on the path being followed).
     group_by_id = {g.id: g for g in diagram.groups}
+    cyclic: dict[str, bool | None] = {}
+    for at in group_by_id:
+        path = []
+        while at is not None and at not in cyclic:
+            cyclic[at] = None
+            path.append(at)
+            at = owner_of.get(group_by_id[at].owner)
+        cyclic.update(dict.fromkeys(path, at is not None and cyclic[at] is not False))
     for group in diagram.groups:
-        seen = {group.id}
-        current = group
-        while current.owner in owner_of:
-            next_id = owner_of[current.owner]
-            if next_id in seen:
-                out.append(Diagnostic(
-                    "E012", f"detail group {group.id!r} contains itself transitively",
-                    ir_path=group.id, ir_kind="group",
-                ))
-                break
-            seen.add(next_id)
-            current = group_by_id[next_id]
+        at = owner_of.get(group.owner)
+        if at is not None and not cyclic[at] and group_by_id[group.id] is not group:
+            # a group sharing its id with a later one: the path may reach that id
+            while at is not None and at != group.id:
+                at = owner_of.get(group_by_id[at].owner)
+        if at is not None and (at == group.id or cyclic[at]):
+            out.append(Diagnostic(
+                "E012", f"detail group {group.id!r} contains itself transitively",
+                ir_path=group.id, ir_kind="group",
+            ))
         if group.owner in group.member_nodes:
             out.append(Diagnostic(
                 "E012", f"node {group.owner!r} is a member of its own detail group",

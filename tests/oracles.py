@@ -617,20 +617,78 @@ def reference_tensor(present: list[DataTerm]) -> DataTerm | None:
 
 
 # ---------------------------------------------------------------------------
-# The earlier diagnostics writer, one write per chunk of the encoder, with the
-# earlier ``Diagnostic.to_json_obj`` inlined: verbatim
+# The earlier group validation, which walked owner -> containing group -> ...
+# from every group with a fresh ``seen`` set: verbatim
 # ---------------------------------------------------------------------------
 
 
-def reference_dump_json(diagnostics: list[Diagnostic], stream) -> None:
+def reference_validate_groups(diagram: Diagram, nodes: dict[str, Node],
+                              out: list[Diagnostic]) -> dict[str, str]:
+    """Appends the group violations to ``out``; returns each member's group."""
+    edge_ids = {e.id for e in diagram.edges}
+    owner_of: dict[str, str] = {}  # member node -> group id
+    for group in diagram.groups:
+        if group.owner not in nodes:
+            out.append(Diagnostic(
+                "E011", f"detail group owner {group.owner!r} does not exist",
+                ir_path=group.id, ir_kind="group"))
+        for member in group.member_nodes:
+            if member not in nodes:
+                out.append(Diagnostic(
+                    "E011", f"detail group member {member!r} does not exist",
+                    ir_path=group.id, ir_kind="group"))
+            elif owner_of.get(member, group.id) != group.id:
+                out.append(Diagnostic(
+                    "E014", f"node {member!r} is listed by detail groups "
+                            f"{owner_of[member]!r} and {group.id!r}",
+                    ir_path=group.id, ir_kind="group"))
+            owner_of[member] = group.id
+        for member in group.member_edges:
+            if member not in edge_ids:
+                out.append(Diagnostic(
+                    "E011", f"detail group member edge {member!r} does not exist",
+                    ir_path=group.id, ir_kind="group"))
+
+    # The zoomed node must not sit inside its own refinement, transitively:
+    # follow owner -> containing group -> that group's owner -> ...
+    group_by_id = {g.id: g for g in diagram.groups}
+    for group in diagram.groups:
+        seen = {group.id}
+        current = group
+        while current.owner in owner_of:
+            next_id = owner_of[current.owner]
+            if next_id in seen:
+                out.append(Diagnostic(
+                    "E012", f"detail group {group.id!r} contains itself transitively",
+                    ir_path=group.id, ir_kind="group",
+                ))
+                break
+            seen.add(next_id)
+            current = group_by_id[next_id]
+        if group.owner in group.member_nodes:
+            out.append(Diagnostic(
+                "E012", f"node {group.owner!r} is a member of its own detail group",
+                ir_path=group.id, ir_kind="group",
+            ))
+    return owner_of
+
+
+# ---------------------------------------------------------------------------
+# The earlier diagnostics writer, one write per chunk of the encoder, with the
+# earlier ``Diagnostic.to_json_obj`` inlined: verbatim but for taking each
+# diagnostic's file from its ``(file, diagnostics)`` group
+# ---------------------------------------------------------------------------
+
+
+def reference_dump_json(groups: list[tuple[str, list[Diagnostic]]], stream) -> None:
     json.dump([{
         "code": d.code,
         "severity": d.severity,
-        "file": d.file,
+        "file": file,
         "line": d.span.line if d.span else None,
         "col": d.span.col if d.span else None,
         "message": d.message,
-    } for d in diagnostics], stream, indent=2)
+    } for file, diagnostics in groups for d in diagnostics], stream, indent=2)
     stream.write("\n")
 
 

@@ -163,18 +163,23 @@ class _Writes(list):
     write = list.append
 
 
-@given(st.lists(st.builds(
+DIAGNOSTICS = st.lists(st.builds(
     Diagnostic, st.sampled_from([*ERROR_CODES, "W201", "W207"]), st.text(),
-    st.none() | st.text(), st.none() | st.builds(Span, st.integers(1, 10**6),
-                                                 st.integers(1, 10**6)))))
+    st.none() | st.builds(Span, st.integers(1, 10**6), st.integers(1, 10**6))))
+
+
+@given(st.lists(st.tuples(st.text(), DIAGNOSTICS), min_size=2, max_size=5))
 @example([])
-@example([Diagnostic("E002", 'a "quote", a \\ and \x00\x1f\x7f\n\t, é ✓ \U0001f600',
-                     'dir\\"x".dial', Span(3, 7))])
-def test_json_diagnostics_are_one_write_of_the_chunked_bytes(diagnostics):
-    # one string per call, byte for byte what json.dump wrote chunk by chunk
+@example([("empty.dial", [])])
+@example([('dir\\"x".dial', [Diagnostic(
+    "E002", 'a "quote", a \\ and \x00\x1f\x7f\n\t, é ✓ \U0001f600', Span(3, 7))]),
+          ("empty.dial", []), ("b.dial", [Diagnostic("W207", "m"), Diagnostic("E101", "n")])])
+def test_json_diagnostics_are_one_write_of_the_chunked_bytes(groups):
+    # one string per call over every file's diagnostics, byte for byte what
+    # json.dump wrote chunk by chunk
     writes, chunks = _Writes(), io.StringIO()
-    dump_json(diagnostics, writes)
-    reference_dump_json(diagnostics, chunks)
+    dump_json(groups, writes)
+    reference_dump_json(groups, chunks)
     assert len(writes) == 1 and writes[0] == chunks.getvalue()
 
 
@@ -198,6 +203,22 @@ def test_lint_allow_disables_one_rule():
     fixture = str(LINT_FIXTURES / "w207.dial")
     code, _, err = dial("lint", "--deny", "warnings", "--allow", "W207", fixture)
     assert code == 0 and "W207" not in err
+
+
+def test_lint_json_names_each_files_own_path():
+    # two files, one array, each object in the file it came from
+    w207, w203 = str(LINT_FIXTURES / "w207.dial"), str(LINT_FIXTURES / "w203.dial")
+    code, out, err = dial("lint", "--json", w207, w203)
+    assert code == 0 and err == ""
+    assert [(d["file"], d["code"]) for d in json.loads(out)] == [(w207, "W207"), (w203, "W203")]
+
+
+@pytest.mark.parametrize("rule", ["W999", "w207"], ids=["unknown", "lower_case"])
+def test_lint_allow_rejects_a_code_that_is_no_rule(rule):
+    argv = ["lint", "--allow", rule, str(LINT_FIXTURES / "w207.dial")]
+    expected_out, expected_err = fresh_parser_output(argv)
+    assert dial(*argv) == (2, "", expected_err) and expected_out == ""
+    assert f"argument --allow: invalid choice: '{rule}'" in expected_err
 
 
 def test_lint_warning_line_names_its_file_without_a_position():
@@ -326,8 +347,8 @@ def test_fmt_keeps_sides_and_placements(tmp_path):
 def test_fmt_syntax_error_exits_one(tmp_path):
     bad = tmp_path / "bad.dial"
     bad.write_text("dial 0.1 what\n")
-    code, out, err = dial("fmt", str(bad))
-    assert code == 1 and "E002" in err
+    assert dial("fmt", str(bad)) == (
+        1, "", f"{bad}:1:10: error E002: expected 'dialect', found 'what'\n")
 
 
 def test_fmt_write_that_cannot_write_exits_two(tmp_path, monkeypatch):
@@ -598,4 +619,4 @@ def test_every_command_survives_generated_sources(rng, make, mutations):
 
 
 def test_a_diagnostic_without_a_file_is_shown_at_its_ir_path():
-    assert Diagnostic("E102", "m", ir_path="e0").render_human() == "e0: error E102: m"
+    assert Diagnostic("E102", "m", ir_path="e0").render_human(None) == "e0: error E102: m"

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import io
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 import dial.layout
+import dial.lint
 from dial.cli import compile_file, compile_source, run
 from dial.layout import Layering, break_cycles, layout, main_layering
 from dial.lint import RULES
@@ -105,8 +107,33 @@ def test_id_shared_by_node_and_table_sorts_by_the_table():
 
 
 def test_lint_warnings_are_located_in_the_file():
-    result = compile_file(str(FIXTURES / "w203.dial"))
-    assert [d.file for d in result.lint()] == [str(FIXTURES / "w203.dial")]
+    # by the file alone, with no line or column, in either output
+    path = str(FIXTURES / "w203.dial")
+    [warning] = compile_file(path).lint()
+    human, as_json = io.StringIO(), io.StringIO()
+    assert run(["lint", path], stdout=io.StringIO(), stderr=human) == 0
+    assert run(["lint", "--json", path], stdout=as_json, stderr=io.StringIO()) == 0
+    assert human.getvalue() == f"{path}: warning W203: {warning.message}\n"
+    assert json.loads(as_json.getvalue()) == [{
+        "code": "W203", "severity": "warning", "file": path, "line": None, "col": None,
+        "message": warning.message}]
+
+
+def test_compile_result_lint_returns_the_warnings_lint_built(monkeypatch):
+    # no warning is built twice: the result hands on lint's own objects
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    original = dial.lint.lint
+    monkeypatch.setattr(dial.lint, "lint", recording)
+    result = compile_source('dial 0.1\ndialect sys\ndiagram "chain" {\n  data a: S^Token\n'
+                            "  node p: POS\n  node n: NER\n  edge a -> p\n  edge p -> n\n}\n")
+    warnings = result.lint()
+    assert len(built) == 1 and [d.code for d in warnings] == ["W207", "W207"]
+    assert all(ours is theirs for ours, theirs in zip(warnings, built[0], strict=True))
 
 
 def test_w208_comes_in_node_order():

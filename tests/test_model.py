@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -20,9 +22,12 @@ from dial.model import (
     Node,
     PerfAnnotation,
     Port,
+    _validate_groups,
     validate_structure,
 )
+from dial.record import replace
 from dial.registry import Registry
+from oracles import random_grouped_diagram, reference_validate_groups
 
 
 def task(node_id: str, code: str, **kw) -> Node:
@@ -197,6 +202,80 @@ def test_owner_inside_its_own_group():
     d.groups.append(DetailGroup("g1", owner="p", member_nodes=("p", "n")))
     codes = validate(d)
     assert "E012" in codes
+
+
+def owner_cycle_mutants(rng: random.Random, diagram: Diagram) -> list[Diagram]:
+    """``diagram`` with a ring of its groups closed (each one's owner joins the
+    next one's members), and that with one group given another's id."""
+    groups = diagram.groups
+    if not groups:
+        return []
+    ring = rng.sample(range(len(groups)), rng.randint(1, len(groups)))
+    closed = list(groups)
+    for i, j in zip(ring, ring[1:] + ring[:1]):
+        closed[j] = replace(closed[j], member_nodes=(*closed[j].member_nodes, groups[i].owner))
+    mutants = [closed]
+    if len(groups) > 1:
+        i, j = rng.sample(range(len(groups)), 2)
+        mutants.append([*closed[:i], replace(closed[i], id=groups[j].id), *closed[i + 1:]])
+    return [Diagram(diagram.name, diagram.dialects, diagram.nodes, diagram.edges, mutant)
+            for mutant in mutants]
+
+
+def random_group_graph(rng: random.Random) -> Diagram:
+    """Up to 12 groups over up to 8 nodes, each owner and member drawn at
+    random (now and then a node that does not exist), about one group in five
+    sharing the id of an earlier one."""
+    nodes = [task(f"n{i}", "POS") for i in range(rng.randint(1, 8))]
+    ids = [n.id for n in nodes] + ["ghost"]
+    groups: list[DetailGroup] = []
+    for k in range(rng.randint(1, 12)):
+        group_id = rng.choice(groups).id if groups and rng.random() < 0.2 else f"g{k}"
+        groups.append(DetailGroup(group_id, rng.choice(ids[:-1] if rng.random() < 0.9 else ids),
+                                  tuple(rng.choices(ids, k=rng.randint(0, 3)))))
+    return Diagram("groups", frozenset({"sys"}), nodes=nodes, groups=groups)
+
+
+def test_group_validation_matches_the_reference_walk():
+    # the one pass over the group graph against a walk from every group
+    rng = random.Random(41)
+    diagrams = []
+    for _ in range(500):
+        grouped = random_grouped_diagram(rng)
+        diagrams += [grouped, *owner_cycle_mutants(rng, grouped), random_group_graph(rng)]
+    seen = Counter()
+    for diagram in diagrams:
+        for d in (diagram, deserialize(canonical_serialize(diagram))):
+            nodes = {n.id: n for n in d.nodes}
+            ours, theirs = [], []
+            assert _validate_groups(d, nodes, ours) == reference_validate_groups(d, nodes, theirs)
+            assert ours == theirs, canonical_serialize(d)
+            canonical = {g.id: g for g in d.groups}
+            flagged = [x.ir_path for x in ours if x.message.endswith("transitively")]
+            seen["cycle"] += bool(flagged)
+            seen["shared id"] += any(canonical[g.id] is not g and g.id in flagged
+                                     for g in d.groups)
+    assert seen["cycle"] > 1500 and seen["shared id"] > 500, seen
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["declared_down", "declared_up"])
+def test_a_long_chain_of_detail_groups_validates_in_linear_time(reverse):
+    # group g<i> refines n<i> into n<i+1>: the walk from each group climbed
+    # every group above it, about a second for a chain this long
+    n = 4000
+    d = Diagram("nested", frozenset({"sys"}),
+                nodes=[Node(f"n{i}", "function", "func") for i in range(n + 1)],
+                edges=[Edge(f"e{i}", Port(f"n{i}", 0, "out"), Port(f"n{i + 1}", 0, "in"))
+                       for i in range(n)],
+                groups=[DetailGroup(f"g{i}", f"n{i}", (f"n{i + 1}",)) for i in range(n)])
+    if reverse:
+        for items in (d.nodes, d.edges, d.groups):
+            items.reverse()
+    start = time.perf_counter()
+    diagnostics, graph = validate_structure(d, Registry())
+    elapsed = time.perf_counter() - start
+    assert diagnostics == [] and len(graph.group_of) == n
+    assert elapsed < 0.25, elapsed
 
 
 def test_dangling_group_member():

@@ -14,7 +14,6 @@ import pytest
 
 import dial
 from dial.cli import CompileResult
-from dial.diagnostics import Diagnostic
 from dial.model import Diagram, EmbeddingDecl, Node, PerfAnnotation
 from dial.record import Record, replace
 
@@ -24,7 +23,7 @@ for _module in pkgutil.iter_modules(dial.__path__):
 RECORDS = sorted((cls for cls in Record.__subclasses__() if cls.__module__.startswith("dial.")),
                  key=lambda cls: (cls.__module__, cls.__name__))
 # field values the class checks; every other field gets a string naming it
-VALID = {Diagnostic: {"code": "E001"}, EmbeddingDecl: {"dim": 3}}
+VALID = {EmbeddingDecl: {"dim": 3}}
 
 
 def sample(cls: type) -> dict:
@@ -60,16 +59,11 @@ def test_record_semantics(cls):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Diagnostic("X001", "bad code"),
-    lambda: Diagnostic("E01", "short code"),
-    lambda: Diagnostic("E999", "x"),
     lambda: PerfAnnotation("", 0.5, "test set"),
     lambda: PerfAnnotation("acc", 1.5, "test set"),
     lambda: EmbeddingDecl("w", 0),
     lambda: replace(EmbeddingDecl("w", 3), dim=0),
-    lambda: replace(Diagnostic("E001", "m"), code="nope"),
-], ids=["code", "code_length", "unknown_error_code", "metric", "acc", "dim", "replace_dim",
-        "replace_code"])
+], ids=["metric", "acc", "dim", "replace_dim"])
 def test_checked_fields_raise_value_error(build):
     with pytest.raises(ValueError):
         build()
